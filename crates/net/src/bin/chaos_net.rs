@@ -868,8 +868,8 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         liveness.push(entry);
     }
 
-    // Cluster-wide transport counters (loopback: writer counters stay 0, the
-    // delivery counters still expose chaos-induced drops per run).
+    // Cluster-wide transport counters (loopback: TCP reactor counters stay
+    // 0, the delivery counters still expose chaos-induced drops per run).
     // Merged event-loop stage profile across the live servers (the always-on
     // profiler costs <1% and answers "where did the chaos push the time?").
     let loop_snapshot = cluster.loop_profile();
@@ -896,7 +896,10 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         .push("writev_calls", totals.writev_calls)
         .push("frames_coalesced", totals.frames_coalesced)
         .push("flushes_idle", totals.flushes_idle)
-        .push("flushes_full", totals.flushes_full);
+        .push("flushes_full", totals.flushes_full)
+        .push("read_calls", totals.read_calls)
+        .push("poll_calls", totals.poll_calls)
+        .push("syscalls_per_frame", totals.syscalls_per_frame());
 
     let mut report = Json::obj();
     report

@@ -15,8 +15,8 @@
 //!
 //! - the default single point (loopback, the committed baseline config);
 //! - `--tcp`: the same cluster over real sockets ([`TcpCluster`]), which
-//!   additionally exercises — and reports — the event-driven writer loop
-//!   (vectored writes, frame coalescing, idle-vs-full flushes);
+//!   additionally exercises — and reports — the TCP reactor (writes, frame
+//!   coalescing, idle-vs-full flushes, reads, polls, syscalls per frame);
 //! - `--sweep`: a `pipeline_depth × verify_workers` grid (the host's core
 //!   count is recorded per run) written as a per-point array plus a `best`
 //!   summary, while the top-level fields still describe the committed-config
@@ -414,7 +414,8 @@ fn metrics_json(point: &Point, indent: usize) -> String {
          {pad}\"latency_max_ms\": {:.3},\n\
          {pad}\"transport_stats\": {{\"sent\": {}, \"received\": {}, \"dropped\": {}, \
          \"writev_calls\": {}, \"frames_coalesced\": {}, \"flushes_idle\": {}, \
-         \"flushes_full\": {}}}{}",
+         \"flushes_full\": {}, \"read_calls\": {}, \"poll_calls\": {}, \
+         \"syscalls_per_frame\": {:.2}}}{}",
         point.elapsed,
         point.committed,
         point.tps,
@@ -431,6 +432,9 @@ fn metrics_json(point: &Point, indent: usize) -> String {
         t.frames_coalesced,
         t.flushes_idle,
         t.flushes_full,
+        t.read_calls,
+        t.poll_calls,
+        t.syscalls_per_frame(),
         match &point.profile {
             Some(snap) => format!(",\n{}", loop_profile_json(snap, indent)),
             None => String::new(),

@@ -375,7 +375,7 @@ impl LocalCluster {
     }
 
     /// Cluster-wide transport counter sums (servers and clients). On the
-    /// loopback fabric the writer-loop counters are always zero.
+    /// loopback fabric the TCP reactor counters are always zero.
     pub fn transport_totals(&self) -> TransportTotals {
         let mut totals = TransportTotals::default();
         for stats in self.transport_stats.values() {
@@ -693,10 +693,10 @@ pub fn launch_tcp_client(
 
 /// A full PrestigeBFT cluster running over real TCP sockets **in this
 /// process**: every node binds its own ephemeral loopback port and talks to
-/// the others through [`TcpTransport`] — serialization, the event-driven
-/// writer loop, reconnects, the lot. This is the seam the loopback-vs-TCP
-/// integration tests and `peak_net --tcp` use to exercise the wire path that
-/// `LocalCluster` (by design) skips.
+/// the others through [`TcpTransport`] — serialization, the socket reactor
+/// on each node's event loop, reconnects, the lot. This is the seam the
+/// loopback-vs-TCP integration tests and `peak_net --tcp` use to exercise
+/// the wire path that `LocalCluster` (by design) skips.
 pub struct TcpCluster {
     config: ClusterConfig,
     servers: HashMap<ServerId, NodeHandle<Message>>,
@@ -708,10 +708,9 @@ pub struct TcpCluster {
 
 impl TcpCluster {
     /// Launches `config.n()` servers and `clients` closed-loop clients over
-    /// TCP on `127.0.0.1`. Ports are reserved by binding (then releasing)
-    /// ephemeral listeners up front, so every node starts with the complete
-    /// peer address map — the writer loops' reconnect machinery absorbs the
-    /// startup window where some peers have not bound yet.
+    /// TCP on `127.0.0.1`. Every node's ephemeral listener is bound up
+    /// front and kept, so every node starts with the complete peer address
+    /// map and every peer is already listening.
     pub fn launch(
         config: ClusterConfig,
         seed: u64,
@@ -731,30 +730,25 @@ impl TcpCluster {
     ) -> std::io::Result<Self> {
         let registry = KeyRegistry::new(seed, config.n(), clients);
 
+        // Bind every listener before any node starts and hand each node its
+        // own: every peer is already listening when the first frame is sent,
+        // so no first connect is refused and nobody else can take a port in
+        // between.
+        let actors = (0..config.n())
+            .map(|i| Actor::Server(ServerId(i)))
+            .chain((0..clients).map(|c| Actor::Client(ClientId(c))));
+        let mut listeners = HashMap::new();
         let mut addrs: HashMap<Actor, SocketAddr> = HashMap::new();
-        {
-            let mut reservations = Vec::new();
-            for i in 0..config.n() {
-                let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-                addrs.insert(Actor::Server(ServerId(i)), listener.local_addr()?);
-                reservations.push(listener);
-            }
-            for c in 0..clients {
-                let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-                addrs.insert(Actor::Client(ClientId(c)), listener.local_addr()?);
-                reservations.push(listener);
-            }
-            // Dropping the reservations frees the ports for the real binds
-            // below. The window where another process could steal one is
-            // unavoidable without SO_REUSEPORT tricks and harmless in
-            // practice: bind failure surfaces as an Err, not a hang.
+        for actor in actors {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+            addrs.insert(actor, listener.local_addr()?);
+            listeners.insert(actor, listener);
         }
-        let peers_for = |me: Actor| -> HashMap<Actor, SocketAddr> {
-            addrs
-                .iter()
-                .filter(|(a, _)| **a != me)
-                .map(|(a, sa)| (*a, *sa))
-                .collect()
+        let mut endpoint = |me: Actor| -> std::io::Result<TcpTransport<Message>> {
+            let listener = listeners.remove(&me).expect("one listener per actor");
+            let mut peers = addrs.clone();
+            peers.remove(&me);
+            TcpTransport::from_listener(me, listener, peers)
         };
 
         let mut servers = HashMap::new();
@@ -763,8 +757,7 @@ impl TcpCluster {
         for i in 0..config.n() {
             let id = ServerId(i);
             let me = Actor::Server(id);
-            let transport: TcpTransport<Message> =
-                TcpTransport::bind(me, TcpConfig::new(addrs[&me], peers_for(me)))?;
+            let transport = endpoint(me)?;
             transport_stats.insert(me, transport.stats());
             let mut server = PrestigeServer::with_behavior(
                 id,
@@ -804,8 +797,7 @@ impl TcpCluster {
         for c in 0..clients {
             let id = ClientId(c);
             let me = Actor::Client(id);
-            let transport: TcpTransport<Message> =
-                TcpTransport::bind(me, TcpConfig::new(addrs[&me], peers_for(me)))?;
+            let transport = endpoint(me)?;
             transport_stats.insert(me, transport.stats());
             let cc = ClientConfig::new(
                 id,
@@ -898,7 +890,7 @@ impl TcpCluster {
 
     /// Kills a server: its runtime stops and its transport shuts down, so
     /// its listener closes and established streams break — a process kill as
-    /// seen from the rest of the cluster. Peers' writer loops park the dead
+    /// seen from the rest of the cluster. Peers' transports park the dead
     /// address behind reconnect backoff.
     pub fn crash_server(&mut self, id: ServerId) {
         if let Some(handle) = self.servers.remove(&id) {
@@ -933,8 +925,9 @@ impl TcpCluster {
         merged
     }
 
-    /// Cluster-wide transport counter sums — over TCP the writer-loop
-    /// counters (`writev_calls`, `frames_coalesced`, …) are live.
+    /// Cluster-wide transport counter sums — over TCP the reactor counters
+    /// (`writev_calls`, `frames_coalesced`, `read_calls`, `poll_calls`, …)
+    /// are live.
     pub fn transport_totals(&self) -> TransportTotals {
         let mut totals = TransportTotals::default();
         for stats in self.transport_stats.values() {

@@ -170,8 +170,8 @@ impl FrameCodec {
     }
 
     /// Encodes `(from, payload)` once into shared bytes, using `pool` for the
-    /// scratch buffer. The returned `Arc<[u8]>` is what the broadcast path
-    /// hands to every per-peer writer: one serialization, many readers.
+    /// scratch buffer: one serialization, many readers of the returned
+    /// `Arc<[u8]>`.
     pub fn encode_shared<M: serde::Serialize>(
         &self,
         from: Actor,

@@ -1,79 +1,58 @@
-//! TCP transport: real sockets, an event-driven writer loop with vectored
-//! writes, bounded backpressure.
+//! TCP transport: real sockets driven by a single-threaded readiness
+//! reactor. A [`TcpTransport`] owns **no long-lived thread** — every accept,
+//! read, decode and write happens on the thread that calls it (the node's
+//! event loop), inside [`Transport::send`], [`Transport::broadcast`],
+//! [`Transport::recv_timeout`] and [`Transport::shutdown`].
 //!
-//! Topology: every node listens on one address. Inbound connections are
-//! accepted by a listener thread; each accepted connection gets a reader
-//! thread that decodes frames (see [`crate::frame`]) and funnels them into
-//! the node's single inbound queue. The sender identity travels inside each
-//! frame, so connection direction is irrelevant to the protocol and node
-//! restarts need no handshake state.
+//! Topology: every node listens on one address and dials each peer lazily on
+//! first send. The sender identity travels inside each frame (see
+//! [`crate::frame`]), so connection direction is irrelevant to the protocol
+//! and node restarts need no handshake state. Outbound connections are
+//! write-only, accepted connections are read-only.
 //!
-//! Outbound is a **single readiness-driven writer thread** for all peers
-//! (replacing the earlier thread-per-peer fan-out):
+//! * **Receive.** `recv_timeout` returns already-decoded frames from a local
+//!   queue; only when that is empty does it wait — one `ppoll(2)` over the
+//!   listener, every accepted socket and any write-blocked outbound socket
+//!   (nanosecond timeout: the event loop asks for 200 µs waits and sub-ms
+//!   timers). Readable sockets are read once into a per-connection buffer
+//!   and decoded with a cursor; the consumed prefix is dropped once per read.
+//!   Because sockets are read only when the local queue is empty, inbound
+//!   backpressure is TCP's own: a slow node stops reading, its peers'
+//!   sockets block, and *their* bounded outbound queues shed.
+//! * **Send.** Frames are encoded on the caller (a broadcast exactly once,
+//!   the bytes shared by every recipient) and written nonblocking straight
+//!   to the socket when the peer has nothing queued — an idle connection
+//!   pays one `write` per frame and no wake-up. Only what the socket did
+//!   not take is queued; the backlog is flushed with `write_vectored`
+//!   (up to `MAX_IOV` frames per syscall) when `ppoll` reports the socket
+//!   writable again. Both paths are counted (`flushes_idle` /
+//!   `flushes_full` in [`TransportStats`]).
+//! * **Connect.** Dialing happens on a short-lived connector thread so the
+//!   reactor never blocks in `connect`; while one is in flight the poll wait
+//!   is capped at 1 ms so its result is noticed promptly. Frames queued for
+//!   an unreachable peer **survive** (capped-backoff retry) — only per-peer
+//!   queue overflow sheds, newest first, keeping memory bounded and shed
+//!   order deterministic. On a broken connection a half-written head frame
+//!   is the only loss.
 //!
-//! * every peer has a frame deque and a nonblocking socket; the writer
-//!   drains each deque with `write_vectored`, so a backlog of many small
-//!   frames costs one syscall per `MAX_IOV` frames instead of one each;
-//! * flushing is **adaptive by construction**: an idle connection writes
-//!   each frame the moment it is enqueued (protecting p50 latency), while a
-//!   loaded one naturally accumulates a backlog between scheduler slots and
-//!   coalesces it (protecting throughput). Both paths are counted
-//!   (`flushes_idle` / `flushes_full` in [`TransportStats`]);
-//! * when a socket's send buffer fills (`WouldBlock`), the writer parks the
-//!   peer and waits for writability with `poll(2)` (bounded at 1 ms so new
-//!   enqueues are never starved) instead of spinning;
-//! * connects happen on short-lived connector threads so the writer never
-//!   blocks in `connect`; queued frames **survive** an unreachable peer
-//!   (capped-backoff retry) — only per-peer queue overflow sheds, newest
-//!   first, keeping memory bounded and making shed order deterministic.
-//!
-//! The async-runtime note: the container this repository builds in has no
-//! crates.io access, so tokio/mio cannot be used; readiness is a hand-rolled
-//! `poll(2)` call on Linux (a sub-millisecond sleep elsewhere). The
-//! [`Transport`] trait is the seam where a tokio implementation would slot
-//! in unchanged.
+//! The container this repository builds in has no crates.io access, so
+//! tokio/mio/libc cannot be used; readiness is a hand-rolled `ppoll(2)` on
+//! Linux (elsewhere: a sub-millisecond sleep, then try every socket — all of
+//! them are nonblocking, so spurious readiness is harmless).
 
 use crate::frame::{BufferPool, FrameCodec};
-use crate::transport::{
-    warn_drop, warn_inbound_drop, Transport, TransportStats, DEFAULT_QUEUE_CAPACITY,
-};
+use crate::transport::{warn_drop, Transport, TransportStats, DEFAULT_QUEUE_CAPACITY};
 use prestige_types::Actor;
 use std::collections::{HashMap, VecDeque};
-use std::io::{IoSlice, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A complete, pre-encoded wire frame shared between the encoding thread and
-/// the writer loop. Produced once per broadcast, no matter how many peers it
-/// fans out to.
+/// A complete, encoded wire frame waiting in one or more peer queues.
 type SharedFrame = Arc<[u8]>;
-
-/// One outbound item handed to the writer loop.
-///
-/// Unicast messages travel unencoded and are serialized by the writer thread
-/// into a reused scratch buffer — keeping serialization off the protocol
-/// event loop. Broadcasts arrive as a pre-encoded [`SharedFrame`]: one
-/// serialization on the caller, a refcount bump per peer.
-enum Outbound<M> {
-    /// A unicast message, encoded by the writer thread.
-    Message(M),
-    /// Shared pre-encoded bytes (broadcast fan-out).
-    Frame(SharedFrame),
-}
-
-/// Commands flowing into the writer loop.
-enum WriterCmd<M> {
-    /// Enqueue one item for `to`.
-    Send { to: Actor, item: Outbound<M> },
-    /// A connector thread finished successfully.
-    Connected { to: Actor, stream: TcpStream },
-    /// A connector thread failed; back off before retrying.
-    ConnectFailed { to: Actor },
-}
 
 /// Initial reconnect backoff; doubles per failure up to [`MAX_BACKOFF`].
 const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
@@ -81,11 +60,13 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 /// Most frames coalesced into one `write_vectored` call.
 const MAX_IOV: usize = 64;
-/// Upper bound on one `poll(2)` wait for socket writability: short enough
-/// that freshly enqueued frames for *other* peers are picked up promptly.
-const POLL_WAIT: Duration = Duration::from_millis(1);
-/// Writer idle wait when nothing is queued anywhere.
-const IDLE_WAIT: Duration = Duration::from_millis(100);
+/// Upper bound on one poll wait while a connector thread is in flight, so
+/// its result is picked up within a millisecond.
+const CONNECT_POLL: Duration = Duration::from_millis(1);
+/// Bytes asked of a readable socket per `read`.
+const READ_CHUNK: usize = 64 * 1024;
+/// How long `shutdown` keeps flushing queued frames to connected peers.
+const SHUTDOWN_FLUSH: Duration = Duration::from_millis(50);
 
 /// Configuration of a TCP endpoint.
 #[derive(Debug, Clone)]
@@ -112,93 +93,128 @@ impl TcpConfig {
     }
 }
 
+/// An accepted (read-only) connection.
+struct Inbound {
+    stream: TcpStream,
+    /// Bytes received but not yet decoded: at most one incomplete frame
+    /// between reads.
+    buf: Vec<u8>,
+    /// Cleared on EOF, I/O error or a corrupt stream; the connection is
+    /// dropped at the end of the poll round.
+    open: bool,
+}
+
+/// Outbound state of one configured peer.
+struct Peer {
+    actor: Actor,
+    addr: SocketAddr,
+    /// Established nonblocking connection, if any.
+    stream: Option<TcpStream>,
+    /// Frames the socket has not taken yet, oldest first. Empty whenever the
+    /// connection keeps up.
+    queue: VecDeque<SharedFrame>,
+    /// Bytes of `queue[0]` already written (a partial write).
+    partial: usize,
+    /// A connector thread is in flight.
+    connecting: bool,
+    /// Current reconnect backoff.
+    backoff: Duration,
+    /// Earliest next connect attempt.
+    retry_at: Instant,
+    /// The socket returned `WouldBlock`; flush again once `ppoll` reports it
+    /// writable.
+    blocked: bool,
+}
+
+/// What a connector thread reports back.
+type Dialed = (usize, std::io::Result<TcpStream>);
+
 /// A TCP endpoint implementing [`Transport`] for any serde-encodable message
-/// type.
+/// type. See the module docs for the reactor design.
 pub struct TcpTransport<M: serde::Serialize + serde::Deserialize + Send + 'static> {
     me: Actor,
     config: TcpConfig,
-    inbound_rx: Receiver<(Actor, M)>,
-    /// Command channel into the writer loop (`None` once shut down).
-    cmd_tx: Option<Sender<WriterCmd<M>>>,
-    /// Shared per-peer backlog gauges: incremented at enqueue, decremented by
-    /// the writer once a frame is written (or torn on a broken connection).
-    /// The send path sheds *before* enqueueing when a gauge is at capacity,
-    /// so per-peer memory stays bounded without any queue lock.
-    backlog: HashMap<Actor, Arc<AtomicUsize>>,
     stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    writer_join: Option<JoinHandle<()>>,
-    listener_join: Option<JoinHandle<()>>,
+    /// `None` once shut down.
+    listener: Option<TcpListener>,
+    inbound: Vec<Inbound>,
+    peers: Vec<Peer>,
+    /// Position of each configured peer in `peers`.
+    peer_index: HashMap<Actor, usize>,
+    /// Decoded frames not yet returned by `recv_timeout`.
+    ready: VecDeque<(Actor, M)>,
+    /// Connector threads report here.
+    dialed_tx: Sender<Dialed>,
+    dialed_rx: Receiver<Dialed>,
     /// Scratch buffers reused across frame encodings.
     encode_pool: BufferPool,
+    /// Scratch space every socket is read into.
+    chunk: Box<[u8]>,
+    /// Reused `ppoll` argument array.
+    pollfds: Vec<poll::PollFd>,
 }
 
 impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> {
-    /// Binds the listen address and starts the accept loop and the writer
-    /// loop. Outbound connections are established lazily on first send to
-    /// each peer.
-    pub fn bind(me: Actor, mut config: TcpConfig) -> std::io::Result<Self> {
+    /// Binds `config.listen` and returns the endpoint. Outbound connections
+    /// are established lazily on first send to each peer.
+    pub fn bind(me: Actor, config: TcpConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(config.listen)?;
+        Self::new(me, listener, config)
+    }
+
+    /// An endpoint on an already-bound listener with the default queue
+    /// capacity and codec. A launcher that binds every node's listener
+    /// before starting any node gives each peer a complete address map with
+    /// nobody's first connect refused.
+    pub fn from_listener(
+        me: Actor,
+        listener: TcpListener,
+        peers: HashMap<Actor, SocketAddr>,
+    ) -> std::io::Result<Self> {
+        let config = TcpConfig::new(listener.local_addr()?, peers);
+        Self::new(me, listener, config)
+    }
+
+    fn new(me: Actor, listener: TcpListener, mut config: TcpConfig) -> std::io::Result<Self> {
         // Record the OS-assigned address so port-0 binds are discoverable.
         config.listen = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (inbound_tx, inbound_rx) = sync_channel(config.queue_capacity);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(TransportStats::default());
-
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_stats = Arc::clone(&stats);
-        let accept_codec = config.codec;
-        let listener_join = std::thread::Builder::new()
-            .name(format!("tcp-accept-{me}"))
-            .spawn(move || {
-                accept_loop(
-                    me,
-                    listener,
-                    inbound_tx,
-                    accept_codec,
-                    accept_shutdown,
-                    accept_stats,
-                )
-            })
-            .expect("spawn accept thread");
-
-        let backlog: HashMap<Actor, Arc<AtomicUsize>> = config
+        let now = Instant::now();
+        let peers: Vec<Peer> = config
             .peers
-            .keys()
-            .map(|&peer| (peer, Arc::new(AtomicUsize::new(0))))
+            .iter()
+            .map(|(&actor, &addr)| Peer {
+                actor,
+                addr,
+                stream: None,
+                queue: VecDeque::new(),
+                partial: 0,
+                connecting: false,
+                backoff: INITIAL_BACKOFF,
+                retry_at: now,
+                blocked: false,
+            })
             .collect();
-        let (cmd_tx, cmd_rx) = channel();
-        let writer = WriterLoop {
-            me,
-            codec: config.codec,
-            cmd_rx,
-            cmd_tx: cmd_tx.clone(),
-            peers: config
-                .peers
-                .iter()
-                .map(|(&peer, &addr)| (peer, PeerState::new(addr, Arc::clone(&backlog[&peer]))))
-                .collect(),
-            stats: Arc::clone(&stats),
-            shutdown: Arc::clone(&shutdown),
-            scratch: Vec::new(),
-        };
-        let writer_join = std::thread::Builder::new()
-            .name(format!("tcp-writer-{me}"))
-            .spawn(move || writer.run())
-            .expect("spawn writer thread");
-
+        let peer_index = peers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.actor, i))
+            .collect();
+        let (dialed_tx, dialed_rx) = channel();
         Ok(TcpTransport {
             me,
             config,
-            inbound_rx,
-            cmd_tx: Some(cmd_tx),
-            backlog,
-            stats,
-            shutdown,
-            writer_join: Some(writer_join),
-            listener_join: Some(listener_join),
+            stats: Arc::new(TransportStats::default()),
+            listener: Some(listener),
+            inbound: Vec::new(),
+            peers,
+            peer_index,
+            ready: VecDeque::new(),
+            dialed_tx,
+            dialed_rx,
             encode_pool: BufferPool::new(),
+            chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            pollfds: Vec::new(),
         })
     }
 
@@ -208,384 +224,127 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
         self.config.listen
     }
 
-    /// Queues one outbound item towards `to`, counting and warning on drop.
-    fn queue_outbound(&mut self, to: Actor, item: Outbound<M>) {
+    /// Counts a send towards `to` and decides whether it may be queued:
+    /// `None` (dropped, counted, warned) for an unknown peer or a full queue.
+    fn admit(&mut self, to: Actor) -> Option<usize> {
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        let Some(gauge) = self.backlog.get(&to) else {
-            // Unknown peer: no address configured.
-            let total = self.stats.note_drop(to);
-            warn_drop(&self.stats, self.me, to, "no address configured", total);
-            return;
+        let Some(&index) = self.peer_index.get(&to) else {
+            self.drop_outbound(to, "no address configured");
+            return None;
         };
         // Bounded backpressure: shed the *newest* frame when the peer's
-        // backlog is at capacity, exactly like the old bounded queue did.
-        if gauge.load(Ordering::Relaxed) >= self.config.queue_capacity {
-            let total = self.stats.note_drop(to);
-            warn_drop(&self.stats, self.me, to, "outbound queue full", total);
+        // backlog is at capacity.
+        if self.peers[index].queue.len() >= self.config.queue_capacity {
+            self.drop_outbound(to, "outbound queue full");
+            return None;
+        }
+        Some(index)
+    }
+
+    fn drop_outbound(&self, to: Actor, reason: &str) {
+        let total = self.stats.note_drop(to);
+        warn_drop(&self.stats, self.me, to, reason, total);
+    }
+
+    /// Hands one encoded frame to peer `index`: straight to the socket when
+    /// nothing is queued ahead of it, else (or for whatever the socket did
+    /// not take) onto the peer's queue. `shared` caches the queued copy so a
+    /// broadcast allocates it at most once.
+    fn transmit(&mut self, index: usize, bytes: &[u8], shared: &mut Option<SharedFrame>) {
+        let peer = &mut self.peers[index];
+        let mut written = 0;
+        if peer.queue.is_empty() {
+            if let Some(stream) = peer.stream.as_mut() {
+                self.stats.flushes_idle.fetch_add(1, Ordering::Relaxed);
+                match stream.write(bytes) {
+                    Ok(n) => {
+                        self.stats.writev_calls.fetch_add(1, Ordering::Relaxed);
+                        if n == bytes.len() {
+                            return;
+                        }
+                        written = n;
+                        peer.blocked = true;
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => peer.blocked = true,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    // Nothing of this frame is on the wire: it rides the
+                    // reconnect intact.
+                    Err(_) => peer.stream = None,
+                }
+            }
+        }
+        let frame = shared.get_or_insert_with(|| Arc::from(bytes));
+        peer.queue.push_back(Arc::clone(frame));
+        if written > 0 {
+            peer.partial = written;
+        }
+        self.service_peer(index, Instant::now());
+    }
+
+    /// Moves peer `index`'s backlog along: dials if there is no connection
+    /// (and none in flight, and the backoff has passed), flushes if the
+    /// socket is not known to be full.
+    fn service_peer(&mut self, index: usize, now: Instant) {
+        let peer = &mut self.peers[index];
+        if peer.queue.is_empty() || peer.blocked || peer.connecting {
             return;
         }
-        gauge.fetch_add(1, Ordering::Relaxed);
-        let sent = self
-            .cmd_tx
-            .as_ref()
-            .is_some_and(|tx| tx.send(WriterCmd::Send { to, item }).is_ok());
-        if !sent {
-            gauge.fetch_sub(1, Ordering::Relaxed);
-            let total = self.stats.note_drop(to);
-            warn_drop(&self.stats, self.me, to, "writer gone", total);
-        }
-    }
-}
-
-impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for TcpTransport<M> {
-    fn me(&self) -> Actor {
-        self.me
-    }
-
-    fn send(&mut self, to: Actor, message: M) {
-        // Unicast: hand the message to the writer thread unencoded, so
-        // serialization stays off the protocol event loop.
-        self.queue_outbound(to, Outbound::Message(message));
-    }
-
-    fn broadcast(&mut self, recipients: &[Actor], message: M)
-    where
-        M: Clone,
-    {
-        // Encode exactly once; every peer deque receives the same shared
-        // bytes. This is the leader→replica hot path: fan-out cost is one
-        // serialization plus one refcount bump per peer.
-        match self
-            .config
-            .codec
-            .encode_shared(self.me, &message, &self.encode_pool)
-        {
-            Ok(frame) => {
-                for &to in recipients {
-                    self.queue_outbound(to, Outbound::Frame(Arc::clone(&frame)));
-                }
-            }
-            Err(_) => {
-                for &to in recipients {
-                    self.stats.sent.fetch_add(1, Ordering::Relaxed);
-                    let total = self.stats.note_drop(to);
-                    warn_drop(&self.stats, self.me, to, "frame encoding failed", total);
-                }
-            }
+        if peer.stream.is_some() {
+            self.flush_peer(index);
+        } else if now >= peer.retry_at {
+            peer.connecting = true;
+            let (addr, dialed) = (peer.addr, self.dialed_tx.clone());
+            std::thread::Builder::new()
+                .name(format!("tcp-connect-{}-to-{}", self.me, peer.actor))
+                .spawn(move || {
+                    let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
+                    let _ = dialed.send((index, stream));
+                })
+                .expect("spawn connector thread");
         }
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)> {
-        match self.inbound_rx.recv_timeout(timeout) {
-            Ok(delivery) => {
-                self.stats.received.fetch_add(1, Ordering::Relaxed);
-                Some(delivery)
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-
-    fn stats(&self) -> Arc<TransportStats> {
-        Arc::clone(&self.stats)
-    }
-
-    fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Disconnecting the command channel wakes the writer immediately.
-        drop(self.cmd_tx.take());
-        if let Some(join) = self.writer_join.take() {
-            let _ = join.join();
-        }
-        if let Some(join) = self.listener_join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Drop for TcpTransport<M> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop<M: serde::Deserialize + Send + 'static>(
-    me: Actor,
-    listener: TcpListener,
-    inbound: SyncSender<(Actor, M)>,
-    codec: FrameCodec,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer_addr)) => {
-                let _ = stream.set_nodelay(true);
-                let inbound = inbound.clone();
-                let reader_shutdown = Arc::clone(&shutdown);
-                let reader_stats = Arc::clone(&stats);
-                let join = std::thread::Builder::new()
-                    .name("tcp-read".to_string())
-                    .spawn(move || {
-                        read_loop(me, stream, inbound, codec, reader_shutdown, reader_stats)
-                    })
-                    .expect("spawn reader thread");
-                readers.push(join);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-        // Reap readers whose connections have closed, so reconnect churn
-        // from flaky peers does not grow the handle list without bound.
-        readers.retain(|join| !join.is_finished());
-    }
-    for join in readers {
-        let _ = join.join();
-    }
-}
-
-fn read_loop<M: serde::Deserialize + Send + 'static>(
-    me: Actor,
-    mut stream: TcpStream,
-    inbound: SyncSender<(Actor, M)>,
-    codec: FrameCodec,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<TransportStats>,
-) {
-    use std::io::Read;
-    // Bound the blocking read so the thread notices shutdown. Partial frames
-    // are accumulated in `buf` and decoded with the streaming decoder, so a
-    // timeout mid-frame never loses bytes or desyncs the stream.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    while !shutdown.load(Ordering::SeqCst) {
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                loop {
-                    match codec.decode::<M>(&buf) {
-                        Ok(Some((from, message, used))) => {
-                            buf.drain(..used);
-                            // Backpressure: a full inbound queue sheds the
-                            // message, same policy as the loopback transport.
-                            // The shed is attributed to the sending peer (as
-                            // an inbound drop) and surfaced, rate-limited,
-                            // rather than silent.
-                            if inbound.try_send((from, message)).is_err() {
-                                let total = stats.note_inbound_drop(from);
-                                warn_inbound_drop(&stats, me, from, "inbound queue full", total);
-                            }
-                        }
-                        Ok(None) => break, // need more bytes
-                        Err(_) => return,  // corrupt stream: drop connection
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+    /// Collects finished connector threads: a new connection is flushed at
+    /// once, a failure schedules the retry.
+    fn reap_dialed(&mut self) {
+        while let Ok((index, result)) = self.dialed_rx.try_recv() {
+            // A connector that outlived `shutdown` finds no peer to report to.
+            let Some(peer) = self.peers.get_mut(index) else {
                 continue;
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Writer loop
-// ---------------------------------------------------------------------------
-
-/// Per-peer outbound state owned by the writer loop.
-struct PeerState {
-    addr: SocketAddr,
-    /// Established nonblocking connection, if any.
-    stream: Option<TcpStream>,
-    /// Frames awaiting write, oldest first.
-    queue: VecDeque<SharedFrame>,
-    /// Bytes of `queue[0]` already written (a partial vectored write).
-    partial: usize,
-    /// Shared with the send path for enqueue-time shedding.
-    gauge: Arc<AtomicUsize>,
-    /// A connector thread is in flight.
-    connecting: bool,
-    /// Current reconnect backoff.
-    backoff: Duration,
-    /// Earliest next connect attempt.
-    retry_at: Instant,
-    /// The socket returned `WouldBlock`; wait for writability before
-    /// retrying.
-    blocked: bool,
-}
-
-impl PeerState {
-    fn new(addr: SocketAddr, gauge: Arc<AtomicUsize>) -> Self {
-        PeerState {
-            addr,
-            stream: None,
-            queue: VecDeque::new(),
-            partial: 0,
-            gauge,
-            connecting: false,
-            backoff: INITIAL_BACKOFF,
-            retry_at: Instant::now(),
-            blocked: false,
-        }
-    }
-}
-
-struct WriterLoop<M> {
-    me: Actor,
-    codec: FrameCodec,
-    cmd_rx: Receiver<WriterCmd<M>>,
-    /// Handed to connector threads so they can report back.
-    cmd_tx: Sender<WriterCmd<M>>,
-    peers: HashMap<Actor, PeerState>,
-    stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    /// Scratch buffer reused across unicast encodings.
-    scratch: Vec<u8>,
-}
-
-impl<M: serde::Serialize + Send + 'static> WriterLoop<M> {
-    fn run(mut self) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // 1) Drain every pending command without blocking.
-            let mut disconnected = false;
-            loop {
-                match self.cmd_rx.try_recv() {
-                    Ok(cmd) => self.handle_cmd(cmd),
-                    Err(std::sync::mpsc::TryRecvError::Empty) => break,
-                    Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
-                }
-            }
-            // 2) Service every peer: connect if needed, flush what we can.
-            let now = Instant::now();
-            let peer_ids: Vec<Actor> = self.peers.keys().copied().collect();
-            for peer in peer_ids {
-                self.service_peer(peer, now);
-            }
-            if disconnected && self.peers.values().all(|p| p.queue.is_empty()) {
-                return; // Transport dropped and everything flushed.
-            }
-            // 3) Wait for the next event: new commands, socket writability,
-            //    or a reconnect timer.
-            self.wait(disconnected);
-        }
-    }
-
-    fn handle_cmd(&mut self, cmd: WriterCmd<M>) {
-        match cmd {
-            WriterCmd::Send { to, item } => {
-                let frame: Option<SharedFrame> = match item {
-                    Outbound::Frame(frame) => Some(frame),
-                    Outbound::Message(message) => {
-                        if self
-                            .codec
-                            .encode_into(self.me, &message, &mut self.scratch)
-                            .is_ok()
-                        {
-                            Some(Arc::from(self.scratch.as_slice()))
-                        } else {
-                            None
-                        }
-                    }
-                };
-                let Some(state) = self.peers.get_mut(&to) else {
-                    return; // Send path never enqueues unknown peers.
-                };
-                match frame {
-                    Some(frame) => state.queue.push_back(frame),
-                    None => {
-                        // Oversize unicast payload: counted, never silent.
-                        state.gauge.fetch_sub(1, Ordering::Relaxed);
-                        let total = self.stats.note_drop(to);
-                        warn_drop(&self.stats, self.me, to, "frame encoding failed", total);
-                    }
-                }
-            }
-            WriterCmd::Connected { to, stream } => {
-                if let Some(state) = self.peers.get_mut(&to) {
+            };
+            peer.connecting = false;
+            match result.and_then(|s| s.set_nonblocking(true).map(|()| s)) {
+                Ok(stream) => {
                     let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(true);
-                    state.stream = Some(stream);
-                    state.connecting = false;
-                    state.backoff = INITIAL_BACKOFF;
-                    state.blocked = false;
+                    peer.stream = Some(stream);
+                    peer.backoff = INITIAL_BACKOFF;
+                    self.flush_peer(index);
                 }
-            }
-            WriterCmd::ConnectFailed { to } => {
-                if let Some(state) = self.peers.get_mut(&to) {
-                    state.connecting = false;
-                    state.retry_at = Instant::now() + state.backoff;
-                    state.backoff = (state.backoff * 2).min(MAX_BACKOFF);
+                Err(_) => {
+                    peer.retry_at = Instant::now() + peer.backoff;
+                    peer.backoff = (peer.backoff * 2).min(MAX_BACKOFF);
                 }
             }
         }
     }
 
-    /// Connects (via a connector thread) and/or flushes one peer.
-    fn service_peer(&mut self, peer: Actor, now: Instant) {
-        let state = self.peers.get_mut(&peer).expect("peer state present");
-        if state.queue.is_empty() {
-            return;
-        }
-        if state.stream.is_none() {
-            // Unlike the old thread-per-peer design, frames queued towards an
-            // unreachable peer are *kept* across failed connect attempts —
-            // only queue overflow sheds. Kick off a connector if none is in
-            // flight and the backoff window has passed.
-            if !state.connecting && now >= state.retry_at {
-                state.connecting = true;
-                let cmd_tx = self.cmd_tx.clone();
-                let addr = state.addr;
-                std::thread::Builder::new()
-                    .name(format!("tcp-connect-{}-to-{peer}", self.me))
-                    .spawn(move || {
-                        let cmd =
-                            match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                                Ok(stream) => WriterCmd::Connected { to: peer, stream },
-                                Err(_) => WriterCmd::ConnectFailed { to: peer },
-                            };
-                        let _ = cmd_tx.send(cmd);
-                    })
-                    .expect("spawn connector thread");
-            }
-            return;
-        }
-        self.flush_peer(peer);
-    }
-
-    /// Writes as much of `peer`'s queue as the socket accepts, coalescing up
-    /// to [`MAX_IOV`] frames per `write_vectored` syscall.
-    fn flush_peer(&mut self, peer: Actor) {
-        let state = self.peers.get_mut(&peer).expect("peer state present");
-        let Some(stream) = state.stream.as_mut() else {
+    /// Writes as much of peer `index`'s queue as the socket accepts,
+    /// coalescing up to [`MAX_IOV`] frames per `write_vectored` syscall.
+    fn flush_peer(&mut self, index: usize) {
+        let peer = &mut self.peers[index];
+        let Some(stream) = peer.stream.as_mut() else {
             return;
         };
-        if state.queue.len() == 1 {
-            self.stats.flushes_idle.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.flushes_full.fetch_add(1, Ordering::Relaxed);
-        }
-        state.blocked = false;
-        loop {
-            if state.queue.is_empty() {
-                return;
-            }
-            let mut slices: Vec<IoSlice> = Vec::with_capacity(state.queue.len().min(MAX_IOV));
-            slices.push(IoSlice::new(&state.queue[0][state.partial..]));
-            for frame in state.queue.iter().skip(1).take(MAX_IOV - 1) {
+        match peer.queue.len() {
+            0 => return,
+            1 => self.stats.flushes_idle.fetch_add(1, Ordering::Relaxed),
+            _ => self.stats.flushes_full.fetch_add(1, Ordering::Relaxed),
+        };
+        peer.blocked = false;
+        while !peer.queue.is_empty() {
+            let mut slices: Vec<IoSlice> = Vec::with_capacity(peer.queue.len().min(MAX_IOV));
+            slices.push(IoSlice::new(&peer.queue[0][peer.partial..]));
+            for frame in peer.queue.iter().skip(1).take(MAX_IOV - 1) {
                 slices.push(IoSlice::new(frame));
             }
             let iov = slices.len();
@@ -600,124 +359,336 @@ impl<M: serde::Serialize + Send + 'static> WriterLoop<M> {
                     // Retire fully written frames; remember the offset into a
                     // partially written head.
                     while written > 0 {
-                        let head_left = state.queue[0].len() - state.partial;
+                        let head_left = peer.queue[0].len() - peer.partial;
                         if written >= head_left {
                             written -= head_left;
-                            state.partial = 0;
-                            state.queue.pop_front();
-                            state.gauge.fetch_sub(1, Ordering::Relaxed);
+                            peer.partial = 0;
+                            peer.queue.pop_front();
                         } else {
-                            state.partial += written;
+                            peer.partial += written;
                             written = 0;
                         }
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Socket buffer full: park until `poll` reports
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    // Socket buffer full: park until `ppoll` reports
                     // writability.
-                    state.blocked = true;
+                    peer.blocked = true;
                     return;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     // Broken connection. A half-written head frame is torn on
                     // the wire and must not be resumed on a fresh connection;
                     // it is the only frame lost — the rest of the queue rides
                     // the reconnect.
-                    if state.partial > 0 {
-                        state.partial = 0;
-                        state.queue.pop_front();
-                        state.gauge.fetch_sub(1, Ordering::Relaxed);
-                        let total = self.stats.note_drop(peer);
-                        warn_drop(&self.stats, self.me, peer, "connection broken", total);
+                    peer.stream = None;
+                    peer.retry_at = Instant::now();
+                    if peer.partial > 0 {
+                        peer.partial = 0;
+                        peer.queue.pop_front();
+                        let to = peer.actor;
+                        self.drop_outbound(to, "connection broken");
                     }
-                    state.stream = None;
-                    state.retry_at = Instant::now();
                     return;
                 }
             }
         }
     }
 
-    /// Blocks until there is plausibly more work: a command arrives, a
-    /// blocked socket may have drained, or a reconnect backoff expires.
-    fn wait(&mut self, cmd_channel_gone: bool) {
-        let now = Instant::now();
-        let blocked: Vec<&TcpStream> = self
-            .peers
-            .values()
-            .filter(|p| p.blocked && !p.queue.is_empty())
-            .filter_map(|p| p.stream.as_ref())
-            .collect();
-        if !blocked.is_empty() {
-            // Readiness wait on the write-blocked sockets, bounded so new
-            // commands are picked up within a millisecond.
-            poll::wait_writable(&blocked, POLL_WAIT);
-            return;
-        }
-        // Nothing write-blocked: sleep on the command channel until the next
-        // reconnect deadline (or idle).
-        let mut wait = IDLE_WAIT;
-        for state in self.peers.values() {
-            if !state.queue.is_empty() && state.stream.is_none() && !state.connecting {
-                let until = state.retry_at.saturating_duration_since(now);
-                wait = wait.min(until.max(Duration::from_millis(1)));
+    /// One reactor round: collect connector results, move every backlog
+    /// along, then wait up to `wait` for the listener, any accepted socket
+    /// or any write-blocked outbound socket, and serve whatever is ready.
+    /// Decoded frames land in `self.ready`.
+    fn poll_once(&mut self, now: Instant, mut wait: Duration) {
+        self.reap_dialed();
+        for index in 0..self.peers.len() {
+            self.service_peer(index, now);
+            let peer = &self.peers[index];
+            if peer.connecting {
+                wait = wait.min(CONNECT_POLL);
+            } else if !peer.queue.is_empty() && peer.stream.is_none() {
+                wait = wait.min(peer.retry_at.saturating_duration_since(now));
             }
         }
-        if cmd_channel_gone {
-            // Channel is disconnected; recv would return immediately forever.
-            std::thread::sleep(wait.min(Duration::from_millis(5)));
-            return;
+
+        // Poll set: [listener] ++ accepted sockets ++ write-blocked peers.
+        let mut fds = std::mem::take(&mut self.pollfds);
+        fds.clear();
+        fds.extend(
+            self.listener
+                .iter()
+                .map(|l| poll::PollFd::new(l, poll::POLLIN)),
+        );
+        let first_inbound = fds.len();
+        fds.extend(
+            self.inbound
+                .iter()
+                .map(|c| poll::PollFd::new(&c.stream, poll::POLLIN)),
+        );
+        let first_blocked = fds.len();
+        // (`blocked` implies a connection: only a flush sets or clears it.)
+        let blocked = self.peers.iter().filter(|p| p.blocked);
+        fds.extend(
+            blocked
+                .filter_map(|p| p.stream.as_ref())
+                .map(|s| poll::PollFd::new(s, poll::POLLOUT)),
+        );
+        self.stats.poll_calls.fetch_add(1, Ordering::Relaxed);
+        if poll::wait(&mut fds, wait) > 0 {
+            for slot in 0..self.inbound.len() {
+                if fds[first_inbound + slot].ready() {
+                    self.read_inbound(slot);
+                }
+            }
+            // Reads do not touch peers, and a flush changes only its own
+            // peer, so the blocked peers still line up with the poll set.
+            let mut fd = first_blocked;
+            for index in 0..self.peers.len() {
+                if self.peers[index].blocked {
+                    if fds[fd].ready() {
+                        self.flush_peer(index);
+                    }
+                    fd += 1;
+                }
+            }
+            self.inbound.retain(|c| c.open);
+            if first_inbound == 1 && fds[0].ready() {
+                self.accept_pending();
+            }
         }
-        match self.cmd_rx.recv_timeout(wait) {
-            Ok(cmd) => self.handle_cmd(cmd),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
+        self.pollfds = fds;
+    }
+
+    /// Accepts every connection waiting on the listener.
+    fn accept_pending(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_ok() {
+                        self.inbound.push(Inbound {
+                            stream,
+                            buf: Vec::new(),
+                            open: true,
+                        });
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return, // WouldBlock: backlog drained
+            }
+        }
+    }
+
+    /// Reads accepted connection `slot` once and decodes every complete
+    /// frame it now holds.
+    fn read_inbound(&mut self, slot: usize) {
+        let conn = &mut self.inbound[slot];
+        self.stats.read_calls.fetch_add(1, Ordering::Relaxed);
+        match conn.stream.read(&mut self.chunk) {
+            Ok(0) => conn.open = false, // peer closed
+            Ok(n) => {
+                conn.buf.extend_from_slice(&self.chunk[..n]);
+                let mut cursor = 0;
+                loop {
+                    match self.config.codec.decode::<M>(&conn.buf[cursor..]) {
+                        Ok(Some((from, message, used))) => {
+                            cursor += used;
+                            self.ready.push_back((from, message));
+                        }
+                        Ok(None) => break, // need more bytes
+                        Err(_) => {
+                            // Corrupt stream: drop this connection only.
+                            conn.open = false;
+                            break;
+                        }
+                    }
+                }
+                conn.buf.drain(..cursor);
+                if conn.buf.is_empty() && conn.buf.capacity() > BufferPool::MAX_RETAINED_CAPACITY {
+                    conn.buf = Vec::new();
+                }
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(_) => conn.open = false,
         }
     }
 }
 
-/// Minimal readiness support: `poll(2)` on Linux, a bounded sleep elsewhere.
-/// Hand-rolled because the offline build has no `libc`/`mio`; the writer
-/// only ever needs "may I write again?" with a small timeout.
+impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for TcpTransport<M> {
+    fn me(&self) -> Actor {
+        self.me
+    }
+
+    fn send(&mut self, to: Actor, message: M) {
+        let Some(index) = self.admit(to) else {
+            return;
+        };
+        let mut buf = self.encode_pool.get();
+        match self.config.codec.encode_into(self.me, &message, &mut buf) {
+            Ok(()) => self.transmit(index, &buf, &mut None),
+            // Oversize payload: counted, never silent.
+            Err(_) => self.drop_outbound(to, "frame encoding failed"),
+        }
+        self.encode_pool.put(buf);
+    }
+
+    fn broadcast(&mut self, recipients: &[Actor], message: M)
+    where
+        M: Clone,
+    {
+        // Encode exactly once; every recipient's socket is written from the
+        // same bytes and every queue that needs a copy shares one. This is
+        // the leader→replica hot path.
+        let mut buf = self.encode_pool.get();
+        let encoded = self.config.codec.encode_into(self.me, &message, &mut buf);
+        let mut shared = None;
+        for &to in recipients {
+            match (self.admit(to), &encoded) {
+                (Some(index), Ok(())) => self.transmit(index, &buf, &mut shared),
+                (Some(_), Err(_)) => self.drop_outbound(to, "frame encoding failed"),
+                (None, _) => {}
+            }
+        }
+        self.encode_pool.put(buf);
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)> {
+        if self.ready.is_empty() {
+            let mut now = Instant::now();
+            let deadline = now + timeout;
+            loop {
+                self.poll_once(now, deadline.saturating_duration_since(now));
+                now = Instant::now();
+                if !self.ready.is_empty() || now >= deadline {
+                    break;
+                }
+            }
+        }
+        let delivery = self.ready.pop_front()?;
+        self.stats.received.fetch_add(1, Ordering::Relaxed);
+        Some(delivery)
+    }
+
+    fn stats(&self) -> Arc<TransportStats> {
+        Arc::clone(&self.stats)
+    }
+
+    fn shutdown(&mut self) {
+        // Bounded best-effort flush of what connected peers still have
+        // queued, then close every socket.
+        let deadline = Instant::now() + SHUTDOWN_FLUSH;
+        loop {
+            let now = Instant::now();
+            let draining = |p: &Peer| p.stream.is_some() && !p.queue.is_empty();
+            if now >= deadline || !self.peers.iter().any(draining) {
+                break;
+            }
+            self.poll_once(now, deadline - now);
+        }
+        self.listener = None;
+        self.inbound.clear();
+        self.peers.clear();
+        self.peer_index.clear();
+    }
+}
+
+impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Drop for TcpTransport<M> {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Minimal readiness support: `ppoll(2)` on Linux, a bounded sleep
+/// elsewhere. Hand-rolled because the offline build has no `libc`/`mio`.
 mod poll {
-    use std::net::TcpStream;
     use std::time::Duration;
 
-    #[cfg(target_os = "linux")]
-    pub fn wait_writable(streams: &[&TcpStream], timeout: Duration) {
-        use std::os::unix::io::AsRawFd;
+    pub const POLLIN: i16 = 0x001;
+    pub const POLLOUT: i16 = 0x004;
 
-        #[repr(C)]
-        struct PollFd {
-            fd: i32,
-            events: i16,
-            revents: i16,
-        }
-        const POLLOUT: i16 = 0x004;
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
-        }
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
 
-        let mut fds: Vec<PollFd> = streams
-            .iter()
-            .map(|s| PollFd {
-                fd: s.as_raw_fd(),
-                events: POLLOUT,
+    impl PollFd {
+        #[cfg(unix)]
+        pub fn new(socket: &impl std::os::unix::io::AsRawFd, events: i16) -> Self {
+            PollFd {
+                fd: socket.as_raw_fd(),
+                events,
                 revents: 0,
-            })
-            .collect();
-        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        // SAFETY: `fds` is a live, correctly sized array of repr(C) pollfd
-        // structs for the duration of the call; `poll` does not retain the
-        // pointer past its return.
-        unsafe {
-            poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms);
+            }
+        }
+
+        #[cfg(not(unix))]
+        pub fn new<T>(_socket: &T, events: i16) -> Self {
+            PollFd {
+                fd: -1,
+                events,
+                revents: 0,
+            }
+        }
+
+        /// Readable, writable, hung up or failed: in every case the owner
+        /// should try its I/O call, which reports which one it was.
+        pub fn ready(&self) -> bool {
+            self.revents != 0
         }
     }
 
+    /// Waits up to `timeout` for any of `fds`; returns how many are ready.
+    #[cfg(target_os = "linux")]
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> usize {
+        use std::os::raw::{c_long, c_ulong, c_void};
+
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn ppoll(
+                fds: *mut PollFd,
+                nfds: c_ulong,
+                timeout: *const Timespec,
+                sigmask: *const c_void,
+            ) -> i32;
+        }
+
+        let timeout = Timespec {
+            tv_sec: timeout.as_secs().min(c_long::MAX as u64) as c_long,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `fds` is a live, correctly sized array of repr(C) pollfd
+        // structs and `timeout` a live timespec for the duration of the
+        // call; `ppoll` retains neither pointer, and a null sigmask leaves
+        // the signal mask alone.
+        let ready = unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &timeout,
+                std::ptr::null(),
+            )
+        };
+        ready.max(0) as usize // EINTR reads as "nothing ready": callers re-poll
+    }
+
+    /// No readiness API: sleep briefly, then let the caller try every socket.
     #[cfg(not(target_os = "linux"))]
-    pub fn wait_writable(_streams: &[&TcpStream], timeout: Duration) {
+    pub fn wait(fds: &mut [PollFd], timeout: Duration) -> usize {
         std::thread::sleep(timeout.min(Duration::from_millis(1)));
+        for fd in fds.iter_mut() {
+            fd.revents = fd.events;
+        }
+        fds.len()
     }
 }
 
@@ -738,71 +709,184 @@ mod tests {
         }
     }
 
-    fn localhost(port: u16) -> SocketAddr {
-        SocketAddr::from(([127, 0, 0, 1], port))
+    fn listener() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
     }
 
-    /// Picks two free ports by binding port 0 and releasing.
-    fn two_free_ports() -> (SocketAddr, SocketAddr) {
-        let a = TcpListener::bind(localhost(0)).unwrap();
-        let b = TcpListener::bind(localhost(0)).unwrap();
-        (a.local_addr().unwrap(), b.local_addr().unwrap())
+    /// Endpoint `me` on `listener` whose only peer is `peer` at `addr`.
+    fn endpoint<M>(me: u32, listener: TcpListener, peer: u32, addr: SocketAddr) -> TcpTransport<M>
+    where
+        M: serde::Serialize + serde::Deserialize + Send + 'static,
+    {
+        let peers = HashMap::from([(server(peer), addr)]);
+        TcpTransport::from_listener(server(me), listener, peers).unwrap()
+    }
+
+    /// Endpoints `S0` and `S1`, each knowing the other, both listening before
+    /// either sends.
+    fn pair<M>() -> (TcpTransport<M>, TcpTransport<M>)
+    where
+        M: serde::Serialize + serde::Deserialize + Send + 'static,
+    {
+        let ((la, addr_a), (lb, addr_b)) = (listener(), listener());
+        (endpoint(0, la, 1, addr_b), endpoint(1, lb, 0, addr_a))
+    }
+
+    /// Drives `endpoint` the way a node's event loop does until `done` holds.
+    /// Conditions, not sleeps, decide every test; the deadline only turns a
+    /// hang into a failure.
+    fn pump_until<M>(
+        endpoint: &mut TcpTransport<M>,
+        what: &str,
+        done: impl Fn(&TcpTransport<M>) -> bool,
+    ) where
+        M: serde::Serialize + serde::Deserialize + Send + 'static,
+    {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done(endpoint) {
+            assert!(Instant::now() < deadline, "timed out before {what}");
+            assert!(endpoint.recv_timeout(Duration::from_millis(1)).is_none());
+        }
+    }
+
+    /// The next delivery at `endpoint`.
+    fn recv<M>(endpoint: &mut TcpTransport<M>) -> (Actor, M)
+    where
+        M: serde::Serialize + serde::Deserialize + Send + 'static,
+    {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            assert!(Instant::now() < deadline, "timed out before a delivery");
+            if let Some(delivery) = endpoint.recv_timeout(Duration::from_millis(1)) {
+                return delivery;
+            }
+        }
+    }
+
+    /// Pumps the sender while collecting `n` deliveries at the receiver.
+    fn deliver<M>(from: &mut TcpTransport<M>, to: &mut TcpTransport<M>, n: usize) -> Vec<M>
+    where
+        M: serde::Serialize + serde::Deserialize + Send + 'static,
+    {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut got = Vec::new();
+        while got.len() < n {
+            assert!(Instant::now() < deadline, "{} of {n} arrived", got.len());
+            assert!(from.recv_timeout(Duration::ZERO).is_none());
+            if let Some((sender, message)) = to.recv_timeout(Duration::from_millis(1)) {
+                assert_eq!(sender, from.me());
+                got.push(message);
+            }
+        }
+        got
+    }
+
+    /// A frame bigger than anything the kernel will buffer for a peer that
+    /// is not reading, so sending it must take the partial-write path.
+    fn big_frame() -> String {
+        "x".repeat(12 * 1024 * 1024)
     }
 
     #[test]
     fn frames_travel_between_two_tcp_endpoints() {
-        let (addr_a, addr_b) = two_free_ports();
-        let peers_a = HashMap::from([(server(1), addr_b)]);
-        let peers_b = HashMap::from([(server(0), addr_a)]);
-        let mut a: TcpTransport<Message> =
-            TcpTransport::bind(server(0), TcpConfig::new(addr_a, peers_a)).unwrap();
-        let mut b: TcpTransport<Message> =
-            TcpTransport::bind(server(1), TcpConfig::new(addr_b, peers_b)).unwrap();
-
+        let (mut a, mut b) = pair::<Message>();
         for i in 0..10 {
             a.send(server(1), msg(i));
         }
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while got.len() < 10 && std::time::Instant::now() < deadline {
-            if let Some((from, m)) = b.recv_timeout(Duration::from_millis(100)) {
-                assert_eq!(from, server(0));
-                got.push(m);
-            }
-        }
-        assert_eq!(got.len(), 10, "all frames must arrive in order");
-        assert_eq!(got[0], msg(0));
-        assert_eq!(got[9], msg(9));
+        let got = deliver(&mut a, &mut b, 10);
+        let expected: Vec<Message> = (0..10).map(msg).collect();
+        assert_eq!(got, expected, "all frames must arrive in order");
         let (writev, _, idle, full) = a.stats().writer_snapshot();
-        assert!(writev > 0, "writes must go through the vectored path");
+        assert!(writev > 0, "writes must be counted");
         assert!(idle + full > 0, "every flush is classified idle or full");
+        let stats = b.stats();
+        assert!(stats.read_calls.load(Ordering::Relaxed) > 0);
+        assert!(stats.poll_calls.load(Ordering::Relaxed) > 0);
+    }
+
+    #[test]
+    fn idle_connection_writes_each_frame_inline() {
+        let (mut a, mut b) = pair::<Message>();
+        a.send(server(1), msg(0));
+        assert_eq!(deliver(&mut a, &mut b, 1), vec![msg(0)]);
+        // Connected and nothing queued: a send is one write on the caller,
+        // with no pumping of the sender in between.
+        let (writev_before, _, idle_before, _) = a.stats().writer_snapshot();
+        a.send(server(1), msg(1));
+        assert!(a.peers[0].queue.is_empty(), "nothing may be left queued");
+        let (writev, _, idle, _) = a.stats().writer_snapshot();
+        assert_eq!((writev, idle), (writev_before + 1, idle_before + 1));
+        assert_eq!(recv(&mut b), (server(0), msg(1)));
+    }
+
+    #[test]
+    fn frame_fed_one_byte_at_a_time_decodes_once_and_in_order() {
+        let (lb, addr_b) = listener();
+        let mut b: TcpTransport<Message> = endpoint(1, lb, 0, addr_b);
+        let mut raw = TcpStream::connect(addr_b).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let codec = FrameCodec::new();
+        for n in [7, 8] {
+            let frame = codec.encode(server(0), &msg(n)).unwrap();
+            let (last, head) = frame.split_last().unwrap();
+            for byte in head {
+                raw.write_all(&[*byte]).unwrap();
+                assert!(
+                    b.recv_timeout(Duration::ZERO).is_none(),
+                    "an incomplete frame must not be delivered"
+                );
+            }
+            raw.write_all(&[*last]).unwrap();
+            assert_eq!(recv(&mut b), (server(0), msg(n)));
+            assert!(b.recv_timeout(Duration::ZERO).is_none(), "decoded twice");
+            assert!(b.inbound[0].buf.is_empty(), "consumed bytes are dropped");
+        }
+    }
+
+    #[test]
+    fn frame_larger_than_the_socket_buffer_resumes_after_a_partial_write() {
+        let (mut a, mut b) = pair::<String>();
+        let big = big_frame();
+        a.send(server(1), big.clone());
+        a.send(server(1), "second".to_string());
+        a.send(server(1), "third".to_string());
+        // `b` is listening but nobody polls it: the kernel completes the
+        // connect and takes what its buffers hold, then the socket blocks.
+        pump_until(&mut a, "the socket blocks mid-frame", |a| {
+            a.peers[0].blocked
+        });
+        assert!(a.peers[0].partial > 0, "the head frame is partly written");
+        assert_eq!(a.peers[0].queue.len(), 3, "nothing overtakes the head");
+
+        let got = deliver(&mut a, &mut b, 3);
+        assert!(got[0] == big, "the big frame must arrive intact");
+        assert_eq!(got[1..], ["second".to_string(), "third".to_string()]);
+        assert!(a.peers[0].queue.is_empty() && !a.peers[0].blocked);
+        assert_eq!(a.stats().snapshot().2, 0, "nothing may be shed");
     }
 
     #[test]
     fn outbound_queue_survives_peer_coming_up_late() {
-        let (addr_a, addr_b) = two_free_ports();
-        let peers_a = HashMap::from([(server(1), addr_b)]);
-        let mut a: TcpTransport<Message> =
-            TcpTransport::bind(server(0), TcpConfig::new(addr_a, peers_a)).unwrap();
+        let (la, addr_a) = listener();
+        let addr_b = listener().1; // released at once: nobody listens there
+        let mut a: TcpTransport<Message> = endpoint(0, la, 1, addr_b);
 
-        // Send before the peer exists: the writer retries with backoff and
-        // the frames survive the unreachable window (only overflow sheds).
+        // Send before the peer exists: connects fail with backoff and the
+        // frames survive the unreachable window (only overflow sheds).
         for i in 0..5 {
             a.send(server(1), msg(i));
         }
-        std::thread::sleep(Duration::from_millis(150));
+        pump_until(&mut a, "a connect attempt fails", |a| {
+            a.peers[0].backoff > INITIAL_BACKOFF
+        });
         let peers_b = HashMap::from([(server(0), addr_a)]);
         let mut b: TcpTransport<Message> =
             TcpTransport::bind(server(1), TcpConfig::new(addr_b, peers_b)).unwrap();
 
         a.send(server(1), msg(99));
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while got.len() < 6 && std::time::Instant::now() < deadline {
-            if let Some((_, m)) = b.recv_timeout(Duration::from_millis(100)) {
-                got.push(m);
-            }
-        }
+        let got = deliver(&mut a, &mut b, 6);
         let expected: Vec<Message> = (0..5).map(msg).chain([msg(99)]).collect();
         assert_eq!(
             got, expected,
@@ -812,114 +896,163 @@ mod tests {
     }
 
     #[test]
+    fn broken_connection_loses_only_the_torn_head_frame() {
+        let (la, _) = listener();
+        let (raw_listener, addr_b) = listener();
+        let mut a: TcpTransport<String> = endpoint(0, la, 1, addr_b);
+        a.send(server(1), big_frame());
+        a.send(server(1), "second".to_string());
+        a.send(server(1), "third".to_string());
+        pump_until(&mut a, "the socket blocks mid-frame", |a| {
+            a.peers[0].blocked
+        });
+        assert!(a.peers[0].partial > 0);
+
+        // The peer dies with the head frame half on the wire.
+        drop(raw_listener.accept().unwrap());
+        drop(raw_listener);
+        pump_until(&mut a, "the break is noticed", |a| {
+            a.stats().snapshot().2 > 0
+        });
+        assert_eq!(a.peers[0].queue.len(), 2, "only the torn head is dropped");
+        assert_eq!(a.peers[0].partial, 0);
+
+        // It comes back on the same address: the survivors arrive in order.
+        let mut b: TcpTransport<String> =
+            TcpTransport::bind(server(1), TcpConfig::new(addr_b, HashMap::new())).unwrap();
+        let got = deliver(&mut a, &mut b, 2);
+        assert_eq!(got, ["second".to_string(), "third".to_string()]);
+        assert_eq!(a.stats().dropped_to(server(1)), 1);
+        assert_eq!(a.stats().snapshot().2, 1);
+    }
+
+    #[test]
     fn send_to_unconfigured_peer_counts_as_drop() {
-        let (addr_a, _) = two_free_ports();
+        let (la, _) = listener();
         let mut a: TcpTransport<Message> =
-            TcpTransport::bind(server(0), TcpConfig::new(addr_a, HashMap::new())).unwrap();
+            TcpTransport::from_listener(server(0), la, HashMap::new()).unwrap();
         a.send(server(9), msg(1));
-        assert_eq!(a.stats().snapshot(), (1, 0, 1));
+        a.broadcast(&[server(8), server(9)], msg(2));
+        assert_eq!(a.stats().snapshot(), (3, 0, 3));
     }
 
     #[test]
     fn overflow_sheds_newest_and_keeps_oldest() {
-        let (addr_a, addr_b) = two_free_ports();
+        let (la, addr_a) = listener();
+        let addr_b = listener().1; // released at once: nobody listens there
         let peers_a = HashMap::from([(server(1), addr_b)]);
         let mut config = TcpConfig::new(addr_a, peers_a);
         config.queue_capacity = 4;
-        let mut a: TcpTransport<Message> = TcpTransport::bind(server(0), config).unwrap();
+        let mut a: TcpTransport<Message> = TcpTransport::new(server(0), la, config).unwrap();
 
-        // No listener on addr_b yet: connects fail, frames queue. The first
-        // `capacity` sends are retained, everything after sheds (newest
-        // first) — deterministically, because nothing can drain the queue.
+        // Nothing can drain the queue: the first `capacity` sends are kept,
+        // everything after sheds at once, newest first.
         for i in 0..10 {
             a.send(server(1), msg(i));
-        }
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while a.stats().snapshot().2 < 6 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(
             a.stats().snapshot(),
             (10, 0, 6),
             "exactly the overflow sheds"
         );
+        assert_eq!(a.stats().dropped_to(server(1)), 6);
 
-        // Bring the peer up: exactly the four oldest frames arrive, in order.
+        // Bring the peer up: exactly the four oldest frames arrive, in
+        // order, and the next frame sent follows them directly — the shed
+        // ones never materialize.
         let peers_b = HashMap::from([(server(0), addr_a)]);
         let mut b: TcpTransport<Message> =
             TcpTransport::bind(server(1), TcpConfig::new(addr_b, peers_b)).unwrap();
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while got.len() < 4 && std::time::Instant::now() < deadline {
-            if let Some((_, m)) = b.recv_timeout(Duration::from_millis(100)) {
-                got.push(m);
+        let expected: Vec<Message> = (0..4).map(msg).collect();
+        assert_eq!(deliver(&mut a, &mut b, 4), expected);
+        a.send(server(1), msg(100));
+        assert_eq!(deliver(&mut a, &mut b, 1), vec![msg(100)]);
+    }
+
+    #[test]
+    fn corrupt_inbound_stream_closes_that_connection_only() {
+        let (mut a, mut b) = pair::<Message>();
+        a.send(server(1), msg(1));
+        assert_eq!(deliver(&mut a, &mut b, 1), vec![msg(1)]);
+
+        // A second connection speaks garbage: `b` must hang up on it...
+        let mut garbage = TcpStream::connect(b.local_addr()).unwrap();
+        garbage.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        garbage.set_nonblocking(true).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            assert!(Instant::now() < deadline, "garbage connection still open");
+            assert!(b.recv_timeout(Duration::from_millis(1)).is_none());
+            match garbage.read(&mut [0u8; 1]) {
+                Ok(0) => break,
+                Ok(_) => panic!("the transport never writes to an accepted socket"),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(_) => break, // reset
             }
         }
-        let expected: Vec<Message> = (0..4).map(msg).collect();
-        assert_eq!(got, expected, "the oldest frames survive, in order");
-        assert!(
-            b.recv_timeout(Duration::from_millis(300)).is_none(),
-            "shed frames must not materialize later"
-        );
+        // ...and on nobody else.
+        assert_eq!(b.inbound.len(), 1);
+        a.send(server(1), msg(2));
+        assert_eq!(deliver(&mut a, &mut b, 1), vec![msg(2)]);
+        assert_eq!(a.stats().snapshot().2 + b.stats().snapshot().2, 0);
     }
 
     #[test]
     fn coalesced_wire_bytes_equal_non_coalesced_encoding() {
-        use std::io::Read;
-
         // A raw listener stands in for the peer so the test can capture the
         // exact bytes on the wire.
-        let listener = TcpListener::bind(localhost(0)).unwrap();
-        let addr_b = listener.local_addr().unwrap();
-        let (addr_a, _) = two_free_ports();
-        let peers_a = HashMap::from([(server(1), addr_b)]);
-        let mut a: TcpTransport<Message> =
-            TcpTransport::bind(server(0), TcpConfig::new(addr_a, peers_a)).unwrap();
+        let (raw_listener, addr_b) = listener();
+        let (la, _) = listener();
+        let mut a: TcpTransport<Message> = endpoint(0, la, 1, addr_b);
 
         // Reference encoding: each frame alone, concatenated.
         let codec = FrameCodec::new();
-        let pool = BufferPool::new();
         let mut expected: Vec<u8> = Vec::new();
         let messages: Vec<Message> = (0..200).map(msg).collect();
         for m in &messages {
-            expected.extend_from_slice(&codec.encode_shared(server(0), m, &pool).unwrap());
+            expected.extend_from_slice(&codec.encode(server(0), m).unwrap());
         }
 
-        // Burst-send so the writer has every chance to coalesce (the first
-        // frames queue while the connector is still completing).
+        // All 200 queue behind the connect, so the first flush coalesces.
         for m in &messages {
             a.send(server(1), m.clone());
         }
-        let (stream, _) = listener.accept().unwrap();
-        let mut stream = stream;
-        stream
-            .set_read_timeout(Some(Duration::from_millis(200)))
-            .unwrap();
-        let mut wire: Vec<u8> = Vec::new();
-        let mut chunk = [0u8; 64 * 1024];
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while wire.len() < expected.len() && std::time::Instant::now() < deadline {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => wire.extend_from_slice(&chunk[..n]),
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
-                Err(_) => break,
-            }
-        }
-        assert_eq!(
-            wire, expected,
+        pump_until(&mut a, "the backlog is flushed", |a| {
+            a.peers[0].queue.is_empty()
+        });
+        let (mut stream, _) = raw_listener.accept().unwrap();
+        let mut wire = vec![0u8; expected.len()];
+        stream.read_exact(&mut wire).unwrap();
+        assert!(
+            wire == expected,
             "coalesced wire bytes must equal the frame-at-a-time encoding"
         );
-        let (writev, coalesced, _, _) = a.stats().writer_snapshot();
-        assert!(writev > 0);
-        assert!(
-            writev < messages.len() as u64 || coalesced > 0,
-            "200 burst frames over one connection should not take 200+ uncoalesced syscalls"
-        );
+        let (writev, coalesced, idle, full) = a.stats().writer_snapshot();
+        assert_eq!(coalesced, 200, "every frame shared a vectored write");
+        assert_eq!(writev, 200u64.div_ceil(MAX_IOV as u64));
+        assert_eq!((idle, full), (0, 1));
+    }
+
+    #[test]
+    fn shutdown_flushes_connected_peers_and_closes_every_socket() {
+        let (mut a, mut b) = pair::<String>();
+        a.send(server(1), "hello".to_string());
+        assert_eq!(deliver(&mut a, &mut b, 1), ["hello".to_string()]);
+        b.send(server(0), "to a".to_string());
+        pump_until(&mut b, "b is connected to a", |b| {
+            b.peers[0].stream.is_some()
+        });
+
+        a.shutdown();
+        assert!(a.listener.is_none() && a.inbound.is_empty() && a.peers.is_empty());
+        // `b` sees its accepted connection from `a` close, and nothing
+        // listens on `a`'s address any more.
+        pump_until(&mut b, "b sees a's connection close", |b| {
+            b.inbound.is_empty()
+        });
+        assert!(TcpStream::connect(a.local_addr()).is_err());
+        a.send(server(1), "late".to_string());
+        assert_eq!(a.stats().snapshot().2, 1, "a closed endpoint drops");
+        assert!(a.recv_timeout(Duration::ZERO).is_none());
     }
 }

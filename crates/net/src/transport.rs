@@ -31,19 +31,25 @@ pub struct TransportStats {
     /// Messages dropped because the destination queue was full
     /// (backpressure) or the destination was unreachable.
     pub dropped: AtomicU64,
-    /// Vectored writes issued by the TCP writer loop (one per
+    /// Socket writes issued by the TCP transport (one per `write` /
     /// `write_vectored` syscall). Zero on non-TCP transports.
     pub writev_calls: AtomicU64,
     /// Frames that shared a vectored write with at least one other frame —
     /// the payoff of coalescing (frames written alone count in
     /// `writev_calls` only).
     pub frames_coalesced: AtomicU64,
-    /// Writer-loop flushes that found exactly one queued frame (idle path:
-    /// the frame went out immediately, protecting p50 latency).
+    /// TCP flushes of exactly one frame (idle path: the frame went to the
+    /// socket the moment it was sent, protecting p50 latency).
     pub flushes_idle: AtomicU64,
-    /// Writer-loop flushes that coalesced a multi-frame backlog (loaded
-    /// path: many frames per syscall, protecting throughput).
+    /// TCP flushes of a multi-frame backlog (loaded path: many frames per
+    /// syscall, protecting throughput).
     pub flushes_full: AtomicU64,
+    /// Socket reads issued by the TCP reactor (one per `read` syscall).
+    pub read_calls: AtomicU64,
+    /// Readiness waits issued by the TCP reactor (one per `ppoll` syscall).
+    /// `(writev_calls + read_calls + poll_calls) / received` is the
+    /// transport's syscalls per delivered frame.
+    pub poll_calls: AtomicU64,
     /// Per-peer breakdown of outbound drops (messages we failed to deliver
     /// *to* a peer), so operators can spot a single slow or dead peer.
     per_peer_dropped: Mutex<HashMap<Actor, u64>>,
@@ -66,7 +72,7 @@ impl TransportStats {
         )
     }
 
-    /// Snapshot of the TCP writer-loop counters:
+    /// Snapshot of the TCP write-path counters:
     /// `(writev_calls, frames_coalesced, flushes_idle, flushes_full)`.
     pub fn writer_snapshot(&self) -> (u64, u64, u64, u64) {
         (
@@ -156,6 +162,8 @@ impl TransportStats {
         totals.frames_coalesced += frames_coalesced;
         totals.flushes_idle += flushes_idle;
         totals.flushes_full += flushes_full;
+        totals.read_calls += self.read_calls.load(Ordering::Relaxed);
+        totals.poll_calls += self.poll_calls.load(Ordering::Relaxed);
     }
 
     /// True at most once per drop-warn interval (one second): gates
@@ -176,8 +184,8 @@ impl TransportStats {
 /// Cluster-wide sums of [`TransportStats`] counters, accumulated across every
 /// node's endpoint with [`TransportStats::accumulate_into`]. Benchmark and
 /// chaos reports serialize this to show both delivery health (sent /
-/// received / dropped) and how the TCP writer behaved (vectored writes,
-/// coalescing, idle-vs-full flushes). On loopback clusters the writer
+/// received / dropped) and how the TCP reactor behaved (writes, coalescing,
+/// idle-vs-full flushes, reads, polls). On loopback clusters the TCP
 /// counters stay zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TransportTotals {
@@ -187,14 +195,27 @@ pub struct TransportTotals {
     pub received: u64,
     /// Messages dropped (backpressure or unreachable destination).
     pub dropped: u64,
-    /// `write_vectored` syscalls issued by TCP writer loops.
+    /// `write` / `write_vectored` syscalls issued by TCP transports.
     pub writev_calls: u64,
     /// Frames that shared a vectored write with at least one other frame.
     pub frames_coalesced: u64,
-    /// Writer flushes that found a single queued frame (idle path).
+    /// TCP flushes of a single frame (idle path).
     pub flushes_idle: u64,
-    /// Writer flushes that coalesced a multi-frame backlog (loaded path).
+    /// TCP flushes of a multi-frame backlog (loaded path).
     pub flushes_full: u64,
+    /// `read` syscalls issued by TCP reactors.
+    pub read_calls: u64,
+    /// `ppoll` syscalls issued by TCP reactors.
+    pub poll_calls: u64,
+}
+
+impl TransportTotals {
+    /// Transport syscalls (writes + reads + polls) per delivered frame; 0
+    /// when nothing was received (and on loopback clusters).
+    pub fn syscalls_per_frame(&self) -> f64 {
+        let syscalls = self.writev_calls + self.read_calls + self.poll_calls;
+        syscalls as f64 / self.received.max(1) as f64
+    }
 }
 
 /// Logs one rate-limited warning about messages dropped towards `peer`.
@@ -206,22 +227,6 @@ pub(crate) fn warn_drop(stats: &TransportStats, me: Actor, peer: Actor, reason: 
     }
 }
 
-/// Logs one rate-limited warning about an inbound message from `peer` shed
-/// by the local node `me`.
-pub(crate) fn warn_inbound_drop(
-    stats: &TransportStats,
-    me: Actor,
-    peer: Actor,
-    reason: &str,
-    total: u64,
-) {
-    if stats.should_warn() {
-        eprintln!(
-            "[prestige-net] {me}: shedding inbound message from {peer} ({reason}); {total} total inbound drops for this peer so far"
-        );
-    }
-}
-
 /// A bidirectional message channel binding one actor to the rest of the
 /// cluster.
 ///
@@ -229,6 +234,16 @@ pub(crate) fn warn_inbound_drop(
 /// protocol code runs over loopback channels, TCP sockets, or a
 /// chaos-wrapped transport injecting partitions and loss
 /// ([`ChaosTransport`](crate::chaos::ChaosTransport)).
+///
+/// # Contract
+///
+/// An endpoint has one owner (the node's event loop), and its **I/O advances
+/// only inside calls on it**: an implementation may accept, read, write and
+/// reconnect during `send`, `broadcast`, `recv_timeout` and `shutdown`, and
+/// must not rely on a thread of its own to move bytes. In return the owner
+/// must keep calling [`Transport::recv_timeout`] — a queued frame, a
+/// half-written one or a pending reconnect makes no progress while nobody
+/// calls. Decorators (chaos, tracing) forward exactly these methods.
 ///
 /// # Examples
 ///
@@ -266,7 +281,7 @@ pub trait Transport<M>: Send {
     /// The default implementation clones the payload per recipient (correct
     /// for in-process transports, where a clone of an `Arc`-shared payload is
     /// a refcount bump). Serializing transports override it to encode the
-    /// frame exactly once and hand the shared bytes to every per-peer writer.
+    /// frame exactly once and send every peer the same bytes.
     fn broadcast(&mut self, recipients: &[Actor], message: M)
     where
         M: Clone,
@@ -281,7 +296,8 @@ pub trait Transport<M>: Send {
         }
     }
 
-    /// Waits up to `timeout` for an inbound message.
+    /// Waits up to `timeout` for an inbound message, advancing whatever
+    /// outbound work is pending meanwhile (see the contract above).
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)>;
 
     /// Shared delivery counters.

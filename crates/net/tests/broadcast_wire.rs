@@ -5,7 +5,7 @@
 //! encoded separately for each peer, and TCP peers receiving a broadcast must
 //! decode exactly the message that per-peer sends would have delivered.
 
-use prestige_net::{BufferPool, FrameCodec, TcpConfig, TcpTransport, Transport};
+use prestige_net::{BufferPool, FrameCodec, TcpTransport, Transport};
 use prestige_types::{
     Actor, ClientId, Digest, Message, Proposal, SeqNum, ServerId, Transaction, View,
 };
@@ -60,42 +60,47 @@ fn shared_frame_equals_per_peer_frame() {
     }
 }
 
-fn free_ports(n: usize) -> Vec<SocketAddr> {
-    // Bind ephemeral listeners and release them so each port is free.
-    let listeners: Vec<TcpListener> = (0..n)
+/// Three endpoints, each knowing the other two, all listening before any
+/// of them sends.
+fn three_endpoints() -> Vec<TcpTransport<Message>> {
+    let listeners: Vec<TcpListener> = (0..3)
         .map(|_| TcpListener::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap())
         .collect();
-    listeners.iter().map(|l| l.local_addr().unwrap()).collect()
+    let addrs: HashMap<Actor, SocketAddr> = (0..3)
+        .map(|i| (server(i), listeners[i as usize].local_addr().unwrap()))
+        .collect();
+    (0..3)
+        .zip(listeners)
+        .map(|(i, listener)| {
+            let mut peers = addrs.clone();
+            peers.remove(&server(i));
+            TcpTransport::from_listener(server(i), listener, peers).unwrap()
+        })
+        .collect()
 }
 
 /// A TCP broadcast reaches every peer with the exact message per-peer sends
 /// would deliver, and unicast sends still interleave correctly.
 #[test]
 fn tcp_broadcast_delivers_identical_messages_to_all_peers() {
-    let addrs = free_ports(3);
-    let peers_of = |me: usize| -> HashMap<Actor, SocketAddr> {
-        (0..3)
-            .filter(|&i| i != me)
-            .map(|i| (server(i as u32), addrs[i]))
-            .collect()
-    };
-    let mut a: TcpTransport<Message> =
-        TcpTransport::bind(server(0), TcpConfig::new(addrs[0], peers_of(0))).unwrap();
-    let mut b: TcpTransport<Message> =
-        TcpTransport::bind(server(1), TcpConfig::new(addrs[1], peers_of(1))).unwrap();
-    let mut c: TcpTransport<Message> =
-        TcpTransport::bind(server(2), TcpConfig::new(addrs[2], peers_of(2))).unwrap();
+    let mut endpoints = three_endpoints();
+    let mut c = endpoints.pop().unwrap();
+    let mut b = endpoints.pop().unwrap();
+    let mut a = endpoints.pop().unwrap();
 
     let broadcast_msg = ord_message(50);
     let unicast_msg = ord_message(1);
     a.broadcast(&[server(1), server(2)], broadcast_msg.clone());
     a.send(server(1), unicast_msg.clone());
 
-    let recv_n = |t: &mut TcpTransport<Message>, n: usize| -> Vec<Message> {
+    // The sender's I/O advances only inside calls on it, so pump it the way
+    // its event loop would while the receivers collect.
+    let mut recv_n = |t: &mut TcpTransport<Message>, n: usize| -> Vec<Message> {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut got = Vec::new();
         while got.len() < n && Instant::now() < deadline {
-            if let Some((from, m)) = t.recv_timeout(Duration::from_millis(50)) {
+            assert!(a.recv_timeout(Duration::ZERO).is_none());
+            if let Some((from, m)) = t.recv_timeout(Duration::from_millis(1)) {
                 assert_eq!(from, server(0));
                 got.push(m);
             }

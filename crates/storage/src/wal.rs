@@ -22,8 +22,10 @@
 //! * any earlier violation is a **broken chain** — corruption or tampering —
 //!   and is a hard error: replaying past it could fork this replica.
 //!
-//! The first record of the oldest surviving segment anchors the chain: its
-//! digest is adopted unverified, because checkpoint GC deletes the history
+//! The first record after any gap in segment indices — the oldest surviving
+//! segment of a pruned log, and every segment whose predecessor was pruned
+//! while an older view-install segment was kept — anchors the chain: its
+//! digest is adopted unverified, because checkpoint GC deleted the history
 //! it hashes (the quorum-signed checkpoint certificate is the semantic trust
 //! anchor for everything below it).
 
@@ -166,14 +168,20 @@ impl Wal {
         let mut records = Vec::new();
         let mut segments: BTreeMap<u64, SegmentMeta> = BTreeMap::new();
         let mut chain = Digest::ZERO;
-        // Only a log whose oldest segments were GC'd lacks a verifiable
-        // start: its first surviving record is adopted as the chain anchor.
-        // An intact log (segment 0 present) verifies from the zero digest.
-        let mut anchored = indices.first().is_some_and(|ix| *ix > 0);
+        // A gap in segment indices is history checkpoint GC deleted — before
+        // the oldest surviving segment, or between a kept view-install
+        // segment and its pruned successors. The first record after a gap
+        // cannot be verified against its predecessor and is adopted as a
+        // chain anchor; an intact log (0, 1, 2, …) verifies from the zero
+        // digest throughout.
+        let mut anchored = false;
+        let mut next_index = 0u64;
         let mut wal_bytes = 0u64;
         let last_index = indices.last().copied();
 
         for &index in &indices {
+            anchored |= index != next_index;
+            next_index = index + 1;
             let path = segment_path(dir, index);
             let mut bytes = Vec::new();
             File::open(&path)?.read_to_end(&mut bytes)?;
@@ -210,8 +218,8 @@ impl Wal {
                 let digest = Digest(rest[4..36].try_into().unwrap());
                 let payload = &rest[36..4 + len];
                 if anchored {
-                    // The oldest surviving record anchors the chain (its
-                    // predecessors were GC'd); everything after is verified.
+                    // This record's predecessors were GC'd: it anchors the
+                    // chain; everything after it is verified.
                     anchored = false;
                 } else if record_digest(&chain, payload) != digest {
                     // A mismatching *final* record of the last segment is a
@@ -541,6 +549,61 @@ mod tests {
         if let WalRecord::Block(b) = &replayed[0] {
             assert!(b.n.0 > 1, "the oldest history was pruned");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopens_across_a_gap_left_by_a_kept_view_install_segment() {
+        let dir = temp_dir("gap");
+        let install = prestige_types::VcBlock::genesis(4);
+        let appended = |from: u64, to: u64, wal: &mut Wal| {
+            for n in from..=to {
+                wal.append(WalRecordRef::Block(&block(n))).unwrap();
+            }
+            wal.sync().unwrap();
+        };
+        let (mut wal, _) = Wal::open(&dir, tiny_opts()).unwrap();
+        appended(1, 6, &mut wal);
+        wal.append(WalRecordRef::ViewInstall(&install)).unwrap();
+        appended(7, 30, &mut wal);
+        // GC takes the block-only segments on both sides of the view
+        // install's: kept segment, gap, surviving suffix.
+        assert!(wal.prune_below(25).unwrap() > 0);
+        let indices: Vec<u64> = wal.segments.keys().copied().collect();
+        let kept = *indices.first().unwrap();
+        assert!(kept > 0 && wal.segments[&kept].keep, "{indices:?}");
+        assert!(indices[1] > kept + 1, "pruned successors: {indices:?}");
+        drop(wal);
+
+        let seqs = |records: &[WalRecord]| -> Vec<u64> {
+            let seq = |r: &WalRecord| match r {
+                WalRecord::Block(b) => Some(b.n.0),
+                _ => None,
+            };
+            records.iter().filter_map(seq).collect()
+        };
+        let (mut wal, replayed) = Wal::open(&dir, tiny_opts()).unwrap();
+        assert!(replayed.contains(&WalRecord::ViewInstall(install.clone())));
+        assert_eq!(seqs(&replayed).last(), Some(&30));
+        assert!(seqs(&replayed).len() < 30, "pruned history stays gone");
+        // The reopened log keeps appending and reopens again, gap and all.
+        appended(31, 40, &mut wal);
+        drop(wal);
+        let (_, again) = Wal::open(&dir, tiny_opts()).unwrap();
+        assert!(again.contains(&WalRecord::ViewInstall(install)));
+        assert_eq!(again.len(), replayed.len() + 10);
+        assert_eq!(seqs(&again).last(), Some(&40));
+
+        // A gap excuses only the record right after it: corruption further
+        // into the surviving suffix is still a hard error.
+        let suffix = segment_path(&dir, indices[2]);
+        let mut bytes = std::fs::read(&suffix).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        std::fs::write(&suffix, bytes).unwrap();
+        assert!(matches!(
+            Wal::open(&dir, tiny_opts()),
+            Err(WalError::BrokenChain { .. } | WalError::Decode { .. })
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
