@@ -55,5 +55,5 @@ pub use histogram::LatencyHistogram;
 pub use pacemaker::{timer_tags, Pacemaker};
 pub use profile::{LoopProfile, LoopSnapshot, LoopStage};
 pub use replication::batch_digest;
-pub use server::{ApplyOutcome, PrestigeServer, ServerRole, ServerStats};
+pub use server::{PrestigeServer, ServerRole, ServerStats};
 pub use storage::BlockStore;

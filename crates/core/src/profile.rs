@@ -41,8 +41,7 @@ pub enum LoopStage {
     /// Protocol handler self time: dispatch, guard checks, quorum
     /// bookkeeping — everything in a handler not claimed by a sub-span.
     Guards = 1,
-    /// Signature / share / QC / batch-digest checks executed on the loop
-    /// thread (the off-loop pools move these to workers).
+    /// Leader-signature, QC and batch-digest checks.
     InlineVerify = 2,
     /// Committed-block adoption: dedup marking, block-store insert, client
     /// notification assembly.

@@ -9,8 +9,8 @@
 
 use super::PER_TX_CPU_MS;
 use crate::profile::{LoopProfile, LoopStage};
-use crate::server::{PendingVerify, PrestigeServer};
-use prestige_crypto::{sign_share, VerifyJob};
+use crate::server::PrestigeServer;
+use prestige_crypto::sign_share;
 use prestige_sim::Context;
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, SyncKind,
@@ -50,8 +50,8 @@ impl PrestigeServer {
     // ------------------------------------------------------------------
 
     /// Follower handling of the leader's `Ord` message: guard, verify the
-    /// leader signature and the batch digest (off-loop when a pool is
-    /// attached), then acknowledge via [`Self::handle_ord_verified`].
+    /// leader signature and the batch digest, record the ordering, and reply
+    /// with a phase-1 share.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_ord(
         &mut self,
@@ -81,67 +81,15 @@ impl PrestigeServer {
                 return;
             }
         }
-        if self.has_async_verify() {
-            // Collapse retransmissions onto the in-flight job: parking every
-            // copy would queue redundant whole-batch digest recomputations
-            // and grow the parked set without bound under a re-sending peer.
-            if !self.pending_ord_verifies.insert((n.0, digest.0)) {
-                return;
-            }
-            self.offload_verify(
-                VerifyJob::OrdBatch {
-                    leader: from,
-                    view,
-                    n,
-                    batch: Arc::clone(&batch),
-                    digest,
-                    sig,
-                },
-                PendingVerify::Ord {
-                    from,
-                    view,
-                    n,
-                    batch,
-                    digest,
-                },
-            );
-            return;
-        }
         self.charge_verify_cost(ctx);
         let span = LoopProfile::begin(&self.profiler);
-        let ok = {
-            if self.registry.verify(from, digest.as_ref(), &sig) {
-                ctx.charge_cpu_ms(PER_TX_CPU_MS * batch.len() as f64);
-                Self::batch_digest(view, n, &batch) == digest
-            } else {
-                false
-            }
+        let ok = self.registry.verify(from, digest.as_ref(), &sig) && {
+            ctx.charge_cpu_ms(PER_TX_CPU_MS * batch.len() as f64);
+            Self::batch_digest(view, n, &batch) == digest
         };
         LoopProfile::end_sub(&self.profiler, span, LoopStage::InlineVerify);
         if !ok {
-            return;
-        }
-        self.handle_ord_verified(from, view, n, batch, digest, ctx);
-    }
-
-    /// Continuation of [`Self::handle_ord`] once the leader signature and
-    /// batch digest have been verified: record the ordering and reply with a
-    /// phase-1 share. Guards are re-checked — an off-loop verdict may arrive
-    /// after a view change or after the block already committed.
-    pub(crate) fn handle_ord_verified(
-        &mut self,
-        from: Actor,
-        view: View,
-        n: SeqNum,
-        batch: Arc<Vec<Proposal>>,
-        digest: Digest,
-        ctx: &mut Context<Message>,
-    ) {
-        if view != self.current_view()
-            || from != Actor::Server(self.current_leader())
-            || self.rotation_pending
-            || n <= self.store.latest_seq()
-        {
+            self.stats.verify_rejected += 1;
             return;
         }
         // Bound how far ahead of the committed tip an ordering may run:
@@ -152,11 +100,6 @@ impl PrestigeServer {
         // commit lag) is repaired by the leader's retransmission.
         if n.0 > self.store.latest_seq().0 + self.pipeline_depth() as u64 + 1024 {
             return;
-        }
-        if let Some(existing) = self.ordered_digests.get(&n.0) {
-            if *existing != digest {
-                return;
-            }
         }
         // Certified-content pinning: once this follower holds the ordering
         // QC of instance `n` (it commit-signed it, or adopted it through
@@ -260,8 +203,7 @@ impl PrestigeServer {
     // ------------------------------------------------------------------
 
     /// Follower handling of the leader's `Cmt` message: structural guards,
-    /// then the ordering-QC check (memoized; off-loop when a pool is
-    /// attached), then the phase-2 share via [`Self::handle_cmt_verified`].
+    /// then the (memoized) ordering-QC check, then the phase-2 share.
     pub(crate) fn handle_cmt(
         &mut self,
         from: Actor,
@@ -281,52 +223,9 @@ impl PrestigeServer {
         {
             return;
         }
-        let quorum = self.config.quorum();
-        let memo = Self::qc_memo_key(&ordering_qc, quorum);
-        if self.verified_qcs.contains(&memo) {
-            // Already verified this exact certificate (typically when the
-            // follower acknowledged the ordering itself): skip the crypto.
-            self.stats.qc_cache_hits += 1;
-            self.handle_cmt_verified(from, view, n, ordering_qc, ctx);
-            return;
-        }
-        if self.has_async_verify() {
-            self.offload_verify(
-                VerifyJob::Qc {
-                    qc: ordering_qc.clone(),
-                    threshold: quorum,
-                },
-                PendingVerify::Cmt {
-                    from,
-                    view,
-                    n,
-                    ordering_qc,
-                    memo,
-                },
-            );
-            return;
-        }
-        if !self.verify_qc_cached(&ordering_qc, quorum, ctx) {
-            return;
-        }
-        self.handle_cmt_verified(from, view, n, ordering_qc, ctx);
-    }
-
-    /// Continuation of [`Self::handle_cmt`] once the ordering QC is known
-    /// valid: reply with a commit share. Guards re-checked for off-loop
-    /// verdicts.
-    pub(crate) fn handle_cmt_verified(
-        &mut self,
-        from: Actor,
-        view: View,
-        n: SeqNum,
-        ordering_qc: QuorumCertificate,
-        ctx: &mut Context<Message>,
-    ) {
-        if view != self.current_view()
-            || from != Actor::Server(self.current_leader())
-            || self.rotation_pending
-        {
+        // A memo hit (typically: this follower acknowledged the ordering
+        // itself and already saw this exact certificate) skips the crypto.
+        if !self.verify_qc_cached(&ordering_qc, self.config.quorum(), ctx) {
             return;
         }
         if n <= self.store.latest_seq() {
@@ -401,9 +300,8 @@ impl PrestigeServer {
         _sig: [u8; 32],
         ctx: &mut Context<Message>,
     ) {
-        if block.n.0 <= self.commit_frontier() {
-            return; // Stale (committed or queued on the apply pool): no
-                    // point paying for crypto.
+        if block.n <= self.store.latest_seq() {
+            return; // Stale: no point paying for crypto.
         }
         self.verify_and_apply_block(block, ctx);
     }

@@ -3,8 +3,8 @@
 
 use super::PER_TX_CPU_MS;
 use crate::pacemaker::timer_tags;
-use crate::server::{BatchHasher, InflightInstance, PendingVerify, PrestigeServer, ServerRole};
-use prestige_crypto::{sign_share, FramedHasher, QcBuilder, VerifyJob};
+use crate::server::{BatchHasher, InflightInstance, PrestigeServer, ServerRole};
+use prestige_crypto::{sign_share, FramedHasher, QcBuilder};
 use prestige_sim::Context;
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, Transaction,
@@ -317,7 +317,8 @@ impl PrestigeServer {
     // Reply shares → quorum certificates
     // ------------------------------------------------------------------
 
-    /// Leader handling of an `OrdReply` share.
+    /// Leader handling of an `OrdReply` share: verify it into the matching
+    /// in-flight instance; completing the quorum broadcasts `Cmt`.
     pub(crate) fn handle_ord_reply(
         &mut self,
         view: View,
@@ -329,65 +330,17 @@ impl PrestigeServer {
         if self.role != ServerRole::Leader || view != self.current_view() {
             return;
         }
-        if self.has_async_verify() {
-            // Only pay for the off-loop check if the share can still matter.
-            let relevant = matches!(
-                self.inflight.get(&n.0),
-                Some(i) if i.view == view && i.digest == digest && i.ordering_qc.is_none()
-            );
-            if relevant {
-                self.offload_verify(
-                    VerifyJob::Share {
-                        share: share.clone(),
-                        kind: QcKind::Ordering,
-                        view,
-                        seq: n,
-                        digest,
-                    },
-                    PendingVerify::OrdShare {
-                        view,
-                        n,
-                        digest,
-                        share,
-                    },
-                );
-            }
-            return;
-        }
         self.charge_verify_cost(ctx);
-        self.add_ordering_share(view, n, digest, share, false, ctx);
-    }
-
-    /// Adds a phase-1 share to the matching in-flight instance;
-    /// `pre_verified` shares (validated by the pool against exactly this
-    /// statement) skip the registry check. Completing the quorum broadcasts
-    /// `Cmt`.
-    pub(crate) fn add_ordering_share(
-        &mut self,
-        view: View,
-        n: SeqNum,
-        digest: Digest,
-        share: PartialSig,
-        pre_verified: bool,
-        ctx: &mut Context<Message>,
-    ) {
-        if self.role != ServerRole::Leader || view != self.current_view() {
-            return;
-        }
         let instance = match self.inflight.get_mut(&n.0) {
             Some(i) if i.view == view && i.digest == digest && i.ordering_qc.is_none() => i,
             _ => return,
         };
-        let added = if pre_verified {
-            instance.ordering_builder.add_verified_share(&share);
-            true
-        } else {
-            instance
-                .ordering_builder
-                .add_share(&self.registry, &share)
-                .is_ok()
-        };
-        if !added {
+        if instance
+            .ordering_builder
+            .add_share(&self.registry, &share)
+            .is_err()
+        {
+            self.stats.verify_rejected += 1;
             return;
         }
         // A share landed: the quorum is filling in, hold the retransmitter.
@@ -429,8 +382,9 @@ impl PrestigeServer {
         );
     }
 
-    /// Leader handling of a `CmtReply` share: once 2f+1 arrive, the block is
-    /// committed, broadcast, and clients are notified.
+    /// Leader handling of a `CmtReply` share: verify it into the matching
+    /// in-flight instance; once 2f+1 arrive, the block is committed,
+    /// broadcast, clients are notified, and the pipeline window refills.
     pub(crate) fn handle_cmt_reply(
         &mut self,
         view: View,
@@ -442,75 +396,20 @@ impl PrestigeServer {
         if self.role != ServerRole::Leader || view != self.current_view() {
             return;
         }
-        if self.has_async_verify() {
-            let relevant = matches!(
-                self.inflight.get(&n.0),
-                Some(i) if i.view == view && i.digest == digest && i.commit_builder.is_some()
-            );
-            if relevant {
-                self.offload_verify(
-                    VerifyJob::Share {
-                        share: share.clone(),
-                        kind: QcKind::Commit,
-                        view,
-                        seq: n,
-                        digest,
-                    },
-                    PendingVerify::CmtShare {
-                        view,
-                        n,
-                        digest,
-                        share,
-                    },
-                );
-            }
-            return;
-        }
         self.charge_verify_cost(ctx);
-        self.add_commit_share(view, n, digest, share, false, ctx);
-    }
-
-    /// Adds a phase-2 share to the matching in-flight instance (see
-    /// [`Self::add_ordering_share`] for the `pre_verified` contract).
-    /// Completing the quorum finalizes the block, broadcasts it, and refills
-    /// the pipeline window.
-    pub(crate) fn add_commit_share(
-        &mut self,
-        view: View,
-        n: SeqNum,
-        digest: Digest,
-        share: PartialSig,
-        pre_verified: bool,
-        ctx: &mut Context<Message>,
-    ) {
-        if self.role != ServerRole::Leader || view != self.current_view() {
-            return;
-        }
         let instance = match self.inflight.get_mut(&n.0) {
             Some(i) if i.view == view && i.digest == digest => i,
             _ => return,
         };
-        let added = {
-            let builder = match instance.commit_builder.as_mut() {
-                Some(b) => b,
-                None => return,
-            };
-            if pre_verified {
-                builder.add_verified_share(&share);
-                true
-            } else {
-                builder.add_share(&self.registry, &share).is_ok()
-            }
+        let Some(builder) = instance.commit_builder.as_mut() else {
+            return;
         };
-        if !added {
+        if builder.add_share(&self.registry, &share).is_err() {
+            self.stats.verify_rejected += 1;
             return;
         }
         // A share landed: the quorum is filling in, hold the retransmitter.
         instance.last_progress_ms = ctx.now().as_ms();
-        let builder = instance
-            .commit_builder
-            .as_mut()
-            .expect("commit builder present");
         if !builder.complete() {
             return;
         }
@@ -522,7 +421,7 @@ impl PrestigeServer {
         self.memoize_qc(memo);
         let instance = self.inflight.remove(&n.0).expect("instance present");
         // The instance is committing: release the certificate-store
-        // references first (`add_ordering_share` recorded them for the
+        // references first (`handle_ord_reply` recorded them for the
         // recovery plane) so the batch is uniquely held again and the
         // transactions move straight into the block — the commit hot path
         // stays allocation-free. A still-shared batch falls back to
@@ -547,9 +446,7 @@ impl PrestigeServer {
 
         // Apply locally first: the store adopts the uniquely held block
         // without copying, and the stored, chain-linked form is what fans out
-        // as `CommitBlock` — zero deep copies end to end. With an apply pool
-        // attached, adoption (and therefore the broadcast) completes at the
-        // finish stage instead of inline.
+        // as `CommitBlock` — zero deep copies end to end.
         self.commit_and_broadcast_block(Arc::new(block), ctx);
         // A window slot just freed up: keep the pipeline full.
         self.flush_ready_batches(ctx);

@@ -29,15 +29,11 @@
 //! back into sequence order by the `pending_commit_blocks` buffer inside
 //! [`PrestigeServer::apply_committed_block`].
 //!
-//! **Off-loop verification.** When an asynchronous
-//! [`prestige_crypto::VerifyPool`] is attached, every signature, share, and
-//! QC check on this path is submitted as a job and the message parks until
-//! the verdict comes back as an ordinary event
-//! (`Process::on_job_complete` → the `*_verified` / `add_*_share`
-//! continuations, which re-check all cheap guards because the view may have
-//! moved while the job was in flight). Without a pool — the deterministic
-//! simulator — the same checks run inline, in the original order, with the
-//! original CPU charges.
+//! **One thread.** Every signature, share, QC and batch-digest check on this
+//! path runs inline in the handler that needs it, and committed blocks are
+//! adopted inline too: a signature or QC check costs under a microsecond,
+//! several times less than a cross-thread hand-off, so the simulator and the
+//! real runtime execute exactly the same code path.
 
 mod follower;
 mod leader;
@@ -46,8 +42,8 @@ mod verify;
 use crate::server::PrestigeServer;
 use prestige_types::{Digest, Proposal, SeqNum, View};
 
-// The batch digest moved to `prestige-crypto` so the verify pool can
-// recompute it off the protocol loop; re-exported here for compatibility.
+// The batch digest lives in `prestige-crypto`; re-exported here for
+// compatibility.
 pub use prestige_crypto::batch_digest;
 
 /// CPU cost charged per transaction when hashing / validating a batch (ms).
@@ -85,7 +81,6 @@ mod tests {
         Actor, ClientId, ClusterConfig, Message, QcKind, ServerId, Transaction, TxBlock,
     };
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     /// Runs `f` against a server with a fresh driver context and returns the
     /// buffered effects.
@@ -149,134 +144,237 @@ mod tests {
         b.assemble().unwrap()
     }
 
-    #[test]
-    fn offloaded_ord_parks_until_the_verdict_arrives() {
-        let config = ClusterConfig::new(4);
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower = PrestigeServer::new(ServerId(1), config, registry.clone(), 0);
-        let pool = follower.spawn_verify_pool(1);
-        let (batch, digest, sig) = ord_fields(&registry, 1);
+    fn follower(registry: &KeyRegistry) -> PrestigeServer {
+        PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0)
+    }
 
-        // Delivery submits the job and parks the message — no reply yet.
-        let effects = with_ctx(&mut follower, |s, ctx| {
+    /// Delivers `Ord(view 1, n)` from the leader and returns the effects.
+    fn deliver_ord(
+        server: &mut PrestigeServer,
+        n: u64,
+        batch: Arc<Vec<Proposal>>,
+        digest: Digest,
+        sig: [u8; 32],
+    ) -> Effects<Message> {
+        with_ctx(server, |s, ctx| {
             s.on_message(
                 Actor::Server(ServerId(0)),
                 Message::Ord {
                     view: View(1),
-                    n: SeqNum(1),
+                    n: SeqNum(n),
                     batch,
                     digest,
                     sig,
                 },
                 ctx,
             );
-        });
-        assert!(!contains_ord_reply(&effects), "reply must wait for verdict");
-        assert_eq!(follower.stats().verify_offloaded, 1);
-
-        // The worker finishes; the runtime hands the verdict back.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            assert!(Instant::now() < deadline, "verify pool never completed");
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        assert!(verdict.ok, "a well-formed Ord must verify");
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(
-            contains_ord_reply(&effects),
-            "verified Ord must be acknowledged"
-        );
+        })
     }
 
     #[test]
-    fn rejected_verdict_drops_the_parked_message() {
-        // A failed (or panicked) verify job must surface as a rejected
-        // message: the continuation never runs, the node keeps going.
-        let config = ClusterConfig::new(4);
+    fn forged_ord_is_dropped_counted_and_the_node_keeps_serving() {
         let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower = PrestigeServer::new(ServerId(1), config, registry.clone(), 0);
-        let pool = follower.spawn_verify_pool(1);
-        let (batch, digest, _) = ord_fields(&registry, 1);
+        let mut follower = follower(&registry);
+        let (batch, digest, sig) = ord_fields(&registry, 1);
 
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(0)),
-                Message::Ord {
-                    view: View(1),
-                    n: SeqNum(1),
-                    batch,
-                    digest,
-                    sig: [0xEE; 32], // forged leader signature
-                },
-                ctx,
-            );
-        });
-        assert!(!contains_ord_reply(&effects));
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            assert!(Instant::now() < deadline, "verify pool never completed");
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        assert!(!verdict.ok, "forged signature must be rejected");
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(
-            !contains_ord_reply(&effects),
-            "rejected Ord must be dropped"
-        );
+        // A forged leader signature, then a genuine signature over a digest
+        // the batch does not hash to: both are dropped without a trace.
+        let forged_sig = deliver_ord(&mut follower, 1, Arc::clone(&batch), digest, [0xEE; 32]);
+        assert!(!contains_ord_reply(&forged_sig));
         assert_eq!(follower.stats().verify_rejected, 1);
+        let (other_batch, _, _) = ord_fields(&registry, 2);
+        let wrong_batch = deliver_ord(&mut follower, 1, other_batch, digest, sig);
+        assert!(!contains_ord_reply(&wrong_batch));
+        assert_eq!(follower.stats().verify_rejected, 2);
+        assert!(follower.ordered_digests.is_empty());
+        assert!(follower.ordered_batches.is_empty());
 
-        // The node is not hung: a valid Ord afterwards is processed normally.
-        let (batch, digest, sig) = ord_fields(&registry, 1);
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(0)),
-                Message::Ord {
-                    view: View(1),
-                    n: SeqNum(1),
-                    batch,
-                    digest,
-                    sig,
-                },
-                ctx,
-            );
-        });
-        assert!(!contains_ord_reply(&effects), "async path parks first");
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(
-            contains_ord_reply(&effects),
-            "node keeps serving after a rejection"
-        );
+        // The valid Ord afterwards is processed normally.
+        let effects = deliver_ord(&mut follower, 1, batch, digest, sig);
+        assert!(contains_ord_reply(&effects), "valid Ord must be acked");
+        assert_eq!(follower.stats().verify_rejected, 2);
     }
 
     #[test]
-    fn stale_verdicts_for_unknown_tokens_are_ignored() {
-        let config = ClusterConfig::new(4);
+    fn resent_ord_is_acked_again_and_a_tampered_resend_is_rejected() {
         let registry = KeyRegistry::new(9, 4, 2);
-        let mut server = PrestigeServer::new(ServerId(1), config, registry, 0);
-        let effects = with_ctx(&mut server, |s, ctx| {
-            s.on_job_complete(777, true, ctx);
+        let mut follower = follower(&registry);
+        let (batch, digest, sig) = ord_fields(&registry, 1);
+        for _ in 0..2 {
+            // The leader's retransmission must earn the share again.
+            let resent = Arc::new(batch.as_ref().clone());
+            assert!(contains_ord_reply(&deliver_ord(
+                &mut follower,
+                1,
+                resent,
+                digest,
+                sig
+            )));
+        }
+        assert_eq!(follower.stats().verify_rejected, 0);
+
+        // Other transactions under the acknowledged digest are rejected.
+        let (other_batch, _, _) = ord_fields(&registry, 2);
+        let tampered = deliver_ord(&mut follower, 1, other_batch, digest, sig);
+        assert!(!contains_ord_reply(&tampered));
+        assert_eq!(follower.stats().verify_rejected, 1);
+    }
+
+    /// A leader (S0, view 1) with one instance in flight at sequence 1.
+    fn leader_with_inflight(registry: &KeyRegistry) -> (PrestigeServer, Digest) {
+        let mut leader =
+            PrestigeServer::new(ServerId(0), ClusterConfig::new(4), registry.clone(), 0);
+        let tx = Transaction::with_size(ClientId(1), 50, 16);
+        with_ctx(&mut leader, |s, ctx| {
+            s.handle_prop(
+                Actor::Client(ClientId(1)),
+                vec![Proposal::new(tx, Digest::ZERO)],
+                [0u8; 32],
+                ctx,
+            );
+            s.flush_batch(ctx);
+        });
+        let digest = leader.inflight[&1].digest;
+        (leader, digest)
+    }
+
+    fn share_from(
+        registry: &KeyRegistry,
+        signer: u32,
+        kind: QcKind,
+        digest: &Digest,
+    ) -> prestige_types::PartialSig {
+        sign_share(registry, ServerId(signer), kind, View(1), SeqNum(1), digest).unwrap()
+    }
+
+    #[test]
+    fn forged_ordering_share_is_dropped_and_counted() {
+        let registry = KeyRegistry::new(9, 4, 2);
+        let (mut leader, digest) = leader_with_inflight(&registry);
+        let mut forged = share_from(&registry, 1, QcKind::Ordering, &digest);
+        forged.sig = [0xBA; 32];
+        let effects = with_ctx(&mut leader, |s, ctx| {
+            s.on_message(
+                Actor::Server(ServerId(1)),
+                Message::OrdReply {
+                    view: View(1),
+                    n: SeqNum(1),
+                    digest,
+                    share: forged,
+                },
+                ctx,
+            );
         });
         assert!(effects.emissions.is_empty());
-        assert_eq!(server.stats().verify_rejected, 0);
+        assert_eq!(leader.stats().verify_rejected, 1);
+        let instance = &leader.inflight[&1];
+        assert_eq!(instance.ordering_builder.count(), 1, "own share only");
+        assert!(instance.ordering_qc.is_none());
+    }
+
+    #[test]
+    fn forged_commit_share_is_dropped_and_counted() {
+        let registry = KeyRegistry::new(9, 4, 2);
+        let (mut leader, digest) = leader_with_inflight(&registry);
+        // Genuine ordering shares complete phase 1 and open the commit round.
+        for signer in [1, 2] {
+            let share = share_from(&registry, signer, QcKind::Ordering, &digest);
+            with_ctx(&mut leader, |s, ctx| {
+                s.handle_ord_reply(View(1), SeqNum(1), digest, share, ctx);
+            });
+        }
+        assert!(leader.inflight[&1].ordering_qc.is_some());
+
+        let mut forged = share_from(&registry, 1, QcKind::Commit, &digest);
+        forged.sig = [0xBB; 32];
+        let effects = with_ctx(&mut leader, |s, ctx| {
+            s.on_message(
+                Actor::Server(ServerId(1)),
+                Message::CmtReply {
+                    view: View(1),
+                    n: SeqNum(1),
+                    digest,
+                    share: forged,
+                },
+                ctx,
+            );
+        });
+        assert!(effects.emissions.is_empty());
+        assert_eq!(leader.stats().verify_rejected, 1);
+        let builder = leader.inflight[&1].commit_builder.as_ref().unwrap();
+        assert_eq!(builder.count(), 1, "own share only");
+        assert_eq!(leader.store().latest_seq(), SeqNum(0));
+    }
+
+    /// A QC whose aggregate does not verify.
+    fn forged_qc(
+        registry: &KeyRegistry,
+        kind: QcKind,
+        digest: Digest,
+    ) -> prestige_types::QuorumCertificate {
+        let mut qc = build_qc(registry, kind, View(1), SeqNum(1), digest, 3);
+        qc.aggregate = [0xAA; 32];
+        qc
+    }
+
+    #[test]
+    fn forged_qc_in_cmt_is_dropped_and_counted() {
+        let registry = KeyRegistry::new(9, 4, 2);
+        let mut follower = follower(&registry);
+        let (batch, digest, sig) = ord_fields(&registry, 1);
+        deliver_ord(&mut follower, 1, batch, digest, sig);
+        let effects = with_ctx(&mut follower, |s, ctx| {
+            s.on_message(
+                Actor::Server(ServerId(0)),
+                Message::Cmt {
+                    view: View(1),
+                    n: SeqNum(1),
+                    ordering_qc: forged_qc(&registry, QcKind::Ordering, digest),
+                    sig: [0u8; 32],
+                },
+                ctx,
+            );
+        });
+        assert!(effects.emissions.is_empty(), "no commit share, no sync");
+        assert_eq!(follower.stats().verify_rejected, 1);
+        assert!(follower.ord_qcs.is_empty());
+        assert_eq!(follower.signed_commit_tip, 0);
+        assert!(follower.signed_commit_info.is_empty());
+    }
+
+    #[test]
+    fn forged_qc_in_commit_block_is_dropped_and_counted() {
+        let registry = KeyRegistry::new(9, 4, 2);
+        let mut follower = follower(&registry);
+        let (batch, digest, _) = ord_fields(&registry, 1);
+        let mut block = TxBlock::new(
+            View(1),
+            SeqNum(1),
+            batch.iter().map(|p| p.tx.clone()).collect(),
+        );
+        block.ordering_qc = Some(build_qc(
+            &registry,
+            QcKind::Ordering,
+            View(1),
+            SeqNum(1),
+            digest,
+            3,
+        ));
+        block.commit_qc = Some(forged_qc(&registry, QcKind::Commit, digest));
+        let effects = with_ctx(&mut follower, |s, ctx| {
+            s.on_message(
+                Actor::Server(ServerId(0)),
+                Message::CommitBlock {
+                    block: Arc::new(block),
+                    sig: [0u8; 32],
+                },
+                ctx,
+            );
+        });
+        assert!(effects.emissions.is_empty());
+        assert_eq!(follower.stats().verify_rejected, 1);
+        assert_eq!(follower.store().latest_seq(), SeqNum(0));
+        assert!(follower.pending_commit_blocks.is_empty());
     }
 
     #[test]
@@ -607,52 +705,6 @@ mod tests {
             SeqNum(1),
             "QC + matching batch certify the instance"
         );
-    }
-
-    #[test]
-    fn duplicate_ord_collapses_onto_one_inflight_verification() {
-        let config = ClusterConfig::new(4);
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower = PrestigeServer::new(ServerId(1), config, registry.clone(), 0);
-        let pool = follower.spawn_verify_pool(1);
-        let (batch, digest, sig) = ord_fields(&registry, 1);
-        let deliver = |s: &mut PrestigeServer| {
-            let batch = Arc::clone(&batch);
-            with_ctx(s, |s, ctx| {
-                s.on_message(
-                    Actor::Server(ServerId(0)),
-                    Message::Ord {
-                        view: View(1),
-                        n: SeqNum(1),
-                        batch,
-                        digest,
-                        sig,
-                    },
-                    ctx,
-                );
-            })
-        };
-        deliver(&mut follower);
-        deliver(&mut follower);
-        deliver(&mut follower);
-        assert_eq!(
-            follower.stats().verify_offloaded,
-            1,
-            "retransmitted Ord must ride the in-flight job"
-        );
-        // After the verdict, the slot frees again.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let verdict = loop {
-            if let Some(v) = pool.try_completion() {
-                break v;
-            }
-            assert!(Instant::now() < deadline);
-            std::thread::sleep(Duration::from_micros(50));
-        };
-        with_ctx(&mut follower, |s, ctx| {
-            s.on_job_complete(verdict.token, verdict.ok, ctx);
-        });
-        assert!(follower.pending_ord_verifies.is_empty());
     }
 
     #[test]

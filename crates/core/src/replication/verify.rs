@@ -2,101 +2,43 @@
 //! `CommitBlock` broadcasts and blocks acquired through sync.
 
 use crate::profile::{LoopProfile, LoopStage};
-use crate::server::{ApplyEntry, ApplyOutcome, PendingVerify, PrestigeServer};
-use crate::storage::tx_block_digest_with_prev;
-use prestige_crypto::VerifyJob;
+use crate::server::PrestigeServer;
 use prestige_sim::Context;
-use prestige_types::{Actor, ClientId, Digest, Message, QcKind, SyncKind, TxBlock};
+use prestige_types::{Actor, ClientId, Message, QcKind, SyncKind, TxBlock};
 use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
-
-/// Where an off-loop apply job gets the digest of its predecessor block:
-/// resolved at submit time when the chain tip is already stored, or handed
-/// over by the previous in-flight job through a one-shot channel. The
-/// blocking `recv` is deadlock-free — apply jobs are sharded by sequence
-/// number onto per-worker FIFOs, so a job's predecessor is always at or
-/// ahead of it in some worker's queue — and a predecessor that panics drops
-/// its sender, failing the whole suffix over to the inline fallback.
-enum PrevSource {
-    Ready(Digest),
-    Chained(Receiver<Digest>),
-}
 
 impl PrestigeServer {
     /// Shared QC validation + apply path for `CommitBlock` broadcasts and
-    /// synced txBlocks: structural checks, memoized QC verification (off-loop
-    /// when a pool is attached), then [`Self::apply_committed_block`].
+    /// synced txBlocks: structural checks, memoized QC verification, then
+    /// [`Self::apply_committed_block`].
     pub(crate) fn verify_and_apply_block(
         &mut self,
         block: Arc<TxBlock>,
         ctx: &mut Context<Message>,
     ) {
         let quorum = self.config.quorum();
-        let structurally_ok = match (&block.ordering_qc, &block.commit_qc) {
-            (Some(o), Some(c)) => {
-                o.kind == QcKind::Ordering
-                    && c.kind == QcKind::Commit
-                    && o.seq == block.n
-                    && c.seq == block.n
-            }
-            _ => false,
+        let (Some(ordering_qc), Some(commit_qc)) = (&block.ordering_qc, &block.commit_qc) else {
+            return;
         };
-        if !structurally_ok {
+        if ordering_qc.kind != QcKind::Ordering
+            || commit_qc.kind != QcKind::Commit
+            || ordering_qc.seq != block.n
+            || commit_qc.seq != block.n
+        {
             return;
         }
-        // Collect the certificates not yet known valid.
-        let mut jobs = Vec::new();
-        let mut memo = Vec::new();
-        for qc in [&block.ordering_qc, &block.commit_qc] {
-            let qc = qc.as_ref().expect("structurally checked");
-            let key = Self::qc_memo_key(qc, quorum);
-            if self.verified_qcs.contains(&key) {
-                self.stats.qc_cache_hits += 1;
-            } else {
-                jobs.push(VerifyJob::Qc {
-                    qc: qc.clone(),
-                    threshold: quorum,
-                });
-                memo.push(key);
-            }
-        }
-        if jobs.is_empty() {
-            self.apply_committed_block(block, ctx);
+        if !self.verify_qc_cached(ordering_qc, quorum, ctx)
+            || !self.verify_qc_cached(commit_qc, quorum, ctx)
+        {
             return;
-        }
-        if self.has_async_verify() {
-            self.offload_verify(
-                VerifyJob::All(jobs),
-                PendingVerify::CommitBlock { block, memo },
-            );
-            return;
-        }
-        for (job, key) in jobs.iter().zip(&memo) {
-            self.charge_verify_cost(ctx);
-            if !self.verify_inline(job) {
-                return;
-            }
-            self.memoize_qc(*key);
         }
         self.apply_committed_block(block, ctx);
     }
 
-    /// The commit frontier: the store tip extended through blocks queued on
-    /// the apply pool. Duplicate and gap decisions reason against this (a
-    /// block in flight is as good as committed for admission purposes);
-    /// without async apply it is exactly `store.latest_seq()`.
-    pub(crate) fn commit_frontier(&self) -> u64 {
-        let inflight_tip = self.apply_inflight.keys().next_back().copied().unwrap_or(0);
-        self.store.latest_seq().0.max(inflight_tip)
-    }
-
     /// Applies a committed block locally: store it, update bookkeeping, and
     /// notify the owning clients. Blocks arriving ahead of a gap are buffered
-    /// so every replica applies the log in the same order. With an apply pool
-    /// attached, the CPU-heavy half of adoption (chain digesting, notification
-    /// signing) runs off-loop and the block lands in the store when the
-    /// in-order finish stage drains it.
+    /// so every replica applies the log in the same order.
     pub(crate) fn apply_committed_block(
         &mut self,
         block: Arc<TxBlock>,
@@ -107,8 +49,7 @@ impl PrestigeServer {
 
     /// Leader variant of [`Self::apply_committed_block`]: the adopted,
     /// chain-linked form of the block is broadcast to the other servers as
-    /// `CommitBlock` once it lands in the store (immediately on the inline
-    /// path; at the finish stage with an apply pool).
+    /// `CommitBlock` once it lands in the store.
     pub(crate) fn commit_and_broadcast_block(
         &mut self,
         block: Arc<TxBlock>,
@@ -123,17 +64,16 @@ impl PrestigeServer {
         broadcast: bool,
         ctx: &mut Context<Message>,
     ) {
-        let frontier = self.commit_frontier();
-        if block.n.0 <= frontier {
-            // Already committed or already queued for adoption. A leader
-            // committing a duplicate still fans it out (matching the
-            // pre-apply-pool behaviour of broadcasting unconditionally).
+        let tip = self.store.latest_seq().0;
+        if block.n.0 <= tip {
+            // Already committed. A leader committing a duplicate still fans
+            // it out.
             if broadcast {
                 self.broadcast_commit_block(block, ctx);
             }
             return;
         }
-        if block.n.0 > frontier + 1 {
+        if block.n.0 > tip + 1 {
             let n = block.n.0;
             self.pending_commit_blocks.insert(n, Arc::clone(&block));
             if broadcast {
@@ -141,131 +81,31 @@ impl PrestigeServer {
             }
             // A gap means the predecessors' broadcasts were lost (shed under
             // backpressure or cut by a partition): ask the leader to close it
-            // rather than waiting forever. Rate-limited — with an off-loop
-            // verify pool, out-of-order verdicts park blocks briefly all the
-            // time and usually resolve by themselves. The sync repair timer
-            // re-asks a *rotating* peer if the leader itself is unreachable.
-            // A hole wider than one serve budget (a restarted or long-cut
-            // replica) escalates to snapshot sync, same as the repair timer.
-            let lo = frontier + 1;
+            // rather than waiting forever. Rate-limited; the sync repair
+            // timer re-asks a *rotating* peer if the leader itself is
+            // unreachable. A hole wider than one serve budget (a restarted or
+            // long-cut replica) escalates to snapshot sync, same as the
+            // repair timer.
+            let lo = tip + 1;
             let hi = n - 1;
             let kind = Self::catchup_kind(lo, hi);
             self.request_sync(Actor::Server(self.current_leader()), kind, lo, hi, ctx);
             return;
         }
-        self.start_apply(block, broadcast, ctx);
-        // Drain any buffered successors that are now contiguous with the
-        // frontier (committed, or queued behind this block on the pool).
+        let shared = self.apply_in_order(block, ctx);
+        if broadcast {
+            if let Some(shared) = shared {
+                self.broadcast_commit_block(shared, ctx);
+            }
+        }
+        // Drain any buffered successors that are now contiguous with the tip.
         while let Some((&next, _)) = self.pending_commit_blocks.iter().next() {
-            if next != self.commit_frontier() + 1 {
+            if next != self.store.latest_seq().0 + 1 {
                 break;
             }
             let block = self.pending_commit_blocks.remove(&next).expect("present");
-            self.start_apply(block, false, ctx);
+            self.apply_in_order(block, ctx);
         }
-    }
-
-    /// Adopts one frontier-contiguous block: inline when no apply pool is
-    /// attached (the simulator path — bit-identical regardless of
-    /// `apply_workers`), otherwise as an off-loop job chained to its
-    /// predecessor's digest.
-    fn start_apply(&mut self, block: Arc<TxBlock>, broadcast: bool, ctx: &mut Context<Message>) {
-        if !self.has_async_apply() {
-            let shared = self.apply_in_order(block, None, ctx);
-            if broadcast {
-                if let Some(shared) = shared {
-                    self.broadcast_commit_block(shared, ctx);
-                }
-            }
-            return;
-        }
-        let prev_source = match self.apply_chain.take() {
-            Some(rx) => PrevSource::Chained(rx),
-            None => PrevSource::Ready(self.store.latest_tx_digest()),
-        };
-        let (tx_next, rx_next) = channel();
-        self.apply_chain = Some(rx_next);
-        let token = self.next_verify_token;
-        self.next_verify_token += 1;
-        let n = block.n.0;
-        self.apply_tokens.insert(token, n);
-        self.apply_inflight.insert(
-            n,
-            ApplyEntry {
-                block: Arc::clone(&block),
-                outcome: None,
-                done: false,
-                broadcast,
-            },
-        );
-        self.stats.applies_offloaded += 1;
-        let keypair = self.keypair.clone();
-        let pool = self.apply_pool.as_ref().expect("async apply established");
-        pool.submit_sharded(
-            n,
-            token,
-            Box::new(move || {
-                let prev = match prev_source {
-                    PrevSource::Ready(d) => d,
-                    // A broken chain (predecessor job panicked) fails this
-                    // job too; the finish stage recomputes inline.
-                    PrevSource::Chained(rx) => rx.recv().ok()?,
-                };
-                let digest = tx_block_digest_with_prev(&block, prev);
-                let _ = tx_next.send(digest);
-                let notif_sig = keypair.sign(&n.to_be_bytes());
-                Some(ApplyOutcome {
-                    prev,
-                    digest,
-                    notif_sig,
-                })
-            }),
-        );
-    }
-
-    /// Completion of the apply job for block `n`: record the outcome, then
-    /// drain every finished entry that is contiguous with the store tip —
-    /// adoption lands in sequence order no matter how completions arrive.
-    pub(crate) fn finish_apply(
-        &mut self,
-        n: u64,
-        outcome: Option<ApplyOutcome>,
-        ctx: &mut Context<Message>,
-    ) {
-        if let Some(entry) = self.apply_inflight.get_mut(&n) {
-            entry.outcome = outcome;
-            entry.done = true;
-        }
-        loop {
-            let next = self.store.latest_seq().0 + 1;
-            if !matches!(self.apply_inflight.get(&next), Some(e) if e.done) {
-                return;
-            }
-            let entry = self.apply_inflight.remove(&next).expect("present");
-            let shared = self.apply_in_order(entry.block, entry.outcome, ctx);
-            if entry.broadcast {
-                if let Some(shared) = shared {
-                    self.broadcast_commit_block(shared, ctx);
-                }
-            }
-        }
-    }
-
-    /// Adopts every block still queued on the apply pool inline, without
-    /// waiting for the jobs (late completions are dropped by token). Called
-    /// at view installation: the bookkeeping there reasons about the
-    /// committed tip, so the tip must be real first.
-    pub(crate) fn flush_apply_pipeline(&mut self, ctx: &mut Context<Message>) {
-        while let Some((&n, _)) = self.apply_inflight.iter().next() {
-            let entry = self.apply_inflight.remove(&n).expect("present");
-            let shared = self.apply_in_order(entry.block, entry.outcome, ctx);
-            if entry.broadcast {
-                if let Some(shared) = shared {
-                    self.broadcast_commit_block(shared, ctx);
-                }
-            }
-        }
-        self.apply_chain = None;
     }
 
     /// Fans a committed block out as `CommitBlock`. Receivers validate blocks
@@ -276,18 +116,16 @@ impl PrestigeServer {
         ctx.broadcast(self.other_servers(), Message::CommitBlock { block, sig });
     }
 
-    /// Applies one block whose predecessor is already committed, with the
-    /// off-loop `prepared` linkage when an apply job computed it. Returns the
+    /// Applies one block whose predecessor is already committed. Returns the
     /// stored, chain-linked form (`None` only on a conflicting insert, which
     /// honest paths never produce).
-    pub(crate) fn apply_in_order(
+    fn apply_in_order(
         &mut self,
         block: Arc<TxBlock>,
-        prepared: Option<ApplyOutcome>,
         ctx: &mut Context<Message>,
     ) -> Option<Arc<TxBlock>> {
         let span = LoopProfile::begin(&self.profiler);
-        let out = self.apply_in_order_inner(block, prepared, ctx);
+        let out = self.apply_in_order_inner(block, ctx);
         LoopProfile::end_sub(&self.profiler, span, LoopStage::Apply);
         out
     }
@@ -295,7 +133,6 @@ impl PrestigeServer {
     fn apply_in_order_inner(
         &mut self,
         block: Arc<TxBlock>,
-        prepared: Option<ApplyOutcome>,
         ctx: &mut Context<Message>,
     ) -> Option<Arc<TxBlock>> {
         let n = block.n;
@@ -339,13 +176,7 @@ impl PrestigeServer {
         // here and the insert replays an idempotent record; one that crashed
         // *after* acting without the record would un-commit on restart.
         self.wal_append(prestige_storage::WalRecordRef::Block(block.as_ref()));
-        // The off-loop digest stays valid across the status patch above: it
-        // covers transaction identities, never statuses.
-        let inserted = match prepared {
-            Some(o) => self.store.insert_tx_block_prepared(block, o.prev, o.digest),
-            None => self.store.insert_tx_block(block),
-        };
-        if !inserted {
+        if !self.store.insert_tx_block(block) {
             // Conflicting block at `n` (never on honest paths): the keys
             // recorded above make `committed_tx_keys` a harmless superset.
             return None;
@@ -410,18 +241,15 @@ impl PrestigeServer {
 
         // Notify clients: one Notif per client listing its committed keys.
         // The signature covers only the sequence number, so one signing
-        // (hoisted out of the loop, or precomputed off-loop) serves every
-        // client of the block — the deterministic MAC makes this
-        // observationally identical to signing per client.
+        // (hoisted out of the loop) serves every client of the block — the
+        // deterministic MAC makes this observationally identical to signing
+        // per client.
         let mut by_client: BTreeMap<ClientId, Vec<(ClientId, u64)>> = BTreeMap::new();
         for key in committed_keys {
             by_client.entry(key.0).or_default().push(key);
         }
         if !by_client.is_empty() {
-            let sig = match prepared {
-                Some(o) => o.notif_sig,
-                None => self.sign(&n.0.to_be_bytes()),
-            };
+            let sig = self.sign(&n.0.to_be_bytes());
             for (client, tx_keys) in by_client {
                 ctx.send(
                     Actor::Client(client),

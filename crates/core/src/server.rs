@@ -13,14 +13,13 @@ use crate::pacemaker::{timer_tags, Pacemaker};
 use crate::profile::{LoopProfile, LoopStage};
 use crate::storage::BlockStore;
 use prestige_crypto::{
-    execute_job, FramedHasher, KeyPair, KeyRegistry, PowSolution, PowSolver, QcBuilder, TaskPool,
-    ThresholdVerifier, VerifyJob, VerifyPool,
+    FramedHasher, KeyPair, KeyRegistry, PowSolution, PowSolver, QcBuilder, ThresholdVerifier,
 };
 use prestige_reputation::{RefreshTracker, ReputationEngine};
 use prestige_sim::{Context, Process, SimTime, TimerId};
 use prestige_types::{
     Actor, ClientId, ClusterConfig, Digest, KeyMap, KeySet, Message, Proposal, QuorumCertificate,
-    SeqNum, ServerId, TxBlock, VcBlock, View,
+    SeqNum, ServerId, VcBlock, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -73,10 +72,9 @@ pub struct ServerStats {
     pub commit_log: Vec<(f64, u64)>,
     /// Per-campaign log: (simulated ms at campaign start, rp used, pow ms).
     pub campaign_log: Vec<(f64, i64, f64)>,
-    /// Verification jobs offloaded to the verify pool.
-    pub verify_offloaded: u64,
-    /// Offloaded verification jobs that came back rejected (a forged
-    /// signature/QC — or a panicked verify job, which surfaces the same way).
+    /// Replication messages dropped because a cryptographic check failed: a
+    /// forged `Ord` signature, a batch that does not hash to its digest, a
+    /// bad quorum share, or a bad QC in a `Cmt` / `CommitBlock`.
     pub verify_rejected: u64,
     /// QC verifications skipped because the certificate was already verified
     /// (memo cache hit, e.g. an ordering QC seen via `Cmt` and again inside
@@ -114,9 +112,6 @@ pub struct ServerStats {
     /// missing range exceeded one serve budget (fresh restart from an old
     /// checkpoint, long partition).
     pub snapshot_syncs: u64,
-    /// Committed-block adoptions whose chain digest and notification
-    /// signature were computed off the protocol loop by the apply pool.
-    pub applies_offloaded: u64,
     /// Leader batches whose ordering digest was served by the incremental
     /// streaming hasher at flush time instead of re-hashing the whole batch.
     pub incremental_batch_digests: u64,
@@ -145,98 +140,6 @@ pub(crate) struct InflightInstance {
     /// healthy-path retransmits double network load exactly when the cluster
     /// is busiest and were the dominant p99 contributor at peak throughput.
     pub(crate) last_progress_ms: f64,
-}
-
-/// A message parked while its crypto checks run on the verify pool. Each
-/// variant carries exactly the state its post-verification continuation
-/// needs; guards (current view, leader identity, instance liveness) are
-/// re-checked when the verdict arrives, since the world may have moved on.
-#[derive(Debug, Clone)]
-pub(crate) enum PendingVerify {
-    /// A leader's `Ord` whose signature + batch digest are being checked.
-    Ord {
-        from: Actor,
-        view: View,
-        n: SeqNum,
-        batch: Arc<Vec<Proposal>>,
-        digest: Digest,
-    },
-    /// An `OrdReply` share being checked against the ordering statement.
-    OrdShare {
-        view: View,
-        n: SeqNum,
-        digest: Digest,
-        share: prestige_types::PartialSig,
-    },
-    /// A `Cmt` whose ordering QC is being checked; `memo` is the cache key to
-    /// record on success.
-    Cmt {
-        from: Actor,
-        view: View,
-        n: SeqNum,
-        ordering_qc: QuorumCertificate,
-        memo: [u8; 32],
-    },
-    /// A `CmtReply` share being checked against the commit statement.
-    CmtShare {
-        view: View,
-        n: SeqNum,
-        digest: Digest,
-        share: prestige_types::PartialSig,
-    },
-    /// A `CommitBlock` (or synced txBlock) whose not-yet-memoized QCs are
-    /// being checked; `memo` lists the cache keys to record on success.
-    CommitBlock {
-        block: Arc<TxBlock>,
-        memo: Vec<[u8; 32]>,
-    },
-}
-
-impl PendingVerify {
-    /// The consensus instance this verification belongs to, used as the
-    /// verify-pool shard key: every variant carries the instance sequence, so
-    /// all checks for one instance (Ord, shares, Cmt, final block) run on one
-    /// worker in submission order while distinct instances verify
-    /// concurrently.
-    pub(crate) fn shard_key(&self) -> u64 {
-        match self {
-            PendingVerify::Ord { n, .. }
-            | PendingVerify::OrdShare { n, .. }
-            | PendingVerify::Cmt { n, .. }
-            | PendingVerify::CmtShare { n, .. } => n.0,
-            PendingVerify::CommitBlock { block, .. } => block.n.0,
-        }
-    }
-}
-
-/// The payload an off-loop apply job computes for one committed block: the
-/// chain linkage (so the block store adopts the block without re-hashing it
-/// on the protocol loop) and the notification signature every client `Notif`
-/// for the block shares. The digest covers the transaction identities but
-/// not their `status` flags, so the on-loop duplicate-suppression patch at
-/// finish time cannot invalidate it.
-#[derive(Debug, Clone, Copy)]
-pub struct ApplyOutcome {
-    /// Digest of the predecessor block this outcome chained against.
-    pub prev: Digest,
-    /// The block's resulting chain digest.
-    pub digest: Digest,
-    /// Signature over the block's sequence number (what a `Notif` carries).
-    pub notif_sig: [u8; 32],
-}
-
-/// A committed block whose adoption is running (or queued) on the apply
-/// pool. Entries are keyed by sequence number in `apply_inflight` and
-/// drained strictly in order from the store tip.
-pub(crate) struct ApplyEntry {
-    pub(crate) block: Arc<TxBlock>,
-    /// The off-loop result; `None` until the job completes (or forever, if
-    /// the job failed — the finish path then recomputes inline).
-    pub(crate) outcome: Option<ApplyOutcome>,
-    /// Whether the job has reported back.
-    pub(crate) done: bool,
-    /// Leader path: broadcast the adopted block once applied.
-    pub(crate) broadcast: bool,
 }
 
 /// The leader's streaming ordering digest: proposals are absorbed into a
@@ -391,18 +294,6 @@ pub struct PrestigeServer {
     pub(crate) batch_timer_armed: bool,
 
     // --- verification state ---
-    /// Off-loop verification pool; `None` (or an inline pool) verifies on the
-    /// protocol loop, which is what the deterministic simulator requires.
-    pub(crate) verify_pool: Option<Arc<VerifyPool>>,
-    /// Next token for offloaded verification jobs.
-    pub(crate) next_verify_token: u64,
-    /// Messages parked while their crypto checks run off-loop.
-    pub(crate) pending_verify: HashMap<u64, PendingVerify>,
-    /// `(n, digest)` of `Ord` messages currently parked for verification, so
-    /// a retransmitted (or maliciously re-sent) `Ord` collapses onto the
-    /// in-flight job instead of parking another copy of the whole batch and
-    /// queueing a redundant digest recomputation.
-    pub(crate) pending_ord_verifies: KeySet<(u64, [u8; 32])>,
     /// Memo cache of already-verified quorum certificates, keyed by
     /// statement/threshold/aggregate, so a certificate seen via `Cmt` and
     /// again via `CommitBlock` — or re-received through sync — is verified
@@ -411,19 +302,7 @@ pub struct PrestigeServer {
     /// FIFO eviction order bounding the memo cache.
     pub(crate) verified_qcs_order: VecDeque<[u8; 32]>,
 
-    // --- apply state ---
-    /// Off-loop apply pool; `None` (or an inline pool) adopts committed
-    /// blocks on the protocol loop, which is what the simulator requires.
-    pub(crate) apply_pool: Option<Arc<TaskPool<ApplyOutcome>>>,
-    /// Committed blocks whose adoption runs off-loop, keyed by sequence
-    /// number. Keys are contiguous from the store tip by construction.
-    pub(crate) apply_inflight: BTreeMap<u64, ApplyEntry>,
-    /// Apply-job token → sequence number (tokens share the verify counter).
-    pub(crate) apply_tokens: HashMap<u64, u64>,
-    /// Receiver carrying the chain digest of the newest submitted apply job;
-    /// the next job takes it as its `prev` source, so linkage flows
-    /// job-to-job without the loop waiting on any of them.
-    pub(crate) apply_chain: Option<std::sync::mpsc::Receiver<Digest>>,
+    // --- leader batching state ---
     /// The leader's streaming ordering digest over the proposal-pool prefix.
     pub(crate) batch_hasher: Option<BatchHasher>,
     /// Recycled batch buffers: capacity flows from committed instances
@@ -560,16 +439,8 @@ impl PrestigeServer {
             sync_peer_cursor: 0,
             last_repair_tip: 0,
             batch_timer_armed: false,
-            verify_pool: None,
-            next_verify_token: 0,
-            pending_verify: HashMap::new(),
-            pending_ord_verifies: KeySet::default(),
             verified_qcs: KeySet::default(),
             verified_qcs_order: VecDeque::new(),
-            apply_pool: None,
-            apply_inflight: BTreeMap::new(),
-            apply_tokens: HashMap::new(),
-            apply_chain: None,
             batch_hasher: None,
             batch_scratch: Vec::new(),
             profiler: None,
@@ -734,44 +605,6 @@ impl PrestigeServer {
         ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
     }
 
-    // ------------------------------------------------------------------
-    // Verification offload & QC memoization
-    // ------------------------------------------------------------------
-
-    /// Builds a verification pool over this server's key registry and attaches
-    /// it. Returns the handle the driving runtime polls for completions (and
-    /// feeds back through `Process::on_job_complete`). With `workers == 0`
-    /// the pool is the deterministic same-thread fallback and the server keeps
-    /// verifying inline.
-    pub fn spawn_verify_pool(&mut self, workers: usize) -> Arc<VerifyPool> {
-        let pool = Arc::new(VerifyPool::new(Arc::clone(&self.registry), workers));
-        self.verify_pool = Some(Arc::clone(&pool));
-        pool
-    }
-
-    /// Whether crypto checks run off the protocol loop.
-    pub(crate) fn has_async_verify(&self) -> bool {
-        self.verify_pool.as_ref().is_some_and(|p| p.is_async())
-    }
-
-    /// Builds an apply pool and attaches it: committed-block adoption (chain
-    /// digesting and notification signing) moves off the protocol loop,
-    /// sharded by instance sequence so per-block work pipelines while the
-    /// in-order commit semantics are preserved by the on-loop finish stage.
-    /// Returns the handle the driving runtime polls for completions. With
-    /// `workers == 0` the pool is inert and adoption stays inline — the
-    /// deterministic-simulator configuration.
-    pub fn spawn_apply_pool(&mut self, workers: usize) -> Arc<TaskPool<ApplyOutcome>> {
-        let pool = Arc::new(TaskPool::new(workers, "apply"));
-        self.apply_pool = Some(Arc::clone(&pool));
-        pool
-    }
-
-    /// Whether committed-block adoption runs off the protocol loop.
-    pub(crate) fn has_async_apply(&self) -> bool {
-        self.apply_pool.as_ref().is_some_and(|p| p.is_async())
-    }
-
     /// Attaches the driving runtime's stage profiler so protocol-side
     /// sub-spans (inline verify, apply, storage append) report their self
     /// time to the right buckets. Never called by the simulator.
@@ -779,20 +612,9 @@ impl PrestigeServer {
         self.profiler = Some(profile);
     }
 
-    /// Offloads `job` to the verify pool, parking `pending` until the verdict
-    /// arrives via `on_job_complete`. Callers must have established
-    /// [`Self::has_async_verify`]. Jobs are sharded by instance sequence
-    /// ([`PendingVerify::shard_key`]) so one instance's checks never reorder
-    /// against each other while distinct instances verify in parallel.
-    pub(crate) fn offload_verify(&mut self, job: VerifyJob, pending: PendingVerify) {
-        let pool = self.verify_pool.as_ref().expect("async pool attached");
-        let token = self.next_verify_token;
-        self.next_verify_token += 1;
-        let shard = pending.shard_key();
-        self.pending_verify.insert(token, pending);
-        self.stats.verify_offloaded += 1;
-        pool.submit_sharded(shard, token, job);
-    }
+    // ------------------------------------------------------------------
+    // QC memoization
+    // ------------------------------------------------------------------
 
     /// Memo key of a quorum certificate: statement + required threshold +
     /// aggregate. Including the aggregate pins the *exact* certificate, so a
@@ -826,10 +648,9 @@ impl PrestigeServer {
         }
     }
 
-    /// Verifies a QC inline, consulting the memo cache first. Charges the
-    /// verification CPU cost only when the certificate is actually verified —
-    /// this is the dedup the double `charge_verify_cost` on the old
-    /// `CommitBlock` path paid for twice.
+    /// Verifies a QC, consulting the memo cache first. Charges the
+    /// verification CPU cost only when the certificate is actually verified,
+    /// and counts a failed check in `verify_rejected`.
     pub(crate) fn verify_qc_cached(
         &mut self,
         qc: &QuorumCertificate,
@@ -849,17 +670,9 @@ impl PrestigeServer {
         LoopProfile::end_sub(&self.profiler, span, LoopStage::InlineVerify);
         if ok {
             self.memoize_qc(key);
-            true
         } else {
-            false
+            self.stats.verify_rejected += 1;
         }
-    }
-
-    /// Executes a verification job inline (same-thread), without the pool.
-    pub(crate) fn verify_inline(&self, job: &VerifyJob) -> bool {
-        let span = LoopProfile::begin(&self.profiler);
-        let ok = execute_job(&self.registry, job);
-        LoopProfile::end_sub(&self.profiler, span, LoopStage::InlineVerify);
         ok
     }
 
@@ -881,11 +694,7 @@ impl PrestigeServer {
     /// per-view vote bookkeeping, statistics).
     pub(crate) fn note_view_installed(&mut self, ctx: &mut Context<Message>, leader: ServerId) {
         self.stats.views_installed += 1;
-        // Everything below reasons about the committed tip, so blocks still
-        // in flight on the apply pool are adopted inline first — the tip
-        // must be real before pruning against it. The streaming batch
-        // digest binds the outgoing view; drop it.
-        self.flush_apply_pipeline(ctx);
+        // The streaming batch digest binds the outgoing view; drop it.
         self.batch_hasher = None;
         // Ordered-but-uncommitted batches survive the view change keyed by
         // their sequence numbers (shared handles — no copies): they back
@@ -1207,70 +1016,6 @@ impl Process<Message> for PrestigeServer {
             timer_tags::ATTACK => self.on_attack_timer(ctx),
             timer_tags::SYNC_REPAIR => self.on_sync_repair_timer(ctx),
             _ => {}
-        }
-    }
-
-    fn on_job_complete(&mut self, token: u64, ok: bool, ctx: &mut Context<Message>) {
-        if let Some(n) = self.apply_tokens.remove(&token) {
-            // Apply-pool completion. Always collect the payload (even for a
-            // job superseded by a view-change flush) so the pool's mailbox
-            // never leaks; a failed job yields no payload and the finish
-            // stage recomputes inline.
-            let outcome = self.apply_pool.as_ref().and_then(|p| p.take(token));
-            let outcome = if ok { outcome } else { None };
-            self.finish_apply(n, outcome, ctx);
-            return;
-        }
-        let Some(pending) = self.pending_verify.remove(&token) else {
-            return; // Superseded (e.g. cleared by a view change) — drop.
-        };
-        if let PendingVerify::Ord { n, digest, .. } = &pending {
-            // Whatever the verdict, the slot frees: a re-sent Ord may park
-            // again (and will usually be answered from `ordered_digests`).
-            self.pending_ord_verifies.remove(&(n.0, digest.0));
-        }
-        if !ok {
-            // The parked message failed verification (or its check panicked):
-            // reject it and move on, exactly as an inline failure would.
-            self.stats.verify_rejected += 1;
-            return;
-        }
-        match pending {
-            PendingVerify::Ord {
-                from,
-                view,
-                n,
-                batch,
-                digest,
-            } => self.handle_ord_verified(from, view, n, batch, digest, ctx),
-            PendingVerify::OrdShare {
-                view,
-                n,
-                digest,
-                share,
-            } => self.add_ordering_share(view, n, digest, share, true, ctx),
-            PendingVerify::Cmt {
-                from,
-                view,
-                n,
-                ordering_qc,
-                memo,
-            } => {
-                self.memoize_qc(memo);
-                self.handle_cmt_verified(from, view, n, ordering_qc, ctx);
-            }
-            PendingVerify::CmtShare {
-                view,
-                n,
-                digest,
-                share,
-            } => self.add_commit_share(view, n, digest, share, true, ctx),
-            PendingVerify::CommitBlock { block, memo } => {
-                for key in memo {
-                    self.memoize_qc(key);
-                }
-                self.apply_committed_block(block, ctx);
-            }
         }
     }
 

@@ -162,40 +162,6 @@ impl BlockStore {
         true
     }
 
-    /// [`Self::insert_tx_block`] with the chain linkage precomputed off the
-    /// protocol loop: `digest` must be `tx_block_digest_with_prev(&block,
-    /// prev)`. The precomputation is trusted only when `prev` still matches
-    /// the digest this store would chain against — any race (a conflicting
-    /// occupant, a different predecessor than the job saw) falls back to the
-    /// digest-recomputing insert, so the fast path can never corrupt the
-    /// chain.
-    pub fn insert_tx_block_prepared(
-        &mut self,
-        block: Arc<TxBlock>,
-        prev: Digest,
-        digest: Digest,
-    ) -> bool {
-        if self.tx_blocks.contains_key(&block.n.0) {
-            return self.insert_tx_block(block);
-        }
-        let actual_prev = self
-            .tx_blocks
-            .get(&(block.n.0.saturating_sub(1)))
-            .map(|b| b.header.digest)
-            .unwrap_or(Digest::ZERO);
-        if actual_prev != prev {
-            return self.insert_tx_block(block);
-        }
-        let mut block = block;
-        if block.header.prev_digest != prev || block.header.digest != digest {
-            let inner = Arc::make_mut(&mut block);
-            inner.header.prev_digest = prev;
-            inner.header.digest = digest;
-        }
-        self.tx_blocks.insert(block.n.0, block);
-        true
-    }
-
     /// Returns the txBlock at a given sequence number, if committed.
     pub fn tx_block(&self, n: SeqNum) -> Option<&TxBlock> {
         self.tx_blocks.get(&n.0).map(|b| b.as_ref())

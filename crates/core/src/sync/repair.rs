@@ -181,11 +181,9 @@ impl PrestigeServer {
     ) {
         let verifier_quorum = self.config.quorum();
 
-        // Transaction blocks: validate QCs (memoized, off-loop when a verify
-        // pool is attached), then apply in order through the same path as
-        // live commits (which also notifies clients and resolves complaints).
-        // Out-of-order verdicts are safe: `apply_committed_block` buffers
-        // blocks arriving ahead of a gap.
+        // Transaction blocks: validate QCs (memoized), then apply in order
+        // through the same path as live commits (which also notifies clients
+        // and resolves complaints).
         let mut txs = tx_blocks;
         txs.sort_by_key(|b| b.n.0);
         for block in txs {
@@ -202,12 +200,10 @@ impl PrestigeServer {
         // instance), which both repairs this server's own claims and lets it
         // follow an elected leader's re-proposals it would otherwise refuse.
         //
-        // Unlike live replication traffic, these digests are recomputed
-        // *inline* even when a verify pool is attached (entries are rare,
-        // and a parked sync entry has no retransmission to collapse onto) —
-        // so the path is defended instead: unsolicited senders are
-        // throttled per peer, and a batch larger than any honest ordering
-        // could produce is dropped before a byte of it is hashed.
+        // Recomputing these digests is the expensive part, so the path is
+        // defended: unsolicited senders are throttled per peer, and a batch
+        // larger than any honest ordering could produce is dropped before a
+        // byte of it is hashed.
         if !ordered.is_empty() {
             let now = ctx.now().as_ms();
             let limiter_key = (from, Self::ORDERED_RECV_TAG);

@@ -53,9 +53,8 @@ impl FramedHasher {
 /// is unchanged — pinned by the compatibility proptests — but computing it
 /// allocates nothing.
 ///
-/// Lives here (rather than in `prestige-core`, which re-exports it) so the
-/// [`crate::pool::VerifyPool`] can recompute ordering digests off the
-/// protocol loop.
+/// Lives here (rather than in `prestige-core`, which re-exports it) so
+/// harnesses can compute ordering digests without depending on the core.
 pub fn batch_digest(view: View, n: SeqNum, batch: &[Proposal]) -> Digest {
     let mut h = FramedHasher::new();
     h.field(b"batch")

@@ -129,10 +129,9 @@ impl QcBuilder {
     /// Adds a share **without** re-verifying it against the registry.
     ///
     /// Callers must have already verified the share's signature over exactly
-    /// this builder's statement `(kind, view, seq, digest)` — the off-loop
-    /// [`crate::pool::VerifyPool`] path does so before the completion is
-    /// handed back to the protocol. Duplicate shares from the same signer are
-    /// idempotent. Returns `true` if the builder is complete afterwards.
+    /// this builder's statement `(kind, view, seq, digest)`. Duplicate shares
+    /// from the same signer are idempotent. Returns `true` if the builder is
+    /// complete afterwards.
     pub fn add_verified_share(&mut self, share: &PartialSig) -> bool {
         self.shares.insert(share.signer, share.sig);
         self.complete()

@@ -98,8 +98,6 @@ struct Scenario {
     timeouts: TimeoutConfig,
     rotation_ms: Option<f64>,
     pipeline_depth: usize,
-    verify_workers: usize,
-    apply_workers: usize,
     fault_plan: FaultPlan,
     strategy_label: String,
     delay_ms: f64,
@@ -253,8 +251,6 @@ impl Scenario {
             timeouts,
             rotation_ms: (rotation > 0.0).then_some(rotation),
             pipeline_depth: get_u64(&doc, "scenario", "pipeline_depth", 4)? as usize,
-            verify_workers: get_u64(&doc, "scenario", "verify_workers", 0)? as usize,
-            apply_workers: get_u64(&doc, "scenario", "apply_workers", 0)? as usize,
             fault_plan,
             strategy_label,
             delay_ms: get_f64(&doc, "chaos", "delay_ms", 0.0)?,
@@ -312,9 +308,7 @@ impl Scenario {
             .with_batch_size(self.batch_size)
             .with_payload_size(self.payload_size)
             .with_timeouts(self.timeouts.clone())
-            .with_pipeline_depth(self.pipeline_depth)
-            .with_verify_workers(self.verify_workers)
-            .with_apply_workers(self.apply_workers);
+            .with_pipeline_depth(self.pipeline_depth);
         if let Some(interval_ms) = self.rotation_ms {
             config.policy = ViewChangePolicy::Timing { interval_ms };
         }

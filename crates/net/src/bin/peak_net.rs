@@ -17,10 +17,10 @@
 //! - `--tcp`: the same cluster over real sockets ([`TcpCluster`]), which
 //!   additionally exercises — and reports — the TCP reactor (writes, frame
 //!   coalescing, idle-vs-full flushes, reads, polls, syscalls per frame);
-//! - `--sweep`: a `pipeline_depth × verify_workers` grid (the host's core
-//!   count is recorded per run) written as a per-point array plus a `best`
-//!   summary, while the top-level fields still describe the committed-config
-//!   point so baseline comparison and the CI floor keep working unchanged.
+//! - `--sweep`: one point per `pipeline_depth` (the host's core count is
+//!   recorded per run) written as a per-point array plus a `best` summary,
+//!   while the top-level fields still describe the committed-config point so
+//!   baseline comparison and the CI floor keep working unchanged.
 //!
 //! Latency is reported from the clients' log-bucketed histograms (p50 / p90 /
 //! p99 / p99.9, ≤ 6.25 % bucket error, exact max), not from the bounded raw
@@ -40,15 +40,12 @@ struct Options {
     batch_size: usize,
     payload: usize,
     pipeline: usize,
-    verify_workers: usize,
-    apply_workers: usize,
     warmup_s: f64,
     duration_s: f64,
     durable: bool,
     tcp: bool,
     sweep: bool,
     sweep_pipeline: Vec<usize>,
-    sweep_verify: Vec<usize>,
     checkpoint_interval: u64,
     profile: bool,
     out: String,
@@ -62,22 +59,16 @@ impl Default for Options {
             concurrency: 512,
             batch_size: 500,
             payload: 32,
-            // Defaults tuned for the 1-core benchmark container: a modest
-            // window and inline verification/apply (worker threads only pay
-            // off when there are spare cores — pass --verify-workers /
-            // --apply-workers N to use them). The sweep showed pipeline 4
-            // beats 8 on one core: the shallower window keeps client bundles
-            // from convoying behind a long uncommitted tail.
+            // The sweep showed pipeline 4 beats 8 on the benchmark
+            // container: the shallower window keeps client bundles from
+            // convoying behind a long uncommitted tail.
             pipeline: 4,
-            verify_workers: 0,
-            apply_workers: 0,
             warmup_s: 2.0,
             duration_s: 10.0,
             durable: false,
             tcp: false,
             sweep: false,
             sweep_pipeline: vec![4, 8, 16],
-            sweep_verify: vec![0, 1, 2],
             checkpoint_interval: 64,
             profile: true,
             out: "BENCH_peak.json".to_string(),
@@ -114,16 +105,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--pipeline" => {
                 opts.pipeline = need("--pipeline")?.parse().map_err(|e| format!("{e}"))?
             }
-            "--verify-workers" => {
-                opts.verify_workers = need("--verify-workers")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--apply-workers" => {
-                opts.apply_workers = need("--apply-workers")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
             "--warmup" => opts.warmup_s = need("--warmup")?.parse().map_err(|e| format!("{e}"))?,
             "--duration" => {
                 opts.duration_s = need("--duration")?.parse().map_err(|e| format!("{e}"))?
@@ -142,9 +123,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--sweep-pipeline" => {
                 opts.sweep_pipeline = parse_list(need("--sweep-pipeline")?, "--sweep-pipeline")?
-            }
-            "--sweep-verify" => {
-                opts.sweep_verify = parse_list(need("--sweep-verify")?, "--sweep-verify")?
             }
             "--checkpoint-interval" => {
                 opts.checkpoint_interval = need("--checkpoint-interval")?
@@ -229,7 +207,6 @@ type StorageSummary = (u64, u64, u64, u64, u64);
 /// The measurements of one grid point.
 struct Point {
     pipeline: usize,
-    verify_workers: usize,
     elapsed: f64,
     committed: u64,
     tps: f64,
@@ -244,15 +221,13 @@ struct Point {
     profile: Option<LoopSnapshot>,
 }
 
-/// Launches one cluster with the given hot-path knobs, runs
+/// Launches one cluster at the given pipeline depth, runs
 /// warmup + measurement, and tears it down.
-fn run_point(opts: &Options, pipeline: usize, verify_workers: usize) -> Point {
+fn run_point(opts: &Options, pipeline: usize) -> Point {
     let mut config = ClusterConfig::new(opts.servers)
         .with_batch_size(opts.batch_size)
         .with_payload_size(opts.payload)
-        .with_pipeline_depth(pipeline)
-        .with_verify_workers(verify_workers)
-        .with_apply_workers(opts.apply_workers);
+        .with_pipeline_depth(pipeline);
     if opts.durable {
         config = config.with_checkpoint_interval(opts.checkpoint_interval);
     }
@@ -261,10 +236,8 @@ fn run_point(opts: &Options, pipeline: usize, verify_workers: usize) -> Point {
     // (fsync batched) and forms certified checkpoints — the measured delta
     // against the default in-memory run is the price of crash durability.
     let wal_root = opts.durable.then(|| {
-        let root = std::env::temp_dir().join(format!(
-            "prestige-peak-{}-{pipeline}-{verify_workers}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("prestige-peak-{}-{pipeline}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         root
     });
@@ -359,7 +332,6 @@ fn run_point(opts: &Options, pipeline: usize, verify_workers: usize) -> Point {
 
     Point {
         pipeline,
-        verify_workers,
         elapsed,
         committed,
         tps: committed as f64 / elapsed,
@@ -450,9 +422,8 @@ fn main() {
             eprintln!("peak_net: {message}");
             eprintln!(
                 "usage: peak_net [--servers N] [--clients N] [--concurrency N] [--batch N] \
-                 [--payload BYTES] [--pipeline N] [--verify-workers N] [--apply-workers N] \
-                 [--warmup SECS] [--duration SECS] [--durable] [--tcp] [--sweep] \
-                 [--sweep-pipeline A,B,..] [--sweep-verify A,B,..] \
+                 [--payload BYTES] [--pipeline N] [--warmup SECS] [--duration SECS] \
+                 [--durable] [--tcp] [--sweep] [--sweep-pipeline A,B,..] \
                  [--checkpoint-interval N] [--no-profile] [--out PATH]"
             );
             std::process::exit(1);
@@ -468,22 +439,19 @@ fn main() {
     // The grid: the committed-config point always runs (first), so the
     // top-level report fields — what the baseline comparison and the CI
     // floor read — describe the same configuration on every invocation.
-    // In sweep mode the remaining `pipeline × verify_workers` combinations
-    // follow.
-    let mut grid: Vec<(usize, usize)> = vec![(opts.pipeline, opts.verify_workers)];
+    // In sweep mode the remaining pipeline depths follow.
+    let mut grid: Vec<usize> = vec![opts.pipeline];
     if opts.sweep {
         for &p in &opts.sweep_pipeline {
-            for &w in &opts.sweep_verify {
-                if !grid.contains(&(p, w)) {
-                    grid.push((p, w));
-                }
+            if !grid.contains(&p) {
+                grid.push(p);
             }
         }
     }
 
     eprintln!(
         "peak_net: {} servers, {} clients (concurrency {}), batch {}, payload {}B, \
-         transport {transport}, {} cores, durable {}; {} point(s): {:?}",
+         transport {transport}, {} cores, durable {}; {} pipeline depth(s): {:?}",
         opts.servers,
         opts.clients,
         opts.concurrency,
@@ -496,13 +464,12 @@ fn main() {
     );
 
     let mut points = Vec::with_capacity(grid.len());
-    for &(pipeline, verify_workers) in &grid {
+    for &pipeline in &grid {
         eprintln!(
-            "peak_net: measuring pipeline {pipeline}, verify workers {verify_workers} \
-             ({:.1}s warmup + {:.1}s window)...",
+            "peak_net: measuring pipeline {pipeline} ({:.1}s warmup + {:.1}s window)...",
             opts.warmup_s, opts.duration_s
         );
-        let point = run_point(&opts, pipeline, verify_workers);
+        let point = run_point(&opts, pipeline);
         match &point.profile {
             Some(snap) => eprintln!(
                 "peak_net:   -> {:.0} tx/s, p50 {:.3} ms, p99 {:.3} ms, p99.9 {:.3} ms \
@@ -541,19 +508,16 @@ fn main() {
             .iter()
             .map(|p| {
                 format!(
-                    "    {{\n      \"pipeline_depth\": {},\n      \"verify_workers\": {},\n\
-                     {}\n    }}",
+                    "    {{\n      \"pipeline_depth\": {},\n{}\n    }}",
                     p.pipeline,
-                    p.verify_workers,
                     metrics_json(p, 6)
                 )
             })
             .collect();
         format!(
-            ",\n  \"best_pipeline_depth\": {},\n  \"best_verify_workers\": {},\n  \
-             \"best_tx_per_sec\": {:.1},\n  \"sweep\": [\n{}\n  ]",
+            ",\n  \"best_pipeline_depth\": {},\n  \"best_tx_per_sec\": {:.1},\n  \
+             \"sweep\": [\n{}\n  ]",
             best.pipeline,
-            best.verify_workers,
             best.tps,
             entries.join(",\n")
         )
@@ -564,16 +528,13 @@ fn main() {
         "{{\n  \"bench\": \"peak_net\",\n  \"transport\": \"{transport}\",\n  \
          \"servers\": {},\n  \"clients\": {},\n  \"concurrency\": {},\n  \
          \"batch_size\": {},\n  \"payload_bytes\": {},\n  \
-         \"pipeline_depth\": {},\n  \"verify_workers\": {},\n  \"apply_workers\": {},\n  \
-         \"cpu_cores\": {cpu_cores},\n{}{}{}\n}}\n",
+         \"pipeline_depth\": {},\n  \"cpu_cores\": {cpu_cores},\n{}{}{}\n}}\n",
         opts.servers,
         opts.clients,
         opts.concurrency,
         opts.batch_size,
         opts.payload,
         committed_point.pipeline,
-        committed_point.verify_workers,
-        opts.apply_workers,
         storage_json,
         metrics_json(committed_point, 2),
         sweep_json,
@@ -589,8 +550,8 @@ fn main() {
     );
     if opts.sweep {
         eprintln!(
-            "peak_net: best point pipeline {}, verify workers {} -> {:.0} tx/s",
-            best.pipeline, best.verify_workers, best.tps
+            "peak_net: best point pipeline {} -> {:.0} tx/s",
+            best.pipeline, best.tps
         );
     }
     match baseline {

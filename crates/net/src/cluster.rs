@@ -23,7 +23,7 @@ use prestige_core::{
     ByzantineBehavior, ClientConfig, ClientStats, LoopProfile, LoopSnapshot, PrestigeClient,
     PrestigeServer, ServerStats,
 };
-use prestige_crypto::{JobSource, KeyRegistry};
+use prestige_crypto::KeyRegistry;
 use prestige_storage::{StorageStats, Wal, WalOptions};
 use prestige_types::{Actor, ClientId, ClusterConfig, Digest, Message, ServerId, View};
 use std::collections::HashMap;
@@ -138,8 +138,40 @@ pub struct LocalCluster {
     profiling: bool,
 }
 
-/// Builds one server node — fresh or restarted — optionally replaying and
-/// attaching its WAL, and spawns it on the loopback fabric.
+/// Assembles one server — fresh or restarted — for either fabric: with a
+/// [`StoragePlan`] its WAL is replayed and attached, and with `profiling` a
+/// fresh stage profile is attached and returned.
+fn build_server(
+    id: ServerId,
+    config: &ClusterConfig,
+    registry: &KeyRegistry,
+    seed: u64,
+    behavior: ByzantineBehavior,
+    storage: Option<&StoragePlan>,
+    profiling: bool,
+) -> std::io::Result<(PrestigeServer, Option<Arc<LoopProfile>>)> {
+    let mut server =
+        PrestigeServer::with_behavior(id, config.clone(), registry.clone(), seed, behavior);
+    if let Some(plan) = storage {
+        let dir = plan.server_dir(id);
+        std::fs::create_dir_all(&dir)?;
+        // Replay-then-attach: the records rebuild committed state with
+        // storage still detached (no re-appends), then the open WAL becomes
+        // the server's durability sink.
+        let (wal, records) =
+            Wal::open(&dir, plan.options.clone()).map_err(std::io::Error::other)?;
+        server.replay_wal(records);
+        server.attach_storage(Box::new(wal));
+    }
+    let profile = profiling.then(|| {
+        let p = Arc::new(LoopProfile::default());
+        server.attach_profiler(Arc::clone(&p));
+        p
+    });
+    Ok((server, profile))
+}
+
+/// Builds one server node and spawns it on the loopback fabric.
 #[allow(clippy::too_many_arguments)]
 fn spawn_server(
     id: ServerId,
@@ -156,38 +188,26 @@ fn spawn_server(
     Arc<TransportStats>,
     Option<Arc<LoopProfile>>,
 ) {
-    let mut server =
-        PrestigeServer::with_behavior(id, config.clone(), registry.clone(), seed, behavior);
-    if let Some(plan) = storage {
-        let dir = plan.server_dir(id);
-        std::fs::create_dir_all(&dir).expect("create WAL directory");
-        // Replay-then-attach: the records rebuild committed state with
-        // storage still detached (no re-appends), then the open WAL becomes
-        // the server's durability sink.
-        let (wal, records) = Wal::open(&dir, plan.options.clone()).expect("open WAL");
-        server.replay_wal(records);
-        server.attach_storage(Box::new(wal));
-    }
-    // `verify_workers > 0` moves signature/QC checks off the protocol loop,
-    // `apply_workers > 0` moves committed-block adoption off it; the runtime
-    // polls each pool and feeds completions back as events.
-    let mut sources: Vec<Arc<dyn JobSource>> = Vec::new();
-    if config.verify_workers > 0 {
-        sources.push(server.spawn_verify_pool(config.verify_workers));
-    }
-    if config.apply_workers > 0 {
-        sources.push(server.spawn_apply_pool(config.apply_workers));
-    }
-    let profile = profiling.then(|| {
-        let p = Arc::new(LoopProfile::default());
-        server.attach_profiler(Arc::clone(&p));
-        p
-    });
+    let (server, profile) = build_server(
+        id,
+        config,
+        registry,
+        seed,
+        behavior,
+        storage.as_ref(),
+        profiling,
+    )
+    .expect("open and replay the server's WAL");
     let endpoint = net.endpoint(Actor::Server(id));
     let transport = maybe_chaotic(endpoint, chaos, seed, id.0 as u64);
     let stats = transport.stats();
-    let handle =
-        NodeHandle::spawn_instrumented(Box::new(server), transport, seed, sources, profile.clone());
+    let handle = NodeHandle::spawn_instrumented(
+        Box::new(server),
+        transport,
+        seed,
+        Vec::new(),
+        profile.clone(),
+    );
     (handle, stats, profile)
 }
 
@@ -635,32 +655,21 @@ pub fn launch_tcp_server(
 ) -> std::io::Result<NodeHandle<Message>> {
     let transport: TcpTransport<Message> =
         TcpTransport::bind(Actor::Server(id), TcpConfig::new(listen, peers))?;
-    let verify_workers = config.verify_workers;
-    let apply_workers = config.apply_workers;
-    let mut server = PrestigeServer::with_behavior(id, config, registry, seed, behavior);
-    if let Some(plan) = &storage {
-        let dir = plan.server_dir(id);
-        std::fs::create_dir_all(&dir)?;
-        let (wal, records) =
-            Wal::open(&dir, plan.options.clone()).map_err(std::io::Error::other)?;
-        server.replay_wal(records);
-        server.attach_storage(Box::new(wal));
-    }
-    let mut sources: Vec<Arc<dyn JobSource>> = Vec::new();
-    if verify_workers > 0 {
-        sources.push(server.spawn_verify_pool(verify_workers));
-    }
-    if apply_workers > 0 {
-        sources.push(server.spawn_apply_pool(apply_workers));
-    }
-    let profile = Arc::new(LoopProfile::default());
-    server.attach_profiler(Arc::clone(&profile));
+    let (server, profile) = build_server(
+        id,
+        &config,
+        &registry,
+        seed,
+        behavior,
+        storage.as_ref(),
+        true,
+    )?;
     Ok(NodeHandle::spawn_instrumented(
         Box::new(server),
         Box::new(transport),
         seed,
-        sources,
-        Some(profile),
+        Vec::new(),
+        profile,
     ))
 }
 
@@ -759,25 +768,15 @@ impl TcpCluster {
             let me = Actor::Server(id);
             let transport = endpoint(me)?;
             transport_stats.insert(me, transport.stats());
-            let mut server = PrestigeServer::with_behavior(
+            let (server, profile) = build_server(
                 id,
-                config.clone(),
-                registry.clone(),
+                &config,
+                &registry,
                 seed,
                 ByzantineBehavior::Correct,
-            );
-            let mut sources: Vec<Arc<dyn JobSource>> = Vec::new();
-            if config.verify_workers > 0 {
-                sources.push(server.spawn_verify_pool(config.verify_workers));
-            }
-            if config.apply_workers > 0 {
-                sources.push(server.spawn_apply_pool(config.apply_workers));
-            }
-            let profile = profiling.then(|| {
-                let p = Arc::new(LoopProfile::default());
-                server.attach_profiler(Arc::clone(&p));
-                p
-            });
+                None,
+                profiling,
+            )?;
             if let Some(p) = &profile {
                 profiles.insert(id, Arc::clone(p));
             }
@@ -787,7 +786,7 @@ impl TcpCluster {
                     Box::new(server),
                     Box::new(transport),
                     seed,
-                    sources,
+                    Vec::new(),
                     profile,
                 ),
             );

@@ -15,8 +15,6 @@
 //! payload_size = 32
 //! clients = 1
 //! # pipeline_depth = 4     # leader replication window
-//! # verify_workers = 0     # off-loop crypto worker threads
-//! # apply_workers = 0      # off-loop committed-block apply worker threads
 //! # rotation_ms = 10000.0  # timing view-change policy (r10); omit = on-failure-only
 //! # checkpoint_interval = 64  # certified checkpoint + WAL GC cadence (0 = off)
 //!
@@ -279,12 +277,6 @@ impl NodeConfig {
             let depth: usize = positive("cluster.pipeline_depth", depth)?;
             cluster.pipeline_depth = depth.max(1);
         }
-        if let Some(workers) = get("cluster", "verify_workers").and_then(TomlValue::as_int) {
-            cluster.verify_workers = positive("cluster.verify_workers", workers)?;
-        }
-        if let Some(workers) = get("cluster", "apply_workers").and_then(TomlValue::as_int) {
-            cluster.apply_workers = positive("cluster.apply_workers", workers)?;
-        }
         if let Some(ms) = get("cluster", "rotation_ms").and_then(TomlValue::as_float) {
             if ms > 0.0 {
                 cluster.policy = ViewChangePolicy::Timing { interval_ms: ms };
@@ -445,8 +437,6 @@ seed = 11
 batch_size = 200
 clients = 2
 pipeline_depth = 8
-verify_workers = 2
-apply_workers = 2
 
 [node]
 role = "server"
@@ -475,8 +465,6 @@ c1 = "127.0.0.1:7101"
         assert_eq!(cfg.cluster.n(), 4);
         assert_eq!(cfg.cluster.batch_size, 200);
         assert_eq!(cfg.cluster.pipeline_depth, 8);
-        assert_eq!(cfg.cluster.verify_workers, 2);
-        assert_eq!(cfg.cluster.apply_workers, 2);
         assert_eq!(cfg.cluster.timeouts.base_timeout_ms, 500.0);
         assert_eq!(cfg.seed, 11);
         assert_eq!(cfg.clients, 2);

@@ -71,6 +71,6 @@ pub use cluster::{
 };
 pub use config::{NodeConfig, NodeRole};
 pub use frame::{BufferPool, FrameCodec, FrameError, DEFAULT_MAX_FRAME, MAGIC, WIRE_VERSION};
-pub use runtime::NodeHandle;
+pub use runtime::{JobSource, NodeHandle};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{LoopbackNet, LoopbackTransport, Transport, TransportStats, TransportTotals};

@@ -16,20 +16,15 @@
 //!   loop when due (cancellations respected);
 //! * `ctx.charge_cpu(..)` — ignored: real CPU time passes by itself.
 //!
-//! When the node offloads work to background pools — crypto checks to a
-//! [`VerifyPool`], committed-block adoption to an apply `TaskPool` — the
-//! event loop also drains each pool's completion queue (any number of
-//! [`JobSource`]s) and feeds every `(token, ok)` pair back through
+//! A node is exactly one thread: verification and block adoption run inline
+//! in the handlers, and the transports own no threads either. The one seam
+//! left for work that might someday pay for a thread of its own (a
+//! group-commit WAL writer, public-key signature checks) is [`JobSource`]:
+//! the event loop drains each attached source's completion queue, a bounded
+//! number per iteration, and feeds every `(token, ok)` pair back through
 //! `Process::on_job_complete` — completions are ordinary events, interleaved
-//! with deliveries and timers on the same single protocol thread. The pools
-//! are *sharded by consensus instance* (see `VerifyPool::submit_sharded`):
-//! each worker owns a private queue, all jobs for one instance land on one
-//! worker in submission order, and distinct instances proceed concurrently —
-//! so follower-side verification and leader/follower block adoption scale
-//! across cores while this event loop, which only consumes completions and
-//! applies state, stays single-threaded and deterministic. This runtime seam
-//! is the *only* place sharding exists; the simulator never attaches an
-//! async pool, so simulated runs are bit-identical for any worker count.
+//! with deliveries and timers on the same single protocol thread. Nothing in
+//! the tree attaches a source today.
 //!
 //! # Profiling
 //!
@@ -46,8 +41,8 @@
 //! (`--no-profile`, the simulator) the spans compile to a `None` check.
 
 use crate::transport::Transport;
+use prestige_core::profile::SpanStart;
 use prestige_core::{LoopProfile, LoopStage};
-use prestige_crypto::{JobSource, VerifyPool};
 use prestige_sim::{Context, Effects, Emission, Process, SimRng, SimTime, TimerId};
 use prestige_types::{Actor, Wire};
 use std::collections::{BinaryHeap, HashSet};
@@ -59,10 +54,10 @@ use std::time::{Duration, Instant};
 /// Longest the event loop sleeps before re-checking control messages.
 const IDLE_TICK: Duration = Duration::from_millis(20);
 
-/// Cap on the transport wait while verification jobs are outstanding, so
-/// verdicts are consumed with sub-millisecond latency even when no messages
-/// arrive to wake the loop.
-const VERIFY_POLL_TICK: Duration = Duration::from_micros(200);
+/// Cap on the transport wait while a [`JobSource`] has jobs outstanding, so
+/// completions are consumed with sub-millisecond latency even when no
+/// messages arrive to wake the loop.
+const JOB_POLL_TICK: Duration = Duration::from_micros(200);
 
 /// How many additional queued messages one loop iteration drains after a
 /// successful receive, before re-checking timers and control. Bounded so a
@@ -70,12 +65,20 @@ const VERIFY_POLL_TICK: Duration = Duration::from_micros(200);
 /// bookkeeping under load.
 const MESSAGE_BURST: usize = 64;
 
-/// How many finished verification verdicts one loop iteration consumes
-/// before re-checking timers and control. With several verify shards a
-/// saturated pool can complete jobs faster than the node applies them; an
-/// unbounded drain would starve the batch timer exactly when the pipeline
-/// most needs refilling.
-const VERIFY_BURST: usize = 128;
+/// How many completions one loop iteration consumes per [`JobSource`] before
+/// re-checking timers and control: a source that completes jobs faster than
+/// the node handles them must not starve the timers.
+const JOB_BURST: usize = 128;
+
+/// A source of finished off-loop jobs, polled by the event loop: each
+/// `(token, ok)` it yields is delivered to the node through
+/// `Process::on_job_complete`.
+pub trait JobSource: Send + Sync {
+    /// Pops one finished completion, if any.
+    fn try_done(&self) -> Option<(u64, bool)>;
+    /// Jobs submitted whose completions have not been consumed yet.
+    fn pending(&self) -> usize;
+}
 
 /// A pending timer in the node's local heap (min-heap by due time, FIFO on
 /// ties via the timer id, mirroring the simulator's tie-break).
@@ -131,25 +134,9 @@ impl<M: Wire + Send + 'static> NodeHandle<M> {
         Self::spawn_instrumented(node, transport, seed, Vec::new(), None)
     }
 
-    /// [`Self::spawn`] with an attached verification pool: the event loop
-    /// polls `pool` for finished crypto jobs and delivers each verdict to the
-    /// node via `Process::on_job_complete`. Pass the same pool handle the
-    /// node submits to (e.g. from `PrestigeServer::spawn_verify_pool`).
-    pub fn spawn_with_pool(
-        node: Box<dyn Process<M> + Send>,
-        transport: Box<dyn Transport<M>>,
-        seed: u64,
-        pool: Option<Arc<VerifyPool>>,
-    ) -> Self {
-        let sources: Vec<Arc<dyn JobSource>> =
-            pool.into_iter().map(|p| p as Arc<dyn JobSource>).collect();
-        Self::spawn_instrumented(node, transport, seed, sources, None)
-    }
-
-    /// The general spawn: any number of completion sources (verify pool,
-    /// apply pool, …) drained as `Process::on_job_complete` events, plus an
-    /// optional always-on stage profiler (see the module docs' *Profiling*
-    /// section). Pass the same pool handles the node submits to.
+    /// The general spawn: any number of completion sources drained as
+    /// `Process::on_job_complete` events, plus an optional always-on stage
+    /// profiler (see the module docs' *Profiling* section).
     pub fn spawn_instrumented(
         node: Box<dyn Process<M> + Send>,
         mut transport: Box<dyn Transport<M>>,
@@ -232,40 +219,43 @@ impl<M> Drop for NodeHandle<M> {
     }
 }
 
-fn run_event_loop<M: Wire + Send + 'static>(
-    mut node: Box<dyn Process<M> + Send>,
-    transport: &mut dyn Transport<M>,
-    seed: u64,
-    ctl: Receiver<Control<M>>,
-    sources: Vec<Arc<dyn JobSource>>,
+/// One node's loop state: everything a handler invocation reads or writes.
+struct Driver<'a, M> {
+    node: Box<dyn Process<M> + Send>,
+    transport: &'a mut dyn Transport<M>,
+    me: Actor,
+    rng: SimRng,
+    next_timer_id: u64,
+    timers: BinaryHeap<PendingTimer>,
+    cancelled: HashSet<TimerId>,
     profile: Option<Arc<LoopProfile>>,
-) -> Box<dyn Process<M> + Send> {
-    let me = transport.me();
-    let epoch = Instant::now();
-    let now = |epoch: Instant| SimTime(epoch.elapsed().as_nanos() as u64);
+}
 
-    // Same per-node stream derivation as `Simulation::add_node`, so timeout
-    // randomization behaves comparably across runtimes.
-    let salt = match me {
-        Actor::Server(s) => s.0 as u64,
-        Actor::Client(c) => 0x1_0000_0000u64 + c.0,
-    };
-    let mut rng = SimRng::new(seed).derive(salt);
-    let mut next_timer_id: u64 = 0;
-    let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
-    let mut cancelled: HashSet<TimerId> = HashSet::new();
-
-    let apply = |effects: Effects<M>,
-                 timers: &mut BinaryHeap<PendingTimer>,
-                 cancelled: &mut HashSet<TimerId>,
-                 transport: &mut dyn Transport<M>,
-                 profile: &Option<Arc<LoopProfile>>,
-                 at: SimTime| {
+impl<M: Wire> Driver<'_, M> {
+    /// The one way a handler runs: build its context at time `at`, call it,
+    /// turn the buffered effects into timers and transport calls, and close
+    /// the root `span` as `stage`.
+    fn dispatch(
+        &mut self,
+        span: Option<SpanStart>,
+        at: SimTime,
+        stage: LoopStage,
+        handler: impl FnOnce(&mut dyn Process<M>, &mut Context<M>),
+    ) {
+        let mut effects = Effects::new();
+        let mut ctx = Context::new(
+            at,
+            self.me,
+            &mut self.rng,
+            &mut self.next_timer_id,
+            &mut effects,
+        );
+        handler(&mut *self.node, &mut ctx);
         for id in effects.cancels {
-            cancelled.insert(id);
+            self.cancelled.insert(id);
         }
         for (id, delay, tag) in effects.timers {
-            timers.push(PendingTimer {
+            self.timers.push(PendingTimer {
                 due: at + delay,
                 id,
                 tag,
@@ -274,147 +264,163 @@ fn run_event_loop<M: Wire + Send + 'static>(
         if !effects.emissions.is_empty() {
             // Serialization + socket handoff, carved out of the handler's
             // root span so it shows up as its own stage.
-            let span = LoopProfile::begin(profile);
+            let sub = LoopProfile::begin(&self.profile);
             for emission in effects.emissions {
                 match emission {
-                    Emission::Send(to, message) => transport.send(to, message),
+                    Emission::Send(to, message) => self.transport.send(to, message),
                     // Fan-out goes through the transport's broadcast so an
                     // encode-once implementation serializes the payload a
                     // single time for all recipients.
-                    Emission::Broadcast(tos, message) => transport.broadcast(&tos, message),
+                    Emission::Broadcast(tos, message) => self.transport.broadcast(&tos, message),
                 }
             }
-            LoopProfile::end_sub(profile, span, LoopStage::EncodeBroadcast);
+            LoopProfile::end_sub(&self.profile, sub, LoopStage::EncodeBroadcast);
         }
         // effects.cpu intentionally ignored: real time already passed.
+        LoopProfile::end_root(&self.profile, span, stage);
+    }
+}
+
+fn run_event_loop<M: Wire + Send + 'static>(
+    node: Box<dyn Process<M> + Send>,
+    transport: &mut dyn Transport<M>,
+    seed: u64,
+    ctl: Receiver<Control<M>>,
+    sources: Vec<Arc<dyn JobSource>>,
+    profile: Option<Arc<LoopProfile>>,
+) -> Box<dyn Process<M> + Send> {
+    let me = transport.me();
+    let epoch = Instant::now();
+    let now = || SimTime(epoch.elapsed().as_nanos() as u64);
+
+    // Same per-node stream derivation as `Simulation::add_node`, so timeout
+    // randomization behaves comparably across runtimes.
+    let salt = match me {
+        Actor::Server(s) => s.0 as u64,
+        Actor::Client(c) => 0x1_0000_0000u64 + c.0,
+    };
+    let mut d = Driver {
+        node,
+        transport,
+        me,
+        rng: SimRng::new(seed).derive(salt),
+        next_timer_id: 0,
+        timers: BinaryHeap::new(),
+        cancelled: HashSet::new(),
+        profile,
     };
 
-    // Start the node.
-    {
-        let mut effects = Effects::new();
-        let t = now(epoch);
-        let mut ctx = Context::new(t, me, &mut rng, &mut next_timer_id, &mut effects);
-        node.on_start(&mut ctx);
-        apply(effects, &mut timers, &mut cancelled, transport, &profile, t);
-    }
+    // Start the node; no root span, start-up belongs to no stage.
+    d.dispatch(None, now(), LoopStage::Guards, |node, ctx| {
+        node.on_start(ctx)
+    });
 
     loop {
         // Control messages first so stop/inspect stay responsive under load.
-        let span = LoopProfile::begin(&profile);
+        let span = LoopProfile::begin(&d.profile);
         loop {
             match ctl.try_recv() {
                 Ok(Control::Stop) => {
-                    if let Some(p) = &profile {
+                    if let Some(p) = &d.profile {
                         p.set_total(epoch.elapsed().as_nanos() as u64);
                     }
-                    transport.shutdown();
-                    return node;
+                    d.transport.shutdown();
+                    return d.node;
                 }
-                Ok(Control::Inspect(f)) => f(&mut *node),
+                Ok(Control::Inspect(f)) => f(&mut *d.node),
                 Err(_) => break,
             }
         }
-        LoopProfile::end_root(&profile, span, LoopStage::Control);
+        LoopProfile::end_root(&d.profile, span, LoopStage::Control);
 
-        // Deliver finished off-loop jobs (verify verdicts, apply outcomes) as
-        // ordinary events, bounded per iteration so a hot pool cannot starve
-        // timers. The handler's own bookkeeping lands in `guards`; its heavy
-        // interior (apply, storage) carves itself out via sub-spans.
+        // Deliver finished off-loop jobs as ordinary events, bounded per
+        // iteration so a hot source cannot starve timers. The handler's own
+        // bookkeeping lands in `guards`; its heavy interior (apply, storage)
+        // carves itself out via sub-spans.
         for source in &sources {
-            for _ in 0..VERIFY_BURST {
+            for _ in 0..JOB_BURST {
                 let Some((token, ok)) = source.try_done() else {
                     break;
                 };
-                let span = LoopProfile::begin(&profile);
-                let t = now(epoch);
-                let mut effects = Effects::new();
-                let mut ctx = Context::new(t, me, &mut rng, &mut next_timer_id, &mut effects);
-                node.on_job_complete(token, ok, &mut ctx);
-                apply(effects, &mut timers, &mut cancelled, transport, &profile, t);
-                LoopProfile::end_root(&profile, span, LoopStage::Guards);
+                let span = LoopProfile::begin(&d.profile);
+                d.dispatch(span, now(), LoopStage::Guards, |node, ctx| {
+                    node.on_job_complete(token, ok, ctx)
+                });
             }
         }
 
-        let t = now(epoch);
-        if let Some(p) = &profile {
+        let t = now();
+        if let Some(p) = &d.profile {
             // Keep the loop's wall-time total fresh so live snapshots (taken
             // while the cluster runs) see a consistent busy/idle split.
             p.set_total(t.0);
         }
 
         // Fire every timer that is due (skipping cancelled ones).
-        while let Some(head) = timers.peek() {
+        while let Some(head) = d.timers.peek() {
             if head.due > t {
                 break;
             }
-            let PendingTimer { id, tag, due: _ } = timers.pop().expect("peeked");
-            if cancelled.remove(&id) {
+            let PendingTimer { id, tag, due: _ } = d.timers.pop().expect("peeked");
+            if d.cancelled.remove(&id) {
                 continue;
             }
             // Handlers observe actual wall-clock time, not the scheduled due
             // time — real runtimes cannot hide scheduling lag.
-            let span = LoopProfile::begin(&profile);
-            let mut effects = Effects::new();
-            let mut ctx = Context::new(t, me, &mut rng, &mut next_timer_id, &mut effects);
-            node.on_timer(id, tag, &mut ctx);
-            apply(effects, &mut timers, &mut cancelled, transport, &profile, t);
-            LoopProfile::end_root(&profile, span, LoopStage::Timer);
+            let span = LoopProfile::begin(&d.profile);
+            d.dispatch(span, t, LoopStage::Timer, |node, ctx| {
+                node.on_timer(id, tag, ctx)
+            });
         }
 
         // Sleep until the next timer (bounded by the idle tick), waking early
         // for any inbound message; while off-loop jobs are outstanding the
         // wait is capped so completions are consumed promptly.
-        let mut wait = match timers.peek() {
+        let mut wait = match d.timers.peek() {
             Some(head) => {
-                let gap = head.due.since(now(epoch));
+                let gap = head.due.since(now());
                 Duration::from_nanos(gap.0).min(IDLE_TICK)
             }
             None => IDLE_TICK,
         };
         if sources.iter().any(|s| s.pending() > 0) {
-            wait = wait.min(VERIFY_POLL_TICK);
+            wait = wait.min(JOB_POLL_TICK);
         }
         // A zero-timeout poll first: a message already queued charges its
         // receive to `decode`; only an actually-empty queue pays the blocking
         // wait, which is `idle` whether or not a message ends the wait.
-        let mut span = LoopProfile::begin(&profile);
-        let received = match transport.recv_timeout(Duration::ZERO) {
+        let mut span = LoopProfile::begin(&d.profile);
+        let received = match d.transport.recv_timeout(Duration::ZERO) {
             Some(m) => {
-                span = LoopProfile::rollover(&profile, span, LoopStage::Decode);
+                span = LoopProfile::rollover(&d.profile, span, LoopStage::Decode);
                 Some(m)
             }
             None => {
-                let got = transport.recv_timeout(wait);
+                let got = d.transport.recv_timeout(wait);
                 if got.is_some() {
-                    span = LoopProfile::rollover(&profile, span, LoopStage::Idle);
+                    span = LoopProfile::rollover(&d.profile, span, LoopStage::Idle);
                 } else {
-                    LoopProfile::end_root(&profile, span.take(), LoopStage::Idle);
+                    LoopProfile::end_root(&d.profile, span.take(), LoopStage::Idle);
                 }
                 got
             }
         };
         if let Some((from, message)) = received {
-            let t = now(epoch);
-            let mut effects = Effects::new();
-            let mut ctx = Context::new(t, me, &mut rng, &mut next_timer_id, &mut effects);
-            node.on_message(from, message, &mut ctx);
-            apply(effects, &mut timers, &mut cancelled, transport, &profile, t);
-            LoopProfile::end_root(&profile, span, LoopStage::Guards);
+            d.dispatch(span, now(), LoopStage::Guards, |node, ctx| {
+                node.on_message(from, message, ctx)
+            });
             // Under load, drain a bounded burst of already-queued messages
             // before paying for the timer/control bookkeeping again.
             for _ in 0..MESSAGE_BURST {
-                let span = LoopProfile::begin(&profile);
-                let Some((from, message)) = transport.recv_timeout(Duration::ZERO) else {
-                    LoopProfile::end_root(&profile, span, LoopStage::Decode);
+                let span = LoopProfile::begin(&d.profile);
+                let Some((from, message)) = d.transport.recv_timeout(Duration::ZERO) else {
+                    LoopProfile::end_root(&d.profile, span, LoopStage::Decode);
                     break;
                 };
-                let span = LoopProfile::rollover(&profile, span, LoopStage::Decode);
-                let t = now(epoch);
-                let mut effects = Effects::new();
-                let mut ctx = Context::new(t, me, &mut rng, &mut next_timer_id, &mut effects);
-                node.on_message(from, message, &mut ctx);
-                apply(effects, &mut timers, &mut cancelled, transport, &profile, t);
-                LoopProfile::end_root(&profile, span, LoopStage::Guards);
+                let span = LoopProfile::rollover(&d.profile, span, LoopStage::Decode);
+                d.dispatch(span, now(), LoopStage::Guards, |node, ctx| {
+                    node.on_message(from, message, ctx)
+                });
             }
         }
     }
@@ -426,6 +432,9 @@ mod tests {
     use crate::transport::LoopbackNet;
     use prestige_types::ServerId;
     use std::any::Any;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[derive(Debug, Clone)]
     struct TestMsg(u64);
@@ -559,5 +568,90 @@ mod tests {
         let node = handle.stop().expect("node returned");
         let probe = node.as_any().downcast_ref::<TimerProbe>().unwrap();
         assert_eq!(probe.fired, vec![1, 3], "tag 2 was cancelled");
+    }
+    /// A hand-fed [`JobSource`]: completions are queued by the test, and
+    /// `outstanding` stands for a job still running somewhere.
+    #[derive(Default)]
+    struct FakeSource {
+        done: Mutex<VecDeque<(u64, bool)>>,
+        outstanding: AtomicUsize,
+        polls: AtomicU64,
+    }
+
+    impl JobSource for FakeSource {
+        fn try_done(&self) -> Option<(u64, bool)> {
+            self.polls.fetch_add(1, Ordering::Relaxed);
+            self.done.lock().unwrap().pop_front()
+        }
+        fn pending(&self) -> usize {
+            self.outstanding.load(Ordering::Relaxed)
+        }
+    }
+
+    /// Records every completion it is handed; never sends or arms a timer.
+    struct JobProbe {
+        completions: Vec<(u64, bool)>,
+    }
+
+    impl Process<TestMsg> for JobProbe {
+        fn on_start(&mut self, _ctx: &mut Context<TestMsg>) {}
+        fn on_message(&mut self, _f: Actor, _m: TestMsg, _ctx: &mut Context<TestMsg>) {}
+        fn on_timer(&mut self, _id: TimerId, _tag: u64, _ctx: &mut Context<TestMsg>) {}
+        fn on_job_complete(&mut self, token: u64, ok: bool, _ctx: &mut Context<TestMsg>) {
+            self.completions.push((token, ok));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn job_completions_arrive_in_order_and_a_pending_source_caps_the_wait() {
+        let source = Arc::new(FakeSource::default());
+        // More than one burst, so the bounded drain must resume where it
+        // stopped.
+        let expected: Vec<(u64, bool)> =
+            (0..JOB_BURST as u64 + 5).map(|t| (t, t % 3 != 0)).collect();
+        source.done.lock().unwrap().extend(expected.iter().copied());
+        source.outstanding.store(1, Ordering::Relaxed);
+
+        let net: LoopbackNet<TestMsg> = LoopbackNet::new();
+        let handle = NodeHandle::spawn_instrumented(
+            Box::new(JobProbe {
+                completions: vec![],
+            }),
+            Box::new(net.endpoint(server(0))),
+            5,
+            vec![Arc::clone(&source) as Arc<dyn JobSource>],
+            None,
+        );
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !source.done.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "completions never drained");
+            std::thread::yield_now();
+        }
+
+        // No message and no timer ever wakes this node, so from here each
+        // poll is one full transport wait. With a job outstanding that wait
+        // is `JOB_POLL_TICK`: fifty of them fit many times over in half the
+        // time fifty idle ticks would take.
+        let polls = 50;
+        let start = Instant::now();
+        let from = source.polls.load(Ordering::Relaxed);
+        while source.polls.load(Ordering::Relaxed) < from + polls {
+            assert!(
+                start.elapsed() < IDLE_TICK * polls as u32 / 2,
+                "a pending source must cap the loop's wait"
+            );
+            std::thread::yield_now();
+        }
+
+        let node = handle.stop().expect("node returned");
+        let probe = node.as_any().downcast_ref::<JobProbe>().unwrap();
+        assert_eq!(probe.completions, expected);
     }
 }

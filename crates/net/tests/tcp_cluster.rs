@@ -1,7 +1,6 @@
-//! In-process TCP cluster tests (acceptance criterion of the multi-core hot
-//! path): the sharded verify pool and the event-driven TCP writer compose
-//! end-to-end, and commit *order* is identical across replicas even when
-//! verification runs concurrently across instances and a leader dies mid-run.
+//! In-process TCP cluster tests: a deeply pipelined cluster and the socket
+//! reactor compose end-to-end, and commit *order* is identical across
+//! replicas even when a leader dies mid-run.
 //!
 //! The ordering proof is the digest chain: every committed block's digest
 //! chains over its predecessor, so replicas whose `(seq, digest)` logs agree
@@ -12,15 +11,13 @@ use prestige_net::cluster::{LocalCluster, TcpCluster};
 use prestige_types::{ClusterConfig, ServerId, TimeoutConfig};
 use std::time::Duration;
 
-fn sharded_config(n: u32) -> ClusterConfig {
-    // The paper's fast timeout profile plus the multi-core hot path: a deep
-    // replication window and two verify workers, so Ord/Cmt checks for
-    // different instances really do run concurrently on the followers.
+fn pipelined_config(n: u32) -> ClusterConfig {
+    // The paper's fast timeout profile plus a deep replication window, so
+    // many instances are in flight at once.
     ClusterConfig::new(n)
         .with_batch_size(100)
         .with_timeouts(TimeoutConfig::fast())
         .with_pipeline_depth(8)
-        .with_verify_workers(2)
 }
 
 /// A committed chain snapshot must be strictly ordered by sequence number —
@@ -37,11 +34,11 @@ fn assert_strictly_ordered(id: ServerId, chain: &[(u64, prestige_types::Digest)]
 }
 
 #[test]
-fn tcp_cluster_with_sharded_verify_survives_leader_kill_without_reorder() {
+fn tcp_cluster_survives_leader_kill_without_reorder() {
     let mut cluster =
-        TcpCluster::launch(sharded_config(4), 42, 2, 64).expect("bind TCP cluster on loopback");
+        TcpCluster::launch(pipelined_config(4), 42, 2, 64).expect("bind TCP cluster on loopback");
 
-    // Phase 1: commits must flow over real sockets with sharded verification.
+    // Phase 1: commits must flow over real sockets.
     let reached = cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 600);
     let committed_before = cluster.total_committed();
     assert!(
@@ -62,14 +59,14 @@ fn tcp_cluster_with_sharded_verify_survives_leader_kill_without_reorder() {
         "no writer flushes recorded: {totals:?}"
     );
 
-    // Followers must have offloaded verification to the sharded pool.
-    let offloaded: u64 = cluster
-        .live_servers()
-        .iter()
-        .filter_map(|&id| cluster.server_stats(id))
-        .map(|s| s.verify_offloaded)
-        .sum();
-    assert!(offloaded > 0, "verify pool attached but nothing offloaded");
+    // The always-on profiler must be attributing the loop's busy time.
+    let profile = cluster.loop_profile();
+    assert!(profile.busy_nanos() > 0, "profiler saw no busy time");
+    assert!(
+        profile.coverage() >= 0.90,
+        "stage coverage too low: {:.3}",
+        profile.coverage()
+    );
 
     // Phase 2: kill the leader. Peers see broken streams + a dead listener.
     let (view_before, leader_before) = cluster.view_of(ServerId(1)).expect("server 1 answers");
@@ -89,7 +86,7 @@ fn tcp_cluster_with_sharded_verify_survives_leader_kill_without_reorder() {
     );
 
     // Phase 3: commits resume, and the survivors' logs agree with no fork —
-    // i.e. concurrent verification plus the kill reordered nothing.
+    // i.e. the deep window plus the kill reordered nothing.
     let resumed = cluster.wait_until(Duration::from_secs(60), |c| {
         c.total_committed() >= committed_before + 200
     });
@@ -116,90 +113,15 @@ fn tcp_cluster_with_sharded_verify_survives_leader_kill_without_reorder() {
 }
 
 #[test]
-fn tcp_cluster_with_apply_workers_survives_leader_kill_without_fork() {
-    // The off-loop apply stage over real sockets: committed-block adoption
-    // runs on two worker threads sharded by instance while frames cross TCP.
-    // Commit order must survive both the concurrency and a leader kill —
-    // proven by identical digest chains at every shared height.
-    let config = sharded_config(4)
-        .with_pipeline_depth(4)
-        .with_apply_workers(2);
-    let mut cluster = TcpCluster::launch(config, 42, 2, 64).expect("bind TCP cluster on loopback");
-
-    let reached = cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 600);
-    let committed_before = cluster.total_committed();
-    assert!(
-        reached,
-        "TCP apply-worker cluster must commit >= 600 transactions, got {committed_before}"
-    );
-
-    // Adoption must actually run off-loop somewhere in the cluster.
-    let offloaded: u64 = cluster
-        .live_servers()
-        .iter()
-        .filter_map(|&id| cluster.server_stats(id))
-        .map(|s| s.applies_offloaded)
-        .sum();
-    assert!(
-        offloaded > 0,
-        "apply pool attached but no blocks were adopted off-loop"
-    );
-
-    // The always-on profiler must be attributing the loop's busy time.
-    let profile = cluster.loop_profile();
-    assert!(profile.busy_nanos() > 0, "profiler saw no busy time");
-    assert!(
-        profile.coverage() >= 0.90,
-        "stage coverage too low: {:.3}",
-        profile.coverage()
-    );
-
-    let (view_before, leader_before) = cluster.view_of(ServerId(1)).expect("server 1 answers");
-    cluster.crash_server(leader_before);
-    let survived = cluster.wait_until(Duration::from_secs(60), |c| {
-        c.live_servers().iter().all(|&id| {
-            c.view_of(id)
-                .map(|(view, leader)| view > view_before && leader != leader_before)
-                .unwrap_or(false)
-        })
-    });
-    assert!(
-        survived,
-        "survivors must elect a new leader over TCP after the kill"
-    );
-    let resumed = cluster.wait_until(Duration::from_secs(60), |c| {
-        c.total_committed() >= committed_before + 200
-    });
-    assert!(
-        resumed,
-        "commits must resume with off-loop apply: stuck at {}",
-        cluster.total_committed()
-    );
-
-    let survivors = cluster.live_servers();
-    for &id in &survivors {
-        assert_strictly_ordered(id, &cluster.committed_chain(id).expect("chain snapshot"));
-    }
-    let common = cluster
-        .verify_no_fork(&survivors)
-        .expect("no fork across survivors");
-    assert!(
-        common > 0,
-        "survivors must share a non-empty committed prefix"
-    );
-    cluster.shutdown();
-}
-
-#[test]
-fn tcp_and_loopback_clusters_agree_on_commit_safety_with_sharded_verify() {
-    // The same configuration on both transports: the runtime seam (sharded
-    // pool, refill batching) must behave identically whether frames cross a
-    // serialized TCP socket or an in-process channel. Each cluster must reach
+fn tcp_and_loopback_clusters_agree_on_commit_safety() {
+    // The same configuration on both transports: the runtime must behave
+    // identically whether frames cross a serialized TCP socket or an
+    // in-process channel. Each cluster must reach
     // the commit milestone and keep fork-free, strictly ordered logs.
     let target = 300u64;
 
     let tcp =
-        TcpCluster::launch(sharded_config(4), 7, 1, 64).expect("bind TCP cluster on loopback");
+        TcpCluster::launch(pipelined_config(4), 7, 1, 64).expect("bind TCP cluster on loopback");
     assert!(
         tcp.wait_until(Duration::from_secs(60), |c| c.total_committed() >= target),
         "TCP cluster stuck at {}",
@@ -213,7 +135,7 @@ fn tcp_and_loopback_clusters_agree_on_commit_safety_with_sharded_verify() {
     assert!(tcp_common > 0);
     tcp.shutdown();
 
-    let loopback = LocalCluster::launch(sharded_config(4), 7, 1, 64);
+    let loopback = LocalCluster::launch(pipelined_config(4), 7, 1, 64);
     assert!(
         loopback.wait_until(Duration::from_secs(60), |c| c.total_committed() >= target),
         "loopback cluster stuck at {}",

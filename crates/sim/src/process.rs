@@ -184,11 +184,11 @@ pub trait Process<M>: Any {
     /// Called when a timer armed by this node fires (and was not cancelled).
     fn on_timer(&mut self, id: TimerId, tag: u64, ctx: &mut Context<M>);
 
-    /// Called when a background job the node offloaded to the driving runtime
-    /// (e.g. a crypto verification handed to a `VerifyPool`) completes.
-    /// `token` is the caller-chosen identifier the job was submitted under and
-    /// `ok` its verdict. The deterministic simulator never delivers these —
-    /// simulated nodes verify inline — so the default is a no-op.
+    /// Called when a background job the node handed to the driving runtime
+    /// completes. `token` is the caller-chosen identifier the job was
+    /// submitted under and `ok` its verdict. No in-tree node submits such
+    /// jobs and the deterministic simulator never delivers these, so the
+    /// default is a no-op.
     fn on_job_complete(&mut self, _token: u64, _ok: bool, _ctx: &mut Context<M>) {}
 
     /// Upcast for inspection by harnesses.

@@ -214,18 +214,6 @@ pub struct ClusterConfig {
     /// out-of-order ordering rounds and commit strictly in sequence order.
     /// `1` recovers stop-and-wait replication.
     pub pipeline_depth: usize,
-    /// Number of off-loop signature/QC verification worker threads per node.
-    /// `0` verifies inline on the protocol loop — the only mode the
-    /// deterministic simulator uses, regardless of this setting; real
-    /// runtimes (`prestige-net`) spawn a `VerifyPool` when it is positive.
-    pub verify_workers: usize,
-    /// Number of off-loop apply worker threads per node: committed-block
-    /// adoption (chain digesting, notification signing) runs on an apply
-    /// pool sharded by instance sequence. `0` applies inline on the protocol
-    /// loop — the only mode the deterministic simulator uses, regardless of
-    /// this setting; real runtimes (`prestige-net`) spawn an apply pool when
-    /// it is positive.
-    pub apply_workers: usize,
     /// How many committed instances between certified checkpoints: at every
     /// multiple of this height a replica broadcasts a signed state-digest
     /// share, and `2f + 1` matching shares form a checkpoint certificate
@@ -248,8 +236,6 @@ impl ClusterConfig {
             per_message_cpu_ms: 0.002,
             per_verify_cpu_ms: 0.01,
             pipeline_depth: 4,
-            verify_workers: 0,
-            apply_workers: 0,
             checkpoint_interval: 64,
         }
     }
@@ -302,18 +288,6 @@ impl ClusterConfig {
     /// Builder-style setter for the replication pipeline depth (clamped to 1).
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Builder-style setter for the verification worker count.
-    pub fn with_verify_workers(mut self, workers: usize) -> Self {
-        self.verify_workers = workers;
-        self
-    }
-
-    /// Builder-style setter for the apply worker count.
-    pub fn with_apply_workers(mut self, workers: usize) -> Self {
-        self.apply_workers = workers;
         self
     }
 
@@ -373,18 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_verify_defaults() {
+    fn pipeline_depth_default_and_clamp() {
         let c = ClusterConfig::new(4);
         assert_eq!(c.pipeline_depth, 4);
-        assert_eq!(c.verify_workers, 0, "simulator-safe default is inline");
-        assert_eq!(c.apply_workers, 0, "simulator-safe default is inline");
-        let c = c
-            .with_pipeline_depth(0)
-            .with_verify_workers(3)
-            .with_apply_workers(2);
+        let c = c.with_pipeline_depth(0);
         assert_eq!(c.pipeline_depth, 1, "depth clamps to stop-and-wait");
-        assert_eq!(c.verify_workers, 3);
-        assert_eq!(c.apply_workers, 2);
     }
 
     #[test]

@@ -129,39 +129,12 @@ fn expand(actions: &[ScheduledAction]) -> Vec<(u64, Op)> {
 
 /// Runs one schedule to completion (or to its first violation).
 pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
-    run_schedule_configured(schedule, 0)
-}
-
-/// [`run_schedule`] with an explicit `verify_workers` setting.
-///
-/// The simulation never attaches a real verify pool — servers whose config
-/// asks for workers still verify inline under the sim driver — so the
-/// outcome must be **bit-identical** for every `verify_workers` value. This
-/// entry point exists to let the determinism suite prove exactly that: the
-/// sharded pool is a net-runtime seam, invisible to replayable schedules.
-pub fn run_schedule_configured(schedule: &Schedule, verify_workers: usize) -> RunOutcome {
-    run_schedule_tuned(schedule, verify_workers, 0)
-}
-
-/// [`run_schedule`] with both off-loop worker knobs explicit.
-///
-/// Like the verify pool, the apply pool is a net-runtime seam: the simulation
-/// never spawns one, servers adopt committed blocks inline no matter what
-/// `apply_workers` says, so the outcome must be bit-identical for every
-/// value. The determinism suite pins that for both knobs.
-pub fn run_schedule_tuned(
-    schedule: &Schedule,
-    verify_workers: usize,
-    apply_workers: usize,
-) -> RunOutcome {
     let n = schedule.servers;
     let mut cluster = ClusterConfig::new(n)
         .with_batch_size(schedule.batch_size)
         .with_payload_size(schedule.payload_size)
         .with_timeouts(TimeoutConfig::fast())
-        .with_checkpoint_interval(schedule.checkpoint_interval)
-        .with_verify_workers(verify_workers)
-        .with_apply_workers(apply_workers);
+        .with_checkpoint_interval(schedule.checkpoint_interval);
     cluster.reputation.refresh_enabled = true;
     let behaviors = schedule.fault_plan().behaviors(n);
     let correct: Vec<bool> = behaviors.iter().map(|b| !b.is_faulty()).collect();

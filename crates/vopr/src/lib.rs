@@ -26,7 +26,7 @@ pub mod report;
 pub mod schedule;
 pub mod shrink;
 
-pub use harness::{run_schedule, run_schedule_configured, run_schedule_tuned, RunOutcome};
+pub use harness::{run_schedule, RunOutcome};
 pub use invariants::{InvariantChecker, Violation, INVARIANT_NAMES};
 pub use regression::{from_ron, to_ron};
 pub use report::{FailureRecord, SwarmReport};

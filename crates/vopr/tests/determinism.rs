@@ -3,10 +3,7 @@
 //! including a mid-run crash with a torn WAL tail and a restart through WAL
 //! replay — must produce bit-identical commit activity and statistics.
 
-use prestige_vopr::{
-    run_schedule, run_schedule_configured, run_schedule_tuned, ActionKind, Schedule,
-    ScheduledAction,
-};
+use prestige_vopr::{run_schedule, ActionKind, Schedule, ScheduledAction};
 
 fn assert_identical(a: &prestige_vopr::RunOutcome, b: &prestige_vopr::RunOutcome) {
     assert_eq!(a.steps, b.steps, "step counts diverge");
@@ -28,45 +25,6 @@ fn assert_identical(a: &prestige_vopr::RunOutcome, b: &prestige_vopr::RunOutcome
 fn same_seed_same_run_bit_for_bit() {
     let schedule = Schedule::generate(11);
     assert_identical(&run_schedule(&schedule), &run_schedule(&schedule));
-}
-
-#[test]
-fn sharded_verify_config_cannot_perturb_the_simulation() {
-    // The multi-core hot path (sharded verify pool) lives entirely in the
-    // net runtime: the simulation never attaches a pool, so a schedule run
-    // with `verify_workers = 0` and one run with workers configured must be
-    // bit-identical — otherwise recorded regression schedules would stop
-    // replaying on clusters tuned for multi-core boxes.
-    let schedule = Schedule::generate(11);
-    let inline = run_schedule(&schedule);
-    assert!(
-        inline.committed_blocks > 0,
-        "run must commit to prove anything"
-    );
-    for workers in [1usize, 2, 4] {
-        let configured = run_schedule_configured(&schedule, workers);
-        assert_identical(&inline, &configured);
-    }
-}
-
-#[test]
-fn apply_workers_config_cannot_perturb_the_simulation() {
-    // The off-loop apply stage mirrors the verify pool: committed-block
-    // adoption is sharded across workers only under the net runtime. The
-    // simulation always applies inline, so any `apply_workers` value — alone
-    // or combined with sharded verify — must replay bit-identically.
-    let schedule = Schedule::generate(11);
-    let inline = run_schedule(&schedule);
-    assert!(
-        inline.committed_blocks > 0,
-        "run must commit to prove anything"
-    );
-    for workers in [1usize, 2, 4] {
-        let configured = run_schedule_tuned(&schedule, 0, workers);
-        assert_identical(&inline, &configured);
-    }
-    // Both knobs together, as a multi-core deployment would set them.
-    assert_identical(&inline, &run_schedule_tuned(&schedule, 2, 2));
 }
 
 #[test]
