@@ -11,8 +11,8 @@
 //!
 //! The exact-sample vector in `ClientStats` still exists — the experiment
 //! harness feeds it to the paper-figure statistics — but percentile claims
-//! in `peak_net` come from the histogram, which sees the whole measurement
-//! window.
+//! on the real runtime come from the histogram, which sees the whole
+//! measurement window.
 
 use serde::{Deserialize, Serialize};
 

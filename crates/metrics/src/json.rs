@@ -1,7 +1,7 @@
 //! A minimal JSON document builder for machine-readable reports.
 //!
 //! The offline build environment has no `serde_json`; report binaries
-//! (`peak_net`, `chaos_net`) emit JSON so results can be diffed, plotted,
+//! (`chaos_net`, `vopr`) emit JSON so results can be diffed, plotted,
 //! and gated in CI. This module gives them a tiny value tree plus a
 //! deterministic pretty-printer instead of hand-formatted `format!` strings:
 //! object keys render in insertion order, strings are escaped per RFC 8259,

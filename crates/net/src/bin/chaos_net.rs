@@ -31,8 +31,11 @@
 use prestige_core::LoopStage;
 use prestige_metrics::Json;
 use prestige_net::cluster::{LocalCluster, StoragePlan};
-use prestige_net::config::{parse_toml, TomlDoc, TomlValue};
+use prestige_net::config::{
+    get, get_f64, get_int, get_str, parse_faults, parse_storage, parse_toml, ConfigError, TomlValue,
+};
 use prestige_net::NetChaos;
+use prestige_storage::WalOptions;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, TimeoutConfig, ViewChangePolicy};
 use prestige_workloads::FaultPlan;
 use std::time::{Duration, Instant};
@@ -81,8 +84,7 @@ struct RestartSpec {
 struct StorageSpec {
     dir: Option<String>,
     checkpoint_interval: u64,
-    segment_bytes: u64,
-    sync_every_n: u64,
+    options: WalOptions,
 }
 
 #[derive(Debug, Clone)]
@@ -115,67 +117,25 @@ struct Scenario {
     recovery_window_s: f64,
 }
 
-fn get<'d>(doc: &'d TomlDoc, section: &str, key: &str) -> Option<&'d TomlValue> {
-    doc.get(section).and_then(|s| s.get(key))
-}
-
-fn get_f64(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64, String> {
-    match get(doc, section, key) {
-        Some(TomlValue::Float(f)) => Ok(*f),
-        Some(TomlValue::Int(i)) => Ok(*i as f64),
-        None => Ok(default),
-        // A mistyped value must be an error, not a silent fallback — a quoted
-        // assertion floor would otherwise disable the gate it configures.
-        Some(other) => Err(format!("{section}.{key}: expected a number, got {other:?}")),
-    }
-}
-
-fn get_u64(doc: &TomlDoc, section: &str, key: &str, default: u64) -> Result<u64, String> {
-    match get(doc, section, key) {
-        Some(TomlValue::Int(i)) => {
-            u64::try_from(*i).map_err(|_| format!("{section}.{key} = {i} is out of range"))
-        }
-        None => Ok(default),
-        Some(other) => Err(format!(
-            "{section}.{key}: expected an integer, got {other:?}"
-        )),
-    }
-}
-
-fn get_str<'d>(doc: &'d TomlDoc, section: &str, key: &str) -> Option<&'d str> {
-    match get(doc, section, key) {
-        Some(TomlValue::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 impl Scenario {
-    fn from_toml(text: &str) -> Result<Scenario, String> {
-        let doc = parse_toml(text).map_err(|e| format!("scenario parse error: {e}"))?;
+    fn from_toml(text: &str) -> Result<Scenario, ConfigError> {
+        let invalid = |message: String| Err(ConfigError::Invalid(message));
+        let doc = parse_toml(text)?;
 
-        let timeouts = match get_str(&doc, "scenario", "timeouts").unwrap_or("fast") {
+        let timeouts = match get_str(&doc, "scenario", "timeouts")?.unwrap_or("fast") {
             "fast" => TimeoutConfig::fast(),
             "default" => TimeoutConfig::default(),
-            other => return Err(format!("scenario.timeouts `{other}` (fast or default)")),
+            other => return invalid(format!("scenario.timeouts `{other}` (fast or default)")),
         };
 
-        let strategy_label = get_str(&doc, "faults", "strategy")
+        let strategy_label = get_str(&doc, "faults", "strategy")?
             .unwrap_or("s1")
             .to_string();
-        let fault_plan = match get_str(&doc, "faults", "plan") {
-            None => FaultPlan::None,
-            Some(label) => {
-                let count = get_u64(&doc, "faults", "count", 1)? as u32;
-                let strategy = FaultPlan::parse_strategy(&strategy_label)
-                    .ok_or_else(|| format!("faults.strategy `{strategy_label}` (s1 or s2)"))?;
-                FaultPlan::from_parts(label, count, strategy)
-                    .ok_or_else(|| format!("faults.plan `{label}`"))?
-            }
-        };
+        let fault_plan = parse_faults(&doc)?;
 
-        let servers = get_u64(&doc, "scenario", "servers", 4)? as u32;
-        let parse_target = |section: &str| -> Result<PartitionTarget, String> {
-            match get_str(&doc, section, "target").unwrap_or("leader") {
+        let servers: u32 = get_int(&doc, "scenario", "servers", 4)?;
+        let parse_target = |section: &str| -> Result<PartitionTarget, ConfigError> {
+            match get_str(&doc, section, "target")?.unwrap_or("leader") {
                 "leader" => Ok(PartitionTarget::Leader),
                 name => {
                     let id = name
@@ -183,10 +143,10 @@ impl Scenario {
                         .and_then(|rest| rest.parse::<u32>().ok())
                         .filter(|id| *id < servers)
                         .ok_or_else(|| {
-                            format!(
+                            ConfigError::Invalid(format!(
                                 "{section}.target `{name}` (leader, or s0..s{})",
                                 servers.saturating_sub(1)
-                            )
+                            ))
                         })?;
                     Ok(PartitionTarget::Server(id))
                 }
@@ -194,11 +154,13 @@ impl Scenario {
         };
         let partition = if doc.contains_key("partition") {
             let target = parse_target("partition")?;
-            let mode = match get_str(&doc, "partition", "mode").unwrap_or("sym") {
+            let mode = match get_str(&doc, "partition", "mode")?.unwrap_or("sym") {
                 "sym" => PartitionMode::Symmetric,
                 "inbound" => PartitionMode::Inbound,
                 "outbound" => PartitionMode::Outbound,
-                other => return Err(format!("partition.mode `{other}` (sym, inbound, outbound)")),
+                other => {
+                    return invalid(format!("partition.mode `{other}` (sym, inbound, outbound)"))
+                }
             };
             Some(PartitionSpec {
                 at_s: get_f64(&doc, "partition", "at_s", 1.0)?,
@@ -211,18 +173,18 @@ impl Scenario {
         };
 
         let storage = if doc.contains_key("storage") {
+            let (dir, options) = parse_storage(&doc)?;
             Some(StorageSpec {
-                dir: get_str(&doc, "storage", "dir").map(str::to_string),
-                checkpoint_interval: get_u64(&doc, "storage", "checkpoint_interval", 64)?,
-                segment_bytes: get_u64(&doc, "storage", "segment_bytes", 4 << 20)?,
-                sync_every_n: get_u64(&doc, "storage", "sync_every_n", 64)?,
+                dir: dir.map(str::to_string),
+                checkpoint_interval: get_int(&doc, "storage", "checkpoint_interval", 64)?,
+                options,
             })
         } else {
             None
         };
         let restart = if doc.contains_key("restart") {
             if storage.is_none() {
-                return Err(
+                return invalid(
                     "[restart] requires a [storage] section (restart replays the WAL)".to_string(),
                 );
             }
@@ -230,7 +192,7 @@ impl Scenario {
                 at_s: get_f64(&doc, "restart", "at_s", 1.0)?,
                 down_ms: get_f64(&doc, "restart", "down_ms", 500.0)?,
                 target: parse_target("restart")?,
-                truncate_tail_bytes: get_u64(&doc, "restart", "truncate_tail_bytes", 0)?,
+                truncate_tail_bytes: get_int(&doc, "restart", "truncate_tail_bytes", 0)?,
             })
         } else {
             None
@@ -238,19 +200,19 @@ impl Scenario {
 
         let rotation = get_f64(&doc, "scenario", "rotation_ms", 0.0)?;
         let scenario = Scenario {
-            name: get_str(&doc, "scenario", "name")
+            name: get_str(&doc, "scenario", "name")?
                 .unwrap_or("unnamed")
                 .to_string(),
             servers,
-            clients: get_u64(&doc, "scenario", "clients", 2)?,
-            concurrency: get_u64(&doc, "scenario", "concurrency", 100)? as usize,
-            batch_size: get_u64(&doc, "scenario", "batch_size", 100)? as usize,
-            payload_size: get_u64(&doc, "scenario", "payload_size", 32)? as usize,
-            seed: get_u64(&doc, "scenario", "seed", 42)?,
+            clients: get_int(&doc, "scenario", "clients", 2)?,
+            concurrency: get_int(&doc, "scenario", "concurrency", 100)?,
+            batch_size: get_int(&doc, "scenario", "batch_size", 100)?,
+            payload_size: get_int(&doc, "scenario", "payload_size", 32)?,
+            seed: get_int(&doc, "scenario", "seed", 42)?,
             duration_s: get_f64(&doc, "scenario", "duration_s", 5.0)?,
             timeouts,
             rotation_ms: (rotation > 0.0).then_some(rotation),
-            pipeline_depth: get_u64(&doc, "scenario", "pipeline_depth", 4)? as usize,
+            pipeline_depth: get_int(&doc, "scenario", "pipeline_depth", 4)?,
             fault_plan,
             strategy_label,
             delay_ms: get_f64(&doc, "chaos", "delay_ms", 0.0)?,
@@ -264,9 +226,9 @@ impl Scenario {
                 get(&doc, "assert", "no_faulty_leader"),
                 Some(TomlValue::Bool(true))
             ),
-            min_cert_refusals: get_u64(&doc, "assert", "min_cert_refusals", 0)?,
-            min_committed_after: get_u64(&doc, "assert", "min_committed", 0)?,
-            min_stable_checkpoint: get_u64(&doc, "assert", "min_stable_checkpoint", 0)?,
+            min_cert_refusals: get_int(&doc, "assert", "min_cert_refusals", 0)?,
+            min_committed_after: get_int(&doc, "assert", "min_committed", 0)?,
+            min_stable_checkpoint: get_int(&doc, "assert", "min_stable_checkpoint", 0)?,
             recovery_floor_tps: get_f64(&doc, "assert", "recovery_floor_tps", 0.0)?,
             recovery_window_s: get_f64(&doc, "assert", "recovery_window_s", 1.0)?,
         };
@@ -281,7 +243,7 @@ impl Scenario {
             // A narrow recovery window turns scheduler starvation into a
             // "regression".
             if scenario.recovery_window_s < 2.0 {
-                return Err(format!(
+                return invalid(format!(
                     "[restart] scenarios need assert.recovery_window_s >= 2.0 \
                      (got {}): WAL replay + re-election + repair-plane catch-up \
                      does not fit a narrower window on 1-core CI runners",
@@ -293,11 +255,13 @@ impl Scenario {
             // the whole run and the recovery assertions measure the
             // scheduler, not the protocol.
             if !doc.contains_key("chaos") {
-                return Err("[restart] scenarios need a [chaos] throttle profile (e.g. \
+                return invalid(
+                    "[restart] scenarios need a [chaos] throttle profile (e.g. \
                      delay_ms = 5.0, jitter_ms = 5.0, loss = 0.005): unthrottled \
                      loopback outruns WAL replay and the restarted node never \
                      catches the tip"
-                    .to_string());
+                        .to_string(),
+                );
             }
         }
         Ok(scenario)
@@ -332,10 +296,10 @@ impl Scenario {
             )),
         };
         let _ = std::fs::remove_dir_all(&root);
-        let mut plan = StoragePlan::new(root);
-        plan.options.segment_bytes = spec.segment_bytes;
-        plan.options.sync_every_n = spec.sync_every_n;
-        Some(plan)
+        Some(StoragePlan {
+            root,
+            options: spec.options.clone(),
+        })
     }
 }
 
@@ -477,7 +441,8 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         &behaviors,
         Some(chaos.clone()),
         storage_plan,
-    );
+    )
+    .map_err(|e| vec![format!("launching the cluster: {e}")])?;
 
     // --- timeline: sample progress, fire the partition / crash-restart ---
     let started = Instant::now();
@@ -559,7 +524,9 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         if let Some((target, due_s)) = restart_due {
             if t_s >= due_s {
                 restart_due = None;
-                cluster.restart_server(target);
+                if let Err(e) = cluster.restart_server(target) {
+                    eprintln!("chaos_net: restarting {target:?} failed: {e}");
+                }
                 restart_window = Some((restart_killed_s.unwrap_or(due_s), t_s));
                 restarted_server = Some(target);
                 eprintln!("chaos_net: t={t_s:.2}s restarted {target:?} from its WAL");
@@ -994,7 +961,7 @@ mod tests {
         let text = restart_scenario(CHAOS, "recovery_window_s = 1.5");
         let err = Scenario::from_toml(&text).expect_err("lint must fire");
         assert!(
-            err.contains("recovery_window_s >= 2.0"),
+            err.to_string().contains("recovery_window_s >= 2.0"),
             "unhelpful error: {err}"
         );
     }
@@ -1004,7 +971,7 @@ mod tests {
         let text = restart_scenario("", "recovery_window_s = 2.0");
         let err = Scenario::from_toml(&text).expect_err("lint must fire");
         assert!(
-            err.contains("[chaos] throttle profile"),
+            err.to_string().contains("[chaos] throttle profile"),
             "unhelpful error: {err}"
         );
     }

@@ -2,18 +2,23 @@
 //! loop clients) on real runtimes, over either transport.
 //!
 //! This is the net-runtime analogue of building a `Simulation` by hand: one
-//! call wires key registries, transports, and node runtimes together. The
-//! loopback variant is what integration tests and the example use; the TCP
-//! variant backs multi-process deployments via the `prestige-node` binary
-//! (which launches exactly one node per process from a TOML config).
+//! call wires key registries, transports, and node runtimes together. There
+//! is one launcher, [`Cluster<F>`], generic over the [`Fabric`] that hands
+//! out its endpoints: [`Loopback`] (in-process channels — what most
+//! integration tests and the example use) or [`Tcp`] (every node on its own
+//! `127.0.0.1` socket — serialization, the socket reactor, reconnects, the
+//! lot). Multi-process deployments use the `prestige-node` binary, which
+//! launches exactly one node per process from a TOML config through
+//! [`launch_tcp_server`] / [`launch_tcp_client`].
 //!
-//! Clusters can be launched *adversarially*: [`LocalCluster::launch_adversarial`]
-//! attaches per-server [`ByzantineBehavior`]s (the paper's F1–F4 attacks, with
-//! S1/S2 strategies) and an optional [`NetChaos`] controller that injects
-//! delay, loss, and partitions at the [`Transport`] seam while the cluster
-//! runs. Safety under those conditions is checked with
-//! [`LocalCluster::verify_no_fork`], which compares the digest-chained
-//! committed logs across replicas.
+//! Clusters can be launched *adversarially* on either fabric:
+//! [`Cluster::launch_full`] attaches per-server [`ByzantineBehavior`]s (the
+//! paper's F1–F4 attacks, with S1/S2 strategies), an optional [`NetChaos`]
+//! controller that injects delay, loss, and partitions at the [`Transport`]
+//! seam while the cluster runs, and an optional [`StoragePlan`] so servers
+//! can be killed and restarted from their WAL. Safety under those conditions
+//! is checked with [`Cluster::verify_no_fork`], which compares the
+//! digest-chained committed logs across replicas.
 
 use crate::chaos::{ChaosTransport, NetChaos};
 use crate::runtime::NodeHandle;
@@ -27,7 +32,8 @@ use prestige_crypto::KeyRegistry;
 use prestige_storage::{StorageStats, Wal, WalOptions};
 use prestige_types::{Actor, ClientId, ClusterConfig, Digest, Message, ServerId, View};
 use std::collections::HashMap;
-use std::net::SocketAddr;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,25 +75,7 @@ fn default_refill_batch(concurrency: usize) -> usize {
     (concurrency / 4).max(1)
 }
 
-/// Wraps a transport endpoint in the chaos filter when a controller is
-/// attached. `salt` differentiates the per-endpoint loss/jitter RNG streams.
-fn maybe_chaotic(
-    endpoint: impl Transport<Message> + 'static,
-    chaos: &Option<NetChaos>,
-    seed: u64,
-    salt: u64,
-) -> Box<dyn Transport<Message>> {
-    match chaos {
-        Some(controller) => Box::new(ChaosTransport::new(
-            Box::new(endpoint),
-            controller.clone(),
-            seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        )),
-        None => Box::new(endpoint),
-    }
-}
-
-/// The fork check shared by every cluster flavour: wherever two replicas
+/// The fork check shared by both fabrics: wherever two replicas
 /// committed a block at the same sequence number, the digests (and, by
 /// chaining, the whole prefix) must be identical. Lagging replicas are fine;
 /// disagreeing ones are not. Returns the highest sequence committed on
@@ -116,31 +104,87 @@ pub fn verify_no_fork_chains(chains: &[(ServerId, Vec<(u64, Digest)>)]) -> Resul
     Ok(common_tip.unwrap_or(0))
 }
 
-/// A PrestigeBFT cluster running on real node runtimes in this process.
-pub struct LocalCluster {
-    config: ClusterConfig,
-    registry: KeyRegistry,
-    seed: u64,
-    net: LoopbackNet<Message>,
-    chaos: Option<NetChaos>,
-    behaviors: HashMap<ServerId, ByzantineBehavior>,
-    storage: Option<StoragePlan>,
-    servers: HashMap<ServerId, NodeHandle<Message>>,
-    clients: HashMap<ClientId, NodeHandle<Message>>,
-    /// Per-actor transport counters, captured at spawn time (through the
-    /// chaos wrapper, which shares its inner endpoint's stats). Entries
-    /// survive crashes so reports still cover dead nodes' traffic.
-    transport_stats: HashMap<Actor, Arc<TransportStats>>,
-    /// Per-server event-loop stage profiles (entries survive crashes;
-    /// restarts replace them with the fresh node's profile). Empty when the
-    /// cluster was launched with profiling off.
-    profiles: HashMap<ServerId, Arc<LoopProfile>>,
-    profiling: bool,
+/// Where a cluster's endpoints come from: the one seam between the launcher
+/// and the transport underneath it. Everything else about a cluster —
+/// behaviours, chaos, storage, crash/restart, the accessors — is written
+/// once in [`Cluster`] against this trait.
+pub trait Fabric: Sized {
+    /// Reserves whatever the fabric needs for `actors` before any node
+    /// starts.
+    fn open(actors: &[Actor]) -> io::Result<Self>;
+
+    /// The endpoint of `me`. Asking again for an actor whose earlier
+    /// endpoint was shut down yields a fresh endpoint under the same
+    /// identity (and, on sockets, the same address).
+    fn endpoint(&mut self, me: Actor) -> io::Result<Box<dyn Transport<Message>>>;
+
+    /// Cuts `actor` off abruptly (crash injection), for fabrics where
+    /// stopping the node's runtime does not already do that.
+    fn disconnect(&mut self, _actor: Actor) {}
 }
 
-/// Assembles one server — fresh or restarted — for either fabric: with a
-/// [`StoragePlan`] its WAL is replayed and attached, and with `profiling` a
-/// fresh stage profile is attached and returned.
+/// The in-process fabric: mpsc channels, messages moved by value.
+pub struct Loopback(LoopbackNet<Message>);
+
+impl Fabric for Loopback {
+    fn open(_actors: &[Actor]) -> io::Result<Self> {
+        Ok(Loopback(LoopbackNet::new()))
+    }
+
+    fn endpoint(&mut self, me: Actor) -> io::Result<Box<dyn Transport<Message>>> {
+        Ok(Box::new(self.0.endpoint(me)))
+    }
+
+    fn disconnect(&mut self, actor: Actor) {
+        self.0.disconnect(actor);
+    }
+}
+
+/// The socket fabric: every actor listens on its own ephemeral `127.0.0.1`
+/// port. All listeners are bound before any node starts and each node is
+/// handed its own, so every peer is already listening when the first frame
+/// is sent — no first connect is refused and nobody else can take a port in
+/// between. A crashed node's transport closes its listener; its next
+/// endpoint re-binds the recorded address, where its peers' reconnect
+/// backoff finds it again.
+pub struct Tcp {
+    addrs: HashMap<Actor, SocketAddr>,
+    listeners: HashMap<Actor, TcpListener>,
+}
+
+impl Fabric for Tcp {
+    fn open(actors: &[Actor]) -> io::Result<Self> {
+        let mut fabric = Tcp {
+            addrs: HashMap::new(),
+            listeners: HashMap::new(),
+        };
+        for &actor in actors {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            fabric.addrs.insert(actor, listener.local_addr()?);
+            fabric.listeners.insert(actor, listener);
+        }
+        Ok(fabric)
+    }
+
+    fn endpoint(&mut self, me: Actor) -> io::Result<Box<dyn Transport<Message>>> {
+        let listener = match self.listeners.remove(&me) {
+            Some(listener) => listener,
+            None => {
+                let addr = self.addrs.get(&me).ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::NotFound, format!("no address for {me}"))
+                })?;
+                TcpListener::bind(addr)?
+            }
+        };
+        let mut peers = self.addrs.clone();
+        peers.remove(&me);
+        Ok(Box::new(TcpTransport::from_listener(me, listener, peers)?))
+    }
+}
+
+/// Assembles one server — fresh or restarted: with a [`StoragePlan`] its WAL
+/// is replayed and attached. The stage profile is always on (it costs well
+/// under 1%, see the runtime docs).
 fn build_server(
     id: ServerId,
     config: &ClusterConfig,
@@ -148,8 +192,7 @@ fn build_server(
     seed: u64,
     behavior: ByzantineBehavior,
     storage: Option<&StoragePlan>,
-    profiling: bool,
-) -> std::io::Result<(PrestigeServer, Option<Arc<LoopProfile>>)> {
+) -> io::Result<(PrestigeServer, Arc<LoopProfile>)> {
     let mut server =
         PrestigeServer::with_behavior(id, config.clone(), registry.clone(), seed, behavior);
     if let Some(plan) = storage {
@@ -158,70 +201,93 @@ fn build_server(
         // Replay-then-attach: the records rebuild committed state with
         // storage still detached (no re-appends), then the open WAL becomes
         // the server's durability sink.
-        let (wal, records) =
-            Wal::open(&dir, plan.options.clone()).map_err(std::io::Error::other)?;
+        let (wal, records) = Wal::open(&dir, plan.options.clone()).map_err(io::Error::other)?;
         server.replay_wal(records);
         server.attach_storage(Box::new(wal));
     }
-    let profile = profiling.then(|| {
-        let p = Arc::new(LoopProfile::default());
-        server.attach_profiler(Arc::clone(&p));
-        p
-    });
+    let profile = Arc::new(LoopProfile::default());
+    server.attach_profiler(Arc::clone(&profile));
     Ok((server, profile))
 }
 
-/// Builds one server node and spawns it on the loopback fabric.
-#[allow(clippy::too_many_arguments)]
-fn spawn_server(
-    id: ServerId,
+/// Spawns one closed-loop client keeping `concurrency` proposals in flight.
+fn spawn_client(
+    id: ClientId,
     config: &ClusterConfig,
     registry: &KeyRegistry,
     seed: u64,
-    behavior: ByzantineBehavior,
-    net: &LoopbackNet<Message>,
-    chaos: &Option<NetChaos>,
-    storage: &Option<StoragePlan>,
-    profiling: bool,
-) -> (
-    NodeHandle<Message>,
-    Arc<TransportStats>,
-    Option<Arc<LoopProfile>>,
-) {
-    let (server, profile) = build_server(
+    concurrency: usize,
+    transport: Box<dyn Transport<Message>>,
+) -> NodeHandle<Message> {
+    let cc = ClientConfig::new(
         id,
-        config,
-        registry,
-        seed,
-        behavior,
-        storage.as_ref(),
-        profiling,
+        config.replicas.clone(),
+        config.payload_size,
+        concurrency,
     )
-    .expect("open and replay the server's WAL");
-    let endpoint = net.endpoint(Actor::Server(id));
-    let transport = maybe_chaotic(endpoint, chaos, seed, id.0 as u64);
-    let stats = transport.stats();
-    let handle = NodeHandle::spawn_instrumented(
-        Box::new(server),
-        transport,
-        seed,
-        Vec::new(),
-        profile.clone(),
-    );
-    (handle, stats, profile)
+    .with_refill_batch(default_refill_batch(concurrency));
+    let client = PrestigeClient::new(cc, registry);
+    NodeHandle::spawn(Box::new(client), transport, seed)
 }
 
-impl LocalCluster {
+/// A PrestigeBFT cluster running on real node runtimes in this process, over
+/// the fabric `F`.
+pub struct Cluster<F: Fabric> {
+    config: ClusterConfig,
+    registry: KeyRegistry,
+    seed: u64,
+    fabric: F,
+    chaos: Option<NetChaos>,
+    /// `behaviors[i]` is server `i`'s; missing entries are correct.
+    behaviors: Vec<ByzantineBehavior>,
+    storage: Option<StoragePlan>,
+    servers: HashMap<ServerId, NodeHandle<Message>>,
+    clients: HashMap<ClientId, NodeHandle<Message>>,
+    /// Per-actor transport counters, captured at spawn time (through the
+    /// chaos wrapper, which shares its inner endpoint's stats). Entries
+    /// survive crashes so reports still cover dead nodes' traffic.
+    transport_stats: HashMap<Actor, Arc<TransportStats>>,
+    /// Per-server event-loop stage profiles (entries survive crashes;
+    /// restarts replace them with the fresh node's profile).
+    profiles: HashMap<ServerId, Arc<LoopProfile>>,
+}
+
+/// The in-process channel cluster.
+///
+/// The frozen `benchmark/` package compiles against exactly these items of
+/// the two aliases (keep them, with these signatures, when collapsing
+/// further):
+///
+/// - `LocalCluster::launch(config, seed, clients, concurrency) -> Self`
+/// - `LocalCluster::launch_durable(config, seed, clients, concurrency, StoragePlan) -> Self`
+/// - `TcpCluster::launch(config, seed, clients, concurrency) -> io::Result<Self>`
+/// - on both: `client_stats`, `server_stats`, `view_of`, `live_servers`,
+///   `crash_server`, `committed_chain`, `loop_profile`, `transport_totals`,
+///   `total_committed`, `reset_client_latency`, `shutdown(self)`
+/// - on `LocalCluster`: `storage_stats`, `reputations_at`
+/// - the free items [`verify_no_fork_chains`] and [`StoragePlan::new`]
+///
+/// `LocalCluster` and `TcpCluster` must stay *distinct* types: the benchmark
+/// writes one trait impl for each.
+pub type LocalCluster = Cluster<Loopback>;
+
+/// The cluster over real TCP sockets on `127.0.0.1`, one ephemeral port per
+/// node. See [`LocalCluster`] for what `benchmark/` compiles against.
+pub type TcpCluster = Cluster<Tcp>;
+
+impl Cluster<Loopback> {
     /// Launches `config.n()` servers and `clients` closed-loop clients (each
-    /// keeping `concurrency` proposals in flight) over a loopback transport.
+    /// keeping `concurrency` proposals in flight) over in-process channels.
     /// All servers are correct and all links are healthy.
     pub fn launch(config: ClusterConfig, seed: u64, clients: u64, concurrency: usize) -> Self {
-        Self::launch_adversarial(config, seed, clients, concurrency, &[], None)
+        Self::launch_full(config, seed, clients, concurrency, &[], None, None)
+            .expect("a loopback cluster without storage performs no I/O")
     }
 
     /// [`Self::launch`] with a durable storage plan: every server writes its
     /// WAL under the plan's root and can be killed and restarted
-    /// ([`Self::restart_server`]) from disk.
+    /// ([`Cluster::restart_server`]) from disk. Panics if a WAL cannot be
+    /// opened.
     pub fn launch_durable(
         config: ClusterConfig,
         seed: u64,
@@ -230,28 +296,32 @@ impl LocalCluster {
         storage: StoragePlan,
     ) -> Self {
         Self::launch_full(config, seed, clients, concurrency, &[], None, Some(storage))
+            .expect("open and replay every server's WAL")
     }
+}
 
-    /// [`Self::launch`] under adversarial conditions: server `i` runs with
-    /// `behaviors[i]` (missing entries are [`ByzantineBehavior::Correct`]),
-    /// and, when `chaos` is given, every endpoint — servers and clients — is
-    /// wrapped in a [`ChaosTransport`] controlled by it, so partitions,
-    /// delay, and loss can be injected while the cluster runs.
-    pub fn launch_adversarial(
+impl Cluster<Tcp> {
+    /// Launches `config.n()` correct servers and `clients` closed-loop
+    /// clients over TCP on `127.0.0.1`.
+    pub fn launch(
         config: ClusterConfig,
         seed: u64,
         clients: u64,
         concurrency: usize,
-        behaviors: &[ByzantineBehavior],
-        chaos: Option<NetChaos>,
-    ) -> Self {
-        Self::launch_full(config, seed, clients, concurrency, behaviors, chaos, None)
+    ) -> io::Result<Self> {
+        Self::launch_full(config, seed, clients, concurrency, &[], None, None)
     }
+}
 
+impl<F: Fabric> Cluster<F> {
     /// The full launcher: Byzantine behaviours, chaos, and durable storage
-    /// in any combination. Stage profiling is on (it costs well under 1%,
-    /// see the runtime docs); use [`Self::launch_configured`] to switch it
-    /// off for overhead comparisons.
+    /// in any combination, on either fabric. Server `i` runs with
+    /// `behaviors[i]` (missing entries are [`ByzantineBehavior::Correct`]);
+    /// when `chaos` is given, every endpoint — servers and clients — is
+    /// wrapped in a [`ChaosTransport`] controlled by it, so partitions,
+    /// delay, and loss can be injected while the cluster runs; with
+    /// `storage`, every server writes its WAL under the plan's root and can
+    /// be killed and restarted ([`Self::restart_server`]) from disk.
     pub fn launch_full(
         config: ClusterConfig,
         seed: u64,
@@ -260,103 +330,95 @@ impl LocalCluster {
         behaviors: &[ByzantineBehavior],
         chaos: Option<NetChaos>,
         storage: Option<StoragePlan>,
-    ) -> Self {
-        Self::launch_configured(
+    ) -> io::Result<Self> {
+        let servers = (0..config.n()).map(ServerId);
+        let actors: Vec<Actor> = servers
+            .clone()
+            .map(Actor::Server)
+            .chain((0..clients).map(|c| Actor::Client(ClientId(c))))
+            .collect();
+        let mut cluster = Cluster {
+            registry: KeyRegistry::new(seed, config.n(), clients),
+            fabric: F::open(&actors)?,
+            behaviors: behaviors.to_vec(),
             config,
             seed,
-            clients,
-            concurrency,
-            behaviors,
             chaos,
             storage,
-            true,
-        )
-    }
-
-    /// [`Self::launch_full`] with an explicit profiling switch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_configured(
-        config: ClusterConfig,
-        seed: u64,
-        clients: u64,
-        concurrency: usize,
-        behaviors: &[ByzantineBehavior],
-        chaos: Option<NetChaos>,
-        storage: Option<StoragePlan>,
-        profiling: bool,
-    ) -> Self {
-        let registry = KeyRegistry::new(seed, config.n(), clients);
-        let net: LoopbackNet<Message> = LoopbackNet::new();
-
-        let mut behavior_map = HashMap::new();
-        let mut servers = HashMap::new();
-        let mut transport_stats = HashMap::new();
-        let mut profiles = HashMap::new();
-        for i in 0..config.n() {
-            let id = ServerId(i);
-            let behavior = behaviors.get(i as usize).copied().unwrap_or_default();
-            behavior_map.insert(id, behavior);
-            let (handle, stats, profile) = spawn_server(
-                id, &config, &registry, seed, behavior, &net, &chaos, &storage, profiling,
-            );
-            transport_stats.insert(Actor::Server(id), stats);
-            if let Some(profile) = profile {
-                profiles.insert(id, profile);
-            }
-            servers.insert(id, handle);
+            servers: HashMap::new(),
+            clients: HashMap::new(),
+            transport_stats: HashMap::new(),
+            profiles: HashMap::new(),
+        };
+        for id in servers {
+            cluster.start_server(id)?;
         }
-
-        let mut client_handles = HashMap::new();
-        for c in 0..clients {
-            let id = ClientId(c);
-            let cc = ClientConfig::new(
+        for id in (0..clients).map(ClientId) {
+            let transport = cluster.endpoint(Actor::Client(id))?;
+            let handle = spawn_client(
                 id,
-                config.replicas.clone(),
-                config.payload_size,
+                &cluster.config,
+                &cluster.registry,
+                seed,
                 concurrency,
-            )
-            .with_refill_batch(default_refill_batch(concurrency));
-            let client = PrestigeClient::new(cc, &registry);
-            let endpoint = net.endpoint(Actor::Client(id));
-            let transport = maybe_chaotic(endpoint, &chaos, seed, 0x1_0000_0000u64 + c);
-            transport_stats.insert(Actor::Client(id), transport.stats());
-            client_handles.insert(id, NodeHandle::spawn(Box::new(client), transport, seed));
+                transport,
+            );
+            cluster.clients.insert(id, handle);
         }
+        Ok(cluster)
+    }
 
-        LocalCluster {
-            config,
-            registry,
-            seed,
-            net,
-            chaos,
-            behaviors: behavior_map,
-            storage,
-            servers,
-            clients: client_handles,
-            transport_stats,
-            profiles,
-            profiling,
+    /// `me`'s endpoint on the fabric, wrapped in the chaos filter when a
+    /// controller is attached, with its counters recorded.
+    fn endpoint(&mut self, me: Actor) -> io::Result<Box<dyn Transport<Message>>> {
+        let mut transport = self.fabric.endpoint(me)?;
+        if let Some(controller) = &self.chaos {
+            // The salt differentiates the per-endpoint loss/jitter RNG streams.
+            let salt = match me {
+                Actor::Server(id) => id.0 as u64,
+                Actor::Client(id) => 0x1_0000_0000u64 + id.0,
+            };
+            transport = Box::new(ChaosTransport::new(
+                transport,
+                controller.clone(),
+                self.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            ));
         }
+        self.transport_stats.insert(me, transport.stats());
+        Ok(transport)
     }
 
-    /// The cluster configuration the nodes were launched with.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// The underlying loopback fabric (for advanced fault injection).
-    pub fn net(&self) -> &LoopbackNet<Message> {
-        &self.net
-    }
-
-    /// The chaos controller the cluster was launched with, if any.
-    pub fn chaos(&self) -> Option<&NetChaos> {
-        self.chaos.as_ref()
+    /// Builds server `id` (fresh, or from its WAL) and spawns it on a new
+    /// endpoint — in that order, so nothing is delivered to a node still
+    /// replaying its log.
+    fn start_server(&mut self, id: ServerId) -> io::Result<()> {
+        let (server, profile) = build_server(
+            id,
+            &self.config,
+            &self.registry,
+            self.seed,
+            self.behavior_of(id),
+            self.storage.as_ref(),
+        )?;
+        let transport = self.endpoint(Actor::Server(id))?;
+        let handle = NodeHandle::spawn_instrumented(
+            Box::new(server),
+            transport,
+            self.seed,
+            Vec::new(),
+            Some(Arc::clone(&profile)),
+        );
+        self.profiles.insert(id, profile);
+        self.servers.insert(id, handle);
+        Ok(())
     }
 
     /// The Byzantine behaviour server `id` was launched with.
     pub fn behavior_of(&self, id: ServerId) -> ByzantineBehavior {
-        self.behaviors.get(&id).copied().unwrap_or_default()
+        self.behaviors
+            .get(id.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Live server stats snapshot.
@@ -373,19 +435,8 @@ impl LocalCluster {
             .inspect_as::<PrestigeClient, _, _>(|c| c.stats().clone())
     }
 
-    /// The transport counters of `actor`'s endpoint (entries persist across
-    /// crashes; restarts replace them with the fresh endpoint's counters).
-    pub fn transport_stats_of(&self, actor: Actor) -> Option<Arc<TransportStats>> {
-        self.transport_stats.get(&actor).map(Arc::clone)
-    }
-
-    /// Server `id`'s event-loop stage profile (`None` with profiling off).
-    pub fn loop_profile_of(&self, id: ServerId) -> Option<LoopSnapshot> {
-        self.profiles.get(&id).map(|p| p.snapshot())
-    }
-
     /// The cluster-wide event-loop stage profile: every server's counters
-    /// merged. Empty (all zeros) with profiling off.
+    /// merged.
     pub fn loop_profile(&self) -> LoopSnapshot {
         let mut merged = LoopSnapshot::default();
         for profile in self.profiles.values() {
@@ -394,8 +445,10 @@ impl LocalCluster {
         merged
     }
 
-    /// Cluster-wide transport counter sums (servers and clients). On the
-    /// loopback fabric the TCP reactor counters are always zero.
+    /// Cluster-wide transport counter sums (servers and clients). Over TCP
+    /// the reactor counters (`writev_calls`, `frames_coalesced`, `read_calls`,
+    /// `poll_calls`, … and [`TransportTotals::syscalls_per_frame`]) are live;
+    /// on the loopback fabric they are always zero.
     pub fn transport_totals(&self) -> TransportTotals {
         let mut totals = TransportTotals::default();
         for stats in self.transport_stats.values() {
@@ -490,10 +543,12 @@ impl LocalCluster {
     }
 
     /// Crashes a server abruptly: its runtime thread stops and its endpoint
-    /// deregisters, so all traffic toward it is dropped — exactly what a
-    /// killed process looks like to the rest of the cluster.
+    /// goes away — deregistered on loopback; over TCP its listener closes and
+    /// its streams break, and peers park the dead address behind reconnect
+    /// backoff — exactly what a killed process looks like to the rest of the
+    /// cluster.
     pub fn crash_server(&mut self, id: ServerId) {
-        self.net.disconnect(Actor::Server(id));
+        self.fabric.disconnect(Actor::Server(id));
         if let Some(handle) = self.servers.remove(&id) {
             let _ = handle.stop();
         }
@@ -502,37 +557,18 @@ impl LocalCluster {
     /// Restarts a crashed server from its on-disk WAL: a **fresh**
     /// `PrestigeServer` is built, the log directory is reopened (torn tails
     /// truncated, chain verified), the surviving records are replayed into
-    /// its block store, and the node rejoins the fabric — from where the
-    /// sync plane pages it forward. Panics if the server is still running;
-    /// launched without a [`StoragePlan`], the server rejoins blank (every
-    /// block must come back over sync).
-    pub fn restart_server(&mut self, id: ServerId) {
+    /// its block store, and the node rejoins the fabric under its old
+    /// identity and address — from where the sync plane pages it forward.
+    /// Panics if the server is still running; launched without a
+    /// [`StoragePlan`], the server rejoins blank (every block must come back
+    /// over sync). Fails when the WAL cannot be opened or, over TCP, the
+    /// recorded address cannot be bound again.
+    pub fn restart_server(&mut self, id: ServerId) -> io::Result<()> {
         assert!(
             !self.servers.contains_key(&id),
             "restart_server({id:?}): crash it first"
         );
-        let behavior = self.behavior_of(id);
-        let (handle, stats, profile) = spawn_server(
-            id,
-            &self.config,
-            &self.registry,
-            self.seed,
-            behavior,
-            &self.net,
-            &self.chaos,
-            &self.storage,
-            self.profiling,
-        );
-        self.transport_stats.insert(Actor::Server(id), stats);
-        if let Some(profile) = profile {
-            self.profiles.insert(id, profile);
-        }
-        self.servers.insert(id, handle);
-    }
-
-    /// The storage plan the cluster was launched with, if any.
-    pub fn storage_plan(&self) -> Option<&StoragePlan> {
-        self.storage.as_ref()
+        self.start_server(id)
     }
 
     /// Live storage-plane stats of server `id` (`None` when the server is
@@ -652,24 +688,16 @@ pub fn launch_tcp_server(
     peers: HashMap<Actor, SocketAddr>,
     behavior: ByzantineBehavior,
     storage: Option<StoragePlan>,
-) -> std::io::Result<NodeHandle<Message>> {
+) -> io::Result<NodeHandle<Message>> {
     let transport: TcpTransport<Message> =
         TcpTransport::bind(Actor::Server(id), TcpConfig::new(listen, peers))?;
-    let (server, profile) = build_server(
-        id,
-        &config,
-        &registry,
-        seed,
-        behavior,
-        storage.as_ref(),
-        true,
-    )?;
+    let (server, profile) = build_server(id, &config, &registry, seed, behavior, storage.as_ref())?;
     Ok(NodeHandle::spawn_instrumented(
         Box::new(server),
         Box::new(transport),
         seed,
         Vec::new(),
-        profile,
+        Some(profile),
     ))
 }
 
@@ -682,286 +710,15 @@ pub fn launch_tcp_client(
     concurrency: usize,
     listen: SocketAddr,
     peers: HashMap<Actor, SocketAddr>,
-) -> std::io::Result<NodeHandle<Message>> {
+) -> io::Result<NodeHandle<Message>> {
     let transport: TcpTransport<Message> =
         TcpTransport::bind(Actor::Client(id), TcpConfig::new(listen, peers))?;
-    let cc = ClientConfig::new(
+    Ok(spawn_client(
         id,
-        config.replicas.clone(),
-        config.payload_size,
-        concurrency,
-    )
-    .with_refill_batch(default_refill_batch(concurrency));
-    let client = PrestigeClient::new(cc, registry);
-    Ok(NodeHandle::spawn(
-        Box::new(client),
-        Box::new(transport),
+        &config,
+        registry,
         seed,
+        concurrency,
+        Box::new(transport),
     ))
-}
-
-/// A full PrestigeBFT cluster running over real TCP sockets **in this
-/// process**: every node binds its own ephemeral loopback port and talks to
-/// the others through [`TcpTransport`] — serialization, the socket reactor
-/// on each node's event loop, reconnects, the lot. This is the seam the
-/// loopback-vs-TCP integration tests and `peak_net --tcp` use to exercise
-/// the wire path that `LocalCluster` (by design) skips.
-pub struct TcpCluster {
-    config: ClusterConfig,
-    servers: HashMap<ServerId, NodeHandle<Message>>,
-    clients: HashMap<ClientId, NodeHandle<Message>>,
-    transport_stats: HashMap<Actor, Arc<TransportStats>>,
-    /// Per-server event-loop stage profiles (empty with profiling off).
-    profiles: HashMap<ServerId, Arc<LoopProfile>>,
-}
-
-impl TcpCluster {
-    /// Launches `config.n()` servers and `clients` closed-loop clients over
-    /// TCP on `127.0.0.1`. Every node's ephemeral listener is bound up
-    /// front and kept, so every node starts with the complete peer address
-    /// map and every peer is already listening.
-    pub fn launch(
-        config: ClusterConfig,
-        seed: u64,
-        clients: u64,
-        concurrency: usize,
-    ) -> std::io::Result<Self> {
-        Self::launch_configured(config, seed, clients, concurrency, true)
-    }
-
-    /// [`Self::launch`] with an explicit stage-profiling switch.
-    pub fn launch_configured(
-        config: ClusterConfig,
-        seed: u64,
-        clients: u64,
-        concurrency: usize,
-        profiling: bool,
-    ) -> std::io::Result<Self> {
-        let registry = KeyRegistry::new(seed, config.n(), clients);
-
-        // Bind every listener before any node starts and hand each node its
-        // own: every peer is already listening when the first frame is sent,
-        // so no first connect is refused and nobody else can take a port in
-        // between.
-        let actors = (0..config.n())
-            .map(|i| Actor::Server(ServerId(i)))
-            .chain((0..clients).map(|c| Actor::Client(ClientId(c))));
-        let mut listeners = HashMap::new();
-        let mut addrs: HashMap<Actor, SocketAddr> = HashMap::new();
-        for actor in actors {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-            addrs.insert(actor, listener.local_addr()?);
-            listeners.insert(actor, listener);
-        }
-        let mut endpoint = |me: Actor| -> std::io::Result<TcpTransport<Message>> {
-            let listener = listeners.remove(&me).expect("one listener per actor");
-            let mut peers = addrs.clone();
-            peers.remove(&me);
-            TcpTransport::from_listener(me, listener, peers)
-        };
-
-        let mut servers = HashMap::new();
-        let mut transport_stats = HashMap::new();
-        let mut profiles = HashMap::new();
-        for i in 0..config.n() {
-            let id = ServerId(i);
-            let me = Actor::Server(id);
-            let transport = endpoint(me)?;
-            transport_stats.insert(me, transport.stats());
-            let (server, profile) = build_server(
-                id,
-                &config,
-                &registry,
-                seed,
-                ByzantineBehavior::Correct,
-                None,
-                profiling,
-            )?;
-            if let Some(p) = &profile {
-                profiles.insert(id, Arc::clone(p));
-            }
-            servers.insert(
-                id,
-                NodeHandle::spawn_instrumented(
-                    Box::new(server),
-                    Box::new(transport),
-                    seed,
-                    Vec::new(),
-                    profile,
-                ),
-            );
-        }
-
-        let mut client_handles = HashMap::new();
-        for c in 0..clients {
-            let id = ClientId(c);
-            let me = Actor::Client(id);
-            let transport = endpoint(me)?;
-            transport_stats.insert(me, transport.stats());
-            let cc = ClientConfig::new(
-                id,
-                config.replicas.clone(),
-                config.payload_size,
-                concurrency,
-            )
-            .with_refill_batch(default_refill_batch(concurrency));
-            let client = PrestigeClient::new(cc, &registry);
-            client_handles.insert(
-                id,
-                NodeHandle::spawn(Box::new(client), Box::new(transport), seed),
-            );
-        }
-
-        Ok(TcpCluster {
-            config,
-            servers,
-            clients: client_handles,
-            transport_stats,
-            profiles,
-        })
-    }
-
-    /// The cluster configuration the nodes were launched with.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// Live server stats snapshot.
-    pub fn server_stats(&self, id: ServerId) -> Option<ServerStats> {
-        self.servers
-            .get(&id)?
-            .inspect_as::<PrestigeServer, _, _>(|s| s.stats().clone())
-    }
-
-    /// Live client stats snapshot.
-    pub fn client_stats(&self, id: ClientId) -> Option<ClientStats> {
-        self.clients
-            .get(&id)?
-            .inspect_as::<PrestigeClient, _, _>(|c| c.stats().clone())
-    }
-
-    /// Clears every client's latency accounting (benchmark warmup boundary).
-    pub fn reset_client_latency(&self) {
-        for handle in self.clients.values() {
-            let _ = handle.inspect(|node| {
-                if let Some(client) = node.as_any_mut().downcast_mut::<PrestigeClient>() {
-                    client.reset_latency_stats();
-                }
-            });
-        }
-    }
-
-    /// Total transactions confirmed across all clients.
-    pub fn total_committed(&self) -> u64 {
-        self.clients
-            .keys()
-            .filter_map(|&c| self.client_stats(c))
-            .map(|s| s.committed_tx)
-            .sum()
-    }
-
-    /// The current `(view, leader)` as observed by server `id`.
-    pub fn view_of(&self, id: ServerId) -> Option<(View, ServerId)> {
-        self.servers
-            .get(&id)?
-            .inspect_as::<PrestigeServer, _, _>(|s| (s.current_view(), s.current_leader()))
-    }
-
-    /// Snapshot of server `id`'s committed txBlock chain.
-    pub fn committed_chain(&self, id: ServerId) -> Option<Vec<(u64, Digest)>> {
-        self.servers
-            .get(&id)?
-            .inspect_as::<PrestigeServer, _, _>(|s| s.store().chain_digests())
-    }
-
-    /// Safety check across the given servers' committed logs
-    /// ([`verify_no_fork_chains`]).
-    pub fn verify_no_fork(&self, servers: &[ServerId]) -> Result<u64, String> {
-        let mut chains = Vec::with_capacity(servers.len());
-        for &id in servers {
-            let chain = self
-                .committed_chain(id)
-                .ok_or_else(|| format!("server {id:?} did not answer the chain snapshot"))?;
-            chains.push((id, chain));
-        }
-        verify_no_fork_chains(&chains)
-    }
-
-    /// Kills a server: its runtime stops and its transport shuts down, so
-    /// its listener closes and established streams break — a process kill as
-    /// seen from the rest of the cluster. Peers' transports park the dead
-    /// address behind reconnect backoff.
-    pub fn crash_server(&mut self, id: ServerId) {
-        if let Some(handle) = self.servers.remove(&id) {
-            let _ = handle.stop();
-        }
-    }
-
-    /// Server ids currently alive.
-    pub fn live_servers(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
-    /// The transport counters of `actor`'s endpoint.
-    pub fn transport_stats_of(&self, actor: Actor) -> Option<Arc<TransportStats>> {
-        self.transport_stats.get(&actor).map(Arc::clone)
-    }
-
-    /// Server `id`'s event-loop stage profile (`None` with profiling off).
-    pub fn loop_profile_of(&self, id: ServerId) -> Option<LoopSnapshot> {
-        self.profiles.get(&id).map(|p| p.snapshot())
-    }
-
-    /// The cluster-wide event-loop stage profile: every server's counters
-    /// merged. Empty (all zeros) with profiling off.
-    pub fn loop_profile(&self) -> LoopSnapshot {
-        let mut merged = LoopSnapshot::default();
-        for profile in self.profiles.values() {
-            merged.merge(&profile.snapshot());
-        }
-        merged
-    }
-
-    /// Cluster-wide transport counter sums — over TCP the reactor counters
-    /// (`writev_calls`, `frames_coalesced`, `read_calls`, `poll_calls`, …)
-    /// are live.
-    pub fn transport_totals(&self) -> TransportTotals {
-        let mut totals = TransportTotals::default();
-        for stats in self.transport_stats.values() {
-            stats.accumulate_into(&mut totals);
-        }
-        totals
-    }
-
-    /// Polls `predicate` until it returns true or `timeout` elapses.
-    pub fn wait_until(&self, timeout: Duration, mut predicate: impl FnMut(&Self) -> bool) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if predicate(self) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    /// Stops every node, returning final client stats keyed by client id.
-    pub fn shutdown(mut self) -> HashMap<ClientId, ClientStats> {
-        let mut stats = HashMap::new();
-        for (id, handle) in self.clients.drain() {
-            if let Some(node) = handle.stop() {
-                if let Some(client) = node.as_any().downcast_ref::<PrestigeClient>() {
-                    stats.insert(id, client.stats().clone());
-                }
-            }
-        }
-        for (_, handle) in self.servers.drain() {
-            let _ = handle.stop();
-        }
-        stats
-    }
 }

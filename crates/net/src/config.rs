@@ -52,6 +52,7 @@
 
 use crate::cluster::StoragePlan;
 use prestige_core::{AttackStrategy, ByzantineBehavior};
+use prestige_storage::WalOptions;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, ViewChangePolicy};
 use prestige_workloads::FaultPlan;
 use std::collections::{BTreeMap, HashMap};
@@ -70,28 +71,6 @@ pub enum TomlValue {
     Bool(bool),
 }
 
-impl TomlValue {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            TomlValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_int(&self) -> Option<i64> {
-        match self {
-            TomlValue::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-    fn as_float(&self) -> Option<f64> {
-        match self {
-            TomlValue::Float(f) => Some(*f),
-            TomlValue::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-}
-
 /// A parsed TOML document: section → key → value.
 pub type TomlDoc = BTreeMap<String, BTreeMap<String, TomlValue>>;
 
@@ -105,9 +84,10 @@ pub enum ConfigError {
         /// Description of the problem.
         message: String,
     },
-    /// A required key was absent or had the wrong type.
+    /// A required key was absent.
     Missing(String),
-    /// A value was present but invalid (bad address, bad role, ...).
+    /// A value was present but invalid (wrong type, out of range, bad
+    /// address, bad role, ...).
     Invalid(String),
 }
 
@@ -115,7 +95,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Syntax { line, message } => write!(f, "line {line}: {message}"),
-            ConfigError::Missing(k) => write!(f, "missing or mistyped key: {k}"),
+            ConfigError::Missing(k) => write!(f, "missing key: {k}"),
             ConfigError::Invalid(m) => write!(f, "invalid value: {m}"),
         }
     }
@@ -185,6 +165,100 @@ fn parse_value(text: &str) -> Option<TomlValue> {
     None
 }
 
+/// The raw value at `section.key`, if present.
+pub fn get<'d>(doc: &'d TomlDoc, section: &str, key: &str) -> Option<&'d TomlValue> {
+    doc.get(section).and_then(|s| s.get(key))
+}
+
+/// `section.key` as a number (integers widen), or `default` when absent.
+/// A mistyped value is an error, not a silent fallback — a quoted timeout or
+/// assertion floor would otherwise disable the thing it configures.
+pub fn get_f64(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64, ConfigError> {
+    match get(doc, section, key) {
+        Some(TomlValue::Float(f)) => Ok(*f),
+        Some(TomlValue::Int(i)) => Ok(*i as f64),
+        None => Ok(default),
+        Some(other) => Err(ConfigError::Invalid(format!(
+            "{section}.{key}: expected a number, got {other:?}"
+        ))),
+    }
+}
+
+/// `section.key` as an integer of the caller's type, or `default` when
+/// absent. Range-checked: a negative or oversized value is an error, not a
+/// silent wrap into a huge count.
+pub fn get_int<T: TryFrom<i64>>(
+    doc: &TomlDoc,
+    section: &str,
+    key: &str,
+    default: T,
+) -> Result<T, ConfigError> {
+    match get(doc, section, key) {
+        Some(TomlValue::Int(i)) => T::try_from(*i)
+            .map_err(|_| ConfigError::Invalid(format!("{section}.{key} = {i} is out of range"))),
+        None => Ok(default),
+        Some(other) => Err(ConfigError::Invalid(format!(
+            "{section}.{key}: expected an integer, got {other:?}"
+        ))),
+    }
+}
+
+/// `section.key` as a string, `None` when absent.
+pub fn get_str<'d>(
+    doc: &'d TomlDoc,
+    section: &str,
+    key: &str,
+) -> Result<Option<&'d str>, ConfigError> {
+    match get(doc, section, key) {
+        Some(TomlValue::Str(s)) => Ok(Some(s)),
+        None => Ok(None),
+        Some(other) => Err(ConfigError::Invalid(format!(
+            "{section}.{key}: expected a string, got {other:?}"
+        ))),
+    }
+}
+
+/// The `[faults]` section (`plan` / `count` / `strategy`), shared by node
+/// configs and `chaos_net` scenarios; [`FaultPlan::None`] when no plan is
+/// named.
+pub fn parse_faults(doc: &TomlDoc) -> Result<FaultPlan, ConfigError> {
+    let Some(label) = get_str(doc, "faults", "plan")? else {
+        return Ok(FaultPlan::None);
+    };
+    let count = get_int(doc, "faults", "count", 1u32)?;
+    let strategy = match get_str(doc, "faults", "strategy")? {
+        None => AttackStrategy::Always,
+        Some(text) => FaultPlan::parse_strategy(text).ok_or_else(|| {
+            ConfigError::Invalid(format!("faults.strategy `{text}` (expected s1 or s2)"))
+        })?,
+    };
+    FaultPlan::from_parts(label, count, strategy).ok_or_else(|| {
+        ConfigError::Invalid(format!(
+            "faults.plan `{label}` (expected none, timeout, quiet, equiv, vc_quiet, vc_equiv, \
+             or tip_liar)"
+        ))
+    })
+}
+
+/// The `[storage]` section, shared by node configs and `chaos_net`
+/// scenarios: the WAL root `dir` (if named) and the WAL tuning
+/// (`segment_bytes` / `sync_every_n` / `sync_interval_ms`, defaulting to
+/// [`WalOptions::default`]).
+pub fn parse_storage(doc: &TomlDoc) -> Result<(Option<&str>, WalOptions), ConfigError> {
+    let defaults = WalOptions::default();
+    let options = WalOptions {
+        segment_bytes: get_int(doc, "storage", "segment_bytes", defaults.segment_bytes)?,
+        sync_every_n: get_int(doc, "storage", "sync_every_n", defaults.sync_every_n)?,
+        sync_interval_ms: get_f64(
+            doc,
+            "storage",
+            "sync_interval_ms",
+            defaults.sync_interval_ms,
+        )?,
+    };
+    Ok((get_str(doc, "storage", "dir")?, options))
+}
+
 /// Which node this process runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeRole {
@@ -237,76 +311,49 @@ impl NodeConfig {
     /// nodes: `prestige-node --config cluster.toml --as s2`).
     pub fn from_toml(text: &str, role_override: Option<&str>) -> Result<Self, ConfigError> {
         let doc = parse_toml(text)?;
-        let get = |section: &str, key: &str| -> Option<&TomlValue> {
-            doc.get(section).and_then(|s| s.get(key))
+
+        let require = |section: &str, key: &str| match get(&doc, section, key) {
+            Some(_) => Ok(()),
+            None => Err(ConfigError::Missing(format!("{section}.{key}"))),
         };
 
-        // Integer keys are range-checked: a negative value must be a config
-        // error, not a silent two's-complement wrap into a huge count.
-        fn positive<T: TryFrom<i64>>(key: &str, raw: i64) -> Result<T, ConfigError> {
-            T::try_from(raw)
-                .map_err(|_| ConfigError::Invalid(format!("{key} = {raw} is out of range")))
-        }
-        let n: u32 = positive(
-            "cluster.n",
-            get("cluster", "n")
-                .and_then(TomlValue::as_int)
-                .ok_or_else(|| ConfigError::Missing("cluster.n".into()))?,
-        )?;
-        let seed: u64 = positive(
-            "cluster.seed",
-            get("cluster", "seed")
-                .and_then(TomlValue::as_int)
-                .unwrap_or(7),
-        )?;
-        let clients: u64 = positive(
-            "cluster.clients",
-            get("cluster", "clients")
-                .and_then(TomlValue::as_int)
-                .unwrap_or(1),
-        )?;
+        require("cluster", "n")?;
+        let n: u32 = get_int(&doc, "cluster", "n", 0)?;
+        let seed: u64 = get_int(&doc, "cluster", "seed", 7)?;
+        let clients: u64 = get_int(&doc, "cluster", "clients", 1)?;
 
+        // Every optional key defaults to what `ClusterConfig::new` chose.
         let mut cluster = ClusterConfig::new(n);
-        if let Some(beta) = get("cluster", "batch_size").and_then(TomlValue::as_int) {
-            cluster.batch_size = positive("cluster.batch_size", beta)?;
+        cluster.batch_size = get_int(&doc, "cluster", "batch_size", cluster.batch_size)?;
+        cluster.payload_size = get_int(&doc, "cluster", "payload_size", cluster.payload_size)?;
+        cluster.pipeline_depth =
+            get_int(&doc, "cluster", "pipeline_depth", cluster.pipeline_depth)?.max(1);
+        let rotation_ms = get_f64(&doc, "cluster", "rotation_ms", 0.0)?;
+        if rotation_ms > 0.0 {
+            cluster.policy = ViewChangePolicy::Timing {
+                interval_ms: rotation_ms,
+            };
         }
-        if let Some(m) = get("cluster", "payload_size").and_then(TomlValue::as_int) {
-            cluster.payload_size = positive("cluster.payload_size", m)?;
-        }
-        if let Some(depth) = get("cluster", "pipeline_depth").and_then(TomlValue::as_int) {
-            let depth: usize = positive("cluster.pipeline_depth", depth)?;
-            cluster.pipeline_depth = depth.max(1);
-        }
-        if let Some(ms) = get("cluster", "rotation_ms").and_then(TomlValue::as_float) {
-            if ms > 0.0 {
-                cluster.policy = ViewChangePolicy::Timing { interval_ms: ms };
-            }
-        }
-        if let Some(iv) = get("cluster", "checkpoint_interval").and_then(TomlValue::as_int) {
-            cluster.checkpoint_interval = positive("cluster.checkpoint_interval", iv)?;
-        }
-        if let Some(ms) = get("timeouts", "base_timeout_ms").and_then(TomlValue::as_float) {
-            cluster.timeouts.base_timeout_ms = ms;
-        }
-        if let Some(ms) = get("timeouts", "randomization_ms").and_then(TomlValue::as_float) {
-            cluster.timeouts.randomization_ms = ms;
-        }
-        if let Some(ms) = get("timeouts", "client_timeout_ms").and_then(TomlValue::as_float) {
-            cluster.timeouts.client_timeout_ms = ms;
-        }
-        if let Some(ms) = get("timeouts", "complaint_grace_ms").and_then(TomlValue::as_float) {
-            cluster.timeouts.complaint_grace_ms = ms;
-        }
+        cluster.checkpoint_interval = get_int(
+            &doc,
+            "cluster",
+            "checkpoint_interval",
+            cluster.checkpoint_interval,
+        )?;
+        let t = &mut cluster.timeouts;
+        t.base_timeout_ms = get_f64(&doc, "timeouts", "base_timeout_ms", t.base_timeout_ms)?;
+        t.randomization_ms = get_f64(&doc, "timeouts", "randomization_ms", t.randomization_ms)?;
+        t.client_timeout_ms = get_f64(&doc, "timeouts", "client_timeout_ms", t.client_timeout_ms)?;
+        t.complaint_grace_ms =
+            get_f64(&doc, "timeouts", "complaint_grace_ms", t.complaint_grace_ms)?;
 
         let role_text: String = match role_override {
             Some(text) => text.to_string(),
             None => {
-                let role = get("node", "role")
-                    .and_then(TomlValue::as_str)
-                    .ok_or_else(|| ConfigError::Missing("node.role".into()))?;
-                let id = get("node", "id")
-                    .and_then(TomlValue::as_int)
-                    .ok_or_else(|| ConfigError::Missing("node.id".into()))?;
+                require("node", "role")?;
+                require("node", "id")?;
+                let role = get_str(&doc, "node", "role")?.unwrap_or_default();
+                let id: u64 = get_int(&doc, "node", "id", 0)?;
                 let prefix = match role {
                     "server" => 's',
                     "client" => 'c',
@@ -319,11 +366,10 @@ impl NodeConfig {
 
         let mut peers = HashMap::new();
         if let Some(section) = doc.get("peers") {
-            for (key, value) in section {
+            for key in section.keys() {
                 let actor = parse_role(key)?.actor();
-                let addr: SocketAddr = value
-                    .as_str()
-                    .ok_or_else(|| ConfigError::Invalid(format!("peers.{key} must be a string")))?
+                let addr: SocketAddr = get_str(&doc, "peers", key)?
+                    .unwrap_or_default()
                     .parse()
                     .map_err(|_| ConfigError::Invalid(format!("peers.{key}: bad address")))?;
                 peers.insert(actor, addr);
@@ -333,57 +379,20 @@ impl NodeConfig {
             .get(&role.actor())
             .ok_or_else(|| ConfigError::Missing(format!("peers entry for {}", role_text)))?;
 
-        let fault_plan = match get("faults", "plan").and_then(TomlValue::as_str) {
-            None => FaultPlan::None,
-            Some(label) => {
-                let count: u32 = positive(
-                    "faults.count",
-                    get("faults", "count")
-                        .and_then(TomlValue::as_int)
-                        .unwrap_or(1),
-                )?;
-                let strategy = match get("faults", "strategy").and_then(TomlValue::as_str) {
-                    None => AttackStrategy::Always,
-                    Some(text) => FaultPlan::parse_strategy(text).ok_or_else(|| {
-                        ConfigError::Invalid(format!(
-                            "faults.strategy `{text}` (expected s1 or s2)"
-                        ))
-                    })?,
-                };
-                FaultPlan::from_parts(label, count, strategy).ok_or_else(|| {
-                    ConfigError::Invalid(format!(
-                        "faults.plan `{label}` (expected none, timeout, quiet, equiv, vc_quiet, \
-                         or vc_equiv)"
-                    ))
-                })?
-            }
-        };
+        let fault_plan = parse_faults(&doc)?;
 
-        let concurrency: usize = positive(
-            "workload.concurrency",
-            get("workload", "concurrency")
-                .and_then(TomlValue::as_int)
-                .unwrap_or(64),
-        )?;
-        let duration_s = get("workload", "duration_s").and_then(TomlValue::as_float);
+        let concurrency: usize = get_int(&doc, "workload", "concurrency", 64)?;
+        let duration_s = match get(&doc, "workload", "duration_s") {
+            Some(_) => Some(get_f64(&doc, "workload", "duration_s", 0.0)?),
+            None => None,
+        };
 
         // Optional `[storage]` section: durable WAL + restart-from-disk.
-        let storage = match get("storage", "dir").and_then(TomlValue::as_str) {
-            None => None,
-            Some(dir) => {
-                let mut plan = StoragePlan::new(dir);
-                if let Some(bytes) = get("storage", "segment_bytes").and_then(TomlValue::as_int) {
-                    plan.options.segment_bytes = positive("storage.segment_bytes", bytes)?;
-                }
-                if let Some(n) = get("storage", "sync_every_n").and_then(TomlValue::as_int) {
-                    plan.options.sync_every_n = positive("storage.sync_every_n", n)?;
-                }
-                if let Some(ms) = get("storage", "sync_interval_ms").and_then(TomlValue::as_float) {
-                    plan.options.sync_interval_ms = ms;
-                }
-                Some(plan)
-            }
-        };
+        let (dir, options) = parse_storage(&doc)?;
+        let storage = dir.map(|dir| StoragePlan {
+            root: dir.into(),
+            options,
+        });
 
         Ok(NodeConfig {
             role,
@@ -553,6 +562,37 @@ c1 = "127.0.0.1:7101"
         assert_eq!(plan.options.segment_bytes, 1 << 20);
         assert_eq!(plan.options.sync_every_n, 8);
         assert_eq!(plan.options.sync_interval_ms, 2.5);
+    }
+
+    #[test]
+    fn mistyped_values_are_errors_not_silent_defaults() {
+        for (good, bad) in [
+            // A string where a number is expected, a float where an integer is.
+            ("base_timeout_ms = 500.0", "base_timeout_ms = \"500\""),
+            ("batch_size = 200", "batch_size = 200.5"),
+            ("batch_size = 200", "batch_size = \"200\""),
+        ] {
+            let text = SAMPLE.replace(good, bad);
+            assert!(
+                matches!(
+                    NodeConfig::from_toml(&text, None),
+                    Err(ConfigError::Invalid(_))
+                ),
+                "`{bad}` must be rejected"
+            );
+        }
+        for bad in ["sync_every_n = 8.5", "sync_interval_ms = \"2.5\""] {
+            let text = format!("{SAMPLE}\n[storage]\ndir = \"/tmp/wal\"\n{bad}\n");
+            let err = NodeConfig::from_toml(&text, None).expect_err(bad);
+            let key = bad.split(' ').next().unwrap();
+            assert!(
+                err.to_string().contains(&format!("storage.{key}")),
+                "error must name the key: {err}"
+            );
+        }
+        // Negative counts are out of range, not a two's-complement wrap.
+        let text = SAMPLE.replace("clients = 2", "clients = -2");
+        assert!(NodeConfig::from_toml(&text, None).is_err());
     }
 
     #[test]

@@ -18,13 +18,16 @@
 //!    the same `Context`/`Effects` driver contract the simulator uses, so
 //!    protocol code cannot tell which runtime it is on;
 //! 4. **cluster launcher** ([`cluster`], [`config`]) — one-call in-process
-//!    cluster bring-up for tests, plus the TOML-configured building blocks
-//!    the `prestige-node` binary uses for multi-process deployments.
+//!    cluster bring-up: one [`Cluster<F>`] generic over the [`Fabric`] that
+//!    hands out its endpoints (`LocalCluster` = channels, `TcpCluster` =
+//!    `127.0.0.1` sockets), so behaviours, chaos, storage and crash/restart
+//!    work on both; plus the TOML-configured building blocks the
+//!    `prestige-node` binary uses for multi-process deployments.
 //!
 //! On top of these sits the **adversarial harness**: [`chaos`] injects link
 //! delay, loss, and (a)symmetric partitions with scheduled heal at the
-//! `Transport` seam, [`cluster::LocalCluster::launch_adversarial`] attaches
-//! the paper's Byzantine behaviours (F1–F4, S1/S2) to real nodes, and the
+//! `Transport` seam, [`Cluster::launch_full`] attaches the paper's Byzantine
+//! behaviours (F1–F4, S1/S2) to real nodes on either fabric, and the
 //! `chaos_net` binary runs declarative attack scenarios with no-fork and
 //! recovery assertions (see `docs/ATTACKS.md`).
 //!
@@ -66,8 +69,8 @@ pub mod transport;
 
 pub use chaos::{ChaosTransport, NetChaos};
 pub use cluster::{
-    launch_tcp_client, launch_tcp_server, verify_no_fork_chains, LocalCluster, StoragePlan,
-    TcpCluster,
+    launch_tcp_client, launch_tcp_server, verify_no_fork_chains, Cluster, Fabric, LocalCluster,
+    StoragePlan, TcpCluster,
 };
 pub use config::{NodeConfig, NodeRole};
 pub use frame::{BufferPool, FrameCodec, FrameError, DEFAULT_MAX_FRAME, MAGIC, WIRE_VERSION};

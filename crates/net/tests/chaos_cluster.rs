@@ -8,7 +8,7 @@
 //! fault window with identical committed logs on all correct nodes.
 
 use prestige_core::{AttackStrategy, ByzantineBehavior};
-use prestige_net::cluster::LocalCluster;
+use prestige_net::cluster::{Cluster, Fabric, LocalCluster, Loopback, Tcp};
 use prestige_net::NetChaos;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, TimeoutConfig, ViewChangePolicy};
 use std::time::Duration;
@@ -36,19 +36,32 @@ fn everyone_but(target: ServerId, n: u32, clients: u64) -> Vec<Actor> {
 
 #[test]
 fn f4_s1_attacker_with_leader_partition_recovers_without_fork() {
+    f4_s1_attacker_with_leader_partition::<Loopback>();
+}
+
+#[test]
+fn f4_s1_attacker_with_leader_partition_recovers_without_fork_over_tcp() {
+    // Behaviours and the chaos filter over sockets: same attacker, same
+    // partition, same bar.
+    f4_s1_attacker_with_leader_partition::<Tcp>();
+}
+
+fn f4_s1_attacker_with_leader_partition<F: Fabric>() {
     let n = 4u32;
     let clients = 2u64;
     let mut behaviors = vec![ByzantineBehavior::Correct; n as usize];
     behaviors[3] = ByzantineBehavior::RepeatedVcQuiet(AttackStrategy::Always);
     let chaos = NetChaos::new();
-    let cluster = LocalCluster::launch_adversarial(
+    let cluster = Cluster::<F>::launch_full(
         adversarial_config(n),
         42,
         clients,
         100,
         &behaviors,
         Some(chaos.clone()),
-    );
+        None,
+    )
+    .expect("launch the adversarial cluster");
     assert_eq!(
         cluster.behavior_of(ServerId(3)),
         ByzantineBehavior::RepeatedVcQuiet(AttackStrategy::Always)
@@ -142,7 +155,7 @@ fn equivocating_attacker_on_lossy_links_cannot_stop_or_fork_the_cluster() {
     let chaos = NetChaos::new();
     chaos.set_loss(0.01);
     chaos.set_link_delay(Duration::from_millis(2), Duration::from_millis(2));
-    let cluster = LocalCluster::launch_adversarial(
+    let cluster = LocalCluster::launch_full(
         ClusterConfig::new(n)
             .with_batch_size(100)
             .with_timeouts(TimeoutConfig::fast()),
@@ -151,7 +164,9 @@ fn equivocating_attacker_on_lossy_links_cannot_stop_or_fork_the_cluster() {
         64,
         &behaviors,
         Some(chaos),
-    );
+        None,
+    )
+    .expect("loopback launch");
     assert!(
         cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 500),
         "lossy links + an equivocator must not stop the cluster, got {}",

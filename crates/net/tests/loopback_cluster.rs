@@ -10,8 +10,11 @@
 //! loopback; the view change is dominated by the (shortened) client/follower
 //! timeouts and completes within a few seconds.
 
+mod common;
+
+use common::survives_leader_kill;
 use prestige_net::cluster::LocalCluster;
-use prestige_types::{ClusterConfig, ServerId, TimeoutConfig, View};
+use prestige_types::{ClusterConfig, TimeoutConfig};
 use std::time::Duration;
 
 fn fast_config(n: u32) -> ClusterConfig {
@@ -25,84 +28,9 @@ fn fast_config(n: u32) -> ClusterConfig {
 
 #[test]
 fn four_node_cluster_commits_1000_tx_and_survives_leader_kill() {
-    let mut cluster = LocalCluster::launch(fast_config(4), 42, 2, 100);
-
-    // Phase 1: throughput. Two closed-loop clients with 100 proposals in
-    // flight each must push ≥ 1000 commits quickly.
-    let reached = cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 1000);
-    let committed_before = cluster.total_committed();
-    assert!(
-        reached,
-        "cluster must commit >= 1000 transactions on the real runtime, got {committed_before}"
-    );
-
-    // The always-on profiler must be attributing the loop's busy time.
-    let profile = cluster.loop_profile();
-    assert!(profile.busy_nanos() > 0, "profiler saw no busy time");
-    assert!(
-        profile.coverage() >= 0.90,
-        "stage coverage too low: {:.3}",
-        profile.coverage()
-    );
-
-    // The whole cluster should agree on the view and its leader.
-    let (view_before, leader_before) = cluster.view_of(ServerId(1)).expect("server 1 answers");
-    assert!(view_before >= View::INITIAL);
-
-    // Phase 2: kill the leader abruptly (runtime stopped, endpoint
-    // deregistered — indistinguishable from a killed process).
-    cluster.crash_server(leader_before);
-    assert_eq!(cluster.live_servers().len(), 3);
-
-    // The active view change must elect a new leader among the survivors.
-    let survived = cluster.wait_until(Duration::from_secs(60), |c| {
-        c.live_servers().iter().all(|&id| {
-            c.view_of(id)
-                .map(|(view, leader)| view > view_before && leader != leader_before)
-                .unwrap_or(false)
-        })
-    });
-    let views: Vec<_> = cluster
-        .live_servers()
-        .iter()
-        .map(|&id| (id, cluster.view_of(id)))
-        .collect();
-    assert!(
-        survived,
-        "surviving servers must enter a higher view under a new leader; states: {views:?}"
-    );
-
-    // Phase 3: the cluster keeps committing client transactions under the
-    // new leader.
-    let resumed = cluster.wait_until(Duration::from_secs(60), |c| {
-        c.total_committed() >= committed_before + 200
-    });
-    let committed_after = cluster.total_committed();
-    assert!(
-        resumed,
-        "commits must resume after the view change: {committed_before} -> {committed_after}"
-    );
-
-    // Sanity on the survivors' server-side stats: someone won an election.
-    let elections: u64 = cluster
-        .live_servers()
-        .iter()
-        .filter_map(|&id| cluster.server_stats(id))
-        .map(|s| s.elections_won)
-        .sum();
-    assert!(elections >= 1, "a survivor must have won the election");
-
-    // Fork-freedom across survivors: identical digests at every shared
-    // height, hence identical commit order.
-    let survivors = cluster.live_servers();
-    let common = cluster
-        .verify_no_fork(&survivors)
-        .expect("survivors' logs must agree");
-    assert!(common > 0, "survivors must share a committed prefix");
-
-    let final_stats = cluster.shutdown();
-    let total: u64 = final_stats.values().map(|s| s.committed_tx).sum();
-    assert!(total >= committed_before + 200);
+    // Two closed-loop clients with 100 proposals in flight each must push
+    // ≥ 1000 commits quickly.
+    survives_leader_kill(LocalCluster::launch(fast_config(4), 42, 2, 100), 1000);
 }
 
 #[test]
@@ -111,37 +39,7 @@ fn deeply_pipelined_cluster_commits_and_survives_leader_kill() {
     // default one — commits flow, the leader kill is survived through the
     // active view change, and commits resume.
     let config = fast_config(4).with_pipeline_depth(8);
-    let mut cluster = LocalCluster::launch(config, 42, 2, 100);
-
-    let reached = cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 1000);
-    let committed_before = cluster.total_committed();
-    assert!(
-        reached,
-        "pipelined cluster must commit >= 1000 transactions, got {committed_before}"
-    );
-
-    let (view_before, leader_before) = cluster.view_of(ServerId(1)).expect("server 1 answers");
-    cluster.crash_server(leader_before);
-    let survived = cluster.wait_until(Duration::from_secs(60), |c| {
-        c.live_servers().iter().all(|&id| {
-            c.view_of(id)
-                .map(|(view, leader)| view > view_before && leader != leader_before)
-                .unwrap_or(false)
-        })
-    });
-    assert!(
-        survived,
-        "pipelined cluster must elect a new leader after the kill"
-    );
-    let resumed = cluster.wait_until(Duration::from_secs(60), |c| {
-        c.total_committed() >= committed_before + 200
-    });
-    assert!(
-        resumed,
-        "commits must resume with pipelining enabled: stuck at {}",
-        cluster.total_committed()
-    );
-    cluster.shutdown();
+    survives_leader_kill(LocalCluster::launch(config, 42, 2, 100), 1000);
 }
 
 #[test]

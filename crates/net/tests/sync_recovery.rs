@@ -30,7 +30,8 @@ fn wedged_pipeline_recovers_via_sync_alone_without_view_change() {
     let chaos = NetChaos::new();
     let config = ClusterConfig::new(n).with_batch_size(50);
     let cluster =
-        LocalCluster::launch_adversarial(config, 13, clients, 64, &[], Some(chaos.clone()));
+        LocalCluster::launch_full(config, 13, clients, 64, &[], Some(chaos.clone()), None)
+            .expect("loopback launch");
 
     // Phase 1: healthy commits.
     assert!(

@@ -160,8 +160,8 @@ impl WalRecord {
 }
 
 /// Counters exported by a [`Storage`] implementation, surfaced in the
-/// `peak_net` / `chaos_net` reports so the durability cost is a measured
-/// number.
+/// `chaos_net` and repo-benchmark reports so the durability cost is a
+/// measured number.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Bytes currently on disk across live WAL segments.
