@@ -12,17 +12,28 @@
 //! tractable at the paper's throughput levels while preserving the protocol
 //! interaction (every transaction is still individually ordered, committed,
 //! notified, and complain-able).
+//!
+//! Requests are numbered consecutively from 1, and the client never has more
+//! than [`REQUEST_WINDOW`] of them between its oldest unconfirmed request and
+//! its newest. That is the client's half of the client-table contract
+//! (`prestige_types::seqwindow`): a replica may forget the details of
+//! anything further back, and everything further back was confirmed here by
+//! `f + 1` replicas. The same numbering keeps the client's own books small:
+//! outstanding requests are a ring indexed by request number, and "has this
+//! server already notified that request" is a bit in a per-server
+//! [`SeqWindow`] — no per-request map, set or stored proposal.
 
 use crate::histogram::LatencyHistogram;
 use crate::pacemaker::timer_tags;
 use prestige_crypto::{digest_of, KeyPair, KeyRegistry};
 use prestige_sim::{Context, Process, SimDuration, TimerId};
 use prestige_types::{
-    Actor, ClientId, Message, Proposal, ReplicaSet, SeqNum, ServerId, Transaction, View,
+    Actor, ClientId, Message, Proposal, ReplicaSet, SeqNum, SeqWindow, Transaction, View,
+    REQUEST_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 
 /// Client configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,21 +125,37 @@ impl ClientStats {
     }
 }
 
-/// Bookkeeping for one outstanding transaction.
+/// Bookkeeping for one issued request: a slot of the outstanding ring.
 #[derive(Debug, Clone)]
-struct Outstanding {
+struct Slot {
     sent_at_ms: f64,
-    notifs: HashSet<ServerId>,
-    proposal: Proposal,
+    /// Distinct servers that have notified this request's commit. At
+    /// `f + 1` the request is confirmed, and the slot only waits for the ones
+    /// before it to finish so the ring can drop it.
+    notifs: u32,
     complained: bool,
 }
+
+/// The most requests between the oldest unconfirmed one and the newest. One
+/// bitmap word short of the replicas' window: their floors are word-aligned,
+/// so a slide can pass up to 63 numbers more than the window strictly needs.
+const MAX_SPAN: usize = (REQUEST_WINDOW - 64) as usize;
 
 /// A closed-loop consensus client.
 pub struct PrestigeClient {
     config: ClientConfig,
     keypair: KeyPair,
+    /// The next request number to issue (numbering starts at 1).
     next_timestamp: u64,
-    outstanding: HashMap<(ClientId, u64), Outstanding>,
+    /// The outstanding ring: slot `i` is request `next_timestamp - len + i`,
+    /// in issue order. Slots leave from the front as they finish, so the
+    /// front is always the oldest unconfirmed request.
+    outstanding: VecDeque<Slot>,
+    /// Slots of the ring not yet confirmed.
+    open: usize,
+    /// Per server, the request numbers it has notified: a second `Notif` for
+    /// the same request from the same server must not count twice.
+    notified: Vec<SeqWindow>,
     stats: ClientStats,
     /// Highest view observed in notifications (informational).
     observed_view: View,
@@ -155,14 +182,16 @@ impl PrestigeClient {
             .expect("client key must be registered")
             .clone();
         PrestigeClient {
-            config,
             keypair,
             next_timestamp: 1,
-            outstanding: HashMap::new(),
+            outstanding: VecDeque::new(),
+            open: 0,
+            notified: vec![SeqWindow::default(); config.replicas.n() as usize],
             stats: ClientStats::default(),
             observed_view: View::INITIAL,
             observed_seq: SeqNum::ZERO,
             latency_floor_ts: 0,
+            config,
         }
     }
 
@@ -187,7 +216,7 @@ impl PrestigeClient {
 
     /// Number of requests currently outstanding.
     pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
+        self.open
     }
 
     /// The highest view this client has observed in notifications.
@@ -199,34 +228,43 @@ impl PrestigeClient {
         self.config.replicas.servers().map(Actor::Server).collect()
     }
 
-    fn confirm_threshold(&self) -> usize {
-        (self.config.replicas.f() + 1) as usize
+    fn confirm_threshold(&self) -> u32 {
+        self.config.replicas.f() + 1
     }
 
-    /// Builds and broadcasts a bundle of `count` fresh proposals.
+    /// The proposal for request `number`: a pure function of the client's
+    /// identity, the number and the payload size, so a complaint re-derives
+    /// exactly what was sent instead of keeping a copy per request.
+    fn proposal(&self, number: u64) -> Proposal {
+        let tx = Transaction::with_size(self.config.id, number, self.config.payload_size);
+        let digest = digest_of(&tx.payload);
+        Proposal::new(tx, digest)
+    }
+
+    /// The request number of the ring's front slot.
+    fn base(&self) -> u64 {
+        self.next_timestamp - self.outstanding.len() as u64
+    }
+
+    /// Builds and broadcasts a bundle of `count` fresh proposals — fewer if
+    /// the ring would otherwise span more than [`MAX_SPAN`].
     fn send_bundle(&mut self, count: usize, ctx: &mut Context<Message>) {
+        let count = count.min(MAX_SPAN - self.outstanding.len());
         if count == 0 {
             return;
         }
         let mut proposals = Vec::with_capacity(count);
         let now_ms = ctx.now().as_ms();
         for _ in 0..count {
-            let ts = self.next_timestamp;
+            proposals.push(self.proposal(self.next_timestamp));
             self.next_timestamp += 1;
-            let tx = Transaction::with_size(self.config.id, ts, self.config.payload_size);
-            let digest = digest_of(&tx.payload);
-            let proposal = Proposal::new(tx, digest);
-            self.outstanding.insert(
-                (self.config.id, ts),
-                Outstanding {
-                    sent_at_ms: now_ms,
-                    notifs: HashSet::new(),
-                    proposal: proposal.clone(),
-                    complained: false,
-                },
-            );
-            proposals.push(proposal);
+            self.outstanding.push_back(Slot {
+                sent_at_ms: now_ms,
+                notifs: 0,
+                complained: false,
+            });
         }
+        self.open += count;
         let client_sig = self.keypair.sign(b"bundle");
         ctx.broadcast(
             self.all_servers(),
@@ -259,8 +297,8 @@ impl Process<Message> for PrestigeClient {
 
     fn on_message(&mut self, from: Actor, message: Message, ctx: &mut Context<Message>) {
         let server = match from {
-            Actor::Server(s) => s,
-            Actor::Client(_) => return,
+            Actor::Server(s) if (s.0 as usize) < self.notified.len() => s.0 as usize,
+            _ => return,
         };
         if let Message::Notif {
             tx_keys, seq, view, ..
@@ -270,35 +308,49 @@ impl Process<Message> for PrestigeClient {
             self.observed_seq = self.observed_seq.max(seq);
             let now_ms = ctx.now().as_ms();
             let threshold = self.confirm_threshold();
-            for key in tx_keys {
-                let done = match self.outstanding.get_mut(&key) {
-                    Some(entry) => {
-                        entry.notifs.insert(server);
-                        entry.notifs.len() >= threshold
-                    }
-                    None => false,
+            for (client, number) in tx_keys {
+                // Another client's key, or a number never issued, touches no
+                // state (0 is never issued and every window already holds it).
+                if client != self.config.id || number >= self.next_timestamp {
+                    continue;
+                }
+                // One vote per server and request, recorded whether or not
+                // the request is still open.
+                if !self.notified[server].insert(number) {
+                    continue;
+                }
+                let Some(slot) = number
+                    .checked_sub(self.base())
+                    .and_then(|i| self.outstanding.get_mut(i as usize))
+                else {
+                    continue; // Confirmed and dropped from the ring already.
                 };
-                if done {
-                    let entry = self.outstanding.remove(&key).expect("entry present");
-                    if key.1 >= self.latency_floor_ts {
-                        self.record_commit(now_ms - entry.sent_at_ms);
+                if slot.notifs >= threshold {
+                    continue; // Confirmed; later votes count for nothing.
+                }
+                slot.notifs += 1;
+                if slot.notifs == threshold {
+                    let latency_ms = now_ms - slot.sent_at_ms;
+                    self.open -= 1;
+                    if number >= self.latency_floor_ts {
+                        self.record_commit(latency_ms);
                     } else {
                         // Warmup straggler: throughput yes, latency no.
                         self.stats.committed_tx += 1;
                     }
                 }
             }
+            while (self.outstanding.front()).is_some_and(|slot| slot.notifs >= threshold) {
+                self.outstanding.pop_front();
+            }
             // Top the closed-loop window back up. With `refill_batch == 0`
             // this is the legacy full-drain loop (a fresh full bundle only
             // after everything committed); otherwise any deficit of at least
             // `refill_batch` slots is refilled immediately, so a handful of
             // stragglers never idles the rest of the window.
-            let deficit = self
-                .config
-                .concurrency
-                .saturating_sub(self.outstanding.len());
+            let deficit = self.config.concurrency.saturating_sub(self.open);
             let refill = if self.config.refill_batch == 0 {
-                if self.outstanding.is_empty() {
+                if self.open == 0 {
                     deficit
                 } else {
                     0
@@ -318,38 +370,33 @@ impl Process<Message> for PrestigeClient {
         }
         // Complain about the oldest overdue transaction (one complaint per
         // check keeps complaint traffic bounded; the view change it triggers
-        // unblocks the others too).
+        // unblocks the others too). The ring is in issue order, so the first
+        // candidate is the oldest, and among equally old the lowest number.
         let now_ms = ctx.now().as_ms();
         let timeout = self.config.timeout_ms;
+        let threshold = self.confirm_threshold();
         let overdue = self
             .outstanding
             .iter()
-            .filter(|(_, o)| !o.complained && now_ms - o.sent_at_ms >= timeout)
-            .min_by(|a, b| {
-                a.1.sent_at_ms
-                    .partial_cmp(&b.1.sent_at_ms)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(k, _)| *k);
-        if let Some(key) = overdue {
-            if let Some(entry) = self.outstanding.get_mut(&key) {
-                entry.complained = true;
-                let proposal = entry.proposal.clone();
-                let client_sig = self.keypair.sign(b"complaint");
-                self.stats.complaints_sent += 1;
-                ctx.broadcast(
-                    self.all_servers(),
-                    Message::Compt {
-                        proposal,
-                        client_sig,
-                    },
-                );
-            }
+            .take_while(|slot| now_ms - slot.sent_at_ms >= timeout)
+            .position(|slot| slot.notifs < threshold && !slot.complained);
+        if let Some(i) = overdue {
+            self.outstanding[i].complained = true;
+            let proposal = self.proposal(self.base() + i as u64);
+            let client_sig = self.keypair.sign(b"complaint");
+            self.stats.complaints_sent += 1;
+            ctx.broadcast(
+                self.all_servers(),
+                Message::Compt {
+                    proposal,
+                    client_sig,
+                },
+            );
         } else {
             // Allow re-complaining later if things stay stuck.
-            for entry in self.outstanding.values_mut() {
-                if now_ms - entry.sent_at_ms >= 3.0 * timeout {
-                    entry.complained = false;
+            for slot in self.outstanding.iter_mut() {
+                if now_ms - slot.sent_at_ms >= 3.0 * timeout {
+                    slot.complained = false;
                 }
             }
         }
@@ -371,6 +418,8 @@ impl Process<Message> for PrestigeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prestige_sim::{Effects, Emission, SimRng, SimTime};
+    use prestige_types::ServerId;
 
     #[test]
     fn client_stats_latency_math() {
@@ -431,6 +480,174 @@ mod tests {
         // Pre-reset timestamps are fenced; post-reset ones are measured.
         assert!(4 < client.latency_floor_ts);
         assert!(5 >= client.latency_floor_ts);
+    }
+
+    /// Runs one `Process` call on `client` at simulated time `at_ms`.
+    fn at(
+        client: &mut PrestigeClient,
+        at_ms: f64,
+        call: impl FnOnce(&mut PrestigeClient, &mut Context<Message>),
+    ) -> Effects<Message> {
+        let mut effects = Effects::new();
+        let mut rng = SimRng::new(7);
+        let mut next_timer_id = 100;
+        let me = Actor::Client(client.config.id);
+        let mut ctx = Context::new(
+            SimTime::from_ms(at_ms),
+            me,
+            &mut rng,
+            &mut next_timer_id,
+            &mut effects,
+        );
+        call(client, &mut ctx);
+        effects
+    }
+
+    fn started_client(concurrency: usize, refill_batch: usize) -> PrestigeClient {
+        let registry = KeyRegistry::new(3, 4, 2);
+        let config = ClientConfig::new(ClientId(1), ReplicaSet::new(4), 32, concurrency)
+            .with_refill_batch(refill_batch);
+        let mut client = PrestigeClient::new(config, &registry);
+        at(&mut client, 0.0, |c, ctx| c.on_start(ctx));
+        client
+    }
+
+    fn notif(client: &mut PrestigeClient, server: u32, keys: Vec<(ClientId, u64)>) {
+        let message = Message::Notif {
+            tx_keys: keys,
+            seq: SeqNum(1),
+            view: View(1),
+            sig: [0; 32],
+        };
+        at(client, 5.0, |c, ctx| {
+            c.on_message(Actor::Server(ServerId(server)), message, ctx)
+        });
+    }
+
+    fn proposals_in(effects: &Effects<Message>) -> Vec<Proposal> {
+        effects
+            .emissions
+            .iter()
+            .flat_map(|e| match e {
+                Emission::Broadcast(_, Message::Prop { proposals, .. }) => proposals.clone(),
+                Emission::Broadcast(_, Message::Compt { proposal, .. }) => vec![proposal.clone()],
+                _ => Vec::new(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn f_plus_one_distinct_servers_confirm_exactly_once() {
+        let mut client = started_client(4, 0);
+        let key = (ClientId(1), 2);
+        notif(&mut client, 0, vec![key]);
+        notif(&mut client, 0, vec![key, key]);
+        assert_eq!(client.stats().committed_tx, 0, "one server is not f + 1");
+        assert_eq!(client.outstanding_count(), 4);
+        notif(&mut client, 3, vec![key]);
+        assert_eq!(client.stats().committed_tx, 1);
+        assert_eq!(client.outstanding_count(), 3);
+        notif(&mut client, 1, vec![key]);
+        notif(&mut client, 2, vec![key]);
+        notif(&mut client, 3, vec![key]);
+        assert_eq!(client.stats().committed_tx, 1, "confirmed exactly once");
+        assert_eq!(client.stats().latency_count, 1);
+    }
+
+    #[test]
+    fn foreign_unissued_and_confirmed_keys_change_nothing() {
+        let mut client = started_client(4, 0);
+        for server in [0, 1] {
+            notif(&mut client, server, vec![(ClientId(1), 1)]);
+        }
+        assert_eq!(client.stats().committed_tx, 1);
+        let (ring, open, windows) = (
+            client.outstanding.len(),
+            client.open,
+            client.notified.clone(),
+        );
+        let strays = vec![
+            (ClientId(2), 2),        // another client's request
+            (ClientId(1), 5),        // never issued: the bundle was 1..=4
+            (ClientId(1), u64::MAX), // never issued, and far past any window
+            (ClientId(1), 0),        // never issued: numbering starts at 1
+        ];
+        for server in 0..4 {
+            notif(&mut client, server, strays.clone());
+        }
+        assert_eq!(client.notified, windows, "strays touch no state");
+        // A server outside the replica set is not a voter at all.
+        notif(&mut client, 9, vec![(ClientId(1), 2)]);
+        // Late notifications of the confirmed request are recorded as votes
+        // cast, and count for nothing.
+        for server in [2, 3, 0] {
+            notif(&mut client, server, vec![(ClientId(1), 1)]);
+        }
+        assert_eq!(client.stats().committed_tx, 1);
+        assert_eq!((client.outstanding.len(), client.open), (ring, open));
+    }
+
+    #[test]
+    fn a_complaint_carries_the_proposal_originally_sent() {
+        let registry = KeyRegistry::new(3, 4, 2);
+        let config = ClientConfig::new(ClientId(1), ReplicaSet::new(4), 32, 3);
+        let mut client = PrestigeClient::new(config, &registry);
+        let sent = proposals_in(&at(&mut client, 0.0, |c, ctx| c.on_start(ctx)));
+        assert_eq!(sent.len(), 3);
+        // Request 1 confirms; 2 and 3 go overdue together.
+        for server in [0, 1] {
+            notif(&mut client, server, vec![(ClientId(1), 1)]);
+        }
+        let check = |c: &mut PrestigeClient, ctx: &mut Context<Message>| {
+            c.on_timer(TimerId(1), timer_tags::CLIENT_CHECK, ctx)
+        };
+        assert!(proposals_in(&at(&mut client, 999.0, check)).is_empty());
+        // The oldest overdue request, ties to the lowest number — and the
+        // re-derived proposal is the one that went out, byte for byte.
+        assert_eq!(
+            proposals_in(&at(&mut client, 1000.0, check)),
+            [sent[1].clone()]
+        );
+        assert_eq!(
+            proposals_in(&at(&mut client, 2000.0, check)),
+            [sent[2].clone()]
+        );
+        assert_eq!(client.stats().complaints_sent, 2);
+    }
+
+    #[test]
+    fn the_ring_never_spans_more_than_the_request_window() {
+        // Request 1 never confirms while everything behind it does: with
+        // partial refill the client keeps issuing, so the ring grows — up to
+        // the span the replicas' windows can tell apart, and no further.
+        let window = 1 << 16;
+        let mut client = started_client(window, 1);
+        let mut confirmed = 1; // everything up to here, except request 1
+        while client.outstanding.len() < MAX_SPAN {
+            let issued = client.next_timestamp - 1;
+            assert!(issued > confirmed, "the client stopped short of the span");
+            let keys: Vec<_> = (confirmed + 1..=issued).map(|k| (ClientId(1), k)).collect();
+            for server in [0, 1] {
+                notif(&mut client, server, keys.clone());
+            }
+            confirmed = issued;
+            assert_eq!(client.base(), 1, "request 1 holds the front");
+            assert!(client.outstanding.len() as u64 <= REQUEST_WINDOW);
+        }
+        // At the limit nothing more goes out, however much has confirmed ...
+        let issued = client.next_timestamp - 1;
+        let keys: Vec<_> = (confirmed + 1..=issued).map(|k| (ClientId(1), k)).collect();
+        for server in [0, 1] {
+            notif(&mut client, server, keys.clone());
+        }
+        assert_eq!((client.next_timestamp - 1, client.open), (issued, 1));
+        // ... until the front confirms: the ring empties and the loop resumes.
+        for server in [2, 3] {
+            notif(&mut client, server, vec![(ClientId(1), 1)]);
+        }
+        assert_eq!(client.outstanding.len(), window);
+        assert_eq!(client.base(), issued + 1);
+        assert_eq!(client.stats().committed_tx, issued);
     }
 
     #[test]

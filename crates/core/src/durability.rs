@@ -232,15 +232,11 @@ impl PrestigeServer {
     }
 
     /// Drops per-instance state at or below the stable checkpoint: the
-    /// committed-transaction dedup keys (the bounded-memory trade-off — a
-    /// pre-checkpoint transaction could now be re-proposed undetected, see
-    /// ATTACKS.md), the ordering-QC and commit-share proof records, stale
-    /// share collectors, and whole WAL segments.
+    /// ordering-QC and commit-share proof records, stale share collectors,
+    /// and whole WAL segments. (The client table is bounded per client, not
+    /// by checkpoints, and is not touched here.)
     fn gc_below_checkpoint(&mut self) {
         let stable = self.stable_checkpoint;
-        let before = self.committed_tx_keys.len();
-        self.committed_tx_keys.retain(|_, n| *n > stable);
-        self.stats.gc_pruned_keys += (before - self.committed_tx_keys.len()) as u64;
         self.ord_qcs.retain(|n, _| *n > stable);
         self.signed_commit_info.retain(|n, _| *n > stable);
         self.ckpt_builders.retain(|n, _| *n > stable);
@@ -259,8 +255,8 @@ impl PrestigeServer {
     /// its WAL. Must run on a freshly constructed server *before*
     /// [`Self::attach_storage`] (so nothing here re-appends), after which
     /// the server resumes exactly where the crash left it: committed chain,
-    /// dedup keys, commit-share proof records, view history, role, and the
-    /// stable checkpoint.
+    /// client table (as far as the surviving log tells), commit-share proof
+    /// records, view history, role, and the stable checkpoint.
     ///
     /// If GC pruned the log below a checkpoint, the chain is re-rooted at
     /// the checkpoint's recorded fingerprint; blocks the log no longer
@@ -305,12 +301,10 @@ impl PrestigeServer {
                     if block.n.0 != self.store.latest_seq().0 + 1 {
                         continue;
                     }
-                    let n = block.n.0;
                     let txs = block.tx.len() as u64;
                     for tx in &block.tx {
-                        let key = tx.key();
-                        self.seen_tx.insert(key);
-                        self.committed_tx_keys.insert(key, n);
+                        self.clients
+                            .note_committed(tx.key(), &mut self.stats.gc_pruned_keys);
                     }
                     if self.store.insert_tx_block(block) {
                         self.stats.committed_blocks += 1;
@@ -329,16 +323,10 @@ impl PrestigeServer {
                 WalRecord::Checkpoint { .. } => {}
             }
         }
-        // Committed instances need no per-instance proof records, and
-        // everything below the stable checkpoint stays GC'd — parity with
-        // the pre-crash process.
+        // Committed instances need no per-instance proof records.
         let tip = self.store.latest_seq().0;
         self.signed_commit_info.retain(|n, _| *n > tip);
         self.ord_qcs.retain(|n, _| *n > tip);
-        let stable = self.stable_checkpoint;
-        if stable > 0 {
-            self.committed_tx_keys.retain(|_, n| *n > stable);
-        }
         self.next_seq = SeqNum(tip).next();
         let leader = self.store.latest_vc_block().leader_id;
         self.role = if leader == self.id {
@@ -378,8 +366,20 @@ mod tests {
     }
     use prestige_types::Actor;
 
+    /// Block `n` of the reference chain: 16 consecutive requests of one
+    /// client, so four blocks carry request numbers 1..=64.
     fn batch(n: u64) -> Vec<Transaction> {
-        vec![Transaction::with_size(ClientId(1), n, 16)]
+        ((n - 1) * 16 + 1..=n * 16)
+            .map(|number| Transaction::with_size(ClientId(1), number, 16))
+            .collect()
+    }
+
+    /// How many of block `n`'s 16 requests `server` holds as committed.
+    fn committed_of_block(server: &PrestigeServer, n: u64) -> usize {
+        batch(n)
+            .iter()
+            .filter(|tx| server.clients.is_committed(tx.key()))
+            .count()
     }
 
     /// A server with `committed` blocks applied directly to its store and
@@ -390,7 +390,9 @@ mod tests {
         for n in 1..=committed {
             let block = TxBlock::new(View(1), SeqNum(n), batch(n));
             for tx in &block.tx {
-                server.committed_tx_keys.insert(tx.key(), n);
+                server
+                    .clients
+                    .note_committed(tx.key(), &mut server.stats.gc_pruned_keys);
             }
             assert!(server.store.insert_tx_block(block));
         }
@@ -445,9 +447,12 @@ mod tests {
                 .any(|e| matches!(e, Emission::Broadcast(_, Message::CkptCert { .. }))),
             "the assembling replica must share the certificate"
         );
-        // GC: every key committed at or below the checkpoint is pruned.
-        assert!(server.committed_tx_keys.is_empty());
-        assert_eq!(server.stats().gc_pruned_keys, 4);
+        // The client table is bounded per client, not by checkpoints: the
+        // install forgets no committed request. What has been retired is the
+        // one bitmap word the 64 commits filled (numbers 0..=63; 64 itself
+        // still holds a bit).
+        assert!((1..=4).all(|n| committed_of_block(&server, n) == 16));
+        assert_eq!(server.stats().gc_pruned_keys, 64);
         assert!(server.signed_commit_info.is_empty());
         // The log recorded the checkpoint (4 shares would be 3 records less).
         let stats = server.storage_stats().unwrap();
@@ -553,7 +558,8 @@ mod tests {
             reference.store.chain_digests(),
             "replay must rebuild the identical chain"
         );
-        assert_eq!(restarted.committed_tx_keys.len(), 6);
+        assert!((1..=6).all(|n| committed_of_block(&restarted, n) == 16));
+        assert_eq!(committed_of_block(&restarted, 7), 0);
         assert_eq!(restarted.signed_commit_tip, 7);
         assert!(restarted.ord_qcs.contains_key(&7));
         assert_eq!(restarted.role, ServerRole::Follower);
@@ -600,8 +606,10 @@ mod tests {
             reference.store.latest_tx_digest(),
             "the re-rooted chain must converge on the cluster fingerprint"
         );
-        // The dedup keys below the checkpoint stay GC'd; 5 and 6 re-applied.
-        assert_eq!(restarted.committed_tx_keys.len(), 2);
+        // The restarted replica re-learns the client table from the replayed
+        // suffix only: 5 and 6 re-applied, nothing below the checkpoint.
+        assert!((5..=6).all(|n| committed_of_block(&restarted, n) == 16));
+        assert!((1..=4).all(|n| committed_of_block(&restarted, n) == 0));
 
         // The anchor is local scaffolding: a real block store still agrees.
         let mut fresh = BlockStore::new(4);

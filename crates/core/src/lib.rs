@@ -44,6 +44,7 @@ pub mod profile;
 pub mod server;
 pub mod storage;
 
+mod client_table;
 mod refresh_proto;
 mod replication;
 mod sync;

@@ -38,7 +38,7 @@ impl PrestigeServer {
     pub(crate) fn remember_ordered_batch(&mut self, n: u64, batch: &Arc<Vec<Proposal>>) {
         for proposal in batch.iter() {
             let key = proposal.tx.key();
-            if self.seen_tx.insert(key) {
+            if self.clients.note_seen(key) {
                 self.ordered_only_keys.insert(key);
             }
         }
@@ -159,10 +159,7 @@ impl PrestigeServer {
         // of the three defenses PR 5 added against the post-election silent
         // double-commit; `canary-double-commit` removes all three.
         #[cfg(not(feature = "canary-double-commit"))]
-        if batch
-            .iter()
-            .any(|p| self.committed_tx_keys.contains_key(&p.tx.key()))
-        {
+        if batch.iter().any(|p| self.clients.is_committed(p.tx.key())) {
             let verbatim_repropose = self
                 .ordered_batches
                 .get(&n.0)

@@ -30,11 +30,9 @@ impl PrestigeServer {
         ctx.charge_cpu_ms(PER_TX_CPU_MS * proposals.len() as f64);
         let absorb = self.role == ServerRole::Leader && !self.behavior.silent_as_leader();
         for proposal in proposals {
-            let key = proposal.tx.key();
-            if self.seen_tx.contains(&key) {
+            if !self.clients.note_seen(proposal.tx.key()) {
                 continue;
             }
-            self.seen_tx.insert(key);
             self.pending_proposals.push(proposal);
             if absorb {
                 self.absorb_pending_proposal();

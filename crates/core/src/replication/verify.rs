@@ -138,14 +138,15 @@ impl PrestigeServer {
         let n = block.n;
         let view = block.view;
         // One pass over the batch does all the per-transaction bookkeeping:
-        // snapshot the keys, record them as committed, and — the
-        // execution-layer half of the double-assign defense — detect
-        // transactions that already committed in an earlier block (the
-        // insert's return value *is* the duplicate check). Duplicates are
-        // marked `status = false` before the block is stored; the rule is a
-        // pure function of the committed prefix, so every replica derives
-        // the same statuses, and the chain digest (which covers transaction
-        // identities, not statuses) is unaffected.
+        // snapshot the keys, record them in the client table as committed
+        // (which also marks them seen), and — the execution-layer half of
+        // the double-assign defense — detect transactions that already
+        // committed in an earlier block (`note_committed`'s return value
+        // *is* the duplicate check). Duplicates are marked `status = false`
+        // before the block is stored; the rule is a pure function of the
+        // committed prefix, so every replica derives the same statuses, and
+        // the chain digest (which covers transaction identities, not
+        // statuses) is unaffected.
         #[cfg_attr(feature = "canary-double-commit", allow(unused_mut))]
         let mut block = block;
         let mut committed_keys: Vec<(ClientId, u64)> = Vec::with_capacity(block.tx.len());
@@ -153,7 +154,10 @@ impl PrestigeServer {
         for (i, tx) in block.tx.iter().enumerate() {
             let key = tx.key();
             committed_keys.push(key);
-            if self.committed_tx_keys.insert(key, n.0).is_some() {
+            if !self
+                .clients
+                .note_committed(key, &mut self.stats.gc_pruned_keys)
+            {
                 duplicates.push(i);
             }
         }
@@ -178,7 +182,7 @@ impl PrestigeServer {
         self.wal_append(prestige_storage::WalRecordRef::Block(block.as_ref()));
         if !self.store.insert_tx_block(block) {
             // Conflicting block at `n` (never on honest paths): the keys
-            // recorded above make `committed_tx_keys` a harmless superset.
+            // recorded above make the client table a harmless superset.
             return None;
         }
         self.stats.committed_blocks += 1;
@@ -189,10 +193,7 @@ impl PrestigeServer {
 
         // Clear complaint state and pending proposals for committed keys.
         // The complaint/ordered-only maps are empty in steady state, so the
-        // per-key removals (a hash each) are gated on non-emptiness.
-        for key in &committed_keys {
-            self.seen_tx.insert(*key);
-        }
+        // per-key removals are gated on non-emptiness.
         if !self.complaints.is_empty() {
             for key in &committed_keys {
                 self.complaints.remove(key);
@@ -204,10 +205,10 @@ impl PrestigeServer {
             }
         }
         if !self.pending_proposals.is_empty() {
-            let committed: prestige_types::KeySet<_> = committed_keys.iter().copied().collect();
             let before = self.pending_proposals.len();
+            let clients = &self.clients;
             self.pending_proposals
-                .retain(|p| !committed.contains(&p.tx.key()));
+                .retain(|p| !clients.is_committed(p.tx.key()));
             if self.pending_proposals.len() != before {
                 // The pool prefix changed under the streaming batch hasher.
                 self.batch_hasher = None;

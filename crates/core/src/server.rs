@@ -2,12 +2,15 @@
 //!
 //! A server is one replica of the consensus group. It owns the block store
 //! (state machine), the reputation engine, the pacemaker, its key material,
-//! and the in-flight state of both protocols. The actual message handlers
-//! live in the sibling modules (`replication`, `view_change`, `sync`,
-//! `refresh_proto`), all implemented as `impl PrestigeServer` blocks; this
-//! module wires them into the simulator's [`Process`] interface and applies
-//! the configured Byzantine behaviour at the dispatch level.
+//! the client table (which requests it has seen and committed, per client —
+//! `client_table`), and the in-flight state of both protocols. The actual
+//! message handlers live in the sibling modules (`replication`,
+//! `view_change`, `sync`, `refresh_proto`), all implemented as
+//! `impl PrestigeServer` blocks; this module wires them into the simulator's
+//! [`Process`] interface and applies the configured Byzantine behaviour at
+//! the dispatch level.
 
+use crate::client_table::ClientTable;
 use crate::faults::ByzantineBehavior;
 use crate::pacemaker::{timer_tags, Pacemaker};
 use crate::profile::{LoopProfile, LoopStage};
@@ -18,12 +21,12 @@ use prestige_crypto::{
 use prestige_reputation::{RefreshTracker, ReputationEngine};
 use prestige_sim::{Context, Process, SimTime, TimerId};
 use prestige_types::{
-    Actor, ClientId, ClusterConfig, Digest, KeyMap, KeySet, Message, Proposal, QuorumCertificate,
-    SeqNum, ServerId, VcBlock, View,
+    Actor, ClientId, ClusterConfig, Digest, Message, Proposal, QuorumCertificate, SeqNum, ServerId,
+    VcBlock, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The four server states of Figure 5.
@@ -98,8 +101,10 @@ pub struct ServerStats {
     pub duplicate_tx_suppressed: u64,
     /// Stable checkpoints this server installed (own quorum or adopted cert).
     pub checkpoints_formed: u64,
-    /// Committed-transaction dedup keys garbage-collected below stable
-    /// checkpoints.
+    /// Request numbers retired below a client's committed floor in the
+    /// client table (64 per bitmap word that filled, the distance moved when
+    /// a window slid): they no longer occupy state and read as committed for
+    /// ever. About one per committed transaction in steady state.
     pub gc_pruned_keys: u64,
     /// Election messages (`Camp` / `NewVcBlock`) re-broadcast by the repair
     /// timer because the view change stalled without visible progress.
@@ -217,10 +222,15 @@ pub struct PrestigeServer {
     // --- replication state ---
     /// Proposals received but not yet ordered (leader side).
     pub(crate) pending_proposals: Vec<Proposal>,
-    /// Transaction keys already committed or currently pending, for dedup.
-    /// Keyed with the fast mixer ([`prestige_types::hashkey`]): these sets
-    /// absorb several operations per transaction on the hot path.
-    pub(crate) seen_tx: KeySet<(ClientId, u64)>,
+    /// Per client, which request numbers this server has seen (pooled,
+    /// ordered or committed — the proposal dedup) and which have committed
+    /// in some block. Followers refuse to acknowledge an `Ord` that
+    /// re-assigns a committed request (unless it is the verbatim re-proposal
+    /// of an instance they already hold), and the apply path marks any
+    /// racing duplicate `status = false` — together the two layers close the
+    /// Byzantine double-assign avenue. Bounded per client, independent of
+    /// history and of checkpoints (ATTACKS.md).
+    pub(crate) clients: ClientTable,
     /// The next sequence number a leader will assign.
     pub(crate) next_seq: SeqNum,
     /// Leader-side in-flight instances keyed by sequence number.
@@ -237,7 +247,7 @@ pub struct PrestigeServer {
     /// a client `Prop`, never committed). Commits prune it — by key, in any
     /// block — so view-change materialization cannot re-propose a
     /// transaction that already committed under a different sequence number.
-    pub(crate) ordered_only_keys: KeySet<(ClientId, u64)>,
+    pub(crate) ordered_only_keys: BTreeSet<(ClientId, u64)>,
     /// Committed blocks received out of order, waiting for their predecessors
     /// so the digest chain stays identical on every replica. Shared handles:
     /// buffering never copies a block.
@@ -266,16 +276,6 @@ pub struct PrestigeServer {
     /// be re-proposed). Entries keep the highest ordering view seen; pruned
     /// on commit.
     pub(crate) ord_qcs: BTreeMap<u64, QuorumCertificate>,
-    /// Keys of every transaction committed in some block, mapped to the
-    /// sequence number that committed them. Followers refuse to acknowledge
-    /// an `Ord` that re-assigns one of these (unless it is the verbatim
-    /// re-proposal of an instance they already hold), and the apply path
-    /// marks any racing duplicate `status = false` — together the two layers
-    /// close the Byzantine double-assign avenue. The sequence number makes
-    /// the map prunable: entries at or below the stable checkpoint are
-    /// garbage-collected (the bounded-memory trade-off documented in
-    /// ATTACKS.md).
-    pub(crate) committed_tx_keys: KeyMap<(ClientId, u64), u64>,
     /// Requester-side rate limiting: last time (ms) a repair `SyncReq` of
     /// each kind (view-change / transaction / ordered / snapshot) was sent,
     /// indexed by the sync-kind wire tag.
@@ -298,7 +298,7 @@ pub struct PrestigeServer {
     /// statement/threshold/aggregate, so a certificate seen via `Cmt` and
     /// again via `CommitBlock` — or re-received through sync — is verified
     /// once.
-    pub(crate) verified_qcs: KeySet<[u8; 32]>,
+    pub(crate) verified_qcs: BTreeSet<[u8; 32]>,
     /// FIFO eviction order bounding the memo cache.
     pub(crate) verified_qcs_order: VecDeque<[u8; 32]>,
 
@@ -318,7 +318,7 @@ pub struct PrestigeServer {
     /// Views this server has voted in (criterion C1).
     pub(crate) voted_views: HashSet<u64>,
     /// Relayed complaints awaiting leader action, keyed by transaction key.
-    pub(crate) complaints: KeyMap<(ClientId, u64), ComplaintState>,
+    pub(crate) complaints: BTreeMap<(ClientId, u64), ComplaintState>,
     /// Collector of ReVC replies for the ConfVC this server broadcast, by view.
     pub(crate) confvc_builders: HashMap<u64, QcBuilder>,
     /// Active campaign (redeemer or candidate phase).
@@ -423,29 +423,28 @@ impl PrestigeServer {
                 ServerRole::Follower
             },
             pending_proposals: Vec::new(),
-            seen_tx: KeySet::default(),
+            clients: ClientTable::default(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
             ordered_digests: HashMap::new(),
             ordered_batches: BTreeMap::new(),
-            ordered_only_keys: KeySet::default(),
+            ordered_only_keys: BTreeSet::new(),
             pending_commit_blocks: BTreeMap::new(),
             signed_commit_tip: 0,
             signed_commit_info: BTreeMap::new(),
             ord_qcs: BTreeMap::new(),
-            committed_tx_keys: KeyMap::default(),
             last_sync_req_ms: [f64::NEG_INFINITY; 5],
             sync_served_ms: HashMap::new(),
             sync_peer_cursor: 0,
             last_repair_tip: 0,
             batch_timer_armed: false,
-            verified_qcs: KeySet::default(),
+            verified_qcs: BTreeSet::new(),
             verified_qcs_order: VecDeque::new(),
             batch_hasher: None,
             batch_scratch: Vec::new(),
             profiler: None,
             voted_views: HashSet::new(),
-            complaints: KeyMap::default(),
+            complaints: BTreeMap::new(),
             confvc_builders: HashMap::new(),
             campaign: None,
             pending_vc_block: None,
@@ -538,6 +537,13 @@ impl PrestigeServer {
                 return SeqNum(tip);
             }
         }
+    }
+
+    /// Bitmap words the client table holds (request dedup and the committed
+    /// ledger, all clients). Exposed for the falsification harness's
+    /// bounded-state invariant.
+    pub fn dedup_words(&self) -> usize {
+        self.clients.words()
     }
 
     /// Whether this server believes it is the current leader.
@@ -774,7 +780,7 @@ impl PrestigeServer {
         // those sequence numbers.
         self.ord_qcs.split_off(&(tip + 1));
         if !orphans.is_empty() {
-            let mut pending_keys: KeySet<(ClientId, u64)> =
+            let mut pending_keys: BTreeSet<(ClientId, u64)> =
                 self.pending_proposals.iter().map(|p| p.tx.key()).collect();
             for batch in orphans {
                 for proposal in batch.iter() {
@@ -800,7 +806,7 @@ impl PrestigeServer {
         // re-introduces for the vopr mutation-score gate.)
         #[cfg(not(feature = "canary-double-commit"))]
         if !preserved.is_empty() && !self.pending_proposals.is_empty() {
-            let scheduled: KeySet<(ClientId, u64)> = preserved
+            let scheduled: BTreeSet<(ClientId, u64)> = preserved
                 .iter()
                 .flat_map(|(_, batch)| batch.iter().map(|p| p.tx.key()))
                 .collect();

@@ -36,7 +36,7 @@ impl PrestigeServer {
             return;
         }
         // Keep the proposal so it can be committed by this or a later leader.
-        if self.seen_tx.insert(key) {
+        if self.clients.note_seen(key) {
             self.pending_proposals.push(proposal.clone());
         }
         if self.role == ServerRole::Leader && !self.behavior.silent_as_leader() {

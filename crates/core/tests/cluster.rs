@@ -83,6 +83,25 @@ fn normal_operation_commits_transactions() {
     // No view change was needed under a correct leader.
     assert_eq!(current_view(&sim, 0), View(1));
     assert_eq!(current_view(&sim, 3), View(1));
+    // Bounded state: after thousands of commits the client table is still a
+    // few bitmap words per client (the vopr swarm can only hold replicas to
+    // the hard cap — faults leave holes), and every request number but the
+    // clients' last window and word has been retired from it.
+    for s in 0..4 {
+        let server = sim
+            .node_as::<PrestigeServer>(Actor::Server(ServerId(s)))
+            .unwrap();
+        assert!(
+            server.dedup_words() <= 4 * 2,
+            "server {s} holds {} words for 2 clients",
+            server.dedup_words()
+        );
+        let (committed, retired) = (server.stats().committed_tx, server.stats().gc_pruned_keys);
+        assert!(
+            retired > 0 && retired + 2 * (100 + 64) >= committed,
+            "server {s} retired {retired} of {committed} committed request numbers"
+        );
+    }
 }
 
 #[test]

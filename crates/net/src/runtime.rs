@@ -512,7 +512,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let done = a
-                .inspect_as::<Echo, _, _>(|e| e.received.contains(&10))
+                .inspect_as::<Echo, _, _>(|e| e.received.contains(&10) && e.ticks >= 1)
                 .unwrap_or(false);
             if done || Instant::now() > deadline {
                 break;

@@ -140,15 +140,15 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> S
         .expect("restarted cluster must not fork");
     assert!(common >= survivor_tip, "common prefix covers the crash era");
 
-    // Checkpoint plane: stable checkpoints formed and state was provably
-    // pruned beneath them on the survivors.
+    // Checkpoint plane: stable checkpoints formed on the survivors, and
+    // their client tables retired the request numbers that committed.
     let stable = cluster.stable_checkpoint_of(ServerId(0)).unwrap_or(0);
     assert!(stable > 0, "survivors must form stable checkpoints");
     let (ckpts, gc_pruned) = cluster.checkpoint_counters(ServerId(0)).unwrap();
     assert!(ckpts > 0, "survivor must install checkpoints");
     assert!(
         gc_pruned > 0,
-        "committed-tx dedup keys must be GC'd below the stable checkpoint"
+        "committed request numbers must retire from the client table"
     );
     // The restarted node runs a live WAL again and adopts a stable
     // checkpoint (served inside the snapshot response or a live cert).

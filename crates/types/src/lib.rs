@@ -7,6 +7,8 @@
 //! * the two consensus block kinds of the paper's Figure 3 — [`TxBlock`] and
 //!   [`VcBlock`] ([`blocks`])
 //! * quorum certificates ([`qc`])
+//! * the bounded per-client request-number set behind request dedup
+//!   ([`seqwindow`])
 //! * the full protocol message vocabulary ([`message`])
 //! * cluster / timeout / reputation configuration ([`config`])
 //! * error types ([`error`])
@@ -20,10 +22,10 @@
 pub mod blocks;
 pub mod config;
 pub mod error;
-pub mod hashkey;
 pub mod ids;
 pub mod message;
 pub mod qc;
+pub mod seqwindow;
 pub mod transaction;
 
 pub use blocks::{BlockHeader, TxBlock, VcBlock};
@@ -31,8 +33,8 @@ pub use config::{
     ClusterConfig, PowConfig, PowMode, ReputationConfig, TimeoutConfig, ViewChangePolicy,
 };
 pub use error::{ProtocolError, Result};
-pub use hashkey::{BuildKeyHasher, KeyHasher, KeyMap, KeySet};
 pub use ids::{ClientId, ReplicaSet, SeqNum, ServerId, View};
 pub use message::{Actor, Message, MessageKind, NetMessage, OrderedEntry, SyncKind, Wire};
 pub use qc::{PartialSig, QcKind, QuorumCertificate};
+pub use seqwindow::{SeqWindow, REQUEST_WINDOW};
 pub use transaction::{Digest, Proposal, Transaction};

@@ -169,7 +169,7 @@ pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
         );
     }
 
-    let mut checker = InvariantChecker::new(n, correct.clone());
+    let mut checker = InvariantChecker::new(n, correct.clone(), schedule.clients);
     let actors: Vec<Actor> = sim.actors().to_vec();
     let peers_of = |t: u32| -> Vec<Actor> {
         actors

@@ -1,5 +1,5 @@
-//! The invariant catalog: safety properties checked after **every** simulator
-//! step.
+//! The invariant catalog: safety properties (and one bounded-state property)
+//! checked after **every** simulator step.
 //!
 //! Checkers are incremental — each keeps per-replica scan cursors and global
 //! first-seen maps, so a step costs O(state that changed), not O(history).
@@ -14,17 +14,18 @@
 
 use prestige_core::PrestigeServer;
 use prestige_sim::Simulation;
-use prestige_types::{Actor, ClientId, Digest, Message, SeqNum, ServerId, View};
+use prestige_types::{Actor, ClientId, Digest, Message, SeqNum, ServerId, View, REQUEST_WINDOW};
 use std::collections::{BTreeMap, HashMap};
 
 /// Names of the checked invariants, in the order they are evaluated.
-pub const INVARIANT_NAMES: [&str; 6] = [
+pub const INVARIANT_NAMES: [&str; 7] = [
     "no_fork",
     "no_double_commit",
     "quorum_intersection",
     "tip_monotonicity",
     "reputation_bounds",
     "checkpoint_consistency",
+    "bounded_dedup_state",
 ];
 
 /// A falsified invariant: the minimal description a human (or the shrinker)
@@ -55,6 +56,10 @@ struct Watermarks {
 pub struct InvariantChecker {
     servers: u32,
     correct: Vec<bool>,
+    /// The most bitmap words a replica's client table may hold: two full
+    /// windows per client. Partitions and lost `Prop`s legitimately leave
+    /// holes that keep a window long, so nothing tighter holds in a swarm.
+    dedup_words_cap: usize,
     /// First-seen committed chain digest per sequence number, with the
     /// replica that contributed it.
     digest_at: BTreeMap<u64, (u32, Digest)>,
@@ -80,12 +85,13 @@ pub struct InvariantChecker {
 
 impl InvariantChecker {
     /// A checker for `servers` replicas, of which `correct[i]` marks the
-    /// honest ones.
-    pub fn new(servers: u32, correct: Vec<bool>) -> Self {
+    /// honest ones, serving `clients` clients.
+    pub fn new(servers: u32, correct: Vec<bool>, clients: u64) -> Self {
         assert_eq!(correct.len(), servers as usize);
         InvariantChecker {
             servers,
             correct,
+            dedup_words_cap: clients as usize * 2 * (REQUEST_WINDOW / 64) as usize,
             digest_at: BTreeMap::new(),
             ckpt_stmt_at: BTreeMap::new(),
             leader_of_view: BTreeMap::new(),
@@ -316,6 +322,20 @@ impl InvariantChecker {
                     }
                 }
                 self.ckpt_cursor[i as usize] = stable;
+            }
+
+            // --- bounded_dedup_state: the client table is O(clients) ---
+            let words = server.dedup_words();
+            if words > self.dedup_words_cap {
+                return Some(self.violation(
+                    "bounded_dedup_state",
+                    i,
+                    at_ms,
+                    format!(
+                        "s{i}'s client table holds {words} bitmap words, over the cap of {}",
+                        self.dedup_words_cap
+                    ),
+                ));
             }
         }
         None

@@ -145,6 +145,7 @@ mod tests {
             "tip_monotonicity",
             "reputation_bounds",
             "checkpoint_consistency",
+            "bounded_dedup_state",
             "regression_file",
         ] {
             assert!(text.contains(field), "missing {field} in:\n{text}");
