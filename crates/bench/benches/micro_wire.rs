@@ -9,7 +9,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use prestige_core::batch_digest;
-use prestige_crypto::FramedHasher;
 use prestige_net::{BufferPool, FrameCodec};
 use prestige_types::{
     Actor, ClientId, Digest, Message, PartialSig, Proposal, SeqNum, ServerId, SyncKind,
@@ -322,40 +321,6 @@ fn bench_batch_digest(c: &mut Criterion) {
     }
 }
 
-/// Seal-time cost of the leader's ordering digest. The pre-PR flush re-hashed
-/// the entire batch inside the protocol loop; the incremental path absorbs
-/// each proposal into a [`FramedHasher`] as it arrives, leaving only the
-/// SHA-256 finalization on the flush critical path. The clone in the
-/// incremental benchmark copies the ~100-byte hasher state — the steady-state
-/// analogue of owning the pre-fed hasher.
-fn bench_incremental_batch_digest(c: &mut Criterion) {
-    for size in [100usize, 1000] {
-        let batch = proposals(size, 32);
-        let mut absorbed = FramedHasher::new();
-        absorbed
-            .field(b"batch")
-            .field(&View(3).0.to_be_bytes())
-            .field(&SeqNum(17).0.to_be_bytes());
-        for p in &batch {
-            absorbed
-                .field(&p.tx.client.0.to_be_bytes())
-                .field(&p.tx.timestamp.to_be_bytes());
-        }
-        // Pin: per-arrival absorption equals the seal-time re-hash bit for bit.
-        assert_eq!(
-            absorbed.clone().finish(),
-            batch_digest(View(3), SeqNum(17), &batch),
-        );
-
-        c.bench_function(format!("batch_seal_rehash_b{size}"), |b| {
-            b.iter(|| batch_digest(View(3), SeqNum(17), black_box(&batch)))
-        });
-        c.bench_function(format!("batch_seal_incremental_b{size}"), |b| {
-            b.iter(|| black_box(absorbed.clone()).finish())
-        });
-    }
-}
-
 /// The leader flush's batch-assembly + `Ord` encode path: a fresh `Vec` and a
 /// fresh frame allocation per flush (the pre-PR shape) vs. the recycled
 /// scratch buffer (`batch_scratch`) plus the codec's pooled shared frames —
@@ -411,7 +376,6 @@ criterion_group!(
     bench_round_trip,
     bench_broadcast_fanout,
     bench_batch_digest,
-    bench_incremental_batch_digest,
     bench_pooled_proposal_encode
 );
 criterion_main!(benches);

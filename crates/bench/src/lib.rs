@@ -1,54 +1,11 @@
 //! # prestige-bench
 //!
-//! Criterion benchmarks for the PrestigeBFT reproduction:
+//! Criterion microbenchmarks of the substrate primitives:
 //!
-//! * `micro_crypto` / `micro_reputation` — microbenchmarks of the substrate
-//!   primitives (SHA-256, proof-of-work, quorum-certificate aggregation,
-//!   reputation calculation);
-//! * `fig6_batching` … `fig14_availability`, `peak_performance` — one bench
-//!   per paper figure. Each benches a *bench-scale* parameterization of the
-//!   corresponding experiment (a single representative cluster run of about a
-//!   simulated second) so `cargo bench` finishes in minutes; the full sweeps
-//!   that regenerate the figures live in the `run_experiments` binary of
-//!   `prestige-experiments`.
-
-#![warn(missing_docs)]
-
-use prestige_experiments::ExperimentConfig;
-use prestige_sim::NetworkConfig;
-use prestige_types::{TimeoutConfig, ViewChangePolicy};
-use prestige_workloads::{FaultPlan, ProtocolChoice, WorkloadSpec};
-
-/// A bench-scale experiment configuration: small cluster, one simulated
-/// second, modest load — enough to exercise the full protocol path while
-/// keeping a Criterion iteration cheap.
-pub fn bench_config(name: &str, n: u32, protocol: ProtocolChoice) -> ExperimentConfig {
-    let mut config = ExperimentConfig::new(name.to_string(), n, protocol);
-    config.duration_s = 1.0;
-    config.warmup_s = 0.1;
-    config.batch_size = 100;
-    config.workload = WorkloadSpec::new(2, 100, 32);
-    config.network = NetworkConfig::lan();
-    config
-}
-
-/// Bench-scale configuration with frequent policy rotations and a fault plan —
-/// used by the fault/attack figure benches.
-pub fn bench_fault_config(
-    name: &str,
-    n: u32,
-    protocol: ProtocolChoice,
-    faults: FaultPlan,
-) -> ExperimentConfig {
-    let mut config = bench_config(name, n, protocol);
-    config.duration_s = 2.0;
-    config.policy = ViewChangePolicy::Timing { interval_ms: 800.0 };
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 300.0,
-        randomization_ms: 200.0,
-        client_timeout_ms: 400.0,
-        complaint_grace_ms: 100.0,
-    };
-    config.faults = faults;
-    config
-}
+//! * `micro_crypto` — SHA-256, proof-of-work, quorum-certificate aggregation;
+//! * `micro_reputation` — the reputation calculation;
+//! * `micro_wire` — the wire codec, broadcast fan-out and the batch digest.
+//!
+//! The paper's figures are regenerated (and timed) by the `run_experiments`
+//! binary of `prestige-experiments`; end-to-end performance of the real
+//! runtime is measured by the standalone `benchmark/` package.

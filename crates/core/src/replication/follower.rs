@@ -284,12 +284,14 @@ impl PrestigeServer {
 
     /// Follower handling of the finalized `CommitBlock` broadcast.
     ///
-    /// Committed blocks are validated purely through their QCs: they may
-    /// legitimately arrive from the leader of an earlier view during a view
-    /// change, or via sync from any peer. Each certificate is verified at
+    /// Who relayed the block and what it signed are ignored on purpose:
+    /// committed blocks may legitimately arrive from the leader of an
+    /// earlier view during a view change, or via sync from any peer, so the
+    /// whole proof is carried by the block itself — two quorum QCs of one
+    /// view over one digest, and a body that hashes to that digest
+    /// ([`Self::verify_and_apply_block`]). Each certificate is verified at
     /// most once per node: the ordering QC was usually already checked when
-    /// it arrived inside `Cmt`, so only the commit QC costs anything here —
-    /// previously both were re-verified (and charged) back to back.
+    /// it arrived inside `Cmt`, so only the commit QC costs anything here.
     pub(crate) fn handle_commit_block(
         &mut self,
         _from: Actor,

@@ -3,8 +3,8 @@
 
 use super::PER_TX_CPU_MS;
 use crate::pacemaker::timer_tags;
-use crate::server::{BatchHasher, InflightInstance, PrestigeServer, ServerRole};
-use prestige_crypto::{sign_share, FramedHasher, QcBuilder};
+use crate::server::{InflightInstance, PrestigeServer, ServerRole};
+use prestige_crypto::{sign_share, QcBuilder};
 use prestige_sim::Context;
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, Transaction,
@@ -28,14 +28,9 @@ impl PrestigeServer {
     ) {
         self.charge_verify_cost(ctx);
         ctx.charge_cpu_ms(PER_TX_CPU_MS * proposals.len() as f64);
-        let absorb = self.role == ServerRole::Leader && !self.behavior.silent_as_leader();
         for proposal in proposals {
-            if !self.clients.note_seen(proposal.tx.key()) {
-                continue;
-            }
-            self.pending_proposals.push(proposal);
-            if absorb {
-                self.absorb_pending_proposal();
+            if self.clients.note_seen(proposal.tx.key()) {
+                self.pending_proposals.push(proposal);
             }
         }
         if self.role == ServerRole::Leader
@@ -44,61 +39,6 @@ impl PrestigeServer {
         {
             self.flush_ready_batches(ctx);
         }
-    }
-
-    /// Streams the just-pushed proposal into the incremental batch hasher,
-    /// seeding it when the pool was empty (the hasher must cover exactly the
-    /// pool prefix the next flush drains, bound to the view and sequence
-    /// number that flush will use). Absorption stops after one batch's worth;
-    /// losing prefix sync (a pool mutation between pushes) drops the hasher —
-    /// the flush then falls back to re-hashing, so correctness never depends
-    /// on this path.
-    fn absorb_pending_proposal(&mut self) {
-        let idx = self.pending_proposals.len() - 1;
-        if idx == 0 && self.batch_hasher.is_none() {
-            let view = self.current_view();
-            let n = self.next_seq;
-            let mut hasher = FramedHasher::new();
-            hasher
-                .field(b"batch")
-                .field(&view.0.to_be_bytes())
-                .field(&n.0.to_be_bytes());
-            self.batch_hasher = Some(BatchHasher {
-                view,
-                n,
-                count: 0,
-                hasher,
-            });
-        }
-        let Some(bh) = self.batch_hasher.as_mut() else {
-            return;
-        };
-        if bh.count != idx {
-            self.batch_hasher = None;
-            return;
-        }
-        if bh.count >= self.config.batch_size {
-            return; // Covers at most the next flush's worth.
-        }
-        let p = &self.pending_proposals[idx];
-        bh.hasher
-            .field(&p.tx.client.0.to_be_bytes())
-            .field(&p.tx.timestamp.to_be_bytes());
-        bh.count += 1;
-    }
-
-    /// Consumes the incremental hasher if it covers exactly the `take`-long
-    /// prefix the flush is draining for the view/sequence it will propose
-    /// under. Always consumed: the drain invalidates the absorbed prefix
-    /// either way.
-    fn take_batch_digest(&mut self, take: usize) -> Option<Digest> {
-        let bh = self.batch_hasher.take()?;
-        let usable = bh.view == self.current_view() && bh.n == self.next_seq && bh.count == take;
-        if !usable {
-            return None;
-        }
-        self.stats.incremental_batch_digests += 1;
-        Some(bh.hasher.finish())
     }
 
     /// Leader pipeline fill: flushes *full* batches while the in-flight
@@ -135,9 +75,6 @@ impl PrestigeServer {
             return; // Window full: wait for an in-flight instance to commit.
         }
         let take = self.pending_proposals.len().min(self.config.batch_size);
-        // The streaming hasher (fed as proposals arrived) covers exactly this
-        // prefix in the common case, saving the whole-batch re-hash.
-        let precomputed = self.take_batch_digest(take);
         // The batch is assembled exactly once and shared: the broadcast `Ord`
         // and the leader's in-flight instance reference the same allocation.
         // The buffer itself is recycled from committed instances when one is
@@ -147,7 +84,7 @@ impl PrestigeServer {
         let batch: Arc<Vec<Proposal>> = Arc::new(buf);
         let n = self.next_seq;
         self.next_seq = self.next_seq.next();
-        self.propose_batch_at_with_digest(n, batch, precomputed, ctx);
+        self.propose_batch_at(n, batch, ctx);
     }
 
     /// Leader ordering round for `batch` at sequence number `n` in the
@@ -161,30 +98,11 @@ impl PrestigeServer {
         batch: Arc<Vec<Proposal>>,
         ctx: &mut Context<Message>,
     ) {
-        self.propose_batch_at_with_digest(n, batch, None, ctx);
-    }
-
-    /// [`Self::propose_batch_at`] with an optionally precomputed ordering
-    /// digest (the incremental hasher's result). The simulated CPU charge is
-    /// identical either way, so simulator outcomes cannot depend on whether
-    /// the streaming path was hit.
-    pub(crate) fn propose_batch_at_with_digest(
-        &mut self,
-        n: SeqNum,
-        batch: Arc<Vec<Proposal>>,
-        precomputed: Option<Digest>,
-        ctx: &mut Context<Message>,
-    ) {
         if self.role != ServerRole::Leader || self.behavior.silent_as_leader() {
             return;
         }
         let view = self.current_view();
-        let digest = precomputed.unwrap_or_else(|| Self::batch_digest(view, n, &batch));
-        debug_assert_eq!(
-            digest,
-            Self::batch_digest(view, n, &batch),
-            "incremental batch digest must match the re-hash"
-        );
+        let digest = Self::batch_digest(view, n, &batch);
         ctx.charge_cpu_ms(PER_TX_CPU_MS * batch.len() as f64);
 
         let mut ordering_builder =

@@ -3,15 +3,20 @@
 
 use crate::profile::{LoopProfile, LoopStage};
 use crate::server::PrestigeServer;
+use prestige_crypto::batch_digest_of_keys;
 use prestige_sim::Context;
-use prestige_types::{Actor, ClientId, Message, QcKind, SyncKind, TxBlock};
+use prestige_types::{Actor, ClientId, Digest, Message, QcKind, SyncKind, TxBlock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 impl PrestigeServer {
-    /// Shared QC validation + apply path for `CommitBlock` broadcasts and
-    /// synced txBlocks: structural checks, memoized QC verification, then
-    /// [`Self::apply_committed_block`].
+    /// Shared validation + apply path for `CommitBlock` broadcasts and synced
+    /// txBlocks. A block is applied only when its two QCs certify exactly
+    /// its body: both are quorum certificates of the block's own instance
+    /// and view over one digest, and that digest is the batch digest of
+    /// `block.tx`. Nothing else about the message is trusted — not who
+    /// relayed it, not its signature — so a refusal here is the only thing
+    /// standing between one Byzantine relay and a forked log.
     pub(crate) fn verify_and_apply_block(
         &mut self,
         block: Arc<TxBlock>,
@@ -28,12 +33,46 @@ impl PrestigeServer {
         {
             return;
         }
+        // An ordering quorum from one view and a commit quorum from another
+        // (or over another digest) certify no single instance.
+        if ordering_qc.view != block.view
+            || commit_qc.view != block.view
+            || ordering_qc.digest != commit_qc.digest
+        {
+            self.stats.verify_rejected += 1;
+            return;
+        }
         if !self.verify_qc_cached(ordering_qc, quorum, ctx)
             || !self.verify_qc_cached(commit_qc, quorum, ctx)
         {
             return;
         }
+        if !self.body_matches_digest(&block, &ordering_qc.digest) {
+            self.stats.verify_rejected += 1;
+            return;
+        }
         self.apply_committed_block(block, ctx);
+    }
+
+    /// Whether `block.tx` is the batch `digest` certifies. On the live path
+    /// this follower acknowledged the ordering itself — it checked the batch
+    /// against this digest at `Ord` time — so comparing the body with the
+    /// batch it holds is enough; otherwise (sync, a straggler from an
+    /// earlier view, a lost `Ord`) the digest is recomputed from the body.
+    fn body_matches_digest(&self, block: &TxBlock, digest: &Digest) -> bool {
+        let n = block.n.0;
+        let acknowledged = block.view == self.current_view()
+            && self.ordered_digests.get(&n) == Some(digest)
+            && self.ordered_batches.get(&n).is_some_and(|held| {
+                held.len() == block.tx.len()
+                    && held
+                        .iter()
+                        .zip(&block.tx)
+                        .all(|(p, tx)| p.tx.key() == tx.key())
+            });
+        acknowledged
+            || batch_digest_of_keys(block.view, block.n, block.tx.iter().map(|tx| tx.key()))
+                == *digest
     }
 
     /// Applies a committed block locally: store it, update bookkeeping, and
@@ -205,14 +244,9 @@ impl PrestigeServer {
             }
         }
         if !self.pending_proposals.is_empty() {
-            let before = self.pending_proposals.len();
             let clients = &self.clients;
             self.pending_proposals
                 .retain(|p| !clients.is_committed(p.tx.key()));
-            if self.pending_proposals.len() != before {
-                // The pool prefix changed under the streaming batch hasher.
-                self.batch_hasher = None;
-            }
         }
         // A committed block from a higher view is proof this server missed a
         // view change (it refused an uncoverable vcBlock, or the install

@@ -26,7 +26,7 @@ use prestige_types::{
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// The four server states of Figure 5.
@@ -117,9 +117,6 @@ pub struct ServerStats {
     /// missing range exceeded one serve budget (fresh restart from an old
     /// checkpoint, long partition).
     pub snapshot_syncs: u64,
-    /// Leader batches whose ordering digest was served by the incremental
-    /// streaming hasher at flush time instead of re-hashing the whole batch.
-    pub incremental_batch_digests: u64,
 }
 
 /// A leader's in-flight replication instance (one per sequence number).
@@ -145,22 +142,6 @@ pub(crate) struct InflightInstance {
     /// healthy-path retransmits double network load exactly when the cluster
     /// is busiest and were the dominant p99 contributor at peak throughput.
     pub(crate) last_progress_ms: f64,
-}
-
-/// The leader's streaming ordering digest: proposals are absorbed into a
-/// [`FramedHasher`] as they arrive, and the flush that drains exactly the
-/// absorbed prefix into a batch gets its digest for free instead of
-/// re-hashing every transaction inside the hot loop. Any pool mutation that
-/// breaks prefix identity (view change, commit-time pruning, a partial
-/// drain) simply drops the hasher — correctness never depends on it.
-pub(crate) struct BatchHasher {
-    /// View the seeded digest binds.
-    pub(crate) view: View,
-    /// Sequence number the seeded digest binds (`next_seq` at seed time).
-    pub(crate) n: SeqNum,
-    /// How many proposals of the pool prefix have been absorbed.
-    pub(crate) count: usize,
-    pub(crate) hasher: FramedHasher,
 }
 
 /// The state a server keeps while campaigning (redeemer / candidate).
@@ -236,7 +217,7 @@ pub struct PrestigeServer {
     /// Leader-side in-flight instances keyed by sequence number.
     pub(crate) inflight: BTreeMap<u64, InflightInstance>,
     /// Follower-side record of ordered digests (phase-1 acknowledgements).
-    pub(crate) ordered_digests: HashMap<u64, Digest>,
+    pub(crate) ordered_digests: BTreeMap<u64, Digest>,
     /// Follower-side record of the ordered batches themselves, as shared
     /// handles to the broadcast `Ord` payloads. Kept so a later leader can
     /// re-propose proposals whose instance never commits — materialized into
@@ -283,7 +264,7 @@ pub struct PrestigeServer {
     /// Server-side rate limiting: `(peer, sync kind)` → last time (ms) a
     /// response was served, bounding how often any one peer can make this
     /// server assemble sync payloads.
-    pub(crate) sync_served_ms: HashMap<(Actor, u8), f64>,
+    pub(crate) sync_served_ms: BTreeMap<(Actor, u8), f64>,
     /// Rotating cursor over peers for repair-timer sync requests, so a dead
     /// or partitioned leader does not absorb every repair attempt.
     pub(crate) sync_peer_cursor: usize,
@@ -303,8 +284,6 @@ pub struct PrestigeServer {
     pub(crate) verified_qcs_order: VecDeque<[u8; 32]>,
 
     // --- leader batching state ---
-    /// The leader's streaming ordering digest over the proposal-pool prefix.
-    pub(crate) batch_hasher: Option<BatchHasher>,
     /// Recycled batch buffers: capacity flows from committed instances
     /// (whose `Arc<Vec<Proposal>>` this server held the last reference to)
     /// back into the next flush instead of a fresh allocation.
@@ -316,19 +295,19 @@ pub struct PrestigeServer {
 
     // --- view-change state ---
     /// Views this server has voted in (criterion C1).
-    pub(crate) voted_views: HashSet<u64>,
+    pub(crate) voted_views: BTreeSet<u64>,
     /// Relayed complaints awaiting leader action, keyed by transaction key.
     pub(crate) complaints: BTreeMap<(ClientId, u64), ComplaintState>,
     /// Collector of ReVC replies for the ConfVC this server broadcast, by view.
-    pub(crate) confvc_builders: HashMap<u64, QcBuilder>,
+    pub(crate) confvc_builders: BTreeMap<u64, QcBuilder>,
     /// Active campaign (redeemer or candidate phase).
     pub(crate) campaign: Option<CampaignState>,
     /// Leader-elect state: the vcBlock being installed and its vcYes collector.
     pub(crate) pending_vc_block: Option<(VcBlock, QcBuilder)>,
     /// Timers for relayed complaints: timer id → transaction key.
-    pub(crate) complaint_timers: HashMap<TimerId, (ClientId, u64)>,
+    pub(crate) complaint_timers: BTreeMap<TimerId, (ClientId, u64)>,
     /// Timers for ConfVC collection: timer id → view.
-    pub(crate) confvc_timers: HashMap<TimerId, u64>,
+    pub(crate) confvc_timers: BTreeMap<TimerId, u64>,
     /// The current election timer (candidate phase).
     pub(crate) election_timer: Option<TimerId>,
     /// The current PoW completion timer (redeemer phase).
@@ -358,7 +337,7 @@ pub struct PrestigeServer {
     /// view → (candidate, share). Lets the election-retransmission path
     /// re-send the *same* vote idempotently when a candidate re-broadcasts a
     /// `Camp` whose original `VoteCP` was lost, without ever double-voting.
-    pub(crate) cast_votes: HashMap<u64, (ServerId, prestige_types::PartialSig)>,
+    pub(crate) cast_votes: BTreeMap<u64, (ServerId, prestige_types::PartialSig)>,
 
     // --- refresh state ---
     pub(crate) refresh_tracker: RefreshTracker,
@@ -426,7 +405,7 @@ impl PrestigeServer {
             clients: ClientTable::default(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
-            ordered_digests: HashMap::new(),
+            ordered_digests: BTreeMap::new(),
             ordered_batches: BTreeMap::new(),
             ordered_only_keys: BTreeSet::new(),
             pending_commit_blocks: BTreeMap::new(),
@@ -434,22 +413,21 @@ impl PrestigeServer {
             signed_commit_info: BTreeMap::new(),
             ord_qcs: BTreeMap::new(),
             last_sync_req_ms: [f64::NEG_INFINITY; 5],
-            sync_served_ms: HashMap::new(),
+            sync_served_ms: BTreeMap::new(),
             sync_peer_cursor: 0,
             last_repair_tip: 0,
             batch_timer_armed: false,
             verified_qcs: BTreeSet::new(),
             verified_qcs_order: VecDeque::new(),
-            batch_hasher: None,
             batch_scratch: Vec::new(),
             profiler: None,
-            voted_views: HashSet::new(),
+            voted_views: BTreeSet::new(),
             complaints: BTreeMap::new(),
-            confvc_builders: HashMap::new(),
+            confvc_builders: BTreeMap::new(),
             campaign: None,
             pending_vc_block: None,
-            complaint_timers: HashMap::new(),
-            confvc_timers: HashMap::new(),
+            complaint_timers: BTreeMap::new(),
+            confvc_timers: BTreeMap::new(),
             election_timer: None,
             pow_timer: None,
             view_installed_at_ms: 0.0,
@@ -459,7 +437,7 @@ impl PrestigeServer {
             ckpt_builders: BTreeMap::new(),
             stable_checkpoint: 0,
             stable_ckpt_cert: None,
-            cast_votes: HashMap::new(),
+            cast_votes: BTreeMap::new(),
             refresh_tracker,
             refresh_builder: None,
             stats: ServerStats::default(),
@@ -700,8 +678,6 @@ impl PrestigeServer {
     /// per-view vote bookkeeping, statistics).
     pub(crate) fn note_view_installed(&mut self, ctx: &mut Context<Message>, leader: ServerId) {
         self.stats.views_installed += 1;
-        // The streaming batch digest binds the outgoing view; drop it.
-        self.batch_hasher = None;
         // Ordered-but-uncommitted batches survive the view change keyed by
         // their sequence numbers (shared handles — no copies): they back
         // future C3 freshness claims, and an elected leader re-proposes its

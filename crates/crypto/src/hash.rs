@@ -13,7 +13,7 @@
 //! aggregation) are written against it.
 
 use crate::sha256::Sha256;
-use prestige_types::{Digest, Proposal, SeqNum, View};
+use prestige_types::{ClientId, Digest, Proposal, SeqNum, View};
 
 /// Streaming, length-framed hasher: each [`FramedHasher::field`] call hashes
 /// `(len as u64 BE) ‖ bytes`, the exact framing of [`hash_many`], so
@@ -45,26 +45,38 @@ impl FramedHasher {
     }
 }
 
-/// Digest over an ordered replication batch that both phases' shares sign.
+/// Digest over an ordered replication batch that both phases' shares sign,
+/// from the `(client, request number)` identities it orders — the one copy
+/// of the field framing, fed by [`batch_digest`] from the proposals of an
+/// `Ord` and by the commit path from the transactions of a block body.
 ///
 /// Fields stream into one incremental SHA-256 with the same length framing
 /// the original list-of-parts spec used (`hash_many` over
 /// `["batch", view, n, client₀, ts₀, client₁, ts₁, …]`), so the digest value
 /// is unchanged — pinned by the compatibility proptests — but computing it
 /// allocates nothing.
-///
-/// Lives here (rather than in `prestige-core`, which re-exports it) so
-/// harnesses can compute ordering digests without depending on the core.
-pub fn batch_digest(view: View, n: SeqNum, batch: &[Proposal]) -> Digest {
+pub fn batch_digest_of_keys(
+    view: View,
+    n: SeqNum,
+    keys: impl IntoIterator<Item = (ClientId, u64)>,
+) -> Digest {
     let mut h = FramedHasher::new();
     h.field(b"batch")
         .field(&view.0.to_be_bytes())
         .field(&n.0.to_be_bytes());
-    for p in batch {
-        h.field(&p.tx.client.0.to_be_bytes())
-            .field(&p.tx.timestamp.to_be_bytes());
+    for (client, timestamp) in keys {
+        h.field(&client.0.to_be_bytes())
+            .field(&timestamp.to_be_bytes());
     }
     h.finish()
+}
+
+/// [`batch_digest_of_keys`] over the proposals of an ordered batch.
+///
+/// Lives here (rather than in `prestige-core`, which re-exports it) so
+/// harnesses can compute ordering digests without depending on the core.
+pub fn batch_digest(view: View, n: SeqNum, batch: &[Proposal]) -> Digest {
+    batch_digest_of_keys(view, n, batch.iter().map(|p| p.tx.key()))
 }
 
 /// Hashes a single byte string into a [`Digest`].

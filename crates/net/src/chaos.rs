@@ -11,9 +11,10 @@
 //! * **loss** — independent per-delivery drop probability;
 //! * **partitions** — directed `(from, to)` link blocks, composable into
 //!   symmetric splits (`partition_between`), asymmetric one-way cuts
-//!   (`partition_oneway`), and full isolation of one actor (`isolate`), with
-//!   an optional *scheduled heal* (`heal_after`) applied lazily so no extra
-//!   timer thread is needed.
+//!   (`partition_oneway`), and full isolation of one actor (`isolate`),
+//!   healed one cut at a time (`heal_oneway` / `heal_between`), all at once
+//!   (`heal_now`), or by a *scheduled heal* (`heal_after`) applied lazily so
+//!   no extra timer thread is needed.
 //!
 //! All faults are applied on the **receive path** of the wrapped endpoint:
 //! each endpoint filters and delays its own inbound deliveries. This gives
@@ -135,6 +136,26 @@ impl NetChaos {
     pub fn partition_between(&self, a: &[Actor], b: &[Actor]) {
         self.partition_oneway(a, b);
         self.partition_oneway(b, a);
+    }
+
+    /// Unblocks exactly the links [`Self::partition_oneway`] blocks for the
+    /// same arguments, leaving every other block in place — the heal of one
+    /// cut among several overlapping ones. (A link two cuts both block heals
+    /// with the first, as in the simulator.)
+    pub fn heal_oneway(&self, from: &[Actor], to: &[Actor]) {
+        let mut state = self.state.lock().expect("chaos state lock");
+        for &f in from {
+            for &t in to {
+                state.blocked.remove(&(f, t));
+            }
+        }
+    }
+
+    /// [`Self::heal_oneway`] in both directions: undoes
+    /// [`Self::partition_between`].
+    pub fn heal_between(&self, a: &[Actor], b: &[Actor]) {
+        self.heal_oneway(a, b);
+        self.heal_oneway(b, a);
     }
 
     /// Fully isolates `actor` from every actor in `others`, both directions.
@@ -426,6 +447,25 @@ mod tests {
             Some((server(1), 2)),
             "1->0 still flows"
         );
+    }
+
+    #[test]
+    fn healing_one_cut_leaves_the_others_blocked() {
+        let chaos = NetChaos::new();
+        let everyone = [server(0), server(1), server(2)];
+        chaos.partition_oneway(&[server(0)], &everyone);
+        chaos.partition_oneway(&[server(1)], &everyone);
+        assert_eq!(chaos.blocked_links(), 4);
+        chaos.heal_oneway(&[server(0)], &everyone);
+        assert_eq!(chaos.blocked_links(), 2, "s1's cut survives s0's heal");
+        // Symmetric cuts heal the same way; the one link both cuts block
+        // (s1 -> s2) heals with the first of them.
+        chaos.partition_between(&[server(2)], &everyone);
+        assert_eq!(chaos.blocked_links(), 2 + 4 - 1);
+        chaos.heal_between(&[server(2)], &everyone);
+        assert_eq!(chaos.blocked_links(), 1);
+        chaos.heal_oneway(&[server(1)], &everyone);
+        assert!(!chaos.is_partitioned());
     }
 
     #[test]

@@ -594,30 +594,16 @@ impl<F: Fabric> Cluster<F> {
             .map(|s| (s.checkpoints_formed, s.gc_pruned_keys))
     }
 
-    /// Chops up to `bytes` off the end of server `id`'s newest WAL segment —
-    /// the torn-tail crash signature (a power cut mid-append). The server
-    /// must be down. Returns how many bytes were actually removed.
-    pub fn truncate_wal_tail(&self, id: ServerId, bytes: u64) -> std::io::Result<u64> {
+    /// Tears the last `records` records off server `id`'s WAL — the
+    /// torn-tail crash signature (a power cut mid-append). The server must
+    /// be down. Returns how many records were actually torn.
+    pub fn tear_wal_tail(&self, id: ServerId, records: usize) -> io::Result<usize> {
         assert!(
             !self.servers.contains_key(&id),
-            "truncate_wal_tail({id:?}): crash it first"
+            "tear_wal_tail({id:?}): crash it first"
         );
         let plan = self.storage.as_ref().expect("durable cluster required");
-        let dir = plan.server_dir(id);
-        let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
-            .collect();
-        segments.sort();
-        let Some(last) = segments.last() else {
-            return Ok(0);
-        };
-        let len = std::fs::metadata(last)?.len();
-        let cut = bytes.min(len);
-        let file = std::fs::OpenOptions::new().write(true).open(last)?;
-        file.set_len(len - cut)?;
-        Ok(cut)
+        prestige_storage::tear_tail(&plan.server_dir(id), records)
     }
 
     /// Server ids currently alive.

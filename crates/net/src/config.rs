@@ -1,10 +1,6 @@
-//! Node configuration for multi-process deployments: a small TOML subset
-//! parser and the `prestige-node` config schema.
-//!
-//! The supported TOML subset covers what cluster configs need — `[section]`
-//! headers, `key = value` pairs with string / integer / float / boolean
-//! values, comments, and blank lines. (A full TOML crate is unavailable in
-//! the offline build environment; see `crates/compat/README.md`.)
+//! Node configuration for multi-process deployments: the `prestige-node`
+//! config schema, read through the repo's mini-TOML
+//! ([`prestige_workloads::toml`], re-exported here).
 //!
 //! ```toml
 //! # cluster.toml — one file shared by every node
@@ -51,212 +47,31 @@
 //! ```
 
 use crate::cluster::StoragePlan;
-use prestige_core::{AttackStrategy, ByzantineBehavior};
+use prestige_core::ByzantineBehavior;
 use prestige_storage::WalOptions;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, ViewChangePolicy};
+use prestige_workloads::scenario::StorageSettings;
 use prestige_workloads::FaultPlan;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 
-/// A scalar TOML value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TomlValue {
-    /// A quoted string.
-    Str(String),
-    /// An integer.
-    Int(i64),
-    /// A float.
-    Float(f64),
-    /// A boolean.
-    Bool(bool),
-}
+// The mini-TOML parser and its typed getters live beside the scenario
+// format in `prestige-workloads`; node configs read through the same ones.
+pub use prestige_workloads::toml::{
+    get, get_f64, get_int, get_str, parse_faults, parse_toml, ConfigError, TomlDoc, TomlValue,
+};
 
-/// A parsed TOML document: section → key → value.
-pub type TomlDoc = BTreeMap<String, BTreeMap<String, TomlValue>>;
-
-/// Errors from config parsing.
-#[derive(Debug)]
-pub enum ConfigError {
-    /// A line could not be parsed.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
-    /// A required key was absent.
-    Missing(String),
-    /// A value was present but invalid (wrong type, out of range, bad
-    /// address, bad role, ...).
-    Invalid(String),
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::Syntax { line, message } => write!(f, "line {line}: {message}"),
-            ConfigError::Missing(k) => write!(f, "missing key: {k}"),
-            ConfigError::Invalid(m) => write!(f, "invalid value: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Parses the supported TOML subset.
-pub fn parse_toml(text: &str) -> Result<TomlDoc, ConfigError> {
-    let mut doc: TomlDoc = BTreeMap::new();
-    let mut section = String::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            section = name.trim().to_string();
-            doc.entry(section.clone()).or_default();
-            continue;
-        }
-        let (key, value) = line.split_once('=').ok_or_else(|| ConfigError::Syntax {
-            line: line_no,
-            message: format!("expected `key = value`, got `{line}`"),
-        })?;
-        let value = parse_value(value.trim()).ok_or_else(|| ConfigError::Syntax {
-            line: line_no,
-            message: format!("unparsable value `{}`", value.trim()),
-        })?;
-        doc.entry(section.clone())
-            .or_default()
-            .insert(key.trim().to_string(), value);
-    }
-    Ok(doc)
-}
-
-fn strip_comment(line: &str) -> &str {
-    // A `#` outside quotes starts a comment.
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_value(text: &str) -> Option<TomlValue> {
-    if let Some(inner) = text.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
-        return Some(TomlValue::Str(inner.to_string()));
-    }
-    match text {
-        "true" => return Some(TomlValue::Bool(true)),
-        "false" => return Some(TomlValue::Bool(false)),
-        _ => {}
-    }
-    let normalized = text.replace('_', "");
-    if let Ok(i) = normalized.parse::<i64>() {
-        return Some(TomlValue::Int(i));
-    }
-    if let Ok(f) = normalized.parse::<f64>() {
-        return Some(TomlValue::Float(f));
-    }
-    None
-}
-
-/// The raw value at `section.key`, if present.
-pub fn get<'d>(doc: &'d TomlDoc, section: &str, key: &str) -> Option<&'d TomlValue> {
-    doc.get(section).and_then(|s| s.get(key))
-}
-
-/// `section.key` as a number (integers widen), or `default` when absent.
-/// A mistyped value is an error, not a silent fallback — a quoted timeout or
-/// assertion floor would otherwise disable the thing it configures.
-pub fn get_f64(doc: &TomlDoc, section: &str, key: &str, default: f64) -> Result<f64, ConfigError> {
-    match get(doc, section, key) {
-        Some(TomlValue::Float(f)) => Ok(*f),
-        Some(TomlValue::Int(i)) => Ok(*i as f64),
-        None => Ok(default),
-        Some(other) => Err(ConfigError::Invalid(format!(
-            "{section}.{key}: expected a number, got {other:?}"
-        ))),
-    }
-}
-
-/// `section.key` as an integer of the caller's type, or `default` when
-/// absent. Range-checked: a negative or oversized value is an error, not a
-/// silent wrap into a huge count.
-pub fn get_int<T: TryFrom<i64>>(
-    doc: &TomlDoc,
-    section: &str,
-    key: &str,
-    default: T,
-) -> Result<T, ConfigError> {
-    match get(doc, section, key) {
-        Some(TomlValue::Int(i)) => T::try_from(*i)
-            .map_err(|_| ConfigError::Invalid(format!("{section}.{key} = {i} is out of range"))),
-        None => Ok(default),
-        Some(other) => Err(ConfigError::Invalid(format!(
-            "{section}.{key}: expected an integer, got {other:?}"
-        ))),
-    }
-}
-
-/// `section.key` as a string, `None` when absent.
-pub fn get_str<'d>(
-    doc: &'d TomlDoc,
-    section: &str,
-    key: &str,
-) -> Result<Option<&'d str>, ConfigError> {
-    match get(doc, section, key) {
-        Some(TomlValue::Str(s)) => Ok(Some(s)),
-        None => Ok(None),
-        Some(other) => Err(ConfigError::Invalid(format!(
-            "{section}.{key}: expected a string, got {other:?}"
-        ))),
-    }
-}
-
-/// The `[faults]` section (`plan` / `count` / `strategy`), shared by node
-/// configs and `chaos_net` scenarios; [`FaultPlan::None`] when no plan is
-/// named.
-pub fn parse_faults(doc: &TomlDoc) -> Result<FaultPlan, ConfigError> {
-    let Some(label) = get_str(doc, "faults", "plan")? else {
-        return Ok(FaultPlan::None);
-    };
-    let count = get_int(doc, "faults", "count", 1u32)?;
-    let strategy = match get_str(doc, "faults", "strategy")? {
-        None => AttackStrategy::Always,
-        Some(text) => FaultPlan::parse_strategy(text).ok_or_else(|| {
-            ConfigError::Invalid(format!("faults.strategy `{text}` (expected s1 or s2)"))
-        })?,
-    };
-    FaultPlan::from_parts(label, count, strategy).ok_or_else(|| {
-        ConfigError::Invalid(format!(
-            "faults.plan `{label}` (expected none, timeout, quiet, equiv, vc_quiet, vc_equiv, \
-             or tip_liar)"
-        ))
-    })
-}
-
-/// The `[storage]` section, shared by node configs and `chaos_net`
-/// scenarios: the WAL root `dir` (if named) and the WAL tuning
-/// (`segment_bytes` / `sync_every_n` / `sync_interval_ms`, defaulting to
-/// [`WalOptions::default`]).
-pub fn parse_storage(doc: &TomlDoc) -> Result<(Option<&str>, WalOptions), ConfigError> {
+/// The WAL tuning a `[storage]` section asks for: its set keys over
+/// [`WalOptions::default`].
+pub fn wal_options(settings: &StorageSettings) -> WalOptions {
     let defaults = WalOptions::default();
-    let options = WalOptions {
-        segment_bytes: get_int(doc, "storage", "segment_bytes", defaults.segment_bytes)?,
-        sync_every_n: get_int(doc, "storage", "sync_every_n", defaults.sync_every_n)?,
-        sync_interval_ms: get_f64(
-            doc,
-            "storage",
-            "sync_interval_ms",
-            defaults.sync_interval_ms,
-        )?,
-    };
-    Ok((get_str(doc, "storage", "dir")?, options))
+    WalOptions {
+        segment_bytes: settings.segment_bytes.unwrap_or(defaults.segment_bytes),
+        sync_every_n: settings.sync_every_n.unwrap_or(defaults.sync_every_n),
+        sync_interval_ms: settings
+            .sync_interval_ms
+            .unwrap_or(defaults.sync_interval_ms),
+    }
 }
 
 /// Which node this process runs.
@@ -388,10 +203,11 @@ impl NodeConfig {
         };
 
         // Optional `[storage]` section: durable WAL + restart-from-disk.
-        let (dir, options) = parse_storage(&doc)?;
-        let storage = dir.map(|dir| StoragePlan {
-            root: dir.into(),
-            options,
+        let storage = StorageSettings::from_doc(&doc)?.and_then(|settings| {
+            Some(StoragePlan {
+                options: wal_options(&settings),
+                root: settings.dir?.into(),
+            })
         });
 
         Ok(NodeConfig {
@@ -437,6 +253,7 @@ fn parse_role(text: &str) -> Result<NodeRole, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prestige_core::AttackStrategy;
 
     const SAMPLE: &str = r#"
 # full cluster description
@@ -608,21 +425,5 @@ c1 = "127.0.0.1:7101"
             NodeConfig::from_toml("[node]\nrole = \"server\"\nid = 0\n", None),
             Err(ConfigError::Missing(_))
         ));
-    }
-
-    #[test]
-    fn comments_and_underscore_numbers_parse() {
-        let doc = parse_toml("a = 1_000 # thousand\nb = \"x # not a comment\"\n").unwrap();
-        assert_eq!(doc[""]["a"], TomlValue::Int(1000));
-        assert_eq!(doc[""]["b"], TomlValue::Str("x # not a comment".into()));
-    }
-
-    #[test]
-    fn bad_lines_name_their_line_number() {
-        let err = parse_toml("ok = 1\nnot a kv line\n").unwrap_err();
-        match err {
-            ConfigError::Syntax { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other:?}"),
-        }
     }
 }

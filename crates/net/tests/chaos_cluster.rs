@@ -177,3 +177,89 @@ fn equivocating_attacker_on_lossy_links_cannot_stop_or_fork_the_cluster() {
         .expect("no fork under loss and equivocation");
     cluster.shutdown();
 }
+
+#[test]
+fn healing_one_of_two_overlapping_cuts_leaves_the_other_in_force() {
+    // Two followers are muted (outbound cut) in overlapping windows that end
+    // at different times — a timeline the old single-partition runner, whose
+    // only heal dissolved every block at once, could not express. With both
+    // muted the leader hears one follower short of a quorum and commits
+    // stop; healing s2's cut alone must bring the quorum back while s3 stays
+    // muted until its own heal.
+    let n = 4u32;
+    let clients = 2u64;
+    let chaos = NetChaos::new();
+    let cluster = LocalCluster::launch_full(
+        ClusterConfig::new(n)
+            .with_batch_size(100)
+            .with_timeouts(TimeoutConfig::fast()),
+        19,
+        clients,
+        100,
+        &[],
+        Some(chaos.clone()),
+        None,
+    )
+    .expect("loopback launch");
+    assert!(
+        cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 500),
+        "cluster must commit before the cuts"
+    );
+
+    let muted = |id: u32| {
+        let id = ServerId(id);
+        ([Actor::Server(id)], everyone_but(id, n, clients))
+    };
+    let (s2, not_s2) = muted(2);
+    let (s3, not_s3) = muted(3);
+    chaos.partition_oneway(&s2, &not_s2);
+    chaos.partition_oneway(&s3, &not_s3);
+    assert_eq!(chaos.blocked_links(), 2 * not_s3.len());
+
+    // First heal: only s2's links come back.
+    std::thread::sleep(Duration::from_millis(200));
+    chaos.heal_oneway(&s2, &not_s2);
+    assert_eq!(
+        chaos.blocked_links(),
+        not_s3.len(),
+        "healing s2's cut must not dissolve s3's"
+    );
+    let committed = cluster.total_committed();
+    let dropped = cluster.transport_totals().dropped;
+    assert!(
+        cluster.wait_until(Duration::from_secs(60), |c| {
+            c.total_committed() >= committed + 1000
+        }),
+        "s0, s1 and s2 are a quorum again: commits must resume, got {} -> {}",
+        committed,
+        cluster.total_committed()
+    );
+    assert!(
+        cluster.transport_totals().dropped > dropped,
+        "s3 is still muted: its replies must still be shed"
+    );
+    assert_eq!(chaos.blocked_links(), not_s3.len());
+
+    // Second heal, at its own time.
+    chaos.heal_oneway(&s3, &not_s3);
+    assert!(!chaos.is_partitioned());
+    let all: Vec<ServerId> = (0..n).map(ServerId).collect();
+    let target_tip = cluster
+        .committed_chain(ServerId(0))
+        .and_then(|chain| chain.last().map(|(tip, _)| *tip))
+        .expect("s0 has a chain");
+    assert!(
+        cluster.wait_until(Duration::from_secs(60), |c| {
+            all.iter().all(|&id| {
+                c.committed_chain(id)
+                    .and_then(|chain| chain.last().map(|(tip, _)| *tip))
+                    .is_some_and(|tip| tip >= target_tip)
+            })
+        }),
+        "every server must catch up past sequence {target_tip}"
+    );
+    cluster
+        .verify_no_fork(&all)
+        .expect("no fork across the overlapping cuts");
+    cluster.shutdown();
+}

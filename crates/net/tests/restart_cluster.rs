@@ -183,14 +183,12 @@ fn torn_wal_tail_is_truncated_and_the_node_still_rejoins() {
         cluster.total_committed()
     );
 
-    // Power-cut signature: kill the node, then chop bytes off the end of its
-    // newest segment so the final record is torn mid-frame. Reopening must
-    // truncate the tear instead of refusing the log wholesale.
+    // Power-cut signature: kill the node, then cut its newest segment in
+    // the middle of the final record's frame. Reopening must truncate the
+    // tear instead of refusing the log wholesale.
     cluster.crash_server(follower);
-    let cut = cluster
-        .truncate_wal_tail(follower, 37)
-        .expect("tail truncation");
-    assert!(cut > 0, "the WAL must have had bytes to tear");
+    let torn = cluster.tear_wal_tail(follower, 1).expect("tail tear");
+    assert_eq!(torn, 1, "the WAL must have had a record to tear");
 
     let before = cluster.total_committed();
     assert!(

@@ -26,7 +26,7 @@
 
 mod wal;
 
-pub use wal::{Wal, WalError, WalOptions};
+pub use wal::{tear_tail, Wal, WalError, WalOptions};
 
 use prestige_types::{QuorumCertificate, TxBlock, VcBlock};
 

@@ -140,6 +140,60 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("wal-{index:010}.seg"))
 }
 
+/// The indices of the segment files in `dir`, ascending.
+fn segment_indices(dir: &Path) -> std::io::Result<Vec<u64>> {
+    let mut indices: Vec<u64> = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let name = name.to_string_lossy();
+        if let Some(rest) = name
+            .strip_prefix("wal-")
+            .and_then(|r| r.strip_suffix(".seg"))
+        {
+            if let Ok(ix) = rest.parse::<u64>() {
+                indices.push(ix);
+            }
+        }
+    }
+    indices.sort_unstable();
+    Ok(indices)
+}
+
+/// Crash injection for a log nobody has open: cuts the newest segment of
+/// the log in `dir` in the middle of the `records`-th frame from its end —
+/// what a power cut during that append leaves on disk. The next
+/// [`Wal::open`] truncates the torn frame and everything after it, so
+/// exactly `records` records are lost. Returns how many records were
+/// actually torn (fewer when the newest segment holds fewer; a tear never
+/// crosses a segment boundary).
+pub fn tear_tail(dir: &Path, records: usize) -> std::io::Result<usize> {
+    let Some(&newest) = segment_indices(dir)?.last() else {
+        return Ok(0);
+    };
+    let path = segment_path(dir, newest);
+    let bytes = std::fs::read(&path)?;
+    // Frame boundaries by length prefix alone (the log was closed by a
+    // crash, so a frame that does not fit ends the walk).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut offset = 0usize;
+    while let Some(prefix) = bytes.get(offset..offset + 4) {
+        let len = 4 + u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+        if offset + len > bytes.len() {
+            break;
+        }
+        frames.push((offset, len));
+        offset += len;
+    }
+    let torn = records.min(frames.len());
+    if torn > 0 {
+        let (start, len) = frames[frames.len() - torn];
+        let file = OpenOptions::new().write(true).open(&path)?;
+        file.set_len((start + len / 2) as u64)?;
+        file.sync_all()?;
+    }
+    Ok(torn)
+}
+
 fn record_digest(prev: &Digest, payload: &[u8]) -> Digest {
     hash_many([prev.as_ref(), payload])
 }
@@ -150,20 +204,7 @@ impl Wal {
     /// record in append order, ready to be replayed into server state.
     pub fn open(dir: &Path, opts: WalOptions) -> Result<(Wal, Vec<WalRecord>), WalError> {
         std::fs::create_dir_all(dir)?;
-        let mut indices: Vec<u64> = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(rest) = name
-                .strip_prefix("wal-")
-                .and_then(|r| r.strip_suffix(".seg"))
-            {
-                if let Ok(ix) = rest.parse::<u64>() {
-                    indices.push(ix);
-                }
-            }
-        }
-        indices.sort_unstable();
+        let indices = segment_indices(dir)?;
 
         let mut records = Vec::new();
         let mut segments: BTreeMap<u64, SegmentMeta> = BTreeMap::new();
@@ -493,6 +534,35 @@ mod tests {
         drop(wal);
         let (_, replayed2) = Wal::open(&dir, tiny_opts()).unwrap();
         assert_eq!(replayed2.len(), seqs.len() + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tear_tail_loses_exactly_the_records_asked_for() {
+        let dir = temp_dir("tear");
+        {
+            let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+            for n in 1..=5u64 {
+                wal.append(WalRecordRef::Block(&block(n))).unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        assert_eq!(tear_tail(&dir, 1).unwrap(), 1);
+        let (mut wal, replayed) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(replayed.len(), 4, "exactly one record is torn off");
+        assert!(matches!(replayed.last(), Some(WalRecord::Block(b)) if b.n.0 == 4));
+        // The log stays appendable and chains correctly across the repair.
+        wal.append(WalRecordRef::Block(&block(5))).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(tear_tail(&dir, 2).unwrap(), 2);
+        let (_, replayed) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(replayed.len(), 3);
+        // More than the segment holds is clamped; an empty log tears nothing.
+        assert_eq!(tear_tail(&dir, 99).unwrap(), 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(tear_tail(&dir, 1).unwrap(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

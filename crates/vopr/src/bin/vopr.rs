@@ -1,10 +1,10 @@
-//! The `vopr` binary: seeded falsification swarms, regression replay, and
+//! The `vopr` binary: seeded falsification swarms, scenario replay, and
 //! standalone shrinking.
 //!
 //! ```text
 //! vopr run --seeds N [--start S] [--out DIR] [--no-shrink] [--expect-violation]
-//! vopr replay <file.ron> [<file.ron> ...]
-//! vopr shrink <file.ron> [--out DIR]
+//! vopr replay <file.toml> [<file.toml> ...] [--seeds N [--start S]]
+//! vopr shrink <file.toml> [--out DIR]
 //! ```
 //!
 //! `run` executes seeds `S..S+N`, shrinking and serializing every failure,
@@ -14,19 +14,28 @@
 //! at the *first* violation and exits nonzero only if the whole swarm stayed
 //! clean, i.e. the harness failed to catch the re-introduced bug.
 //!
-//! `replay` re-runs committed regression files and exits nonzero unless
-//! every file still reproduces a violation (so a protocol fix that
-//! invalidates a reproducer is surfaced, and a regression that resurfaces
-//! is caught). `shrink` minimizes a failing schedule file in place.
+//! `replay` has one rule for every scenario file — a `scenarios/*.toml` CI
+//! gate or a committed reproducer under `vopr/regressions/`: run it under
+//! the simulator with every invariant checked after every event, then
+//! compare with the file's own expectation (`[assert]` must hold on a clean
+//! run; `[expect] violation` must be falsified, so a protocol fix that
+//! invalidates a reproducer is surfaced and a regression that resurfaces is
+//! caught). `--seeds N` sweeps the file over seeds `S..S+N` in place of its
+//! own; the exit is nonzero naming every failing seed and what it failed.
+//! `shrink` minimizes a failing scenario file.
 
-use prestige_vopr::{from_ron, run_schedule, shrink, to_ron, FailureRecord, Schedule, SwarmReport};
+use prestige_vopr::{
+    generate, run_scenario, shrink, FailureRecord, Scenario, SwarmReport, Violation,
+};
+use prestige_workloads::scenario::Expectation;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  vopr run --seeds N [--start S] [--out DIR] [--no-shrink] [--expect-violation]\n  \
-         vopr replay <file.ron> [...]\n  vopr shrink <file.ron> [--out DIR]"
+         vopr replay <file.toml> [...] [--seeds N [--start S]]\n  \
+         vopr shrink <file.toml> [--out DIR]"
     );
     ExitCode::from(2)
 }
@@ -40,30 +49,37 @@ fn canary_label() -> &'static str {
     "none"
 }
 
+/// Writes `scenario` as a committed reproducer: the same file format every
+/// scenario uses, expecting `violation`, under a provenance header.
 fn write_regression(
     dir: &Path,
-    schedule: &Schedule,
-    violation: &prestige_vopr::Violation,
+    scenario: &Scenario,
+    violation: &Violation,
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let name = format!("seed-{}-{}.ron", schedule.seed, violation.invariant);
-    let path = dir.join(name);
-    let header = vec![
-        format!(
-            "vopr regression: seed {} falsified `{}` on s{} at {:.1} ms",
-            schedule.seed, violation.invariant, violation.replica, violation.at_ms
-        ),
-        format!("detail: {}", violation.detail),
-        format!("canary: {}", canary_label()),
-        "replay: cargo run --release -p prestige-vopr -- replay <this file>".to_string(),
-    ];
-    std::fs::write(&path, to_ron(schedule, &header))?;
+    let name = format!("seed-{}-{}", scenario.seed, violation.invariant);
+    let path = dir.join(format!("{name}.toml"));
+    let mut reproducer = scenario.clone();
+    reproducer.expect = Expectation::Violation(violation.invariant.to_string());
+    reproducer.name = name;
+    let text = format!(
+        "# vopr regression: seed {} falsified `{}` on s{} at {:.1} ms\n# detail: {}\n\
+         # canary: {}\n# replay: cargo run --release -p prestige-vopr -- replay <this file>\n\n{}",
+        scenario.seed,
+        violation.invariant,
+        violation.replica,
+        violation.at_ms,
+        violation.detail,
+        canary_label(),
+        reproducer.to_toml()
+    );
+    std::fs::write(&path, text)?;
     Ok(path)
 }
 
-fn load_schedule(path: &str) -> Result<Schedule, String> {
+fn load_scenario(path: &str) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    from_ron(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+    Scenario::from_toml(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -96,8 +112,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
     let mut report = SwarmReport::default();
     for seed in start..start + seeds {
-        let schedule = Schedule::generate(seed);
-        let outcome = run_schedule(&schedule);
+        let schedule = generate(seed);
+        let outcome = run_scenario(&schedule);
         report.absorb_run(&outcome);
         let Some(violation) = outcome.violation else {
             continue;
@@ -115,8 +131,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         if do_shrink {
             if let Some(result) = shrink(&schedule) {
                 eprintln!(
-                    "seed {seed}: shrunk to {} action(s) over {} ms in {} candidate runs",
-                    result.schedule.actions.len(),
+                    "seed {seed}: shrunk to {} fault(s) over {} ms in {} candidate runs",
+                    result.schedule.faults.len(),
                     result.schedule.duration_ms,
                     result.candidates_run
                 );
@@ -169,49 +185,88 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 fn cmd_replay(args: &[String]) -> ExitCode {
-    if args.is_empty() {
+    let mut files: Vec<&String> = Vec::new();
+    let mut seeds: Option<u64> = None;
+    let mut start: u64 = 0;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(n) => seeds = Some(n),
+                None => return usage(),
+            },
+            "--start" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(s) => start = s,
+                None => return usage(),
+            },
+            _ => files.push(arg),
+        }
+    }
+    if files.is_empty() {
         return usage();
     }
     let mut report = SwarmReport::default();
-    let mut all_reproduce = true;
-    for path in args {
-        let schedule = match load_schedule(path) {
+    let mut failed: Vec<String> = Vec::new();
+    for path in files {
+        let mut scenario = match load_scenario(path) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
-        let outcome = run_schedule(&schedule);
-        report.absorb_run(&outcome);
-        match outcome.violation {
-            Some(v) => {
-                eprintln!(
-                    "{path}: reproduces {} on s{} at {:.1} ms",
+        let sweep = match seeds {
+            Some(n) => start..start + n,
+            None => scenario.seed..scenario.seed + 1,
+        };
+        for seed in sweep {
+            scenario.seed = seed;
+            let outcome = run_scenario(&scenario);
+            report.absorb_run(&outcome);
+            let failures = scenario.judge(&outcome.observations);
+            let seen = match &outcome.violation {
+                Some(v) => format!(
+                    "{} falsified on s{} at {:.1} ms",
                     v.invariant, v.replica, v.at_ms
-                );
+                ),
+                None => format!(
+                    "clean, {} tx committed, {} view(s) installed",
+                    outcome.observations.committed(),
+                    outcome.views_installed
+                ),
+            };
+            if failures.is_empty() {
+                eprintln!("{path} seed {seed}: ok ({seen})");
+            } else {
+                eprintln!("{path} seed {seed}: FAILED ({seen})");
+                for failure in &failures {
+                    eprintln!("    {failure}");
+                }
+                failed.push(format!("{path} seed {seed}: {}", failures.join("; ")));
+            }
+            if let Some(violation) = outcome.violation {
                 report.failures.push(FailureRecord {
-                    seed: schedule.seed,
-                    violation: v,
+                    seed,
+                    violation,
                     shrunk: None,
                     regression_file: Some(path.clone()),
                 });
             }
-            None => {
-                eprintln!(
-                    "{path}: NO LONGER REPRODUCES — the protocol changed; delete the file \
-                     or investigate"
-                );
-                all_reproduce = false;
-            }
         }
     }
     print!("{}", report.to_json().render());
-    if all_reproduce {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if failed.is_empty() {
+        return ExitCode::SUCCESS;
     }
+    eprintln!(
+        "replay: {} of {} run(s) did not meet their file's expectation:",
+        failed.len(),
+        report.seeds_run
+    );
+    for line in &failed {
+        eprintln!("  {line}");
+    }
+    ExitCode::FAILURE
 }
 
 fn cmd_shrink(args: &[String]) -> ExitCode {
@@ -229,7 +284,7 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
         }
     }
     let Some(path) = file else { return usage() };
-    let schedule = match load_schedule(path) {
+    let schedule = match load_scenario(path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("{e}");
@@ -239,8 +294,8 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
     match shrink(&schedule) {
         Some(result) => {
             eprintln!(
-                "shrunk to {} action(s) over {} ms in {} candidate runs; violation: {} — {}",
-                result.schedule.actions.len(),
+                "shrunk to {} fault(s) over {} ms in {} candidate runs; violation: {} — {}",
+                result.schedule.faults.len(),
                 result.schedule.duration_ms,
                 result.candidates_run,
                 result.violation.invariant,

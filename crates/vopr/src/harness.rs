@@ -1,6 +1,8 @@
-//! The harness: builds a simulated cluster from a [`Schedule`], drives it
-//! step by step while firing the scheduled faults, and runs the invariant
-//! checkers after **every** event.
+//! The harness — the simulator host of a [`Scenario`]: builds a simulated
+//! cluster from it, drives it step by step while walking the fault
+//! [`Timeline`], runs the invariant checkers after **every** event, and
+//! hands back the [`Observations`] the scenario's own expectation is judged
+//! on.
 //!
 //! Crash-restart is modelled end to end: each server writes its WAL through a
 //! [`SharedMemStorage`] handle the harness keeps; a crash freezes the node
@@ -10,12 +12,16 @@
 //! recovery path the real runtime takes, minus the filesystem.
 
 use crate::invariants::{InvariantChecker, Violation};
-use crate::schedule::{ActionKind, Schedule, ScheduledAction};
-use prestige_core::{ClientConfig, PrestigeClient, PrestigeServer, ServerStats};
+use prestige_core::{ClientConfig, PrestigeClient, PrestigeServer};
 use prestige_crypto::KeyRegistry;
-use prestige_sim::{NetworkConfig, SimTime, Simulation};
+use prestige_sim::{LatencyModel, NetworkConfig, SimTime, Simulation};
 use prestige_storage::SharedMemStorage;
-use prestige_types::{Actor, ClientId, ClusterConfig, Message, ServerId, TimeoutConfig};
+use prestige_types::{
+    Actor, ClientId, ClusterConfig, Message, ServerId, TimeoutConfig, ViewChangePolicy,
+};
+use prestige_workloads::scenario::{
+    Cut, Observations, Scenario, ServerObservation, Step, Timeline, Timeouts, Violated,
+};
 use std::collections::BTreeMap;
 
 /// What one falsification run produced.
@@ -25,7 +31,7 @@ pub struct RunOutcome {
     pub steps: u64,
     /// Individual invariant evaluations.
     pub invariant_checks: u64,
-    /// The first violation, if the schedule falsified an invariant.
+    /// The first violation, if the scenario falsified an invariant.
     pub violation: Option<Violation>,
     /// Violation tallies by invariant name.
     pub violation_counts: BTreeMap<&'static str, u64>,
@@ -33,113 +39,63 @@ pub struct RunOutcome {
     pub committed_blocks: u64,
     /// Views installed on the most advanced correct replica.
     pub views_installed: u64,
-    /// Final per-server statistics, in server order (bit-exact evidence for
-    /// the determinism regression test).
-    pub server_stats: Vec<ServerStats>,
+    /// What [`Scenario::judge`] looks at: the commit series, every server's
+    /// final state, the violation and the fault windows' closing times
+    /// (also the bit-exact evidence for the determinism regression test).
+    pub observations: Observations,
     /// Debug rendering of the network counters (same purpose).
     pub net_stats_debug: String,
 }
 
-/// One expanded timeline operation (start or end of a scheduled fault).
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    BlockSym(u32),
-    HealSym(u32),
-    BlockOut(u32),
-    HealOut(u32),
-    BlockIn(u32),
-    HealIn(u32),
-    Degrade {
-        delay_lo_us: u64,
-        delay_hi_us: u64,
-        loss_permille: u32,
-    },
-    RestoreNet,
-    Crash {
-        target: u32,
-        torn_records: u32,
-    },
-    Restart {
-        target: u32,
-    },
-}
-
-/// Expands actions into a time-sorted `(at_ms, op)` list: each window
-/// contributes a start op and an end op.
-fn expand(actions: &[ScheduledAction]) -> Vec<(u64, Op)> {
-    let mut ops = Vec::with_capacity(actions.len() * 2);
-    for a in actions {
-        match a.kind {
-            ActionKind::PartitionSym {
-                target,
-                duration_ms,
-            } => {
-                ops.push((a.at_ms, Op::BlockSym(target)));
-                ops.push((a.at_ms + duration_ms, Op::HealSym(target)));
-            }
-            ActionKind::PartitionOut {
-                target,
-                duration_ms,
-            } => {
-                ops.push((a.at_ms, Op::BlockOut(target)));
-                ops.push((a.at_ms + duration_ms, Op::HealOut(target)));
-            }
-            ActionKind::PartitionIn {
-                target,
-                duration_ms,
-            } => {
-                ops.push((a.at_ms, Op::BlockIn(target)));
-                ops.push((a.at_ms + duration_ms, Op::HealIn(target)));
-            }
-            ActionKind::Degrade {
-                delay_lo_us,
-                delay_hi_us,
-                loss_permille,
-                duration_ms,
-            } => {
-                ops.push((
-                    a.at_ms,
-                    Op::Degrade {
-                        delay_lo_us,
-                        delay_hi_us,
-                        loss_permille,
-                    },
-                ));
-                ops.push((a.at_ms + duration_ms, Op::RestoreNet));
-            }
-            ActionKind::CrashRestart {
-                target,
-                down_ms,
-                torn_records,
-            } => {
-                ops.push((
-                    a.at_ms,
-                    Op::Crash {
-                        target,
-                        torn_records,
-                    },
-                ));
-                ops.push((a.at_ms + down_ms, Op::Restart { target }));
-            }
-        }
+/// The simulator's link model for a `[lo, hi]` µs delay and a ‰ loss.
+fn network(delay_lo_us: u64, delay_hi_us: u64, loss_permille: u32) -> NetworkConfig {
+    NetworkConfig {
+        latency: LatencyModel::Uniform {
+            lo_ms: delay_lo_us as f64 / 1_000.0,
+            hi_ms: delay_hi_us as f64 / 1_000.0,
+        },
+        bandwidth_bytes_per_sec: f64::INFINITY,
+        drop_probability: loss_permille as f64 / 1_000.0,
     }
-    ops.sort_by_key(|(t, _)| *t);
-    ops
 }
 
-/// Runs one schedule to completion (or to its first violation).
-pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
-    let n = schedule.servers;
+/// Transactions confirmed across all clients — the series the recovery
+/// assertions read, the same quantity `chaos_net` samples.
+fn total_committed(sim: &Simulation<Message>, clients: u64) -> u64 {
+    (0..clients)
+        .filter_map(|c| sim.node_as::<PrestigeClient>(Actor::Client(ClientId(c))))
+        .map(|client| client.stats().committed_tx)
+        .sum()
+}
+
+/// Runs one scenario to completion (or to its first violation).
+pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
+    let n = scenario.servers;
+    let timeouts = match scenario.timeouts {
+        Timeouts::Fast => TimeoutConfig::fast(),
+        Timeouts::Default => TimeoutConfig::default(),
+    };
     let mut cluster = ClusterConfig::new(n)
-        .with_batch_size(schedule.batch_size)
-        .with_payload_size(schedule.payload_size)
-        .with_timeouts(TimeoutConfig::fast())
-        .with_checkpoint_interval(schedule.checkpoint_interval);
+        .with_batch_size(scenario.batch_size)
+        .with_payload_size(scenario.payload_size)
+        .with_timeouts(timeouts.clone())
+        .with_pipeline_depth(scenario.pipeline_depth)
+        .with_checkpoint_interval(scenario.checkpoint_interval);
+    if scenario.rotation_ms > 0 {
+        cluster.policy = ViewChangePolicy::Timing {
+            interval_ms: scenario.rotation_ms as f64,
+        };
+    }
     cluster.reputation.refresh_enabled = true;
-    let behaviors = schedule.fault_plan().behaviors(n);
+    let behaviors = scenario.fault_plan.behaviors(n);
     let correct: Vec<bool> = behaviors.iter().map(|b| !b.is_faulty()).collect();
-    let registry = KeyRegistry::new(schedule.seed, n, schedule.clients);
-    let mut sim: Simulation<Message> = Simulation::new(schedule.seed, schedule.base_network());
+    let registry = KeyRegistry::new(scenario.seed, n, scenario.clients);
+    let base_network = network(
+        scenario.delay_lo_us,
+        scenario.delay_hi_us,
+        scenario.loss_permille,
+    );
+    let mut sim: Simulation<Message> = Simulation::new(scenario.seed, base_network);
 
     let mut storages: Vec<SharedMemStorage> = Vec::with_capacity(n as usize);
     for i in 0..n {
@@ -147,7 +103,7 @@ pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
             ServerId(i),
             cluster.clone(),
             registry.clone(),
-            schedule.seed,
+            scenario.seed,
             behaviors[i as usize],
         );
         let storage = SharedMemStorage::new();
@@ -155,21 +111,21 @@ pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
         storages.push(storage);
         sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
     }
-    for c in 0..schedule.clients {
+    for c in 0..scenario.clients {
         let mut cc = ClientConfig::new(
             ClientId(c),
             cluster.replicas.clone(),
-            schedule.payload_size,
-            schedule.concurrency,
+            scenario.payload_size,
+            scenario.concurrency,
         );
-        cc.timeout_ms = TimeoutConfig::fast().client_timeout_ms;
+        cc.timeout_ms = timeouts.client_timeout_ms;
         sim.add_node(
             Actor::Client(ClientId(c)),
             Box::new(PrestigeClient::new(cc, &registry)),
         );
     }
 
-    let mut checker = InvariantChecker::new(n, correct.clone(), schedule.clients);
+    let mut checker = InvariantChecker::new(n, correct.clone(), scenario.clients);
     let actors: Vec<Actor> = sim.actors().to_vec();
     let peers_of = |t: u32| -> Vec<Actor> {
         actors
@@ -178,100 +134,91 @@ pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
             .filter(|a| *a != Actor::Server(ServerId(t)))
             .collect()
     };
+    // A `leader` target resolves as on the real runtime: the leader of the
+    // view the first live correct server is in (server 0 if none answers).
+    let leader_now = |sim: &Simulation<Message>| -> u32 {
+        (0..n)
+            .filter(|&i| correct[i as usize] && !sim.is_down(Actor::Server(ServerId(i))))
+            .find_map(|i| sim.node_as::<PrestigeServer>(Actor::Server(ServerId(i))))
+            .map_or(0, |server| server.current_leader().0)
+    };
 
     sim.start();
-    let deadline = SimTime::from_ms(schedule.duration_ms as f64);
-    let ops = expand(&schedule.actions);
-    let mut next_op = 0usize;
+    let deadline = SimTime::from_ms(scenario.duration_ms as f64);
+    let mut timeline = Timeline::new(&scenario.faults);
     let mut steps = 0u64;
     let mut violation: Option<Violation> = None;
+    // The commit series is read between events — nothing is scheduled for
+    // it, so sampling cannot move a step count.
+    let mut series: Vec<(u64, u64)> = Vec::new();
+    let mut next_sample_ms = 0u64;
 
     loop {
         let next_event = sim.next_event_time();
-        let due_op = ops.get(next_op).map(|(t, _)| *t);
-        let op_is_due = match (due_op, next_event) {
+        let op_is_due = match (timeline.next_at_ms(), next_event) {
             (Some(t), Some(ev)) => (t as f64) <= ev.as_ms() || ev > deadline,
             (Some(_), None) => true,
             _ => false,
         };
         if op_is_due {
-            let (_, op) = ops[next_op];
-            next_op += 1;
-            match op {
-                Op::BlockSym(t) => {
+            let at_ms = timeline.next_at_ms().expect("an op is due");
+            let (step, t) = timeline
+                .pop(at_ms, || leader_now(&sim))
+                .expect("an op is due");
+            let me = Actor::Server(ServerId(t));
+            match step {
+                Step::Block(cut) => {
                     for peer in peers_of(t) {
-                        sim.partition(Actor::Server(ServerId(t)), peer);
+                        match cut {
+                            Cut::Sym => sim.partition(me, peer),
+                            Cut::Out => sim.block_oneway(me, peer),
+                            Cut::In => sim.block_oneway(peer, me),
+                        }
                     }
                 }
-                Op::HealSym(t) => {
+                Step::Heal(cut) => {
                     for peer in peers_of(t) {
-                        sim.heal(Actor::Server(ServerId(t)), peer);
+                        match cut {
+                            Cut::Sym => sim.heal(me, peer),
+                            Cut::Out => sim.unblock_oneway(me, peer),
+                            Cut::In => sim.unblock_oneway(peer, me),
+                        }
                     }
                 }
-                Op::BlockOut(t) => {
-                    for peer in peers_of(t) {
-                        sim.block_oneway(Actor::Server(ServerId(t)), peer);
-                    }
-                }
-                Op::HealOut(t) => {
-                    for peer in peers_of(t) {
-                        sim.unblock_oneway(Actor::Server(ServerId(t)), peer);
-                    }
-                }
-                Op::BlockIn(t) => {
-                    for peer in peers_of(t) {
-                        sim.block_oneway(peer, Actor::Server(ServerId(t)));
-                    }
-                }
-                Op::HealIn(t) => {
-                    for peer in peers_of(t) {
-                        sim.unblock_oneway(peer, Actor::Server(ServerId(t)));
-                    }
-                }
-                Op::Degrade {
+                Step::Degrade {
                     delay_lo_us,
                     delay_hi_us,
                     loss_permille,
-                } => {
-                    sim.set_network(NetworkConfig {
-                        latency: prestige_sim::LatencyModel::Uniform {
-                            lo_ms: delay_lo_us as f64 / 1_000.0,
-                            hi_ms: delay_hi_us as f64 / 1_000.0,
-                        },
-                        bandwidth_bytes_per_sec: f64::INFINITY,
-                        drop_probability: loss_permille as f64 / 1_000.0,
-                    });
-                }
-                Op::RestoreNet => {
-                    sim.set_network(schedule.base_network());
-                }
-                Op::Crash {
-                    target,
-                    torn_records,
-                } => {
-                    sim.crash(Actor::Server(ServerId(target)));
+                } => sim.set_network(network(delay_lo_us, delay_hi_us, loss_permille)),
+                Step::RestoreNet => sim.set_network(base_network),
+                Step::Crash { torn_records } => {
+                    sim.crash(me);
                     if torn_records > 0 {
-                        storages[target as usize].truncate_tail(torn_records as usize);
+                        storages[t as usize].truncate_tail(torn_records as usize);
                     }
                 }
-                Op::Restart { target } => {
+                Step::Restart => {
                     let mut server = PrestigeServer::with_behavior(
-                        ServerId(target),
+                        ServerId(t),
                         cluster.clone(),
                         registry.clone(),
-                        schedule.seed,
-                        behaviors[target as usize],
+                        scenario.seed,
+                        behaviors[t as usize],
                     );
-                    server.replay_wal(storages[target as usize].records_snapshot());
-                    server.attach_storage(Box::new(storages[target as usize].clone()));
-                    sim.replace_node(Actor::Server(ServerId(target)), Box::new(server));
-                    checker.note_restart(target);
+                    server.replay_wal(storages[t as usize].records_snapshot());
+                    server.attach_storage(Box::new(storages[t as usize].clone()));
+                    sim.replace_node(me, Box::new(server));
+                    checker.note_restart(t);
                 }
             }
             continue;
         }
         match next_event {
             Some(t) if t <= deadline => {
+                while (next_sample_ms as f64) <= t.as_ms() {
+                    series.push((next_sample_ms, total_committed(&sim, scenario.clients)));
+                    next_sample_ms += 100;
+                }
                 sim.step();
                 steps += 1;
                 if violation.is_none() {
@@ -284,29 +231,47 @@ pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
             _ => break,
         }
     }
+    series.push((
+        scenario.duration_ms,
+        total_committed(&sim, scenario.clients),
+    ));
 
     let mut committed_blocks = 0u64;
     let mut views_installed = 0u64;
-    let mut server_stats = Vec::with_capacity(n as usize);
+    let mut servers = Vec::with_capacity(n as usize);
     for i in 0..n {
-        let server: &PrestigeServer = sim
-            .node_as(Actor::Server(ServerId(i)))
-            .expect("server registered");
+        let actor = Actor::Server(ServerId(i));
+        let server: &PrestigeServer = sim.node_as(actor).expect("server registered");
         if correct[i as usize] {
             committed_blocks = committed_blocks.max(server.stats().committed_blocks);
             views_installed = views_installed.max(server.stats().views_installed);
         }
-        server_stats.push(server.stats().clone());
+        servers.push((!sim.is_down(actor)).then(|| ServerObservation {
+            behavior: behaviors[i as usize],
+            stats: server.stats().clone(),
+            view: server.current_view().0,
+            leader: server.current_leader().0,
+            stable_checkpoint: server.stable_checkpoint(),
+        }));
     }
 
     RunOutcome {
         steps,
         invariant_checks: checker.checks,
-        violation,
         violation_counts: checker.violation_counts.clone(),
         committed_blocks,
         views_installed,
-        server_stats,
+        observations: Observations {
+            run_ms: scenario.duration_ms,
+            series,
+            servers,
+            violation: violation.as_ref().map(|v| Violated {
+                invariant: v.invariant.to_string(),
+                detail: format!("on s{} at {:.1} ms — {}", v.replica, v.at_ms, v.detail),
+            }),
+            windows_closed_ms: timeline.closed_ms().to_vec(),
+        },
+        violation,
         net_stats_debug: format!("{:?}", sim.stats()),
     }
 }
@@ -314,37 +279,46 @@ pub fn run_schedule(schedule: &Schedule) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::Schedule;
+    use crate::schedule::generate;
+    use prestige_workloads::scenario::{FaultKind, Target, TimedFault};
+    use prestige_workloads::FaultPlan;
 
     #[test]
     fn benign_schedule_commits_and_stays_clean() {
-        let mut s = Schedule::generate(1);
-        s.fault_label = "none".into();
-        s.fault_count = 0;
-        s.actions.clear();
+        let mut s = generate(1);
+        s.fault_plan = FaultPlan::None;
+        s.faults.clear();
         s.duration_ms = 2_000;
-        let outcome = run_schedule(&s);
+        let outcome = run_scenario(&s);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         assert!(outcome.committed_blocks > 0, "no commits in a benign run");
         assert!(outcome.invariant_checks > 0);
+        // The series is sampled every 100 ms and ends at the deadline; a
+        // clean benign run passes the default expectation.
+        let series = &outcome.observations.series;
+        assert_eq!(series.len(), 21 + 1);
+        assert!(series.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(outcome.observations.committed() > 0);
+        assert_eq!(s.judge(&outcome.observations), Vec::<String>::new());
     }
 
     #[test]
     fn crash_restart_schedule_recovers_cleanly() {
-        let mut s = Schedule::generate(2);
-        s.fault_label = "none".into();
-        s.fault_count = 0;
+        let mut s = generate(2);
+        s.fault_plan = FaultPlan::None;
         s.duration_ms = 3_000;
-        s.actions = vec![ScheduledAction {
+        s.faults = vec![TimedFault {
             at_ms: 800,
-            kind: ActionKind::CrashRestart {
-                target: 0,
+            kind: FaultKind::CrashRestart {
+                target: Target::Leader,
                 down_ms: 500,
                 torn_records: 1,
             },
         }];
-        let outcome = run_schedule(&s);
+        let outcome = run_scenario(&s);
         assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
         assert!(outcome.committed_blocks > 0);
+        assert_eq!(outcome.observations.windows_closed_ms, [Some(1_300)]);
+        assert!(outcome.observations.servers.iter().all(Option::is_some));
     }
 }

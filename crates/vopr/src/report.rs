@@ -4,8 +4,8 @@
 //! per-invariant violation counts are all first-class fields).
 
 use crate::invariants::{Violation, INVARIANT_NAMES};
-use crate::schedule::Schedule;
 use prestige_metrics::Json;
+use prestige_workloads::scenario::Scenario;
 use std::collections::BTreeMap;
 
 /// Aggregated statistics over one swarm (a batch of seeded runs).
@@ -39,7 +39,7 @@ pub struct FailureRecord {
     /// The violation (post-shrink when shrinking ran).
     pub violation: Violation,
     /// The minimal reproducer, when shrinking ran.
-    pub shrunk: Option<Schedule>,
+    pub shrunk: Option<Scenario>,
     /// Path the regression file was written to, when one was.
     pub regression_file: Option<String>,
 }
@@ -79,7 +79,7 @@ impl SwarmReport {
                     .push("detail", f.violation.detail.clone());
                 match &f.shrunk {
                     Some(s) => {
-                        obj.push("shrunk_actions", s.actions.len())
+                        obj.push("shrunk_actions", s.faults.len())
                             .push("shrunk_duration_ms", s.duration_ms);
                     }
                     None => {
@@ -130,8 +130,8 @@ mod tests {
                 at_ms: 1234.5,
                 detail: "digest diverges".into(),
             },
-            shrunk: Some(Schedule::generate(42)),
-            regression_file: Some("vopr/regressions/seed-42.ron".into()),
+            shrunk: Some(crate::schedule::generate(42)),
+            regression_file: Some("vopr/regressions/seed-42.toml".into()),
         });
         let text = report.to_json().render();
         for field in [

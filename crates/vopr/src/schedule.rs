@@ -1,272 +1,134 @@
-//! Schedules: the seeded, serializable description of one falsification run.
+//! Schedules: the seeded generator of falsification runs.
 //!
-//! A [`Schedule`] is everything a run depends on — cluster shape, workload,
-//! base network, Byzantine fault plan, and a time-ordered list of injected
-//! faults ([`ScheduledAction`]). It is a pure function of its seed (see
-//! [`Schedule::generate`]), and it serializes to the regression files under
-//! `vopr/regressions/*.ron`, so a failing run replays bit-identically from
-//! either its seed or its file.
-//!
-//! All quantities are integers (microseconds, permille) so serialization
-//! round-trips exactly; the harness converts to the simulator's `f64`
-//! milliseconds at the edge.
+//! A schedule is a [`Scenario`] — the one description the simulator host and
+//! the real runtime both run (`prestige_workloads::scenario`) — drawn as a
+//! pure function of its seed: cluster shape, workload, base network,
+//! Byzantine fault plan, and 1–3 injected faults. A failing run therefore
+//! replays bit-identically from either its seed or the scenario file the
+//! shrinker writes for it.
 
 use prestige_core::AttackStrategy;
-use prestige_sim::{LatencyModel, NetworkConfig, SimRng};
+use prestige_sim::SimRng;
+use prestige_workloads::scenario::{
+    Assertions, Cut, Expectation, FaultKind, Scenario, Target, TimedFault, Timeouts,
+};
 use prestige_workloads::FaultPlan;
 
-/// One injected fault, fired when simulated time reaches `at_ms`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledAction {
-    /// When the fault starts (simulated ms).
-    pub at_ms: u64,
-    /// What happens.
-    pub kind: ActionKind,
-}
+/// Generates the schedule for a seed: a small 4- or 7-server cluster, a
+/// light closed-loop workload (sized for the 1-core CI container), a
+/// randomly drawn fault plan with at most `f` conspirators, and 1–3
+/// fault-injection windows biased toward the shapes that historically
+/// broke the protocol (leader-targeted asymmetric partitions and
+/// leader crash-restarts mid-pipeline).
+pub fn generate(seed: u64) -> Scenario {
+    let mut rng = SimRng::new(seed ^ 0x5EED_5EED_5EED_5EED);
+    // Mostly 4 servers (f = 1): small clusters run fast, and every
+    // historical safety bug reproduced at n = 4. Every fourth seed runs
+    // n = 7 to exercise f = 2 quorums.
+    let servers: u32 = if seed % 4 == 3 { 7 } else { 4 };
+    let f = (servers - 1) / 3;
+    let duration_ms = rng.uniform_u64(3_000, 4_501);
 
-/// The fault repertoire of the falsification harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActionKind {
-    /// Symmetric partition: server `target` is cut off from everyone (both
-    /// directions) for `duration_ms`.
-    PartitionSym {
-        /// The isolated server.
-        target: u32,
-        /// Window length (ms).
-        duration_ms: u64,
-    },
-    /// Asymmetric partition: `target`'s *outbound* traffic is blocked — it
-    /// still hears the cluster (and can assemble QCs from replies already in
-    /// flight patterns) but nobody hears it. The classic fork shape.
-    PartitionOut {
-        /// The muted server.
-        target: u32,
-        /// Window length (ms).
-        duration_ms: u64,
-    },
-    /// Asymmetric partition: `target`'s *inbound* traffic is blocked — it
-    /// keeps broadcasting into the cluster but goes deaf.
-    PartitionIn {
-        /// The deafened server.
-        target: u32,
-        /// Window length (ms).
-        duration_ms: u64,
-    },
-    /// Network degradation: extra delay/jitter and loss on every link for
-    /// `duration_ms`, then the base network is restored.
-    Degrade {
-        /// Lower propagation delay bound (µs).
-        delay_lo_us: u64,
-        /// Upper propagation delay bound (µs).
-        delay_hi_us: u64,
-        /// Message loss probability (‰).
-        loss_permille: u32,
-        /// Window length (ms).
-        duration_ms: u64,
-    },
-    /// Crash `target`, optionally tear `torn_records` records off the tail
-    /// of its WAL (what a mid-append power cut leaves), and restart it
-    /// `down_ms` later from a WAL replay.
-    CrashRestart {
-        /// The crashed server.
-        target: u32,
-        /// How long it stays down (ms).
-        down_ms: u64,
-        /// Records torn off the WAL tail at the crash point.
-        torn_records: u32,
-    },
-}
-
-impl ActionKind {
-    /// Short label used in run logs and shrink traces.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ActionKind::PartitionSym { .. } => "partition_sym",
-            ActionKind::PartitionOut { .. } => "partition_out",
-            ActionKind::PartitionIn { .. } => "partition_in",
-            ActionKind::Degrade { .. } => "degrade",
-            ActionKind::CrashRestart { .. } => "crash_restart",
-        }
-    }
-}
-
-/// A complete, replayable description of one falsification run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schedule {
-    /// Seed for the simulator (and, when generated, for the schedule itself).
-    pub seed: u64,
-    /// Cluster size.
-    pub servers: u32,
-    /// Closed-loop client processes.
-    pub clients: u64,
-    /// Requests each client keeps in flight.
-    pub concurrency: usize,
-    /// Payload size (bytes).
-    pub payload_size: usize,
-    /// Leader batch size β.
-    pub batch_size: usize,
-    /// Checkpoint interval (commits per stable checkpoint).
-    pub checkpoint_interval: u64,
-    /// Total simulated duration (ms).
-    pub duration_ms: u64,
-    /// Byzantine fault plan label (`none`, `quiet`, `equiv`, `timeout`,
-    /// `vc_quiet`, `vc_equiv`, `tip_liar`).
-    pub fault_label: String,
-    /// How many servers follow the plan (the last `fault_count` ids).
-    pub fault_count: u32,
-    /// Attack strategy for the F4/F5 plans (`s1` or `s2`).
-    pub fault_strategy: String,
-    /// Base network: lower propagation delay bound (µs).
-    pub delay_lo_us: u64,
-    /// Base network: upper propagation delay bound (µs).
-    pub delay_hi_us: u64,
-    /// Base network: message loss probability (‰).
-    pub loss_permille: u32,
-    /// The injected faults, in time order.
-    pub actions: Vec<ScheduledAction>,
-}
-
-impl Schedule {
-    /// Generates the schedule for a seed: a small 4- or 7-server cluster, a
-    /// light closed-loop workload (sized for the 1-core CI container), a
-    /// randomly drawn fault plan with at most `f` conspirators, and 1–3
-    /// fault-injection windows biased toward the shapes that historically
-    /// broke the protocol (leader-targeted asymmetric partitions and
-    /// leader crash-restarts mid-pipeline).
-    pub fn generate(seed: u64) -> Schedule {
-        let mut rng = SimRng::new(seed ^ 0x5EED_5EED_5EED_5EED);
-        // Mostly 4 servers (f = 1): small clusters run fast, and every
-        // historical safety bug reproduced at n = 4. Every fourth seed runs
-        // n = 7 to exercise f = 2 quorums.
-        let servers: u32 = if seed % 4 == 3 { 7 } else { 4 };
-        let f = (servers - 1) / 3;
-        let duration_ms = rng.uniform_u64(3_000, 4_501);
-
-        let (fault_label, fault_count, fault_strategy) = {
-            // `none` is deliberately over-weighted: benign runs make the
-            // fault-injection windows (not the behaviors) carry the stress,
-            // which is where the canary bugs live.
-            let roll = rng.uniform_u64(0, 10);
-            let count = 1 + rng.uniform_u64(0, f as u64) as u32;
-            let strat = if rng.chance(0.5) { "s1" } else { "s2" };
-            match roll {
-                0..=3 => ("none", 0, "s1"),
-                4 => ("quiet", count, strat),
-                5 => ("equiv", count, strat),
-                6 => ("timeout", count, strat),
-                7 => ("vc_quiet", count, strat),
-                8 => ("vc_equiv", count, strat),
-                _ => ("tip_liar", count, strat),
-            }
-        };
-
-        let delay_lo_us = rng.uniform_u64(100, 1_000);
-        let delay_hi_us = delay_lo_us + rng.uniform_u64(100, 2_000);
-        let loss_permille = if rng.chance(0.4) {
-            rng.uniform_u64(1, 11) as u32
+    let fault_plan = {
+        // `None` is deliberately over-weighted: benign runs make the
+        // fault-injection windows (not the behaviors) carry the stress,
+        // which is where the canary bugs live.
+        let roll = rng.uniform_u64(0, 10);
+        let count = 1 + rng.uniform_u64(0, f as u64) as u32;
+        let strategy = if rng.chance(0.5) {
+            AttackStrategy::Always
         } else {
-            0
+            AttackStrategy::WhenCompensable
         };
+        match roll {
+            0..=3 => FaultPlan::None,
+            4 => FaultPlan::Quiet { count },
+            5 => FaultPlan::Equivocate { count },
+            6 => FaultPlan::TimeoutAttack { count },
+            7 => FaultPlan::RepeatedVcQuiet { count, strategy },
+            8 => FaultPlan::RepeatedVcEquivocate { count, strategy },
+            _ => FaultPlan::TipLiar { count, strategy },
+        }
+    };
 
-        let action_count = 1 + rng.uniform_u64(0, 3);
-        let mut actions = Vec::new();
-        let mut crash_used: Vec<u32> = Vec::new();
-        for _ in 0..action_count {
-            // Server 0 leads view 1; half the faults aim straight at it.
-            let target = if rng.chance(0.5) {
-                0
-            } else {
-                rng.uniform_u64(0, servers as u64) as u32
-            };
-            let at_ms = rng.uniform_u64(300, duration_ms.saturating_sub(1_200).max(301));
-            let window = rng.uniform_u64(300, 1_201);
-            let kind = match rng.uniform_u64(0, 100) {
-                0..=24 => ActionKind::PartitionOut {
-                    target,
-                    duration_ms: window,
-                },
-                25..=39 => ActionKind::PartitionIn {
-                    target,
-                    duration_ms: window,
-                },
-                40..=59 => ActionKind::PartitionSym {
-                    target,
-                    duration_ms: window,
-                },
-                60..=74 => ActionKind::Degrade {
-                    delay_lo_us: rng.uniform_u64(1_000, 5_000),
-                    delay_hi_us: rng.uniform_u64(5_000, 20_000),
-                    loss_permille: rng.uniform_u64(10, 80) as u32,
-                    duration_ms: window,
-                },
-                _ => {
-                    // At most one crash-restart per target per schedule keeps
-                    // the down/restart bookkeeping unambiguous.
-                    if crash_used.contains(&target) {
-                        ActionKind::PartitionSym {
-                            target,
-                            duration_ms: window,
-                        }
-                    } else {
-                        crash_used.push(target);
-                        ActionKind::CrashRestart {
-                            target,
-                            down_ms: rng.uniform_u64(300, 901),
-                            torn_records: if rng.chance(0.3) {
-                                rng.uniform_u64(1, 4) as u32
-                            } else {
-                                0
-                            },
-                        }
+    let delay_lo_us = rng.uniform_u64(100, 1_000);
+    let delay_hi_us = delay_lo_us + rng.uniform_u64(100, 2_000);
+    let loss_permille = if rng.chance(0.4) {
+        rng.uniform_u64(1, 11) as u32
+    } else {
+        0
+    };
+
+    let fault_count = 1 + rng.uniform_u64(0, 3);
+    let mut faults = Vec::new();
+    let mut crash_used: Vec<u32> = Vec::new();
+    for _ in 0..fault_count {
+        // Server 0 leads view 1; half the faults aim straight at it.
+        let target = if rng.chance(0.5) {
+            0
+        } else {
+            rng.uniform_u64(0, servers as u64) as u32
+        };
+        let at_ms = rng.uniform_u64(300, duration_ms.saturating_sub(1_200).max(301));
+        let window = rng.uniform_u64(300, 1_201);
+        let partition = |cut| FaultKind::Partition {
+            cut,
+            target: Target::Server(target),
+            duration_ms: window,
+        };
+        let kind = match rng.uniform_u64(0, 100) {
+            0..=24 => partition(Cut::Out),
+            25..=39 => partition(Cut::In),
+            40..=59 => partition(Cut::Sym),
+            60..=74 => FaultKind::Degrade {
+                delay_lo_us: rng.uniform_u64(1_000, 5_000),
+                delay_hi_us: rng.uniform_u64(5_000, 20_000),
+                loss_permille: rng.uniform_u64(10, 80) as u32,
+                duration_ms: window,
+            },
+            _ => {
+                // At most one crash-restart per target per schedule keeps
+                // the down/restart bookkeeping unambiguous.
+                if crash_used.contains(&target) {
+                    partition(Cut::Sym)
+                } else {
+                    crash_used.push(target);
+                    FaultKind::CrashRestart {
+                        target: Target::Server(target),
+                        down_ms: rng.uniform_u64(300, 901),
+                        torn_records: if rng.chance(0.3) {
+                            rng.uniform_u64(1, 4) as u32
+                        } else {
+                            0
+                        },
                     }
                 }
-            };
-            actions.push(ScheduledAction { at_ms, kind });
-        }
-        actions.sort_by_key(|a| a.at_ms);
-
-        Schedule {
-            seed,
-            servers,
-            clients: 2,
-            concurrency: 6,
-            payload_size: 16,
-            batch_size: 8,
-            checkpoint_interval: 8,
-            duration_ms,
-            fault_label: fault_label.to_string(),
-            fault_count,
-            fault_strategy: fault_strategy.to_string(),
-            delay_lo_us,
-            delay_hi_us,
-            loss_permille,
-            actions,
-        }
+            }
+        };
+        faults.push(TimedFault { at_ms, kind });
     }
+    faults.sort_by_key(|f| f.at_ms);
 
-    /// The base network model (before any `Degrade` window).
-    pub fn base_network(&self) -> NetworkConfig {
-        NetworkConfig {
-            latency: LatencyModel::Uniform {
-                lo_ms: self.delay_lo_us as f64 / 1_000.0,
-                hi_ms: self.delay_hi_us as f64 / 1_000.0,
-            },
-            bandwidth_bytes_per_sec: f64::INFINITY,
-            drop_probability: self.loss_permille as f64 / 1_000.0,
-        }
-    }
-
-    /// The Byzantine fault plan, decoded from its label. Unknown labels fall
-    /// back to all-correct (schedules only ever carry labels produced by
-    /// [`FaultPlan::label`]).
-    pub fn fault_plan(&self) -> FaultPlan {
-        if self.fault_label == "none" || self.fault_count == 0 {
-            return FaultPlan::None;
-        }
-        let strategy =
-            FaultPlan::parse_strategy(&self.fault_strategy).unwrap_or(AttackStrategy::Always);
-        FaultPlan::from_parts(&self.fault_label, self.fault_count, strategy)
-            .unwrap_or(FaultPlan::None)
+    Scenario {
+        name: format!("vopr-seed-{seed}"),
+        seed,
+        servers,
+        clients: 2,
+        concurrency: 6,
+        batch_size: 8,
+        payload_size: 16,
+        checkpoint_interval: 8,
+        pipeline_depth: 4,
+        rotation_ms: 0,
+        timeouts: Timeouts::Fast,
+        duration_ms,
+        delay_lo_us,
+        delay_hi_us,
+        loss_permille,
+        fault_plan,
+        faults,
+        storage: None,
+        expect: Expectation::Assert(Assertions::default()),
     }
 }
 
@@ -276,34 +138,34 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        assert_eq!(Schedule::generate(17), Schedule::generate(17));
-        assert_ne!(Schedule::generate(17), Schedule::generate(18));
+        assert_eq!(generate(17), generate(17));
+        assert_ne!(generate(17), generate(18));
     }
 
     #[test]
     fn generated_schedules_are_well_formed() {
         for seed in 0..200 {
-            let s = Schedule::generate(seed);
+            let s = generate(seed);
             assert!(s.servers == 4 || s.servers == 7);
             let f = (s.servers - 1) / 3;
-            assert!(s.fault_count <= f, "seed {seed}: {} > f", s.fault_count);
-            assert!(!s.actions.is_empty() && s.actions.len() <= 3);
-            assert!(s.actions.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+            assert!(s.fault_plan.count() <= f, "seed {seed}: too many faulty");
+            assert!(!s.faults.is_empty() && s.faults.len() <= 3);
+            assert!(s.faults.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
             // At most one crash-restart per target.
-            let crashes: Vec<u32> = s
-                .actions
+            let crashes: Vec<Target> = s
+                .faults
                 .iter()
                 .filter_map(|a| match a.kind {
-                    ActionKind::CrashRestart { target, .. } => Some(target),
+                    FaultKind::CrashRestart { target, .. } => Some(target),
                     _ => None,
                 })
                 .collect();
-            let mut dedup = crashes.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(crashes.len(), dedup.len(), "seed {seed}: duplicate crash");
-            let _ = s.fault_plan();
-            let _ = s.base_network();
+            for (i, target) in crashes.iter().enumerate() {
+                assert!(
+                    !crashes[..i].contains(target),
+                    "seed {seed}: duplicate crash"
+                );
+            }
         }
     }
 }

@@ -7,56 +7,39 @@
 //!
 //! 1. **Simplify knobs** — drop the Byzantine fault plan and base-network
 //!    loss if the faults alone reproduce.
-//! 2. **Drop actions** — greedy removal to a fixpoint.
+//! 2. **Drop faults** — greedy removal to a fixpoint.
 //! 3. **Shorten windows** — halve partition/degrade/down windows while the
 //!    violation survives.
 //! 4. **Bisect the run** — repeatedly halve the schedule duration toward the
 //!    violation time, then truncate to just past it.
 
-use crate::harness::run_schedule;
+use crate::harness::run_scenario;
 use crate::invariants::Violation;
-use crate::schedule::{ActionKind, Schedule};
+use prestige_workloads::scenario::Scenario;
+use prestige_workloads::FaultPlan;
 
 /// The outcome of a shrink: the minimal schedule, the violation it still
 /// reproduces, and how many candidate runs it took.
 #[derive(Debug, Clone)]
 pub struct ShrinkResult {
     /// The minimized schedule.
-    pub schedule: Schedule,
+    pub schedule: Scenario,
     /// The violation the minimized schedule reproduces.
     pub violation: Violation,
     /// Candidate schedules executed while shrinking.
     pub candidates_run: u64,
 }
 
-fn halve_windows(kind: &mut ActionKind) -> bool {
-    let shrink = |d: &mut u64| {
-        if *d > 200 {
-            *d /= 2;
-            true
-        } else {
-            false
-        }
-    };
-    match kind {
-        ActionKind::PartitionSym { duration_ms, .. }
-        | ActionKind::PartitionOut { duration_ms, .. }
-        | ActionKind::PartitionIn { duration_ms, .. }
-        | ActionKind::Degrade { duration_ms, .. } => shrink(duration_ms),
-        ActionKind::CrashRestart { down_ms, .. } => shrink(down_ms),
-    }
-}
-
 /// Shrinks `original` to a minimal schedule that still violates an
 /// invariant. Returns `None` if the original run is clean (nothing to
 /// shrink).
-pub fn shrink(original: &Schedule) -> Option<ShrinkResult> {
-    run_schedule(original).violation.as_ref()?;
+pub fn shrink(original: &Scenario) -> Option<ShrinkResult> {
+    run_scenario(original).violation.as_ref()?;
     let mut best = original.clone();
     let mut candidates_run = 1u64;
-    let try_candidate = |best: &mut Schedule, candidate: Schedule, runs: &mut u64| -> bool {
+    let try_candidate = |best: &mut Scenario, candidate: Scenario, runs: &mut u64| -> bool {
         *runs += 1;
-        if run_schedule(&candidate).violation.is_some() {
+        if run_scenario(&candidate).violation.is_some() {
             *best = candidate;
             true
         } else {
@@ -65,10 +48,9 @@ pub fn shrink(original: &Schedule) -> Option<ShrinkResult> {
     };
 
     // Pass 1: simplify knobs.
-    if best.fault_label != "none" {
+    if best.fault_plan != FaultPlan::None {
         let mut candidate = best.clone();
-        candidate.fault_label = "none".into();
-        candidate.fault_count = 0;
+        candidate.fault_plan = FaultPlan::None;
         try_candidate(&mut best, candidate, &mut candidates_run);
     }
     if best.loss_permille > 0 {
@@ -77,13 +59,13 @@ pub fn shrink(original: &Schedule) -> Option<ShrinkResult> {
         try_candidate(&mut best, candidate, &mut candidates_run);
     }
 
-    // Pass 2: greedy action removal to a fixpoint.
+    // Pass 2: greedy fault removal to a fixpoint.
     loop {
         let mut removed_any = false;
         let mut i = 0;
-        while i < best.actions.len() {
+        while i < best.faults.len() {
             let mut candidate = best.clone();
-            candidate.actions.remove(i);
+            candidate.faults.remove(i);
             if try_candidate(&mut best, candidate, &mut candidates_run) {
                 removed_any = true;
             } else {
@@ -97,9 +79,11 @@ pub fn shrink(original: &Schedule) -> Option<ShrinkResult> {
 
     // Pass 3: shorten the surviving windows (two halving rounds).
     for _ in 0..2 {
-        for i in 0..best.actions.len() {
+        for i in 0..best.faults.len() {
             let mut candidate = best.clone();
-            if halve_windows(&mut candidate.actions[i].kind) {
+            let window = candidate.faults[i].kind.window_ms_mut();
+            if *window > 200 {
+                *window /= 2;
                 try_candidate(&mut best, candidate, &mut candidates_run);
             }
         }
@@ -118,7 +102,7 @@ pub fn shrink(original: &Schedule) -> Option<ShrinkResult> {
             break;
         }
     }
-    let outcome = run_schedule(&best);
+    let outcome = run_scenario(&best);
     candidates_run += 1;
     let violation = outcome.violation.clone().expect("best still violates");
     let cut = violation.at_ms as u64 + 200;
@@ -129,7 +113,7 @@ pub fn shrink(original: &Schedule) -> Option<ShrinkResult> {
     }
 
     candidates_run += 1;
-    let violation = run_schedule(&best)
+    let violation = run_scenario(&best)
         .violation
         .expect("shrunk schedule reproduces");
     Some(ShrinkResult {

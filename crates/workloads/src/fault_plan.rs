@@ -65,6 +65,16 @@ impl FaultPlan {
         }
     }
 
+    /// The attack timing strategy, for the plans that carry one.
+    pub fn strategy(&self) -> Option<AttackStrategy> {
+        match self {
+            FaultPlan::RepeatedVcQuiet { strategy, .. }
+            | FaultPlan::RepeatedVcEquivocate { strategy, .. }
+            | FaultPlan::TipLiar { strategy, .. } => Some(*strategy),
+            _ => None,
+        }
+    }
+
     /// The behaviour this plan's faulty servers perform.
     fn faulty_behavior(&self) -> ByzantineBehavior {
         match self {
