@@ -368,10 +368,17 @@ mod tests {
         block
     }
 
-    fn deliver_commit_block(follower: &mut PrestigeServer, from: ServerId, block: TxBlock) {
+    fn commit_block(
+        follower: &mut PrestigeServer,
+        registry: &KeyRegistry,
+        view: View,
+        n: u64,
+        txs: Vec<Transaction>,
+    ) {
+        let block = certified_block(registry, (view, view, view), n, &txs, txs.clone());
         with_ctx(follower, |s, ctx| {
             s.on_message(
-                Actor::Server(from),
+                Actor::Server(ServerId(0)),
                 Message::CommitBlock {
                     block: Arc::new(block),
                     sig: [0u8; 32],
@@ -381,102 +388,44 @@ mod tests {
         });
     }
 
-    fn commit_block(
-        follower: &mut PrestigeServer,
-        registry: &KeyRegistry,
-        view: View,
-        n: u64,
-        txs: Vec<Transaction>,
-    ) {
-        let block = certified_block(registry, (view, view, view), n, &txs, txs.clone());
-        deliver_commit_block(follower, ServerId(0), block);
-    }
-
-    /// The body a Byzantine relay attaches in the body-swap tests: genuine
-    /// quorum QCs over `{(c1, 100)}`, carried with `{(c1, 999)}`.
-    fn swapped_block(registry: &KeyRegistry) -> TxBlock {
-        let view = View(1);
-        certified_block(
-            registry,
-            (view, view, view),
-            1,
-            &[Transaction::with_size(ClientId(1), 100, 16)],
-            vec![Transaction::with_size(ClientId(1), 999, 16)],
-        )
-    }
-
     #[test]
-    fn commit_block_with_a_body_the_qcs_do_not_certify_is_refused() {
-        // ROADMAP 1a: any server — here s3, not the leader, with a zero
-        // signature — relays genuine QCs over one batch with another body.
+    fn blocks_whose_qcs_do_not_certify_their_body_are_refused() {
+        // Genuine quorum QCs over `{(c1, 100)}` carried with the body
+        // `{(c1, 999)}`, relayed by s3 — not the leader — under a zero
+        // signature, live and over the sync plane (how a lagging replica
+        // learns its prefix); and a block whose body and digests agree but
+        // whose ordering quorum formed in view 1 and its commit quorum in
+        // view 2, so no single instance was both ordered and committed.
         let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower =
-            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
-        deliver_commit_block(&mut follower, ServerId(3), swapped_block(&registry));
-        assert_eq!(
-            follower.store().latest_seq(),
-            SeqNum(0),
-            "an uncertified body must not enter the chain"
-        );
-        assert_eq!(follower.stats().verify_rejected, 1);
-    }
-
-    #[test]
-    fn synced_block_with_a_body_the_qcs_do_not_certify_is_refused() {
-        // The same block served over the sync plane, which is how a
-        // restarted or lagging replica learns its committed prefix.
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower =
-            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
-        with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(3)),
-                Message::SyncResp {
-                    vc_blocks: Vec::new(),
-                    tx_blocks: vec![swapped_block(&registry)],
-                    ordered: Vec::new(),
-                    ckpt: None,
-                },
-                ctx,
+        let certified = [Transaction::with_size(ClientId(1), 100, 16)];
+        let swapped = vec![Transaction::with_size(ClientId(1), 999, 16)];
+        let one = (View(1), View(1), View(1));
+        let swap = certified_block(&registry, one, 1, &certified, swapped);
+        let split = (View(1), View(1), View(2));
+        let split = certified_block(&registry, split, 1, &certified, certified.to_vec());
+        let live = |block| Message::CommitBlock {
+            block: Arc::new(block),
+            sig: [0u8; 32],
+        };
+        let synced = Message::SyncResp {
+            vc_blocks: Vec::new(),
+            tx_blocks: vec![swap.clone()],
+            ordered: Vec::new(),
+            ckpt: None,
+        };
+        for message in [live(swap), synced, live(split)] {
+            let mut follower =
+                PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
+            with_ctx(&mut follower, |s, ctx| {
+                s.on_message(Actor::Server(ServerId(3)), message, ctx)
+            });
+            assert_eq!(
+                follower.store().latest_seq(),
+                SeqNum(0),
+                "an uncertified body must not enter the chain"
             );
-        });
-        assert_eq!(follower.store().latest_seq(), SeqNum(0));
-        assert_eq!(follower.stats().verify_rejected, 1);
-    }
-
-    #[test]
-    fn commit_block_whose_qcs_come_from_different_views_is_refused() {
-        // Body and both digests agree, but the ordering quorum formed in
-        // view 1 and the commit quorum in view 2: no single instance was
-        // both ordered and committed, so nothing is certified.
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower =
-            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
-        let txs = vec![Transaction::with_size(ClientId(1), 100, 16)];
-        let block = certified_block(&registry, (View(1), View(1), View(2)), 1, &txs, txs.clone());
-        deliver_commit_block(&mut follower, ServerId(0), block);
-        assert_eq!(follower.store().latest_seq(), SeqNum(0));
-        assert_eq!(follower.stats().verify_rejected, 1);
-    }
-
-    #[test]
-    fn commit_block_for_an_acknowledged_ordering_is_applied() {
-        // The live path: the follower verified the digest at `Ord` time, so
-        // the commit binds by comparing keys against the batch it holds.
-        let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower =
-            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
-        let tx = Transaction::with_size(ClientId(1), 100, 16);
-        assert!(deliver_ord(
-            &mut follower,
-            &registry,
-            View(1),
-            1,
-            vec![Proposal::new(tx.clone(), Digest::ZERO)],
-        ));
-        commit_block(&mut follower, &registry, View(1), 1, vec![tx]);
-        assert_eq!(follower.store().latest_seq(), SeqNum(1));
-        assert_eq!(follower.stats().verify_rejected, 0);
+            assert_eq!(follower.stats().verify_rejected, 1);
+        }
     }
 
     #[test]

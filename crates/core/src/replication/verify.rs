@@ -61,18 +61,14 @@ impl PrestigeServer {
     /// earlier view, a lost `Ord`) the digest is recomputed from the body.
     fn body_matches_digest(&self, block: &TxBlock, digest: &Digest) -> bool {
         let n = block.n.0;
+        let body_keys = block.tx.iter().map(|tx| tx.key());
         let acknowledged = block.view == self.current_view()
             && self.ordered_digests.get(&n) == Some(digest)
-            && self.ordered_batches.get(&n).is_some_and(|held| {
-                held.len() == block.tx.len()
-                    && held
-                        .iter()
-                        .zip(&block.tx)
-                        .all(|(p, tx)| p.tx.key() == tx.key())
-            });
-        acknowledged
-            || batch_digest_of_keys(block.view, block.n, block.tx.iter().map(|tx| tx.key()))
-                == *digest
+            && self
+                .ordered_batches
+                .get(&n)
+                .is_some_and(|held| held.iter().map(|p| p.tx.key()).eq(body_keys.clone()));
+        acknowledged || batch_digest_of_keys(block.view, block.n, body_keys) == *digest
     }
 
     /// Applies a committed block locally: store it, update bookkeeping, and

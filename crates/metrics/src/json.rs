@@ -174,6 +174,12 @@ impl From<Vec<Json>> for Json {
         Json::Arr(items)
     }
 }
+impl<T: Into<Json>> From<Option<T>> for Json {
+    /// `None` renders as `null`.
+    fn from(value: Option<T>) -> Json {
+        value.map_or(Json::Null, Into::into)
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,37 +4,25 @@
 //! partitions) and crash-restarts, and judge it by the file's own
 //! expectation.
 //!
-//! The scenario is declarative and shared: `prestige_workloads::scenario`
-//! owns the one [`Scenario`] type, its text form, the expanded fault
-//! timeline and the verdict function, and the vopr simulator runs the very
-//! same files (`vopr replay scenarios/*.toml`). This binary launches the
-//! cluster on real node runtimes over loopback, walks the timeline against
-//! the wall clock — any number of `[[fault]]` windows, each healed at its
-//! own time — samples per-node progress, hands the observations to
-//! [`Scenario::judge`], and writes a JSON report:
+//! `prestige_workloads::scenario` owns the one [`Scenario`] type, its text
+//! form, the expanded fault timeline and the verdict function, and the vopr
+//! simulator runs the very same files (`vopr replay scenarios/*.toml`). This
+//! binary launches the cluster on real node runtimes over loopback, walks
+//! the timeline against the wall clock — any number of `[[fault]]` windows,
+//! each closed at its own time — samples progress, hands the observations
+//! to [`Scenario::judge`], and writes a JSON report:
 //!
 //! ```text
 //! cargo run --release -p prestige-net --bin chaos_net -- \
 //!     --scenario scenarios/f4_s1_partition.toml --out CHAOS_report.json
 //! ```
 //!
-//! Exit status is non-zero when the verdict has a failure — for an
-//! `[assert]` file:
-//!
-//! * **no-fork** — every pair of correct replicas agrees on the block digest
-//!   at every sequence number both have committed (digest chaining makes the
-//!   whole prefix identical);
-//! * **recovery** — committed throughput over the trailing window is above
-//!   the configured floor, and the commit count after the last fault window
-//!   closes reaches the configured minimum;
-//!
-//! and for an `[expect] violation` reproducer, when the run does *not* show
-//! that violation (this binary carries no canary, so a healthy build reports
-//! "stayed clean" — what the run demonstrates is the timeline on real
+//! Exit status is non-zero when the verdict has a failure: an `[assert]`
+//! file's no-fork, recovery or attack assertions (`docs/ATTACKS.md`), or —
+//! for an `[expect] violation` reproducer — the run *not* showing that
+//! violation (this binary carries no canary, so a healthy build reports
+//! "stayed clean"; what such a run demonstrates is the timeline on real
 //! runtimes).
-//!
-//! See `docs/ATTACKS.md` for the scenario vocabulary and the mapping to the
-//! paper's experiments.
 
 use prestige_core::LoopStage;
 use prestige_metrics::Json;
@@ -43,7 +31,7 @@ use prestige_net::config::wal_options;
 use prestige_net::NetChaos;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, TimeoutConfig, ViewChangePolicy};
 use prestige_workloads::scenario::{
-    Assertions, Cut, Expectation, FaultKind, Observations, Scenario, ServerObservation, Step,
+    Assertions, Cut, Expectation, FaultKind, Link, Observations, Scenario, ServerObservation,
     Timeline, Timeouts, Violated,
 };
 use std::time::{Duration, Instant};
@@ -86,107 +74,47 @@ fn storage_plan(scenario: &Scenario) -> Option<StoragePlan> {
     })
 }
 
-/// Applies a `[lo, hi]` µs / ‰ link model: every delivery waits `lo` plus a
-/// uniform draw from `[0, hi - lo]`.
-fn set_network(chaos: &NetChaos, delay_lo_us: u64, delay_hi_us: u64, loss_permille: u32) {
+/// Applies a link model: every delivery waits `delay_lo_us` plus a uniform
+/// draw from `[0, delay_hi_us - delay_lo_us]`.
+fn set_network(chaos: &NetChaos, link: Link) {
     chaos.set_link_delay(
-        Duration::from_micros(delay_lo_us),
-        Duration::from_micros(delay_hi_us.saturating_sub(delay_lo_us)),
+        Duration::from_micros(link.delay_lo_us),
+        Duration::from_micros(link.delay_hi_us - link.delay_lo_us),
     );
-    chaos.set_loss(loss_permille as f64 / 1000.0);
+    chaos.set_loss(link.loss_permille as f64 / 1000.0);
 }
 
-/// One timeline sample: elapsed ms, cluster-wide commits, and each server's
-/// committed tx count (shows who stalls during the fault window).
-struct Sample {
-    t_ms: u64,
-    total: u64,
-    per_server: Vec<u64>,
-}
-
-fn sample(cluster: &LocalCluster, t_ms: u64, n: u32) -> Sample {
-    Sample {
-        t_ms,
-        total: cluster.total_committed(),
-        per_server: (0..n)
-            .map(|i| {
-                cluster
-                    .server_stats(ServerId(i))
-                    .map(|s| s.committed_tx)
-                    .unwrap_or(0)
-            })
-            .collect(),
-    }
-}
-
-struct Options {
-    scenario: String,
-    out: String,
-    duration_override: Option<f64>,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut scenario = None;
-    let mut out = "CHAOS_report.json".to_string();
-    let mut duration_override = None;
-    let mut i = 1;
-    while i < args.len() {
-        let need = |name: &str| -> Result<&String, String> {
-            args.get(i + 1).ok_or(format!("{name} needs a value"))
-        };
-        match args[i].as_str() {
-            "--scenario" => scenario = Some(need("--scenario")?.clone()),
-            "--out" => out = need("--out")?.clone(),
-            "--duration" => {
-                duration_override = Some(need("--duration")?.parse().map_err(|e| format!("{e}"))?)
-            }
+/// Parses the command line and loads the scenario it names; returns it
+/// with the report path.
+fn load(args: &[String]) -> Result<(Scenario, String), String> {
+    let (mut path, mut out) = (None, "CHAOS_report.json".to_string());
+    let mut it = args.iter().skip(1);
+    while let Some(flag) = it.next() {
+        let value = it.next().ok_or(format!("{flag} needs a value"))?;
+        match flag.as_str() {
+            "--scenario" => path = Some(value),
+            "--out" => out = value.clone(),
             other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 2;
     }
-    Ok(Options {
-        scenario: scenario.ok_or("missing --scenario")?,
-        out,
-        duration_override,
-    })
+    let path =
+        path.ok_or("missing --scenario (usage: chaos_net --scenario <file.toml> [--out PATH])")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let scenario = Scenario::from_toml(&text).map_err(|e| format!("{path}: {e}"))?;
+    Ok((scenario, out))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(message) => {
-            eprintln!("chaos_net: {message}");
-            eprintln!("usage: chaos_net --scenario <file.toml> [--out PATH] [--duration SECS]");
-            std::process::exit(1);
-        }
+    let failures = match load(&args) {
+        Ok((scenario, out)) => run(&scenario, &out).err().unwrap_or_default(),
+        Err(message) => vec![message],
     };
-    let text = match std::fs::read_to_string(&opts.scenario) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("chaos_net: reading {}: {e}", opts.scenario);
-            std::process::exit(1);
-        }
-    };
-    let mut scenario = match Scenario::from_toml(&text) {
-        Ok(s) => s,
-        Err(message) => {
-            eprintln!("chaos_net: {}: {message}", opts.scenario);
-            std::process::exit(1);
-        }
-    };
-    if let Some(secs) = opts.duration_override {
-        scenario.duration_ms = (secs * 1000.0) as u64;
+    for failure in &failures {
+        eprintln!("chaos_net: FAILED: {failure}");
     }
-
-    match run(&scenario, &opts.out) {
-        Ok(()) => {}
-        Err(failures) => {
-            for failure in &failures {
-                eprintln!("chaos_net: FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }
 
@@ -194,12 +122,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     let n = scenario.servers;
     let behaviors = scenario.fault_plan.behaviors(n);
     let chaos = NetChaos::new();
-    set_network(
-        &chaos,
-        scenario.delay_lo_us,
-        scenario.delay_hi_us,
-        scenario.loss_permille,
-    );
+    set_network(&chaos, scenario.network);
     let crashes = scenario
         .faults
         .iter()
@@ -213,12 +136,10 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     }
 
     eprintln!(
-        "chaos_net: scenario `{}` — n={n}, fault plan {:?}, delay {}–{} µs, loss {}‰, {} fault(s)",
+        "chaos_net: scenario `{}` — n={n}, fault plan {:?}, {:?}, {} fault(s)",
         scenario.name,
         scenario.fault_plan,
-        scenario.delay_lo_us,
-        scenario.delay_hi_us,
-        scenario.loss_permille,
+        scenario.network,
         scenario.faults.len(),
     );
     let mut cluster = LocalCluster::launch_full(
@@ -236,7 +157,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     let started = Instant::now();
     let elapsed_ms = || started.elapsed().as_millis() as u64;
     let mut timeline = Timeline::new(&scenario.faults);
-    let mut series: Vec<Sample> = Vec::new();
+    let mut series: Vec<(u64, u64)> = Vec::new();
     let mut next_sample_ms = 0u64;
     loop {
         let now_ms = elapsed_ms();
@@ -253,7 +174,8 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
                     .and_then(|&observer| cluster.view_of(observer))
                     .map_or(0, |(_, leader)| leader.0)
             };
-            let (step, t) = timeline.pop(now_ms, leader).expect("a step is due");
+            let (op, t) = timeline.pop(now_ms, leader).expect("an op is due");
+            let kind = scenario.faults[op.fault].kind;
             let target = ServerId(t);
             let me = [Actor::Server(target)];
             let others: Vec<Actor> = (0..n)
@@ -261,31 +183,21 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
                 .map(|i| Actor::Server(ServerId(i)))
                 .chain((0..scenario.clients).map(|c| Actor::Client(ClientId(c))))
                 .collect();
-            match step {
-                Step::Degrade { .. } | Step::RestoreNet => {
-                    eprintln!("chaos_net: t={now_ms}ms {step:?}")
-                }
-                _ => eprintln!("chaos_net: t={now_ms}ms {step:?} s{t}"),
+            let edge = if op.ends { "ends" } else { "starts" };
+            match kind.target() {
+                Some(_) => eprintln!("chaos_net: t={now_ms}ms {} {edge} on s{t}", kind.label()),
+                None => eprintln!("chaos_net: t={now_ms}ms {} {edge}", kind.label()),
             }
-            match step {
-                Step::Block(Cut::Sym) => chaos.partition_between(&me, &others),
-                Step::Block(Cut::Out) => chaos.partition_oneway(&me, &others),
-                Step::Block(Cut::In) => chaos.partition_oneway(&others, &me),
-                Step::Heal(Cut::Sym) => chaos.heal_between(&me, &others),
-                Step::Heal(Cut::Out) => chaos.heal_oneway(&me, &others),
-                Step::Heal(Cut::In) => chaos.heal_oneway(&others, &me),
-                Step::Degrade {
-                    delay_lo_us,
-                    delay_hi_us,
-                    loss_permille,
-                } => set_network(&chaos, delay_lo_us, delay_hi_us, loss_permille),
-                Step::RestoreNet => set_network(
-                    &chaos,
-                    scenario.delay_lo_us,
-                    scenario.delay_hi_us,
-                    scenario.loss_permille,
-                ),
-                Step::Crash { torn_records } => {
+            match (kind, op.ends) {
+                (FaultKind::Partition(Cut::Sym, _), false) => chaos.partition_between(&me, &others),
+                (FaultKind::Partition(Cut::Out, _), false) => chaos.partition_oneway(&me, &others),
+                (FaultKind::Partition(Cut::In, _), false) => chaos.partition_oneway(&others, &me),
+                (FaultKind::Partition(Cut::Sym, _), true) => chaos.heal_between(&me, &others),
+                (FaultKind::Partition(Cut::Out, _), true) => chaos.heal_oneway(&me, &others),
+                (FaultKind::Partition(Cut::In, _), true) => chaos.heal_oneway(&others, &me),
+                (FaultKind::Degrade(link), false) => set_network(&chaos, link),
+                (FaultKind::Degrade(_), true) => set_network(&chaos, scenario.network),
+                (FaultKind::CrashRestart { torn_records, .. }, false) => {
                     cluster.crash_server(target);
                     if torn_records > 0 {
                         match cluster.tear_wal_tail(target, torn_records as usize) {
@@ -294,7 +206,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
                         }
                     }
                 }
-                Step::Restart => {
+                (FaultKind::CrashRestart { .. }, true) => {
                     if let Err(e) = cluster.restart_server(target) {
                         eprintln!("chaos_net: restarting s{t} failed: {e}");
                     }
@@ -302,7 +214,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
             }
         }
         if now_ms >= next_sample_ms {
-            series.push(sample(&cluster, now_ms, n));
+            series.push((now_ms, cluster.total_committed()));
             next_sample_ms = now_ms + 100;
         }
         let wake_ms = timeline
@@ -312,14 +224,14 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         std::thread::sleep(Duration::from_millis(wake_ms.saturating_sub(elapsed_ms())));
     }
     let run_ms = elapsed_ms();
-    series.push(sample(&cluster, run_ms, n));
+    series.push((run_ms, cluster.total_committed()));
 
     // --- gather ---------------------------------------------------------
     let correct = cluster.correct_servers();
     let fork_check = cluster.verify_no_fork(&correct);
     let observations = Observations {
         run_ms,
-        series: series.iter().map(|s| (s.t_ms, s.total)).collect(),
+        series,
         servers: (0..n)
             .map(|i| {
                 let id = ServerId(i);
@@ -376,86 +288,67 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         let mut node = Json::obj();
         node.push("server", format!("s{i}"))
             .push("behavior", format!("{:?}", cluster.behavior_of(id)))
-            .push(
-                "role",
-                cluster
-                    .role_of(id)
-                    .map(|r| Json::from(format!("{r:?}")))
-                    .unwrap_or(Json::Null),
-            )
+            .push("role", cluster.role_of(id).map(|r| format!("{r:?}")))
             .push("latest_seq", tip)
             .push("commit_gap", max_tip.saturating_sub(tip));
         if let Some(seen) = &observations.servers[i as usize] {
             let stats = &seen.stats;
-            node.push("view", seen.view)
-                .push("committed_tx", stats.committed_tx)
-                .push("committed_blocks", stats.committed_blocks)
-                .push("views_installed", stats.views_installed)
-                .push("elections_won", stats.elections_won)
-                .push("campaigns_started", stats.campaigns_started)
-                .push("camp_cert_refusals", stats.camp_cert_refusals)
-                .push("sync_reqs_sent", stats.sync_reqs_sent)
-                .push("election_retransmits", stats.election_retransmits)
-                .push("double_assign_refused", stats.double_assign_refused)
-                .push("verify_rejected", stats.verify_rejected)
-                .push("checkpoint_count", stats.checkpoints_formed)
-                .push("gc_pruned_keys", stats.gc_pruned_keys)
-                .push("stable_checkpoint", seen.stable_checkpoint);
+            for (key, value) in [
+                ("view", seen.view),
+                ("committed_tx", stats.committed_tx),
+                ("committed_blocks", stats.committed_blocks),
+                ("views_installed", stats.views_installed),
+                ("elections_won", stats.elections_won),
+                ("campaigns_started", stats.campaigns_started),
+                ("camp_cert_refusals", stats.camp_cert_refusals),
+                ("sync_reqs_sent", stats.sync_reqs_sent),
+                ("election_retransmits", stats.election_retransmits),
+                ("double_assign_refused", stats.double_assign_refused),
+                ("verify_rejected", stats.verify_rejected),
+                ("checkpoint_count", stats.checkpoints_formed),
+                ("gc_pruned_keys", stats.gc_pruned_keys),
+                ("stable_checkpoint", seen.stable_checkpoint),
+            ] {
+                node.push(key, value);
+            }
         }
         if let Some(storage) = cluster.storage_stats(id) {
-            node.push("wal_bytes", storage.wal_bytes)
-                .push("wal_records", storage.records)
-                .push("fsyncs", storage.fsyncs)
-                .push("wal_segments", storage.segments)
-                .push("wal_pruned_segments", storage.pruned_segments)
-                .push("wal_pruned_bytes", storage.pruned_bytes);
+            for (key, value) in [
+                ("wal_bytes", storage.wal_bytes),
+                ("wal_records", storage.records),
+                ("fsyncs", storage.fsyncs),
+                ("wal_segments", storage.segments),
+                ("wal_pruned_segments", storage.pruned_segments),
+                ("wal_pruned_bytes", storage.pruned_bytes),
+            ] {
+                node.push(key, value);
+            }
         }
-        if let Some((_, rp)) = reputations.iter().find(|(s, _)| *s == id) {
-            node.push("reputation_penalty", *rp);
-        }
+        let penalty = reputations.iter().find(|(s, _)| *s == id);
+        node.push("reputation_penalty", penalty.map(|(_, rp)| *rp));
         server_reports.push(node);
     }
 
     let mut network_obj = Json::obj();
     network_obj
-        .push("delay_lo_us", scenario.delay_lo_us)
-        .push("delay_hi_us", scenario.delay_hi_us)
-        .push("loss_permille", scenario.loss_permille);
+        .push("delay_lo_us", scenario.network.delay_lo_us)
+        .push("delay_hi_us", scenario.network.delay_hi_us)
+        .push("loss_permille", scenario.network.loss_permille);
     let mut faults = Vec::new();
     for (i, fault) in scenario.faults.iter().enumerate() {
         let mut f = Json::obj();
         f.push("kind", fault.kind.label())
             .push("at_ms", fault.at_ms)
-            .push("window_ms", fault.kind.window_ms())
-            .push(
-                "server",
-                timeline
-                    .server_hit(i)
-                    .map(|s| Json::from(format!("s{s}")))
-                    .unwrap_or(Json::Null),
-            )
-            .push(
-                "closed_ms",
-                observations.windows_closed_ms[i]
-                    .map(Json::UInt)
-                    .unwrap_or(Json::Null),
-            );
+            .push("window_ms", fault.window_ms)
+            .push("server", timeline.server_hit(i).map(|s| format!("s{s}")))
+            .push("closed_ms", observations.windows_closed_ms[i]);
         faults.push(f);
     }
 
     let mut liveness = Vec::new();
-    for s in &series {
+    for &(t_ms, total) in &observations.series {
         let mut entry = Json::obj();
-        entry
-            .push("t_ms", s.t_ms)
-            .push("committed_total", s.total)
-            .push(
-                "per_server_committed",
-                s.per_server
-                    .iter()
-                    .map(|&c| Json::from(c))
-                    .collect::<Vec<_>>(),
-            );
+        entry.push("t_ms", t_ms).push("committed_total", total);
         liveness.push(entry);
     }
 
@@ -480,17 +373,20 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     // 0, the delivery counters still expose chaos-induced drops per run).
     let totals = cluster.transport_totals();
     let mut transport_obj = Json::obj();
-    transport_obj
-        .push("sent", totals.sent)
-        .push("received", totals.received)
-        .push("dropped", totals.dropped)
-        .push("writev_calls", totals.writev_calls)
-        .push("frames_coalesced", totals.frames_coalesced)
-        .push("flushes_idle", totals.flushes_idle)
-        .push("flushes_full", totals.flushes_full)
-        .push("read_calls", totals.read_calls)
-        .push("poll_calls", totals.poll_calls)
-        .push("syscalls_per_frame", totals.syscalls_per_frame());
+    for (key, value) in [
+        ("sent", totals.sent),
+        ("received", totals.received),
+        ("dropped", totals.dropped),
+        ("writev_calls", totals.writev_calls),
+        ("frames_coalesced", totals.frames_coalesced),
+        ("flushes_idle", totals.flushes_idle),
+        ("flushes_full", totals.flushes_full),
+        ("read_calls", totals.read_calls),
+        ("poll_calls", totals.poll_calls),
+    ] {
+        transport_obj.push(key, value);
+    }
+    transport_obj.push("syscalls_per_frame", totals.syscalls_per_frame());
 
     let mut report = Json::obj();
     report
@@ -515,13 +411,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         .push("recovery_window_s", recovery.window_s)
         .push("recovery_tx_per_sec", recovery.tps)
         .push("no_fork", fork_check.is_ok())
-        .push(
-            "identical_prefix_seq",
-            match &fork_check {
-                Ok(prefix) => Json::UInt(*prefix),
-                Err(_) => Json::Null,
-            },
-        )
+        .push("identical_prefix_seq", fork_check.as_ref().ok().copied())
         .push("loop_profile", profile_obj)
         .push("nodes", Json::Arr(server_reports))
         .push("liveness", Json::Arr(liveness))

@@ -79,16 +79,12 @@ fn f4_s1_attacker_with_leader_partition<F: Fabric>() {
     );
 
     // Phase 2: a 500 ms symmetric partition isolates the current leader from
-    // every other node (servers and clients), healing on schedule.
+    // every other node (servers and clients).
     let observer = cluster.correct_servers()[0];
     let (_, leader) = cluster.view_of(observer).expect("observer answers");
-    chaos.isolate(Actor::Server(leader), &everyone_but(leader, n, clients));
-    chaos.heal_after(Duration::from_millis(500));
-    std::thread::sleep(Duration::from_millis(600));
-    assert!(
-        !chaos.is_partitioned(),
-        "the scheduled heal must have dissolved the partition"
-    );
+    chaos.partition_between(&[Actor::Server(leader)], &everyone_but(leader, n, clients));
+    std::thread::sleep(Duration::from_millis(500));
+    chaos.heal_now();
     let committed_after_fault = cluster.total_committed();
 
     // Phase 3: the issue's acceptance bar — ≥ 1000 transactions committed
@@ -181,11 +177,9 @@ fn equivocating_attacker_on_lossy_links_cannot_stop_or_fork_the_cluster() {
 #[test]
 fn healing_one_of_two_overlapping_cuts_leaves_the_other_in_force() {
     // Two followers are muted (outbound cut) in overlapping windows that end
-    // at different times — a timeline the old single-partition runner, whose
-    // only heal dissolved every block at once, could not express. With both
-    // muted the leader hears one follower short of a quorum and commits
-    // stop; healing s2's cut alone must bring the quorum back while s3 stays
-    // muted until its own heal.
+    // at different times. With both muted the leader hears one follower
+    // short of a quorum and commits stop; healing s2's cut alone must bring
+    // the quorum back while s3 stays muted until its own heal.
     let n = 4u32;
     let clients = 2u64;
     let chaos = NetChaos::new();
@@ -206,12 +200,9 @@ fn healing_one_of_two_overlapping_cuts_leaves_the_other_in_force() {
         "cluster must commit before the cuts"
     );
 
-    let muted = |id: u32| {
-        let id = ServerId(id);
-        ([Actor::Server(id)], everyone_but(id, n, clients))
-    };
-    let (s2, not_s2) = muted(2);
-    let (s3, not_s3) = muted(3);
+    let (s2, s3) = ([Actor::Server(ServerId(2))], [Actor::Server(ServerId(3))]);
+    let not_s2 = everyone_but(ServerId(2), n, clients);
+    let not_s3 = everyone_but(ServerId(3), n, clients);
     chaos.partition_oneway(&s2, &not_s2);
     chaos.partition_oneway(&s3, &not_s3);
     assert_eq!(chaos.blocked_links(), 2 * not_s3.len());
@@ -244,20 +235,6 @@ fn healing_one_of_two_overlapping_cuts_leaves_the_other_in_force() {
     chaos.heal_oneway(&s3, &not_s3);
     assert!(!chaos.is_partitioned());
     let all: Vec<ServerId> = (0..n).map(ServerId).collect();
-    let target_tip = cluster
-        .committed_chain(ServerId(0))
-        .and_then(|chain| chain.last().map(|(tip, _)| *tip))
-        .expect("s0 has a chain");
-    assert!(
-        cluster.wait_until(Duration::from_secs(60), |c| {
-            all.iter().all(|&id| {
-                c.committed_chain(id)
-                    .and_then(|chain| chain.last().map(|(tip, _)| *tip))
-                    .is_some_and(|tip| tip >= target_tip)
-            })
-        }),
-        "every server must catch up past sequence {target_tip}"
-    );
     cluster
         .verify_no_fork(&all)
         .expect("no fork across the overlapping cuts");

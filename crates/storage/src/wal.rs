@@ -142,18 +142,15 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
 
 /// The indices of the segment files in `dir`, ascending.
 fn segment_indices(dir: &Path) -> std::io::Result<Vec<u64>> {
-    let mut indices: Vec<u64> = Vec::new();
+    let index = |name: &str| -> Option<u64> {
+        name.strip_prefix("wal-")?
+            .strip_suffix(".seg")?
+            .parse()
+            .ok()
+    };
+    let mut indices = Vec::new();
     for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(rest) = name
-            .strip_prefix("wal-")
-            .and_then(|r| r.strip_suffix(".seg"))
-        {
-            if let Ok(ix) = rest.parse::<u64>() {
-                indices.push(ix);
-            }
-        }
+        indices.extend(entry?.file_name().to_str().and_then(index));
     }
     indices.sort_unstable();
     Ok(indices)

@@ -82,33 +82,46 @@ fn load_scenario(path: &str) -> Result<Scenario, String> {
     Scenario::from_toml(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let mut seeds: Option<u64> = None;
-    let mut start: u64 = 0;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut do_shrink = true;
-    let mut expect_violation = false;
+/// The arguments after the subcommand: files and every flag any of the
+/// three takes (each reads the ones it documents).
+#[derive(Default)]
+struct Args {
+    files: Vec<String>,
+    seeds: Option<u64>,
+    start: u64,
+    out_dir: Option<PathBuf>,
+    no_shrink: bool,
+    expect_violation: bool,
+}
+
+fn parse_args(args: &[String]) -> Option<Args> {
+    let mut parsed = Args::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seeds = Some(n),
-                None => return usage(),
-            },
-            "--start" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => start = s,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(d) => out_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--no-shrink" => do_shrink = false,
-            "--expect-violation" => expect_violation = true,
-            _ => return usage(),
+            "--seeds" => parsed.seeds = Some(it.next()?.parse().ok()?),
+            "--start" => parsed.start = it.next()?.parse().ok()?,
+            "--out" => parsed.out_dir = Some(PathBuf::from(it.next()?)),
+            "--no-shrink" => parsed.no_shrink = true,
+            "--expect-violation" => parsed.expect_violation = true,
+            flag if flag.starts_with("--") => return None,
+            file => parsed.files.push(file.to_string()),
         }
     }
-    let Some(seeds) = seeds else { return usage() };
+    Some(parsed)
+}
+
+fn cmd_run(args: Args) -> ExitCode {
+    let (Some(seeds), true) = (args.seeds, args.files.is_empty()) else {
+        return usage();
+    };
+    let Args {
+        start,
+        out_dir,
+        expect_violation,
+        ..
+    } = args;
+    let do_shrink = !args.no_shrink;
 
     let mut report = SwarmReport::default();
     for seed in start..start + seeds {
@@ -128,27 +141,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
             shrunk: None,
             regression_file: None,
         };
-        if do_shrink {
-            if let Some(result) = shrink(&schedule) {
-                eprintln!(
-                    "seed {seed}: shrunk to {} fault(s) over {} ms in {} candidate runs",
-                    result.schedule.faults.len(),
-                    result.schedule.duration_ms,
-                    result.candidates_run
-                );
-                report.schedules_shrunk += 1;
-                report.shrink_candidates_run += result.candidates_run;
-                if let Some(dir) = &out_dir {
-                    match write_regression(dir, &result.schedule, &result.violation) {
-                        Ok(path) => record.regression_file = Some(path.display().to_string()),
-                        Err(e) => eprintln!("seed {seed}: cannot write regression: {e}"),
-                    }
-                }
-                record.violation = result.violation;
-                record.shrunk = Some(result.schedule);
-            }
-        } else if let Some(dir) = &out_dir {
-            match write_regression(dir, &schedule, &record.violation) {
+        if let Some(result) = do_shrink.then(|| shrink(&schedule)).flatten() {
+            eprintln!(
+                "seed {seed}: shrunk to {} fault(s) over {} ms in {} candidate runs",
+                result.schedule.faults.len(),
+                result.schedule.duration_ms,
+                result.candidates_run
+            );
+            report.schedules_shrunk += 1;
+            report.shrink_candidates_run += result.candidates_run;
+            record.violation = result.violation;
+            record.shrunk = Some(result.schedule);
+        }
+        if let Some(dir) = &out_dir {
+            let found = record.shrunk.as_ref().unwrap_or(&schedule);
+            match write_regression(dir, found, &record.violation) {
                 Ok(path) => record.regression_file = Some(path.display().to_string()),
                 Err(e) => eprintln!("seed {seed}: cannot write regression: {e}"),
             }
@@ -184,30 +191,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let mut files: Vec<&String> = Vec::new();
-    let mut seeds: Option<u64> = None;
-    let mut start: u64 = 0;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seeds" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seeds = Some(n),
-                None => return usage(),
-            },
-            "--start" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => start = s,
-                None => return usage(),
-            },
-            _ => files.push(arg),
-        }
-    }
-    if files.is_empty() {
+fn cmd_replay(args: Args) -> ExitCode {
+    if args.files.is_empty() {
         return usage();
     }
     let mut report = SwarmReport::default();
     let mut failed: Vec<String> = Vec::new();
-    for path in files {
+    for path in &args.files {
         let mut scenario = match load_scenario(path) {
             Ok(s) => s,
             Err(e) => {
@@ -215,8 +205,8 @@ fn cmd_replay(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let sweep = match seeds {
-            Some(n) => start..start + n,
+        let sweep = match args.seeds {
+            Some(n) => args.start..args.start + n,
             None => scenario.seed..scenario.seed + 1,
         };
         for seed in sweep {
@@ -238,11 +228,12 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             if failures.is_empty() {
                 eprintln!("{path} seed {seed}: ok ({seen})");
             } else {
-                eprintln!("{path} seed {seed}: FAILED ({seen})");
-                for failure in &failures {
-                    eprintln!("    {failure}");
-                }
-                failed.push(format!("{path} seed {seed}: {}", failures.join("; ")));
+                let line = format!(
+                    "{path} seed {seed}: FAILED ({seen}) — {}",
+                    failures.join("; ")
+                );
+                eprintln!("{line}");
+                failed.push(line);
             }
             if let Some(violation) = outcome.violation {
                 report.failures.push(FailureRecord {
@@ -269,21 +260,10 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn cmd_shrink(args: &[String]) -> ExitCode {
-    let mut file: Option<&String> = None;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => match it.next() {
-                Some(d) => out_dir = Some(PathBuf::from(d)),
-                None => return usage(),
-            },
-            _ if file.is_none() => file = Some(arg),
-            _ => return usage(),
-        }
-    }
-    let Some(path) = file else { return usage() };
+fn cmd_shrink(args: Args) -> ExitCode {
+    let [path] = &args.files[..] else {
+        return usage();
+    };
     let schedule = match load_scenario(path) {
         Ok(s) => s,
         Err(e) => {
@@ -301,7 +281,7 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
                 result.violation.invariant,
                 result.violation.detail
             );
-            let dir = out_dir.unwrap_or_else(|| {
+            let dir = args.out_dir.clone().unwrap_or_else(|| {
                 Path::new(path)
                     .parent()
                     .map(Path::to_path_buf)
@@ -327,10 +307,13 @@ fn cmd_shrink(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("shrink") => cmd_shrink(&args[1..]),
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
+    };
+    match (command.as_str(), parse_args(rest)) {
+        ("run", Some(args)) => cmd_run(args),
+        ("replay", Some(args)) => cmd_replay(args),
+        ("shrink", Some(args)) => cmd_shrink(args),
         _ => usage(),
     }
 }

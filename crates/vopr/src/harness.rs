@@ -20,7 +20,7 @@ use prestige_types::{
     Actor, ClientId, ClusterConfig, Message, ServerId, TimeoutConfig, ViewChangePolicy,
 };
 use prestige_workloads::scenario::{
-    Cut, Observations, Scenario, ServerObservation, Step, Timeline, Timeouts, Violated,
+    Cut, FaultKind, Link, Observations, Scenario, ServerObservation, Timeline, Timeouts, Violated,
 };
 use std::collections::BTreeMap;
 
@@ -47,15 +47,15 @@ pub struct RunOutcome {
     pub net_stats_debug: String,
 }
 
-/// The simulator's link model for a `[lo, hi]` µs delay and a ‰ loss.
-fn network(delay_lo_us: u64, delay_hi_us: u64, loss_permille: u32) -> NetworkConfig {
+/// The simulator's model of a scenario [`Link`].
+fn network(link: Link) -> NetworkConfig {
     NetworkConfig {
         latency: LatencyModel::Uniform {
-            lo_ms: delay_lo_us as f64 / 1_000.0,
-            hi_ms: delay_hi_us as f64 / 1_000.0,
+            lo_ms: link.delay_lo_us as f64 / 1_000.0,
+            hi_ms: link.delay_hi_us as f64 / 1_000.0,
         },
         bandwidth_bytes_per_sec: f64::INFINITY,
-        drop_probability: loss_permille as f64 / 1_000.0,
+        drop_probability: link.loss_permille as f64 / 1_000.0,
     }
 }
 
@@ -86,30 +86,26 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             interval_ms: scenario.rotation_ms as f64,
         };
     }
-    cluster.reputation.refresh_enabled = true;
     let behaviors = scenario.fault_plan.behaviors(n);
     let correct: Vec<bool> = behaviors.iter().map(|b| !b.is_faulty()).collect();
     let registry = KeyRegistry::new(scenario.seed, n, scenario.clients);
-    let base_network = network(
-        scenario.delay_lo_us,
-        scenario.delay_hi_us,
-        scenario.loss_permille,
-    );
+    let base_network = network(scenario.network);
     let mut sim: Simulation<Message> = Simulation::new(scenario.seed, base_network);
 
-    let mut storages: Vec<SharedMemStorage> = Vec::with_capacity(n as usize);
+    // A server booted from its log the way the real runtime builds one:
+    // replay what survives (nothing, the first time), then attach.
+    let storages: Vec<SharedMemStorage> = (0..n).map(|_| SharedMemStorage::new()).collect();
+    let boot = |i: u32| {
+        let (config, keys, log) = (cluster.clone(), registry.clone(), &storages[i as usize]);
+        let behavior = behaviors[i as usize];
+        let mut server =
+            PrestigeServer::with_behavior(ServerId(i), config, keys, scenario.seed, behavior);
+        server.replay_wal(log.records_snapshot());
+        server.attach_storage(Box::new(log.clone()));
+        Box::new(server)
+    };
     for i in 0..n {
-        let mut server = PrestigeServer::with_behavior(
-            ServerId(i),
-            cluster.clone(),
-            registry.clone(),
-            scenario.seed,
-            behaviors[i as usize],
-        );
-        let storage = SharedMemStorage::new();
-        server.attach_storage(Box::new(storage.clone()));
-        storages.push(storage);
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
+        sim.add_node(Actor::Server(ServerId(i)), boot(i));
     }
     for c in 0..scenario.clients {
         let mut cc = ClientConfig::new(
@@ -162,12 +158,12 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
         };
         if op_is_due {
             let at_ms = timeline.next_at_ms().expect("an op is due");
-            let (step, t) = timeline
+            let (op, t) = timeline
                 .pop(at_ms, || leader_now(&sim))
                 .expect("an op is due");
             let me = Actor::Server(ServerId(t));
-            match step {
-                Step::Block(cut) => {
+            match (scenario.faults[op.fault].kind, op.ends) {
+                (FaultKind::Partition(cut, _), false) => {
                     for peer in peers_of(t) {
                         match cut {
                             Cut::Sym => sim.partition(me, peer),
@@ -176,7 +172,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
                         }
                     }
                 }
-                Step::Heal(cut) => {
+                (FaultKind::Partition(cut, _), true) => {
                     for peer in peers_of(t) {
                         match cut {
                             Cut::Sym => sim.heal(me, peer),
@@ -185,29 +181,16 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
                         }
                     }
                 }
-                Step::Degrade {
-                    delay_lo_us,
-                    delay_hi_us,
-                    loss_permille,
-                } => sim.set_network(network(delay_lo_us, delay_hi_us, loss_permille)),
-                Step::RestoreNet => sim.set_network(base_network),
-                Step::Crash { torn_records } => {
+                (FaultKind::Degrade(link), false) => sim.set_network(network(link)),
+                (FaultKind::Degrade(_), true) => sim.set_network(base_network),
+                (FaultKind::CrashRestart { torn_records, .. }, false) => {
                     sim.crash(me);
                     if torn_records > 0 {
                         storages[t as usize].truncate_tail(torn_records as usize);
                     }
                 }
-                Step::Restart => {
-                    let mut server = PrestigeServer::with_behavior(
-                        ServerId(t),
-                        cluster.clone(),
-                        registry.clone(),
-                        scenario.seed,
-                        behaviors[t as usize],
-                    );
-                    server.replay_wal(storages[t as usize].records_snapshot());
-                    server.attach_storage(Box::new(storages[t as usize].clone()));
-                    sim.replace_node(me, Box::new(server));
+                (FaultKind::CrashRestart { .. }, true) => {
+                    sim.replace_node(me, boot(t));
                     checker.note_restart(t);
                 }
             }
@@ -280,7 +263,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
 mod tests {
     use super::*;
     use crate::schedule::generate;
-    use prestige_workloads::scenario::{FaultKind, Target, TimedFault};
+    use prestige_workloads::scenario::{Target, TimedFault};
     use prestige_workloads::FaultPlan;
 
     #[test]
@@ -309,9 +292,9 @@ mod tests {
         s.duration_ms = 3_000;
         s.faults = vec![TimedFault {
             at_ms: 800,
+            window_ms: 500,
             kind: FaultKind::CrashRestart {
                 target: Target::Leader,
-                down_ms: 500,
                 torn_records: 1,
             },
         }];

@@ -6,14 +6,14 @@
 //! cluster shape, workload, Byzantine fault plan, and a timeline of injected
 //! faults (partitions, degradation, crash-restarts with torn WAL tails) —
 //! drives the unmodified protocol through the discrete-event simulator, and
-//! evaluates the safety [`invariants`] after **every** event. The scenario
-//! type and its one text form belong to `prestige_workloads::scenario`, so
-//! the files `chaos_net` runs on the real runtime replay here unchanged,
-//! judged by their own assertions.
+//! evaluates the safety [`invariants`] after **every** event. The type and
+//! its text form belong to `prestige_workloads::scenario`, so the files
+//! `chaos_net` runs on the real runtime replay here, judged by their own
+//! assertions.
 //!
-//! When a schedule falsifies an invariant, the [`mod@shrink`] pass reduces it to
-//! a minimal reproducer and writes it as a scenario file under
-//! `vopr/regressions/` expecting that violation. The `vopr` binary drives the whole
+//! When a schedule falsifies an invariant, the [`mod@shrink`] pass reduces it
+//! to a minimal reproducer, written under `vopr/regressions/` as a scenario
+//! file expecting that violation. The `vopr` binary drives the whole
 //! loop (`run --seeds N`, `replay <file>`, `shrink <file>`) and a pair of
 //! canary features in `prestige-core` (`canary-c3-fork`,
 //! `canary-double-commit`) re-introduce two historical safety bugs so CI can

@@ -77,20 +77,10 @@ impl SwarmReport {
                     .push("replica", f.violation.replica)
                     .push("at_ms", f.violation.at_ms)
                     .push("detail", f.violation.detail.clone());
-                match &f.shrunk {
-                    Some(s) => {
-                        obj.push("shrunk_actions", s.faults.len())
-                            .push("shrunk_duration_ms", s.duration_ms);
-                    }
-                    None => {
-                        obj.push("shrunk_actions", Json::Null)
-                            .push("shrunk_duration_ms", Json::Null);
-                    }
-                }
-                match &f.regression_file {
-                    Some(p) => obj.push("regression_file", p.clone()),
-                    None => obj.push("regression_file", Json::Null),
-                };
+                let shrunk = f.shrunk.as_ref();
+                obj.push("shrunk_actions", shrunk.map(|s| s.faults.len()))
+                    .push("shrunk_duration_ms", shrunk.map(|s| s.duration_ms))
+                    .push("regression_file", f.regression_file.clone());
                 obj
             })
             .collect();

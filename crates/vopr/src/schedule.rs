@@ -10,7 +10,7 @@
 use prestige_core::AttackStrategy;
 use prestige_sim::SimRng;
 use prestige_workloads::scenario::{
-    Assertions, Cut, Expectation, FaultKind, Scenario, Target, TimedFault, Timeouts,
+    Assertions, Cut, Expectation, FaultKind, Link, Scenario, Target, TimedFault, Timeouts,
 };
 use prestige_workloads::FaultPlan;
 
@@ -71,21 +71,19 @@ pub fn generate(seed: u64) -> Scenario {
         };
         let at_ms = rng.uniform_u64(300, duration_ms.saturating_sub(1_200).max(301));
         let window = rng.uniform_u64(300, 1_201);
-        let partition = |cut| FaultKind::Partition {
-            cut,
-            target: Target::Server(target),
-            duration_ms: window,
-        };
-        let kind = match rng.uniform_u64(0, 100) {
+        let partition = |cut| (FaultKind::Partition(cut, Target::Server(target)), window);
+        let (kind, window_ms) = match rng.uniform_u64(0, 100) {
             0..=24 => partition(Cut::Out),
             25..=39 => partition(Cut::In),
             40..=59 => partition(Cut::Sym),
-            60..=74 => FaultKind::Degrade {
-                delay_lo_us: rng.uniform_u64(1_000, 5_000),
-                delay_hi_us: rng.uniform_u64(5_000, 20_000),
-                loss_permille: rng.uniform_u64(10, 80) as u32,
-                duration_ms: window,
-            },
+            60..=74 => {
+                let degraded = Link {
+                    delay_lo_us: rng.uniform_u64(1_000, 5_000),
+                    delay_hi_us: rng.uniform_u64(5_000, 20_000),
+                    loss_permille: rng.uniform_u64(10, 80) as u32,
+                };
+                (FaultKind::Degrade(degraded), window)
+            }
             _ => {
                 // At most one crash-restart per target per schedule keeps
                 // the down/restart bookkeeping unambiguous.
@@ -93,19 +91,26 @@ pub fn generate(seed: u64) -> Scenario {
                     partition(Cut::Sym)
                 } else {
                     crash_used.push(target);
-                    FaultKind::CrashRestart {
-                        target: Target::Server(target),
-                        down_ms: rng.uniform_u64(300, 901),
-                        torn_records: if rng.chance(0.3) {
-                            rng.uniform_u64(1, 4) as u32
-                        } else {
-                            0
-                        },
-                    }
+                    let down_ms = rng.uniform_u64(300, 901);
+                    let torn_records = if rng.chance(0.3) {
+                        rng.uniform_u64(1, 4) as u32
+                    } else {
+                        0
+                    };
+                    let target = Target::Server(target);
+                    let crash = FaultKind::CrashRestart {
+                        target,
+                        torn_records,
+                    };
+                    (crash, down_ms)
                 }
             }
         };
-        faults.push(TimedFault { at_ms, kind });
+        faults.push(TimedFault {
+            at_ms,
+            window_ms,
+            kind,
+        });
     }
     faults.sort_by_key(|f| f.at_ms);
 
@@ -122,9 +127,11 @@ pub fn generate(seed: u64) -> Scenario {
         rotation_ms: 0,
         timeouts: Timeouts::Fast,
         duration_ms,
-        delay_lo_us,
-        delay_hi_us,
-        loss_permille,
+        network: Link {
+            delay_lo_us,
+            delay_hi_us,
+            loss_permille,
+        },
         fault_plan,
         faults,
         storage: None,

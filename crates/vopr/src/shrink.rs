@@ -53,9 +53,9 @@ pub fn shrink(original: &Scenario) -> Option<ShrinkResult> {
         candidate.fault_plan = FaultPlan::None;
         try_candidate(&mut best, candidate, &mut candidates_run);
     }
-    if best.loss_permille > 0 {
+    if best.network.loss_permille > 0 {
         let mut candidate = best.clone();
-        candidate.loss_permille = 0;
+        candidate.network.loss_permille = 0;
         try_candidate(&mut best, candidate, &mut candidates_run);
     }
 
@@ -81,7 +81,7 @@ pub fn shrink(original: &Scenario) -> Option<ShrinkResult> {
     for _ in 0..2 {
         for i in 0..best.faults.len() {
             let mut candidate = best.clone();
-            let window = candidate.faults[i].kind.window_ms_mut();
+            let window = &mut candidate.faults[i].window_ms;
             if *window > 200 {
                 *window /= 2;
                 try_candidate(&mut best, candidate, &mut candidates_run);

@@ -39,19 +39,16 @@ fn crash_restart_replay_is_deterministic() {
     scenario.faults = vec![
         TimedFault {
             at_ms: 700,
+            window_ms: 600,
             kind: FaultKind::CrashRestart {
                 target: Target::Server(0),
-                down_ms: 600,
                 torn_records: 2,
             },
         },
         TimedFault {
             at_ms: 1_900,
-            kind: FaultKind::Partition {
-                cut: Cut::Sym,
-                target: Target::Server(2),
-                duration_ms: 500,
-            },
+            window_ms: 500,
+            kind: FaultKind::Partition(Cut::Sym, Target::Server(2)),
         },
     ];
     let first = run_scenario(&scenario);

@@ -13,37 +13,9 @@
 //! under the simulator, and a shrunk `vopr/regressions/**/*.toml` reproducer
 //! runs on the real runtime, with no translation step.
 //!
-//! ```toml
-//! [scenario]
-//! name = "restart_leader"
-//! servers = 4
-//! seed = 42
-//! duration_ms = 6000
-//! checkpoint_interval = 16
-//!
-//! [network]               # base link model: uniform delay in [lo, hi], loss
-//! delay_lo_us = 5000
-//! delay_hi_us = 10000
-//! loss_permille = 5
-//!
-//! [faults]                # Byzantine plan for the last `count` servers
-//! plan = "vc_quiet"
-//!
-//! [[fault]]               # any number, fired in time order
-//! at_ms = 1000
-//! kind = "crash_restart"  # partition_sym | partition_in | partition_out | degrade
-//! target = "leader"       # or s0, s1, …; resolved when the fault fires
-//! down_ms = 800
-//! torn_records = 0
-//!
-//! [storage]               # real host only: run every server on a WAL
-//!
-//! [assert]                # or: [expect] violation = "no_fork"
-//! min_committed = 500
-//! recovery_floor_tps = 200.0
-//! recovery_window_s = 2.0
-//! ```
-//!
+//! The vocabulary — `[scenario]`, `[network]`, `[faults]`, any number of
+//! `[[fault]]` windows, `[storage]`, and `[assert]` or `[expect]` — is
+//! tabulated in `docs/ATTACKS.md`; `scenarios/*.toml` are the examples.
 //! Every schedule quantity is an integer (ms, µs, ‰) and the two `[assert]`
 //! floats print shortest-round-trip, so `from_toml(to_toml(s)) == s` exactly.
 
@@ -62,6 +34,18 @@ pub enum Timeouts {
     Fast,
     /// The paper's §6.2 setting: `[800, 1200]` ms, 1 s client patience.
     Default,
+}
+
+/// A link model: one-way delay uniform in `[delay_lo_us, delay_hi_us]` and
+/// independent loss, on every link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Link {
+    /// Lower propagation delay bound (µs).
+    pub delay_lo_us: u64,
+    /// Upper propagation delay bound (µs).
+    pub delay_hi_us: u64,
+    /// Message loss probability (‰).
+    pub loss_permille: u32,
 }
 
 /// Which server a fault hits.
@@ -88,37 +72,19 @@ pub enum Cut {
 /// The fault repertoire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Cuts `target` off from every other actor (servers and clients) for
-    /// `duration_ms`. A link that two overlapping partitions both block
-    /// heals with the first of them, on both hosts.
-    Partition {
-        /// Which directions are cut.
-        cut: Cut,
-        /// The server cut off.
-        target: Target,
-        /// Window length (ms).
-        duration_ms: u64,
-    },
-    /// Replaces the link model on every link for `duration_ms`, then
-    /// restores the scenario's base network.
-    Degrade {
-        /// Lower propagation delay bound (µs).
-        delay_lo_us: u64,
-        /// Upper propagation delay bound (µs).
-        delay_hi_us: u64,
-        /// Message loss probability (‰).
-        loss_permille: u32,
-        /// Window length (ms).
-        duration_ms: u64,
-    },
+    /// Cuts the target off from every other actor (servers and clients) for
+    /// the window. A link that two overlapping partitions both block heals
+    /// with the first of them, on both hosts.
+    Partition(Cut, Target),
+    /// Replaces the link model on every link for the window, then restores
+    /// the scenario's base network.
+    Degrade(Link),
     /// Crashes `target`, tears `torn_records` records off the tail of its
-    /// WAL (what a power cut mid-append leaves), and restarts it `down_ms`
-    /// later from a WAL replay.
+    /// WAL (what a power cut mid-append leaves), and restarts it from a WAL
+    /// replay when the window ends.
     CrashRestart {
         /// The crashed server.
         target: Target,
-        /// How long it stays down (ms).
-        down_ms: u64,
         /// Records torn off the WAL tail at the crash point.
         torn_records: u32,
     },
@@ -128,10 +94,10 @@ impl FaultKind {
     /// The `kind = "…"` spelling, also used in run logs and reports.
     pub fn label(&self) -> &'static str {
         match self {
-            FaultKind::Partition { cut: Cut::Sym, .. } => "partition_sym",
-            FaultKind::Partition { cut: Cut::In, .. } => "partition_in",
-            FaultKind::Partition { cut: Cut::Out, .. } => "partition_out",
-            FaultKind::Degrade { .. } => "degrade",
+            FaultKind::Partition(Cut::Sym, _) => "partition_sym",
+            FaultKind::Partition(Cut::In, _) => "partition_in",
+            FaultKind::Partition(Cut::Out, _) => "partition_out",
+            FaultKind::Degrade(_) => "degrade",
             FaultKind::CrashRestart { .. } => "crash_restart",
         }
     }
@@ -139,39 +105,31 @@ impl FaultKind {
     /// The fault's target, for the kinds that have one.
     pub fn target(&self) -> Option<Target> {
         match self {
-            FaultKind::Partition { target, .. } | FaultKind::CrashRestart { target, .. } => {
+            FaultKind::Partition(_, target) | FaultKind::CrashRestart { target, .. } => {
                 Some(*target)
             }
-            FaultKind::Degrade { .. } => None,
+            FaultKind::Degrade(_) => None,
         }
     }
 
-    /// How long the fault's window stays open (ms).
-    pub fn window_ms(&self) -> u64 {
+    /// The key the window length is written under: a crash is `down_ms`
+    /// long, everything else lasts `duration_ms`.
+    fn window_key(&self) -> &'static str {
         match self {
-            FaultKind::Partition { duration_ms, .. } | FaultKind::Degrade { duration_ms, .. } => {
-                *duration_ms
-            }
-            FaultKind::CrashRestart { down_ms, .. } => *down_ms,
-        }
-    }
-
-    /// Mutable access to [`Self::window_ms`] (the shrinker halves it).
-    pub fn window_ms_mut(&mut self) -> &mut u64 {
-        match self {
-            FaultKind::Partition { duration_ms, .. } | FaultKind::Degrade { duration_ms, .. } => {
-                duration_ms
-            }
-            FaultKind::CrashRestart { down_ms, .. } => down_ms,
+            FaultKind::CrashRestart { .. } => "down_ms",
+            _ => "duration_ms",
         }
     }
 }
 
-/// One injected fault, fired when the run reaches `at_ms`.
+/// One injected fault: it starts when the run reaches `at_ms` and ends
+/// `window_ms` later.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedFault {
     /// When the fault starts (ms into the run).
     pub at_ms: u64,
+    /// How long its window stays open (ms).
+    pub window_ms: u64,
     /// What happens.
     pub kind: FaultKind,
 }
@@ -198,19 +156,21 @@ impl StorageSettings {
     /// Reads the `[storage]` section (shared by scenario files and node
     /// configs); `None` when the section is absent.
     pub fn from_doc(doc: &TomlDoc) -> Result<Option<Self>, ConfigError> {
-        if !doc.contains_key("storage") {
+        let Some(table) = doc.get("storage") else {
             return Ok(None);
-        }
-        let has = |key: &str| doc["storage"].contains_key(key);
+        };
+        let int = |key| {
+            table
+                .contains_key(key)
+                .then(|| get_int(doc, "storage", key, 0))
+                .transpose()
+        };
         Ok(Some(StorageSettings {
             dir: get_str(doc, "storage", "dir")?.map(str::to_string),
-            segment_bytes: has("segment_bytes")
-                .then(|| get_int(doc, "storage", "segment_bytes", 0))
-                .transpose()?,
-            sync_every_n: has("sync_every_n")
-                .then(|| get_int(doc, "storage", "sync_every_n", 0))
-                .transpose()?,
-            sync_interval_ms: has("sync_interval_ms")
+            segment_bytes: int("segment_bytes")?,
+            sync_every_n: int("sync_every_n")?,
+            sync_interval_ms: table
+                .contains_key("sync_interval_ms")
                 .then(|| get_f64(doc, "storage", "sync_interval_ms", 0.0))
                 .transpose()?,
         }))
@@ -288,12 +248,8 @@ pub struct Scenario {
     pub timeouts: Timeouts,
     /// Total run length (ms).
     pub duration_ms: u64,
-    /// Base network: lower propagation delay bound (µs).
-    pub delay_lo_us: u64,
-    /// Base network: upper propagation delay bound (µs).
-    pub delay_hi_us: u64,
-    /// Base network: message loss probability (‰).
-    pub loss_permille: u32,
+    /// The base network (`[network]`).
+    pub network: Link,
     /// The Byzantine fault plan (the last `count` servers follow it).
     pub fault_plan: FaultPlan,
     /// The injected faults, in time order.
@@ -318,7 +274,7 @@ const SCENARIO_KEYS: [&str; 12] = [
     "timeouts",
     "duration_ms",
 ];
-const NETWORK_KEYS: [&str; 3] = ["delay_lo_us", "delay_hi_us", "loss_permille"];
+const LINK_KEYS: [&str; 3] = ["delay_lo_us", "delay_hi_us", "loss_permille"];
 const ASSERT_KEYS: [&str; 7] = [
     "no_fork",
     "no_faulty_leader",
@@ -333,71 +289,71 @@ fn invalid<T>(message: String) -> Result<T, ConfigError> {
     Err(ConfigError::Invalid(message))
 }
 
-/// A key that has no default: every `[[fault]]` states all of its numbers.
-fn required(doc: &TomlDoc, section: &str, key: &str) -> Result<u64, ConfigError> {
-    if !doc[section].contains_key(key) {
-        return Err(ConfigError::Missing(format!("{section}.{key}")));
+fn parse_link(doc: &TomlDoc, section: &str) -> Result<Link, ConfigError> {
+    let link = Link {
+        delay_lo_us: get_int(doc, section, "delay_lo_us", 0)?,
+        delay_hi_us: get_int(doc, section, "delay_hi_us", 0)?,
+        loss_permille: get_int(doc, section, "loss_permille", 0)?,
+    };
+    if link.delay_lo_us > link.delay_hi_us {
+        return invalid(format!(
+            "{section}.delay_lo_us = {} exceeds {section}.delay_hi_us = {}",
+            link.delay_lo_us, link.delay_hi_us
+        ));
     }
-    get_int(doc, section, key, 0u64)
+    Ok(link)
 }
 
 fn parse_fault(doc: &TomlDoc, section: &str, servers: u32) -> Result<TimedFault, ConfigError> {
-    let Some(kind) = get_str(doc, section, "kind")? else {
-        return Err(ConfigError::Missing(format!("{section}.kind")));
+    let missing = |key: &str| ConfigError::Missing(format!("{section}.{key}"));
+    let target = || match get_str(doc, section, "target")? {
+        None => Err(missing("target")),
+        Some("leader") => Ok(Target::Leader),
+        Some(name) => name
+            .strip_prefix('s')
+            .and_then(|rest| rest.parse::<u32>().ok())
+            .filter(|id| *id < servers)
+            .map(Target::Server)
+            .ok_or_else(|| {
+                ConfigError::Invalid(format!(
+                    "{section}.target `{name}` (leader, or s0..s{})",
+                    servers.saturating_sub(1)
+                ))
+            }),
     };
-    let keys: &[&str] = match kind {
-        "partition_sym" | "partition_in" | "partition_out" => &["target", "duration_ms"],
-        "degrade" => &["delay_lo_us", "delay_hi_us", "loss_permille", "duration_ms"],
-        "crash_restart" => &["target", "down_ms", "torn_records"],
-        other => {
+    let (kind, keys): (FaultKind, &[&str]) = match get_str(doc, section, "kind")? {
+        Some("partition_sym") => (FaultKind::Partition(Cut::Sym, target()?), &["target"]),
+        Some("partition_in") => (FaultKind::Partition(Cut::In, target()?), &["target"]),
+        Some("partition_out") => (FaultKind::Partition(Cut::Out, target()?), &["target"]),
+        Some("degrade") => (FaultKind::Degrade(parse_link(doc, section)?), &LINK_KEYS),
+        Some("crash_restart") => (
+            FaultKind::CrashRestart {
+                target: target()?,
+                torn_records: get_int(doc, section, "torn_records", 0)?,
+            },
+            &["target", "torn_records"],
+        ),
+        Some(other) => {
             return invalid(format!(
                 "{section}.kind `{other}` (partition_sym, partition_in, partition_out, degrade, \
                  crash_restart)"
             ))
         }
+        None => return Err(missing("kind")),
     };
-    reject_unknown_keys(doc, section, &[&["at_ms", "kind"], keys].concat())?;
-    let target = || -> Result<Target, ConfigError> {
-        match get_str(doc, section, "target")? {
-            None => Err(ConfigError::Missing(format!("{section}.target"))),
-            Some("leader") => Ok(Target::Leader),
-            Some(name) => name
-                .strip_prefix('s')
-                .and_then(|rest| rest.parse::<u32>().ok())
-                .filter(|id| *id < servers)
-                .map(Target::Server)
-                .ok_or_else(|| {
-                    ConfigError::Invalid(format!(
-                        "{section}.target `{name}` (leader, or s0..s{})",
-                        servers.saturating_sub(1)
-                    ))
-                }),
-        }
-    };
-    let kind = match kind {
-        "degrade" => FaultKind::Degrade {
-            delay_lo_us: required(doc, section, "delay_lo_us")?,
-            delay_hi_us: required(doc, section, "delay_hi_us")?,
-            loss_permille: get_int(doc, section, "loss_permille", 0)?,
-            duration_ms: required(doc, section, "duration_ms")?,
-        },
-        "crash_restart" => FaultKind::CrashRestart {
-            target: target()?,
-            down_ms: required(doc, section, "down_ms")?,
-            torn_records: get_int(doc, section, "torn_records", 0)?,
-        },
-        partition => FaultKind::Partition {
-            cut: match partition {
-                "partition_sym" => Cut::Sym,
-                "partition_in" => Cut::In,
-                _ => Cut::Out,
-            },
-            target: target()?,
-            duration_ms: required(doc, section, "duration_ms")?,
-        },
+    reject_unknown_keys(
+        doc,
+        section,
+        &[&["at_ms", "kind", kind.window_key()], keys].concat(),
+    )?;
+    // No defaults: every fault states when it starts and how long it lasts.
+    let required = |key: &str| match doc[section].contains_key(key) {
+        true => get_int(doc, section, key, 0u64),
+        false => Err(missing(key)),
     };
     Ok(TimedFault {
-        at_ms: required(doc, section, "at_ms")?,
+        at_ms: required("at_ms")?,
+        window_ms: required(kind.window_key())?,
         kind,
     })
 }
@@ -409,57 +365,51 @@ impl Scenario {
     /// parse as a scenario with no faults.
     pub fn from_toml(text: &str) -> Result<Scenario, ConfigError> {
         let doc = parse_toml(text)?;
-        for section in doc.keys() {
-            let known = matches!(
+        for (section, keys) in [
+            ("scenario", &SCENARIO_KEYS[..]),
+            ("network", &LINK_KEYS),
+            ("faults", &["plan", "count", "strategy"]),
+            ("storage", &StorageSettings::KEYS),
+            ("assert", &ASSERT_KEYS),
+            ("expect", &["violation"]),
+        ] {
+            reject_unknown_keys(&doc, section, keys)?;
+        }
+        if let Some(section) = doc.keys().find(|section| {
+            !matches!(
                 section.as_str(),
                 "scenario" | "network" | "faults" | "storage" | "assert" | "expect"
-            ) || section.starts_with("fault[");
-            if !known {
-                return invalid(format!(
-                    "unknown section `[{section}]` (expected scenario, network, faults, \
-                     [[fault]], storage, assert or expect)"
-                ));
-            }
+            ) && !section.starts_with("fault[")
+        }) {
+            return invalid(format!(
+                "unknown section `[{section}]` (expected scenario, network, faults, [[fault]], \
+                 storage, assert or expect)"
+            ));
         }
-        reject_unknown_keys(&doc, "scenario", &SCENARIO_KEYS)?;
-        reject_unknown_keys(&doc, "network", &NETWORK_KEYS)?;
-        reject_unknown_keys(&doc, "faults", &["plan", "count", "strategy"])?;
-        reject_unknown_keys(&doc, "storage", &StorageSettings::KEYS)?;
-        reject_unknown_keys(&doc, "assert", &ASSERT_KEYS)?;
-        reject_unknown_keys(&doc, "expect", &["violation"])?;
 
-        let timeouts = match get_str(&doc, "scenario", "timeouts")?.unwrap_or("fast") {
-            "fast" => Timeouts::Fast,
-            "default" => Timeouts::Default,
-            other => return invalid(format!("scenario.timeouts `{other}` (fast or default)")),
-        };
         let servers: u32 = get_int(&doc, "scenario", "servers", 4)?;
         let mut faults = array_sections(&doc, "fault")
             .map(|section| parse_fault(&doc, &section, servers))
             .collect::<Result<Vec<_>, _>>()?;
         faults.sort_by_key(|f| f.at_ms);
 
-        let expect = match (doc.contains_key("assert"), doc.get("expect")) {
-            (true, Some(_)) => {
+        let expect = match get_str(&doc, "expect", "violation")? {
+            Some(_) if doc.contains_key("assert") => {
                 return invalid("a scenario has [assert] or [expect], not both".to_string())
             }
-            (false, Some(_)) => match get_str(&doc, "expect", "violation")? {
-                Some(invariant) => Expectation::Violation(invariant.to_string()),
-                None => return Err(ConfigError::Missing("expect.violation".to_string())),
-            },
-            (_, None) => {
+            Some(invariant) => Expectation::Violation(invariant.to_string()),
+            None if doc.contains_key("expect") => {
+                return Err(ConfigError::Missing("expect.violation".to_string()))
+            }
+            None => {
                 let d = Assertions::default();
+                let int = |key| get_int(&doc, "assert", key, 0u64);
                 Expectation::Assert(Assertions {
                     no_fork: get_bool(&doc, "assert", "no_fork", d.no_fork)?,
-                    no_faulty_leader: get_bool(
-                        &doc,
-                        "assert",
-                        "no_faulty_leader",
-                        d.no_faulty_leader,
-                    )?,
-                    min_cert_refusals: get_int(&doc, "assert", "min_cert_refusals", 0)?,
-                    min_committed: get_int(&doc, "assert", "min_committed", 0)?,
-                    min_stable_checkpoint: get_int(&doc, "assert", "min_stable_checkpoint", 0)?,
+                    no_faulty_leader: get_bool(&doc, "assert", "no_faulty_leader", false)?,
+                    min_cert_refusals: int("min_cert_refusals")?,
+                    min_committed: int("min_committed")?,
+                    min_stable_checkpoint: int("min_stable_checkpoint")?,
                     recovery_floor_tps: get_f64(&doc, "assert", "recovery_floor_tps", 0.0)?,
                     recovery_window_s: get_f64(
                         &doc,
@@ -484,22 +434,18 @@ impl Scenario {
             checkpoint_interval: get_int(&doc, "scenario", "checkpoint_interval", 64)?,
             pipeline_depth: get_int(&doc, "scenario", "pipeline_depth", 4)?,
             rotation_ms: get_int(&doc, "scenario", "rotation_ms", 0)?,
-            timeouts,
+            timeouts: match get_str(&doc, "scenario", "timeouts")?.unwrap_or("fast") {
+                "fast" => Timeouts::Fast,
+                "default" => Timeouts::Default,
+                other => return invalid(format!("scenario.timeouts `{other}` (fast or default)")),
+            },
             duration_ms: get_int(&doc, "scenario", "duration_ms", 5_000)?,
-            delay_lo_us: get_int(&doc, "network", "delay_lo_us", 0)?,
-            delay_hi_us: get_int(&doc, "network", "delay_hi_us", 0)?,
-            loss_permille: get_int(&doc, "network", "loss_permille", 0)?,
+            network: parse_link(&doc, "network")?,
             fault_plan: parse_faults(&doc)?,
             faults,
             storage: StorageSettings::from_doc(&doc)?,
             expect,
         };
-        if scenario.delay_lo_us > scenario.delay_hi_us {
-            return invalid(format!(
-                "network.delay_lo_us = {} exceeds network.delay_hi_us = {}",
-                scenario.delay_lo_us, scenario.delay_hi_us
-            ));
-        }
         scenario.lint()?;
         Ok(scenario)
     }
@@ -508,31 +454,29 @@ impl Scenario {
     /// flaky-looking CI failures long after the scenario is written, so
     /// they are rejected at parse time with the fix in the message.
     fn lint(&self) -> Result<(), ConfigError> {
-        let restarts = self
-            .faults
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::CrashRestart { .. }));
-        if !restarts {
+        let restarts = |f: &TimedFault| matches!(f.kind, FaultKind::CrashRestart { .. });
+        if !self.faults.iter().any(restarts) {
             return Ok(());
         }
         // A restarted node replays its WAL, re-elects, and pages itself
         // forward through the repair plane; on a shared 1-core runner that
         // routinely takes over a second of wall clock near EOF. A narrow
         // recovery window turns scheduler starvation into a "regression".
-        if let Expectation::Assert(a) = &self.expect {
-            if a.recovery_window_s < 2.0 {
+        match &self.expect {
+            Expectation::Assert(a) if a.recovery_window_s < 2.0 => {
                 return invalid(format!(
                     "crash_restart scenarios need assert.recovery_window_s >= 2.0 (got {}): \
                      WAL replay + re-election + repair-plane catch-up does not fit a narrower \
                      window on 1-core CI runners",
                     a.recovery_window_s
-                ));
+                ))
             }
+            _ => {}
         }
         // An unthrottled loopback cluster commits faster than a restarted
         // node can replay, so it chases a receding tip for the whole run and
         // the recovery assertions measure the scheduler, not the protocol.
-        if self.delay_hi_us == 0 {
+        if self.network.delay_hi_us == 0 {
             return invalid(
                 "crash_restart scenarios need a [network] throttle profile (e.g. \
                  delay_lo_us = 5000, delay_hi_us = 10000, loss_permille = 5): unthrottled \
@@ -547,12 +491,13 @@ impl Scenario {
     /// equal value. Every key is written, so the file is also a complete
     /// record of the run's parameters.
     pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        let timeouts = match self.timeouts {
-            Timeouts::Fast => "fast",
-            Timeouts::Default => "default",
+        let link = |l: &Link| {
+            format!(
+                "delay_lo_us = {}\ndelay_hi_us = {}\nloss_permille = {}\n",
+                l.delay_lo_us, l.delay_hi_us, l.loss_permille
+            )
         };
-        let _ = writeln!(out, "[scenario]\nname = {:?}", self.name);
+        let mut out = format!("[scenario]\nname = {:?}\n", self.name);
         for (key, value) in [
             ("seed", self.seed),
             ("servers", self.servers as u64),
@@ -567,73 +512,60 @@ impl Scenario {
         ] {
             let _ = writeln!(out, "{key} = {value}");
         }
-        let _ = writeln!(out, "timeouts = \"{timeouts}\"");
         let _ = writeln!(
             out,
-            "\n[network]\ndelay_lo_us = {}\ndelay_hi_us = {}\nloss_permille = {}",
-            self.delay_lo_us, self.delay_hi_us, self.loss_permille
-        );
-        let _ = writeln!(
-            out,
-            "\n[faults]\nplan = \"{}\"\ncount = {}",
+            "timeouts = \"{}\"\n\n[network]\n{}\n[faults]\nplan = \"{}\"\ncount = {}",
+            match self.timeouts {
+                Timeouts::Fast => "fast",
+                Timeouts::Default => "default",
+            },
+            link(&self.network),
             self.fault_plan.label(),
             self.fault_plan.count()
         );
-        if let Some(strategy) = self.fault_plan.strategy() {
-            let label = match strategy {
-                AttackStrategy::Always => "s1",
-                AttackStrategy::WhenCompensable => "s2",
-            };
-            let _ = writeln!(out, "strategy = \"{label}\"");
+        match self.fault_plan.strategy() {
+            Some(AttackStrategy::Always) => out.push_str("strategy = \"s1\"\n"),
+            Some(AttackStrategy::WhenCompensable) => out.push_str("strategy = \"s2\"\n"),
+            None => {}
         }
         for fault in &self.faults {
+            let kind = &fault.kind;
             let _ = writeln!(
                 out,
                 "\n[[fault]]\nat_ms = {}\nkind = \"{}\"",
                 fault.at_ms,
-                fault.kind.label()
+                kind.label()
             );
-            match fault.kind.target() {
+            match kind.target() {
                 Some(Target::Leader) => out.push_str("target = \"leader\"\n"),
                 Some(Target::Server(id)) => {
                     let _ = writeln!(out, "target = \"s{id}\"");
                 }
                 None => {}
             }
-            let _ = match fault.kind {
-                FaultKind::Partition { duration_ms, .. } => {
-                    writeln!(out, "duration_ms = {duration_ms}")
-                }
-                FaultKind::Degrade {
-                    delay_lo_us,
-                    delay_hi_us,
-                    loss_permille,
-                    duration_ms,
-                } => writeln!(
-                    out,
-                    "delay_lo_us = {delay_lo_us}\ndelay_hi_us = {delay_hi_us}\n\
-                     loss_permille = {loss_permille}\nduration_ms = {duration_ms}"
-                ),
-                FaultKind::CrashRestart {
-                    down_ms,
-                    torn_records,
-                    ..
-                } => writeln!(out, "down_ms = {down_ms}\ntorn_records = {torn_records}"),
-            };
+            if let FaultKind::Degrade(degraded) = kind {
+                out.push_str(&link(degraded));
+            }
+            let _ = writeln!(out, "{} = {}", kind.window_key(), fault.window_ms);
+            if let FaultKind::CrashRestart { torn_records, .. } = kind {
+                let _ = writeln!(out, "torn_records = {torn_records}");
+            }
         }
         if let Some(storage) = &self.storage {
             out.push_str("\n[storage]\n");
-            if let Some(dir) = &storage.dir {
-                let _ = writeln!(out, "dir = {dir:?}");
-            }
-            if let Some(bytes) = storage.segment_bytes {
-                let _ = writeln!(out, "segment_bytes = {bytes}");
-            }
-            if let Some(n) = storage.sync_every_n {
-                let _ = writeln!(out, "sync_every_n = {n}");
-            }
-            if let Some(ms) = storage.sync_interval_ms {
-                let _ = writeln!(out, "sync_interval_ms = {ms:?}");
+            for (key, value) in [
+                ("dir", storage.dir.as_ref().map(|dir| format!("{dir:?}"))),
+                (
+                    "segment_bytes",
+                    storage.segment_bytes.map(|n| n.to_string()),
+                ),
+                ("sync_every_n", storage.sync_every_n.map(|n| n.to_string())),
+                (
+                    "sync_interval_ms",
+                    storage.sync_interval_ms.map(|ms| format!("{ms:?}")),
+                ),
+            ] {
+                let _ = value.map(|value| writeln!(out, "{key} = {value}"));
             }
         }
         match &self.expect {
@@ -660,44 +592,15 @@ impl Scenario {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The timeline both hosts walk
-// ---------------------------------------------------------------------------
-
-/// One step of an expanded fault: what a host applies to its cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Step {
-    /// Block the links around the fault's server.
-    Block(Cut),
-    /// Unblock exactly the links [`Step::Block`] blocked.
-    Heal(Cut),
-    /// Swap the link model on every link.
-    Degrade {
-        /// Lower propagation delay bound (µs).
-        delay_lo_us: u64,
-        /// Upper propagation delay bound (µs).
-        delay_hi_us: u64,
-        /// Message loss probability (‰).
-        loss_permille: u32,
-    },
-    /// Restore the scenario's base network.
-    RestoreNet,
-    /// Kill the fault's server and tear its WAL tail.
-    Crash {
-        /// Records torn off the WAL tail.
-        torn_records: u32,
-    },
-    /// Restart the fault's server from its WAL.
-    Restart,
-}
-
-/// A [`Step`] of fault number `fault` (its index in the scenario's list).
+/// One edge of fault number `fault`'s window (its index in the scenario's
+/// list): the fault starts, or — `ends` — it is undone (the heal, the
+/// network restore, the restart).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
-    /// Which fault this step belongs to.
+    /// Which fault this edge belongs to.
     pub fault: usize,
-    /// What to do.
-    pub step: Step,
+    /// `false` = the window opens, `true` = it closes.
+    pub ends: bool,
 }
 
 /// Expands faults into a time-sorted `(at_ms, op)` list: each window
@@ -706,27 +609,8 @@ pub struct Op {
 pub fn expand(faults: &[TimedFault]) -> Vec<(u64, Op)> {
     let mut ops = Vec::with_capacity(faults.len() * 2);
     for (fault, f) in faults.iter().enumerate() {
-        let (start, end) = match f.kind {
-            FaultKind::Partition { cut, .. } => (Step::Block(cut), Step::Heal(cut)),
-            FaultKind::Degrade {
-                delay_lo_us,
-                delay_hi_us,
-                loss_permille,
-                ..
-            } => (
-                Step::Degrade {
-                    delay_lo_us,
-                    delay_hi_us,
-                    loss_permille,
-                },
-                Step::RestoreNet,
-            ),
-            FaultKind::CrashRestart { torn_records, .. } => {
-                (Step::Crash { torn_records }, Step::Restart)
-            }
-        };
-        ops.push((f.at_ms, Op { fault, step: start }));
-        ops.push((f.at_ms + f.kind.window_ms(), Op { fault, step: end }));
+        ops.push((f.at_ms, Op { fault, ends: false }));
+        ops.push((f.at_ms + f.window_ms, Op { fault, ends: true }));
     }
     ops.sort_by_key(|(t, _)| *t);
     ops
@@ -735,7 +619,8 @@ pub fn expand(faults: &[TimedFault]) -> Vec<(u64, Op)> {
 /// A host's cursor over the expanded timeline. It owns the two pieces of
 /// state the walk needs besides the position: which server each fault hit
 /// (a `leader` target is resolved once, when the fault *starts*, and its end
-/// step heals that same server) and when each fault's window closed.
+/// undoes it on that same server) and when each fault's window closed. The
+/// host applies each op by matching on `(faults[op.fault].kind, op.ends)`.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     targets: Vec<Option<Target>>,
@@ -762,23 +647,23 @@ impl Timeline {
         self.ops.get(self.next).map(|(t, _)| *t)
     }
 
-    /// Takes the next step, applied by the host at `now_ms`. Returns the
-    /// step and the server it concerns (`0` for the network-wide steps);
-    /// `leader` is asked only when a `leader`-targeted fault starts.
-    pub fn pop(&mut self, now_ms: u64, leader: impl FnOnce() -> u32) -> Option<(Step, u32)> {
+    /// Takes the next op, applied by the host at `now_ms`. Returns it with
+    /// the server it concerns (`0` for a network-wide fault); `leader` is
+    /// asked only when a `leader`-targeted fault starts.
+    pub fn pop(&mut self, now_ms: u64, leader: impl FnOnce() -> u32) -> Option<(Op, u32)> {
         let (_, op) = *self.ops.get(self.next)?;
+        let fault = op.fault;
         self.next += 1;
-        let server = match (self.hit[op.fault], self.targets[op.fault]) {
-            (Some(server), _) => server,
-            (None, Some(Target::Server(server))) => server,
-            (None, Some(Target::Leader)) => leader(),
-            (None, None) => 0,
-        };
-        self.hit[op.fault] = Some(server);
-        if matches!(op.step, Step::Heal(_) | Step::RestoreNet | Step::Restart) {
-            self.closed_ms[op.fault] = Some(now_ms);
+        let server = self.hit[fault].unwrap_or_else(|| match self.targets[fault] {
+            Some(Target::Server(server)) => server,
+            Some(Target::Leader) => leader(),
+            None => 0,
+        });
+        self.hit[fault] = Some(server);
+        if op.ends {
+            self.closed_ms[fault] = Some(now_ms);
         }
-        Some((op.step, server))
+        Some((op, server))
     }
 
     /// The server fault number `fault` hit, once it has started.
@@ -791,10 +676,6 @@ impl Timeline {
         &self.closed_ms
     }
 }
-
-// ---------------------------------------------------------------------------
-// What a host hands back, and the verdict
-// ---------------------------------------------------------------------------
 
 /// One server's final state, as a host saw it when the run ended.
 #[derive(Debug, Clone, PartialEq)]
@@ -860,22 +741,25 @@ impl Observations {
         self.windows_closed_ms[fault].is_some_and(|t| t <= self.run_ms)
     }
 
+    /// The first sample at or after `t_ms`.
     fn committed_at(&self, t_ms: u64) -> Option<u64> {
-        self.series
-            .iter()
-            .find(|(t, _)| *t >= t_ms)
-            .map(|(_, total)| *total)
+        let sample = self.series.iter().find(|(t, _)| *t >= t_ms)?;
+        Some(sample.1)
     }
 
     /// The recovery numbers for a trailing window of `window_s` seconds.
     pub fn recovery(&self, window_s: f64) -> Recovery {
         let total = self.committed();
         let all_closed = (0..self.windows_closed_ms.len()).all(|i| self.window_closed(i));
-        let last_close = self.windows_closed_ms.iter().flatten().max().copied();
-        let committed_after_faults = if all_closed {
-            total.saturating_sub(self.committed_at(last_close.unwrap_or(0)).unwrap_or(total))
-        } else {
-            0
+        let last_close = self.windows_closed_ms.iter().flatten().max();
+        let committed_after_faults = match all_closed {
+            true => {
+                total
+                    - self
+                        .committed_at(*last_close.unwrap_or(&0))
+                        .unwrap_or(total)
+            }
+            false => 0,
         };
         // Clamped to the run so a short run is not penalized by dividing a
         // partial window's commits by the full width.
@@ -892,34 +776,34 @@ impl Observations {
 }
 
 impl Scenario {
-    /// The verdict: every way `observations` falls short of what the
-    /// scenario expects (empty = the run passed). The one judging function
-    /// for both hosts.
-    pub fn judge(&self, observations: &Observations) -> Vec<String> {
-        let obs = observations;
+    /// The verdict: every way `obs` falls short of what the scenario expects
+    /// (empty = the run passed). The one judging function for both hosts.
+    pub fn judge(&self, obs: &Observations) -> Vec<String> {
         let mut failures = Vec::new();
-        let a = match &self.expect {
-            Expectation::Violation(expected) => {
-                match &obs.violation {
-                    Some(v) if v.invariant == *expected => {}
-                    Some(v) => failures.push(format!(
-                        "expected `{expected}` to be violated, but `{}` was — {}",
-                        v.invariant, v.detail
-                    )),
-                    None => failures.push(format!(
-                        "expected `{expected}` to be violated, but the run stayed clean — the \
-                         reproducer no longer reproduces (or this build lacks the canary it was \
-                         found under)"
-                    )),
-                }
-                return failures;
+        let a = match (&self.expect, &obs.violation) {
+            (Expectation::Assert(a), _) => a,
+            (Expectation::Violation(expected), Some(v)) if v.invariant == *expected => {
+                return failures
             }
-            Expectation::Assert(a) => a,
+            (Expectation::Violation(expected), Some(v)) => {
+                return vec![format!(
+                    "expected `{expected}` to be violated, but `{}` was — {}",
+                    v.invariant, v.detail
+                )]
+            }
+            (Expectation::Violation(expected), None) => {
+                return vec![format!(
+                    "expected `{expected}` to be violated, but the run stayed clean — the \
+                     reproducer no longer reproduces (or this build lacks the canary it was \
+                     found under)"
+                )]
+            }
         };
-        if let Some(v) = &obs.violation {
-            if a.no_fork || v.invariant != "no_fork" {
-                failures.push(format!("safety violated — {}: {}", v.invariant, v.detail));
+        match &obs.violation {
+            Some(v) if a.no_fork || v.invariant != "no_fork" => {
+                failures.push(format!("safety violated — {}: {}", v.invariant, v.detail))
             }
+            _ => {}
         }
         // A fault that never ran to the end of its window must not let the
         // "after the fault window" assertions pass vacuously.
@@ -943,64 +827,47 @@ impl Scenario {
             }
         }
         let live = || {
-            obs.servers
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
+            let servers = obs.servers.iter().enumerate();
+            servers.filter_map(|(i, s)| Some((i, s.as_ref()?)))
         };
-        let correct = || live().filter(|(_, s)| !s.behavior.is_faulty());
+        let faulty = |i: usize| live().any(|(j, s)| j == i && s.behavior.is_faulty());
+        let correct = || live().filter(|(i, _)| !faulty(*i));
         if a.no_faulty_leader {
             // "The liar never wins a certified election": no faulty server
             // may have assembled a vc_QC, and no correct server may
             // currently follow a faulty leader.
-            for (i, s) in live().filter(|(_, s)| s.behavior.is_faulty()) {
-                if s.stats.elections_won > 0 {
-                    failures.push(format!(
-                        "faulty server s{i} won {} election(s) — the certificate check failed \
-                         to refuse its claim",
-                        s.stats.elections_won
-                    ));
-                }
-            }
-            for (i, s) in correct() {
-                let leader_is_faulty = obs
-                    .servers
-                    .get(s.leader as usize)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|l| l.behavior.is_faulty());
-                if leader_is_faulty {
-                    failures.push(format!(
-                        "correct server s{i} follows faulty leader s{} in view {}",
-                        s.leader, s.view
-                    ));
-                }
-            }
-        }
-        if a.min_cert_refusals > 0 {
-            // The refusals must actually have been *certificate* refusals:
-            // prove the check bit, rather than the attack never having been
-            // attempted.
-            let refusals: u64 = correct().map(|(_, s)| s.stats.camp_cert_refusals).sum();
-            if refusals < a.min_cert_refusals {
+            for (i, s) in live().filter(|(i, s)| faulty(*i) && s.stats.elections_won > 0) {
                 failures.push(format!(
-                    "only {refusals} certificate refusal(s) across correct servers (need {}) — \
-                     the claimed attack never exercised the check",
-                    a.min_cert_refusals
+                    "faulty server s{i} won {} election(s) — the certificate check failed to \
+                     refuse its claim",
+                    s.stats.elections_won
+                ));
+            }
+            for (i, s) in correct().filter(|(_, s)| faulty(s.leader as usize)) {
+                failures.push(format!(
+                    "correct server s{i} follows faulty leader s{} in view {}",
+                    s.leader, s.view
                 ));
             }
         }
-        if a.min_stable_checkpoint > 0 {
-            let best = correct()
-                .map(|(_, s)| s.stable_checkpoint)
-                .max()
-                .unwrap_or(0);
-            if best < a.min_stable_checkpoint {
-                failures.push(format!(
-                    "highest stable checkpoint {best} across correct servers is below the \
-                     required {} — checkpoints never formed (or GC never ran)",
-                    a.min_stable_checkpoint
-                ));
-            }
+        // The refusals must actually have been *certificate* refusals: prove
+        // the check bit, rather than the attack never having been attempted.
+        let refusals: u64 = correct().map(|(_, s)| s.stats.camp_cert_refusals).sum();
+        if refusals < a.min_cert_refusals {
+            failures.push(format!(
+                "only {refusals} certificate refusal(s) across correct servers (need {}) — the \
+                 claimed attack never exercised the check",
+                a.min_cert_refusals
+            ));
+        }
+        let checkpoint = correct().map(|(_, s)| s.stable_checkpoint).max();
+        if checkpoint.unwrap_or(0) < a.min_stable_checkpoint {
+            failures.push(format!(
+                "highest stable checkpoint {} across correct servers is below the required {} — \
+                 checkpoints never formed (or GC never ran)",
+                checkpoint.unwrap_or(0),
+                a.min_stable_checkpoint
+            ));
         }
         let recovery = obs.recovery(a.recovery_window_s);
         if recovery.tps < a.recovery_floor_tps {
@@ -1037,21 +904,31 @@ mod tests {
 
     const NETWORK: &str = "[network]\ndelay_lo_us = 5000\ndelay_hi_us = 10000\nloss_permille = 5";
 
+    fn crash(at_ms: u64, target: Target, window_ms: u64, torn_records: u32) -> TimedFault {
+        let kind = FaultKind::CrashRestart {
+            target,
+            torn_records,
+        };
+        TimedFault {
+            at_ms,
+            window_ms,
+            kind,
+        }
+    }
+
+    fn partition(at_ms: u64, cut: Cut, target: Target, window_ms: u64) -> TimedFault {
+        TimedFault {
+            at_ms,
+            window_ms,
+            kind: FaultKind::Partition(cut, target),
+        }
+    }
+
     #[test]
     fn restart_scenario_with_throttle_and_wide_window_parses() {
         let text = restart_scenario(NETWORK, "recovery_window_s = 2.0");
         let scenario = Scenario::from_toml(&text).expect("valid scenario");
-        assert_eq!(
-            scenario.faults,
-            [TimedFault {
-                at_ms: 1000,
-                kind: FaultKind::CrashRestart {
-                    target: Target::Leader,
-                    down_ms: 800,
-                    torn_records: 0
-                }
-            }]
-        );
+        assert_eq!(scenario.faults, [crash(1000, Target::Leader, 800, 0)]);
         assert_eq!(scenario.storage, Some(StorageSettings::default()));
     }
 
@@ -1082,75 +959,49 @@ mod tests {
         assert!(Scenario::from_toml(text).is_ok());
     }
 
-    fn toml_files_under(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
-        for entry in std::fs::read_dir(dir).expect("readable directory") {
-            let path = entry.expect("directory entry").path();
-            if path.is_dir() {
-                toml_files_under(&path, out);
-            } else if path.extension().is_some_and(|x| x == "toml") {
-                out.push(path);
+    /// Every `.toml` under `scenarios/` and `vopr/regressions/`, parsed.
+    fn committed_files() -> Vec<(String, String, Scenario)> {
+        fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+            for entry in std::fs::read_dir(dir).expect("readable directory") {
+                let path = entry.expect("directory entry").path();
+                if path.is_dir() {
+                    walk(&path, out);
+                } else if path.extension().is_some_and(|x| x == "toml") {
+                    out.push(path);
+                }
             }
         }
-    }
-
-    fn committed_files() -> Vec<std::path::PathBuf> {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut files = Vec::new();
-        toml_files_under(&root.join("scenarios"), &mut files);
-        toml_files_under(&root.join("vopr/regressions"), &mut files);
-        files.sort();
-        files
+        let mut paths = Vec::new();
+        walk(&root.join("scenarios"), &mut paths);
+        walk(&root.join("vopr/regressions"), &mut paths);
+        paths.sort();
+        let parse = |path: &std::path::PathBuf| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(path).unwrap();
+            let scenario = Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, text, scenario)
+        };
+        paths.iter().map(parse).collect()
     }
 
     #[test]
-    fn committed_restart_scenarios_pass_the_lint() {
-        let restarts: Vec<_> = committed_files()
-            .into_iter()
-            .filter(|p| {
-                let name = p.file_name().unwrap().to_string_lossy().into_owned();
-                name.starts_with("restart_")
-            })
-            .collect();
-        assert_eq!(restarts.len(), 3, "{restarts:?}");
-        for path in restarts {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let scenario =
-                Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert!(scenario.storage.is_some(), "{}", path.display());
-            assert!(matches!(
-                scenario.faults[..],
-                [TimedFault {
-                    kind: FaultKind::CrashRestart { .. },
-                    ..
-                }]
-            ));
-        }
-    }
-
-    #[test]
-    fn every_committed_file_parses_and_re_renders_to_an_equal_scenario() {
+    fn every_committed_file_parses_passes_the_lint_and_re_renders_to_an_equal_scenario() {
+        // Parsing runs the lint, so the committed restart scenarios pass it.
         let files = committed_files();
-        assert!(files.len() >= 12, "scenario files went missing: {files:?}");
-        for path in files {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let scenario =
-                Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(files.len() >= 12, "scenario files went missing");
+        let restarts = files.iter().filter(|(name, _, s)| {
+            let kinds: Vec<&str> = s.faults.iter().map(|f| f.kind.label()).collect();
+            name.starts_with("restart_") && s.storage.is_some() && kinds == ["crash_restart"]
+        });
+        assert_eq!(restarts.count(), 3);
+        for (name, text, scenario) in files {
             let again = Scenario::from_toml(&scenario.to_toml())
-                .unwrap_or_else(|e| panic!("{} re-rendered: {e}", path.display()));
-            assert_eq!(scenario, again, "{}", path.display());
-            for retired in [
-                "[chaos]",
-                "[partition]",
-                "[restart]",
-                "at_s",
-                "duration_s",
-                "truncate_tail_bytes",
-            ] {
-                assert!(
-                    !text.contains(retired),
-                    "{} still spells `{retired}`",
-                    path.display()
-                );
+                .unwrap_or_else(|e| panic!("{name} re-rendered: {e}"));
+            assert_eq!(scenario, again, "{name}");
+            let retired = "[chaos] [partition] [restart] at_s duration_s truncate_tail_bytes";
+            for spelling in retired.split(' ') {
+                assert!(!text.contains(spelling), "{name} still spells `{spelling}`");
             }
         }
     }
@@ -1179,96 +1030,43 @@ mod tests {
                 "storage.checkpoint_interval",
             ),
             ("stray = 1\n".to_string(), "[]"),
+            (fault.replace("s0", "s4"), "fault[0].target"),
+            (fault.replace("down_ms = 9\n", ""), "fault[0].down_ms"),
+            (
+                "[assert]\n[expect]\nviolation = \"no_fork\"\n".to_string(),
+                "not both",
+            ),
+            (
+                "[network]\ndelay_lo_us = 2\ndelay_hi_us = 1\n".to_string(),
+                "network.delay_lo_us",
+            ),
         ] {
             let err = Scenario::from_toml(&text).expect_err(&text);
             assert!(err.to_string().contains(named), "{text:?} gave: {err}");
         }
-        let both = "[assert]\nno_fork = true\n[expect]\nviolation = \"no_fork\"\n";
-        assert!(Scenario::from_toml(both).is_err());
-        let bad_target = fault.replace("s0", "s4");
-        let err = Scenario::from_toml(&bad_target).unwrap_err();
-        assert!(err.to_string().contains("fault[0].target"), "{err}");
-    }
-
-    fn partition(at_ms: u64, cut: Cut, target: Target, duration_ms: u64) -> TimedFault {
-        TimedFault {
-            at_ms,
-            kind: FaultKind::Partition {
-                cut,
-                target,
-                duration_ms,
-            },
-        }
     }
 
     #[test]
-    fn every_field_round_trips_through_text() {
-        let scenario = Scenario {
-            name: "round trip".to_string(),
-            seed: u64::MAX >> 1,
-            servers: 7,
-            clients: 3,
-            concurrency: 9,
-            batch_size: 11,
-            payload_size: 13,
-            checkpoint_interval: 0,
-            pipeline_depth: 2,
-            rotation_ms: 1500,
-            timeouts: Timeouts::Default,
-            duration_ms: 4321,
-            delay_lo_us: 1,
-            delay_hi_us: 2,
-            loss_permille: 3,
-            fault_plan: FaultPlan::TipLiar {
-                count: 2,
-                strategy: AttackStrategy::WhenCompensable,
-            },
-            faults: vec![
-                partition(10, Cut::In, Target::Leader, 20),
-                TimedFault {
-                    at_ms: 30,
-                    kind: FaultKind::Degrade {
-                        delay_lo_us: 4,
-                        delay_hi_us: 5,
-                        loss_permille: 6,
-                        duration_ms: 7,
-                    },
-                },
-                TimedFault {
-                    at_ms: 40,
-                    kind: FaultKind::CrashRestart {
-                        target: Target::Server(6),
-                        down_ms: 8,
-                        torn_records: 3,
-                    },
-                },
-            ],
-            storage: Some(StorageSettings {
-                dir: Some("/tmp/wal dir".to_string()),
-                segment_bytes: Some(1 << 20),
-                sync_every_n: Some(8),
-                sync_interval_ms: Some(2.5),
-            }),
-            expect: Expectation::Assert(Assertions {
-                no_fork: false,
-                no_faulty_leader: true,
-                min_cert_refusals: 1,
-                min_committed: 2,
-                min_stable_checkpoint: 3,
-                recovery_floor_tps: 0.1,
-                recovery_window_s: 2.25,
-            }),
+    fn what_no_committed_file_sets_still_round_trips() {
+        // The committed files and the generated schedules (vopr's
+        // determinism test) cover the rest of the vocabulary.
+        let text = "[scenario]\ntimeouts = \"default\"\ncheckpoint_interval = 0\n\
+                    [storage]\ndir = \"/tmp/wal dir\"\nsegment_bytes = 1048576\n\
+                    sync_every_n = 8\nsync_interval_ms = 2.5\n\
+                    [[fault]]\nat_ms = 9\nkind = \"degrade\"\ndelay_hi_us = 7\nduration_ms = 5\n\
+                    [assert]\nno_fork = false\nno_faulty_leader = true\nmin_cert_refusals = 1\n\
+                    recovery_floor_tps = 0.1\nrecovery_window_s = 2.25\n";
+        let scenario = Scenario::from_toml(text).unwrap();
+        assert_eq!(scenario.timeouts, Timeouts::Default);
+        let storage = scenario.storage.as_ref().unwrap();
+        assert_eq!(storage.dir.as_deref(), Some("/tmp/wal dir"));
+        assert_eq!(storage.sync_interval_ms, Some(2.5));
+        let Expectation::Assert(a) = &scenario.expect else {
+            panic!("[assert] parsed as {:?}", scenario.expect);
         };
+        assert!(!a.no_fork && a.no_faulty_leader);
+        assert_eq!((a.recovery_floor_tps, a.recovery_window_s), (0.1, 2.25));
         assert_eq!(Scenario::from_toml(&scenario.to_toml()).unwrap(), scenario);
-        let reproducer = Scenario {
-            storage: None,
-            expect: Expectation::Violation("no_double_commit".to_string()),
-            ..scenario
-        };
-        assert_eq!(
-            Scenario::from_toml(&reproducer.to_toml()).unwrap(),
-            reproducer
-        );
     }
 
     #[test]
@@ -1277,12 +1075,17 @@ mod tests {
             partition(100, Cut::Sym, Target::Server(1), 200),
             partition(300, Cut::Out, Target::Server(2), 50),
         ];
-        let ops = expand(&faults);
-        let at = |i: usize| (ops[i].0, ops[i].1.fault, ops[i].1.step);
-        assert_eq!(at(0), (100, 0, Step::Block(Cut::Sym)));
-        assert_eq!(at(1), (300, 0, Step::Heal(Cut::Sym)));
-        assert_eq!(at(2), (300, 1, Step::Block(Cut::Out)));
-        assert_eq!(at(3), (350, 1, Step::Heal(Cut::Out)));
+        let ops: Vec<_> = expand(&faults)
+            .iter()
+            .map(|(t, op)| (*t, op.fault, op.ends))
+            .collect();
+        let expected = [
+            (100, 0, false),
+            (300, 0, true),
+            (300, 1, false),
+            (350, 1, true),
+        ];
+        assert_eq!(ops, expected);
         // A window listed later but ending earlier still sorts by time.
         let nested = [
             partition(0, Cut::Sym, Target::Server(1), 500),
@@ -1296,220 +1099,184 @@ mod tests {
     fn a_leader_target_is_resolved_when_the_fault_fires_and_healed_where_it_hit() {
         let faults = [
             partition(100, Cut::Sym, Target::Leader, 300),
-            TimedFault {
-                at_ms: 200,
-                kind: FaultKind::CrashRestart {
-                    target: Target::Leader,
-                    down_ms: 400,
-                    torn_records: 2,
-                },
-            },
+            crash(200, Target::Leader, 400, 2),
         ];
         let mut timeline = Timeline::new(&faults);
         assert_eq!(timeline.next_at_ms(), Some(100));
         assert_eq!(timeline.server_hit(0), None, "not resolved before it fires");
         // s0 leads when the partition fires; by the time the crash fires the
         // cluster has moved on to s2.
-        assert_eq!(timeline.pop(100, || 0), Some((Step::Block(Cut::Sym), 0)));
-        assert_eq!(
-            timeline.pop(200, || 2),
-            Some((Step::Crash { torn_records: 2 }, 2))
-        );
+        let op = |fault, ends| Op { fault, ends };
+        assert_eq!(timeline.pop(100, || 0), Some((op(0, false), 0)));
+        assert_eq!(timeline.pop(200, || 2), Some((op(1, false), 2)));
         // The ends act on the servers the starts hit, whoever leads now.
-        let never = || panic!("an end step must not ask who leads");
-        assert_eq!(timeline.pop(405, never), Some((Step::Heal(Cut::Sym), 0)));
+        let never = || panic!("an end must not ask who leads");
+        assert_eq!(timeline.pop(405, never), Some((op(0, true), 0)));
         assert_eq!(timeline.closed_ms(), [Some(405), None]);
-        assert_eq!(timeline.pop(600, never), Some((Step::Restart, 2)));
+        assert_eq!(timeline.pop(600, never), Some((op(1, true), 2)));
         assert_eq!(timeline.closed_ms(), [Some(405), Some(600)]);
-        assert_eq!(
-            (timeline.server_hit(0), timeline.server_hit(1)),
-            (Some(0), Some(2))
-        );
+        assert_eq!(timeline.server_hit(0), Some(0));
+        assert_eq!(timeline.server_hit(1), Some(2));
         assert_eq!(timeline.pop(700, never), None);
         assert_eq!(timeline.next_at_ms(), None);
     }
 
     // ---- judge ----------------------------------------------------------
 
-    fn server(behavior: ByzantineBehavior, leader: u32) -> Option<ServerObservation> {
-        Some(ServerObservation {
-            behavior,
+    /// A healthy 6 s run: 1000 tx/s throughout, four correct servers
+    /// following s0, the scenario's one fault healed at 1.5 s.
+    fn healthy() -> Observations {
+        let server = ServerObservation {
+            behavior: ByzantineBehavior::Correct,
             stats: ServerStats::default(),
             view: 1,
-            leader,
+            leader: 0,
             stable_checkpoint: 0,
-        })
-    }
-
-    /// A healthy 6 s run of the scenario below: 1000 tx/s throughout, four
-    /// correct servers following s0, its one fault healed at 1.5 s.
-    fn healthy() -> Observations {
+        };
         Observations {
             run_ms: 6_000,
             series: (0..=60).map(|i| (i * 100, i * 100)).collect(),
-            servers: (0..4)
-                .map(|_| server(ByzantineBehavior::Correct, 0))
-                .collect(),
+            servers: vec![Some(server); 4],
             violation: None,
             windows_closed_ms: vec![Some(1_500)],
         }
     }
 
-    fn asserting(assertions: Assertions) -> Scenario {
-        Scenario {
+    fn violated(invariant: &str) -> Option<Violated> {
+        Some(Violated {
+            invariant: invariant.to_string(),
+            detail: "detail".to_string(),
+        })
+    }
+
+    /// Judges `healthy()` after `spoil` under `[assert]` defaults changed by
+    /// `require`; `expected` lists a fragment of each failure, ` | `-separated
+    /// (empty = the run passes).
+    fn check(
+        require: impl FnOnce(&mut Assertions),
+        spoil: impl FnOnce(&mut Observations),
+        expected: &str,
+    ) {
+        let mut assertions = Assertions::default();
+        require(&mut assertions);
+        let scenario = Scenario {
             faults: vec![partition(1_000, Cut::Sym, Target::Leader, 500)],
             expect: Expectation::Assert(assertions),
             ..Scenario::from_toml("").unwrap()
-        }
+        };
+        let mut obs = healthy();
+        spoil(&mut obs);
+        let failures = scenario.judge(&obs);
+        let needles: Vec<&str> = expected.split(" | ").filter(|n| !n.is_empty()).collect();
+        let matches = failures.len() == needles.len()
+            && failures.iter().zip(&needles).all(|(f, n)| f.contains(n));
+        assert!(matches, "expected {needles:?}, got {failures:?}");
     }
 
-    fn assert_fails_with(failures: &[String], needle: &str) {
-        assert!(
-            failures.len() == 1 && failures[0].contains(needle),
-            "expected one failure containing {needle:?}, got {failures:?}"
-        );
-    }
+    type Require = fn(&mut Assertions);
+    type Spoil = fn(&mut Observations);
+    const NOTHING: Require = |_| {};
+    const UNSPOILT: Spoil = |_| {};
 
     #[test]
     fn a_healthy_run_passes_and_its_recovery_numbers_add_up() {
-        let scenario = asserting(Assertions {
-            min_committed: 4_500,
-            recovery_floor_tps: 1_000.0,
-            ..Assertions::default()
-        });
-        let obs = healthy();
-        assert_eq!(scenario.judge(&obs), Vec::<String>::new());
-        let recovery = obs.recovery(2.0);
+        let floors: Require = |a| (a.min_committed, a.recovery_floor_tps) = (4_500, 1_000.0);
+        check(floors, UNSPOILT, "");
+        let recovery = healthy().recovery(2.0);
         assert_eq!(recovery.committed_after_faults, 6_000 - 1_500);
         assert_eq!((recovery.window_s, recovery.tps), (2.0, 1_000.0));
         // A window wider than the run is clamped to it, not divided through.
-        assert_eq!(obs.recovery(60.0).window_s, 6.0);
+        assert_eq!(healthy().recovery(60.0).window_s, 6.0);
     }
 
     #[test]
-    fn judge_min_committed_counts_only_what_commits_after_the_last_window_closes() {
-        let scenario = asserting(Assertions {
-            min_committed: 4_501,
-            ..Assertions::default()
-        });
-        assert_fails_with(&scenario.judge(&healthy()), "only 4500 tx committed after");
-    }
-
-    #[test]
-    fn judge_recovery_floor_reads_the_trailing_window() {
-        let scenario = asserting(Assertions {
-            recovery_floor_tps: 200.0,
-            ..Assertions::default()
-        });
+    fn judge_liveness_assertions() {
+        // Only what commits after the last window closes counts.
+        let one_more: Require = |a| a.min_committed = 4_501;
+        check(one_more, UNSPOILT, "only 4500 tx committed after");
         // The wedge: everything commits in the first second, nothing after.
-        let mut wedged = healthy();
-        for (t, total) in &mut wedged.series {
-            *total = (*t).min(1_000);
-        }
-        assert_fails_with(&scenario.judge(&wedged), "recovery throughput 0 tx/s");
-    }
-
-    #[test]
-    fn judge_a_fault_that_never_ran_to_its_end_must_not_pass_vacuously() {
-        // min_committed alone would pass (the run committed plenty); the
-        // unfinished window turns "after the fault window" into zero.
-        let scenario = asserting(Assertions {
-            min_committed: 1,
-            ..Assertions::default()
-        });
-        for closed in [None, Some(6_001)] {
-            let mut obs = healthy();
-            obs.windows_closed_ms = vec![closed];
-            let failures = scenario.judge(&obs);
-            assert_eq!(failures.len(), 2, "{failures:?}");
-            assert!(failures[0].contains("did not run to the end of its window"));
-            assert!(failures[1].contains("only 0 tx committed after"));
-        }
+        let floor: Require = |a| a.recovery_floor_tps = 200.0;
+        let wedge: Spoil = |obs| {
+            obs.series
+                .iter_mut()
+                .for_each(|(t, n)| *n = (*t).min(1_000))
+        };
+        check(floor, wedge, "recovery throughput 0 tx/s");
+        // A fault that never ran to its end must not pass vacuously:
+        // `min_committed = 1` alone would pass (the run committed plenty);
+        // the unfinished window turns "after the fault window" into zero.
+        let any: Require = |a| a.min_committed = 1;
+        let unfinished = "did not run to the end of its window | only 0 tx committed after";
+        check(any, |obs| obs.windows_closed_ms = vec![None], unfinished);
+        check(
+            any,
+            |obs| obs.windows_closed_ms = vec![Some(6_001)],
+            unfinished,
+        );
+        let down: Spoil = |obs| obs.servers[2] = None;
+        check(NOTHING, down, "server s2 does not answer");
     }
 
     #[test]
     fn judge_safety_violations_fail_unless_the_file_expects_exactly_them() {
-        let fork = Some(Violated {
-            invariant: "no_fork".to_string(),
-            detail: "fork at sequence 9".to_string(),
-        });
-        let mut forked = healthy();
-        forked.violation = fork.clone();
-        let strict = asserting(Assertions::default());
-        assert_fails_with(&strict.judge(&forked), "safety violated — no_fork");
-        let lenient = asserting(Assertions {
-            no_fork: false,
-            ..Assertions::default()
-        });
-        assert_eq!(lenient.judge(&forked), Vec::<String>::new());
+        let fork: Spoil = |obs| obs.violation = violated("no_fork");
+        let double: Spoil = |obs| obs.violation = violated("no_double_commit");
+        check(NOTHING, fork, "safety violated — no_fork");
         // `no_fork = false` waives the fork check only.
-        forked.violation.as_mut().unwrap().invariant = "no_double_commit".to_string();
-        assert_fails_with(
-            &lenient.judge(&forked),
-            "safety violated — no_double_commit",
-        );
+        let waived: Require = |a| a.no_fork = false;
+        check(waived, fork, "");
+        check(waived, double, "safety violated — no_double_commit");
 
         let reproducer = Scenario {
             expect: Expectation::Violation("no_fork".to_string()),
-            ..strict
+            ..Scenario::from_toml("").unwrap()
         };
-        assert_fails_with(&reproducer.judge(&forked), "but `no_double_commit` was");
-        assert_fails_with(&reproducer.judge(&healthy()), "the run stayed clean");
-        forked.violation = fork;
-        assert_eq!(reproducer.judge(&forked), Vec::<String>::new());
+        let mut obs = healthy();
+        assert!(reproducer.judge(&obs)[0].contains("the run stayed clean"));
+        double(&mut obs);
+        assert!(reproducer.judge(&obs)[0].contains("but `no_double_commit` was"));
+        fork(&mut obs);
+        assert_eq!(reproducer.judge(&obs), Vec::<String>::new());
     }
 
     #[test]
-    fn judge_no_faulty_leader_checks_wins_and_who_is_followed() {
-        let scenario = asserting(Assertions {
-            no_faulty_leader: true,
-            ..Assertions::default()
-        });
-        let liar = ByzantineBehavior::OverclaimTip(AttackStrategy::Always);
-        let mut obs = healthy();
-        obs.servers[3] = server(liar, 0);
-        assert_eq!(scenario.judge(&obs), Vec::<String>::new());
+    fn judge_attack_assertions_count_correct_servers_only() {
+        fn server(obs: &mut Observations, i: usize) -> &mut ServerObservation {
+            obs.servers[i].as_mut().unwrap()
+        }
+        let liar: Spoil = |obs| {
+            server(obs, 3).behavior = ByzantineBehavior::OverclaimTip(AttackStrategy::Always);
+        };
+        let no_faulty_leader: Require = |a| a.no_faulty_leader = true;
+        check(no_faulty_leader, liar, "");
+        let won = |obs: &mut Observations| {
+            liar(obs);
+            server(obs, 3).stats.elections_won = 1;
+        };
+        check(no_faulty_leader, won, "faulty server s3 won 1 election(s)");
+        let followed = |obs: &mut Observations| {
+            liar(obs);
+            server(obs, 1).leader = 3;
+        };
+        let follows = "correct server s1 follows faulty leader s3";
+        check(no_faulty_leader, followed, follows);
 
-        obs.servers[3].as_mut().unwrap().stats.elections_won = 1;
-        assert_fails_with(&scenario.judge(&obs), "faulty server s3 won 1 election(s)");
-
-        obs.servers[3].as_mut().unwrap().stats.elections_won = 0;
-        obs.servers[1].as_mut().unwrap().leader = 3;
-        assert_fails_with(
-            &scenario.judge(&obs),
-            "correct server s1 follows faulty leader s3",
-        );
-    }
-
-    #[test]
-    fn judge_cert_refusals_and_checkpoints_count_correct_servers_only() {
-        let scenario = asserting(Assertions {
-            min_cert_refusals: 2,
-            min_stable_checkpoint: 16,
-            ..Assertions::default()
-        });
-        let mut obs = healthy();
-        obs.servers[3] = server(ByzantineBehavior::Quiet, 0);
         // The faulty server's numbers must not count toward either floor.
-        obs.servers[3].as_mut().unwrap().stats.camp_cert_refusals = 9;
-        obs.servers[3].as_mut().unwrap().stable_checkpoint = 64;
-        obs.servers[0].as_mut().unwrap().stats.camp_cert_refusals = 1;
-        obs.servers[1].as_mut().unwrap().stable_checkpoint = 15;
-        let failures = scenario.judge(&obs);
-        assert_eq!(failures.len(), 2, "{failures:?}");
-        assert!(failures[0].contains("only 1 certificate refusal(s)"));
-        assert!(failures[1].contains("highest stable checkpoint 15"));
-
-        obs.servers[2].as_mut().unwrap().stats.camp_cert_refusals = 1;
-        obs.servers[2].as_mut().unwrap().stable_checkpoint = 16;
-        assert_eq!(scenario.judge(&obs), Vec::<String>::new());
-    }
-
-    #[test]
-    fn judge_a_server_that_does_not_answer_at_the_end_fails_the_run() {
-        let scenario = asserting(Assertions::default());
-        let mut obs = healthy();
-        obs.servers[2] = None;
-        assert_fails_with(&scenario.judge(&obs), "server s2 does not answer");
+        let floors: Require = |a| (a.min_cert_refusals, a.min_stable_checkpoint) = (2, 16);
+        let short = |obs: &mut Observations| {
+            liar(obs);
+            server(obs, 3).stats.camp_cert_refusals = 9;
+            server(obs, 3).stable_checkpoint = 64;
+            server(obs, 0).stats.camp_cert_refusals = 1;
+            server(obs, 1).stable_checkpoint = 15;
+        };
+        let both = "only 1 certificate refusal(s) | highest stable checkpoint 15";
+        check(floors, short, both);
+        let enough = |obs: &mut Observations| {
+            short(obs);
+            server(obs, 2).stats.camp_cert_refusals = 1;
+            server(obs, 2).stable_checkpoint = 16;
+        };
+        check(floors, enough, "");
     }
 }
