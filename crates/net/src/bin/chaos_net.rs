@@ -31,8 +31,7 @@ use prestige_net::config::wal_options;
 use prestige_net::NetChaos;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, TimeoutConfig, ViewChangePolicy};
 use prestige_workloads::scenario::{
-    Assertions, Cut, Expectation, FaultKind, Link, Observations, Scenario, ServerObservation,
-    Timeline, Timeouts, Violated,
+    Cut, FaultKind, Link, Observations, Scenario, ServerObservation, Timeline, Timeouts, Violated,
 };
 use std::time::{Duration, Instant};
 
@@ -123,11 +122,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     let behaviors = scenario.fault_plan.behaviors(n);
     let chaos = NetChaos::new();
     set_network(&chaos, scenario.network);
-    let crashes = scenario
-        .faults
-        .iter()
-        .any(|f| matches!(f.kind, FaultKind::CrashRestart { .. }));
-    if crashes && scenario.storage.is_none() {
+    if scenario.crashes_a_server() && scenario.storage.is_none() {
         return Err(vec![
             "a crash_restart needs a [storage] section on the real runtime (the restart \
              replays the WAL); an empty one provisions a per-run temp directory"
@@ -252,10 +247,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         windows_closed_ms: timeline.closed_ms().to_vec(),
     };
     let failures = scenario.judge(&observations);
-    let recovery = observations.recovery(match &scenario.expect {
-        Expectation::Assert(a) => a.recovery_window_s,
-        Expectation::Violation(_) => Assertions::default().recovery_window_s,
-    });
+    let recovery = scenario.recovery(&observations);
     if let Ok(prefix) = &fork_check {
         eprintln!(
             "chaos_net: no-fork holds across {} correct servers (identical up to sequence \

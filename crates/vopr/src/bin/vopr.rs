@@ -77,9 +77,11 @@ fn write_regression(
     Ok(path)
 }
 
-fn load_scenario(path: &str) -> Result<Scenario, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Scenario::from_toml(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+/// Reads a scenario file; on failure says why on stderr.
+fn load_scenario(path: &str) -> Option<Scenario> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let parsed = text.and_then(|t| Scenario::from_toml(&t).map_err(|e| format!("{path}: {e}")));
+    parsed.map_err(|e| eprintln!("{e}")).ok()
 }
 
 /// The arguments after the subcommand: files and every flag any of the
@@ -115,16 +117,9 @@ fn cmd_run(args: Args) -> ExitCode {
     let (Some(seeds), true) = (args.seeds, args.files.is_empty()) else {
         return usage();
     };
-    let Args {
-        start,
-        out_dir,
-        expect_violation,
-        ..
-    } = args;
-    let do_shrink = !args.no_shrink;
 
     let mut report = SwarmReport::default();
-    for seed in start..start + seeds {
+    for seed in args.start..args.start + seeds {
         let schedule = generate(seed);
         let outcome = run_scenario(&schedule);
         report.absorb_run(&outcome);
@@ -141,7 +136,7 @@ fn cmd_run(args: Args) -> ExitCode {
             shrunk: None,
             regression_file: None,
         };
-        if let Some(result) = do_shrink.then(|| shrink(&schedule)).flatten() {
+        if let Some(result) = (!args.no_shrink).then(|| shrink(&schedule)).flatten() {
             eprintln!(
                 "seed {seed}: shrunk to {} fault(s) over {} ms in {} candidate runs",
                 result.schedule.faults.len(),
@@ -153,7 +148,7 @@ fn cmd_run(args: Args) -> ExitCode {
             record.violation = result.violation;
             record.shrunk = Some(result.schedule);
         }
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &args.out_dir {
             let found = record.shrunk.as_ref().unwrap_or(&schedule);
             match write_regression(dir, found, &record.violation) {
                 Ok(path) => record.regression_file = Some(path.display().to_string()),
@@ -161,7 +156,7 @@ fn cmd_run(args: Args) -> ExitCode {
             }
         }
         report.failures.push(record);
-        if expect_violation {
+        if args.expect_violation {
             // Mutation gate: one caught bug proves the harness; stop early.
             break;
         }
@@ -169,7 +164,7 @@ fn cmd_run(args: Args) -> ExitCode {
 
     print!("{}", report.to_json().render());
     let violated = !report.failures.is_empty();
-    if expect_violation {
+    if args.expect_violation {
         if violated {
             eprintln!(
                 "mutation gate: harness caught the {} canary",
@@ -198,12 +193,8 @@ fn cmd_replay(args: Args) -> ExitCode {
     let mut report = SwarmReport::default();
     let mut failed: Vec<String> = Vec::new();
     for path in &args.files {
-        let mut scenario = match load_scenario(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+        let Some(mut scenario) = load_scenario(path) else {
+            return ExitCode::FAILURE;
         };
         let sweep = match args.seeds {
             Some(n) => args.start..args.start + n,
@@ -264,12 +255,8 @@ fn cmd_shrink(args: Args) -> ExitCode {
     let [path] = &args.files[..] else {
         return usage();
     };
-    let schedule = match load_scenario(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(schedule) = load_scenario(path) else {
+        return ExitCode::FAILURE;
     };
     match shrink(&schedule) {
         Some(result) => {

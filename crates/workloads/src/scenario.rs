@@ -450,12 +450,18 @@ impl Scenario {
         Ok(scenario)
     }
 
+    /// Whether any fault is a `crash_restart` (which the real host can only
+    /// run with `[storage]`).
+    pub fn crashes_a_server(&self) -> bool {
+        let crash = |f: &TimedFault| matches!(f.kind, FaultKind::CrashRestart { .. });
+        self.faults.iter().any(crash)
+    }
+
     /// Scenario lint: crash-restart scenarios have two footguns that produce
     /// flaky-looking CI failures long after the scenario is written, so
     /// they are rejected at parse time with the fix in the message.
     fn lint(&self) -> Result<(), ConfigError> {
-        let restarts = |f: &TimedFault| matches!(f.kind, FaultKind::CrashRestart { .. });
-        if !self.faults.iter().any(restarts) {
+        if !self.crashes_a_server() {
             return Ok(());
         }
         // A restarted node replays its WAL, re-elects, and pages itself
@@ -776,6 +782,15 @@ impl Observations {
 }
 
 impl Scenario {
+    /// The recovery numbers over this scenario's trailing window (the
+    /// default window for a file without `[assert]`).
+    pub fn recovery(&self, obs: &Observations) -> Recovery {
+        obs.recovery(match &self.expect {
+            Expectation::Assert(a) => a.recovery_window_s,
+            Expectation::Violation(_) => Assertions::default().recovery_window_s,
+        })
+    }
+
     /// The verdict: every way `obs` falls short of what the scenario expects
     /// (empty = the run passed). The one judging function for both hosts.
     pub fn judge(&self, obs: &Observations) -> Vec<String> {
@@ -869,7 +884,7 @@ impl Scenario {
                 a.min_stable_checkpoint
             ));
         }
-        let recovery = obs.recovery(a.recovery_window_s);
+        let recovery = self.recovery(obs);
         if recovery.tps < a.recovery_floor_tps {
             failures.push(format!(
                 "recovery throughput {:.0} tx/s over the trailing {:.1}s is below the {:.0} tx/s \
