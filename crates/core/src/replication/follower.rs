@@ -76,7 +76,7 @@ impl PrestigeServer {
         }
         // A sequence number must not be reused with a different payload —
         // checked before paying for any crypto.
-        if let Some(existing) = self.ordered_digests.get(&n.0) {
+        if let Some((existing, _)) = self.ordered_digests.get(&n.0) {
             if *existing != digest {
                 return;
             }
@@ -169,7 +169,8 @@ impl PrestigeServer {
                 return;
             }
         }
-        self.ordered_digests.insert(n.0, digest);
+        self.ordered_digests
+            .insert(n.0, (digest, Arc::clone(&batch)));
         self.remember_ordered_batch(n.0, &batch);
 
         let share = if self.behavior.equivocates() {
@@ -237,7 +238,7 @@ impl PrestigeServer {
         // payload) — drop it and fetch the certified batch instead.
         self.record_ord_qc(n.0, &ordering_qc);
         match self.ordered_digests.get(&n.0) {
-            Some(acked) if *acked != digest => {
+            Some((acked, _)) if *acked != digest => {
                 self.ordered_batches.remove(&n.0);
                 self.request_sync(from, SyncKind::Ordered, n.0, n.0, ctx);
             }
@@ -426,6 +427,48 @@ mod tests {
             );
             assert_eq!(follower.stats().verify_rejected, 1);
         }
+    }
+
+    #[test]
+    fn a_held_batch_replaced_after_the_ack_does_not_vouch_for_a_swapped_body() {
+        // The follower acknowledged `{(c1, 100)}` at instance 1; sync repair
+        // (or the leader path) then replaces the batch it *holds* for the
+        // instance. The acknowledgement vouches only for the batch that was
+        // hashed, so a block carrying the replacement under the
+        // acknowledged digest's QCs is refused, and the genuine one applies.
+        let registry = KeyRegistry::new(9, 4, 2);
+        let mut follower =
+            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
+        let certified = [Transaction::with_size(ClientId(1), 100, 16)];
+        let swapped = vec![Transaction::with_size(ClientId(1), 999, 16)];
+        let proposals = |txs: &[Transaction]| -> Vec<Proposal> {
+            let propose = |tx: &Transaction| Proposal::new(tx.clone(), Digest::ZERO);
+            txs.iter().map(propose).collect()
+        };
+        assert!(deliver_ord(
+            &mut follower,
+            &registry,
+            View(1),
+            1,
+            proposals(&certified)
+        ));
+        follower
+            .ordered_batches
+            .insert(1, Arc::new(proposals(&swapped)));
+
+        let one = (View(1), View(1), View(1));
+        for (body, tip) in [(swapped, 0), (certified.to_vec(), 1)] {
+            let block = certified_block(&registry, one, 1, &certified, body);
+            let message = Message::CommitBlock {
+                block: Arc::new(block),
+                sig: [0u8; 32],
+            };
+            with_ctx(&mut follower, |s, ctx| {
+                s.on_message(Actor::Server(ServerId(0)), message, ctx)
+            });
+            assert_eq!(follower.store().latest_seq(), SeqNum(tip));
+        }
+        assert_eq!(follower.stats().verify_rejected, 1);
     }
 
     #[test]

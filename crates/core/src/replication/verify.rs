@@ -55,19 +55,20 @@ impl PrestigeServer {
     }
 
     /// Whether `block.tx` is the batch `digest` certifies. On the live path
-    /// this follower acknowledged the ordering itself — it checked the batch
-    /// against this digest at `Ord` time — so comparing the body with the
-    /// batch it holds is enough; otherwise (sync, a straggler from an
-    /// earlier view, a lost `Ord`) the digest is recomputed from the body.
+    /// this follower acknowledged the ordering itself — it hashed a batch to
+    /// this digest at `Ord` time and kept that batch beside the digest — so
+    /// comparing the body with it is enough; otherwise (sync, a straggler
+    /// from an earlier view, a lost `Ord`) the digest is recomputed from the
+    /// body.
     fn body_matches_digest(&self, block: &TxBlock, digest: &Digest) -> bool {
-        let n = block.n.0;
         let body_keys = block.tx.iter().map(|tx| tx.key());
         let acknowledged = block.view == self.current_view()
-            && self.ordered_digests.get(&n) == Some(digest)
             && self
-                .ordered_batches
-                .get(&n)
-                .is_some_and(|held| held.iter().map(|p| p.tx.key()).eq(body_keys.clone()));
+                .ordered_digests
+                .get(&block.n.0)
+                .is_some_and(|(acked, hashed)| {
+                    acked == digest && hashed.iter().map(|p| p.tx.key()).eq(body_keys.clone())
+                });
         acknowledged || batch_digest_of_keys(block.view, block.n, body_keys) == *digest
     }
 

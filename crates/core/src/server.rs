@@ -216,8 +216,11 @@ pub struct PrestigeServer {
     pub(crate) next_seq: SeqNum,
     /// Leader-side in-flight instances keyed by sequence number.
     pub(crate) inflight: BTreeMap<u64, InflightInstance>,
-    /// Follower-side record of ordered digests (phase-1 acknowledgements).
-    pub(crate) ordered_digests: BTreeMap<u64, Digest>,
+    /// Follower-side record of phase-1 acknowledgements: the digest, beside
+    /// the very batch this follower hashed to it at `Ord` time (one entry,
+    /// so the two cannot diverge the way `ordered_batches` — overwritten by
+    /// sync repair — can).
+    pub(crate) ordered_digests: BTreeMap<u64, (Digest, Arc<Vec<Proposal>>)>,
     /// Follower-side record of the ordered batches themselves, as shared
     /// handles to the broadcast `Ord` payloads. Kept so a later leader can
     /// re-propose proposals whose instance never commits — materialized into

@@ -17,6 +17,8 @@
 //!     --scenario scenarios/f4_s1_partition.toml --out CHAOS_report.json
 //! ```
 //!
+//! (`--duration SECS` overrides the file's `duration_ms`.)
+//!
 //! Exit status is non-zero when the verdict has a failure: an `[assert]`
 //! file's no-fork, recovery or attack assertions (`docs/ATTACKS.md`), or —
 //! for an `[expect] violation` reproducer — the run *not* showing that
@@ -24,34 +26,18 @@
 //! "stayed clean"; what such a run demonstrates is the timeline on real
 //! runtimes).
 
+use prestige_core::AttackStrategy;
 use prestige_core::LoopStage;
 use prestige_metrics::Json;
 use prestige_net::cluster::{LocalCluster, StoragePlan};
 use prestige_net::config::wal_options;
 use prestige_net::NetChaos;
-use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, TimeoutConfig, ViewChangePolicy};
+use prestige_types::{Actor, ClientId, ServerId};
 use prestige_workloads::scenario::{
-    Cut, FaultKind, Link, Observations, Scenario, ServerObservation, Timeline, Timeouts, Violated,
+    Assertions, Cut, Expectation, FaultKind, Link, Observations, Scenario, ServerObservation,
+    Timeline, Violated,
 };
 use std::time::{Duration, Instant};
-
-fn cluster_config(scenario: &Scenario) -> ClusterConfig {
-    let mut config = ClusterConfig::new(scenario.servers)
-        .with_batch_size(scenario.batch_size)
-        .with_payload_size(scenario.payload_size)
-        .with_timeouts(match scenario.timeouts {
-            Timeouts::Fast => TimeoutConfig::fast(),
-            Timeouts::Default => TimeoutConfig::default(),
-        })
-        .with_pipeline_depth(scenario.pipeline_depth)
-        .with_checkpoint_interval(scenario.checkpoint_interval);
-    if scenario.rotation_ms > 0 {
-        config.policy = ViewChangePolicy::Timing {
-            interval_ms: scenario.rotation_ms as f64,
-        };
-    }
-    config
-}
 
 /// Builds the cluster's storage plan when the scenario is durable. Without
 /// an explicit `storage.dir`, a per-run temp directory is used (and wiped
@@ -86,20 +72,35 @@ fn set_network(chaos: &NetChaos, link: Link) {
 /// Parses the command line and loads the scenario it names; returns it
 /// with the report path.
 fn load(args: &[String]) -> Result<(Scenario, String), String> {
-    let (mut path, mut out) = (None, "CHAOS_report.json".to_string());
+    let (mut path, mut out, mut duration_s) = (None, "CHAOS_report.json".to_string(), None);
     let mut it = args.iter().skip(1);
     while let Some(flag) = it.next() {
         let value = it.next().ok_or(format!("{flag} needs a value"))?;
         match flag.as_str() {
             "--scenario" => path = Some(value),
             "--out" => out = value.clone(),
+            "--duration" => {
+                duration_s = Some(
+                    value
+                        .parse::<f64>()
+                        .map_err(|e| format!("--duration: {e}"))?,
+                )
+            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let path =
-        path.ok_or("missing --scenario (usage: chaos_net --scenario <file.toml> [--out PATH])")?;
+    let path = path.ok_or(
+        "missing --scenario (usage: chaos_net --scenario <file.toml> [--out PATH] \
+         [--duration SECS])",
+    )?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let scenario = Scenario::from_toml(&text).map_err(|e| format!("{path}: {e}"))?;
+    let mut scenario = Scenario::from_toml(&text).map_err(|e| format!("{path}: {e}"))?;
+    scenario
+        .lint_for_real_host()
+        .map_err(|e| format!("{path}: {e}"))?;
+    if let Some(secs) = duration_s {
+        scenario.duration_ms = (secs * 1000.0) as u64;
+    }
     Ok((scenario, out))
 }
 
@@ -122,13 +123,6 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     let behaviors = scenario.fault_plan.behaviors(n);
     let chaos = NetChaos::new();
     set_network(&chaos, scenario.network);
-    if scenario.crashes_a_server() && scenario.storage.is_none() {
-        return Err(vec![
-            "a crash_restart needs a [storage] section on the real runtime (the restart \
-             replays the WAL); an empty one provisions a per-run temp directory"
-                .to_string(),
-        ]);
-    }
 
     eprintln!(
         "chaos_net: scenario `{}` — n={n}, fault plan {:?}, {:?}, {} fault(s)",
@@ -138,7 +132,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         scenario.faults.len(),
     );
     let mut cluster = LocalCluster::launch_full(
-        cluster_config(scenario),
+        scenario.cluster_config(),
         scenario.seed,
         scenario.clients,
         scenario.concurrency,
@@ -153,6 +147,15 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     let elapsed_ms = || started.elapsed().as_millis() as u64;
     let mut timeline = Timeline::new(&scenario.faults);
     let mut series: Vec<(u64, u64)> = Vec::new();
+    // Per sample, every server's own committed count (0 while it is down).
+    let per_server = |cluster: &LocalCluster| -> Vec<Json> {
+        let committed = |i| cluster.server_stats(ServerId(i)).map(|s| s.committed_tx);
+        (0..n).map(|i| committed(i).unwrap_or(0).into()).collect()
+    };
+    let mut per_server_series: Vec<Vec<Json>> = Vec::new();
+    // Per fault: when it actually fired, and how many WAL records it tore.
+    let mut fired_ms: Vec<Option<u64>> = vec![None; scenario.faults.len()];
+    let mut torn: Vec<usize> = vec![0; scenario.faults.len()];
     let mut next_sample_ms = 0u64;
     loop {
         let now_ms = elapsed_ms();
@@ -171,6 +174,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
             };
             let (op, t) = timeline.pop(now_ms, leader).expect("an op is due");
             let kind = scenario.faults[op.fault].kind;
+            fired_ms[op.fault].get_or_insert(now_ms);
             let target = ServerId(t);
             let me = [Actor::Server(target)];
             let others: Vec<Actor> = (0..n)
@@ -196,9 +200,10 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
                     cluster.crash_server(target);
                     if torn_records > 0 {
                         match cluster.tear_wal_tail(target, torn_records as usize) {
-                            Ok(torn) => eprintln!("chaos_net: tore {torn} WAL record(s) off s{t}"),
+                            Ok(records) => torn[op.fault] = records,
                             Err(e) => eprintln!("chaos_net: tearing s{t}'s WAL tail failed: {e}"),
                         }
+                        eprintln!("chaos_net: tore {} WAL record(s) off s{t}", torn[op.fault]);
                     }
                 }
                 (FaultKind::CrashRestart { .. }, true) => {
@@ -210,6 +215,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         }
         if now_ms >= next_sample_ms {
             series.push((now_ms, cluster.total_committed()));
+            per_server_series.push(per_server(&cluster));
             next_sample_ms = now_ms + 100;
         }
         let wake_ms = timeline
@@ -220,6 +226,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     }
     let run_ms = elapsed_ms();
     series.push((run_ms, cluster.total_committed()));
+    per_server_series.push(per_server(&cluster));
 
     // --- gather ---------------------------------------------------------
     let correct = cluster.correct_servers();
@@ -247,7 +254,10 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         windows_closed_ms: timeline.closed_ms().to_vec(),
     };
     let failures = scenario.judge(&observations);
-    let recovery = scenario.recovery(&observations);
+    let recovery = observations.recovery(match &scenario.expect {
+        Expectation::Assert(a) => a.recovery_window_s,
+        Expectation::Violation(_) => Assertions::default().recovery_window_s,
+    });
     if let Ok(prefix) = &fork_check {
         eprintln!(
             "chaos_net: no-fork holds across {} correct servers (identical up to sequence \
@@ -326,21 +336,36 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         .push("delay_lo_us", scenario.network.delay_lo_us)
         .push("delay_hi_us", scenario.network.delay_hi_us)
         .push("loss_permille", scenario.network.loss_permille);
+    // One entry per `[[fault]]`, under the names the single `partition` /
+    // `restart` objects used before a file could hold several windows.
+    let seconds = |ms: Option<u64>| ms.map(|ms| ms as f64 / 1000.0);
     let mut faults = Vec::new();
     for (i, fault) in scenario.faults.iter().enumerate() {
+        let crash = matches!(fault.kind, FaultKind::CrashRestart { .. });
+        let (started, ended) = match crash {
+            true => ("killed_s", "restarted_s"),
+            false => ("started_s", "healed_s"),
+        };
         let mut f = Json::obj();
         f.push("kind", fault.kind.label())
-            .push("at_ms", fault.at_ms)
-            .push("window_ms", fault.window_ms)
             .push("server", timeline.server_hit(i).map(|s| format!("s{s}")))
-            .push("closed_ms", observations.windows_closed_ms[i]);
+            .push("at_ms", fault.at_ms)
+            .push(fault.kind.window_key(), fault.window_ms)
+            .push(started, seconds(fired_ms[i]))
+            .push(ended, seconds(observations.windows_closed_ms[i]));
+        if crash {
+            f.push("torn_records", torn[i]);
+        }
         faults.push(f);
     }
 
     let mut liveness = Vec::new();
-    for &(t_ms, total) in &observations.series {
+    for (&(t_ms, total), per_server) in observations.series.iter().zip(per_server_series) {
         let mut entry = Json::obj();
-        entry.push("t_ms", t_ms).push("committed_total", total);
+        entry
+            .push("t_s", t_ms as f64 / 1000.0)
+            .push("committed_total", total)
+            .push("per_server_committed", per_server);
         liveness.push(entry);
     }
 
@@ -393,6 +418,13 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         .push("seed", scenario.seed)
         .push("fault_plan", scenario.fault_plan.label())
         .push("fault_count", scenario.fault_plan.count())
+        .push(
+            "strategy",
+            match scenario.fault_plan.strategy() {
+                Some(AttackStrategy::WhenCompensable) => "s2",
+                _ => "s1",
+            },
+        )
         .push("network", network_obj)
         .push("faults", Json::Arr(faults))
         .push("durable", scenario.storage.is_some())

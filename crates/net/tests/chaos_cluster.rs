@@ -79,12 +79,16 @@ fn f4_s1_attacker_with_leader_partition<F: Fabric>() {
     );
 
     // Phase 2: a 500 ms symmetric partition isolates the current leader from
-    // every other node (servers and clients).
+    // every other node (servers and clients), healing on schedule.
     let observer = cluster.correct_servers()[0];
     let (_, leader) = cluster.view_of(observer).expect("observer answers");
-    chaos.partition_between(&[Actor::Server(leader)], &everyone_but(leader, n, clients));
-    std::thread::sleep(Duration::from_millis(500));
-    chaos.heal_now();
+    chaos.isolate(Actor::Server(leader), &everyone_but(leader, n, clients));
+    chaos.heal_after(Duration::from_millis(500));
+    std::thread::sleep(Duration::from_millis(600));
+    assert!(
+        !chaos.is_partitioned(),
+        "the scheduled heal must have dissolved the partition"
+    );
     let committed_after_fault = cluster.total_committed();
 
     // Phase 3: the issue's acceptance bar — ≥ 1000 transactions committed

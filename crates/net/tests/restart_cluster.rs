@@ -144,8 +144,7 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> S
     // their client tables retired the request numbers that committed.
     let stable = cluster.stable_checkpoint_of(ServerId(0)).unwrap_or(0);
     assert!(stable > 0, "survivors must form stable checkpoints");
-    let stats = cluster.server_stats(ServerId(0)).unwrap();
-    let (ckpts, gc_pruned) = (stats.checkpoints_formed, stats.gc_pruned_keys);
+    let (ckpts, gc_pruned) = cluster.checkpoint_counters(ServerId(0)).unwrap();
     assert!(ckpts > 0, "survivor must install checkpoints");
     assert!(
         gc_pruned > 0,

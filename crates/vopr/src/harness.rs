@@ -16,11 +16,9 @@ use prestige_core::{ClientConfig, PrestigeClient, PrestigeServer};
 use prestige_crypto::KeyRegistry;
 use prestige_sim::{LatencyModel, NetworkConfig, SimTime, Simulation};
 use prestige_storage::SharedMemStorage;
-use prestige_types::{
-    Actor, ClientId, ClusterConfig, Message, ServerId, TimeoutConfig, ViewChangePolicy,
-};
+use prestige_types::{Actor, ClientId, Message, ServerId};
 use prestige_workloads::scenario::{
-    Cut, FaultKind, Link, Observations, Scenario, ServerObservation, Timeline, Timeouts, Violated,
+    Cut, FaultKind, Link, Observations, Scenario, ServerObservation, Timeline, Violated,
 };
 use std::collections::BTreeMap;
 
@@ -71,21 +69,7 @@ fn total_committed(sim: &Simulation<Message>, clients: u64) -> u64 {
 /// Runs one scenario to completion (or to its first violation).
 pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     let n = scenario.servers;
-    let timeouts = match scenario.timeouts {
-        Timeouts::Fast => TimeoutConfig::fast(),
-        Timeouts::Default => TimeoutConfig::default(),
-    };
-    let mut cluster = ClusterConfig::new(n)
-        .with_batch_size(scenario.batch_size)
-        .with_payload_size(scenario.payload_size)
-        .with_timeouts(timeouts.clone())
-        .with_pipeline_depth(scenario.pipeline_depth)
-        .with_checkpoint_interval(scenario.checkpoint_interval);
-    if scenario.rotation_ms > 0 {
-        cluster.policy = ViewChangePolicy::Timing {
-            interval_ms: scenario.rotation_ms as f64,
-        };
-    }
+    let cluster = scenario.cluster_config();
     let behaviors = scenario.fault_plan.behaviors(n);
     let correct: Vec<bool> = behaviors.iter().map(|b| !b.is_faulty()).collect();
     let registry = KeyRegistry::new(scenario.seed, n, scenario.clients);
@@ -114,7 +98,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             scenario.payload_size,
             scenario.concurrency,
         );
-        cc.timeout_ms = timeouts.client_timeout_ms;
+        cc.timeout_ms = cluster.timeouts.client_timeout_ms;
         sim.add_node(
             Actor::Client(ClientId(c)),
             Box::new(PrestigeClient::new(cc, &registry)),

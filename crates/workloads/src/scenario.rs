@@ -25,6 +25,7 @@ use crate::toml::{
 };
 use crate::FaultPlan;
 use prestige_core::{AttackStrategy, ByzantineBehavior, ServerStats};
+use prestige_types::{ClusterConfig, TimeoutConfig, ViewChangePolicy};
 use std::fmt::Write as _;
 
 /// Which timer preset the cluster runs with.
@@ -114,7 +115,7 @@ impl FaultKind {
 
     /// The key the window length is written under: a crash is `down_ms`
     /// long, everything else lasts `duration_ms`.
-    fn window_key(&self) -> &'static str {
+    pub fn window_key(&self) -> &'static str {
         match self {
             FaultKind::CrashRestart { .. } => "down_ms",
             _ => "duration_ms",
@@ -450,11 +451,43 @@ impl Scenario {
         Ok(scenario)
     }
 
-    /// Whether any fault is a `crash_restart` (which the real host can only
-    /// run with `[storage]`).
-    pub fn crashes_a_server(&self) -> bool {
+    /// The cluster configuration both hosts launch — the one mapping from
+    /// the `[scenario]` keys to a [`ClusterConfig`].
+    pub fn cluster_config(&self) -> ClusterConfig {
+        let mut config = ClusterConfig::new(self.servers)
+            .with_batch_size(self.batch_size)
+            .with_payload_size(self.payload_size)
+            .with_timeouts(match self.timeouts {
+                Timeouts::Fast => TimeoutConfig::fast(),
+                Timeouts::Default => TimeoutConfig::default(),
+            })
+            .with_pipeline_depth(self.pipeline_depth)
+            .with_checkpoint_interval(self.checkpoint_interval);
+        if self.rotation_ms > 0 {
+            config.policy = ViewChangePolicy::Timing {
+                interval_ms: self.rotation_ms as f64,
+            };
+        }
+        config
+    }
+
+    fn crashes_a_server(&self) -> bool {
         let crash = |f: &TimedFault| matches!(f.kind, FaultKind::CrashRestart { .. });
         self.faults.iter().any(crash)
+    }
+
+    /// What the real host requires on top of [`Self::from_toml`]'s lint: a
+    /// `crash_restart` restarts from the WAL, so it needs `[storage]` there
+    /// (the simulator always logs to shared in-memory storage).
+    pub fn lint_for_real_host(&self) -> Result<(), ConfigError> {
+        if self.crashes_a_server() && self.storage.is_none() {
+            return invalid(
+                "a crash_restart needs a [storage] section on the real runtime (the restart \
+                 replays the WAL); an empty one provisions a per-run temp directory"
+                    .to_string(),
+            );
+        }
+        Ok(())
     }
 
     /// Scenario lint: crash-restart scenarios have two footguns that produce
@@ -782,15 +815,6 @@ impl Observations {
 }
 
 impl Scenario {
-    /// The recovery numbers over this scenario's trailing window (the
-    /// default window for a file without `[assert]`).
-    pub fn recovery(&self, obs: &Observations) -> Recovery {
-        obs.recovery(match &self.expect {
-            Expectation::Assert(a) => a.recovery_window_s,
-            Expectation::Violation(_) => Assertions::default().recovery_window_s,
-        })
-    }
-
     /// The verdict: every way `obs` falls short of what the scenario expects
     /// (empty = the run passed). The one judging function for both hosts.
     pub fn judge(&self, obs: &Observations) -> Vec<String> {
@@ -884,7 +908,7 @@ impl Scenario {
                 a.min_stable_checkpoint
             ));
         }
-        let recovery = self.recovery(obs);
+        let recovery = obs.recovery(a.recovery_window_s);
         if recovery.tps < a.recovery_floor_tps {
             failures.push(format!(
                 "recovery throughput {:.0} tx/s over the trailing {:.1}s is below the {:.0} tx/s \
@@ -965,6 +989,20 @@ mod tests {
             err.to_string().contains("[network] throttle profile"),
             "unhelpful error: {err}"
         );
+    }
+
+    #[test]
+    fn a_crash_restart_without_storage_is_refused_for_the_real_host_only() {
+        let text = restart_scenario(NETWORK, "recovery_window_s = 2.0");
+        let durable = Scenario::from_toml(&text).unwrap();
+        assert!(durable.lint_for_real_host().is_ok());
+        // The simulator needs no [storage]: the file parses, the host check
+        // names the section.
+        let in_memory = Scenario::from_toml(&text.replace("[storage]\n", "")).unwrap();
+        let err = in_memory.lint_for_real_host().expect_err("needs a WAL");
+        assert!(err.to_string().contains("[storage] section"), "{err}");
+        let plain = Scenario::from_toml("").unwrap();
+        assert!(plain.lint_for_real_host().is_ok());
     }
 
     #[test]
