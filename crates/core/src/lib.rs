@@ -54,6 +54,9 @@ pub use client::{ClientConfig, ClientStats, PrestigeClient};
 pub use faults::{AttackStrategy, ByzantineBehavior};
 pub use histogram::LatencyHistogram;
 pub use pacemaker::{timer_tags, Pacemaker};
+/// The configuration types [`PrestigeServer`]'s constructors take, for
+/// crates that build one without depending on `prestige-types` themselves.
+pub use prestige_types::{ClusterConfig, TimeoutConfig, ViewChangePolicy};
 pub use profile::{LoopProfile, LoopSnapshot, LoopStage};
 pub use replication::batch_digest;
 pub use server::{PrestigeServer, ServerRole, ServerStats};

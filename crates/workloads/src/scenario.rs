@@ -24,8 +24,9 @@ use crate::toml::{
     reject_unknown_keys, ConfigError, TomlDoc,
 };
 use crate::FaultPlan;
-use prestige_core::{AttackStrategy, ByzantineBehavior, ServerStats};
-use prestige_types::{ClusterConfig, TimeoutConfig, ViewChangePolicy};
+use prestige_core::{
+    AttackStrategy, ByzantineBehavior, ClusterConfig, ServerStats, TimeoutConfig, ViewChangePolicy,
+};
 use std::fmt::Write as _;
 
 /// Which timer preset the cluster runs with.
