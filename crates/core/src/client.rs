@@ -7,11 +7,12 @@
 //! what arms the active view-change protocol's failure detection.
 //!
 //! One client process stands in for many logical closed-loop clients: it keeps
-//! `concurrency` transactions outstanding and issues the next bundle as soon
-//! as the previous one fully commits. This keeps the simulation's event count
-//! tractable at the paper's throughput levels while preserving the protocol
-//! interaction (every transaction is still individually ordered, committed,
-//! notified, and complain-able).
+//! `concurrency` transactions outstanding, topping the window up in bundles
+//! (see [`ClientConfig::refill_batch`]). This keeps the simulation's event
+//! count tractable at the paper's throughput levels while preserving the
+//! protocol interaction (every transaction is still individually ordered,
+//! committed, notified, and complain-able). The simulator and the real
+//! runtime build the same client the same way, through [`ClientConfig::new`].
 //!
 //! Requests are numbered consecutively from 1, and the client never has more
 //! than [`REQUEST_WINDOW`] of them between its oldest unconfirmed request and
@@ -49,12 +50,10 @@ pub struct ClientConfig {
     /// How long to wait for `f + 1` notifications before complaining (ms).
     pub timeout_ms: f64,
     /// Refill granularity: once at least this many slots of the window have
-    /// drained, a new bundle tops the window back up. `0` keeps the legacy
-    /// full-drain behaviour (refill only when *everything* committed), which
-    /// the deterministic experiments depend on — but it convoys: stragglers
-    /// from one bundle gate the whole next bundle, and with `concurrency`
-    /// slightly above the server batch size the remainder always waits a full
-    /// batch-timer tick, a measured p99 contributor at peak throughput.
+    /// drained, one bundle tops the window back up. [`ClientConfig::new`]
+    /// sets a quarter of the window (at least one); `concurrency` would be a
+    /// full drain, which convoys — a handful of stragglers from one bundle
+    /// hold the whole next one behind the leader's batch timer.
     pub refill_batch: usize,
 }
 
@@ -66,17 +65,20 @@ impl ClientConfig {
         payload_size: usize,
         concurrency: usize,
     ) -> Self {
+        let concurrency = concurrency.max(1);
         ClientConfig {
             id,
             replicas,
             payload_size,
-            concurrency: concurrency.max(1),
+            concurrency,
             timeout_ms: 1000.0,
-            refill_batch: 0,
+            refill_batch: (concurrency / 4).max(1),
         }
     }
 
-    /// Sets the refill granularity (see [`ClientConfig::refill_batch`]).
+    /// Overrides the refill granularity. Outside tests only the frozen
+    /// benchmark calls it, with the value [`ClientConfig::new`] already sets;
+    /// that call is why it stays.
     pub fn with_refill_batch(mut self, refill_batch: usize) -> Self {
         self.refill_batch = refill_batch;
         self
@@ -90,39 +92,10 @@ pub struct ClientStats {
     pub committed_tx: u64,
     /// Complaints broadcast.
     pub complaints_sent: u64,
-    /// Sum of end-to-end commit latencies (ms).
-    pub latency_sum_ms: f64,
-    /// Number of latency observations.
-    pub latency_count: u64,
-    /// A bounded sample of individual latencies (ms). The experiment harness
-    /// consumes these for its exact-sample statistics; benchmark percentiles
-    /// should use `latency_hist`, which sees every observation.
-    pub latency_samples: Vec<f64>,
-    /// Log-bucketed histogram of *all* latency observations (constant
-    /// memory, ≤ ~6% quantization) — the full-window percentile source.
+    /// Every end-to-end commit latency since the last
+    /// [`PrestigeClient::reset_latency_stats`]: the one latency record
+    /// (count, exact mean and max, percentiles within 6.25 %).
     pub latency_hist: LatencyHistogram,
-}
-
-impl ClientStats {
-    /// Mean end-to-end latency in milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.latency_count == 0 {
-            0.0
-        } else {
-            self.latency_sum_ms / self.latency_count as f64
-        }
-    }
-
-    /// The p-th percentile (0–100) of the collected latency sample.
-    pub fn percentile_latency_ms(&self, p: f64) -> f64 {
-        if self.latency_samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.latency_samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
 }
 
 /// Bookkeeping for one issued request: a slot of the outstanding ring.
@@ -171,9 +144,6 @@ pub struct PrestigeClient {
     latency_floor_ts: u64,
 }
 
-/// Maximum number of latency samples retained for percentile reporting.
-const MAX_LATENCY_SAMPLES: usize = 50_000;
-
 impl PrestigeClient {
     /// Creates a client, deriving its key from the registry.
     pub fn new(config: ClientConfig, registry: &KeyRegistry) -> Self {
@@ -200,16 +170,12 @@ impl PrestigeClient {
         &self.stats
     }
 
-    /// Clears latency accounting (sum, count, samples) while leaving commit
-    /// counters untouched. Benchmarks call this at the warmup boundary so
-    /// percentiles reflect only the measurement window — without it the
-    /// bounded sample buffer fills during warmup on fast clusters. Requests
-    /// still in flight at the reset are fenced off (see `latency_floor_ts`):
-    /// they commit and count, but never record a latency sample.
+    /// Clears the latency histogram while leaving commit counters untouched.
+    /// Benchmarks call this at the warmup boundary so percentiles reflect
+    /// only the measurement window. Requests still in flight at the reset
+    /// are fenced off (see `latency_floor_ts`): they commit and count, but
+    /// never record a latency.
     pub fn reset_latency_stats(&mut self) {
-        self.stats.latency_sum_ms = 0.0;
-        self.stats.latency_count = 0;
-        self.stats.latency_samples.clear();
         self.stats.latency_hist.clear();
         self.latency_floor_ts = self.next_timestamp;
     }
@@ -277,11 +243,6 @@ impl PrestigeClient {
 
     fn record_commit(&mut self, latency_ms: f64) {
         self.stats.committed_tx += 1;
-        self.stats.latency_sum_ms += latency_ms;
-        self.stats.latency_count += 1;
-        if self.stats.latency_samples.len() < MAX_LATENCY_SAMPLES {
-            self.stats.latency_samples.push(latency_ms);
-        }
         self.stats.latency_hist.record_ms(latency_ms);
     }
 }
@@ -343,24 +304,12 @@ impl Process<Message> for PrestigeClient {
             while (self.outstanding.front()).is_some_and(|slot| slot.notifs >= threshold) {
                 self.outstanding.pop_front();
             }
-            // Top the closed-loop window back up. With `refill_batch == 0`
-            // this is the legacy full-drain loop (a fresh full bundle only
-            // after everything committed); otherwise any deficit of at least
-            // `refill_batch` slots is refilled immediately, so a handful of
-            // stragglers never idles the rest of the window.
+            // Top the closed-loop window back up once at least
+            // `refill_batch` slots have drained.
             let deficit = self.config.concurrency.saturating_sub(self.open);
-            let refill = if self.config.refill_batch == 0 {
-                if self.open == 0 {
-                    deficit
-                } else {
-                    0
-                }
-            } else if deficit >= self.config.refill_batch {
-                deficit
-            } else {
-                0
-            };
-            self.send_bundle(refill, ctx);
+            if deficit >= self.config.refill_batch {
+                self.send_bundle(deficit, ctx);
+            }
         }
     }
 
@@ -422,27 +371,6 @@ mod tests {
     use prestige_types::ServerId;
 
     #[test]
-    fn client_stats_latency_math() {
-        let mut stats = ClientStats::default();
-        for l in [10.0, 20.0, 30.0, 40.0] {
-            stats.latency_sum_ms += l;
-            stats.latency_count += 1;
-            stats.latency_samples.push(l);
-        }
-        assert!((stats.mean_latency_ms() - 25.0).abs() < 1e-9);
-        assert_eq!(stats.percentile_latency_ms(0.0), 10.0);
-        assert_eq!(stats.percentile_latency_ms(100.0), 40.0);
-        assert_eq!(stats.percentile_latency_ms(50.0), 30.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let stats = ClientStats::default();
-        assert_eq!(stats.mean_latency_ms(), 0.0);
-        assert_eq!(stats.percentile_latency_ms(99.0), 0.0);
-    }
-
-    #[test]
     fn client_construction() {
         let replicas = ReplicaSet::new(4);
         let registry = KeyRegistry::new(3, 4, 2);
@@ -457,29 +385,6 @@ mod tests {
     fn concurrency_is_at_least_one() {
         let config = ClientConfig::new(ClientId(0), ReplicaSet::new(4), 32, 0);
         assert_eq!(config.concurrency, 1);
-    }
-
-    #[test]
-    fn refill_batch_defaults_to_full_drain() {
-        let config = ClientConfig::new(ClientId(0), ReplicaSet::new(4), 32, 8);
-        assert_eq!(config.refill_batch, 0);
-        assert_eq!(config.with_refill_batch(4).refill_batch, 4);
-    }
-
-    #[test]
-    fn latency_reset_fences_in_flight_requests() {
-        let replicas = ReplicaSet::new(4);
-        let registry = KeyRegistry::new(3, 4, 2);
-        let config = ClientConfig::new(ClientId(0), replicas, 32, 4);
-        let mut client = PrestigeClient::new(config, &registry);
-        // Pretend four warmup requests went out, then the warmup boundary
-        // reset fires while they are still in flight.
-        client.next_timestamp = 5;
-        client.reset_latency_stats();
-        assert_eq!(client.latency_floor_ts, 5);
-        // Pre-reset timestamps are fenced; post-reset ones are measured.
-        assert!(4 < client.latency_floor_ts);
-        assert!(5 >= client.latency_floor_ts);
     }
 
     /// Runs one `Process` call on `client` at simulated time `at_ms`.
@@ -512,7 +417,11 @@ mod tests {
         client
     }
 
-    fn notif(client: &mut PrestigeClient, server: u32, keys: Vec<(ClientId, u64)>) {
+    fn notif(
+        client: &mut PrestigeClient,
+        server: u32,
+        keys: Vec<(ClientId, u64)>,
+    ) -> Effects<Message> {
         let message = Message::Notif {
             tx_keys: keys,
             seq: SeqNum(1),
@@ -521,7 +430,40 @@ mod tests {
         };
         at(client, 5.0, |c, ctx| {
             c.on_message(Actor::Server(ServerId(server)), message, ctx)
-        });
+        })
+    }
+
+    /// Confirms `numbers` (servers 0 and 1 notify them) and returns the
+    /// sizes of the bundles that sends.
+    fn confirm(client: &mut PrestigeClient, numbers: impl Iterator<Item = u64>) -> Vec<usize> {
+        let keys: Vec<_> = numbers.map(|k| (ClientId(1), k)).collect();
+        notif(client, 0, keys.clone());
+        notif(client, 1, keys)
+            .emissions
+            .iter()
+            .filter_map(|e| match e {
+                Emission::Broadcast(_, Message::Prop { proposals, .. }) => Some(proposals.len()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn refill_tops_the_window_up_once_refill_batch_slots_drain() {
+        for c in [0, 1, 3, 4, 12, 100, 512] {
+            let config = ClientConfig::new(ClientId(1), ReplicaSet::new(4), 32, c);
+            assert_eq!(config.refill_batch, (c / 4).max(1), "window {c}");
+        }
+        // The default (a quarter of 12) and a full drain are one rule.
+        let default = ClientConfig::new(ClientId(1), ReplicaSet::new(4), 32, 12).refill_batch;
+        for (window, refill) in [(12, default), (4, 4)] {
+            let mut client = started_client(window, refill);
+            let short = confirm(&mut client, 1..refill as u64);
+            assert!(short.is_empty(), "one short of refill_batch sends nothing");
+            let last = refill as u64;
+            assert_eq!(confirm(&mut client, last..=last), [refill], "one bundle");
+            assert_eq!(client.outstanding_count(), window);
+        }
     }
 
     fn proposals_in(effects: &Effects<Message>) -> Vec<Proposal> {
@@ -538,7 +480,7 @@ mod tests {
 
     #[test]
     fn f_plus_one_distinct_servers_confirm_exactly_once() {
-        let mut client = started_client(4, 0);
+        let mut client = started_client(4, 4);
         let key = (ClientId(1), 2);
         notif(&mut client, 0, vec![key]);
         notif(&mut client, 0, vec![key, key]);
@@ -551,12 +493,12 @@ mod tests {
         notif(&mut client, 2, vec![key]);
         notif(&mut client, 3, vec![key]);
         assert_eq!(client.stats().committed_tx, 1, "confirmed exactly once");
-        assert_eq!(client.stats().latency_count, 1);
+        assert_eq!(client.stats().latency_hist.count(), 1);
     }
 
     #[test]
     fn foreign_unissued_and_confirmed_keys_change_nothing() {
-        let mut client = started_client(4, 0);
+        let mut client = started_client(4, 4);
         for server in [0, 1] {
             notif(&mut client, server, vec![(ClientId(1), 1)]);
         }
@@ -652,12 +594,21 @@ mod tests {
 
     #[test]
     fn commits_feed_the_histogram() {
-        let mut stats = ClientStats::default();
-        assert!(stats.latency_hist.is_empty());
-        for l in [1.0, 2.0, 4.0, 8.0] {
-            stats.latency_hist.record_ms(l);
-        }
-        assert_eq!(stats.latency_hist.count(), 4);
-        assert!(stats.latency_hist.percentile_ms(100.0) > 7.0);
+        // Requests 1..=4 go out at 0 ms; request 1 confirms at 5 ms.
+        let mut client = started_client(4, 4);
+        assert!(client.stats().latency_hist.is_empty());
+        confirm(&mut client, 1..=1);
+        let hist = &client.stats().latency_hist;
+        assert_eq!((client.stats().committed_tx, hist.count()), (1, 1));
+        assert_eq!(hist.mean_ms(), 5.0);
+        // Requests 2..=4 were in flight at the reset: they commit and count,
+        // but record no latency. The refill they trigger is measured.
+        client.reset_latency_stats();
+        assert_eq!(confirm(&mut client, 2..=4), [4]);
+        assert_eq!(client.stats().committed_tx, 4);
+        assert!(client.stats().latency_hist.is_empty());
+        confirm(&mut client, 5..=5);
+        assert_eq!(client.stats().latency_hist.count(), 1);
+        assert_eq!(client.stats().latency_hist.mean_ms(), 0.0);
     }
 }

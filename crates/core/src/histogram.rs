@@ -1,18 +1,14 @@
-//! Log-bucketed latency histogram for benchmark percentile reporting.
+//! Log-bucketed latency histogram: the one latency record.
 //!
-//! The closed-loop benchmark clients commit hundreds of thousands of
-//! transactions per second; a bounded sample vector covers well under a
-//! second of that and biases percentiles toward whatever turbulence follows
-//! the warmup reset. A [`LatencyHistogram`] records *every* observation in
-//! constant memory instead: 512 log-linear buckets over microseconds, eight
-//! sub-buckets per octave, which bounds the relative quantization error of a
-//! reported percentile at ~6% across the full nanosecond-to-minutes range a
-//! commit latency can plausibly take.
-//!
-//! The exact-sample vector in `ClientStats` still exists — the experiment
-//! harness feeds it to the paper-figure statistics — but percentile claims
-//! on the real runtime come from the histogram, which sees the whole
-//! measurement window.
+//! Every confirmation a client sees lands here
+//! ([`ClientStats::latency_hist`](crate::ClientStats::latency_hist)), and
+//! every latency the repo reports is read from it: the experiment tables,
+//! `prestige-node`'s client report, the examples and the benchmark. It
+//! records *every* observation in constant memory: 496 log-linear buckets
+//! over microseconds, eight sub-buckets per octave, which bounds the relative
+//! error of a reported percentile at 6.25 % across the full range a commit
+//! latency can take. The count, the maximum and the mean (from an exact
+//! microsecond sum) are exact.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,6 +26,7 @@ const BUCKETS: usize = (1 << LINEAR_BITS) + ((64 - LINEAR_BITS as usize) * SUBBU
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
+    sum_us: u64,
     max_us: u64,
 }
 
@@ -38,6 +35,7 @@ impl Default for LatencyHistogram {
         LatencyHistogram {
             buckets: vec![0; BUCKETS],
             count: 0,
+            sum_us: 0,
             max_us: 0,
         }
     }
@@ -85,6 +83,7 @@ impl LatencyHistogram {
         };
         self.buckets[bucket_of(us)] += 1;
         self.count += 1;
+        self.sum_us = self.sum_us.saturating_add(us);
         self.max_us = self.max_us.max(us);
     }
 
@@ -101,6 +100,15 @@ impl LatencyHistogram {
     /// Largest recorded observation in milliseconds (exact, not bucketed).
     pub fn max_ms(&self) -> f64 {
         self.max_us as f64 / 1000.0
+    }
+
+    /// Mean of the recorded observations in milliseconds (exact over their
+    /// microsecond values, not bucketed). Returns 0 for an empty histogram.
+    pub fn mean_ms(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum_us as f64 / self.count as f64 / 1000.0
     }
 
     /// The p-th percentile (0–100) in milliseconds, from bucket midpoints.
@@ -126,6 +134,7 @@ impl LatencyHistogram {
             *mine += theirs;
         }
         self.count += other.count;
+        self.sum_us = self.sum_us.saturating_add(other.sum_us);
         self.max_us = self.max_us.max(other.max_us);
     }
 
@@ -133,6 +142,7 @@ impl LatencyHistogram {
     pub fn clear(&mut self) {
         self.buckets.iter_mut().for_each(|b| *b = 0);
         self.count = 0;
+        self.sum_us = 0;
         self.max_us = 0;
     }
 }
@@ -199,5 +209,25 @@ mod tests {
         a.clear();
         assert!(a.is_empty());
         assert_eq!(a.percentile_ms(99.0), 0.0);
+    }
+
+    #[test]
+    fn mean_is_exact_over_microseconds_and_survives_merge_and_clear() {
+        // 1.0004 and 2.0006 ms round to 1 000 and 2 001 µs; a non-positive
+        // latency records as 0.
+        let mut a = LatencyHistogram::new();
+        assert_eq!(a.mean_ms(), 0.0);
+        for ms in [1.0004, 2.0006, -1.0] {
+            a.record_ms(ms);
+        }
+        assert_eq!(a.mean_ms(), 3001.0 / 3.0 / 1000.0);
+        let mut b = LatencyHistogram::new();
+        b.record_ms(7.0);
+        a.merge(&b);
+        assert_eq!(a.mean_ms(), 10_001.0 / 4.0 / 1000.0);
+        a.clear();
+        assert_eq!(a.mean_ms(), 0.0);
+        a.record_ms(0.5);
+        assert_eq!(a.mean_ms(), 0.5);
     }
 }

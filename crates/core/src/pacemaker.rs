@@ -4,7 +4,7 @@
 //! timeout used while waiting for view-change confirmations and election
 //! votes (§4.2.1: "a timer with a random timeout ... sufficiently greater than
 //! network latency"), the batch flush cadence of a leader, and the
-//! policy-driven rotations of §6.2 (`r10`, `r30`, throughput threshold).
+//! policy-driven rotations of §6.2 (`r10`, `r30`).
 
 use prestige_sim::{SimDuration, SimRng};
 use prestige_types::{TimeoutConfig, ViewChangePolicy};
@@ -103,15 +103,6 @@ impl Pacemaker {
             _ => None,
         }
     }
-
-    /// Whether the throughput-threshold policy demands a view change given the
-    /// observed throughput.
-    pub fn throughput_below_threshold(&self, observed_tps: f64) -> bool {
-        match self.policy {
-            ViewChangePolicy::ThroughputThreshold { min_tps } => observed_tps < min_tps,
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,18 +145,6 @@ mod tests {
         assert_eq!(r10.rotation_interval(), Some(SimDuration::from_secs(10.0)));
         let none = Pacemaker::new(TimeoutConfig::default(), ViewChangePolicy::OnFailureOnly);
         assert_eq!(none.rotation_interval(), None);
-    }
-
-    #[test]
-    fn throughput_threshold_policy() {
-        let pm = Pacemaker::new(
-            TimeoutConfig::default(),
-            ViewChangePolicy::ThroughputThreshold { min_tps: 1000.0 },
-        );
-        assert!(pm.throughput_below_threshold(500.0));
-        assert!(!pm.throughput_below_threshold(1500.0));
-        let timing = Pacemaker::new(TimeoutConfig::default(), ViewChangePolicy::r30());
-        assert!(!timing.throughput_below_threshold(0.0));
     }
 
     #[test]

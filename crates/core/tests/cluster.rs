@@ -79,7 +79,7 @@ fn normal_operation_commits_transactions() {
         .node_as::<PrestigeClient>(Actor::Client(ClientId(0)))
         .unwrap();
     assert!(client.stats().committed_tx > 500);
-    assert!(client.stats().mean_latency_ms() > 0.0);
+    assert!(client.stats().latency_hist.mean_ms() > 0.0);
     // No view change was needed under a correct leader.
     assert_eq!(current_view(&sim, 0), View(1));
     assert_eq!(current_view(&sim, 3), View(1));

@@ -57,7 +57,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 name,
                 beta.to_string(),
                 format!("{:.0}", outcome.tps),
-                format!("{:.1}", outcome.latency.mean_ms),
+                format!("{:.1}", outcome.latency.mean_ms()),
             ]);
         }
     }

@@ -58,8 +58,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
                         m.to_string(),
                         delay_label.to_string(),
                         format!("{:.0}", outcome.tps),
-                        format!("{:.1}", outcome.latency.mean_ms),
-                        format!("{:.1}", outcome.latency.p95_ms),
+                        format!("{:.1}", outcome.latency.mean_ms()),
+                        format!("{:.1}", outcome.latency.percentile_ms(95.0)),
                     ]);
                 }
             }

@@ -56,8 +56,8 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
             protocol.label().to_string(),
             beta.to_string(),
             format!("{:.0}", outcome.tps),
-            format!("{:.1}", outcome.latency.mean_ms),
-            format!("{:.1}", outcome.latency.p95_ms),
+            format!("{:.1}", outcome.latency.mean_ms()),
+            format!("{:.1}", outcome.latency.percentile_ms(95.0)),
         ]);
     }
     vec![table]

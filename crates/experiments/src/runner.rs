@@ -3,9 +3,9 @@
 //! measurements the figures need.
 
 use prestige_baselines::{BaselineProtocol, PassiveBftServer};
-use prestige_core::{ClientConfig, PrestigeClient, PrestigeServer};
+use prestige_core::{ClientConfig, LatencyHistogram, PrestigeClient, PrestigeServer};
 use prestige_crypto::KeyRegistry;
-use prestige_metrics::{total_tps, LatencyStats};
+use prestige_metrics::total_tps;
 use prestige_sim::{NetworkConfig, SimTime, Simulation};
 use prestige_types::{
     Actor, ClientId, ClusterConfig, Message, PowConfig, ServerId, TimeoutConfig, View,
@@ -109,8 +109,8 @@ pub struct RunOutcome {
     pub protocol: String,
     /// Throughput over the measurement window (TPS).
     pub tps: f64,
-    /// Client-observed latency statistics.
-    pub latency: LatencyStats,
+    /// Every client-observed commit latency, merged across clients.
+    pub latency: LatencyHistogram,
     /// Commit log (time ms, txs) of a reference correct server.
     pub commit_log: Vec<(f64, u64)>,
     /// Highest view installed on the reference server.
@@ -259,11 +259,10 @@ fn extract_outcome(
         }
     }
 
-    // Client latencies.
-    let mut samples: Vec<f64> = Vec::new();
+    let mut latency = LatencyHistogram::new();
     for c in 0..config.workload.clients {
         if let Some(client) = sim.node_as::<PrestigeClient>(Actor::Client(ClientId(c))) {
-            samples.extend_from_slice(&client.stats().latency_samples);
+            latency.merge(&client.stats().latency_hist);
         }
     }
 
@@ -271,7 +270,7 @@ fn extract_outcome(
         name: config.name.clone(),
         protocol: config.protocol.label().to_string(),
         tps: total_tps(&commit_log, warmup_ms, end_ms),
-        latency: LatencyStats::from_samples(&samples),
+        latency,
         commit_log,
         final_view,
         views_installed,
@@ -299,7 +298,7 @@ mod tests {
         config.workload = WorkloadSpec::new(2, 50, 32);
         let outcome = run(&config);
         assert!(outcome.tps > 100.0, "tps was {}", outcome.tps);
-        assert!(outcome.latency.count > 0);
+        assert!(outcome.latency.count() > 0);
         assert_eq!(outcome.protocol, "pb");
         assert_eq!(outcome.servers.len(), 4);
     }

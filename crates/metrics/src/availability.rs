@@ -5,6 +5,8 @@
 //! committed within it; the series reports the cumulative availability up to
 //! each window, which is what the paper's Figure 14 plots over `10^4` seconds.
 
+use crate::throughput_series;
+
 /// Cumulative availability per window: for each `window_ms` window up to
 /// `end_ms`, the fraction of windows so far in which at least one commit
 /// landed. Returns `(window end in ms, cumulative availability in [0, 1])`.
@@ -13,29 +15,15 @@ pub fn availability_series(
     end_ms: f64,
     window_ms: f64,
 ) -> Vec<(f64, f64)> {
-    if window_ms <= 0.0 || end_ms <= 0.0 {
-        return Vec::new();
-    }
-    let windows = (end_ms / window_ms).ceil() as usize;
-    let mut active = vec![false; windows];
-    for (t, c) in commit_log {
-        if *t < 0.0 || *t >= end_ms || *c == 0 {
-            continue;
-        }
-        let idx = (*t / window_ms) as usize;
-        if idx < windows {
-            active[idx] = true;
-        }
-    }
-    let mut out = Vec::with_capacity(windows);
     let mut up = 0usize;
-    for (i, a) in active.iter().enumerate() {
-        if *a {
-            up += 1;
-        }
-        out.push(((i + 1) as f64 * window_ms, up as f64 / (i + 1) as f64));
-    }
-    out
+    throughput_series(commit_log, end_ms, window_ms)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (_, tps))| {
+            up += usize::from(tps > 0.0);
+            ((i + 1) as f64 * window_ms, up as f64 / (i + 1) as f64)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,23 +1,20 @@
 //! # prestige-metrics
 //!
 //! Measurement toolkit for the experiment harness: throughput computation
-//! from commit logs, latency statistics, availability tracking over time,
-//! plain-text report tables matching the rows/series the paper's figures
-//! report, and a minimal JSON builder for the machine-readable reports the
-//! benchmark and chaos binaries write.
+//! from commit logs, availability tracking over time, plain-text report
+//! tables matching the rows/series the paper's figures report, and a minimal
+//! JSON builder for the machine-readable reports the benchmark and chaos
+//! binaries write. Latency has one record, `prestige_core::LatencyHistogram`,
+//! which every client keeps and every report reads.
 
 #![warn(missing_docs)]
 
 pub mod availability;
 pub mod json;
-pub mod latency;
 pub mod report;
 pub mod throughput;
-pub mod timeseries;
 
 pub use availability::availability_series;
 pub use json::Json;
-pub use latency::LatencyStats;
 pub use report::Table;
 pub use throughput::{throughput_series, total_tps};
-pub use timeseries::bucketize;

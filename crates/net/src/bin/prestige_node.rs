@@ -149,15 +149,15 @@ fn run(args: &[String]) -> Result<(), String> {
             ]);
             table.push_row(vec![
                 "mean latency (ms)".into(),
-                format!("{:.2}", stats.mean_latency_ms()),
+                format!("{:.2}", stats.latency_hist.mean_ms()),
             ]);
             table.push_row(vec![
                 "p50 latency (ms)".into(),
-                format!("{:.2}", stats.percentile_latency_ms(50.0)),
+                format!("{:.2}", stats.latency_hist.percentile_ms(50.0)),
             ]);
             table.push_row(vec![
                 "p99 latency (ms)".into(),
-                format!("{:.2}", stats.percentile_latency_ms(99.0)),
+                format!("{:.2}", stats.latency_hist.percentile_ms(99.0)),
             ]);
             table.push_row(vec![
                 "complaints sent".into(),

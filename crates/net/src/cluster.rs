@@ -64,17 +64,6 @@ impl StoragePlan {
     }
 }
 
-/// Client refill batch used by real-runtime clusters: clients top the window
-/// back up once a quarter of it has drained, instead of waiting for a full
-/// drain. Full-drain refills convoy the whole window behind the leader's
-/// batch timer — a handful of stragglers from the previous window hold every
-/// replacement proposal hostage — which is exactly the p99 tail the
-/// benchmarks kept showing. The simulation keeps the legacy full-drain
-/// default (`refill_batch = 0`) so recorded schedules replay bit-identically.
-fn default_refill_batch(concurrency: usize) -> usize {
-    (concurrency / 4).max(1)
-}
-
 /// The fork check shared by both fabrics: wherever two replicas
 /// committed a block at the same sequence number, the digests (and, by
 /// chaining, the whole prefix) must be identical. Lagging replicas are fine;
@@ -224,8 +213,7 @@ fn spawn_client(
         config.replicas.clone(),
         config.payload_size,
         concurrency,
-    )
-    .with_refill_batch(default_refill_batch(concurrency));
+    );
     let client = PrestigeClient::new(cc, registry);
     NodeHandle::spawn(Box::new(client), transport, seed)
 }

@@ -139,12 +139,6 @@ pub enum ViewChangePolicy {
         /// Rotation interval in milliseconds.
         interval_ms: f64,
     },
-    /// Change views when observed throughput falls below `min_tps`
-    /// (Aardvark-style threshold policy).
-    ThroughputThreshold {
-        /// Minimum acceptable throughput in transactions per second.
-        min_tps: f64,
-    },
 }
 
 impl ViewChangePolicy {

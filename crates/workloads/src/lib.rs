@@ -16,4 +16,4 @@ pub mod toml;
 
 pub use fault_plan::FaultPlan;
 pub use scenario::Scenario;
-pub use spec::{ProtocolChoice, ScenarioSpec, WorkloadSpec};
+pub use spec::{ProtocolChoice, WorkloadSpec};

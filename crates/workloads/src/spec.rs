@@ -1,4 +1,4 @@
-//! Workload and scenario specifications.
+//! Workload specifications and the protocol under test.
 
 use serde::{Deserialize, Serialize};
 
@@ -65,48 +65,6 @@ impl ProtocolChoice {
     }
 }
 
-/// A full experiment scenario: cluster shape, protocol, workload, duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioSpec {
-    /// Human-readable scenario name (e.g. `pb_r10_quiet`).
-    pub name: String,
-    /// Cluster size `n`.
-    pub n: u32,
-    /// Protocol under test.
-    pub protocol: ProtocolChoice,
-    /// Batch size β.
-    pub batch_size: usize,
-    /// Offered load.
-    pub workload: WorkloadSpec,
-    /// Simulated run duration in seconds.
-    pub duration_s: f64,
-    /// Measurement warm-up to exclude from throughput numbers (seconds).
-    pub warmup_s: f64,
-    /// Random seed.
-    pub seed: u64,
-}
-
-impl ScenarioSpec {
-    /// A default scenario for `n` servers running `protocol`.
-    pub fn new(name: impl Into<String>, n: u32, protocol: ProtocolChoice) -> Self {
-        ScenarioSpec {
-            name: name.into(),
-            n,
-            protocol,
-            batch_size: 100,
-            workload: WorkloadSpec::new(4, 100, 32),
-            duration_s: 10.0,
-            warmup_s: 1.0,
-            seed: 42,
-        }
-    }
-
-    /// Measurement window length in milliseconds.
-    pub fn measurement_ms(&self) -> f64 {
-        (self.duration_s - self.warmup_s).max(0.0) * 1000.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,15 +90,5 @@ mod tests {
         assert_eq!(ProtocolChoice::HotStuff.label(), "hs");
         assert_eq!(ProtocolChoice::SbftLite.label(), "sb");
         assert_eq!(ProtocolChoice::ProsecutorLite.label(), "pr");
-    }
-
-    #[test]
-    fn scenario_measurement_window() {
-        let mut s = ScenarioSpec::new("demo", 4, ProtocolChoice::Prestige);
-        s.duration_s = 10.0;
-        s.warmup_s = 2.0;
-        assert!((s.measurement_ms() - 8000.0).abs() < 1e-9);
-        s.warmup_s = 20.0;
-        assert_eq!(s.measurement_ms(), 0.0);
     }
 }

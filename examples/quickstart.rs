@@ -56,8 +56,8 @@ fn main() {
             "{}: confirmed {} tx, mean latency {:.2} ms (p99 {:.2} ms)",
             ClientId(c),
             client.stats().committed_tx,
-            client.stats().mean_latency_ms(),
-            client.stats().percentile_latency_ms(99.0),
+            client.stats().latency_hist.mean_ms(),
+            client.stats().latency_hist.percentile_ms(99.0),
         );
     }
     println!(

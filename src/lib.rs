@@ -67,11 +67,12 @@ pub use prestige_workloads as workloads;
 pub mod prelude {
     pub use prestige_baselines::{BaselineProtocol, PassiveBftServer};
     pub use prestige_core::{
-        AttackStrategy, ByzantineBehavior, ClientConfig, PrestigeClient, PrestigeServer, ServerRole,
+        AttackStrategy, ByzantineBehavior, ClientConfig, LatencyHistogram, PrestigeClient,
+        PrestigeServer, ServerRole,
     };
     pub use prestige_crypto::{KeyRegistry, PowPuzzle, PowSolver, Sha256};
     pub use prestige_experiments::{all_experiments, ExperimentConfig, Scale};
-    pub use prestige_metrics::{LatencyStats, Table};
+    pub use prestige_metrics::Table;
     pub use prestige_net::{LocalCluster, NodeHandle};
     pub use prestige_reputation::{CalcRpInput, ReputationEngine};
     pub use prestige_sim::{NetworkConfig, SimDuration, SimTime, Simulation};

@@ -153,7 +153,7 @@ fn experiment_harness_runs_a_scenario_end_to_end() {
     config.workload = WorkloadSpec::new(2, 50, 32);
     let outcome = prestigebft::experiments::run(&config);
     assert!(outcome.tps > 100.0);
-    assert!(outcome.latency.mean_ms > 0.0);
+    assert!(outcome.latency.mean_ms() > 0.0);
     assert_eq!(outcome.servers.len(), 4);
 }
 
