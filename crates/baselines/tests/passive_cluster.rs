@@ -1,48 +1,38 @@
 //! End-to-end tests of the passive-view-change baselines on the simulator.
 
-use prestige_baselines::{BaselineProtocol, PassiveBftServer};
-use prestige_core::{ByzantineBehavior, ClientConfig, PrestigeClient};
-use prestige_crypto::KeyRegistry;
-use prestige_sim::{NetworkConfig, SimTime, Simulation};
-use prestige_types::{
-    Actor, ClientId, ClusterConfig, Message, ServerId, TimeoutConfig, View, ViewChangePolicy,
-};
+use prestige_baselines::PassiveBftServer;
+use prestige_core::PrestigeClient;
+use prestige_sim::{SimTime, Simulation};
+use prestige_types::{Actor, ClientId, Message, ServerId, TimeoutConfig, View};
+use prestige_vopr::SimCluster;
+use prestige_workloads::{FaultPlan, Link, ProtocolChoice, Scenario};
 
+/// Four `protocol` servers on the paper's LAN with its default timers, and
+/// two clients keeping `concurrency` requests in flight each; `shape` sets
+/// the rest. Faulty servers are the last ones, as the fault plan puts them.
 fn build_cluster(
     seed: u64,
-    config: &ClusterConfig,
-    protocol: BaselineProtocol,
-    behaviors: &[ByzantineBehavior],
-    clients: u64,
+    protocol: ProtocolChoice,
     concurrency: usize,
+    shape: Scenario,
 ) -> Simulation<Message> {
-    let n = config.n();
-    let registry = KeyRegistry::new(seed, n, clients);
-    let mut sim = Simulation::new(seed, NetworkConfig::lan());
-    for i in 0..n {
-        let behavior = behaviors.get(i as usize).copied().unwrap_or_default();
-        let server = PassiveBftServer::with_behavior(
-            ServerId(i),
-            config.clone(),
-            registry.clone(),
-            protocol,
-            behavior,
-        );
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
+    let scenario = Scenario {
+        seed,
+        protocol,
+        concurrency,
+        ..shape
+    };
+    SimCluster::new(&scenario).sim
+}
+
+/// What [`build_cluster`] starts from: β = 50.
+fn lan() -> Scenario {
+    Scenario {
+        batch_size: 50,
+        timeouts: TimeoutConfig::default(),
+        network: Link::LAN,
+        ..Scenario::default()
     }
-    for c in 0..clients {
-        let cc = ClientConfig::new(
-            ClientId(c),
-            config.replicas.clone(),
-            config.payload_size,
-            concurrency,
-        );
-        sim.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(cc, &registry)),
-        );
-    }
-    sim
 }
 
 fn committed_tx(sim: &Simulation<Message>, server: u32) -> u64 {
@@ -60,9 +50,7 @@ fn current_view(sim: &Simulation<Message>, server: u32) -> View {
 
 #[test]
 fn hotstuff_baseline_commits_under_normal_operation() {
-    let config = ClusterConfig::new(4).with_batch_size(50);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(1, &config, BaselineProtocol::HotStuff, &behaviors, 2, 100);
+    let mut sim = build_cluster(1, ProtocolChoice::HotStuff, 100, lan());
     sim.run_until(SimTime::from_secs(5.0));
     for s in 0..4 {
         assert!(
@@ -79,16 +67,7 @@ fn hotstuff_baseline_commits_under_normal_operation() {
 
 #[test]
 fn two_phase_prosecutor_lite_also_commits() {
-    let config = ClusterConfig::new(4).with_batch_size(50);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(
-        5,
-        &config,
-        BaselineProtocol::ProsecutorLite,
-        &behaviors,
-        2,
-        100,
-    );
+    let mut sim = build_cluster(5, ProtocolChoice::ProsecutorLite, 100, lan());
     sim.run_until(SimTime::from_secs(5.0));
     assert!(committed_tx(&sim, 0) > 500);
 }
@@ -100,17 +79,8 @@ fn three_phase_uses_strictly_more_messages_per_block() {
     // committed block than the two-phase pipeline. (The end-to-end throughput
     // consequence is measured by the Figure 6 experiment, where load is ramped
     // to saturation.)
-    let config = ClusterConfig::new(4).with_batch_size(50);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut three = build_cluster(9, &config, BaselineProtocol::HotStuff, &behaviors, 2, 100);
-    let mut two = build_cluster(
-        9,
-        &config,
-        BaselineProtocol::ProsecutorLite,
-        &behaviors,
-        2,
-        100,
-    );
+    let mut three = build_cluster(9, ProtocolChoice::HotStuff, 100, lan());
+    let mut two = build_cluster(9, ProtocolChoice::ProsecutorLite, 100, lan());
     three.run_until(SimTime::from_secs(5.0));
     two.run_until(SimTime::from_secs(5.0));
     assert!(committed_tx(&three, 0) > 500);
@@ -145,15 +115,16 @@ fn three_phase_uses_strictly_more_messages_per_block() {
 
 #[test]
 fn crashed_scheduled_leader_costs_a_timeout_but_liveness_holds() {
-    let mut config = ClusterConfig::new(4).with_batch_size(50);
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 500.0,
-        randomization_ms: 100.0,
-        client_timeout_ms: 600.0,
-        complaint_grace_ms: 100.0,
+    let timers = Scenario {
+        timeouts: TimeoutConfig {
+            base_timeout_ms: 500.0,
+            randomization_ms: 100.0,
+            client_timeout_ms: 600.0,
+            complaint_grace_ms: 100.0,
+        },
+        ..lan()
     };
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(13, &config, BaselineProtocol::HotStuff, &behaviors, 2, 50);
+    let mut sim = build_cluster(13, ProtocolChoice::HotStuff, 50, timers);
     sim.run_until(SimTime::from_secs(2.0));
     // Crash the current scheduled leader (view 1 → leader S(1 mod 4) = S2).
     sim.crash(Actor::Server(ServerId(1)));
@@ -173,27 +144,23 @@ fn quiet_fault_hurts_passive_protocol_when_scheduled() {
     // With a timing policy rotating every 2 s, a quiet server is still given
     // leadership by the schedule and each of its reigns stalls replication —
     // the weakness Figure 9 quantifies.
-    let mut config =
-        ClusterConfig::new(4)
-            .with_batch_size(50)
-            .with_policy(ViewChangePolicy::Timing {
-                interval_ms: 2000.0,
-            });
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 1000.0,
-        randomization_ms: 100.0,
-        client_timeout_ms: 600.0,
-        complaint_grace_ms: 100.0,
+    let healthy = Scenario {
+        rotation_ms: 2000,
+        timeouts: TimeoutConfig {
+            base_timeout_ms: 1000.0,
+            randomization_ms: 100.0,
+            client_timeout_ms: 600.0,
+            complaint_grace_ms: 100.0,
+        },
+        ..lan()
     };
-    let healthy = vec![ByzantineBehavior::Correct; 4];
-    let faulty = vec![
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Quiet,
-        ByzantineBehavior::Correct,
-    ];
-    let mut good = build_cluster(17, &config, BaselineProtocol::HotStuff, &healthy, 2, 100);
-    let mut bad = build_cluster(17, &config, BaselineProtocol::HotStuff, &faulty, 2, 100);
+    // The quiet server is s3 (the fault plan puts faulty servers last).
+    let faulty = Scenario {
+        fault_plan: FaultPlan::Quiet { count: 1 },
+        ..healthy.clone()
+    };
+    let mut good = build_cluster(17, ProtocolChoice::HotStuff, 100, healthy);
+    let mut bad = build_cluster(17, ProtocolChoice::HotStuff, 100, faulty);
     good.run_until(SimTime::from_secs(12.0));
     bad.run_until(SimTime::from_secs(12.0));
     let good_tx = committed_tx(&good, 0);
@@ -206,10 +173,12 @@ fn quiet_fault_hurts_passive_protocol_when_scheduled() {
 
 #[test]
 fn deterministic_given_seed() {
-    let config = ClusterConfig::new(4).with_batch_size(30);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut a = build_cluster(23, &config, BaselineProtocol::HotStuff, &behaviors, 2, 50);
-    let mut b = build_cluster(23, &config, BaselineProtocol::HotStuff, &behaviors, 2, 50);
+    let batch_30 = Scenario {
+        batch_size: 30,
+        ..lan()
+    };
+    let mut a = build_cluster(23, ProtocolChoice::HotStuff, 50, batch_30.clone());
+    let mut b = build_cluster(23, ProtocolChoice::HotStuff, 50, batch_30);
     a.run_until(SimTime::from_secs(2.0));
     b.run_until(SimTime::from_secs(2.0));
     assert_eq!(a.stats(), b.stats());

@@ -1,49 +1,45 @@
 //! End-to-end cluster tests: PrestigeBFT servers and clients running on the
 //! deterministic simulator.
 
-use prestige_core::{
-    AttackStrategy, ByzantineBehavior, ClientConfig, PrestigeClient, PrestigeServer, ServerRole,
-};
-use prestige_crypto::KeyRegistry;
-use prestige_sim::{NetworkConfig, SimTime, Simulation};
-use prestige_types::{
-    Actor, ClientId, ClusterConfig, Message, ServerId, TimeoutConfig, View, ViewChangePolicy,
-};
+use prestige_core::{AttackStrategy, PrestigeClient, PrestigeServer, ServerRole};
+use prestige_sim::{SimTime, Simulation};
+use prestige_types::{Actor, ClientId, Message, ServerId, TimeoutConfig, View};
+use prestige_vopr::SimCluster;
+use prestige_workloads::{FaultPlan, Link, Scenario};
 
-/// Builds a cluster of `n` servers (with the given per-server behaviours) and
-/// `clients` clients, each keeping `concurrency` requests in flight.
+/// The simulated cluster `shape` describes, at this seed, batch size and
+/// per-client window. Faulty servers are the last ones, as the fault plan
+/// puts them.
 fn build_cluster(
     seed: u64,
-    config: &ClusterConfig,
-    behaviors: &[ByzantineBehavior],
-    clients: u64,
+    batch_size: usize,
     concurrency: usize,
+    shape: Scenario,
 ) -> Simulation<Message> {
-    let n = config.n();
-    let registry = KeyRegistry::new(seed, n, clients);
-    let mut sim = Simulation::new(seed, NetworkConfig::lan());
-    for i in 0..n {
-        let behavior = behaviors.get(i as usize).copied().unwrap_or_default();
-        let server = PrestigeServer::with_behavior(
-            ServerId(i),
-            config.clone(),
-            registry.clone(),
-            seed,
-            behavior,
-        );
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
+    let scenario = Scenario {
+        seed,
+        batch_size,
+        concurrency,
+        ..shape
+    };
+    SimCluster::new(&scenario).sim
+}
+
+/// What [`build_cluster`] starts from.
+fn lan() -> Scenario {
+    Scenario {
+        timeouts: TimeoutConfig::default(),
+        network: Link::LAN,
+        ..Scenario::default()
     }
-    for c in 0..clients {
-        let client_config = ClientConfig::new(
-            ClientId(c),
-            config.replicas.clone(),
-            config.payload_size,
-            concurrency,
-        );
-        let client = PrestigeClient::new(client_config, &registry);
-        sim.add_node(Actor::Client(ClientId(c)), Box::new(client));
+}
+
+/// [`lan`] with the fast timers (`[300, 600]` ms, 400 ms client patience).
+fn fast_lan() -> Scenario {
+    Scenario {
+        timeouts: TimeoutConfig::fast(),
+        ..lan()
     }
-    sim
 }
 
 fn committed_tx(sim: &Simulation<Message>, server: u32) -> u64 {
@@ -61,9 +57,7 @@ fn current_view(sim: &Simulation<Message>, server: u32) -> View {
 
 #[test]
 fn normal_operation_commits_transactions() {
-    let config = ClusterConfig::new(4).with_batch_size(50);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(1, &config, &behaviors, 2, 100);
+    let mut sim = build_cluster(1, 50, 100, lan());
     sim.run_until(SimTime::from_secs(5.0));
 
     // Every correct server commits a healthy number of transactions.
@@ -106,9 +100,7 @@ fn normal_operation_commits_transactions() {
 
 #[test]
 fn replicas_commit_identical_logs() {
-    let config = ClusterConfig::new(4).with_batch_size(20);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(7, &config, &behaviors, 2, 40);
+    let mut sim = build_cluster(7, 20, 40, lan());
     sim.run_until(SimTime::from_secs(3.0));
 
     let reference = sim
@@ -134,15 +126,7 @@ fn replicas_commit_identical_logs() {
 
 #[test]
 fn leader_crash_triggers_active_view_change_and_recovers() {
-    let mut config = ClusterConfig::new(4).with_batch_size(50);
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 300.0,
-        randomization_ms: 300.0,
-        client_timeout_ms: 400.0,
-        complaint_grace_ms: 100.0,
-    };
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(3, &config, &behaviors, 2, 50);
+    let mut sim = build_cluster(3, 50, 50, fast_lan());
 
     // Let the initial leader make progress, then crash it.
     sim.run_until(SimTime::from_secs(2.0));
@@ -174,14 +158,11 @@ fn leader_crash_triggers_active_view_change_and_recovers() {
 
 #[test]
 fn quiet_faulty_follower_does_not_disturb_progress() {
-    let config = ClusterConfig::new(4).with_batch_size(50);
-    let behaviors = vec![
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Quiet,
-    ];
-    let mut sim = build_cluster(11, &config, &behaviors, 2, 100);
+    let quiet = Scenario {
+        fault_plan: FaultPlan::Quiet { count: 1 },
+        ..lan()
+    };
+    let mut sim = build_cluster(11, 50, 100, quiet);
     sim.run_until(SimTime::from_secs(5.0));
     // The quorum of 3 correct servers keeps committing.
     assert!(committed_tx(&sim, 0) > 1000);
@@ -190,34 +171,23 @@ fn quiet_faulty_follower_does_not_disturb_progress() {
 
 #[test]
 fn equivocating_follower_does_not_block_commits() {
-    let config = ClusterConfig::new(4).with_batch_size(50);
-    let behaviors = vec![
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Equivocate,
-        ByzantineBehavior::Correct,
-    ];
-    let mut sim = build_cluster(13, &config, &behaviors, 2, 100);
+    // The equivocator is s3 (the fault plan puts faulty servers last).
+    let equivocator = Scenario {
+        fault_plan: FaultPlan::Equivocate { count: 1 },
+        ..lan()
+    };
+    let mut sim = build_cluster(13, 50, 100, equivocator);
     sim.run_until(SimTime::from_secs(5.0));
     assert!(committed_tx(&sim, 0) > 1000);
 }
 
 #[test]
 fn timing_policy_rotates_leadership() {
-    let mut config =
-        ClusterConfig::new(4)
-            .with_batch_size(50)
-            .with_policy(ViewChangePolicy::Timing {
-                interval_ms: 2000.0,
-            });
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 300.0,
-        randomization_ms: 300.0,
-        client_timeout_ms: 400.0,
-        complaint_grace_ms: 100.0,
+    let rotating = Scenario {
+        rotation_ms: 2000,
+        ..fast_lan()
     };
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut sim = build_cluster(17, &config, &behaviors, 2, 50);
+    let mut sim = build_cluster(17, 50, 50, rotating);
     sim.run_until(SimTime::from_secs(12.0));
 
     // Several policy-driven rotations happened and replication still works.
@@ -231,25 +201,15 @@ fn timing_policy_rotates_leadership() {
 
 #[test]
 fn repeated_vc_attacker_is_penalized_and_progress_resumes() {
-    let mut config =
-        ClusterConfig::new(4)
-            .with_batch_size(50)
-            .with_policy(ViewChangePolicy::Timing {
-                interval_ms: 3000.0,
-            });
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 300.0,
-        randomization_ms: 300.0,
-        client_timeout_ms: 400.0,
-        complaint_grace_ms: 100.0,
+    let attacked = Scenario {
+        rotation_ms: 3000,
+        fault_plan: FaultPlan::RepeatedVcQuiet {
+            count: 1,
+            strategy: AttackStrategy::Always,
+        },
+        ..fast_lan()
     };
-    let behaviors = vec![
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::RepeatedVcQuiet(AttackStrategy::Always),
-    ];
-    let mut sim = build_cluster(19, &config, &behaviors, 2, 50);
+    let mut sim = build_cluster(19, 50, 50, attacked);
 
     // First half: the attacker contests every rotation and may win a fair
     // share of early reigns while its penalty is still cheap to pay.
@@ -319,10 +279,8 @@ fn repeated_vc_attacker_is_penalized_and_progress_resumes() {
 
 #[test]
 fn same_seed_reproduces_identical_runs() {
-    let config = ClusterConfig::new(4).with_batch_size(30);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let mut a = build_cluster(23, &config, &behaviors, 2, 50);
-    let mut b = build_cluster(23, &config, &behaviors, 2, 50);
+    let mut a = build_cluster(23, 30, 50, lan());
+    let mut b = build_cluster(23, 30, 50, lan());
     a.run_until(SimTime::from_secs(2.0));
     b.run_until(SimTime::from_secs(2.0));
     assert_eq!(committed_tx(&a, 2), committed_tx(&b, 2));
@@ -349,12 +307,12 @@ fn pipeline_depths_preserve_replica_agreement() {
     // every depth (stop-and-wait through a deep window) the cluster makes
     // healthy progress, every replica holds the same chain on the common
     // prefix, and the log is gap-free with intact chain pointers.
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
     for depth in [1usize, 4, 8] {
-        let config = ClusterConfig::new(4)
-            .with_batch_size(20)
-            .with_pipeline_depth(depth);
-        let mut sim = build_cluster(7, &config, &behaviors, 2, 40);
+        let pipelined = Scenario {
+            pipeline_depth: depth,
+            ..lan()
+        };
+        let mut sim = build_cluster(7, 20, 40, pipelined);
         sim.run_until(SimTime::from_secs(3.0));
 
         let reference = sim_server(&sim, 0);
@@ -397,9 +355,11 @@ fn sim_server(sim: &Simulation<Message>, id: u32) -> &PrestigeServer {
 
 #[test]
 fn servers_start_in_expected_roles() {
-    let config = ClusterConfig::new(4);
-    let behaviors = vec![ByzantineBehavior::Correct; 4];
-    let sim = build_cluster(29, &config, &behaviors, 1, 10);
+    let one_client = Scenario {
+        clients: 1,
+        ..lan()
+    };
+    let sim = build_cluster(29, 100, 10, one_client);
     let s1 = sim
         .node_as::<PrestigeServer>(Actor::Server(ServerId(0)))
         .unwrap();

@@ -9,77 +9,35 @@
 //! on and then suppresses the attackers through their growing reputation
 //! penalties.
 
-use crate::fig9_benign_byz::fault_experiment_config;
-use crate::runner::run as run_one;
+use crate::fig9_benign_byz::FaultFigure;
 use crate::Scale;
 use prestige_core::AttackStrategy;
 use prestige_metrics::Table;
-use prestige_workloads::{FaultPlan, ProtocolChoice};
+use prestige_workloads::{FaultPlan, Scenario};
+
+const FIGURE: FaultFigure = FaultFigure {
+    title: "Figure 10 — throughput under repeated VC attacks",
+    seed: 31,
+    quick: (25_000, &[0, 3]),
+    full: (180_000, &[0, 1, 3, 5]),
+    attacks: [
+        ("quiet", |count| FaultPlan::RepeatedVcQuiet {
+            count,
+            strategy: AttackStrategy::Always,
+        }),
+        ("equiv", |count| FaultPlan::RepeatedVcEquivocate {
+            count,
+            strategy: AttackStrategy::Always,
+        }),
+    ],
+};
+
+/// Every row of the repeated view-change attack sweep.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    FIGURE.scenarios(scale)
+}
 
 /// Runs the repeated view-change attack sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let (duration, rotation_fast, rotation_slow, fault_counts_n16): (f64, f64, f64, Vec<u32>) =
-        match scale {
-            Scale::Quick => (25.0, 3000.0, 6000.0, vec![0, 3]),
-            Scale::Full => (180.0, 10_000.0, 30_000.0, vec![0, 1, 3, 5]),
-        };
-    let mut tables = Vec::new();
-    for (n, fault_counts) in [(4u32, vec![0u32, 1]), (16u32, fault_counts_n16)] {
-        let mut table = Table::new(
-            format!("Figure 10 — throughput under repeated VC attacks (n={n})"),
-            &["series", "f", "throughput (TPS)", "drop vs f=0"],
-        );
-        for protocol in [ProtocolChoice::Prestige, ProtocolChoice::HotStuff] {
-            for (rotation_label, rotation_ms) in [("r10", rotation_fast), ("r30", rotation_slow)] {
-                for (attack_label, quiet) in [("quiet", true), ("equiv", false)] {
-                    let mut baseline_tps = None;
-                    for &f in &fault_counts {
-                        let plan = if f == 0 {
-                            FaultPlan::None
-                        } else if quiet {
-                            FaultPlan::RepeatedVcQuiet {
-                                count: f,
-                                strategy: AttackStrategy::Always,
-                            }
-                        } else {
-                            FaultPlan::RepeatedVcEquivocate {
-                                count: f,
-                                strategy: AttackStrategy::Always,
-                            }
-                        };
-                        let name =
-                            format!("{}_{}_{}", protocol.label(), rotation_label, attack_label);
-                        let mut config = fault_experiment_config(
-                            format!("{name}_f{f}"),
-                            n,
-                            protocol,
-                            rotation_ms,
-                            plan,
-                            duration,
-                        );
-                        config.seed = 31 + n as u64 + f as u64;
-                        let outcome = run_one(&config);
-                        let drop = match baseline_tps {
-                            None => {
-                                baseline_tps = Some(outcome.tps);
-                                "—".to_string()
-                            }
-                            Some(base) if base > 0.0 => {
-                                format!("{:.0}%", 100.0 * (base - outcome.tps) / base)
-                            }
-                            _ => "—".to_string(),
-                        };
-                        table.push_row(vec![
-                            name.clone(),
-                            f.to_string(),
-                            format!("{:.0}", outcome.tps),
-                            drop,
-                        ]);
-                    }
-                }
-            }
-        }
-        tables.push(table);
-    }
-    tables
+    FIGURE.run(scale)
 }

@@ -6,52 +6,60 @@
 //! leadership, and normalized throughput climbs back toward the fault-free
 //! level (≈87% at t = 1000 s in the paper).
 
-use crate::fig9_benign_byz::fault_experiment_config;
-use crate::runner::run as run_one;
+use crate::runner::{fault_experiment, run as run_one};
 use crate::Scale;
 use prestige_core::AttackStrategy;
 use prestige_metrics::{throughput_series, Table};
-use prestige_workloads::{FaultPlan, ProtocolChoice};
+use prestige_workloads::{FaultPlan, Scenario};
+
+/// One run per fault count, `f = 0` first (the normalization base).
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    let (duration_ms, rotation_ms, fault_counts): (u64, u64, &[u32]) = match scale {
+        Scale::Quick => (40_000, 3_000, &[0, 1, 3]),
+        Scale::Full => (1_000_000, 10_000, &[0, 1, 3, 5]),
+    };
+    let row = |&f: &u32| Scenario {
+        name: format!("pb_r10_quiet_f{f}"),
+        seed: 91 + f as u64,
+        servers: 16,
+        rotation_ms,
+        fault_plan: match f {
+            0 => FaultPlan::None,
+            count => FaultPlan::RepeatedVcQuiet {
+                count,
+                strategy: AttackStrategy::Always,
+            },
+        },
+        duration_ms,
+        ..fault_experiment()
+    };
+    fault_counts.iter().map(row).collect()
+}
 
 /// Runs the recovery time series.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let (duration, rotation_ms, window_ms, fault_counts): (f64, f64, f64, Vec<u32>) = match scale {
-        Scale::Quick => (40.0, 3000.0, 5000.0, vec![0, 1, 3]),
-        Scale::Full => (1000.0, 10_000.0, 50_000.0, vec![0, 1, 3, 5]),
+    let window_ms = match scale {
+        Scale::Quick => 5000.0,
+        Scale::Full => 50_000.0,
     };
-    let n = 16;
     let mut table = Table::new(
         "Figure 11 — normalized throughput recovery under F4+F2 (pb_r10_quiet, n=16)",
         &["time (s)", "f=0", "f=1", "f=3", "f=5"],
     );
 
-    // One run per fault count; the f=0 run defines the normalization base.
     let mut series: Vec<Vec<(f64, f64)>> = Vec::new();
     let mut base_tps = 1.0;
-    for &f in &fault_counts {
-        let plan = if f == 0 {
-            FaultPlan::None
-        } else {
-            FaultPlan::RepeatedVcQuiet {
-                count: f,
-                strategy: AttackStrategy::Always,
-            }
-        };
-        let mut config = fault_experiment_config(
-            format!("pb_r10_quiet_f{f}"),
-            n,
-            ProtocolChoice::Prestige,
-            rotation_ms,
-            plan,
-            duration,
-        );
-        config.seed = 91 + f as u64;
-        let outcome = run_one(&config);
-        let s = throughput_series(&outcome.commit_log, duration * 1000.0, window_ms);
-        if f == 0 {
+    for s in scenarios(scale) {
+        let outcome = run_one(&s, 0.05);
+        let end_ms = s.duration_ms as f64;
+        series.push(throughput_series(
+            &outcome.reference.commit_log,
+            end_ms,
+            window_ms,
+        ));
+        if s.fault_plan == FaultPlan::None {
             base_tps = outcome.tps.max(1.0);
         }
-        series.push(s);
     }
 
     let windows = series.iter().map(|s| s.len()).min().unwrap_or(0);

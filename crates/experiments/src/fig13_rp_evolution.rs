@@ -6,40 +6,49 @@
 //! initial value (occasionally compensated back down after they reclaim
 //! leadership).
 
-use crate::fig9_benign_byz::fault_experiment_config;
-use crate::runner::run as run_one;
+use crate::runner::{fault_experiment, run as run_one};
 use crate::Scale;
 use prestige_core::AttackStrategy;
 use prestige_metrics::Table;
-use prestige_workloads::{FaultPlan, ProtocolChoice};
+use prestige_workloads::{FaultPlan, Scenario};
 
-/// Runs the reputation-evolution experiment (n=16, f=3, F4+F2).
-pub fn run(scale: Scale) -> Vec<Table> {
-    let (duration, rotation_ms) = match scale {
-        Scale::Quick => (40.0, 3000.0),
-        Scale::Full => (300.0, 10_000.0),
+/// The one run: n = 16, f = 3, F4+F2.
+fn scenario(scale: Scale) -> Scenario {
+    let (duration_ms, rotation_ms) = match scale {
+        Scale::Quick => (40_000, 3_000),
+        Scale::Full => (300_000, 10_000),
     };
-    let n = 16u32;
-    let mut config = fault_experiment_config(
-        "fig13_pb_f3".to_string(),
-        n,
-        ProtocolChoice::Prestige,
+    Scenario {
+        name: "fig13_pb_f3".to_string(),
+        seed: 133,
+        servers: 16,
         rotation_ms,
-        FaultPlan::RepeatedVcQuiet {
+        fault_plan: FaultPlan::RepeatedVcQuiet {
             count: 3,
             strategy: AttackStrategy::Always,
         },
-        duration,
-    );
-    config.seed = 133;
-    let outcome = run_one(&config);
+        duration_ms,
+        ..fault_experiment()
+    }
+}
+
+/// The experiment's scenarios: its one run.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    vec![scenario(scale)]
+}
+
+/// Runs the reputation-evolution experiment.
+pub fn run(scale: Scale) -> Vec<Table> {
+    let scenario = scenario(scale);
+    let n = scenario.servers;
+    let outcome = run_one(&scenario, 0.05);
 
     let mut table = Table::new(
         "Figure 13 — final reputation penalties after repeated VC attacks (n=16, f=3; S14–S16 faulty)",
         &["server", "behaviour", "final rp", "elections won", "campaigns", "total puzzle time (ms)"],
     );
-    for (id, server) in &outcome.servers {
-        let faulty = *id >= n - 3;
+    for ((id, server), rp) in (0..).zip(&outcome.servers).zip(&outcome.rp) {
+        let faulty = id >= n - 3;
         table.push_row(vec![
             format!("S{}", id + 1),
             if faulty {
@@ -47,9 +56,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
             } else {
                 "correct".into()
             },
-            server.final_rp.to_string(),
+            rp.to_string(),
             server.elections_won.to_string(),
-            server.campaigns.to_string(),
+            server.campaigns_started.to_string(),
             format!("{:.1}", server.pow_ms_total),
         ]);
     }
@@ -61,7 +70,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         &["campaign #", "S14 rp", "S15 rp", "S16 rp"],
     );
     let logs: Vec<&Vec<(f64, i64, f64)>> = (n - 3..n)
-        .map(|i| &outcome.servers[&i].campaign_log)
+        .map(|i| &outcome.servers[i as usize].campaign_log)
         .collect();
     let rounds = logs.iter().map(|l| l.len()).max().unwrap_or(0);
     for r in 0..rounds {

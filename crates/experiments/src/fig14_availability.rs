@@ -6,21 +6,20 @@
 //! and S2 attackers must behave correctly for ever longer stretches to stay
 //! compensable — while HotStuff remains degraded for the whole run.
 
-use crate::fig9_benign_byz::fault_experiment_config;
-use crate::runner::run as run_one;
+use crate::runner::{fault_experiment, run as run_one};
 use crate::Scale;
 use prestige_core::AttackStrategy;
 use prestige_metrics::{availability_series, Table};
-use prestige_workloads::{FaultPlan, ProtocolChoice};
+use prestige_workloads::{FaultPlan, ProtocolChoice, Scenario};
 
-/// Runs the availability comparison.
-pub fn run(scale: Scale) -> Vec<Table> {
-    let (duration, rotation_ms, window_ms) = match scale {
-        Scale::Quick => (60.0, 3000.0, 2000.0),
-        Scale::Full => (10_000.0, 10_000.0, 100_000.0),
+/// One run per series: PrestigeBFT under S1 and S2 attackers, HotStuff
+/// under quiet ones (n = 16, f = 3).
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    let (duration_ms, rotation_ms) = match scale {
+        Scale::Quick => (60_000, 3_000),
+        Scale::Full => (10_000_000, 10_000),
     };
-    let n = 16u32;
-    let series_defs = [
+    let series = [
         (
             "pb-S1",
             ProtocolChoice::Prestige,
@@ -43,32 +42,45 @@ pub fn run(scale: Scale) -> Vec<Table> {
             FaultPlan::Quiet { count: 3 },
         ),
     ];
+    let row = |(label, protocol, fault_plan)| Scenario {
+        name: format!("fig14_{label}"),
+        seed: 140,
+        protocol,
+        servers: 16,
+        rotation_ms,
+        fault_plan,
+        duration_ms,
+        ..fault_experiment()
+    };
+    series.map(row).to_vec()
+}
 
+/// Runs the availability comparison.
+pub fn run(scale: Scale) -> Vec<Table> {
+    let window_ms = match scale {
+        Scale::Quick => 2000.0,
+        Scale::Full => 100_000.0,
+    };
     let mut all_series = Vec::new();
-    for (label, protocol, plan) in series_defs {
-        let mut config = fault_experiment_config(
-            format!("fig14_{label}"),
-            n,
-            protocol,
-            rotation_ms,
-            plan,
-            duration,
-        );
-        config.seed = 140;
-        let outcome = run_one(&config);
-        let series = availability_series(&outcome.commit_log, duration * 1000.0, window_ms);
-        all_series.push((label, series));
+    for s in scenarios(scale) {
+        let outcome = run_one(&s, 0.05);
+        let end_ms = s.duration_ms as f64;
+        all_series.push(availability_series(
+            &outcome.reference.commit_log,
+            end_ms,
+            window_ms,
+        ));
     }
 
     let mut table = Table::new(
         "Figure 14 — cumulative availability under attacks (n=16, f=3)",
         &["time (s)", "pb-S1", "pb-S2", "hs"],
     );
-    let windows = all_series.iter().map(|(_, s)| s.len()).min().unwrap_or(0);
+    let windows = all_series.iter().map(|s| s.len()).min().unwrap_or(0);
     for w in 0..windows {
-        let time_s = all_series[0].1[w].0 / 1000.0;
+        let time_s = all_series[0][w].0 / 1000.0;
         let mut row = vec![format!("{time_s:.0}")];
-        for (_, s) in &all_series {
+        for s in &all_series {
             row.push(format!("{:.0}%", 100.0 * s[w].1));
         }
         table.push_row(row);

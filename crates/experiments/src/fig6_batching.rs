@@ -5,10 +5,10 @@
 //! throughput at comparable latency), HotStuff and Prosecutor in the middle,
 //! SBFT lowest.
 
-use crate::runner::{run as run_one, ExperimentConfig};
+use crate::runner::{base, batched, run as run_one, LEGEND};
 use crate::Scale;
 use prestige_metrics::Table;
-use prestige_workloads::{ProtocolChoice, WorkloadSpec};
+use prestige_workloads::{ProtocolChoice, Scenario};
 
 /// The per-protocol batch sizes of the paper's Figure 6 legend.
 fn batch_sizes(protocol: ProtocolChoice, scale: Scale) -> Vec<usize> {
@@ -24,12 +24,26 @@ fn batch_sizes(protocol: ProtocolChoice, scale: Scale) -> Vec<usize> {
     }
 }
 
+/// One row per protocol and batch size.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    let duration_ms = match scale {
+        Scale::Quick => 3_000,
+        Scale::Full => 15_000,
+    };
+    let rows = LEGEND.into_iter().flat_map(|protocol| {
+        let row = move |beta| Scenario {
+            name: format!("{}_{beta}", protocol.label()),
+            protocol,
+            duration_ms,
+            ..batched(beta, base())
+        };
+        batch_sizes(protocol, scale).into_iter().map(row)
+    });
+    rows.collect()
+}
+
 /// Runs the batching sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let duration = match scale {
-        Scale::Quick => 3.0,
-        Scale::Full => 15.0,
-    };
     let mut table = Table::new(
         "Figure 6 — performance under batching (n=4, m=32)",
         &[
@@ -39,27 +53,14 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "mean latency (ms)",
         ],
     );
-    for protocol in [
-        ProtocolChoice::Prestige,
-        ProtocolChoice::HotStuff,
-        ProtocolChoice::ProsecutorLite,
-        ProtocolChoice::SbftLite,
-    ] {
-        for beta in batch_sizes(protocol, scale) {
-            let name = format!("{}_{beta}", protocol.label());
-            let mut config = ExperimentConfig::new(name.clone(), 4, protocol);
-            config.batch_size = beta;
-            config.workload = WorkloadSpec::for_batch_size(beta);
-            config.duration_s = duration;
-            config.warmup_s = duration * 0.1;
-            let outcome = run_one(&config);
-            table.push_row(vec![
-                name,
-                beta.to_string(),
-                format!("{:.0}", outcome.tps),
-                format!("{:.1}", outcome.latency.mean_ms()),
-            ]);
-        }
+    for scenario in scenarios(scale) {
+        let outcome = run_one(&scenario, 0.1);
+        table.push_row(vec![
+            scenario.name,
+            scenario.batch_size.to_string(),
+            format!("{:.0}", outcome.tps),
+            format!("{:.1}", outcome.latency.mean_ms()),
+        ]);
     }
     vec![table]
 }

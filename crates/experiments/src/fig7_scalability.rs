@@ -5,18 +5,53 @@
 //! every scale; the netem-style `d = 10 ± 5 ms` delay inflates latency and its
 //! variance.
 
-use crate::runner::{run as run_one, ExperimentConfig};
+use crate::runner::{base, batched, run as run_one};
 use crate::Scale;
 use prestige_metrics::Table;
-use prestige_sim::NetworkConfig;
-use prestige_workloads::{ProtocolChoice, WorkloadSpec};
+use prestige_workloads::{Link, ProtocolChoice, Scenario};
+
+/// The delay column's label for a row's network.
+fn delay_label(network: &Link) -> &'static str {
+    if *network == Link::LAN {
+        "d0"
+    } else {
+        "d10"
+    }
+}
+
+/// One row per protocol, `n`, payload size and network.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    let (scales, duration_ms, pb_beta, hs_beta): (Vec<u32>, u64, usize, usize) = match scale {
+        Scale::Quick => (vec![4, 16, 31], 3_000, 300, 100),
+        Scale::Full => (vec![4, 16, 31, 61, 100], 10_000, 3000, 1000),
+    };
+    let mut rows = Vec::new();
+    for (protocol, beta) in [
+        (ProtocolChoice::Prestige, pb_beta),
+        (ProtocolChoice::HotStuff, hs_beta),
+    ] {
+        for &n in &scales {
+            for m in [32, 64] {
+                for network in [Link::LAN, Link::NETEM_D10] {
+                    let series = format!("{}_m{m}_{}", protocol.label(), delay_label(&network));
+                    rows.push(Scenario {
+                        name: format!("{series}_n{n}"),
+                        protocol,
+                        servers: n,
+                        payload_size: m,
+                        network,
+                        duration_ms,
+                        ..batched(beta, base())
+                    });
+                }
+            }
+        }
+    }
+    rows
+}
 
 /// Runs the scalability sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let (scales, duration, pb_beta, hs_beta): (Vec<u32>, f64, usize, usize) = match scale {
-        Scale::Quick => (vec![4, 16, 31], 3.0, 300, 100),
-        Scale::Full => (vec![4, 16, 31, 61, 100], 10.0, 3000, 1000),
-    };
     let mut table = Table::new(
         "Figure 7 — scalability (throughput and latency vs n)",
         &[
@@ -29,41 +64,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "p95 latency (ms)",
         ],
     );
-    for protocol in [ProtocolChoice::Prestige, ProtocolChoice::HotStuff] {
-        let beta = if protocol == ProtocolChoice::Prestige {
-            pb_beta
-        } else {
-            hs_beta
-        };
-        for &n in &scales {
-            for &m in &[32usize, 64] {
-                for (delay_label, network) in [
-                    ("d0", NetworkConfig::lan()),
-                    ("d10", NetworkConfig::delayed()),
-                ] {
-                    let name = format!("{}_m{}_{}_n{}", protocol.label(), m, delay_label, n);
-                    let mut config = ExperimentConfig::new(name.clone(), n, protocol);
-                    config.batch_size = beta;
-                    config.workload = WorkloadSpec {
-                        payload_size: m,
-                        ..WorkloadSpec::for_batch_size(beta)
-                    };
-                    config.network = network;
-                    config.duration_s = duration;
-                    config.warmup_s = duration * 0.15;
-                    let outcome = run_one(&config);
-                    table.push_row(vec![
-                        format!("{}_m{}_{}", protocol.label(), m, delay_label),
-                        n.to_string(),
-                        m.to_string(),
-                        delay_label.to_string(),
-                        format!("{:.0}", outcome.tps),
-                        format!("{:.1}", outcome.latency.mean_ms()),
-                        format!("{:.1}", outcome.latency.percentile_ms(95.0)),
-                    ]);
-                }
-            }
-        }
+    for s in scenarios(scale) {
+        let outcome = run_one(&s, 0.15);
+        let delay = delay_label(&s.network);
+        table.push_row(vec![
+            format!("{}_m{}_{delay}", s.protocol.label(), s.payload_size),
+            s.servers.to_string(),
+            s.payload_size.to_string(),
+            delay.to_string(),
+            format!("{:.0}", outcome.tps),
+            format!("{:.1}", outcome.latency.mean_ms()),
+            format!("{:.1}", outcome.latency.percentile_ms(95.0)),
+        ]);
     }
     vec![table]
 }

@@ -5,19 +5,55 @@
 //! randomization eliminates them without faults, and even F1 timeout attacks
 //! cannot re-create them once ε > 100 ms.
 
-use crate::runner::{run as run_one, ExperimentConfig};
+use crate::runner::{base, run as run_one};
 use crate::Scale;
 use prestige_metrics::Table;
-use prestige_types::{TimeoutConfig, ViewChangePolicy};
-use prestige_workloads::{FaultPlan, ProtocolChoice, WorkloadSpec};
+use prestige_types::TimeoutConfig;
+use prestige_workloads::{FaultPlan, Scenario};
+
+/// One row per attack setting, `n` and randomization ε.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    let (ns, duration_ms, rotation_ms): (Vec<u32>, u64, u64) = match scale {
+        Scale::Quick => (vec![4, 16], 20_000, 600),
+        Scale::Full => (vec![4, 16, 64], 120_000, 800),
+    };
+    let mut rows = Vec::new();
+    for attack in [false, true] {
+        for &n in &ns {
+            for eps in [0u64, 10, 50, 100, 200] {
+                let f = (n - 1) / 3;
+                rows.push(Scenario {
+                    name: format!("{}n{n}_eps{eps}", if attack { "byz_" } else { "" }),
+                    seed: 100 + n as u64 + eps,
+                    servers: n,
+                    clients: 2,
+                    concurrency: 40,
+                    batch_size: 50,
+                    // Frequent policy rotations drive many view changes; the
+                    // randomization ε is what the figure sweeps.
+                    rotation_ms,
+                    timeouts: TimeoutConfig {
+                        base_timeout_ms: 300.0,
+                        randomization_ms: eps as f64,
+                        client_timeout_ms: 400.0,
+                        complaint_grace_ms: 100.0,
+                    },
+                    fault_plan: if attack {
+                        FaultPlan::TimeoutAttack { count: f.max(1) }
+                    } else {
+                        FaultPlan::None
+                    },
+                    duration_ms,
+                    ..base()
+                });
+            }
+        }
+    }
+    rows
+}
 
 /// Runs the split-vote sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let (ns, duration, rotation_ms): (Vec<u32>, f64, f64) = match scale {
-        Scale::Quick => (vec![4, 16], 20.0, 600.0),
-        Scale::Full => (vec![4, 16, 64], 120.0, 800.0),
-    };
-    let epsilons = [0.0, 10.0, 50.0, 100.0, 200.0];
     let mut table = Table::new(
         "Figure 8 — split votes vs timeout randomization",
         &[
@@ -29,51 +65,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "split-vote rate",
         ],
     );
-    for attack in [false, true] {
-        for &n in &ns {
-            for &eps in &epsilons {
-                let f = (n - 1) / 3;
-                let name = format!(
-                    "{}n{}_eps{}",
-                    if attack { "byz_" } else { "" },
-                    n,
-                    eps as u64
-                );
-                let mut config = ExperimentConfig::new(name.clone(), n, ProtocolChoice::Prestige);
-                config.batch_size = 50;
-                config.workload = WorkloadSpec::new(2, 40, 32);
-                // Frequent policy rotations drive many view changes; the
-                // randomization ε is what the figure sweeps.
-                config.policy = ViewChangePolicy::Timing {
-                    interval_ms: rotation_ms,
-                };
-                config.timeouts = TimeoutConfig {
-                    base_timeout_ms: 300.0,
-                    randomization_ms: eps,
-                    client_timeout_ms: 400.0,
-                    complaint_grace_ms: 100.0,
-                };
-                config.faults = if attack {
-                    FaultPlan::TimeoutAttack { count: f.max(1) }
-                } else {
-                    FaultPlan::None
-                };
-                config.duration_s = duration;
-                config.warmup_s = 0.0;
-                config.seed = 100 + n as u64 + eps as u64;
-                let outcome = run_one(&config);
-                let view_changes = outcome.views_installed.max(1);
-                let retries = outcome.total_election_timeouts();
-                table.push_row(vec![
-                    name,
-                    n.to_string(),
-                    format!("{eps:.0}"),
-                    view_changes.to_string(),
-                    retries.to_string(),
-                    format!("{:.1}%", 100.0 * retries as f64 / view_changes as f64),
-                ]);
-            }
-        }
+    for s in scenarios(scale) {
+        let outcome = run_one(&s, 0.0);
+        let view_changes = outcome.reference.views_installed.max(1);
+        let retries: u64 = outcome.servers.iter().map(|s| s.election_timeouts).sum();
+        table.push_row(vec![
+            s.name,
+            s.servers.to_string(),
+            format!("{:.0}", s.timeouts.randomization_ms),
+            view_changes.to_string(),
+            retries.to_string(),
+            format!("{:.1}%", 100.0 * retries as f64 / view_changes as f64),
+        ]);
     }
     vec![table]
 }

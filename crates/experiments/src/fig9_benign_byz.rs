@@ -7,101 +7,114 @@
 //! timeout), and drops more with more frequent rotations. PrestigeBFT is
 //! essentially unaffected — quiet servers even free up bandwidth.
 
-use crate::runner::{run as run_one, ExperimentConfig};
+use crate::runner::{fault_experiment, run as run_one};
 use crate::Scale;
 use prestige_metrics::Table;
-use prestige_types::{TimeoutConfig, ViewChangePolicy};
-use prestige_workloads::{FaultPlan, ProtocolChoice, WorkloadSpec};
+use prestige_workloads::{FaultPlan, ProtocolChoice, Scenario};
 
-/// Shared cluster/timer settings for the fault experiments: the paper's
-/// §6.2 setup (HotStuff timeout 1 s, PrestigeBFT timeouts in [800, 1200] ms),
-/// with rotation intervals scaled down in quick mode.
-pub(crate) fn fault_experiment_config(
-    name: String,
-    n: u32,
-    protocol: ProtocolChoice,
-    rotation_ms: f64,
-    faults: FaultPlan,
-    duration_s: f64,
-) -> ExperimentConfig {
-    let mut config = ExperimentConfig::new(name, n, protocol);
-    config.batch_size = 200;
-    config.workload = WorkloadSpec::new(4, 200, 32);
-    config.policy = ViewChangePolicy::Timing {
-        interval_ms: rotation_ms,
-    };
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 800.0,
-        randomization_ms: 400.0,
-        client_timeout_ms: 1000.0,
-        complaint_grace_ms: 200.0,
-    };
-    config.faults = faults;
-    config.duration_s = duration_s;
-    config.warmup_s = duration_s * 0.05;
-    config
+/// An attack: its series label and its plan at `f` faulty servers.
+pub(crate) type Attack = (&'static str, fn(u32) -> FaultPlan);
+
+/// A fault figure (9 or 10): per panel `n`, protocol, rotation and attack,
+/// one row per fault count, the `f = 0` row first; each row's throughput is
+/// reported with its drop against that row.
+pub(crate) struct FaultFigure {
+    /// Table title, before the panel's `(n=…)`.
+    pub title: &'static str,
+    /// Seed base: a row runs at `seed + n + f`.
+    pub seed: u64,
+    /// Quick scale: run length (ms) and the `n = 16` panel's fault counts.
+    pub quick: (u64, &'static [u32]),
+    /// The same at full scale.
+    pub full: (u64, &'static [u32]),
+    /// The two attacks.
+    pub attacks: [Attack; 2],
+}
+
+impl FaultFigure {
+    fn panels(&self, scale: Scale) -> [(u32, Vec<Scenario>); 2] {
+        // r10/r30 at full scale; proportionally shorter rotations in quick
+        // mode so several rotations still happen within the shorter run.
+        let ((duration_ms, counts_n16), rotations) = match scale {
+            Scale::Quick => (self.quick, [("r10", 3_000), ("r30", 6_000)]),
+            Scale::Full => (self.full, [("r10", 10_000), ("r30", 30_000)]),
+        };
+        [(4, &[0, 1][..]), (16, counts_n16)].map(|(n, counts)| {
+            let mut rows = Vec::new();
+            for protocol in [ProtocolChoice::Prestige, ProtocolChoice::HotStuff] {
+                for (rotation, rotation_ms) in rotations {
+                    for (attack, plan) in self.attacks {
+                        for &f in counts {
+                            let series = format!("{}_{rotation}_{attack}", protocol.label());
+                            rows.push(Scenario {
+                                name: format!("{series}_f{f}"),
+                                seed: self.seed + n as u64 + f as u64,
+                                protocol,
+                                servers: n,
+                                rotation_ms,
+                                fault_plan: if f == 0 { FaultPlan::None } else { plan(f) },
+                                duration_ms,
+                                ..fault_experiment()
+                            });
+                        }
+                    }
+                }
+            }
+            (n, rows)
+        })
+    }
+
+    /// Every row of both panels (`n = 4`, then `n = 16`).
+    pub fn scenarios(&self, scale: Scale) -> Vec<Scenario> {
+        let panels = self.panels(scale);
+        panels.into_iter().flat_map(|(_, rows)| rows).collect()
+    }
+
+    /// Runs both panels.
+    pub fn run(&self, scale: Scale) -> Vec<Table> {
+        let panel = |(n, rows): (u32, Vec<Scenario>)| {
+            let title = format!("{} (n={n})", self.title);
+            let mut table = Table::new(title, &["series", "f", "throughput (TPS)", "drop vs f=0"]);
+            let mut baseline_tps = None;
+            for s in rows {
+                let f = s.fault_plan.count();
+                let outcome = run_one(&s, 0.05);
+                let drop = match baseline_tps {
+                    Some(base) if f > 0 && base > 0.0 => {
+                        format!("{:.0}%", 100.0 * (base - outcome.tps) / base)
+                    }
+                    _ => "—".to_string(),
+                };
+                if f == 0 {
+                    baseline_tps = Some(outcome.tps);
+                }
+                let series = s.name.trim_end_matches(&format!("_f{f}")).to_string();
+                let tps = format!("{:.0}", outcome.tps);
+                table.push_row(vec![series, f.to_string(), tps, drop]);
+            }
+            table
+        };
+        self.panels(scale).map(panel).to_vec()
+    }
+}
+
+const FIGURE: FaultFigure = FaultFigure {
+    title: "Figure 9 — throughput under F2/F3",
+    seed: 7,
+    quick: (20_000, &[0, 3]),
+    full: (120_000, &[0, 1, 2, 3]),
+    attacks: [
+        ("quiet", |count| FaultPlan::Quiet { count }),
+        ("equiv", |count| FaultPlan::Equivocate { count }),
+    ],
+};
+
+/// Every row of the F2/F3 fault sweep.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    FIGURE.scenarios(scale)
 }
 
 /// Runs the F2/F3 fault sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    // r10/r30 at full scale; proportionally shorter rotations in quick mode so
-    // several rotations still happen within the shorter run.
-    let (duration, r_fast, r_slow, fault_counts_n16): (f64, f64, f64, Vec<u32>) = match scale {
-        Scale::Quick => (20.0, 3000.0, 6000.0, vec![0, 3]),
-        Scale::Full => (120.0, 10_000.0, 30_000.0, vec![0, 1, 2, 3]),
-    };
-    let mut tables = Vec::new();
-    for (n, fault_counts) in [(4u32, vec![0u32, 1]), (16u32, fault_counts_n16)] {
-        let mut table = Table::new(
-            format!("Figure 9 — throughput under F2/F3 (n={n})"),
-            &["series", "f", "throughput (TPS)", "drop vs f=0"],
-        );
-        for protocol in [ProtocolChoice::Prestige, ProtocolChoice::HotStuff] {
-            for (rotation_label, rotation_ms) in [("r10", r_fast), ("r30", r_slow)] {
-                for (attack_label, make_plan) in [
-                    ("quiet", FaultPlan::Quiet { count: 0 }),
-                    ("equiv", FaultPlan::Equivocate { count: 0 }),
-                ] {
-                    let mut baseline_tps = None;
-                    for &f in &fault_counts {
-                        let plan = match make_plan {
-                            FaultPlan::Quiet { .. } => FaultPlan::Quiet { count: f },
-                            _ => FaultPlan::Equivocate { count: f },
-                        };
-                        let plan = if f == 0 { FaultPlan::None } else { plan };
-                        let name =
-                            format!("{}_{}_{}", protocol.label(), rotation_label, attack_label);
-                        let mut config = fault_experiment_config(
-                            format!("{name}_f{f}"),
-                            n,
-                            protocol,
-                            rotation_ms,
-                            plan,
-                            duration,
-                        );
-                        config.seed = 7 + n as u64 + f as u64;
-                        let outcome = run_one(&config);
-                        let drop = match baseline_tps {
-                            None => {
-                                baseline_tps = Some(outcome.tps);
-                                "—".to_string()
-                            }
-                            Some(base) if base > 0.0 => {
-                                format!("{:.0}%", 100.0 * (base - outcome.tps) / base)
-                            }
-                            _ => "—".to_string(),
-                        };
-                        table.push_row(vec![
-                            name.clone(),
-                            f.to_string(),
-                            format!("{:.0}", outcome.tps),
-                            drop,
-                        ]);
-                    }
-                }
-            }
-        }
-        tables.push(table);
-    }
-    tables
+    FIGURE.run(scale)
 }

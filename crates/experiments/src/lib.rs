@@ -1,10 +1,12 @@
 //! # prestige-experiments
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! PrestigeBFT evaluation (§6 of the paper). Each `figN_*` module builds the
-//! corresponding clusters on the simulator, runs the paper's workload and
-//! fault pattern, and returns [`prestige_metrics::Table`]s with the same rows
-//! or series the paper reports.
+//! PrestigeBFT evaluation (§6 of the paper). Each `figN_*` module describes
+//! its runs as scenarios ([`prestige_workloads::Scenario`]) — a base setting
+//! plus the figure's sweep — runs each on the simulator through
+//! `prestige_vopr::SimCluster`, and returns [`prestige_metrics::Table`]s
+//! with the same rows or series the paper reports. Any row can be written
+//! out as a scenario file (`Scenario::to_toml`).
 //!
 //! Two scales are supported:
 //!
@@ -33,7 +35,7 @@ pub mod fig9_benign_byz;
 pub mod peak;
 pub mod runner;
 
-pub use runner::{run, ExperimentConfig, RunOutcome, ServerOutcome};
+pub use runner::{run, RunOutcome};
 
 use prestige_metrics::Table;
 
@@ -110,4 +112,33 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: fig14_availability::run,
         },
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use prestige_workloads::Scenario;
+
+    #[test]
+    fn every_quick_figure_row_can_be_written_out_as_a_scenario_file() {
+        // Every experiment but fig12, which drives the reputation engine alone.
+        let figures: [fn(Scale) -> Vec<Scenario>; 9] = [
+            peak::scenarios,
+            fig6_batching::scenarios,
+            fig7_scalability::scenarios,
+            fig8_split_votes::scenarios,
+            fig9_benign_byz::scenarios,
+            fig10_repeated_vc::scenarios,
+            fig11_recovery::scenarios,
+            fig13_rp_evolution::scenarios,
+            fig14_availability::scenarios,
+        ];
+        let rows: Vec<Scenario> = figures.iter().flat_map(|f| f(Scale::Quick)).collect();
+        assert!(rows.len() > 100, "only {} rows", rows.len());
+        for scenario in rows {
+            let text = scenario.to_toml();
+            let back = Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(back, scenario, "{}", scenario.name);
+        }
+    }
 }

@@ -4,10 +4,10 @@
 //! (186,012 TPS at β=3000 in the paper), roughly 5× HotStuff, with Prosecutor
 //! close to HotStuff and SBFT far lower.
 
-use crate::runner::{run as run_one, ExperimentConfig};
+use crate::runner::{base, batched, run as run_one, LEGEND};
 use crate::Scale;
 use prestige_metrics::Table;
-use prestige_workloads::{ProtocolChoice, WorkloadSpec};
+use prestige_workloads::{ProtocolChoice, Scenario};
 
 /// Best-performing batch size per protocol (the paper's β choices).
 fn best_batch(protocol: ProtocolChoice, scale: Scale) -> usize {
@@ -23,12 +23,23 @@ fn best_batch(protocol: ProtocolChoice, scale: Scale) -> usize {
     }
 }
 
-/// Runs the peak-performance comparison.
-pub fn run_experiment(scale: Scale) -> Vec<Table> {
-    let duration = match scale {
-        Scale::Quick => 4.0,
-        Scale::Full => 20.0,
+/// One row per protocol, each at its best batch size.
+pub fn scenarios(scale: Scale) -> Vec<Scenario> {
+    let duration_ms = match scale {
+        Scale::Quick => 4_000,
+        Scale::Full => 20_000,
     };
+    let row = |protocol: ProtocolChoice| Scenario {
+        name: format!("peak_{}", protocol.label()),
+        protocol,
+        duration_ms,
+        ..batched(best_batch(protocol, scale), base())
+    };
+    LEGEND.map(row).to_vec()
+}
+
+/// Runs the peak-performance comparison.
+pub fn run(scale: Scale) -> Vec<Table> {
     let mut table = Table::new(
         "Peak performance under normal operation (n=4, m=32)",
         &[
@@ -39,31 +50,15 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
             "p95 latency (ms)",
         ],
     );
-    for protocol in [
-        ProtocolChoice::Prestige,
-        ProtocolChoice::HotStuff,
-        ProtocolChoice::ProsecutorLite,
-        ProtocolChoice::SbftLite,
-    ] {
-        let beta = best_batch(protocol, scale);
-        let mut config = ExperimentConfig::new(format!("peak_{}", protocol.label()), 4, protocol);
-        config.batch_size = beta;
-        config.workload = WorkloadSpec::for_batch_size(beta);
-        config.duration_s = duration;
-        config.warmup_s = duration * 0.1;
-        let outcome = run_one(&config);
+    for scenario in scenarios(scale) {
+        let outcome = run_one(&scenario, 0.1);
         table.push_row(vec![
-            protocol.label().to_string(),
-            beta.to_string(),
+            scenario.protocol.label().to_string(),
+            scenario.batch_size.to_string(),
             format!("{:.0}", outcome.tps),
             format!("{:.1}", outcome.latency.mean_ms()),
             format!("{:.1}", outcome.latency.percentile_ms(95.0)),
         ]);
     }
     vec![table]
-}
-
-/// Entry point used by the experiment registry.
-pub fn run(scale: Scale) -> Vec<Table> {
-    run_experiment(scale)
 }

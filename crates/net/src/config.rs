@@ -57,6 +57,7 @@ use std::net::SocketAddr;
 
 // The mini-TOML parser and its typed getters live beside the scenario
 // format in `prestige-workloads`; node configs read through the same ones.
+use prestige_workloads::toml::parse_timeouts;
 pub use prestige_workloads::toml::{
     get, get_f64, get_int, get_str, parse_faults, parse_toml, ConfigError, TomlDoc, TomlValue,
 };
@@ -155,12 +156,7 @@ impl NodeConfig {
             "checkpoint_interval",
             cluster.checkpoint_interval,
         )?;
-        let t = &mut cluster.timeouts;
-        t.base_timeout_ms = get_f64(&doc, "timeouts", "base_timeout_ms", t.base_timeout_ms)?;
-        t.randomization_ms = get_f64(&doc, "timeouts", "randomization_ms", t.randomization_ms)?;
-        t.client_timeout_ms = get_f64(&doc, "timeouts", "client_timeout_ms", t.client_timeout_ms)?;
-        t.complaint_grace_ms =
-            get_f64(&doc, "timeouts", "complaint_grace_ms", t.complaint_grace_ms)?;
+        cluster.timeouts = parse_timeouts(&doc, cluster.timeouts)?;
 
         let role_text: String = match role_override {
             Some(text) => text.to_string(),

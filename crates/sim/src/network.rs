@@ -2,7 +2,8 @@
 //!
 //! The paper's testbed is a cloud LAN with ~400 MB/s TCP bandwidth and < 2 ms
 //! raw latency, optionally inflated by netem to `10 ± 5 ms` normally
-//! distributed delays (§6). This module reproduces those knobs:
+//! distributed delays (§6). This module reproduces those knobs (the presets
+//! are scenario links, `prestige_workloads::Link::{LAN, NETEM_D10}`):
 //!
 //! * **latency** — per-message propagation delay sampled from a configurable
 //!   distribution,
@@ -46,25 +47,6 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// The paper's raw-LAN latency: just under 2 ms, uniformly jittered.
-    pub fn lan() -> Self {
-        LatencyModel::Uniform {
-            lo_ms: 0.5,
-            hi_ms: 2.0,
-        }
-    }
-
-    /// The paper's netem emulation: `d = 10 ± 5 ms` normal distribution on top
-    /// of the LAN latency (modelled as a single normal with the LAN midpoint
-    /// folded into the mean).
-    pub fn netem_d10() -> Self {
-        LatencyModel::Normal {
-            mean_ms: 11.0,
-            std_ms: 5.0,
-            min_ms: 0.5,
-        }
-    }
-
     /// Samples a one-way propagation delay.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         let ms = match self {
@@ -101,37 +83,7 @@ pub struct NetworkConfig {
     pub drop_probability: f64,
 }
 
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig::lan()
-    }
-}
-
 impl NetworkConfig {
-    /// The paper's cloud LAN: ~400 MB/s, < 2 ms latency, no loss.
-    pub fn lan() -> Self {
-        NetworkConfig {
-            latency: LatencyModel::lan(),
-            bandwidth_bytes_per_sec: 400.0e6,
-            drop_probability: 0.0,
-        }
-    }
-
-    /// The paper's netem-delayed network (`d = 10 ± 5 ms`).
-    pub fn delayed() -> Self {
-        NetworkConfig {
-            latency: LatencyModel::netem_d10(),
-            bandwidth_bytes_per_sec: 400.0e6,
-            drop_probability: 0.0,
-        }
-    }
-
-    /// A lossy variant of a configuration (for fault-injection tests).
-    pub fn with_loss(mut self, p: f64) -> Self {
-        self.drop_probability = p.clamp(0.0, 1.0);
-        self
-    }
-
     /// Serialization (transmission) delay of `size` bytes at the configured
     /// bandwidth.
     pub fn serialization_delay(&self, size: usize) -> SimDuration {
@@ -259,7 +211,11 @@ mod tests {
     #[test]
     fn netem_profile_mean_close_to_ten() {
         let mut rng = SimRng::new(4);
-        let m = LatencyModel::netem_d10();
+        let m = LatencyModel::Normal {
+            mean_ms: 11.0,
+            std_ms: 5.0,
+            min_ms: 0.5,
+        };
         let n = 5000;
         let mean: f64 = (0..n).map(|_| m.sample(&mut rng).as_ms()).sum::<f64>() / n as f64;
         assert!((mean - 11.0).abs() < 0.5, "mean was {mean}");
@@ -283,12 +239,17 @@ mod tests {
     #[test]
     fn drop_probability_behaviour() {
         let mut rng = SimRng::new(5);
-        let lossless = NetworkConfig::lan();
+        let lossless = NetworkConfig {
+            latency: LatencyModel::Constant { ms: 1.0 },
+            bandwidth_bytes_per_sec: f64::INFINITY,
+            drop_probability: 0.0,
+        };
         assert!(!lossless.should_drop(&mut rng));
-        let lossy = NetworkConfig::lan().with_loss(1.0);
+        let lossy = NetworkConfig {
+            drop_probability: 1.0,
+            ..lossless
+        };
         assert!(lossy.should_drop(&mut rng));
-        let clamped = NetworkConfig::lan().with_loss(7.0);
-        assert_eq!(clamped.drop_probability, 1.0);
     }
 
     #[test]

@@ -273,12 +273,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style setter for the PoW configuration.
-    pub fn with_pow(mut self, pow: PowConfig) -> Self {
-        self.pow = pow;
-        self
-    }
-
     /// Builder-style setter for the replication pipeline depth (clamped to 1).
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth.max(1);

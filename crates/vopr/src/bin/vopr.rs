@@ -22,7 +22,9 @@
 //! invalidates a reproducer is surfaced and a regression that resurfaces is
 //! caught). `--seeds N` sweeps the file over seeds `S..S+N` in place of its
 //! own; the exit is nonzero naming every failing seed and what it failed.
-//! `shrink` minimizes a failing scenario file.
+//! `shrink` minimizes a failing scenario file. `replay` and `shrink` refuse
+//! a file whose `protocol` is not `pb`: the invariants read PrestigeBFT
+//! server state.
 
 use prestige_vopr::{
     generate, run_scenario, shrink, FailureRecord, Scenario, SwarmReport, Violation,
@@ -77,10 +79,13 @@ fn write_regression(
     Ok(path)
 }
 
-/// Reads a scenario file; on failure says why on stderr.
+/// Reads a scenario file vopr can run; on failure says why on stderr.
 fn load_scenario(path: &str) -> Option<Scenario> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let parsed = text.and_then(|t| Scenario::from_toml(&t).map_err(|e| format!("{path}: {e}")));
+    let parsed = text.and_then(|t| {
+        let scenario = Scenario::from_toml(&t).and_then(|s| s.lint_for_vopr().map(|()| s));
+        scenario.map_err(|e| format!("{path}: {e}"))
+    });
     parsed.map_err(|e| eprintln!("{e}")).ok()
 }
 

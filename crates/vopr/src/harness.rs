@@ -1,24 +1,16 @@
-//! The harness — the simulator host of a [`Scenario`]: builds a simulated
-//! cluster from it, drives it step by step while walking the fault
-//! [`Timeline`], runs the invariant checkers after **every** event, and
-//! hands back the [`Observations`] the scenario's own expectation is judged
-//! on.
-//!
-//! Crash-restart is modelled end to end: each server writes its WAL through a
-//! [`SharedMemStorage`] handle the harness keeps; a crash freezes the node
-//! (and optionally tears records off the WAL tail), and the restart builds a
-//! fresh `PrestigeServer`, replays the surviving records, re-attaches the
-//! log, and swaps the node into the simulator via `replace_node` — the same
-//! recovery path the real runtime takes, minus the filesystem.
+//! The harness — the vopr host of a [`Scenario`]: builds the simulated
+//! cluster through [`SimCluster`], drives it step by step while walking the
+//! fault [`Timeline`], runs the invariant checkers after **every** event,
+//! and hands back the [`Observations`] the scenario's own expectation is
+//! judged on. A crash-restart goes through the cluster's WAL replay.
 
+use crate::cluster::{network, SimCluster};
 use crate::invariants::{InvariantChecker, Violation};
-use prestige_core::{ClientConfig, PrestigeClient, PrestigeServer};
-use prestige_crypto::KeyRegistry;
-use prestige_sim::{LatencyModel, NetworkConfig, SimTime, Simulation};
-use prestige_storage::SharedMemStorage;
-use prestige_types::{Actor, ClientId, Message, ServerId};
+use prestige_core::PrestigeServer;
+use prestige_sim::{SimTime, Simulation};
+use prestige_types::{Actor, Message, ServerId};
 use prestige_workloads::scenario::{
-    Cut, FaultKind, Link, Observations, Scenario, ServerObservation, Timeline, Violated,
+    Cut, FaultKind, Observations, Scenario, ServerObservation, Timeline, Violated,
 };
 use std::collections::BTreeMap;
 
@@ -45,68 +37,15 @@ pub struct RunOutcome {
     pub net_stats_debug: String,
 }
 
-/// The simulator's model of a scenario [`Link`].
-fn network(link: Link) -> NetworkConfig {
-    NetworkConfig {
-        latency: LatencyModel::Uniform {
-            lo_ms: link.delay_lo_us as f64 / 1_000.0,
-            hi_ms: link.delay_hi_us as f64 / 1_000.0,
-        },
-        bandwidth_bytes_per_sec: f64::INFINITY,
-        drop_probability: link.loss_permille as f64 / 1_000.0,
-    }
-}
-
-/// Transactions confirmed across all clients — the series the recovery
-/// assertions read, the same quantity `chaos_net` samples.
-fn total_committed(sim: &Simulation<Message>, clients: u64) -> u64 {
-    (0..clients)
-        .filter_map(|c| sim.node_as::<PrestigeClient>(Actor::Client(ClientId(c))))
-        .map(|client| client.stats().committed_tx)
-        .sum()
-}
-
 /// Runs one scenario to completion (or to its first violation).
 pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     let n = scenario.servers;
-    let cluster = scenario.cluster_config();
-    let behaviors = scenario.fault_plan.behaviors(n);
-    let correct: Vec<bool> = behaviors.iter().map(|b| !b.is_faulty()).collect();
-    let registry = KeyRegistry::new(scenario.seed, n, scenario.clients);
     let base_network = network(scenario.network);
-    let mut sim: Simulation<Message> = Simulation::new(scenario.seed, base_network);
-
-    // A server booted from its log the way the real runtime builds one:
-    // replay what survives (nothing, the first time), then attach.
-    let storages: Vec<SharedMemStorage> = (0..n).map(|_| SharedMemStorage::new()).collect();
-    let boot = |i: u32| {
-        let (config, keys, log) = (cluster.clone(), registry.clone(), &storages[i as usize]);
-        let behavior = behaviors[i as usize];
-        let mut server =
-            PrestigeServer::with_behavior(ServerId(i), config, keys, scenario.seed, behavior);
-        server.replay_wal(log.records_snapshot());
-        server.attach_storage(Box::new(log.clone()));
-        Box::new(server)
-    };
-    for i in 0..n {
-        sim.add_node(Actor::Server(ServerId(i)), boot(i));
-    }
-    for c in 0..scenario.clients {
-        let mut cc = ClientConfig::new(
-            ClientId(c),
-            cluster.replicas.clone(),
-            scenario.payload_size,
-            scenario.concurrency,
-        );
-        cc.timeout_ms = cluster.timeouts.client_timeout_ms;
-        sim.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(cc, &registry)),
-        );
-    }
+    let mut cluster = SimCluster::new(scenario);
+    let correct: Vec<bool> = cluster.behaviors().iter().map(|b| !b.is_faulty()).collect();
 
     let mut checker = InvariantChecker::new(n, correct.clone(), scenario.clients);
-    let actors: Vec<Actor> = sim.actors().to_vec();
+    let actors: Vec<Actor> = cluster.sim.actors().to_vec();
     let peers_of = |t: u32| -> Vec<Actor> {
         actors
             .iter()
@@ -123,7 +62,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             .map_or(0, |server| server.current_leader().0)
     };
 
-    sim.start();
+    cluster.sim.start();
     let deadline = SimTime::from_ms(scenario.duration_ms as f64);
     let mut timeline = Timeline::new(&scenario.faults);
     let mut steps = 0u64;
@@ -134,7 +73,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
     let mut next_sample_ms = 0u64;
 
     loop {
-        let next_event = sim.next_event_time();
+        let next_event = cluster.sim.next_event_time();
         let op_is_due = match (timeline.next_at_ms(), next_event) {
             (Some(t), Some(ev)) => (t as f64) <= ev.as_ms() || ev > deadline,
             (Some(_), None) => true,
@@ -143,9 +82,10 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
         if op_is_due {
             let at_ms = timeline.next_at_ms().expect("an op is due");
             let (op, t) = timeline
-                .pop(at_ms, || leader_now(&sim))
+                .pop(at_ms, || leader_now(&cluster.sim))
                 .expect("an op is due");
             let me = Actor::Server(ServerId(t));
+            let sim = &mut cluster.sim;
             match (scenario.faults[op.fault].kind, op.ends) {
                 (FaultKind::Partition(cut, _), false) => {
                     for peer in peers_of(t) {
@@ -168,13 +108,10 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
                 (FaultKind::Degrade(link), false) => sim.set_network(network(link)),
                 (FaultKind::Degrade(_), true) => sim.set_network(base_network),
                 (FaultKind::CrashRestart { torn_records, .. }, false) => {
-                    sim.crash(me);
-                    if torn_records > 0 {
-                        storages[t as usize].truncate_tail(torn_records as usize);
-                    }
+                    cluster.crash(t, torn_records)
                 }
                 (FaultKind::CrashRestart { .. }, true) => {
-                    sim.replace_node(me, boot(t));
+                    cluster.restart(t);
                     checker.note_restart(t);
                 }
             }
@@ -183,13 +120,13 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
         match next_event {
             Some(t) if t <= deadline => {
                 while (next_sample_ms as f64) <= t.as_ms() {
-                    series.push((next_sample_ms, total_committed(&sim, scenario.clients)));
+                    series.push((next_sample_ms, cluster.confirmed_tx()));
                     next_sample_ms += 100;
                 }
-                sim.step();
+                cluster.sim.step();
                 steps += 1;
                 if violation.is_none() {
-                    violation = checker.check(&sim);
+                    violation = checker.check(&cluster.sim);
                     if violation.is_some() {
                         break;
                     }
@@ -198,23 +135,20 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             _ => break,
         }
     }
-    series.push((
-        scenario.duration_ms,
-        total_committed(&sim, scenario.clients),
-    ));
+    series.push((scenario.duration_ms, cluster.confirmed_tx()));
 
     let mut committed_blocks = 0u64;
     let mut views_installed = 0u64;
     let mut servers = Vec::with_capacity(n as usize);
     for i in 0..n {
-        let actor = Actor::Server(ServerId(i));
-        let server: &PrestigeServer = sim.node_as(actor).expect("server registered");
+        let server = cluster.server(i).expect("server registered");
         if correct[i as usize] {
             committed_blocks = committed_blocks.max(server.stats().committed_blocks);
             views_installed = views_installed.max(server.stats().views_installed);
         }
-        servers.push((!sim.is_down(actor)).then(|| ServerObservation {
-            behavior: behaviors[i as usize],
+        let down = cluster.sim.is_down(Actor::Server(ServerId(i)));
+        servers.push((!down).then(|| ServerObservation {
+            behavior: cluster.behaviors()[i as usize],
             stats: server.stats().clone(),
             view: server.current_view().0,
             leader: server.current_leader().0,
@@ -239,7 +173,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             windows_closed_ms: timeline.closed_ms().to_vec(),
         },
         violation,
-        net_stats_debug: format!("{:?}", sim.stats()),
+        net_stats_debug: format!("{:?}", cluster.sim.stats()),
     }
 }
 

@@ -9,7 +9,9 @@
 //! evaluates the safety [`invariants`] after **every** event. The type and
 //! its text form belong to `prestige_workloads::scenario`, so the files
 //! `chaos_net` runs on the real runtime replay here, judged by their own
-//! assertions.
+//! assertions. [`SimCluster`] builds the simulated cluster of any scenario —
+//! for this harness, and for the paper's figures, the simulated tests and
+//! the examples.
 //!
 //! When a schedule falsifies an invariant, the [`mod@shrink`] pass reduces it
 //! to a minimal reproducer, written under `vopr/regressions/` as a scenario
@@ -22,12 +24,14 @@
 
 #![warn(missing_docs)]
 
+pub mod cluster;
 pub mod harness;
 pub mod invariants;
 pub mod report;
 pub mod schedule;
 pub mod shrink;
 
+pub use cluster::SimCluster;
 pub use harness::{run_scenario, RunOutcome};
 pub use invariants::{InvariantChecker, Violation, INVARIANT_NAMES};
 pub use prestige_workloads::scenario::Scenario;

@@ -9,9 +9,7 @@
 
 use prestige_core::AttackStrategy;
 use prestige_sim::SimRng;
-use prestige_workloads::scenario::{
-    Assertions, Cut, Expectation, FaultKind, Link, Scenario, Target, TimedFault, Timeouts,
-};
+use prestige_workloads::scenario::{Cut, FaultKind, Link, Scenario, Target, TimedFault};
 use prestige_workloads::FaultPlan;
 
 /// Generates the schedule for a seed: a small 4- or 7-server cluster, a
@@ -81,6 +79,7 @@ pub fn generate(seed: u64) -> Scenario {
                     delay_lo_us: rng.uniform_u64(1_000, 5_000),
                     delay_hi_us: rng.uniform_u64(5_000, 20_000),
                     loss_permille: rng.uniform_u64(10, 80) as u32,
+                    ..Link::default()
                 };
                 (FaultKind::Degrade(degraded), window)
             }
@@ -123,19 +122,17 @@ pub fn generate(seed: u64) -> Scenario {
         batch_size: 8,
         payload_size: 16,
         checkpoint_interval: 8,
-        pipeline_depth: 4,
-        rotation_ms: 0,
-        timeouts: Timeouts::Fast,
         duration_ms,
         network: Link {
             delay_lo_us,
             delay_hi_us,
             loss_permille,
+            ..Link::default()
         },
         fault_plan,
         faults,
-        storage: None,
-        expect: Expectation::Assert(Assertions::default()),
+        // Fast timers, PrestigeBFT, the default `[assert]`.
+        ..Scenario::default()
     }
 }
 

@@ -1,27 +1,30 @@
-//! The one scenario description: cluster shape and workload, base network,
-//! Byzantine fault plan, a timeline of injected faults, and what the run is
-//! expected to show — read from and written to one text form (the repo's
-//! mini-TOML), driven by two hosts.
+//! The one scenario description: protocol, cluster shape and workload, base
+//! network, Byzantine fault plan, a timeline of injected faults, and what the
+//! run is expected to show — read from and written to one text form (the
+//! repo's mini-TOML), driven by two hosts.
 //!
-//! The *simulator host* (`prestige-vopr`) runs a [`Scenario`] under the
-//! deterministic discrete-event simulator with every safety invariant
-//! checked after every event; the *real host* (`chaos_net`) runs the same
-//! value on real node runtimes over loopback. Both walk the same expanded
-//! timeline ([`expand`], through a [`Timeline`]), hand back the same
-//! [`Observations`], and are judged by the same function
-//! ([`Scenario::judge`]). A `scenarios/*.toml` CI gate therefore replays
-//! under the simulator, and a shrunk `vopr/regressions/**/*.toml` reproducer
-//! runs on the real runtime, with no translation step.
+//! The *simulator host* (`prestige_vopr::SimCluster`) builds a [`Scenario`]
+//! under the deterministic discrete-event simulator: the vopr harness checks
+//! every safety invariant after every event, and the paper's figures
+//! (`prestige-experiments`) are sweeps of scenarios over it. The *real host*
+//! (`chaos_net`) runs the same value on real node runtimes over loopback.
+//! Both walk the same expanded timeline ([`expand`], through a
+//! [`Timeline`]), hand back the same [`Observations`], and are judged by the
+//! same function ([`Scenario::judge`]). A `scenarios/*.toml` CI gate
+//! therefore replays under the simulator, and a shrunk
+//! `vopr/regressions/**/*.toml` reproducer runs on the real runtime, with no
+//! translation step.
 //!
-//! The vocabulary — `[scenario]`, `[network]`, `[faults]`, any number of
-//! `[[fault]]` windows, `[storage]`, and `[assert]` or `[expect]` — is
-//! tabulated in `docs/ATTACKS.md`; `scenarios/*.toml` are the examples.
-//! Every schedule quantity is an integer (ms, µs, ‰) and the two `[assert]`
-//! floats print shortest-round-trip, so `from_toml(to_toml(s)) == s` exactly.
+//! The vocabulary — `[scenario]`, `[timeouts]`, `[network]`, `[faults]`, any
+//! number of `[[fault]]` windows, `[storage]`, and `[assert]` or `[expect]`
+//! — is tabulated in `docs/ATTACKS.md`; `scenarios/*.toml` are the examples.
+//! Every schedule quantity is an integer (ms, µs, ‰, bytes/s) and the floats
+//! (`[timeouts]`, two `[assert]` floors) print shortest-round-trip, so
+//! `from_toml(to_toml(s)) == s` exactly.
 
 use crate::toml::{
-    array_sections, get_bool, get_f64, get_int, get_str, parse_faults, parse_toml,
-    reject_unknown_keys, ConfigError, TomlDoc,
+    array_sections, get_bool, get_f64, get_int, get_str, parse_faults, parse_timeouts, parse_toml,
+    reject_unknown_keys, ConfigError, TomlDoc, TIMEOUT_KEYS,
 };
 use crate::FaultPlan;
 use prestige_core::{
@@ -29,25 +32,80 @@ use prestige_core::{
 };
 use std::fmt::Write as _;
 
-/// Which timer preset the cluster runs with.
+/// Which protocol the servers run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Timeouts {
-    /// `[300, 600]` ms election timers, 400 ms client patience.
-    Fast,
-    /// The paper's §6.2 setting: `[800, 1200]` ms, 1 s client patience.
-    Default,
+pub enum ProtocolChoice {
+    /// PrestigeBFT (`pb`).
+    Prestige,
+    /// HotStuff-style passive baseline (`hs`).
+    HotStuff,
+    /// SBFT-lite baseline (`sb`).
+    SbftLite,
+    /// Prosecutor-lite baseline (`pr`).
+    ProsecutorLite,
 }
 
-/// A link model: one-way delay uniform in `[delay_lo_us, delay_hi_us]` and
-/// independent loss, on every link.
+impl ProtocolChoice {
+    /// Every protocol, in the order the paper's legends list them.
+    pub const ALL: [ProtocolChoice; 4] = [
+        ProtocolChoice::Prestige,
+        ProtocolChoice::HotStuff,
+        ProtocolChoice::SbftLite,
+        ProtocolChoice::ProsecutorLite,
+    ];
+
+    /// The short label used in the paper's figure legends and in
+    /// `[scenario] protocol = "…"`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ProtocolChoice::Prestige => "pb",
+            ProtocolChoice::HotStuff => "hs",
+            ProtocolChoice::SbftLite => "sb",
+            ProtocolChoice::ProsecutorLite => "pr",
+        }
+    }
+}
+
+/// A link model, on every link: a one-way delay, independent loss, and a
+/// per-sender NIC bandwidth. The delay is uniform in
+/// `[delay_lo_us, delay_hi_us]`, or — with `delay_std_us` set — normal
+/// around the midpoint of that range with this standard deviation, never
+/// below `delay_lo_us` (netem's `distribution normal`). The real host
+/// applies neither a normal delay nor a bandwidth
+/// ([`Scenario::lint_for_real_host`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Link {
     /// Lower propagation delay bound (µs).
     pub delay_lo_us: u64,
     /// Upper propagation delay bound (µs).
     pub delay_hi_us: u64,
+    /// Standard deviation of a normal delay (µs); `0` = uniform.
+    pub delay_std_us: u64,
     /// Message loss probability (‰).
     pub loss_permille: u32,
+    /// Per-sender NIC bandwidth (bytes/s); `0` = unlimited.
+    pub bandwidth_bytes_per_s: u64,
+}
+
+impl Link {
+    /// The paper's cloud LAN (§6): 0.5–2 ms one way, 400 MB/s NICs.
+    pub const LAN: Link = Link {
+        delay_lo_us: 500,
+        delay_hi_us: 2_000,
+        delay_std_us: 0,
+        loss_permille: 0,
+        bandwidth_bytes_per_s: 400_000_000,
+    };
+
+    /// The paper's netem emulation `d = 10 ± 5 ms` on that LAN (fig7): a
+    /// normal delay of mean 11 ms (the LAN's midpoint folded in) and σ 5 ms,
+    /// floored at 0.5 ms.
+    pub const NETEM_D10: Link = Link {
+        delay_lo_us: 500,
+        delay_hi_us: 21_500,
+        delay_std_us: 5_000,
+        ..Link::LAN
+    };
 }
 
 /// Which server a fault hits.
@@ -226,10 +284,12 @@ pub enum Expectation {
 /// A complete, replayable description of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Scenario name (reports, temp directories).
+    /// Scenario name (reports, temp directories, figure rows).
     pub name: String,
     /// Seed for keys, timer jitter and — under the simulator — everything.
     pub seed: u64,
+    /// The protocol the servers run.
+    pub protocol: ProtocolChoice,
     /// Cluster size.
     pub servers: u32,
     /// Closed-loop client processes.
@@ -246,8 +306,9 @@ pub struct Scenario {
     pub pipeline_depth: usize,
     /// Timing view-change policy interval (ms); `0` = on failure only.
     pub rotation_ms: u64,
-    /// Timer preset.
-    pub timeouts: Timeouts,
+    /// Timers: a preset (`timeouts = "fast"` or `"default"`) with any
+    /// `[timeouts]` keys over it.
+    pub timeouts: TimeoutConfig,
     /// Total run length (ms).
     pub duration_ms: u64,
     /// The base network (`[network]`).
@@ -262,9 +323,26 @@ pub struct Scenario {
     pub expect: Expectation,
 }
 
-const SCENARIO_KEYS: [&str; 12] = [
+impl Default for Scenario {
+    /// What an empty file describes: PrestigeBFT on four servers over
+    /// zero-latency links, fast timers, no faults, five seconds.
+    fn default() -> Self {
+        Scenario::from_toml("").expect("an empty scenario file parses")
+    }
+}
+
+/// The named timer presets of `[scenario] timeouts = "…"`.
+fn timeout_presets() -> [(&'static str, TimeoutConfig); 2] {
+    [
+        ("fast", TimeoutConfig::fast()),
+        ("default", TimeoutConfig::default()),
+    ]
+}
+
+const SCENARIO_KEYS: [&str; 13] = [
     "name",
     "seed",
+    "protocol",
     "servers",
     "clients",
     "concurrency",
@@ -276,7 +354,13 @@ const SCENARIO_KEYS: [&str; 12] = [
     "timeouts",
     "duration_ms",
 ];
-const LINK_KEYS: [&str; 3] = ["delay_lo_us", "delay_hi_us", "loss_permille"];
+const LINK_KEYS: [&str; 5] = [
+    "delay_lo_us",
+    "delay_hi_us",
+    "delay_std_us",
+    "loss_permille",
+    "bandwidth_bytes_per_s",
+];
 const ASSERT_KEYS: [&str; 7] = [
     "no_fork",
     "no_faulty_leader",
@@ -295,7 +379,9 @@ fn parse_link(doc: &TomlDoc, section: &str) -> Result<Link, ConfigError> {
     let link = Link {
         delay_lo_us: get_int(doc, section, "delay_lo_us", 0)?,
         delay_hi_us: get_int(doc, section, "delay_hi_us", 0)?,
+        delay_std_us: get_int(doc, section, "delay_std_us", 0)?,
         loss_permille: get_int(doc, section, "loss_permille", 0)?,
+        bandwidth_bytes_per_s: get_int(doc, section, "bandwidth_bytes_per_s", 0)?,
     };
     if link.delay_lo_us > link.delay_hi_us {
         return invalid(format!(
@@ -367,25 +453,24 @@ impl Scenario {
     /// parse as a scenario with no faults.
     pub fn from_toml(text: &str) -> Result<Scenario, ConfigError> {
         let doc = parse_toml(text)?;
-        for (section, keys) in [
+        let sections = [
             ("scenario", &SCENARIO_KEYS[..]),
+            ("timeouts", &TIMEOUT_KEYS),
             ("network", &LINK_KEYS),
             ("faults", &["plan", "count", "strategy"]),
             ("storage", &StorageSettings::KEYS),
             ("assert", &ASSERT_KEYS),
             ("expect", &["violation"]),
-        ] {
+        ];
+        for (section, keys) in sections {
             reject_unknown_keys(&doc, section, keys)?;
         }
         if let Some(section) = doc.keys().find(|section| {
-            !matches!(
-                section.as_str(),
-                "scenario" | "network" | "faults" | "storage" | "assert" | "expect"
-            ) && !section.starts_with("fault[")
+            !sections.iter().any(|(known, _)| section == known) && !section.starts_with("fault[")
         }) {
             return invalid(format!(
-                "unknown section `[{section}]` (expected scenario, network, faults, [[fault]], \
-                 storage, assert or expect)"
+                "unknown section `[{section}]` (expected scenario, timeouts, network, faults, \
+                 [[fault]], storage, assert or expect)"
             ));
         }
 
@@ -423,11 +508,23 @@ impl Scenario {
             }
         };
 
+        let preset = get_str(&doc, "scenario", "timeouts")?.unwrap_or("fast");
+        let Some((_, preset)) = timeout_presets().into_iter().find(|(n, _)| *n == preset) else {
+            return invalid(format!("scenario.timeouts `{preset}` (fast or default)"));
+        };
+        let protocol = get_str(&doc, "scenario", "protocol")?.unwrap_or("pb");
+        let Some(protocol) = ProtocolChoice::ALL
+            .into_iter()
+            .find(|p| p.label() == protocol)
+        else {
+            return invalid(format!("scenario.protocol `{protocol}` (pb, hs, sb or pr)"));
+        };
         let scenario = Scenario {
             name: get_str(&doc, "scenario", "name")?
                 .unwrap_or("unnamed")
                 .to_string(),
             seed: get_int(&doc, "scenario", "seed", 42)?,
+            protocol,
             servers,
             clients: get_int(&doc, "scenario", "clients", 2)?,
             concurrency: get_int(&doc, "scenario", "concurrency", 100)?,
@@ -436,11 +533,7 @@ impl Scenario {
             checkpoint_interval: get_int(&doc, "scenario", "checkpoint_interval", 64)?,
             pipeline_depth: get_int(&doc, "scenario", "pipeline_depth", 4)?,
             rotation_ms: get_int(&doc, "scenario", "rotation_ms", 0)?,
-            timeouts: match get_str(&doc, "scenario", "timeouts")?.unwrap_or("fast") {
-                "fast" => Timeouts::Fast,
-                "default" => Timeouts::Default,
-                other => return invalid(format!("scenario.timeouts `{other}` (fast or default)")),
-            },
+            timeouts: parse_timeouts(&doc, preset)?,
             duration_ms: get_int(&doc, "scenario", "duration_ms", 5_000)?,
             network: parse_link(&doc, "network")?,
             fault_plan: parse_faults(&doc)?,
@@ -458,10 +551,7 @@ impl Scenario {
         let mut config = ClusterConfig::new(self.servers)
             .with_batch_size(self.batch_size)
             .with_payload_size(self.payload_size)
-            .with_timeouts(match self.timeouts {
-                Timeouts::Fast => TimeoutConfig::fast(),
-                Timeouts::Default => TimeoutConfig::default(),
-            })
+            .with_timeouts(self.timeouts.clone())
             .with_pipeline_depth(self.pipeline_depth)
             .with_checkpoint_interval(self.checkpoint_interval);
         if self.rotation_ms > 0 {
@@ -472,15 +562,35 @@ impl Scenario {
         config
     }
 
-    fn crashes_a_server(&self) -> bool {
+    /// Whether some fault crashes (and restarts) a server — the one case a
+    /// simulated server needs a WAL.
+    pub fn crashes_a_server(&self) -> bool {
         let crash = |f: &TimedFault| matches!(f.kind, FaultKind::CrashRestart { .. });
         self.faults.iter().any(crash)
     }
 
-    /// What the real host requires on top of [`Self::from_toml`]'s lint: a
-    /// `crash_restart` restarts from the WAL, so it needs `[storage]` there
-    /// (the simulator always logs to shared in-memory storage).
+    /// What the real host requires on top of [`Self::from_toml`]'s lint:
+    /// PrestigeBFT ([`Self::lint_for_vopr`]; `prestige-net` has no edge to
+    /// the baselines while the benchmark's frozen lock file pins its
+    /// dependencies), links without a normal delay or a bandwidth (`NetChaos`
+    /// applies uniform delay and loss only), and `[storage]` under a
+    /// `crash_restart` (the restart replays the WAL).
     pub fn lint_for_real_host(&self) -> Result<(), ConfigError> {
+        self.lint_for_vopr()?;
+        let degraded = self.faults.iter().filter_map(|f| match &f.kind {
+            FaultKind::Degrade(link) => Some(link),
+            _ => None,
+        });
+        if std::iter::once(&self.network)
+            .chain(degraded)
+            .any(|l| l.delay_std_us > 0 || l.bandwidth_bytes_per_s > 0)
+        {
+            return invalid(
+                "delay_std_us and bandwidth_bytes_per_s run only under the simulator: the real \
+                 runtime's links apply a uniform delay and loss"
+                    .to_string(),
+            );
+        }
         if self.crashes_a_server() && self.storage.is_none() {
             return invalid(
                 "a crash_restart needs a [storage] section on the real runtime (the restart \
@@ -489,6 +599,20 @@ impl Scenario {
             );
         }
         Ok(())
+    }
+
+    /// What `vopr run`, `replay` and `shrink` require: PrestigeBFT, because
+    /// the safety invariants read `PrestigeServer` internals.
+    pub fn lint_for_vopr(&self) -> Result<(), ConfigError> {
+        match self.protocol {
+            ProtocolChoice::Prestige => Ok(()),
+            other => invalid(format!(
+                "scenario.protocol `{}` runs only in the figures' simulator: the vopr \
+                 invariants read PrestigeServer internals, and the real runtime has no edge to \
+                 the baselines while the benchmark's lock file is frozen",
+                other.label()
+            )),
+        }
     }
 
     /// Scenario lint: crash-restart scenarios have two footguns that produce
@@ -528,16 +652,31 @@ impl Scenario {
     }
 
     /// Renders the scenario as a file [`Self::from_toml`] reads back to an
-    /// equal value. Every key is written, so the file is also a complete
-    /// record of the run's parameters.
+    /// equal value, so the file is also a complete record of the run's
+    /// parameters. Every key is written, except the settings no committed
+    /// file uses — `protocol`, `[timeouts]`, `delay_std_us` and
+    /// `bandwidth_bytes_per_s` — which appear only when they differ from
+    /// their defaults.
     pub fn to_toml(&self) -> String {
         let link = |l: &Link| {
-            format!(
+            let mut text = format!(
                 "delay_lo_us = {}\ndelay_hi_us = {}\nloss_permille = {}\n",
                 l.delay_lo_us, l.delay_hi_us, l.loss_permille
-            )
+            );
+            for (key, value) in [
+                ("delay_std_us", l.delay_std_us),
+                ("bandwidth_bytes_per_s", l.bandwidth_bytes_per_s),
+            ] {
+                if value > 0 {
+                    let _ = writeln!(text, "{key} = {value}");
+                }
+            }
+            text
         };
         let mut out = format!("[scenario]\nname = {:?}\n", self.name);
+        if self.protocol != ProtocolChoice::Prestige {
+            let _ = writeln!(out, "protocol = \"{}\"", self.protocol.label());
+        }
         for (key, value) in [
             ("seed", self.seed),
             ("servers", self.servers as u64),
@@ -552,13 +691,27 @@ impl Scenario {
         ] {
             let _ = writeln!(out, "{key} = {value}");
         }
+        // A preset is named; any other timers are written out in full.
+        let preset = timeout_presets()
+            .into_iter()
+            .find(|(_, preset)| *preset == self.timeouts);
         let _ = writeln!(
             out,
-            "timeouts = \"{}\"\n\n[network]\n{}\n[faults]\nplan = \"{}\"\ncount = {}",
-            match self.timeouts {
-                Timeouts::Fast => "fast",
-                Timeouts::Default => "default",
-            },
+            "timeouts = \"{}\"",
+            preset.as_ref().map_or("default", |(name, _)| name)
+        );
+        if preset.is_none() {
+            let t = &self.timeouts;
+            let _ = writeln!(
+                out,
+                "\n[timeouts]\nbase_timeout_ms = {:?}\nrandomization_ms = {:?}\n\
+                 client_timeout_ms = {:?}\ncomplaint_grace_ms = {:?}",
+                t.base_timeout_ms, t.randomization_ms, t.client_timeout_ms, t.complaint_grace_ms
+            );
+        }
+        let _ = writeln!(
+            out,
+            "\n[network]\n{}\n[faults]\nplan = \"{}\"\ncount = {}",
             link(&self.network),
             self.fault_plan.label(),
             self.fault_plan.count()
@@ -993,17 +1146,59 @@ mod tests {
     }
 
     #[test]
-    fn a_crash_restart_without_storage_is_refused_for_the_real_host_only() {
-        let text = restart_scenario(NETWORK, "recovery_window_s = 2.0");
-        let durable = Scenario::from_toml(&text).unwrap();
-        assert!(durable.lint_for_real_host().is_ok());
-        // The simulator needs no [storage]: the file parses, the host check
-        // names the section.
-        let in_memory = Scenario::from_toml(&text.replace("[storage]\n", "")).unwrap();
-        let err = in_memory.lint_for_real_host().expect_err("needs a WAL");
-        assert!(err.to_string().contains("[storage] section"), "{err}");
-        let plain = Scenario::from_toml("").unwrap();
-        assert!(plain.lint_for_real_host().is_ok());
+    fn hosts_refuse_what_they_cannot_run_and_say_why() {
+        // (file, what the real host says, what vopr says); "" = accepted.
+        // Every file parses: the simulator behind the figures runs them all.
+        let durable = restart_scenario(NETWORK, "recovery_window_s = 2.0");
+        let protocol = "the real runtime has no edge to the baselines";
+        let link = "run only under the simulator";
+        for (text, real, vopr) in [
+            (String::new(), "", ""),
+            (durable.clone(), "", ""),
+            // The simulator needs no [storage] under a crash_restart.
+            (durable.replace("[storage]\n", ""), "[storage] section", ""),
+            ("[scenario]\nprotocol = \"pb\"\n".into(), "", ""),
+            ("[scenario]\nprotocol = \"hs\"\n".into(), protocol, protocol),
+            ("[scenario]\nprotocol = \"pr\"\n".into(), protocol, protocol),
+            ("[network]\ndelay_std_us = 5000\n".into(), link, ""),
+            (
+                "[network]\nbandwidth_bytes_per_s = 400_000_000\n".into(),
+                link,
+                "",
+            ),
+            (
+                "[[fault]]\nat_ms = 9\nkind = \"degrade\"\nbandwidth_bytes_per_s = 1\n\
+                 duration_ms = 5\n"
+                    .into(),
+                link,
+                "",
+            ),
+        ] {
+            let scenario = Scenario::from_toml(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            for (verdict, expected) in [
+                (scenario.lint_for_real_host(), real),
+                (scenario.lint_for_vopr(), vopr),
+            ] {
+                match verdict {
+                    Ok(()) => assert_eq!(expected, "", "{text:?} was accepted"),
+                    Err(e) => assert!(
+                        !expected.is_empty() && e.to_string().contains(expected),
+                        "{text:?}: {e}"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_file_is_the_default_scenario() {
+        assert_eq!(Scenario::default(), Scenario::from_toml("").unwrap());
+    }
+
+    #[test]
+    fn protocol_labels_match_paper_legend() {
+        let labels = ProtocolChoice::ALL.map(|p| p.label());
+        assert_eq!(labels, ["pb", "hs", "sb", "pr"]);
     }
 
     #[test]
@@ -1094,6 +1289,22 @@ mod tests {
                 "[network]\ndelay_lo_us = 2\ndelay_hi_us = 1\n".to_string(),
                 "network.delay_lo_us",
             ),
+            (
+                "[timeouts]\nbase_ms = 1.0\n".to_string(),
+                "timeouts.base_ms",
+            ),
+            (
+                "[timeouts]\nbase_timeout_ms = \"1\"\n".to_string(),
+                "timeouts.base_timeout_ms",
+            ),
+            (
+                "[scenario]\ntimeouts = \"slow\"\n".to_string(),
+                "scenario.timeouts",
+            ),
+            (
+                "[scenario]\nprotocol = \"pbft\"\n".to_string(),
+                "scenario.protocol",
+            ),
         ] {
             let err = Scenario::from_toml(&text).expect_err(&text);
             assert!(err.to_string().contains(named), "{text:?} gave: {err}");
@@ -1105,13 +1316,23 @@ mod tests {
         // The committed files and the generated schedules (vopr's
         // determinism test) cover the rest of the vocabulary.
         let text = "[scenario]\ntimeouts = \"default\"\ncheckpoint_interval = 0\n\
+                    protocol = \"sb\"\n[timeouts]\ncomplaint_grace_ms = 200\n\
+                    [network]\ndelay_lo_us = 500\ndelay_hi_us = 21500\ndelay_std_us = 5000\n\
+                    bandwidth_bytes_per_s = 400000000\n\
                     [storage]\ndir = \"/tmp/wal dir\"\nsegment_bytes = 1048576\n\
                     sync_every_n = 8\nsync_interval_ms = 2.5\n\
                     [[fault]]\nat_ms = 9\nkind = \"degrade\"\ndelay_hi_us = 7\nduration_ms = 5\n\
                     [assert]\nno_fork = false\nno_faulty_leader = true\nmin_cert_refusals = 1\n\
                     recovery_floor_tps = 0.1\nrecovery_window_s = 2.25\n";
         let scenario = Scenario::from_toml(text).unwrap();
-        assert_eq!(scenario.timeouts, Timeouts::Default);
+        // `[timeouts]` overrides one field of the named preset.
+        let timeouts = TimeoutConfig {
+            complaint_grace_ms: 200.0,
+            ..TimeoutConfig::default()
+        };
+        assert_eq!(scenario.timeouts, timeouts);
+        assert_eq!(scenario.protocol, ProtocolChoice::SbftLite);
+        assert_eq!(scenario.network, Link::NETEM_D10);
         let storage = scenario.storage.as_ref().unwrap();
         assert_eq!(storage.dir.as_deref(), Some("/tmp/wal dir"));
         assert_eq!(storage.sync_interval_ms, Some(2.5));

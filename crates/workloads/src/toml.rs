@@ -9,7 +9,7 @@
 //! `crates/compat/README.md`.)
 
 use crate::FaultPlan;
-use prestige_core::AttackStrategy;
+use prestige_core::{AttackStrategy, TimeoutConfig};
 use std::collections::BTreeMap;
 
 /// A scalar TOML value.
@@ -221,6 +221,26 @@ pub fn get_str<'d>(
             "{section}.{key}: expected a string, got {other:?}"
         ))),
     }
+}
+
+/// The keys of the `[timeouts]` section, one per [`TimeoutConfig`] field.
+pub const TIMEOUT_KEYS: [&str; 4] = [
+    "base_timeout_ms",
+    "randomization_ms",
+    "client_timeout_ms",
+    "complaint_grace_ms",
+];
+
+/// The `[timeouts]` section, shared by node configs and scenario files:
+/// each key present overrides its field of `base`.
+pub fn parse_timeouts(doc: &TomlDoc, base: TimeoutConfig) -> Result<TimeoutConfig, ConfigError> {
+    let field = |key, default| get_f64(doc, "timeouts", key, default);
+    Ok(TimeoutConfig {
+        base_timeout_ms: field("base_timeout_ms", base.base_timeout_ms)?,
+        randomization_ms: field("randomization_ms", base.randomization_ms)?,
+        client_timeout_ms: field("client_timeout_ms", base.client_timeout_ms)?,
+        complaint_grace_ms: field("complaint_grace_ms", base.complaint_grace_ms)?,
+    })
 }
 
 /// The `[faults]` section (`plan` / `count` / `strategy`), shared by node

@@ -12,45 +12,23 @@
 use prestigebft::prelude::*;
 
 fn main() {
-    let seed = 99;
-    let n = 4u32;
-    let attacker = ServerId(3);
-    let mut config =
-        ClusterConfig::new(n)
-            .with_batch_size(100)
-            .with_policy(ViewChangePolicy::Timing {
-                interval_ms: 3000.0,
-            });
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 300.0,
-        randomization_ms: 300.0,
-        client_timeout_ms: 400.0,
-        complaint_grace_ms: 100.0,
+    // Rotations every 3 s, fast timers, and one F4+F2 attacker: the last
+    // server, where the fault plan puts it.
+    let scenario = Scenario {
+        seed: 99,
+        batch_size: 100,
+        concurrency: 80,
+        rotation_ms: 3000,
+        network: Link::LAN,
+        fault_plan: FaultPlan::RepeatedVcQuiet {
+            count: 1,
+            strategy: AttackStrategy::Always,
+        },
+        ..Scenario::default()
     };
-    let registry = KeyRegistry::new(seed, n, 2);
-    let mut sim: Simulation<Message> = Simulation::new(seed, NetworkConfig::lan());
-    for i in 0..n {
-        let behavior = if ServerId(i) == attacker {
-            ByzantineBehavior::RepeatedVcQuiet(AttackStrategy::Always)
-        } else {
-            ByzantineBehavior::Correct
-        };
-        let server = PrestigeServer::with_behavior(
-            ServerId(i),
-            config.clone(),
-            registry.clone(),
-            seed,
-            behavior,
-        );
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
-    }
-    for c in 0..2u64 {
-        let client_cfg = ClientConfig::new(ClientId(c), config.replicas.clone(), 32, 80);
-        sim.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(client_cfg, &registry)),
-        );
-    }
+    let attacker = ServerId(scenario.servers - 1);
+    let mut cluster = SimCluster::new(&scenario);
+    let sim = &mut cluster.sim;
 
     println!("== Repeated view-change attack by {attacker} (strategy S1, quiet when leading) ==\n");
     println!("time  view  leader  attacker_rp  next_puzzle_cost  cluster_tx");

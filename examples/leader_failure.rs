@@ -12,29 +12,18 @@
 use prestigebft::prelude::*;
 
 fn main() {
-    let seed = 7;
-    let n = 4u32;
-    let mut config = ClusterConfig::new(n).with_batch_size(100);
-    // Fast failure detection so the example's timeline is easy to read.
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 300.0,
-        randomization_ms: 300.0,
-        client_timeout_ms: 400.0,
-        complaint_grace_ms: 100.0,
+    // Fast failure detection (the scenario default: `[300, 600]` ms timers,
+    // 400 ms client patience) so the example's timeline is easy to read.
+    let scenario = Scenario {
+        seed: 7,
+        batch_size: 100,
+        concurrency: 80,
+        network: Link::LAN,
+        ..Scenario::default()
     };
-    let registry = KeyRegistry::new(seed, n, 2);
-    let mut sim: Simulation<Message> = Simulation::new(seed, NetworkConfig::lan());
-    for i in 0..n {
-        let server = PrestigeServer::new(ServerId(i), config.clone(), registry.clone(), seed);
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
-    }
-    for c in 0..2u64 {
-        let client_cfg = ClientConfig::new(ClientId(c), config.replicas.clone(), 32, 80);
-        sim.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(client_cfg, &registry)),
-        );
-    }
+    let n = scenario.servers;
+    let mut cluster = SimCluster::new(&scenario);
+    let sim = &mut cluster.sim;
 
     println!("== PrestigeBFT under a leader crash ==\n");
     let observe = |sim: &Simulation<Message>, label: &str| {
@@ -49,14 +38,14 @@ fn main() {
     };
 
     sim.run_until(SimTime::from_secs(2.0));
-    observe(&sim, "t = 2 s, before crash");
+    observe(sim, "t = 2 s, before crash");
 
     println!("\n>>> crashing the leader S1 <<<\n");
     sim.crash(Actor::Server(ServerId(0)));
 
     for t in [3.0, 4.0, 6.0, 10.0] {
         sim.run_until(SimTime::from_secs(t));
-        observe(&sim, &format!("t = {t} s"));
+        observe(sim, &format!("t = {t} s"));
     }
 
     let s2: &PrestigeServer = sim.node_as(Actor::Server(ServerId(1))).unwrap();

@@ -10,25 +10,19 @@
 use prestigebft::prelude::*;
 
 fn main() {
-    let seed = 2024;
-    let n = 4u32;
-    let config = ClusterConfig::new(n).with_batch_size(100);
-    let registry = KeyRegistry::new(seed, n, 2);
-
-    // The simulated network mirrors the paper's cloud LAN: ~400 MB/s, < 2 ms.
-    let mut sim: Simulation<Message> = Simulation::new(seed, NetworkConfig::lan());
-
-    for i in 0..n {
-        let server = PrestigeServer::new(ServerId(i), config.clone(), registry.clone(), seed);
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
-    }
-    for c in 0..2u64 {
-        let client_cfg = ClientConfig::new(ClientId(c), config.replicas.clone(), 32, 100);
-        sim.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(client_cfg, &registry)),
-        );
-    }
+    // Four servers, β = 100, two clients keeping 100 requests in flight each,
+    // the paper's timers, and its cloud LAN: ~400 MB/s, < 2 ms.
+    let scenario = Scenario {
+        seed: 2024,
+        batch_size: 100,
+        concurrency: 100,
+        timeouts: TimeoutConfig::default(),
+        network: Link::LAN,
+        ..Scenario::default()
+    };
+    let n = scenario.servers;
+    let mut cluster = SimCluster::new(&scenario);
+    let sim = &mut cluster.sim;
 
     let horizon = 5.0;
     sim.run_until(SimTime::from_secs(horizon));

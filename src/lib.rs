@@ -22,32 +22,35 @@
 //!   and replay on crash-restart;
 //! * [`baselines`] (`prestige-baselines`) — HotStuff-style / SBFT-lite /
 //!   Prosecutor-lite passive-view-change baselines;
+//! * [`vopr`] (`prestige-vopr`) — `SimCluster`, the one builder of simulated
+//!   clusters, and the falsification harness that checks every safety
+//!   invariant after every event;
 //! * [`types`], [`workloads`], [`metrics`], [`experiments`] — shared types,
-//!   workload/fault plans, measurement tools, and the harness that regenerates
-//!   every figure of the paper's evaluation.
+//!   the scenario description (protocol, cluster, workload, network, faults),
+//!   measurement tools, and the harness that regenerates every figure of the
+//!   paper's evaluation.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use prestigebft::prelude::*;
 //!
-//! // A 4-server PrestigeBFT cluster plus one client on the simulator.
-//! let config = ClusterConfig::new(4).with_batch_size(50);
-//! let registry = KeyRegistry::new(7, 4, 1);
-//! let mut sim: Simulation<Message> = Simulation::new(7, NetworkConfig::lan());
-//! for i in 0..4 {
-//!     let server = PrestigeServer::new(ServerId(i), config.clone(), registry.clone(), 7);
-//!     sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
-//! }
-//! let client_cfg = ClientConfig::new(ClientId(0), config.replicas.clone(), 32, 50);
-//! sim.add_node(
-//!     Actor::Client(ClientId(0)),
-//!     Box::new(PrestigeClient::new(client_cfg, &registry)),
-//! );
+//! // A 4-server PrestigeBFT cluster plus one client on the paper's LAN,
+//! // described as a scenario — the form the figures, the vopr swarm and the
+//! // `scenarios/*.toml` files share — and built on the simulator.
+//! let scenario = Scenario {
+//!     seed: 7,
+//!     clients: 1,
+//!     concurrency: 50,
+//!     batch_size: 50,
+//!     network: Link::LAN,
+//!     ..Scenario::default()
+//! };
+//! let mut cluster = SimCluster::new(&scenario);
 //!
 //! // Run two simulated seconds and inspect the committed state.
-//! sim.run_until(SimTime::from_secs(2.0));
-//! let server: &PrestigeServer = sim.node_as(Actor::Server(ServerId(0))).unwrap();
+//! cluster.sim.run_until(SimTime::from_secs(2.0));
+//! let server: &PrestigeServer = cluster.server(0).unwrap();
 //! assert!(server.stats().committed_tx > 0);
 //! ```
 
@@ -61,6 +64,7 @@ pub use prestige_reputation as reputation;
 pub use prestige_sim as sim;
 pub use prestige_storage as storage;
 pub use prestige_types as types;
+pub use prestige_vopr as vopr;
 pub use prestige_workloads as workloads;
 
 /// The most commonly used items, re-exported flat for examples and tests.
@@ -71,7 +75,7 @@ pub mod prelude {
         PrestigeServer, ServerRole,
     };
     pub use prestige_crypto::{KeyRegistry, PowPuzzle, PowSolver, Sha256};
-    pub use prestige_experiments::{all_experiments, ExperimentConfig, Scale};
+    pub use prestige_experiments::{all_experiments, Scale};
     pub use prestige_metrics::Table;
     pub use prestige_net::{LocalCluster, NodeHandle};
     pub use prestige_reputation::{CalcRpInput, ReputationEngine};
@@ -80,5 +84,6 @@ pub mod prelude {
         Actor, ClientId, ClusterConfig, Message, ReplicaSet, SeqNum, ServerId, TimeoutConfig, View,
         ViewChangePolicy,
     };
-    pub use prestige_workloads::{FaultPlan, ProtocolChoice, WorkloadSpec};
+    pub use prestige_vopr::SimCluster;
+    pub use prestige_workloads::{FaultPlan, Link, ProtocolChoice, Scenario};
 }

@@ -3,95 +3,41 @@
 
 use prestigebft::prelude::*;
 
-fn prestige_cluster(
-    seed: u64,
-    config: &ClusterConfig,
-    behaviors: &[ByzantineBehavior],
-    clients: u64,
-    concurrency: usize,
-) -> Simulation<Message> {
-    let registry = KeyRegistry::new(seed, config.n(), clients);
-    let mut sim = Simulation::new(seed, NetworkConfig::lan());
-    for i in 0..config.n() {
-        let behavior = behaviors.get(i as usize).copied().unwrap_or_default();
-        let server = PrestigeServer::with_behavior(
-            ServerId(i),
-            config.clone(),
-            registry.clone(),
-            seed,
-            behavior,
-        );
-        sim.add_node(Actor::Server(ServerId(i)), Box::new(server));
+/// The paper's central comparison in miniature, as a scenario: timing-policy
+/// rotations, the paper's timers, one quiet faulty server (s3).
+fn rotations_with_a_quiet_server() -> Scenario {
+    Scenario {
+        seed: 5,
+        batch_size: 100,
+        rotation_ms: 2500,
+        timeouts: TimeoutConfig {
+            base_timeout_ms: 800.0,
+            randomization_ms: 400.0,
+            client_timeout_ms: 1000.0,
+            complaint_grace_ms: 200.0,
+        },
+        network: Link::LAN,
+        fault_plan: FaultPlan::Quiet { count: 1 },
+        ..Scenario::default()
     }
-    for c in 0..clients {
-        let cc = ClientConfig::new(ClientId(c), config.replicas.clone(), 32, concurrency);
-        sim.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(cc, &registry)),
-        );
-    }
-    sim
 }
 
 #[test]
 fn prestige_outperforms_hotstuff_under_frequent_rotations_with_quiet_faults() {
-    // The paper's central comparison in miniature: same substrate, same
-    // workload, timing-policy rotations, one quiet faulty server. PrestigeBFT
-    // skips the faulty server (it cannot win an election); HotStuff's passive
-    // schedule keeps handing it leadership.
-    let mut config =
-        ClusterConfig::new(4)
-            .with_batch_size(100)
-            .with_policy(ViewChangePolicy::Timing {
-                interval_ms: 2500.0,
-            });
-    config.timeouts = TimeoutConfig {
-        base_timeout_ms: 800.0,
-        randomization_ms: 400.0,
-        client_timeout_ms: 1000.0,
-        complaint_grace_ms: 200.0,
-    };
-    let behaviors = vec![
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Quiet,
-    ];
+    // Same substrate, same workload, timing-policy rotations, one quiet
+    // faulty server. PrestigeBFT skips the faulty server (it cannot win an
+    // election); HotStuff's passive schedule keeps handing it leadership.
+    let scenario = rotations_with_a_quiet_server();
+    let mut pb = SimCluster::new(&scenario);
+    let mut hs = SimCluster::new(&Scenario {
+        protocol: ProtocolChoice::HotStuff,
+        ..scenario
+    });
+    pb.sim.run_until(SimTime::from_secs(15.0));
+    hs.sim.run_until(SimTime::from_secs(15.0));
 
-    let registry = KeyRegistry::new(5, 4, 2);
-    let mut pb = prestige_cluster(5, &config, &behaviors, 2, 100);
-    let mut hs = Simulation::new(5, NetworkConfig::lan());
-    for i in 0..4 {
-        let server = PassiveBftServer::with_behavior(
-            ServerId(i),
-            config.clone(),
-            registry.clone(),
-            BaselineProtocol::HotStuff,
-            behaviors[i as usize],
-        );
-        hs.add_node(Actor::Server(ServerId(i)), Box::new(server));
-    }
-    for c in 0..2u64 {
-        let cc = ClientConfig::new(ClientId(c), config.replicas.clone(), 32, 100);
-        hs.add_node(
-            Actor::Client(ClientId(c)),
-            Box::new(PrestigeClient::new(cc, &registry)),
-        );
-    }
-
-    pb.run_until(SimTime::from_secs(15.0));
-    hs.run_until(SimTime::from_secs(15.0));
-
-    let pb_tx = pb
-        .node_as::<PrestigeServer>(Actor::Server(ServerId(0)))
-        .unwrap()
-        .stats()
-        .committed_tx;
-    let hs_tx = hs
-        .node_as::<PassiveBftServer>(Actor::Server(ServerId(0)))
-        .unwrap()
-        .stats()
-        .committed_tx;
+    let pb_tx = pb.stats(0).committed_tx;
+    let hs_tx = hs.stats(0).committed_tx;
     assert!(
         pb_tx > 1000 && hs_tx > 1000,
         "both must make progress: pb={pb_tx} hs={hs_tx}"
@@ -102,32 +48,28 @@ fn prestige_outperforms_hotstuff_under_frequent_rotations_with_quiet_faults() {
     );
 
     // PrestigeBFT never elected the quiet server.
-    let pb_ref = pb
-        .node_as::<PrestigeServer>(Actor::Server(ServerId(0)))
-        .unwrap();
+    let pb_ref = pb.server(0).unwrap();
     assert_ne!(pb_ref.current_leader(), ServerId(3));
 }
 
 #[test]
 fn safety_holds_across_protocols_and_faults() {
     // No two servers ever commit different blocks at the same sequence number,
-    // under an equivocating follower.
-    let config = ClusterConfig::new(4).with_batch_size(40);
-    let behaviors = vec![
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Correct,
-        ByzantineBehavior::Equivocate,
-        ByzantineBehavior::Correct,
-    ];
-    let mut sim = prestige_cluster(11, &config, &behaviors, 2, 60);
-    sim.run_until(SimTime::from_secs(4.0));
-    let reference = sim
-        .node_as::<PrestigeServer>(Actor::Server(ServerId(0)))
-        .unwrap();
-    for other_id in [1u32, 3] {
-        let other = sim
-            .node_as::<PrestigeServer>(Actor::Server(ServerId(other_id)))
-            .unwrap();
+    // under an equivocating follower (s3: the fault plan puts it last).
+    let scenario = Scenario {
+        seed: 11,
+        batch_size: 40,
+        concurrency: 60,
+        timeouts: TimeoutConfig::default(),
+        network: Link::LAN,
+        fault_plan: FaultPlan::Equivocate { count: 1 },
+        ..Scenario::default()
+    };
+    let mut cluster = SimCluster::new(&scenario);
+    cluster.sim.run_until(SimTime::from_secs(4.0));
+    let reference = cluster.server(0).unwrap();
+    for other_id in [1u32, 2] {
+        let other = cluster.server(other_id).unwrap();
         let common = reference
             .store()
             .latest_seq()
@@ -146,15 +88,32 @@ fn safety_holds_across_protocols_and_faults() {
 
 #[test]
 fn experiment_harness_runs_a_scenario_end_to_end() {
-    let mut config = ExperimentConfig::new("integration_pb", 4, ProtocolChoice::Prestige);
-    config.duration_s = 2.0;
-    config.warmup_s = 0.2;
-    config.batch_size = 50;
-    config.workload = WorkloadSpec::new(2, 50, 32);
-    let outcome = prestigebft::experiments::run(&config);
-    assert!(outcome.tps > 100.0);
-    assert!(outcome.latency.mean_ms() > 0.0);
-    assert_eq!(outcome.servers.len(), 4);
+    // The one builder, under every protocol the figures compare: a short
+    // row commits, and the harness measures it.
+    for protocol in ProtocolChoice::ALL {
+        let scenario = Scenario {
+            name: format!("integration_{}", protocol.label()),
+            protocol,
+            clients: 2,
+            concurrency: 50,
+            batch_size: 50,
+            duration_ms: 2_000,
+            ..prestigebft::experiments::runner::base()
+        };
+        let outcome = prestigebft::experiments::run(&scenario, 0.1);
+        assert!(outcome.tps > 100.0, "{protocol:?}: tps was {}", outcome.tps);
+        assert!(outcome.latency.mean_ms() > 0.0, "{protocol:?}");
+        assert_eq!(outcome.servers.len(), 4);
+        if protocol == ProtocolChoice::Prestige {
+            // Same scenario, same measurements.
+            let again = prestigebft::experiments::run(&scenario, 0.1);
+            assert_eq!(outcome.tps, again.tps);
+            assert_eq!(
+                outcome.reference.views_installed,
+                again.reference.views_installed
+            );
+        }
+    }
 }
 
 #[test]
