@@ -77,11 +77,7 @@ impl PrestigeServer {
         let take = self.pending_proposals.len().min(self.config.batch_size);
         // The batch is assembled exactly once and shared: the broadcast `Ord`
         // and the leader's in-flight instance reference the same allocation.
-        // The buffer itself is recycled from committed instances when one is
-        // available, keeping the flush hot path allocation-free.
-        let mut buf = self.batch_scratch.pop().unwrap_or_default();
-        buf.extend(self.pending_proposals.drain(..take));
-        let batch: Arc<Vec<Proposal>> = Arc::new(buf);
+        let batch: Arc<Vec<Proposal>> = Arc::new(self.pending_proposals.drain(..take).collect());
         let n = self.next_seq;
         self.next_seq = self.next_seq.next();
         self.propose_batch_at(n, batch, ctx);
@@ -339,21 +335,14 @@ impl PrestigeServer {
         // The instance is committing: release the certificate-store
         // references first (`handle_ord_reply` recorded them for the
         // recovery plane) so the batch is uniquely held again and the
-        // transactions move straight into the block — the commit hot path
-        // stays allocation-free. A still-shared batch falls back to
-        // per-transaction clones.
+        // transactions move straight into the block. A still-shared batch
+        // falls back to per-transaction clones. `drain` allocates an
+        // exact-size `Vec<Transaction>`; `into_iter` would collect in place
+        // and keep the larger proposal buffer alive inside the stored block.
         self.ordered_batches.remove(&n.0);
         self.ord_qcs.remove(&n.0);
         let txs: Vec<Transaction> = match Arc::try_unwrap(instance.batch) {
-            Ok(mut batch) => {
-                let txs = batch.drain(..).map(|p| p.tx).collect();
-                // The emptied buffer keeps its capacity: recycle it into the
-                // next flush instead of allocating fresh.
-                if self.batch_scratch.len() < Self::BATCH_SCRATCH_CAP {
-                    self.batch_scratch.push(batch);
-                }
-                txs
-            }
+            Ok(mut batch) => batch.drain(..).map(|p| p.tx).collect(),
             Err(shared) => shared.iter().map(|p| p.tx.clone()).collect(),
         };
         let mut block = TxBlock::new(view, n, txs);
@@ -367,8 +356,4 @@ impl PrestigeServer {
         // A window slot just freed up: keep the pipeline full.
         self.flush_ready_batches(ctx);
     }
-
-    /// Bound on recycled batch buffers — deeper than any pipeline window in
-    /// use, irrelevant as memory.
-    const BATCH_SCRATCH_CAP: usize = 16;
 }

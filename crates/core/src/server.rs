@@ -286,11 +286,6 @@ pub struct PrestigeServer {
     /// FIFO eviction order bounding the memo cache.
     pub(crate) verified_qcs_order: VecDeque<[u8; 32]>,
 
-    // --- leader batching state ---
-    /// Recycled batch buffers: capacity flows from committed instances
-    /// (whose `Arc<Vec<Proposal>>` this server held the last reference to)
-    /// back into the next flush instead of a fresh allocation.
-    pub(crate) batch_scratch: Vec<Vec<Proposal>>,
     /// Stage profiler of the driving runtime, when attached: protocol-side
     /// sub-spans (inline verify, apply, storage append) report through it.
     /// `None` — the simulator and unprofiled runs — records nothing.
@@ -422,7 +417,6 @@ impl PrestigeServer {
             batch_timer_armed: false,
             verified_qcs: BTreeSet::new(),
             verified_qcs_order: VecDeque::new(),
-            batch_scratch: Vec::new(),
             profiler: None,
             voted_views: BTreeSet::new(),
             complaints: BTreeMap::new(),

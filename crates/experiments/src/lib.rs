@@ -12,7 +12,7 @@
 //!
 //! * [`Scale::Quick`] — scaled-down parameters (shorter runs, smaller
 //!   rotation intervals, fewer points) so the whole suite finishes in minutes
-//!   on a laptop; this is what `run_experiments` and `cargo bench` use.
+//!   on a laptop; this is what `run_experiments` uses by default.
 //! * [`Scale::Full`] — parameters closer to the paper's (larger `n`, longer
 //!   runs); expect a long wall-clock time.
 //!

@@ -10,11 +10,9 @@
 //! * **delay** — a fixed per-delivery latency plus uniform jitter;
 //! * **loss** — independent per-delivery drop probability;
 //! * **partitions** — directed `(from, to)` link blocks, composable into
-//!   symmetric splits (`partition_between`), asymmetric one-way cuts
-//!   (`partition_oneway`), and full isolation of one actor (`isolate`),
-//!   healed one cut at a time (`heal_oneway` / `heal_between`), all at once
-//!   (`heal_now`), or by a *scheduled heal* (`heal_after`) applied lazily so
-//!   no extra timer thread is needed.
+//!   symmetric splits (`partition_between`) and asymmetric one-way cuts
+//!   (`partition_oneway`), healed one cut at a time (`heal_oneway` /
+//!   `heal_between`) or all at once (`heal_now`).
 //!
 //! All faults are applied on the **receive path** of the wrapped endpoint:
 //! each endpoint filters and delays its own inbound deliveries. This gives
@@ -83,9 +81,6 @@ struct ChaosState {
     /// Blocked directed links: a `(from, to)` entry means `to` sheds
     /// everything `from` sends.
     blocked: HashSet<(Actor, Actor)>,
-    /// When set, `blocked` is cleared lazily once this instant passes (the
-    /// scheduled heal).
-    heal_at: Option<Instant>,
 }
 
 /// Shared handle controlling the link faults of a cluster. Cheap to clone;
@@ -138,11 +133,6 @@ impl NetChaos {
         self.partition_oneway(b, a);
     }
 
-    /// Fully isolates `actor` from every actor in `others`, both directions.
-    pub fn isolate(&self, actor: Actor, others: &[Actor]) {
-        self.partition_between(&[actor], others);
-    }
-
     /// Unblocks exactly the links [`Self::partition_oneway`] blocks for the
     /// same arguments, leaving every other block in place — the heal of one
     /// cut among several overlapping ones. (A link two cuts both block heals
@@ -163,49 +153,25 @@ impl NetChaos {
         self.heal_oneway(b, a);
     }
 
-    /// Schedules a heal: all partition blocks dissolve once `after` has
-    /// elapsed. The heal is applied lazily on the next delivery decision, so
-    /// no timer thread is required. Delay and loss settings are unaffected.
-    pub fn heal_after(&self, after: Duration) {
-        let mut state = self.state.lock().expect("chaos state lock");
-        state.heal_at = Some(Instant::now() + after);
-    }
-
     /// Immediately dissolves all partition blocks (delay and loss settings
     /// are unaffected).
     pub fn heal_now(&self) {
-        let mut state = self.state.lock().expect("chaos state lock");
-        state.blocked.clear();
-        state.heal_at = None;
+        self.state.lock().expect("chaos state lock").blocked.clear();
     }
 
-    /// Whether any link is currently blocked (after applying a due scheduled
-    /// heal).
+    /// Whether any link is currently blocked.
     pub fn is_partitioned(&self) -> bool {
         self.blocked_links() > 0
     }
 
-    /// Number of blocked directed links (after applying a due scheduled
-    /// heal).
+    /// Number of blocked directed links.
     pub fn blocked_links(&self) -> usize {
-        let mut state = self.state.lock().expect("chaos state lock");
-        Self::apply_due_heal(&mut state);
-        state.blocked.len()
-    }
-
-    fn apply_due_heal(state: &mut ChaosState) {
-        if let Some(at) = state.heal_at {
-            if Instant::now() >= at {
-                state.blocked.clear();
-                state.heal_at = None;
-            }
-        }
+        self.state.lock().expect("chaos state lock").blocked.len()
     }
 
     /// Decides the fate of one delivery on the directed link `from -> to`.
     fn verdict(&self, from: Actor, to: Actor, rng: &mut SplitMix) -> LinkVerdict {
-        let mut state = self.state.lock().expect("chaos state lock");
-        Self::apply_due_heal(&mut state);
+        let state = self.state.lock().expect("chaos state lock");
         if state.blocked.contains(&(from, to)) {
             return LinkVerdict::Drop;
         }
@@ -445,29 +411,6 @@ mod tests {
             Some((server(1), 2)),
             "1->0 still flows"
         );
-    }
-
-    #[test]
-    fn scheduled_heal_dissolves_partition_lazily() {
-        let chaos = NetChaos::new();
-        let (mut a, mut b) = pair(&chaos);
-        chaos.isolate(server(1), &[server(0)]);
-        chaos.heal_after(Duration::from_millis(50));
-
-        a.send(server(1), 1);
-        assert_eq!(
-            b.recv_timeout(Duration::from_millis(10)),
-            None,
-            "still partitioned"
-        );
-        std::thread::sleep(Duration::from_millis(60));
-        a.send(server(1), 2);
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)),
-            Some((server(0), 2)),
-            "heal deadline passed"
-        );
-        assert!(!chaos.is_partitioned());
     }
 
     #[test]

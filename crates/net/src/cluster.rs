@@ -575,13 +575,6 @@ impl<F: Fabric> Cluster<F> {
             .inspect_as::<PrestigeServer, _, _>(|s| s.stable_checkpoint())
     }
 
-    /// Server `id`'s checkpoint-GC counters `(checkpoints_formed,
-    /// gc_pruned_keys)`.
-    pub fn checkpoint_counters(&self, id: ServerId) -> Option<(u64, u64)> {
-        self.server_stats(id)
-            .map(|s| (s.checkpoints_formed, s.gc_pruned_keys))
-    }
-
     /// Tears the last `records` records off server `id`'s WAL — the
     /// torn-tail crash signature (a power cut mid-append). The server must
     /// be down. Returns how many records were actually torn.

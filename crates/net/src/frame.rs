@@ -17,8 +17,6 @@
 
 use prestige_types::Actor;
 use serde::{Deserialize as _, Serialize as _};
-use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
 
 /// Frame preamble identifying the PrestigeBFT wire protocol.
 pub const MAGIC: [u8; 4] = *b"PBFT";
@@ -44,8 +42,6 @@ pub const DEFAULT_MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Errors surfaced while encoding or decoding frames.
 #[derive(Debug)]
 pub enum FrameError {
-    /// Underlying transport I/O failed.
-    Io(io::Error),
     /// The preamble was not [`MAGIC`].
     BadMagic([u8; 4]),
     /// The peer speaks a different wire version.
@@ -69,7 +65,6 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::Io(e) => write!(f, "frame i/o: {e}"),
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::VersionMismatch { got, want } => {
                 write!(f, "wire version mismatch: peer {got}, local {want}")
@@ -83,12 +78,6 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
-
-impl From<io::Error> for FrameError {
-    fn from(e: io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
 
 impl From<serde::Error> for FrameError {
     fn from(e: serde::Error) -> Self {
@@ -140,8 +129,8 @@ impl FrameCodec {
     /// Encodes `(from, payload)` into `out` (cleared first), writing header
     /// and body in a single pass: the body is serialized directly after a
     /// placeholder header and the length field patched afterwards, so there
-    /// is no intermediate body buffer. With a buffer from a [`BufferPool`]
-    /// this makes frame encoding allocation-free in steady state.
+    /// is no intermediate body buffer. A caller that reuses `out` encodes
+    /// without allocating in steady state.
     pub fn encode_into<M: serde::Serialize>(
         &self,
         from: Actor,
@@ -167,22 +156,6 @@ impl FrameCodec {
         }
         out[6..10].copy_from_slice(&len.to_le_bytes());
         Ok(())
-    }
-
-    /// Encodes `(from, payload)` once into shared bytes, using `pool` for the
-    /// scratch buffer: one serialization, many readers of the returned
-    /// `Arc<[u8]>`.
-    pub fn encode_shared<M: serde::Serialize>(
-        &self,
-        from: Actor,
-        payload: &M,
-        pool: &BufferPool,
-    ) -> Result<Arc<[u8]>, FrameError> {
-        let mut buf = pool.get();
-        let result = self.encode_into(from, payload, &mut buf);
-        let frame = result.map(|()| Arc::<[u8]>::from(buf.as_slice()));
-        pool.put(buf);
-        frame
     }
 
     /// Decodes one frame from a byte slice, returning the sender, payload,
@@ -225,99 +198,12 @@ impl FrameCodec {
         }
         Ok(Some((from, payload, total)))
     }
-
-    /// Writes one frame to a blocking writer.
-    pub fn write_frame<W: Write, M: serde::Serialize>(
-        &self,
-        writer: &mut W,
-        from: Actor,
-        payload: &M,
-    ) -> Result<(), FrameError> {
-        let frame = self.encode(from, payload)?;
-        writer.write_all(&frame)?;
-        Ok(())
-    }
-
-    /// Reads one complete frame from a blocking reader. Validation is
-    /// delegated to [`FrameCodec::decode`] so the streaming and buffered
-    /// paths accept exactly the same byte streams.
-    pub fn read_frame<R: Read, M: serde::Deserialize>(
-        &self,
-        reader: &mut R,
-    ) -> Result<(Actor, M), FrameError> {
-        let mut frame = vec![0u8; 10];
-        reader.read_exact(&mut frame)?;
-        // Let the streaming decoder validate the header before the length
-        // field is trusted. Ten bytes can never hold a complete frame (the
-        // body always starts with the sender actor, and a zero-length body
-        // fails inside decode with a codec error, same as the buffered
-        // path), so a valid header always yields `None` here.
-        let len = match self.decode::<M>(&frame)? {
-            Some(_) => unreachable!("a 10-byte input cannot hold a complete frame"),
-            None => u32::from_le_bytes(frame[6..10].try_into().expect("sized")),
-        };
-        frame.resize(10 + len as usize, 0);
-        reader.read_exact(&mut frame[10..])?;
-        match self.decode::<M>(&frame)? {
-            Some((from, payload, _)) => Ok((from, payload)),
-            None => unreachable!("decode sees the complete frame"),
-        }
-    }
-}
-
-/// A small free-list of encode scratch buffers, so steady-state frame
-/// encoding reuses allocations instead of allocating per message.
-///
-/// Buffers whose capacity grew beyond [`BufferPool::MAX_RETAINED_CAPACITY`]
-/// (e.g. after one huge sync response) are dropped rather than pooled, so a
-/// single outlier cannot pin memory forever.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    slots: Mutex<Vec<Vec<u8>>>,
-}
-
-impl BufferPool {
-    /// Maximum number of idle buffers kept.
-    pub const MAX_SLOTS: usize = 8;
-    /// Largest buffer capacity worth retaining (1 MiB).
-    pub const MAX_RETAINED_CAPACITY: usize = 1024 * 1024;
-
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a cleared buffer from the pool (or a fresh one).
-    pub fn get(&self) -> Vec<u8> {
-        self.slots
-            .lock()
-            .expect("buffer pool lock")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Returns a buffer to the pool for reuse.
-    pub fn put(&self, mut buf: Vec<u8>) {
-        if buf.capacity() > Self::MAX_RETAINED_CAPACITY {
-            return;
-        }
-        buf.clear();
-        let mut slots = self.slots.lock().expect("buffer pool lock");
-        if slots.len() < Self::MAX_SLOTS {
-            slots.push(buf);
-        }
-    }
-
-    /// Number of idle buffers currently pooled.
-    pub fn idle(&self) -> usize {
-        self.slots.lock().expect("buffer pool lock").len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prestige_types::{ClientId, Message, ServerId, SyncKind, View};
+    use prestige_types::{ClientId, Message, ServerId, SyncKind, VcBlock};
 
     fn sample() -> Message {
         Message::SyncReq {
@@ -331,11 +217,19 @@ mod tests {
     fn encode_decode_round_trip() {
         let codec = FrameCodec::new();
         let from = Actor::Server(ServerId(2));
-        let frame = codec.encode(from, &sample()).unwrap();
-        let (sender, msg, used) = codec.decode::<Message>(&frame).unwrap().unwrap();
-        assert_eq!(sender, from);
-        assert_eq!(msg, sample());
-        assert_eq!(used, frame.len());
+        let view_payload = Message::SyncResp {
+            vc_blocks: vec![VcBlock::genesis(4)],
+            tx_blocks: vec![],
+            ordered: vec![],
+            ckpt: None,
+        };
+        for message in [sample(), view_payload] {
+            let frame = codec.encode(from, &message).unwrap();
+            let (sender, msg, used) = codec.decode::<Message>(&frame).unwrap().unwrap();
+            assert_eq!(sender, from);
+            assert_eq!(msg, message);
+            assert_eq!(used, frame.len());
+        }
     }
 
     #[test]
@@ -349,19 +243,6 @@ mod tests {
         // Re-encoding into the same buffer yields the same bytes again.
         codec.encode_into(from, &sample(), &mut buf).unwrap();
         assert_eq!(buf, expected);
-    }
-
-    #[test]
-    fn encode_shared_produces_identical_frames_and_pools_buffers() {
-        let codec = FrameCodec::new();
-        let pool = BufferPool::new();
-        let from = Actor::Server(ServerId(2));
-        let shared = codec.encode_shared(from, &sample(), &pool).unwrap();
-        assert_eq!(&shared[..], codec.encode(from, &sample()).unwrap());
-        assert_eq!(pool.idle(), 1, "scratch buffer returned to the pool");
-        let again = codec.encode_shared(from, &sample(), &pool).unwrap();
-        assert_eq!(shared, again);
-        assert_eq!(pool.idle(), 1, "buffer was reused, not re-added");
     }
 
     #[test]
@@ -450,24 +331,5 @@ mod tests {
             codec.decode::<Message>(&frame),
             Err(FrameError::Codec(_))
         ));
-    }
-
-    #[test]
-    fn view_payloads_round_trip_through_io_paths() {
-        let codec = FrameCodec::new();
-        let msg = Message::SyncResp {
-            vc_blocks: vec![prestige_types::VcBlock::genesis(4)],
-            tx_blocks: vec![],
-            ordered: vec![],
-            ckpt: None,
-        };
-        let mut buf = Vec::new();
-        codec
-            .write_frame(&mut buf, Actor::Server(ServerId(3)), &msg)
-            .unwrap();
-        let (from, back): (Actor, Message) = codec.read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(from, Actor::Server(ServerId(3)));
-        assert_eq!(back, msg);
-        let _ = View(1);
     }
 }

@@ -25,7 +25,7 @@
 //!    `prestige-node` binary uses for multi-process deployments.
 //!
 //! On top of these sits the **adversarial harness**: [`chaos`] injects link
-//! delay, loss, and (a)symmetric partitions with scheduled heal at the
+//! delay, loss, and (a)symmetric partitions and their heals at the
 //! `Transport` seam, [`Cluster::launch_full`] attaches the paper's Byzantine
 //! behaviours (F1–F4, S1/S2) to real nodes on either fabric, and the
 //! `chaos_net` binary runs declarative attack scenarios with no-fork and
@@ -73,7 +73,7 @@ pub use cluster::{
     StoragePlan, TcpCluster,
 };
 pub use config::{NodeConfig, NodeRole};
-pub use frame::{BufferPool, FrameCodec, FrameError, DEFAULT_MAX_FRAME, MAGIC, WIRE_VERSION};
+pub use frame::{FrameCodec, FrameError, DEFAULT_MAX_FRAME, MAGIC, WIRE_VERSION};
 pub use runtime::{JobSource, NodeHandle};
 pub use tcp::{TcpConfig, TcpTransport};
 pub use transport::{LoopbackNet, LoopbackTransport, Transport, TransportStats, TransportTotals};

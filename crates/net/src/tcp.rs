@@ -40,7 +40,7 @@
 //! Linux (elsewhere: a sub-millisecond sleep, then try every socket — all of
 //! them are nonblocking, so spurious readiness is harmless).
 
-use crate::frame::{BufferPool, FrameCodec};
+use crate::frame::FrameCodec;
 use crate::transport::{warn_drop, Transport, TransportStats, DEFAULT_QUEUE_CAPACITY};
 use prestige_types::Actor;
 use std::collections::{HashMap, VecDeque};
@@ -67,6 +67,10 @@ const CONNECT_POLL: Duration = Duration::from_millis(1);
 const READ_CHUNK: usize = 64 * 1024;
 /// How long `shutdown` keeps flushing queued frames to connected peers.
 const SHUTDOWN_FLUSH: Duration = Duration::from_millis(50);
+/// Largest buffer capacity kept for reuse once emptied (1 MiB), so one huge
+/// frame (a sync response, say) cannot pin its memory for the endpoint's
+/// lifetime.
+const MAX_RETAINED_CAPACITY: usize = 1024 * 1024;
 
 /// Configuration of a TCP endpoint.
 #[derive(Debug, Clone)]
@@ -146,8 +150,9 @@ pub struct TcpTransport<M: serde::Serialize + serde::Deserialize + Send + 'stati
     /// Connector threads report here.
     dialed_tx: Sender<Dialed>,
     dialed_rx: Receiver<Dialed>,
-    /// Scratch buffers reused across frame encodings.
-    encode_pool: BufferPool,
+    /// Frame encode buffer reused across sends; dropped instead of kept
+    /// once it outgrows [`MAX_RETAINED_CAPACITY`].
+    scratch: Vec<u8>,
     /// Scratch space every socket is read into.
     chunk: Box<[u8]>,
     /// Reused `ppoll` argument array.
@@ -212,7 +217,7 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
             ready: VecDeque::new(),
             dialed_tx,
             dialed_rx,
-            encode_pool: BufferPool::new(),
+            scratch: Vec::new(),
             chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
             pollfds: Vec::new(),
         })
@@ -507,12 +512,20 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
                     }
                 }
                 conn.buf.drain(..cursor);
-                if conn.buf.is_empty() && conn.buf.capacity() > BufferPool::MAX_RETAINED_CAPACITY {
+                if conn.buf.is_empty() && conn.buf.capacity() > MAX_RETAINED_CAPACITY {
                     conn.buf = Vec::new();
                 }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
             Err(_) => conn.open = false,
+        }
+    }
+
+    /// Puts the encode buffer back for the next send, unless one huge frame
+    /// grew it past [`MAX_RETAINED_CAPACITY`].
+    fn keep_scratch(&mut self, buf: Vec<u8>) {
+        if buf.capacity() <= MAX_RETAINED_CAPACITY {
+            self.scratch = buf;
         }
     }
 }
@@ -526,13 +539,13 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for
         let Some(index) = self.admit(to) else {
             return;
         };
-        let mut buf = self.encode_pool.get();
+        let mut buf = std::mem::take(&mut self.scratch);
         match self.config.codec.encode_into(self.me, &message, &mut buf) {
             Ok(()) => self.transmit(index, &buf, &mut None),
             // Oversize payload: counted, never silent.
             Err(_) => self.drop_outbound(to, "frame encoding failed"),
         }
-        self.encode_pool.put(buf);
+        self.keep_scratch(buf);
     }
 
     fn broadcast(&mut self, recipients: &[Actor], message: M)
@@ -542,7 +555,7 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for
         // Encode exactly once; every recipient's socket is written from the
         // same bytes and every queue that needs a copy shares one. This is
         // the leader→replica hot path.
-        let mut buf = self.encode_pool.get();
+        let mut buf = std::mem::take(&mut self.scratch);
         let encoded = self.config.codec.encode_into(self.me, &message, &mut buf);
         let mut shared = None;
         for &to in recipients {
@@ -552,7 +565,7 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for
                 (None, _) => {}
             }
         }
-        self.encode_pool.put(buf);
+        self.keep_scratch(buf);
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)> {
@@ -934,6 +947,25 @@ mod tests {
         a.send(server(9), msg(1));
         a.broadcast(&[server(8), server(9)], msg(2));
         assert_eq!(a.stats().snapshot(), (3, 0, 3));
+    }
+
+    #[test]
+    fn encode_buffer_grown_past_the_cap_is_not_kept() {
+        let (la, _) = listener();
+        let addr_b = listener().1; // released at once: nobody listens there
+        let mut a: TcpTransport<String> = endpoint(0, la, 1, addr_b);
+        a.send(server(1), "small".to_string());
+        assert!(a.scratch.capacity() > 0, "a small frame's buffer is kept");
+
+        // A frame over the cap is sent (queued) but its buffer is let go, on
+        // both the unicast and the broadcast path.
+        let huge = "x".repeat(2 * MAX_RETAINED_CAPACITY);
+        a.send(server(1), huge.clone());
+        assert!(a.scratch.capacity() <= MAX_RETAINED_CAPACITY);
+        a.send(server(1), "small".to_string());
+        a.broadcast(&[server(1)], huge);
+        assert!(a.scratch.capacity() <= MAX_RETAINED_CAPACITY);
+        assert_eq!(a.peers[0].queue.len(), 4, "every frame was queued");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Wire compatibility of the encode-once broadcast path.
 //!
-//! The zero-copy hot path must not change what travels on the wire: a frame
-//! encoded once and shared across peers has to be byte-identical to a frame
-//! encoded separately for each peer, and TCP peers receiving a broadcast must
-//! decode exactly the message that per-peer sends would have delivered.
+//! The zero-copy hot path must not change what travels on the wire: TCP
+//! peers receiving a broadcast must decode exactly the message that per-peer
+//! sends would have delivered.
 
-use prestige_net::{BufferPool, FrameCodec, TcpTransport, Transport};
+use prestige_net::{TcpTransport, Transport};
 use prestige_types::{
     Actor, ClientId, Digest, Message, Proposal, SeqNum, ServerId, Transaction, View,
 };
@@ -34,29 +33,6 @@ fn ord_message(batch: usize) -> Message {
         ),
         digest: Digest([9u8; 32]),
         sig: [4u8; 32],
-    }
-}
-
-/// A shared (encode-once) frame is byte-identical to a per-peer encoded
-/// frame and decodes to the same message.
-#[test]
-fn shared_frame_equals_per_peer_frame() {
-    let codec = FrameCodec::new();
-    let pool = BufferPool::new();
-    let from = server(0);
-    for batch in [0usize, 1, 10, 250] {
-        let msg = ord_message(batch);
-        let per_peer = codec.encode(from, &msg).unwrap();
-        let shared = codec.encode_shared(from, &msg, &pool).unwrap();
-        assert_eq!(
-            &shared[..],
-            per_peer.as_slice(),
-            "encode-once must not change wire bytes (batch={batch})"
-        );
-        let (sender, decoded, used) = codec.decode::<Message>(&shared).unwrap().unwrap();
-        assert_eq!(sender, from);
-        assert_eq!(decoded, msg);
-        assert_eq!(used, shared.len());
     }
 }
 

@@ -79,15 +79,16 @@ fn f4_s1_attacker_with_leader_partition<F: Fabric>() {
     );
 
     // Phase 2: a 500 ms symmetric partition isolates the current leader from
-    // every other node (servers and clients), healing on schedule.
+    // every other node (servers and clients), then heals.
     let observer = cluster.correct_servers()[0];
     let (_, leader) = cluster.view_of(observer).expect("observer answers");
-    chaos.isolate(Actor::Server(leader), &everyone_but(leader, n, clients));
-    chaos.heal_after(Duration::from_millis(500));
-    std::thread::sleep(Duration::from_millis(600));
+    let (isolated, others) = ([Actor::Server(leader)], everyone_but(leader, n, clients));
+    chaos.partition_between(&isolated, &others);
+    std::thread::sleep(Duration::from_millis(500));
+    chaos.heal_between(&isolated, &others);
     assert!(
         !chaos.is_partitioned(),
-        "the scheduled heal must have dissolved the partition"
+        "the heal must have dissolved the partition"
     );
     let committed_after_fault = cluster.total_committed();
 

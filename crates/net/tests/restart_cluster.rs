@@ -144,10 +144,13 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> S
     // their client tables retired the request numbers that committed.
     let stable = cluster.stable_checkpoint_of(ServerId(0)).unwrap_or(0);
     assert!(stable > 0, "survivors must form stable checkpoints");
-    let (ckpts, gc_pruned) = cluster.checkpoint_counters(ServerId(0)).unwrap();
-    assert!(ckpts > 0, "survivor must install checkpoints");
+    let survivor = cluster.server_stats(ServerId(0)).unwrap();
     assert!(
-        gc_pruned > 0,
+        survivor.checkpoints_formed > 0,
+        "survivor must install checkpoints"
+    );
+    assert!(
+        survivor.gc_pruned_keys > 0,
         "committed request numbers must retire from the client table"
     );
     // The restarted node runs a live WAL again and adopts a stable
