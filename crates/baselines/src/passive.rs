@@ -16,7 +16,7 @@ use prestige_core::{ByzantineBehavior, Pacemaker, ServerStats};
 use prestige_crypto::{
     hash_many, sign_share, FramedHasher, KeyPair, KeyRegistry, QcBuilder, ThresholdVerifier,
 };
-use prestige_sim::{Context, Process, TimerId};
+use prestige_sim::{cpu_cost, Context, Process, TimerId};
 use prestige_types::{
     Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
     QuorumCertificate, SeqNum, ServerId, SyncKind, TxBlock, View,
@@ -263,7 +263,7 @@ impl PassiveBftServer {
     // ------------------------------------------------------------------
 
     fn handle_prop(&mut self, proposals: Vec<Proposal>, ctx: &mut Context<Message>) {
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         for proposal in proposals {
             let key = proposal.tx.key();
             if self.seen_tx.insert(key) {
@@ -295,7 +295,7 @@ impl PassiveBftServer {
         let n = self.next_seq;
         self.next_seq = self.next_seq.next();
         let digest = Self::batch_digest(view, n, &batch);
-        ctx.charge_cpu_ms(0.0004 * batch.len() as f64);
+        ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
         let mut prepare_builder = QcBuilder::new(QcKind::Ordering, view, n, digest, self.quorum());
         if let Some(share) = sign_share(&self.registry, self.id, QcKind::Ordering, view, n, &digest)
@@ -348,11 +348,11 @@ impl PassiveBftServer {
         if n <= self.store.latest_seq() {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         if !self.registry.verify(from, digest.as_ref(), &sig) {
             return;
         }
-        ctx.charge_cpu_ms(0.0004 * batch.len() as f64);
+        ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
         if Self::batch_digest(view, n, &batch) != digest {
             return;
         }
@@ -403,7 +403,7 @@ impl PassiveBftServer {
         if !self.leading || view != self.view {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         let three_phase = self.protocol.phases() == 3;
         let quorum = self.quorum();
         let registry = Arc::clone(&self.registry);
@@ -459,12 +459,17 @@ impl PassiveBftServer {
         }
     }
 
-    fn handle_pre_cmt(
+    /// A follower's vote on a phase QC from the leader. `PreCmt` carries the
+    /// prepare QC and asks for a pre-commit share; `Cmt` carries the QC of
+    /// the phase before commit (pre-commit with three phases, prepare with
+    /// two) and asks for a commit share.
+    fn handle_qc_vote(
         &mut self,
         from: Actor,
         view: View,
         n: SeqNum,
-        prepare_qc: QuorumCertificate,
+        phase_qc: QuorumCertificate,
+        vote: QcKind,
         ctx: &mut Context<Message>,
     ) {
         if view != self.view || from != Actor::Server(self.current_leader()) {
@@ -473,37 +478,48 @@ impl PassiveBftServer {
         if self.view_change_pending {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
-        if prepare_qc.kind != QcKind::Ordering
-            || prepare_qc.seq != n
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
+        let expected_kind = match vote {
+            QcKind::Commit if self.protocol.phases() == 3 => QcKind::PreCommit,
+            _ => QcKind::Ordering,
+        };
+        if phase_qc.kind != expected_kind
+            || phase_qc.seq != n
             || ThresholdVerifier::new(&self.registry)
-                .verify(&prepare_qc, self.quorum())
+                .verify(&phase_qc, self.quorum())
                 .is_err()
         {
             return;
         }
         self.reset_view_timer(ctx);
-        let digest = prepare_qc.digest;
+        let digest = phase_qc.digest;
         let share = if self.behavior.equivocates() {
             PartialSig {
                 signer: self.id,
                 sig: [0xCD; 32],
             }
         } else {
-            match sign_share(&self.registry, self.id, QcKind::PreCommit, view, n, &digest) {
+            match sign_share(&self.registry, self.id, vote, view, n, &digest) {
                 Some(s) => s,
                 None => return,
             }
         };
-        ctx.send(
-            from,
+        let reply = if vote == QcKind::PreCommit {
             Message::PreCmtReply {
                 view,
                 n,
                 digest,
                 share,
-            },
-        );
+            }
+        } else {
+            Message::CmtReply {
+                view,
+                n,
+                digest,
+                share,
+            }
+        };
+        ctx.send(from, reply);
     }
 
     fn handle_pre_cmt_reply(
@@ -517,7 +533,7 @@ impl PassiveBftServer {
         if !self.leading || view != self.view {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         let quorum = self.quorum();
         let registry = Arc::clone(&self.registry);
         let instance = match self.inflight.get_mut(&n.0) {
@@ -553,58 +569,6 @@ impl PassiveBftServer {
         );
     }
 
-    fn handle_cmt(
-        &mut self,
-        from: Actor,
-        view: View,
-        n: SeqNum,
-        phase_qc: QuorumCertificate,
-        ctx: &mut Context<Message>,
-    ) {
-        if view != self.view || from != Actor::Server(self.current_leader()) {
-            return;
-        }
-        if self.view_change_pending {
-            return;
-        }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
-        let expected_kind = if self.protocol.phases() == 3 {
-            QcKind::PreCommit
-        } else {
-            QcKind::Ordering
-        };
-        if phase_qc.kind != expected_kind
-            || phase_qc.seq != n
-            || ThresholdVerifier::new(&self.registry)
-                .verify(&phase_qc, self.quorum())
-                .is_err()
-        {
-            return;
-        }
-        self.reset_view_timer(ctx);
-        let digest = phase_qc.digest;
-        let share = if self.behavior.equivocates() {
-            PartialSig {
-                signer: self.id,
-                sig: [0xCE; 32],
-            }
-        } else {
-            match sign_share(&self.registry, self.id, QcKind::Commit, view, n, &digest) {
-                Some(s) => s,
-                None => return,
-            }
-        };
-        ctx.send(
-            from,
-            Message::CmtReply {
-                view,
-                n,
-                digest,
-                share,
-            },
-        );
-    }
-
     fn handle_cmt_reply(
         &mut self,
         view: View,
@@ -616,7 +580,7 @@ impl PassiveBftServer {
         if !self.leading || view != self.view {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         let registry = Arc::clone(&self.registry);
         let complete = match self.inflight.get_mut(&n.0) {
             Some(i) if i.view == view && i.digest == digest => match i.commit_builder.as_mut() {
@@ -655,7 +619,7 @@ impl PassiveBftServer {
     }
 
     fn handle_commit_block(&mut self, block: Arc<TxBlock>, ctx: &mut Context<Message>) {
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms * 2.0);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS * 2.0);
         let quorum = self.quorum();
         let verifier = ThresholdVerifier::new(&self.registry);
         let valid = match (&block.ordering_qc, &block.commit_qc) {
@@ -761,20 +725,16 @@ impl PassiveBftServer {
             None => return,
         };
         let scheduled = self.config.replicas.rotation_leader(target);
-        let message = Message::NewView {
-            view: target,
-            latest_seq: self.store.latest_seq(),
-            share,
-        };
+        let latest_seq = self.store.latest_seq();
         if scheduled == self.id {
             // Deliver to ourselves directly.
-            self.handle_new_view(
-                target,
-                self.store.latest_seq(),
-                message_share(&message),
-                ctx,
-            );
+            self.handle_new_view(target, latest_seq, share, ctx);
         } else {
+            let message = Message::NewView {
+                view: target,
+                latest_seq,
+                share,
+            };
             ctx.send(Actor::Server(scheduled), message);
         }
         self.reset_view_timer(ctx);
@@ -793,7 +753,7 @@ impl PassiveBftServer {
         if self.config.replicas.rotation_leader(view) != self.id {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         let digest = Self::new_view_digest(view);
         let quorum = self.quorum();
         let registry = Arc::clone(&self.registry);
@@ -868,7 +828,7 @@ impl PassiveBftServer {
         if from != Actor::Server(self.config.replicas.rotation_leader(view)) {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         if new_view_qc.kind != QcKind::ViewChange
             || new_view_qc.view != view
             || ThresholdVerifier::new(&self.registry)
@@ -922,7 +882,7 @@ impl PassiveBftServer {
             if block.n <= self.store.latest_seq() {
                 continue;
             }
-            ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+            ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
             let ok = match &block.commit_qc {
                 Some(c) => ThresholdVerifier::new(&self.registry)
                     .verify(c, self.quorum())
@@ -933,15 +893,6 @@ impl PassiveBftServer {
                 self.apply_committed_block(Arc::new(block), ctx);
             }
         }
-    }
-}
-
-/// Extracts the share out of a just-built `NewView` message (used when the
-/// sender is also the scheduled recipient).
-fn message_share(message: &Message) -> PartialSig {
-    match message {
-        Message::NewView { share, .. } => share.clone(),
-        _ => unreachable!("only called with NewView"),
     }
 }
 
@@ -960,7 +911,7 @@ impl Process<Message> for PassiveBftServer {
         if self.behavior.silent_as_follower() {
             return;
         }
-        ctx.charge_cpu_ms(self.config.per_message_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_MESSAGE_MS);
         match message {
             Message::Prop { proposals, .. } => self.handle_prop(proposals, ctx),
             Message::Compt { proposal, .. } => self.handle_prop(vec![proposal], ctx),
@@ -982,7 +933,7 @@ impl Process<Message> for PassiveBftServer {
                 n,
                 prepare_qc,
                 ..
-            } => self.handle_pre_cmt(from, view, n, prepare_qc, ctx),
+            } => self.handle_qc_vote(from, view, n, prepare_qc, QcKind::PreCommit, ctx),
             Message::PreCmtReply {
                 view,
                 n,
@@ -994,7 +945,7 @@ impl Process<Message> for PassiveBftServer {
                 n,
                 ordering_qc,
                 ..
-            } => self.handle_cmt(from, view, n, ordering_qc, ctx),
+            } => self.handle_qc_vote(from, view, n, ordering_qc, QcKind::Commit, ctx),
             Message::CmtReply {
                 view,
                 n,

@@ -33,9 +33,6 @@ impl PrestigeServer {
     /// Initiates a refresh request if this server's penalty exceeds π and the
     /// `f + 1`-servers-over-π precondition holds.
     pub(crate) fn maybe_request_refresh(&mut self, ctx: &mut Context<Message>) {
-        if !self.config.reputation.refresh_enabled {
-            return;
-        }
         let my_rp = self.store.current_rp(self.id);
         if !self.engine.exceeds_refresh_threshold(my_rp) {
             return;

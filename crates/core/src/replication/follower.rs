@@ -7,11 +7,11 @@
 //! avenue is closed (a batch re-assigning an already-committed transaction
 //! is refused before it can earn a phase-1 share).
 
-use super::PER_TX_CPU_MS;
+use super::PIPELINE_DEPTH;
 use crate::profile::{LoopProfile, LoopStage};
 use crate::server::PrestigeServer;
 use prestige_crypto::sign_share;
-use prestige_sim::Context;
+use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, SyncKind,
     TxBlock, View,
@@ -84,7 +84,7 @@ impl PrestigeServer {
         self.charge_verify_cost(ctx);
         let span = LoopProfile::begin(&self.profiler);
         let ok = self.registry.verify(from, digest.as_ref(), &sig) && {
-            ctx.charge_cpu_ms(PER_TX_CPU_MS * batch.len() as f64);
+            ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
             Self::batch_digest(view, n, &batch) == digest
         };
         LoopProfile::end_sub(&self.profiler, span, LoopStage::InlineVerify);
@@ -98,7 +98,7 @@ impl PrestigeServer {
         // stuff `ordered_batches` with far-future entries that are now
         // retained across view changes. A refused legitimate `Ord` (extreme
         // commit lag) is repaired by the leader's retransmission.
-        if n.0 > self.store.latest_seq().0 + self.pipeline_depth() as u64 + 1024 {
+        if n.0 > self.store.latest_seq().0 + PIPELINE_DEPTH as u64 + 1024 {
             return;
         }
         // Certified-content pinning: once this follower holds the ordering

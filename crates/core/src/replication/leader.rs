@@ -1,11 +1,11 @@
 //! Leader-side replication: batching, the pipelined ordering window, QC
 //! assembly from reply shares, and stalled-instance retransmission.
 
-use super::PER_TX_CPU_MS;
+use super::PIPELINE_DEPTH;
 use crate::pacemaker::timer_tags;
 use crate::server::{InflightInstance, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, QcBuilder};
-use prestige_sim::Context;
+use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, Transaction,
     TxBlock, View,
@@ -27,7 +27,7 @@ impl PrestigeServer {
         ctx: &mut Context<Message>,
     ) {
         self.charge_verify_cost(ctx);
-        ctx.charge_cpu_ms(PER_TX_CPU_MS * proposals.len() as f64);
+        ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * proposals.len() as f64);
         for proposal in proposals {
             if self.clients.note_seen(proposal.tx.key()) {
                 self.pending_proposals.push(proposal);
@@ -46,7 +46,7 @@ impl PrestigeServer {
     /// of trickling out one batch per inbound event. Partial batches are left
     /// for the batch timer.
     pub(crate) fn flush_ready_batches(&mut self, ctx: &mut Context<Message>) {
-        while self.inflight.len() < self.pipeline_depth()
+        while self.inflight.len() < PIPELINE_DEPTH
             && self.pending_proposals.len() >= self.config.batch_size
         {
             let before = self.inflight.len();
@@ -59,7 +59,7 @@ impl PrestigeServer {
 
     /// Leader batch flush: assigns the next sequence number to the pending
     /// proposals (up to β of them) and broadcasts the `Ord` message. Respects
-    /// the pipeline window: with `pipeline_depth` instances already in
+    /// the pipeline window: with `PIPELINE_DEPTH` instances already in
     /// flight, the flush waits until a commit frees a slot.
     pub(crate) fn flush_batch(&mut self, ctx: &mut Context<Message>) {
         if self.role != ServerRole::Leader || self.behavior.silent_as_leader() {
@@ -71,7 +71,7 @@ impl PrestigeServer {
         if self.pending_proposals.is_empty() {
             return;
         }
-        if self.inflight.len() >= self.pipeline_depth() {
+        if self.inflight.len() >= PIPELINE_DEPTH {
             return; // Window full: wait for an in-flight instance to commit.
         }
         let take = self.pending_proposals.len().min(self.config.batch_size);
@@ -99,7 +99,7 @@ impl PrestigeServer {
         }
         let view = self.current_view();
         let digest = Self::batch_digest(view, n, &batch);
-        ctx.charge_cpu_ms(PER_TX_CPU_MS * batch.len() as f64);
+        ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
         let mut ordering_builder =
             QcBuilder::new(QcKind::Ordering, view, n, digest, self.config.quorum());

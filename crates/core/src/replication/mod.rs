@@ -22,7 +22,7 @@
 //! sequence-number order on every replica so the digest chain is identical
 //! everywhere.
 //!
-//! **Pipelining.** The leader keeps up to `Config::pipeline_depth`
+//! **Pipelining.** The leader keeps up to `PIPELINE_DEPTH`
 //! consecutive sequence numbers in flight: it flushes and broadcasts batch
 //! `n+k` while the ordering/commit QCs for `n` are still outstanding.
 //! Followers acknowledge ordering rounds in any order; commits are forced
@@ -46,20 +46,16 @@ use prestige_types::{Digest, Proposal, SeqNum, View};
 // compatibility.
 pub use prestige_crypto::batch_digest;
 
-/// CPU cost charged per transaction when hashing / validating a batch (ms).
-/// Roughly the cost of one digest computation on the paper's Skylake vCPUs.
-pub(crate) const PER_TX_CPU_MS: f64 = 0.0004;
+/// The leader's in-flight window: how many consecutive sequence numbers may
+/// be ordered but not yet commit-certified at once. With depth `k` the
+/// leader broadcasts `Ord` for batches `n+1..n+k` while the QCs for `n` are
+/// still outstanding; `1` would be stop-and-wait replication.
+pub(crate) const PIPELINE_DEPTH: usize = 4;
 
 impl PrestigeServer {
     /// Digest over an ordered batch (see the free function [`batch_digest`]).
     pub(crate) fn batch_digest(view: View, n: SeqNum, batch: &[Proposal]) -> Digest {
         batch_digest(view, n, batch)
-    }
-
-    /// The leader's in-flight window: how many consecutive sequence numbers
-    /// may be awaiting their QCs at once.
-    pub(crate) fn pipeline_depth(&self) -> usize {
-        self.config.pipeline_depth.max(1)
     }
 
     /// How long an in-flight instance may wait for its quorum before the
@@ -567,7 +563,7 @@ mod tests {
         let mut follower = PrestigeServer::new(ServerId(1), config.clone(), registry.clone(), 0);
         let view = View(1);
         let leader = Actor::Server(ServerId(0));
-        let far = 1 + config.pipeline_depth as u64 + 1024 + 1;
+        let far = 1 + PIPELINE_DEPTH as u64 + 1024 + 1;
         let batch = vec![Proposal::new(
             Transaction::with_size(ClientId(1), 60, 16),
             Digest::ZERO,

@@ -16,10 +16,10 @@ use crate::pacemaker::{timer_tags, Pacemaker};
 use crate::profile::{LoopProfile, LoopStage};
 use crate::storage::BlockStore;
 use prestige_crypto::{
-    FramedHasher, KeyPair, KeyRegistry, PowSolution, PowSolver, QcBuilder, ThresholdVerifier,
+    FramedHasher, KeyPair, KeyRegistry, PowSolution, QcBuilder, ThresholdVerifier,
 };
 use prestige_reputation::{RefreshTracker, ReputationEngine};
-use prestige_sim::{Context, Process, SimTime, TimerId};
+use prestige_sim::{cpu_cost, Context, Process, SimTime, TimerId};
 use prestige_types::{
     Actor, ClientId, ClusterConfig, Digest, Message, Proposal, QuorumCertificate, SeqNum, ServerId,
     VcBlock, View,
@@ -196,7 +196,6 @@ pub struct PrestigeServer {
     pub(crate) behavior: ByzantineBehavior,
     pub(crate) pacemaker: Pacemaker,
     pub(crate) engine: ReputationEngine,
-    pub(crate) pow_solver: PowSolver,
     pub(crate) store: BlockStore,
     pub(crate) role: ServerRole,
 
@@ -378,11 +377,8 @@ impl PrestigeServer {
         if behavior.mimics_timeouts() {
             pacemaker.set_deterministic_timeout(true);
         }
-        let engine = ReputationEngine::new(config.reputation.clone());
-        let pow_solver = PowSolver::from_config(&config.pow);
         let store = BlockStore::new(config.n());
-        let refresh_tracker =
-            RefreshTracker::new(config.reputation.refresh_threshold_pi, config.f());
+        let refresh_tracker = RefreshTracker::new(config.f());
         PrestigeServer {
             id,
             config,
@@ -390,8 +386,7 @@ impl PrestigeServer {
             keypair,
             behavior,
             pacemaker,
-            engine,
-            pow_solver,
+            engine: ReputationEngine,
             store,
             role: if id == ServerId(0) {
                 // S1 leads the initial view V1 (matching the paper's Figure 1).
@@ -578,12 +573,12 @@ impl PrestigeServer {
 
     /// Charges the per-message processing cost to this node.
     pub(crate) fn charge_message_cost(&self, ctx: &mut Context<Message>) {
-        ctx.charge_cpu_ms(self.config.per_message_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_MESSAGE_MS);
     }
 
     /// Charges the cost of one signature / QC verification.
     pub(crate) fn charge_verify_cost(&self, ctx: &mut Context<Message>) {
-        ctx.charge_cpu_ms(self.config.per_verify_cpu_ms);
+        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
     }
 
     /// Attaches the driving runtime's stage profiler so protocol-side

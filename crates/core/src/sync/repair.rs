@@ -4,8 +4,9 @@
 
 use super::serve::sync_kind_tag;
 use crate::pacemaker::timer_tags;
+use crate::replication::PIPELINE_DEPTH;
 use crate::server::{PrestigeServer, ServerRole};
-use prestige_sim::Context;
+use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
     Actor, Message, OrderedEntry, QcKind, QuorumCertificate, SyncKind, TxBlock, VcBlock,
 };
@@ -226,7 +227,7 @@ impl PrestigeServer {
             }
             // Same far-future bound as live orderings: sync must not become
             // a way around the `ordered_batches` growth limit.
-            if n.0 > self.store.latest_seq().0 + self.pipeline_depth() as u64 + 1024 {
+            if n.0 > self.store.latest_seq().0 + PIPELINE_DEPTH as u64 + 1024 {
                 continue;
             }
             if let Some(existing) = self.ord_qcs.get(&n.0) {
@@ -243,7 +244,7 @@ impl PrestigeServer {
                     continue; // Nothing new here.
                 }
             }
-            ctx.charge_cpu_ms(crate::replication::PER_TX_CPU_MS * entry.batch.len() as f64);
+            ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * entry.batch.len() as f64);
             if Self::batch_digest(entry.qc.view, n, &entry.batch) != entry.qc.digest {
                 continue;
             }

@@ -254,28 +254,18 @@ impl PrestigeServer {
         self.role = ServerRole::Redeemer;
         self.stats.campaigns_started += 1;
 
-        // Solve the puzzle. The solver either iterates SHA-256 for real (the
-        // cost is charged as CPU time) or models the solve duration from the
-        // geometric attempt distribution (DESIGN.md §1).
+        // Solve the puzzle: the modeled solver samples the attempt count from
+        // the geometric distribution, and the redeemer waits out the time
+        // those attempts take at its hash rate (DESIGN.md §1).
+        let solver = PowSolver::PAPER_MODEL;
         let puzzle = PowPuzzle::new(tx_digest, rp);
-        let (solution, attempts) = self.pow_solver.solve(&puzzle, ctx.rng().rng());
-        let fallback_rate = 1.0e7;
-        let solve_ms = self.pow_solver.attempts_to_ms(attempts, fallback_rate);
+        let (solution, attempts) = solver.solve(&puzzle, ctx.rng().rng());
+        let solve_ms = solver.attempts_to_ms(attempts);
         self.stats.last_pow_ms = solve_ms;
         self.stats.pow_ms_total += solve_ms;
         self.stats
             .campaign_log
             .push((ctx.now().as_ms(), rp, solve_ms));
-
-        // A campaigner whose required work exceeds the configured bound cannot
-        // afford the puzzle (its computation capability γ is exhausted).
-        if let Some(max_ms) = self.config.pow.max_solve_ms {
-            if solve_ms > max_ms {
-                self.role = ServerRole::Follower;
-                self.campaign = None;
-                return;
-            }
-        }
 
         self.campaign = Some(CampaignState {
             old_view: self.store.current_view(),
@@ -291,22 +281,11 @@ impl PrestigeServer {
             commit_cert,
             tip_cert,
         });
-        match self.pow_solver {
-            PowSolver::Real { .. } => {
-                // The real solver already burned the attempts; charge them as
-                // CPU time and move on immediately.
-                ctx.charge_cpu_ms(solve_ms);
-                let timer = ctx.set_timer(prestige_sim::SimDuration::ZERO, timer_tags::POW_DONE);
-                self.pow_timer = Some(timer);
-            }
-            PowSolver::Modeled { .. } => {
-                let timer = ctx.set_timer(
-                    prestige_sim::SimDuration::from_ms(solve_ms),
-                    timer_tags::POW_DONE,
-                );
-                self.pow_timer = Some(timer);
-            }
-        }
+        let timer = ctx.set_timer(
+            prestige_sim::SimDuration::from_ms(solve_ms),
+            timer_tags::POW_DONE,
+        );
+        self.pow_timer = Some(timer);
     }
 
     /// Puzzle finished: transition redeemer → candidate and broadcast the

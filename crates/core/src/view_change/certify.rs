@@ -23,7 +23,7 @@
 //! [`crate::sync`]), never papered over by trust.
 
 use crate::server::{PrestigeServer, ServerRole};
-use prestige_crypto::{sign_share, PowPuzzle, PowSolution};
+use prestige_crypto::{sign_share, PowPuzzle, PowSolution, PowSolver};
 use prestige_reputation::CalcRpInput;
 use prestige_sim::Context;
 use prestige_types::{
@@ -387,7 +387,7 @@ impl PrestigeServer {
             nonce: claims.nonce,
             hash_result: claims.hash_result,
         };
-        if self.pow_solver.verify(&puzzle, &solution).is_err() {
+        if PowSolver::PAPER_MODEL.verify(&puzzle, &solution).is_err() {
             return;
         }
 
@@ -513,7 +513,7 @@ mod tests {
         let tx_digest = voter.store.latest_tx_digest();
         let puzzle = PowPuzzle::new(tx_digest, outcome.new_rp);
         let mut rng = SimRng::new(11);
-        let (solution, _) = voter.pow_solver.solve(&puzzle, rng.rng());
+        let (solution, _) = PowSolver::PAPER_MODEL.solve(&puzzle, rng.rng());
         let campaign_digest = PrestigeServer::campaign_digest(
             candidate,
             new_view,

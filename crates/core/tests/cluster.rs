@@ -302,48 +302,38 @@ fn same_seed_reproduces_identical_runs() {
 }
 
 #[test]
-fn pipeline_depths_preserve_replica_agreement() {
-    // Pipelining changes batch boundaries and scheduling, never safety: at
-    // every depth (stop-and-wait through a deep window) the cluster makes
-    // healthy progress, every replica holds the same chain on the common
-    // prefix, and the log is gap-free with intact chain pointers.
-    for depth in [1usize, 4, 8] {
-        let pipelined = Scenario {
-            pipeline_depth: depth,
-            ..lan()
-        };
-        let mut sim = build_cluster(7, 20, 40, pipelined);
-        sim.run_until(SimTime::from_secs(3.0));
+fn pipelined_replication_preserves_replica_agreement() {
+    // Pipelining changes batch boundaries and scheduling, never safety: the
+    // cluster makes healthy progress, every replica holds the same chain on
+    // the common prefix, and the log is gap-free with intact chain pointers.
+    let mut sim = build_cluster(7, 20, 40, lan());
+    sim.run_until(SimTime::from_secs(3.0));
 
-        let reference = sim_server(&sim, 0);
-        let ref_seq = reference.store().latest_seq();
-        assert!(ref_seq.0 > 10, "depth {depth}: cluster must progress");
-        // Gap-free chain with intact prev pointers on the reference replica.
-        let mut prev = None;
-        for n in 1..=ref_seq.0 {
-            let block = reference
-                .store()
-                .tx_block(n.into())
-                .unwrap_or_else(|| panic!("depth {depth}: gap at T{n}"));
-            if let Some(prev) = prev {
-                assert_eq!(
-                    block.header.prev_digest, prev,
-                    "depth {depth}: chain broken at T{n}"
-                );
-            }
-            prev = Some(block.header.digest);
+    let reference = sim_server(&sim, 0);
+    let ref_seq = reference.store().latest_seq();
+    assert!(ref_seq.0 > 10, "cluster must progress");
+    // Gap-free chain with intact prev pointers on the reference replica.
+    let mut prev = None;
+    for n in 1..=ref_seq.0 {
+        let block = reference
+            .store()
+            .tx_block(n.into())
+            .unwrap_or_else(|| panic!("gap at T{n}"));
+        if let Some(prev) = prev {
+            assert_eq!(block.header.prev_digest, prev, "chain broken at T{n}");
         }
-        // Every replica agrees on the common prefix.
-        for s in 1..4u32 {
-            let server = sim_server(&sim, s);
-            let common = ref_seq.min(server.store().latest_seq());
-            for n in 1..=common.0 {
-                assert_eq!(
-                    reference.store().tx_block(n.into()).unwrap().header.digest,
-                    server.store().tx_block(n.into()).unwrap().header.digest,
-                    "depth {depth}: server {s} diverged at T{n}"
-                );
-            }
+        prev = Some(block.header.digest);
+    }
+    // Every replica agrees on the common prefix.
+    for s in 1..4u32 {
+        let server = sim_server(&sim, s);
+        let common = ref_seq.min(server.store().latest_seq());
+        for n in 1..=common.0 {
+            assert_eq!(
+                reference.store().tx_block(n.into()).unwrap().header.digest,
+                server.store().tx_block(n.into()).unwrap().header.digest,
+                "server {s} diverged at T{n}"
+            );
         }
     }
 }

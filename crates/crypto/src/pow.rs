@@ -7,23 +7,27 @@
 //! correct servers (rp < 5, under 20 ms in the paper) and hours for heavily
 //! penalized attackers (rp > 8).
 //!
-//! Two solver modes are provided (selected by [`PowMode`]):
+//! Two solver modes are provided:
 //!
 //! * **Real** — actually iterate SHA-256 until the prefix condition holds.
-//!   The difficulty unit is configurable in *bits* so unit tests and
-//!   microbenchmarks can exercise the true code path quickly. Verification
-//!   recomputes a single hash (O(1)), exactly as voting criterion C5 demands.
-//! * **Modeled** — used by the cluster experiments: the number of attempts is
-//!   drawn from the geometric/exponential distribution with mean `2^(8·rp)`
-//!   and converted into simulated time through a configured hash rate. The
+//!   The difficulty unit is configurable in *bits* so unit tests can exercise
+//!   the true code path quickly. Verification recomputes a single hash
+//!   (O(1)), exactly as voting criterion C5 demands.
+//! * **Modeled** — what every server runs ([`PowSolver::PAPER_MODEL`]): the
+//!   number of attempts is drawn from the geometric/exponential distribution
+//!   with mean `2^(8·rp)` and converted into time through a hash rate. The
 //!   solution carries a deterministic stand-in hash result that any verifier
 //!   can recompute with one hash, so the verifiability property P3 is
 //!   preserved inside the simulation while Figure 12's exponential attacker
 //!   cost is reproduced without hours of real CPU time.
 
 use crate::hash::hash_pair;
-use prestige_types::{Digest, PowConfig, PowMode, ProtocolError, Result};
+use prestige_types::{Digest, ProtocolError, Result};
 use rand::Rng;
+
+/// SHA-256 attempts per second on one core of the paper's 2.40 GHz Skylake
+/// VMs: the modeled puzzle's rate, and the rate a real solve is timed at.
+const PAPER_HASH_RATE: f64 = 1.0e7;
 
 /// The puzzle a redeemer must solve: bound to its latest committed txBlock
 /// digest and its reputation penalty.
@@ -74,13 +78,12 @@ pub enum PowSolver {
 }
 
 impl PowSolver {
-    /// Builds a solver from the cluster configuration.
-    pub fn from_config(cfg: &PowConfig) -> Self {
-        match cfg.mode {
-            PowMode::Real { bits_per_unit } => PowSolver::Real { bits_per_unit },
-            PowMode::Modeled { hash_rate } => PowSolver::Modeled { hash_rate },
-        }
-    }
+    /// The puzzle every server solves: the paper's byte-prefix rule, modeled
+    /// at 10^7 hashes/s. It reproduces Figure 12's exponential attacker cost
+    /// without hours of real CPU time.
+    pub const PAPER_MODEL: PowSolver = PowSolver::Modeled {
+        hash_rate: PAPER_HASH_RATE,
+    };
 
     /// Expected number of hash attempts for a penalty of `rp` in this mode.
     pub fn expected_attempts(&self, rp: u32) -> f64 {
@@ -91,15 +94,18 @@ impl PowSolver {
         }
     }
 
-    /// Expected solve time in milliseconds for a penalty of `rp`, given the
-    /// solver's hash rate (the real mode has no intrinsic rate, so callers
-    /// supply one for planning purposes).
-    pub fn expected_solve_ms(&self, rp: u32, fallback_hash_rate: f64) -> f64 {
-        let rate = match self {
-            PowSolver::Real { .. } => fallback_hash_rate,
+    /// Hashes per second this solver's attempts are timed at. The real mode
+    /// has no intrinsic rate, so it is timed at the paper's.
+    fn hash_rate(&self) -> f64 {
+        match self {
+            PowSolver::Real { .. } => PAPER_HASH_RATE,
             PowSolver::Modeled { hash_rate } => *hash_rate,
-        };
-        self.expected_attempts(rp) / rate * 1000.0
+        }
+    }
+
+    /// Expected solve time in milliseconds for a penalty of `rp`.
+    pub fn expected_solve_ms(&self, rp: u32) -> f64 {
+        self.attempts_to_ms(self.expected_attempts(rp))
     }
 
     /// Solves the puzzle. Returns the solution together with the *cost*:
@@ -146,13 +152,9 @@ impl PowSolver {
     }
 
     /// Converts an attempt count into solve time (milliseconds) at the
-    /// solver's hash rate (or `fallback_hash_rate` for the real solver).
-    pub fn attempts_to_ms(&self, attempts: f64, fallback_hash_rate: f64) -> f64 {
-        let rate = match self {
-            PowSolver::Real { .. } => fallback_hash_rate,
-            PowSolver::Modeled { hash_rate } => *hash_rate,
-        };
-        attempts / rate * 1000.0
+    /// solver's hash rate.
+    pub fn attempts_to_ms(&self, attempts: f64) -> f64 {
+        attempts / self.hash_rate() * 1000.0
     }
 
     /// Verifies a claimed solution against the puzzle: recompute one hash and
@@ -253,7 +255,7 @@ mod tests {
 
     #[test]
     fn modeled_solver_round_trip_and_exponential_cost() {
-        let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
+        let solver = PowSolver::PAPER_MODEL;
         let mut rng = StdRng::seed_from_u64(5);
         let cheap = PowPuzzle::new(digest(2), 1);
         let dear = PowPuzzle::new(digest(2), 6);
@@ -267,7 +269,7 @@ mod tests {
 
     #[test]
     fn modeled_verify_rejects_tampered_result() {
-        let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
+        let solver = PowSolver::PAPER_MODEL;
         let puzzle = PowPuzzle::new(digest(3), 2);
         let mut rng = StdRng::seed_from_u64(6);
         let (mut solution, _) = solver.solve(&puzzle, &mut rng);
@@ -279,7 +281,7 @@ mod tests {
     fn modeled_verify_rejects_wrong_penalty_claim() {
         // A solution computed for rp=1 cannot be passed off as satisfying rp=4
         // because the forced-zero prefix differs.
-        let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
+        let solver = PowSolver::PAPER_MODEL;
         let mut rng = StdRng::seed_from_u64(7);
         let (solution, _) = solver.solve(&PowPuzzle::new(digest(4), 1), &mut rng);
         assert!(solver
@@ -289,31 +291,14 @@ mod tests {
 
     #[test]
     fn expected_attempts_match_paper_probability() {
-        let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
+        let solver = PowSolver::PAPER_MODEL;
         assert_eq!(solver.expected_attempts(0), 1.0);
         assert_eq!(solver.expected_attempts(1), 256.0);
         assert_eq!(solver.expected_attempts(2), 65_536.0);
         // Expected solve time grows by 256× per penalty point.
-        let t1 = solver.expected_solve_ms(1, 1.0e7);
-        let t2 = solver.expected_solve_ms(2, 1.0e7);
+        let t1 = solver.expected_solve_ms(1);
+        let t2 = solver.expected_solve_ms(2);
         assert!((t2 / t1 - 256.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_config_selects_mode() {
-        let real = PowConfig {
-            mode: PowMode::Real { bits_per_unit: 8 },
-            max_solve_ms: None,
-        };
-        assert_eq!(
-            PowSolver::from_config(&real),
-            PowSolver::Real { bits_per_unit: 8 }
-        );
-        let modeled = PowConfig::default();
-        assert!(matches!(
-            PowSolver::from_config(&modeled),
-            PowSolver::Modeled { .. }
-        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! The *performance* effect of real signature verification is modeled
 //! separately by the simulator's per-verification CPU cost
-//! (`ClusterConfig::per_verify_cpu_ms`), so substituting MACs for public-key
+//! (`prestige_sim::cpu_cost::PER_VERIFY_MS`), so substituting MACs for public-key
 //! signatures does not distort the throughput comparisons.
 
 use crate::hash::hash_many;

@@ -13,7 +13,7 @@
 //! * a [`ThresholdVerifier`] checks a finished certificate in O(t) share
 //!   recomputations (the real primitive verifies in O(1); the simulator
 //!   charges CPU time for QC verification separately so the *performance*
-//!   model matches the O(1) claim — see `ClusterConfig::per_verify_cpu_ms`).
+//!   model matches the O(1) claim — see `prestige_sim::cpu_cost::PER_VERIFY_MS`).
 
 use crate::hash::FramedHasher;
 use crate::signature::{KeyRegistry, Signature};

@@ -16,16 +16,13 @@ use crate::Scale;
 use prestige_crypto::PowSolver;
 use prestige_metrics::Table;
 use prestige_reputation::{CalcRpInput, ReputationEngine};
-use prestige_types::{ReputationConfig, SeqNum, View};
+use prestige_types::{SeqNum, View};
 
 /// Simulates the rp trajectory of an attacker that repossesses leadership on
 /// every attack without replicating, and of a correct server that wins
 /// leadership legitimately with healthy replication in between.
 fn rp_trajectories(attacks: usize, colluders: u32) -> (Vec<i64>, Vec<i64>) {
-    let engine = ReputationEngine::new(ReputationConfig {
-        refresh_enabled: false,
-        ..ReputationConfig::default()
-    });
+    let engine = ReputationEngine;
     let mut attacker_rp = 1i64;
     let mut attacker_ci = 1u64;
     let mut attacker_history = vec![1i64];
@@ -95,9 +92,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Quick => 20,
         Scale::Full => 20,
     };
-    // The paper's SHA-256 rate on its Skylake vCPUs, also the default of the
-    // modeled PoW solver.
-    let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
+    // The paper's SHA-256 rate on its Skylake vCPUs, the one every server
+    // solves at.
+    let solver = PowSolver::PAPER_MODEL;
     let mut table = Table::new(
         "Figure 12 — expected time cost to start a view change (ms) vs number of attacks",
         &[
@@ -113,7 +110,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let (a1, c1) = rp_trajectories(attacks, 1);
     let (a3, c3) = rp_trajectories(attacks, 3);
     for i in 0..attacks {
-        let cost = |rp: i64| solver.expected_solve_ms(rp.max(0) as u32, 1.0e7);
+        let cost = |rp: i64| solver.expected_solve_ms(rp.max(0) as u32);
         table.push_row(vec![
             (i + 1).to_string(),
             a1[i].to_string(),
@@ -148,10 +145,10 @@ mod tests {
 
     #[test]
     fn attack_cost_is_exponential() {
-        let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
+        let solver = PowSolver::PAPER_MODEL;
         let (attacker, _) = rp_trajectories(20, 3);
-        let early = solver.expected_solve_ms(attacker[0].max(0) as u32, 1.0e7);
-        let late = solver.expected_solve_ms(attacker.last().copied().unwrap() as u32, 1.0e7);
+        let early = solver.expected_solve_ms(attacker[0].max(0) as u32);
+        let late = solver.expected_solve_ms(attacker.last().copied().unwrap() as u32);
         assert!(late > early * 1e6, "late {late} vs early {early}");
     }
 }

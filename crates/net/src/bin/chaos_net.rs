@@ -30,7 +30,6 @@ use prestige_core::AttackStrategy;
 use prestige_core::LoopStage;
 use prestige_metrics::Json;
 use prestige_net::cluster::{LocalCluster, StoragePlan};
-use prestige_net::config::wal_options;
 use prestige_net::NetChaos;
 use prestige_types::{Actor, ClientId, ServerId};
 use prestige_workloads::scenario::{
@@ -53,10 +52,7 @@ fn storage_plan(scenario: &Scenario) -> Option<StoragePlan> {
         )),
     };
     let _ = std::fs::remove_dir_all(&root);
-    Some(StoragePlan {
-        root,
-        options: wal_options(settings),
-    })
+    Some(StoragePlan::new(root))
 }
 
 /// Applies a link model: every delivery waits `delay_lo_us` plus a uniform

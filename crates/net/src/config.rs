@@ -1,6 +1,8 @@
 //! Node configuration for multi-process deployments: the `prestige-node`
 //! config schema, read through the repo's mini-TOML
-//! ([`prestige_workloads::toml`], re-exported here).
+//! ([`prestige_workloads::toml`], re-exported here). Every key is below; a
+//! key not listed is an error naming it, as in scenario files, except under
+//! `[peers]`, whose keys are node names.
 //!
 //! ```toml
 //! # cluster.toml — one file shared by every node
@@ -10,7 +12,6 @@
 //! batch_size = 100
 //! payload_size = 32
 //! clients = 1
-//! # pipeline_depth = 4     # leader replication window
 //! # rotation_ms = 10000.0  # timing view-change policy (r10); omit = on-failure-only
 //! # checkpoint_interval = 64  # certified checkpoint + WAL GC cadence (0 = off)
 //!
@@ -34,9 +35,6 @@
 //! # Optional durable storage plane: hash-chained WAL + restart-from-disk.
 //! [storage]
 //! dir = "/var/lib/prestige"   # server i logs under <dir>/server-<i>/
-//! # segment_bytes = 4194304
-//! # sync_every_n = 64
-//! # sync_interval_ms = 5.0
 //!
 //! [peers]
 //! s0 = "127.0.0.1:7000"
@@ -48,7 +46,6 @@
 
 use crate::cluster::StoragePlan;
 use prestige_core::ByzantineBehavior;
-use prestige_storage::WalOptions;
 use prestige_types::{Actor, ClientId, ClusterConfig, ServerId, ViewChangePolicy};
 use prestige_workloads::scenario::StorageSettings;
 use prestige_workloads::FaultPlan;
@@ -57,23 +54,21 @@ use std::net::SocketAddr;
 
 // The mini-TOML parser and its typed getters live beside the scenario
 // format in `prestige-workloads`; node configs read through the same ones.
-use prestige_workloads::toml::parse_timeouts;
 pub use prestige_workloads::toml::{
     get, get_f64, get_int, get_str, parse_faults, parse_toml, ConfigError, TomlDoc, TomlValue,
 };
+use prestige_workloads::toml::{parse_timeouts, reject_unknown_keys, FAULT_KEYS, TIMEOUT_KEYS};
 
-/// The WAL tuning a `[storage]` section asks for: its set keys over
-/// [`WalOptions::default`].
-pub fn wal_options(settings: &StorageSettings) -> WalOptions {
-    let defaults = WalOptions::default();
-    WalOptions {
-        segment_bytes: settings.segment_bytes.unwrap_or(defaults.segment_bytes),
-        sync_every_n: settings.sync_every_n.unwrap_or(defaults.sync_every_n),
-        sync_interval_ms: settings
-            .sync_interval_ms
-            .unwrap_or(defaults.sync_interval_ms),
-    }
-}
+/// The keys of the `[cluster]` section.
+const CLUSTER_KEYS: [&str; 7] = [
+    "n",
+    "seed",
+    "clients",
+    "batch_size",
+    "payload_size",
+    "rotation_ms",
+    "checkpoint_interval",
+];
 
 /// Which node this process runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,6 +122,16 @@ impl NodeConfig {
     /// nodes: `prestige-node --config cluster.toml --as s2`).
     pub fn from_toml(text: &str, role_override: Option<&str>) -> Result<Self, ConfigError> {
         let doc = parse_toml(text)?;
+        for (section, keys) in [
+            ("cluster", &CLUSTER_KEYS[..]),
+            ("node", &["role", "id"]),
+            ("workload", &["concurrency", "duration_s"]),
+            ("timeouts", &TIMEOUT_KEYS),
+            ("faults", &FAULT_KEYS),
+            ("storage", &StorageSettings::KEYS),
+        ] {
+            reject_unknown_keys(&doc, section, keys)?;
+        }
 
         let require = |section: &str, key: &str| match get(&doc, section, key) {
             Some(_) => Ok(()),
@@ -142,8 +147,6 @@ impl NodeConfig {
         let mut cluster = ClusterConfig::new(n);
         cluster.batch_size = get_int(&doc, "cluster", "batch_size", cluster.batch_size)?;
         cluster.payload_size = get_int(&doc, "cluster", "payload_size", cluster.payload_size)?;
-        cluster.pipeline_depth =
-            get_int(&doc, "cluster", "pipeline_depth", cluster.pipeline_depth)?.max(1);
         let rotation_ms = get_f64(&doc, "cluster", "rotation_ms", 0.0)?;
         if rotation_ms > 0.0 {
             cluster.policy = ViewChangePolicy::Timing {
@@ -199,12 +202,8 @@ impl NodeConfig {
         };
 
         // Optional `[storage]` section: durable WAL + restart-from-disk.
-        let storage = StorageSettings::from_doc(&doc)?.and_then(|settings| {
-            Some(StoragePlan {
-                options: wal_options(&settings),
-                root: settings.dir?.into(),
-            })
-        });
+        let storage = StorageSettings::from_doc(&doc)?
+            .and_then(|settings| Some(StoragePlan::new(settings.dir?)));
 
         Ok(NodeConfig {
             role,
@@ -258,7 +257,6 @@ n = 4
 seed = 11
 batch_size = 200
 clients = 2
-pipeline_depth = 8
 
 [node]
 role = "server"
@@ -286,7 +284,6 @@ c1 = "127.0.0.1:7101"
         assert_eq!(cfg.role, NodeRole::Server(ServerId(2)));
         assert_eq!(cfg.cluster.n(), 4);
         assert_eq!(cfg.cluster.batch_size, 200);
-        assert_eq!(cfg.cluster.pipeline_depth, 8);
         assert_eq!(cfg.cluster.timeouts.base_timeout_ms, 500.0);
         assert_eq!(cfg.seed, 11);
         assert_eq!(cfg.clients, 2);
@@ -361,10 +358,7 @@ c1 = "127.0.0.1:7101"
         let cfg = NodeConfig::from_toml(SAMPLE, None).unwrap();
         assert!(cfg.storage.is_none(), "no [storage] section = in-memory");
 
-        let text = format!(
-            "{SAMPLE}\n[storage]\ndir = \"/tmp/prestige-wal\"\nsegment_bytes = 1048576\n\
-             sync_every_n = 8\nsync_interval_ms = 2.5\n"
-        );
+        let text = format!("{SAMPLE}\n[storage]\ndir = \"/tmp/prestige-wal\"\n");
         let cfg = NodeConfig::from_toml(&text, None).unwrap();
         let plan = cfg.storage.expect("storage plan parsed");
         assert_eq!(plan.root, std::path::PathBuf::from("/tmp/prestige-wal"));
@@ -372,9 +366,6 @@ c1 = "127.0.0.1:7101"
             plan.server_dir(ServerId(2)),
             std::path::PathBuf::from("/tmp/prestige-wal/server-2")
         );
-        assert_eq!(plan.options.segment_bytes, 1 << 20);
-        assert_eq!(plan.options.sync_every_n, 8);
-        assert_eq!(plan.options.sync_interval_ms, 2.5);
     }
 
     #[test]
@@ -394,18 +385,40 @@ c1 = "127.0.0.1:7101"
                 "`{bad}` must be rejected"
             );
         }
-        for bad in ["sync_every_n = 8.5", "sync_interval_ms = \"2.5\""] {
-            let text = format!("{SAMPLE}\n[storage]\ndir = \"/tmp/wal\"\n{bad}\n");
-            let err = NodeConfig::from_toml(&text, None).expect_err(bad);
-            let key = bad.split(' ').next().unwrap();
-            assert!(
-                err.to_string().contains(&format!("storage.{key}")),
-                "error must name the key: {err}"
-            );
-        }
+        let text = format!("{SAMPLE}\n[storage]\ndir = 7\n");
+        let err = NodeConfig::from_toml(&text, None).expect_err("numeric dir");
+        assert!(err.to_string().contains("storage.dir"), "{err}");
         // Negative counts are out of range, not a two's-complement wrap.
         let text = SAMPLE.replace("clients = 2", "clients = -2");
         assert!(NodeConfig::from_toml(&text, None).is_err());
+    }
+
+    #[test]
+    fn unknown_keys_are_errors_naming_the_key() {
+        // A misspelling, or a setting that became a constant, would
+        // otherwise be silently ignored.
+        for (section, key) in [
+            ("cluster", "batch_sise = 200"),
+            ("cluster", "pipeline_depth = 8"),
+            ("node", "rol = \"server\""),
+            ("workload", "duration = 5.0"),
+            ("timeouts", "base_ms = 1.0"),
+            ("faults", "plans = \"quiet\""),
+            ("storage", "sync_every_n = 8"),
+        ] {
+            // A repeated header adds to the section it names.
+            let text = format!("{SAMPLE}\n[{section}]\n{key}\n");
+            let err = NodeConfig::from_toml(&text, None).expect_err(key);
+            let name = key.split(' ').next().unwrap();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown key `{section}.{name}`")),
+                "{key}: {err}"
+            );
+        }
+        // Node names under [peers] are free-form keys.
+        let text = SAMPLE.replace("c1 = ", "c7 = \"127.0.0.1:7107\"\nc1 = ");
+        assert!(NodeConfig::from_toml(&text, None).is_ok());
     }
 
     #[test]

@@ -15,12 +15,11 @@ use prestige_types::{ClusterConfig, TimeoutConfig};
 use std::time::Duration;
 
 fn pipelined_config(n: u32) -> ClusterConfig {
-    // The paper's fast timeout profile plus a deep replication window, so
-    // many instances are in flight at once.
+    // The paper's fast timeout profile over the pipelined replication
+    // window, so several instances are in flight at once.
     ClusterConfig::new(n)
         .with_batch_size(100)
         .with_timeouts(TimeoutConfig::fast())
-        .with_pipeline_depth(8)
 }
 
 #[test]

@@ -18,6 +18,14 @@
 
 use crate::history::PenaltyHistory;
 
+/// Every server's compensation index at genesis and after a refresh: no
+/// txBlock consumed yet, `ci = 1`.
+pub const INITIAL_CI: u64 = 1;
+
+/// The paper's `Cδ` of Eq. 4, weighting `δtx·δvc` against the penalty. The
+/// paper runs with 1; applications may weight it differently (§3).
+pub const C_DELTA: f64 = 1.0;
+
 /// The logistic sigmoid `1 / (1 + e^(-x))`.
 pub fn sigmoid(x: f64) -> f64 {
     1.0 / (1.0 + (-x).exp())
@@ -164,6 +172,16 @@ mod tests {
             let d = deduction(rp_temp, 1.0, 1.0, delta_vc(1, &p));
             assert!(d >= 0.0 && d < rp_temp as f64);
         }
+    }
+
+    /// `Cδ` scales the compensation, as §3 describes for applications that
+    /// want to weight δtx·δvc differently (Figure 4c row 4's inputs).
+    #[test]
+    fn c_delta_scales_compensation() {
+        let p = PenaltyHistory::new(vec![1, 2, 3, 4, 5, 5]);
+        let (d_tx, d_vc) = (delta_tx(100, 20), delta_vc(5, &p));
+        assert!(deduction(6, 2.0, d_tx, d_vc) > deduction(6, 0.1, d_tx, d_vc));
+        assert!(compensate(6, 2.0, d_tx, d_vc) < compensate(6, 0.1, d_tx, d_vc));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! ("Features"), the engine acts as a consultant and only VC consensus
 //! installs the result, and only for the elected leader.
 
-use crate::compensation::{deduction, delta_tx, delta_vc};
+use crate::compensation::{deduction, delta_tx, delta_vc, C_DELTA, INITIAL_CI};
 use crate::history::PenaltyHistory;
-use crate::penalty::penalize;
-use prestige_types::{ReputationConfig, SeqNum, View};
+use crate::penalty::{penalize, INITIAL_RP};
+use crate::refresh::REFRESH_THRESHOLD_PI;
+use prestige_types::{SeqNum, View};
 use serde::{Deserialize, Serialize};
 
 /// Everything `CalcRP` reads (Algorithm 1's `Require:` line), decoupled from
@@ -58,7 +59,8 @@ pub struct RpOutcome {
     pub compensated: bool,
 }
 
-/// The reputation engine. One per server; stateless apart from configuration.
+/// The reputation engine. One per server; stateless, and every constant it
+/// applies is the paper's (`Cδ`, `rp(1)`, `ci`, π).
 ///
 /// # Examples
 ///
@@ -71,7 +73,7 @@ pub struct RpOutcome {
 /// use prestige_reputation::{CalcRpInput, ReputationEngine};
 /// use prestige_types::{SeqNum, View};
 ///
-/// let engine = ReputationEngine::default();
+/// let engine = ReputationEngine;
 /// let outcome = engine.calc_rp(&CalcRpInput {
 ///     current_view: View(5),
 ///     new_view: View(6),
@@ -85,29 +87,10 @@ pub struct RpOutcome {
 /// assert_eq!(outcome.new_rp, 5);
 /// assert_eq!(outcome.new_ci, 20);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReputationEngine {
-    config: ReputationConfig,
-}
-
-impl Default for ReputationEngine {
-    fn default() -> Self {
-        ReputationEngine::new(ReputationConfig::default())
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ReputationEngine;
 
 impl ReputationEngine {
-    /// Creates an engine with the given configuration (`Cδ`, initial values,
-    /// refresh threshold).
-    pub fn new(config: ReputationConfig) -> Self {
-        ReputationEngine { config }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ReputationConfig {
-        &self.config
-    }
-
     /// Algorithm 1 — Calculate-Reputation-Penalty.
     ///
     /// Returns the would-be new penalty and compensation index for a server
@@ -123,7 +106,7 @@ impl ReputationEngine {
         let d_tx = delta_tx(ti, ci);
         let history = PenaltyHistory::new(input.penalty_history.clone());
         let d_vc = delta_vc(input.current_rp, &history);
-        let delta = deduction(rp_temp, self.config.c_delta, d_tx, d_vc);
+        let delta = deduction(rp_temp, C_DELTA, d_tx, d_vc);
         let floor = delta.floor() as i64;
         let compensated = floor >= 1;
         let new_rp = (rp_temp - floor).max(1);
@@ -143,12 +126,12 @@ impl ReputationEngine {
     /// The initial penalty/compensation pair used at genesis and after a
     /// refresh (§4.2.5).
     pub fn initial_values(&self) -> (i64, u64) {
-        (self.config.initial_rp, self.config.initial_ci)
+        (INITIAL_RP, INITIAL_CI)
     }
 
     /// Whether a penalty has crossed the refresh threshold π.
     pub fn exceeds_refresh_threshold(&self, rp: i64) -> bool {
-        self.config.refresh_enabled && rp > self.config.refresh_threshold_pi
+        rp > REFRESH_THRESHOLD_PI
     }
 }
 
@@ -157,7 +140,7 @@ mod tests {
     use super::*;
 
     fn engine() -> ReputationEngine {
-        ReputationEngine::default()
+        ReputationEngine
     }
 
     /// Appendix C, first campaign: S1 goes from V1 (rp=1, ci=1, ti=0 — no
@@ -314,8 +297,8 @@ mod tests {
         assert!(out.new_rp >= 1);
     }
 
-    /// Verifiability (criterion C4): two engines with the same configuration
-    /// produce identical outcomes for identical inputs.
+    /// Verifiability (criterion C4): two engines produce identical outcomes
+    /// for identical inputs.
     #[test]
     fn calc_rp_is_deterministic() {
         let input = CalcRpInput {
@@ -331,16 +314,11 @@ mod tests {
 
     #[test]
     fn refresh_threshold_detection() {
+        assert_eq!(REFRESH_THRESHOLD_PI, 8);
         let e = engine();
         assert!(!e.exceeds_refresh_threshold(8));
         assert!(e.exceeds_refresh_threshold(9));
         assert_eq!(e.initial_values(), (1, 1));
-
-        let disabled = ReputationEngine::new(ReputationConfig {
-            refresh_enabled: false,
-            ..ReputationConfig::default()
-        });
-        assert!(!disabled.exceeds_refresh_threshold(100));
     }
 
     /// Byzantine view-jumping is penalized proportionally and cannot be fully
@@ -360,28 +338,5 @@ mod tests {
             out.new_rp > 2,
             "a 48-view jump must leave a visible penalty"
         );
-    }
-
-    /// The Cδ knob scales the compensation, as §3 describes for applications
-    /// that want to weight δtx·δvc differently.
-    #[test]
-    fn c_delta_scales_compensation() {
-        let strong = ReputationEngine::new(ReputationConfig {
-            c_delta: 2.0,
-            ..ReputationConfig::default()
-        });
-        let weak = ReputationEngine::new(ReputationConfig {
-            c_delta: 0.1,
-            ..ReputationConfig::default()
-        });
-        let input = CalcRpInput {
-            current_view: View(6),
-            new_view: View(7),
-            current_rp: 5,
-            current_ci: 20,
-            latest_tx_seq: SeqNum(100),
-            penalty_history: vec![1, 2, 3, 4, 5, 5],
-        };
-        assert!(strong.calc_rp(&input).new_rp < weak.calc_rp(&input).new_rp);
     }
 }

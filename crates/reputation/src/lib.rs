@@ -37,8 +37,8 @@ pub mod history;
 pub mod penalty;
 pub mod refresh;
 
-pub use compensation::{delta_tx, delta_vc, sigmoid};
+pub use compensation::{delta_tx, delta_vc, sigmoid, C_DELTA, INITIAL_CI};
 pub use engine::{CalcRpInput, ReputationEngine, RpOutcome};
 pub use history::PenaltyHistory;
-pub use penalty::penalize;
-pub use refresh::RefreshTracker;
+pub use penalty::{penalize, INITIAL_RP};
+pub use refresh::{RefreshTracker, REFRESH_THRESHOLD_PI};

@@ -8,6 +8,9 @@
 
 use prestige_types::View;
 
+/// Every server's penalty at genesis and after a refresh: `rp(1) = 1`.
+pub const INITIAL_RP: i64 = 1;
+
 /// Applies Eq. 1: the temporary penalty after penalization.
 ///
 /// `current_rp` is the server's penalty recorded in the vcBlock of

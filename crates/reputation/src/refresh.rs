@@ -16,11 +16,13 @@ use prestige_types::{ServerId, View};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// The refresh threshold π (§4.2.5): a penalty above it counts towards the
+/// `f + 1` overloaded servers a refresh needs.
+pub const REFRESH_THRESHOLD_PI: i64 = 8;
+
 /// Tracks refresh eligibility and collected endorsements.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RefreshTracker {
-    /// The refresh threshold π.
-    pi: i64,
     /// Servers that must observe penalties above π before a refresh is
     /// allowed (`f + 1`).
     required_overloaded: u32,
@@ -29,25 +31,22 @@ pub struct RefreshTracker {
 }
 
 impl RefreshTracker {
-    /// Creates a tracker with refresh threshold `pi` for a cluster tolerating
-    /// `f` faults (so `f + 1` overloaded servers are required).
-    pub fn new(pi: i64, f: u32) -> Self {
+    /// Creates a tracker for a cluster tolerating `f` faults (so `f + 1`
+    /// overloaded servers are required).
+    pub fn new(f: u32) -> Self {
         RefreshTracker {
-            pi,
             required_overloaded: f + 1,
             endorsements: BTreeMap::new(),
         }
     }
 
-    /// The refresh threshold π.
-    pub fn pi(&self) -> i64 {
-        self.pi
-    }
-
     /// Whether a refresh may be initiated given the current penalty map: at
     /// least `f + 1` servers must have `rp > π`.
     pub fn refresh_allowed(&self, penalties: &BTreeMap<ServerId, i64>) -> bool {
-        let overloaded = penalties.values().filter(|rp| **rp > self.pi).count() as u32;
+        let overloaded = penalties
+            .values()
+            .filter(|rp| **rp > REFRESH_THRESHOLD_PI)
+            .count() as u32;
         overloaded >= self.required_overloaded
     }
 
@@ -85,20 +84,20 @@ mod tests {
 
     #[test]
     fn refresh_requires_f_plus_one_overloaded() {
-        let tracker = RefreshTracker::new(8, 1); // f = 1 → need 2 overloaded
+        let tracker = RefreshTracker::new(1); // f = 1 → need 2 overloaded
         assert!(!tracker.refresh_allowed(&penalties(&[(0, 9), (1, 2), (2, 1), (3, 1)])));
         assert!(tracker.refresh_allowed(&penalties(&[(0, 9), (1, 10), (2, 1), (3, 1)])));
     }
 
     #[test]
     fn penalty_exactly_at_threshold_does_not_count() {
-        let tracker = RefreshTracker::new(8, 1);
+        let tracker = RefreshTracker::new(1);
         assert!(!tracker.refresh_allowed(&penalties(&[(0, 8), (1, 8), (2, 8), (3, 8)])));
     }
 
     #[test]
     fn endorsements_are_deduplicated_per_view_and_target() {
-        let mut tracker = RefreshTracker::new(8, 1);
+        let mut tracker = RefreshTracker::new(1);
         let v = View(3);
         assert_eq!(tracker.record_endorsement(v, ServerId(0), ServerId(1)), 1);
         assert_eq!(tracker.record_endorsement(v, ServerId(0), ServerId(1)), 1);
@@ -112,17 +111,11 @@ mod tests {
 
     #[test]
     fn pruning_discards_stale_views() {
-        let mut tracker = RefreshTracker::new(8, 1);
+        let mut tracker = RefreshTracker::new(1);
         tracker.record_endorsement(View(2), ServerId(0), ServerId(1));
         tracker.record_endorsement(View(5), ServerId(0), ServerId(1));
         tracker.prune_below(View(4));
         assert_eq!(tracker.endorsement_count(View(2), ServerId(0)), 0);
         assert_eq!(tracker.endorsement_count(View(5), ServerId(0)), 1);
-    }
-
-    #[test]
-    fn accessors() {
-        let tracker = RefreshTracker::new(6, 3);
-        assert_eq!(tracker.pi(), 6);
     }
 }

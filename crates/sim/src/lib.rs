@@ -13,7 +13,8 @@
 //!   to message deliveries and timer expirations ([`process`]),
 //! * per-node CPU cost accounting so that signature verification and batch
 //!   hashing show up as processing delay, which is what creates the
-//!   throughput/latency elbows of Figure 6 ([`runtime`]),
+//!   throughput/latency elbows of Figure 6 ([`runtime`], priced by
+//!   [`cpu_cost`]),
 //! * execution statistics: message and byte counts per message kind
 //!   ([`stats`]).
 //!
@@ -33,7 +34,7 @@ pub mod time;
 
 pub use event::{Event, EventPayload, TimerId};
 pub use network::{LatencyModel, LinkState, NetworkConfig};
-pub use process::{Context, Effects, Emission, Process};
+pub use process::{cpu_cost, Context, Effects, Emission, Process};
 pub use rng::SimRng;
 pub use runtime::Simulation;
 pub use stats::NetStats;

@@ -169,6 +169,20 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
+/// The simulator's CPU cost model, in milliseconds: what PrestigeBFT and the
+/// baselines charge through [`Context::charge_cpu_ms`] for the work every
+/// protocol does, so both pay the same price for it. Real runtimes ignore
+/// the charges.
+pub mod cpu_cost {
+    /// Handling one delivered message (decode, dispatch): 2 µs.
+    pub const PER_MESSAGE_MS: f64 = 2.0e-3;
+    /// Checking one signature, share or quorum certificate: 10 µs.
+    pub const PER_VERIFY_MS: f64 = 10.0e-3;
+    /// Hashing or validating one transaction of a batch: 0.4 µs, roughly one
+    /// digest computation on the paper's Skylake vCPUs.
+    pub const PER_TX_MS: f64 = 0.4e-3;
+}
+
 /// A protocol node driven by the simulator.
 ///
 /// Implementations must also expose themselves as `Any` so experiment

@@ -152,15 +152,7 @@ impl<M: Wire + 'static> Simulation<M> {
         self.cpu_free.remove(&actor);
         self.nodes.insert(actor, node);
         if self.started {
-            let mut outputs = Effects::new();
-            {
-                let node = self.nodes.get_mut(&actor).expect("replaced node");
-                let rng = self.node_rngs.get_mut(&actor).expect("node rng");
-                let mut ctx =
-                    Context::new(self.now, actor, rng, &mut self.next_timer_id, &mut outputs);
-                node.on_start(&mut ctx);
-            }
-            self.apply_outputs(actor, outputs);
+            self.dispatch(actor, |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -197,15 +189,7 @@ impl<M: Wire + 'static> Simulation<M> {
         self.started = true;
         let actors = self.node_order.clone();
         for actor in actors {
-            let mut outputs = Effects::new();
-            {
-                let node = self.nodes.get_mut(&actor).expect("registered node");
-                let rng = self.node_rngs.get_mut(&actor).expect("node rng");
-                let mut ctx =
-                    Context::new(self.now, actor, rng, &mut self.next_timer_id, &mut outputs);
-                node.on_start(&mut ctx);
-            }
-            self.apply_outputs(actor, outputs);
+            self.dispatch(actor, |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -258,18 +242,7 @@ impl<M: Wire + 'static> Simulation<M> {
                 }
                 self.stats
                     .record_delivery(message.kind(), message.wire_size());
-                let mut outputs = Effects::new();
-                {
-                    let node = match self.nodes.get_mut(&actor) {
-                        Some(n) => n,
-                        None => return true,
-                    };
-                    let rng = self.node_rngs.get_mut(&actor).expect("node rng");
-                    let mut ctx =
-                        Context::new(self.now, actor, rng, &mut self.next_timer_id, &mut outputs);
-                    node.on_message(from, message, &mut ctx);
-                }
-                self.apply_outputs(actor, outputs);
+                self.dispatch(actor, |node, ctx| node.on_message(from, message, ctx));
             }
             EventPayload::Timer { id, tag } => {
                 if self.cancelled.remove(&id) {
@@ -280,18 +253,7 @@ impl<M: Wire + 'static> Simulation<M> {
                     return true;
                 }
                 self.stats.timers_fired += 1;
-                let mut outputs = Effects::new();
-                {
-                    let node = match self.nodes.get_mut(&actor) {
-                        Some(n) => n,
-                        None => return true,
-                    };
-                    let rng = self.node_rngs.get_mut(&actor).expect("node rng");
-                    let mut ctx =
-                        Context::new(self.now, actor, rng, &mut self.next_timer_id, &mut outputs);
-                    node.on_timer(id, tag, &mut ctx);
-                }
-                self.apply_outputs(actor, outputs);
+                self.dispatch(actor, |node, ctx| node.on_timer(id, tag, ctx));
             }
         }
         true
@@ -300,6 +262,24 @@ impl<M: Wire + 'static> Simulation<M> {
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Runs one handler of `actor` at the current time, then turns its
+    /// buffered effects into future events. An actor never registered (an
+    /// event addressed to a client that was not added) is skipped.
+    fn dispatch(
+        &mut self,
+        actor: Actor,
+        handler: impl FnOnce(&mut dyn Process<M>, &mut Context<M>),
+    ) {
+        let Some(node) = self.nodes.get_mut(&actor) else {
+            return;
+        };
+        let rng = self.node_rngs.get_mut(&actor).expect("node rng");
+        let mut outputs = Effects::new();
+        let mut ctx = Context::new(self.now, actor, rng, &mut self.next_timer_id, &mut outputs);
+        handler(node.as_mut(), &mut ctx);
+        self.apply_outputs(actor, outputs);
     }
 
     /// Turns a handler's buffered effects into future events.

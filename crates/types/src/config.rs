@@ -1,4 +1,4 @@
-//! Cluster, timeout, reputation, and proof-of-work configuration.
+//! Cluster, timeout and view-change policy configuration.
 //!
 //! All durations in this module are expressed in **milliseconds of simulated
 //! time** (`f64`), matching the units the paper reports (timeout ranges like
@@ -50,82 +50,6 @@ impl TimeoutConfig {
     }
 }
 
-/// Reputation engine configuration (§3).
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct ReputationConfig {
-    /// The constant `Cδ` of Eq. 4 adjusting the effect of δtx·δvc.
-    pub c_delta: f64,
-    /// Initial reputation penalty (`rp(1) = 1`).
-    pub initial_rp: i64,
-    /// Initial compensation index (`ci = 1`).
-    pub initial_ci: u64,
-    /// Refresh threshold π (§4.2.5): once at least f+1 servers exceed this
-    /// penalty, a refresh may be initiated.
-    pub refresh_threshold_pi: i64,
-    /// Whether the refresh mechanism is enabled.
-    pub refresh_enabled: bool,
-}
-
-impl Default for ReputationConfig {
-    fn default() -> Self {
-        ReputationConfig {
-            c_delta: 1.0,
-            initial_rp: 1,
-            initial_ci: 1,
-            refresh_threshold_pi: 8,
-            refresh_enabled: true,
-        }
-    }
-}
-
-/// How the proof-of-work reputation puzzle is executed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub enum PowMode {
-    /// Actually iterate SHA-256 until the required prefix is found. The
-    /// difficulty unit is `bits_per_unit` leading zero *bits* per point of
-    /// `rp` (the paper uses 8 bits — one byte — per point; tests use smaller
-    /// units so they finish quickly).
-    Real {
-        /// Leading-zero bits required per unit of reputation penalty.
-        bits_per_unit: u32,
-    },
-    /// Model the solve time instead of burning CPU: the number of attempts is
-    /// drawn from the geometric distribution with success probability
-    /// `2^-(8·rp)` and divided by `hash_rate` (hashes per second of simulated
-    /// time) to obtain a duration. This is the mode cluster experiments use;
-    /// it reproduces Figure 12's exponential attacker cost without hours of
-    /// real CPU time.
-    Modeled {
-        /// Simulated hashing throughput in hashes per second.
-        hash_rate: f64,
-    },
-}
-
-/// Proof-of-work configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct PowConfig {
-    /// Execution mode (real or modeled).
-    pub mode: PowMode,
-    /// Upper bound on modeled solve time (ms); `None` means unbounded. Used by
-    /// experiments that only need to know "the attacker can no longer afford
-    /// this" rather than simulating hours.
-    pub max_solve_ms: Option<f64>,
-}
-
-impl Default for PowConfig {
-    fn default() -> Self {
-        PowConfig {
-            // 10^7 hashes/s roughly matches a single core of the paper's
-            // 2.40 GHz Skylake VMs running SHA-256.
-            mode: PowMode::Modeled { hash_rate: 1.0e7 },
-            max_solve_ms: None,
-        }
-    }
-}
-
 /// When servers trigger view changes beyond failure detection (§4.2.1 and the
 /// r10 / r30 policies of §6.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,7 +93,6 @@ impl ViewChangePolicy {
 /// let config = ClusterConfig::new(4)
 ///     .with_batch_size(500)
 ///     .with_timeouts(TimeoutConfig::fast())
-///     .with_pipeline_depth(8)
 ///     .with_policy(ViewChangePolicy::r10());
 /// assert_eq!(config.f(), 1);
 /// assert_eq!(config.quorum(), 3);
@@ -190,24 +113,8 @@ pub struct ClusterConfig {
     pub payload_size: usize,
     /// Timer configuration.
     pub timeouts: TimeoutConfig,
-    /// Reputation engine configuration.
-    pub reputation: ReputationConfig,
-    /// Proof-of-work configuration.
-    pub pow: PowConfig,
     /// View-change policy.
     pub policy: ViewChangePolicy,
-    /// Per-message CPU processing cost in milliseconds (signature checks,
-    /// hashing); lets the simulator model server-side compute saturation.
-    pub per_message_cpu_ms: f64,
-    /// Per-signature-verification CPU cost in milliseconds.
-    pub per_verify_cpu_ms: f64,
-    /// Leader-side replication window: how many consecutive sequence numbers
-    /// may be in flight (ordered but not yet commit-certified) at once. With
-    /// depth `k` the leader broadcasts `Ord` for batches `n+1..n+k` while the
-    /// ordering/commit QCs for `n` are still outstanding; followers accept
-    /// out-of-order ordering rounds and commit strictly in sequence order.
-    /// `1` recovers stop-and-wait replication.
-    pub pipeline_depth: usize,
     /// How many committed instances between certified checkpoints: at every
     /// multiple of this height a replica broadcasts a signed state-digest
     /// share, and `2f + 1` matching shares form a checkpoint certificate
@@ -224,12 +131,7 @@ impl ClusterConfig {
             batch_size: 100,
             payload_size: 32,
             timeouts: TimeoutConfig::default(),
-            reputation: ReputationConfig::default(),
-            pow: PowConfig::default(),
             policy: ViewChangePolicy::OnFailureOnly,
-            per_message_cpu_ms: 0.002,
-            per_verify_cpu_ms: 0.01,
-            pipeline_depth: 4,
             checkpoint_interval: 64,
         }
     }
@@ -270,12 +172,6 @@ impl ClusterConfig {
     /// Builder-style setter for the timeout configuration.
     pub fn with_timeouts(mut self, timeouts: TimeoutConfig) -> Self {
         self.timeouts = timeouts;
-        self
-    }
-
-    /// Builder-style setter for the replication pipeline depth (clamped to 1).
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth.max(1);
         self
     }
 
@@ -335,26 +231,10 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_depth_default_and_clamp() {
-        let c = ClusterConfig::new(4);
-        assert_eq!(c.pipeline_depth, 4);
-        let c = c.with_pipeline_depth(0);
-        assert_eq!(c.pipeline_depth, 1, "depth clamps to stop-and-wait");
-    }
-
-    #[test]
     fn checkpoint_interval_defaults_and_composes() {
         let c = ClusterConfig::new(4);
         assert_eq!(c.checkpoint_interval, 64);
         let c = c.with_checkpoint_interval(0);
         assert_eq!(c.checkpoint_interval, 0, "zero disables checkpointing");
-    }
-
-    #[test]
-    fn reputation_defaults_match_paper_init() {
-        let r = ReputationConfig::default();
-        assert_eq!(r.initial_rp, 1);
-        assert_eq!(r.initial_ci, 1);
-        assert_eq!(r.c_delta, 1.0);
     }
 }

@@ -10,7 +10,7 @@
 //! * the bounded per-client request-number set behind request dedup
 //!   ([`seqwindow`])
 //! * the full protocol message vocabulary ([`message`])
-//! * cluster / timeout / reputation configuration ([`config`])
+//! * cluster / timeout / view-change policy configuration ([`config`])
 //! * error types ([`error`])
 //!
 //! The types are deliberately protocol-agnostic: both the PrestigeBFT core
@@ -29,9 +29,7 @@ pub mod seqwindow;
 pub mod transaction;
 
 pub use blocks::{BlockHeader, TxBlock, VcBlock};
-pub use config::{
-    ClusterConfig, PowConfig, PowMode, ReputationConfig, TimeoutConfig, ViewChangePolicy,
-};
+pub use config::{ClusterConfig, TimeoutConfig, ViewChangePolicy};
 pub use error::{ProtocolError, Result};
 pub use ids::{ClientId, ReplicaSet, SeqNum, ServerId, View};
 pub use message::{Actor, Message, MessageKind, NetMessage, OrderedEntry, SyncKind, Wire};

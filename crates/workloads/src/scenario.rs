@@ -24,7 +24,7 @@
 
 use crate::toml::{
     array_sections, get_bool, get_f64, get_int, get_str, parse_faults, parse_timeouts, parse_toml,
-    reject_unknown_keys, ConfigError, TomlDoc, TIMEOUT_KEYS,
+    reject_unknown_keys, ConfigError, TomlDoc, FAULT_KEYS, TIMEOUT_KEYS,
 };
 use crate::FaultPlan;
 use prestige_core::{
@@ -196,43 +196,26 @@ pub struct TimedFault {
 
 /// The real host's deployment settings (`[storage]`): with the section
 /// present every server runs on an on-disk WAL, which a `crash_restart`
-/// needs there. Unset keys take the WAL's defaults. The simulator host
-/// ignores all of it and always logs to shared in-memory storage.
+/// needs there, with the WAL's default tuning. The simulator host ignores
+/// all of it and always logs to shared in-memory storage.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StorageSettings {
     /// WAL root directory; unset = a per-run temporary directory.
     pub dir: Option<String>,
-    /// Segment rotation size (bytes).
-    pub segment_bytes: Option<u64>,
-    /// fsync after at most this many appends.
-    pub sync_every_n: Option<u64>,
-    /// fsync after at most this many milliseconds.
-    pub sync_interval_ms: Option<f64>,
 }
 
 impl StorageSettings {
-    const KEYS: [&'static str; 4] = ["dir", "segment_bytes", "sync_every_n", "sync_interval_ms"];
+    /// The keys of the `[storage]` section.
+    pub const KEYS: [&'static str; 1] = ["dir"];
 
     /// Reads the `[storage]` section (shared by scenario files and node
     /// configs); `None` when the section is absent.
     pub fn from_doc(doc: &TomlDoc) -> Result<Option<Self>, ConfigError> {
-        let Some(table) = doc.get("storage") else {
+        if !doc.contains_key("storage") {
             return Ok(None);
-        };
-        let int = |key| {
-            table
-                .contains_key(key)
-                .then(|| get_int(doc, "storage", key, 0))
-                .transpose()
-        };
+        }
         Ok(Some(StorageSettings {
             dir: get_str(doc, "storage", "dir")?.map(str::to_string),
-            segment_bytes: int("segment_bytes")?,
-            sync_every_n: int("sync_every_n")?,
-            sync_interval_ms: table
-                .contains_key("sync_interval_ms")
-                .then(|| get_f64(doc, "storage", "sync_interval_ms", 0.0))
-                .transpose()?,
         }))
     }
 }
@@ -302,8 +285,6 @@ pub struct Scenario {
     pub payload_size: usize,
     /// Commits per certified checkpoint (`0` disables checkpointing).
     pub checkpoint_interval: u64,
-    /// Leader replication window.
-    pub pipeline_depth: usize,
     /// Timing view-change policy interval (ms); `0` = on failure only.
     pub rotation_ms: u64,
     /// Timers: a preset (`timeouts = "fast"` or `"default"`) with any
@@ -339,7 +320,7 @@ fn timeout_presets() -> [(&'static str, TimeoutConfig); 2] {
     ]
 }
 
-const SCENARIO_KEYS: [&str; 13] = [
+const SCENARIO_KEYS: [&str; 12] = [
     "name",
     "seed",
     "protocol",
@@ -349,7 +330,6 @@ const SCENARIO_KEYS: [&str; 13] = [
     "batch_size",
     "payload_size",
     "checkpoint_interval",
-    "pipeline_depth",
     "rotation_ms",
     "timeouts",
     "duration_ms",
@@ -457,7 +437,7 @@ impl Scenario {
             ("scenario", &SCENARIO_KEYS[..]),
             ("timeouts", &TIMEOUT_KEYS),
             ("network", &LINK_KEYS),
-            ("faults", &["plan", "count", "strategy"]),
+            ("faults", &FAULT_KEYS),
             ("storage", &StorageSettings::KEYS),
             ("assert", &ASSERT_KEYS),
             ("expect", &["violation"]),
@@ -531,7 +511,6 @@ impl Scenario {
             batch_size: get_int(&doc, "scenario", "batch_size", 100)?,
             payload_size: get_int(&doc, "scenario", "payload_size", 32)?,
             checkpoint_interval: get_int(&doc, "scenario", "checkpoint_interval", 64)?,
-            pipeline_depth: get_int(&doc, "scenario", "pipeline_depth", 4)?,
             rotation_ms: get_int(&doc, "scenario", "rotation_ms", 0)?,
             timeouts: parse_timeouts(&doc, preset)?,
             duration_ms: get_int(&doc, "scenario", "duration_ms", 5_000)?,
@@ -552,7 +531,6 @@ impl Scenario {
             .with_batch_size(self.batch_size)
             .with_payload_size(self.payload_size)
             .with_timeouts(self.timeouts.clone())
-            .with_pipeline_depth(self.pipeline_depth)
             .with_checkpoint_interval(self.checkpoint_interval);
         if self.rotation_ms > 0 {
             config.policy = ViewChangePolicy::Timing {
@@ -685,7 +663,6 @@ impl Scenario {
             ("batch_size", self.batch_size as u64),
             ("payload_size", self.payload_size as u64),
             ("checkpoint_interval", self.checkpoint_interval),
-            ("pipeline_depth", self.pipeline_depth as u64),
             ("rotation_ms", self.rotation_ms),
             ("duration_ms", self.duration_ms),
         ] {
@@ -746,19 +723,8 @@ impl Scenario {
         }
         if let Some(storage) = &self.storage {
             out.push_str("\n[storage]\n");
-            for (key, value) in [
-                ("dir", storage.dir.as_ref().map(|dir| format!("{dir:?}"))),
-                (
-                    "segment_bytes",
-                    storage.segment_bytes.map(|n| n.to_string()),
-                ),
-                ("sync_every_n", storage.sync_every_n.map(|n| n.to_string())),
-                (
-                    "sync_interval_ms",
-                    storage.sync_interval_ms.map(|ms| format!("{ms:?}")),
-                ),
-            ] {
-                let _ = value.map(|value| writeln!(out, "{key} = {value}"));
+            if let Some(dir) = &storage.dir {
+                let _ = writeln!(out, "dir = {dir:?}");
             }
         }
         match &self.expect {
@@ -1278,6 +1244,16 @@ mod tests {
                 "[storage]\ncheckpoint_interval = 16\n".to_string(),
                 "storage.checkpoint_interval",
             ),
+            // Retired settings: the WAL tuning and the pipeline depth are
+            // constants now.
+            (
+                "[storage]\nsync_every_n = 8\n".to_string(),
+                "storage.sync_every_n",
+            ),
+            (
+                "[scenario]\npipeline_depth = 4\n".to_string(),
+                "scenario.pipeline_depth",
+            ),
             ("stray = 1\n".to_string(), "[]"),
             (fault.replace("s0", "s4"), "fault[0].target"),
             (fault.replace("down_ms = 9\n", ""), "fault[0].down_ms"),
@@ -1319,8 +1295,7 @@ mod tests {
                     protocol = \"sb\"\n[timeouts]\ncomplaint_grace_ms = 200\n\
                     [network]\ndelay_lo_us = 500\ndelay_hi_us = 21500\ndelay_std_us = 5000\n\
                     bandwidth_bytes_per_s = 400000000\n\
-                    [storage]\ndir = \"/tmp/wal dir\"\nsegment_bytes = 1048576\n\
-                    sync_every_n = 8\nsync_interval_ms = 2.5\n\
+                    [storage]\ndir = \"/tmp/wal dir\"\n\
                     [[fault]]\nat_ms = 9\nkind = \"degrade\"\ndelay_hi_us = 7\nduration_ms = 5\n\
                     [assert]\nno_fork = false\nno_faulty_leader = true\nmin_cert_refusals = 1\n\
                     recovery_floor_tps = 0.1\nrecovery_window_s = 2.25\n";
@@ -1335,7 +1310,6 @@ mod tests {
         assert_eq!(scenario.network, Link::NETEM_D10);
         let storage = scenario.storage.as_ref().unwrap();
         assert_eq!(storage.dir.as_deref(), Some("/tmp/wal dir"));
-        assert_eq!(storage.sync_interval_ms, Some(2.5));
         let Expectation::Assert(a) = &scenario.expect else {
             panic!("[assert] parsed as {:?}", scenario.expect);
         };

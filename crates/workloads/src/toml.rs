@@ -243,6 +243,9 @@ pub fn parse_timeouts(doc: &TomlDoc, base: TimeoutConfig) -> Result<TimeoutConfi
     })
 }
 
+/// The keys of the `[faults]` section.
+pub const FAULT_KEYS: [&str; 3] = ["plan", "count", "strategy"];
+
 /// The `[faults]` section (`plan` / `count` / `strategy`), shared by node
 /// configs and scenario files; [`FaultPlan::None`] when no plan is
 /// named.

@@ -32,13 +32,12 @@ fn main() {
 
     println!("== Repeated view-change attack by {attacker} (strategy S1, quiet when leading) ==\n");
     println!("time  view  leader  attacker_rp  next_puzzle_cost  cluster_tx");
-    let solver = PowSolver::Modeled { hash_rate: 1.0e7 };
     let mut last_tx = 0u64;
     for t in (2..=30).step_by(2) {
         sim.run_until(SimTime::from_secs(t as f64));
         let s1: &PrestigeServer = sim.node_as(Actor::Server(ServerId(0))).unwrap();
         let rp = s1.store().current_rp(attacker);
-        let cost_ms = solver.expected_solve_ms(rp.max(0) as u32, 1.0e7);
+        let cost_ms = PowSolver::PAPER_MODEL.expected_solve_ms(rp.max(0) as u32);
         let cost = if cost_ms > 60_000.0 {
             format!("{:.1} min", cost_ms / 60_000.0)
         } else {

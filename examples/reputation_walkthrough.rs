@@ -23,7 +23,7 @@ fn show(label: &str, outcome: &RpOutcome) {
 }
 
 fn main() {
-    let engine = ReputationEngine::default();
+    let engine = ReputationEngine;
     println!("== Appendix C walkthrough: server S1 in a 4-server cluster ==\n");
 
     // ① S1 held leadership from V1 to V5 without replicating anything and now

@@ -131,7 +131,7 @@ fn refresh_mechanism_resets_penalties_eventually() {
     // Drive the reputation engine hard enough that a correct server's penalty
     // would exceed the refresh threshold, then confirm the engine's refresh
     // plumbing exposes the initial values.
-    let engine = ReputationEngine::default();
+    let engine = ReputationEngine;
     assert_eq!(engine.initial_values(), (1, 1));
     assert!(engine.exceeds_refresh_threshold(9));
     assert!(!engine.exceeds_refresh_threshold(3));

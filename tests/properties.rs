@@ -81,7 +81,7 @@ proptest! {
                           ti in 0u64..100_000,
                           ci in 1u64..100_000,
                           history in proptest::collection::vec(1i64..50, 1..30)) {
-        let engine = ReputationEngine::default();
+        let engine = ReputationEngine;
         let out = engine.calc_rp(&CalcRpInput {
             current_view: View(view),
             new_view: View(view + jump),
@@ -298,7 +298,7 @@ mod pipeline_delivery {
     /// Delivers `messages` to a fresh follower in the given order and returns
     /// it for inspection.
     pub(super) fn deliver_all(messages: &[Message]) -> PrestigeServer {
-        let config = ClusterConfig::new(4).with_pipeline_depth(8);
+        let config = ClusterConfig::new(4);
         let registry = KeyRegistry::new(41, 4, 2);
         let mut follower = PrestigeServer::new(ServerId(1), config, registry, 0);
         let mut rng = SimRng::new(5);
