@@ -11,10 +11,10 @@
 //!   before it can propose (the cost HotStuff's extra phase exists to avoid;
 //!   here it shows up directly as idle time at the start of each view).
 
-use prestige_core::storage::{tx_block_digest, BlockStore};
+use prestige_core::storage::{block_keys_digest, tx_block_digest, BlockStore};
 use prestige_core::{ByzantineBehavior, Pacemaker, ServerStats};
 use prestige_crypto::{
-    hash_many, sign_share, FramedHasher, KeyPair, KeyRegistry, QcBuilder, ThresholdVerifier,
+    hash_many, keys_digest, sign_share, KeyPair, KeyRegistry, QcBuilder, ThresholdVerifier,
 };
 use prestige_sim::{cpu_cost, Context, Process, TimerId};
 use prestige_types::{
@@ -81,6 +81,9 @@ impl BaselineProtocol {
 struct Instance {
     view: View,
     batch: Arc<Vec<Proposal>>,
+    /// The batch's keys digest: the ordering digest's input, reused to link
+    /// the committed block into the chain.
+    keys: Digest,
     digest: Digest,
     prepare_builder: QcBuilder,
     prepare_qc: Option<QuorumCertificate>,
@@ -118,7 +121,8 @@ pub struct PassiveBftServer {
     next_seq: SeqNum,
     inflight: BTreeMap<u64, Instance>,
     ordered_digests: HashMap<u64, Digest>,
-    pending_commit_blocks: BTreeMap<u64, Arc<TxBlock>>,
+    /// Out-of-order committed blocks, each beside its keys digest.
+    pending_commit_blocks: BTreeMap<u64, (Arc<TxBlock>, Digest)>,
 
     new_view_builders: HashMap<u64, QcBuilder>,
     new_view_high_seq: HashMap<u64, (SeqNum, ServerId)>,
@@ -233,16 +237,14 @@ impl PassiveBftServer {
         self.config.quorum()
     }
 
-    fn batch_digest(view: View, n: SeqNum, batch: &[Proposal]) -> Digest {
-        let mut h = FramedHasher::new();
-        h.field(b"baseline-batch")
-            .field(&view.0.to_be_bytes())
-            .field(&n.0.to_be_bytes());
-        for p in batch {
-            h.field(&p.tx.client.0.to_be_bytes())
-                .field(&p.tx.timestamp.to_be_bytes());
-        }
-        h.finish()
+    /// The baseline's ordering digest, over the batch's keys digest.
+    fn ordering_digest(view: View, n: SeqNum, keys: &Digest) -> Digest {
+        hash_many([
+            b"baseline-batch".as_slice(),
+            &view.0.to_be_bytes(),
+            &n.0.to_be_bytes(),
+            &keys.0,
+        ])
     }
 
     fn new_view_digest(view: View) -> Digest {
@@ -294,7 +296,8 @@ impl PassiveBftServer {
         let view = self.view;
         let n = self.next_seq;
         self.next_seq = self.next_seq.next();
-        let digest = Self::batch_digest(view, n, &batch);
+        let keys = keys_digest(batch.iter().map(|p| p.tx.key()));
+        let digest = Self::ordering_digest(view, n, &keys);
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
         let mut prepare_builder = QcBuilder::new(QcKind::Ordering, view, n, digest, self.quorum());
@@ -318,6 +321,7 @@ impl PassiveBftServer {
             Instance {
                 view,
                 batch,
+                keys,
                 digest,
                 prepare_builder,
                 prepare_qc: None,
@@ -353,7 +357,8 @@ impl PassiveBftServer {
             return;
         }
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
-        if Self::batch_digest(view, n, &batch) != digest {
+        let keys = keys_digest(batch.iter().map(|p| p.tx.key()));
+        if Self::ordering_digest(view, n, &keys) != digest {
             return;
         }
         if let Some(existing) = self.ordered_digests.get(&n.0) {
@@ -606,7 +611,8 @@ impl PassiveBftServer {
         block.ordering_qc = instance.prepare_qc;
         block.commit_qc = Some(commit_qc);
         ctx.charge_cpu_ms(self.protocol.extra_block_cpu_ms());
-        let sig = self.keypair.sign(tx_block_digest(&block).as_ref());
+        let chain = tx_block_digest(n, block.header.prev_digest, &instance.keys);
+        let sig = self.keypair.sign(chain.as_ref());
         let block = Arc::new(block);
         ctx.broadcast(
             self.other_servers(),
@@ -615,7 +621,7 @@ impl PassiveBftServer {
                 sig,
             },
         );
-        self.apply_committed_block(block, ctx);
+        self.apply_committed_block(block, instance.keys, ctx);
     }
 
     fn handle_commit_block(&mut self, block: Arc<TxBlock>, ctx: &mut Context<Message>) {
@@ -636,29 +642,35 @@ impl PassiveBftServer {
             return;
         }
         self.reset_view_timer(ctx);
-        self.apply_committed_block(block, ctx);
+        let keys = block_keys_digest(&block);
+        self.apply_committed_block(block, keys, ctx);
     }
 
-    fn apply_committed_block(&mut self, block: Arc<TxBlock>, ctx: &mut Context<Message>) {
+    fn apply_committed_block(
+        &mut self,
+        block: Arc<TxBlock>,
+        keys: Digest,
+        ctx: &mut Context<Message>,
+    ) {
         if block.n <= self.store.latest_seq() {
             return;
         }
         if block.n.0 > self.store.latest_seq().0 + 1 {
-            self.pending_commit_blocks.insert(block.n.0, block);
+            self.pending_commit_blocks.insert(block.n.0, (block, keys));
             return;
         }
-        self.apply_in_order(block, ctx);
+        self.apply_in_order(block, keys, ctx);
         while let Some((&next, _)) = self.pending_commit_blocks.iter().next() {
             if next != self.store.latest_seq().0 + 1 {
                 break;
             }
-            let block = self.pending_commit_blocks.remove(&next).expect("present");
-            self.apply_in_order(block, ctx);
+            let (block, keys) = self.pending_commit_blocks.remove(&next).expect("present");
+            self.apply_in_order(block, keys, ctx);
         }
     }
 
-    fn apply_in_order(&mut self, block: Arc<TxBlock>, ctx: &mut Context<Message>) {
-        if !self.store.insert_tx_block(Arc::clone(&block)) {
+    fn apply_in_order(&mut self, block: Arc<TxBlock>, keys: Digest, ctx: &mut Context<Message>) {
+        if !self.store.insert_tx_block(Arc::clone(&block), keys) {
             return;
         }
         self.stats.committed_blocks += 1;
@@ -890,7 +902,8 @@ impl PassiveBftServer {
                 None => false,
             };
             if ok {
-                self.apply_committed_block(Arc::new(block), ctx);
+                let keys = block_keys_digest(&block);
+                self.apply_committed_block(Arc::new(block), keys, ctx);
             }
         }
     }

@@ -19,6 +19,7 @@
 
 use crate::profile::{LoopProfile, LoopStage};
 use crate::server::{PrestigeServer, ServerRole};
+use crate::storage::block_keys_digest;
 use prestige_crypto::{sign_share, FramedHasher, QcBuilder};
 use prestige_sim::Context;
 use prestige_storage::{Storage, StorageStats, WalRecord, WalRecordRef};
@@ -306,7 +307,8 @@ impl PrestigeServer {
                         self.clients
                             .note_committed(tx.key(), &mut self.stats.gc_pruned_keys);
                     }
-                    if self.store.insert_tx_block(block) {
+                    let keys = block_keys_digest(&block);
+                    if self.store.insert_tx_block(block, keys) {
                         self.stats.committed_blocks += 1;
                         self.stats.committed_tx += txs;
                     }
@@ -394,7 +396,8 @@ mod tests {
                     .clients
                     .note_committed(tx.key(), &mut server.stats.gc_pruned_keys);
             }
-            assert!(server.store.insert_tx_block(block));
+            let keys = block_keys_digest(&block);
+            assert!(server.store.insert_tx_block(block, keys));
         }
         server
     }
@@ -614,7 +617,8 @@ mod tests {
         // The anchor is local scaffolding: a real block store still agrees.
         let mut fresh = BlockStore::new(4);
         for b in reference.store.tx_blocks_in(1, 6) {
-            assert!(fresh.insert_tx_block(b));
+            let keys = block_keys_digest(&b);
+            assert!(fresh.insert_tx_block(b, keys));
         }
         assert_eq!(fresh.latest_tx_digest(), restarted.store.latest_tx_digest());
     }

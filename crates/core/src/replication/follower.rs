@@ -9,8 +9,8 @@
 
 use super::PIPELINE_DEPTH;
 use crate::profile::{LoopProfile, LoopStage};
-use crate::server::PrestigeServer;
-use prestige_crypto::sign_share;
+use crate::server::{OrderedAck, PrestigeServer};
+use prestige_crypto::{keys_digest, ordering_digest, sign_share};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, SyncKind,
@@ -76,22 +76,29 @@ impl PrestigeServer {
         }
         // A sequence number must not be reused with a different payload —
         // checked before paying for any crypto.
-        if let Some((existing, _)) = self.ordered_digests.get(&n.0) {
-            if *existing != digest {
+        if let Some(ack) = self.ordered_digests.get(&n.0) {
+            if ack.digest != digest {
                 return;
             }
         }
         self.charge_verify_cost(ctx);
         let span = LoopProfile::begin(&self.profiler);
-        let ok = self.registry.verify(from, digest.as_ref(), &sig) && {
-            ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
-            Self::batch_digest(view, n, &batch) == digest
-        };
+        // The batch's keys are hashed here once; the keys digest is kept
+        // with the acknowledgement and links the committed block into the
+        // chain later.
+        let keys = self
+            .registry
+            .verify(from, digest.as_ref(), &sig)
+            .then(|| {
+                ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
+                keys_digest(batch.iter().map(|p| p.tx.key()))
+            })
+            .filter(|keys| ordering_digest(view, n, keys) == digest);
         LoopProfile::end_sub(&self.profiler, span, LoopStage::InlineVerify);
-        if !ok {
+        let Some(keys) = keys else {
             self.stats.verify_rejected += 1;
             return;
-        }
+        };
         // Bound how far ahead of the committed tip an ordering may run:
         // an honest leader never exceeds its pipeline window plus this
         // follower's commit lag, while a Byzantine leader could otherwise
@@ -169,8 +176,14 @@ impl PrestigeServer {
                 return;
             }
         }
-        self.ordered_digests
-            .insert(n.0, (digest, Arc::clone(&batch)));
+        self.ordered_digests.insert(
+            n.0,
+            OrderedAck {
+                digest,
+                keys,
+                batch: Arc::clone(&batch),
+            },
+        );
         self.remember_ordered_batch(n.0, &batch);
 
         let share = if self.behavior.equivocates() {
@@ -238,7 +251,7 @@ impl PrestigeServer {
         // payload) — drop it and fetch the certified batch instead.
         self.record_ord_qc(n.0, &ordering_qc);
         match self.ordered_digests.get(&n.0) {
-            Some((acked, _)) if *acked != digest => {
+            Some(ack) if ack.digest != digest => {
                 self.ordered_batches.remove(&n.0);
                 self.request_sync(from, SyncKind::Ordered, n.0, n.0, ctx);
             }

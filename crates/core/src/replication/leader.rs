@@ -4,7 +4,7 @@
 use super::PIPELINE_DEPTH;
 use crate::pacemaker::timer_tags;
 use crate::server::{InflightInstance, PrestigeServer, ServerRole};
-use prestige_crypto::{sign_share, QcBuilder};
+use prestige_crypto::{keys_digest, ordering_digest, sign_share, QcBuilder};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, Transaction,
@@ -98,7 +98,8 @@ impl PrestigeServer {
             return;
         }
         let view = self.current_view();
-        let digest = Self::batch_digest(view, n, &batch);
+        let keys = keys_digest(batch.iter().map(|p| p.tx.key()));
+        let digest = ordering_digest(view, n, &keys);
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
         let mut ordering_builder =
@@ -121,6 +122,7 @@ impl PrestigeServer {
             InflightInstance {
                 view,
                 batch,
+                keys,
                 digest,
                 ordering_builder,
                 ordering_qc: None,
@@ -351,8 +353,9 @@ impl PrestigeServer {
 
         // Apply locally first: the store adopts the uniquely held block
         // without copying, and the stored, chain-linked form is what fans out
-        // as `CommitBlock` — zero deep copies end to end.
-        self.commit_and_broadcast_block(Arc::new(block), ctx);
+        // as `CommitBlock` — zero deep copies end to end. The keys digest
+        // hashed at proposal time links it into the chain.
+        self.commit_and_broadcast_block(Arc::new(block), instance.keys, ctx);
         // A window slot just freed up: keep the pipeline full.
         self.flush_ready_batches(ctx);
     }

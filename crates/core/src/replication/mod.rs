@@ -544,7 +544,8 @@ mod tests {
             quorum,
         ));
         with_ctx(&mut server, |s, ctx| {
-            s.apply_committed_block(Arc::new(block), ctx);
+            let keys = crate::storage::block_keys_digest(&block);
+            s.apply_committed_block(Arc::new(block), keys, ctx);
         });
         assert_eq!(server.store().latest_seq(), SeqNum(1));
         assert!(
@@ -793,5 +794,107 @@ mod tests {
             PrestigeServer::batch_digest(leader.current_view(), SeqNum(1), &batch),
             PrestigeServer::batch_digest(follower.current_view(), SeqNum(1), &batch),
         );
+    }
+
+    type Queue = Vec<(Actor, Actor, Message)>;
+
+    /// Queues `from`'s emissions as `(from, to, message)` deliveries.
+    fn route(queue: &mut Queue, from: Actor, effects: Effects<Message>) {
+        for emission in effects.emissions {
+            match emission {
+                Emission::Send(to, m) => queue.push((from, to, m)),
+                Emission::Broadcast(dests, m) => {
+                    queue.extend(dests.into_iter().map(|to| (from, to, m.clone())))
+                }
+            }
+        }
+    }
+
+    /// Delivers every server-to-server message among `servers` until the
+    /// cluster is quiet. Messages to anyone else (clients, an isolated
+    /// server) are dropped.
+    fn pump(servers: &mut [PrestigeServer], mut queue: Queue) {
+        while !queue.is_empty() {
+            for (from, to, message) in std::mem::take(&mut queue) {
+                let Some(server) = servers.iter_mut().find(|s| Actor::Server(s.id()) == to) else {
+                    continue;
+                };
+                let effects = with_ctx(server, |s, ctx| s.on_message(from, message, ctx));
+                route(&mut queue, to, effects);
+            }
+        }
+    }
+
+    #[test]
+    fn chain_digest_agrees_on_every_commit_path() {
+        // One batch committed live by s0 (leader) with s1 and s2 acking;
+        // s3 is cut off and later learns the block over sync. s1 logs to a
+        // WAL that rebuilds a fresh replica. Every path must link the block
+        // to the same chain digest, and the same batch re-proposed at the
+        // same position in view 2 must converge on it too.
+        let registry = KeyRegistry::new(9, 4, 2);
+        let config = ClusterConfig::new(4);
+        let mut servers: Vec<PrestigeServer> = (0..3)
+            .map(|i| PrestigeServer::new(ServerId(i), config.clone(), registry.clone(), 0))
+            .collect();
+        let wal = prestige_storage::SharedMemStorage::new();
+        servers[1].attach_storage(Box::new(wal.clone()));
+        let batch: Vec<Proposal> = (1..=5)
+            .map(|i| Proposal::new(Transaction::with_size(ClientId(1), i, 16), Digest::ZERO))
+            .collect();
+        servers[0].pending_proposals.extend(batch.iter().cloned());
+        let effects = with_ctx(&mut servers[0], |s, ctx| s.flush_batch(ctx));
+        let mut queue = Queue::new();
+        route(&mut queue, Actor::Server(ServerId(0)), effects);
+        pump(&mut servers, queue);
+
+        let n = SeqNum(1);
+        let digest_at = |s: &PrestigeServer| s.store().tx_block(n).map(|b| b.header.digest);
+        let leader = digest_at(&servers[0]).expect("the leader committed the block");
+        // Quorum 3 with s3 cut off: s1 and s2 both acknowledged the `Ord`,
+        // so both applied the `CommitBlock` on the acknowledged path.
+        assert_eq!(digest_at(&servers[1]), Some(leader));
+        assert_eq!(digest_at(&servers[2]), Some(leader));
+
+        let mut synced = PrestigeServer::new(ServerId(3), config.clone(), registry.clone(), 0);
+        let tx_blocks = servers[0].store().tx_blocks_in(1, 1);
+        let reproposal = {
+            let mut block = tx_blocks[0].clone();
+            let digest = batch_digest(View(2), n, &batch);
+            block.view = View(2);
+            block.ordering_qc = Some(build_qc(&registry, QcKind::Ordering, View(2), n, digest, 3));
+            block.commit_qc = Some(build_qc(&registry, QcKind::Commit, View(2), n, digest, 3));
+            block
+        };
+        with_ctx(&mut synced, |s, ctx| {
+            s.on_message(
+                Actor::Server(ServerId(0)),
+                Message::SyncResp {
+                    vc_blocks: Vec::new(),
+                    tx_blocks,
+                    ordered: Vec::new(),
+                    ckpt: None,
+                },
+                ctx,
+            )
+        });
+        assert_eq!(digest_at(&synced), Some(leader), "sync path");
+
+        let mut replayed = PrestigeServer::new(ServerId(1), config.clone(), registry.clone(), 0);
+        replayed.replay_wal(wal.records_snapshot());
+        assert_eq!(digest_at(&replayed), Some(leader), "WAL replay path");
+
+        let mut later = PrestigeServer::new(ServerId(3), config, registry, 0);
+        with_ctx(&mut later, |s, ctx| {
+            s.on_message(
+                Actor::Server(ServerId(1)),
+                Message::CommitBlock {
+                    block: Arc::new(reproposal),
+                    sig: [0u8; 32],
+                },
+                ctx,
+            )
+        });
+        assert_eq!(digest_at(&later), Some(leader), "view-2 re-proposal");
     }
 }

@@ -3,7 +3,8 @@
 
 use crate::profile::{LoopProfile, LoopStage};
 use crate::server::PrestigeServer;
-use prestige_crypto::batch_digest_of_keys;
+use crate::storage::block_keys_digest;
+use prestige_crypto::ordering_digest;
 use prestige_sim::Context;
 use prestige_types::{Actor, ClientId, Digest, Message, QcKind, SyncKind, TxBlock};
 use std::collections::BTreeMap;
@@ -47,29 +48,32 @@ impl PrestigeServer {
         {
             return;
         }
-        if !self.body_matches_digest(&block, &ordering_qc.digest) {
+        let Some(keys) = self.certified_keys_digest(&block, &ordering_qc.digest) else {
             self.stats.verify_rejected += 1;
             return;
-        }
-        self.apply_committed_block(block, ctx);
+        };
+        self.apply_committed_block(block, keys, ctx);
     }
 
-    /// Whether `block.tx` is the batch `digest` certifies. On the live path
-    /// this follower acknowledged the ordering itself — it hashed a batch to
-    /// this digest at `Ord` time and kept that batch beside the digest — so
-    /// comparing the body with it is enough; otherwise (sync, a straggler
-    /// from an earlier view, a lost `Ord`) the digest is recomputed from the
-    /// body.
-    fn body_matches_digest(&self, block: &TxBlock, digest: &Digest) -> bool {
-        let body_keys = block.tx.iter().map(|tx| tx.key());
-        let acknowledged = block.view == self.current_view()
-            && self
-                .ordered_digests
-                .get(&block.n.0)
-                .is_some_and(|(acked, hashed)| {
-                    acked == digest && hashed.iter().map(|p| p.tx.key()).eq(body_keys.clone())
-                });
-        acknowledged || batch_digest_of_keys(block.view, block.n, body_keys) == *digest
+    /// The keys digest of `block.tx`, if the body is the batch `digest`
+    /// certifies. On the live path this follower acknowledged the ordering
+    /// itself — it hashed a batch to this digest at `Ord` time and kept that
+    /// batch and its keys digest beside the digest — so comparing the body
+    /// with the batch is enough and the kept keys digest is reused;
+    /// otherwise (sync, a straggler from an earlier view, a lost `Ord`) the
+    /// keys are hashed once from the body, for this check and for the chain
+    /// link alike.
+    fn certified_keys_digest(&self, block: &TxBlock, digest: &Digest) -> Option<Digest> {
+        if block.view == self.current_view() {
+            if let Some(ack) = self.ordered_digests.get(&block.n.0) {
+                let body_keys = block.tx.iter().map(|tx| tx.key());
+                if ack.digest == *digest && ack.batch.iter().map(|p| p.tx.key()).eq(body_keys) {
+                    return Some(ack.keys);
+                }
+            }
+        }
+        let keys = block_keys_digest(block);
+        (ordering_digest(block.view, block.n, &keys) == *digest).then_some(keys)
     }
 
     /// Applies a committed block locally: store it, update bookkeeping, and
@@ -78,9 +82,10 @@ impl PrestigeServer {
     pub(crate) fn apply_committed_block(
         &mut self,
         block: Arc<TxBlock>,
+        keys: Digest,
         ctx: &mut Context<Message>,
     ) {
-        self.enqueue_committed_block(block, false, ctx);
+        self.enqueue_committed_block(block, keys, false, ctx);
     }
 
     /// Leader variant of [`Self::apply_committed_block`]: the adopted,
@@ -89,14 +94,17 @@ impl PrestigeServer {
     pub(crate) fn commit_and_broadcast_block(
         &mut self,
         block: Arc<TxBlock>,
+        keys: Digest,
         ctx: &mut Context<Message>,
     ) {
-        self.enqueue_committed_block(block, true, ctx);
+        self.enqueue_committed_block(block, keys, true, ctx);
     }
 
+    /// `keys` is the block's keys digest, which links it into the chain.
     fn enqueue_committed_block(
         &mut self,
         block: Arc<TxBlock>,
+        keys: Digest,
         broadcast: bool,
         ctx: &mut Context<Message>,
     ) {
@@ -111,7 +119,8 @@ impl PrestigeServer {
         }
         if block.n.0 > tip + 1 {
             let n = block.n.0;
-            self.pending_commit_blocks.insert(n, Arc::clone(&block));
+            self.pending_commit_blocks
+                .insert(n, (Arc::clone(&block), keys));
             if broadcast {
                 self.broadcast_commit_block(block, ctx);
             }
@@ -128,7 +137,7 @@ impl PrestigeServer {
             self.request_sync(Actor::Server(self.current_leader()), kind, lo, hi, ctx);
             return;
         }
-        let shared = self.apply_in_order(block, ctx);
+        let shared = self.apply_in_order(block, keys, ctx);
         if broadcast {
             if let Some(shared) = shared {
                 self.broadcast_commit_block(shared, ctx);
@@ -139,8 +148,8 @@ impl PrestigeServer {
             if next != self.store.latest_seq().0 + 1 {
                 break;
             }
-            let block = self.pending_commit_blocks.remove(&next).expect("present");
-            self.apply_in_order(block, ctx);
+            let (block, keys) = self.pending_commit_blocks.remove(&next).expect("present");
+            self.apply_in_order(block, keys, ctx);
         }
     }
 
@@ -158,10 +167,11 @@ impl PrestigeServer {
     fn apply_in_order(
         &mut self,
         block: Arc<TxBlock>,
+        keys: Digest,
         ctx: &mut Context<Message>,
     ) -> Option<Arc<TxBlock>> {
         let span = LoopProfile::begin(&self.profiler);
-        let out = self.apply_in_order_inner(block, ctx);
+        let out = self.apply_in_order_inner(block, keys, ctx);
         LoopProfile::end_sub(&self.profiler, span, LoopStage::Apply);
         out
     }
@@ -169,6 +179,7 @@ impl PrestigeServer {
     fn apply_in_order_inner(
         &mut self,
         block: Arc<TxBlock>,
+        keys: Digest,
         ctx: &mut Context<Message>,
     ) -> Option<Arc<TxBlock>> {
         let n = block.n;
@@ -216,7 +227,7 @@ impl PrestigeServer {
         // here and the insert replays an idempotent record; one that crashed
         // *after* acting without the record would un-commit on restart.
         self.wal_append(prestige_storage::WalRecordRef::Block(block.as_ref()));
-        if !self.store.insert_tx_block(block) {
+        if !self.store.insert_tx_block(block, keys) {
             // Conflicting block at `n` (never on honest paths): the keys
             // recorded above make the client table a harmless superset.
             return None;

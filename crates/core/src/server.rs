@@ -119,12 +119,27 @@ pub struct ServerStats {
     pub snapshot_syncs: u64,
 }
 
+/// A follower's phase-1 acknowledgement of one instance.
+#[derive(Debug, Clone)]
+pub(crate) struct OrderedAck {
+    /// The ordering digest this follower signed a share over.
+    pub(crate) digest: Digest,
+    /// The keys digest of `batch`, the input `digest` was built on.
+    pub(crate) keys: Digest,
+    /// The batch hashed to `digest`, shared with the `Ord` message.
+    pub(crate) batch: Arc<Vec<Proposal>>,
+}
+
 /// A leader's in-flight replication instance (one per sequence number).
 #[derive(Debug, Clone)]
 pub(crate) struct InflightInstance {
     pub(crate) view: View,
     /// The ordered batch, shared with the broadcast `Ord` message.
     pub(crate) batch: Arc<Vec<Proposal>>,
+    /// The batch's keys digest, hashed once at proposal time; the ordering
+    /// digest below is built on it, and the commit links the block into the
+    /// chain with it.
+    pub(crate) keys: Digest,
     pub(crate) digest: Digest,
     pub(crate) ordering_builder: QcBuilder,
     pub(crate) ordering_qc: Option<QuorumCertificate>,
@@ -216,10 +231,10 @@ pub struct PrestigeServer {
     /// Leader-side in-flight instances keyed by sequence number.
     pub(crate) inflight: BTreeMap<u64, InflightInstance>,
     /// Follower-side record of phase-1 acknowledgements: the digest, beside
-    /// the very batch this follower hashed to it at `Ord` time (one entry,
-    /// so the two cannot diverge the way `ordered_batches` — overwritten by
-    /// sync repair — can).
-    pub(crate) ordered_digests: BTreeMap<u64, (Digest, Arc<Vec<Proposal>>)>,
+    /// the very batch this follower hashed to it at `Ord` time and that
+    /// batch's keys digest (one entry, so they cannot diverge the way
+    /// `ordered_batches` — overwritten by sync repair — can).
+    pub(crate) ordered_digests: BTreeMap<u64, OrderedAck>,
     /// Follower-side record of the ordered batches themselves, as shared
     /// handles to the broadcast `Ord` payloads. Kept so a later leader can
     /// re-propose proposals whose instance never commits — materialized into
@@ -232,9 +247,9 @@ pub struct PrestigeServer {
     /// transaction that already committed under a different sequence number.
     pub(crate) ordered_only_keys: BTreeSet<(ClientId, u64)>,
     /// Committed blocks received out of order, waiting for their predecessors
-    /// so the digest chain stays identical on every replica. Shared handles:
-    /// buffering never copies a block.
-    pub(crate) pending_commit_blocks: BTreeMap<u64, Arc<prestige_types::TxBlock>>,
+    /// so the digest chain stays identical on every replica, each beside its
+    /// keys digest. Shared handles: buffering never copies a block.
+    pub(crate) pending_commit_blocks: BTreeMap<u64, (Arc<prestige_types::TxBlock>, Digest)>,
     /// Highest sequence number this server has sent a `CmtReply` for. A
     /// commit share enables a commit QC the leader may assemble without this
     /// server ever seeing the resulting `CommitBlock` (crash, partition), so

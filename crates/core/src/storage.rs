@@ -5,16 +5,28 @@
 //! (the penalty history across vcBlocks and the latest committed sequence
 //! number). Blocks are chained by digest; digests are computed here so every
 //! replica derives identical chain pointers.
+//!
+//! A txBlock's chain digest is layered on the batch's keys digest
+//! ([`prestige_crypto::keys_digest`]), the same value its ordering digest is
+//! built on: `hash_many(["txblock", n, prev, keys])`. The store never hashes
+//! a block's transactions itself — [`BlockStore::insert_tx_block`] takes the
+//! keys digest from its caller, which already computed it to check the
+//! block's certificates (or, as leader, to order the batch).
 
-use prestige_crypto::FramedHasher;
-use prestige_types::{Digest, SeqNum, ServerId, TxBlock, VcBlock, View};
+use prestige_crypto::{keys_digest, FramedHasher};
+use prestige_types::{Digest, SeqNum, ServerId, Transaction, TxBlock, VcBlock, View};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Computes the digest identifying a `txBlock` (over its sequence number,
-/// previous pointer, and transaction identities). Fields stream into one
-/// incremental SHA-256 with length framing, so no intermediate buffers are
-/// built.
+/// The keys digest of a block's body — what a caller that holds no earlier
+/// hash of the batch (sync, WAL replay, a straggler) hands
+/// [`BlockStore::insert_tx_block`].
+pub fn block_keys_digest(block: &TxBlock) -> Digest {
+    keys_digest(block.tx.iter().map(Transaction::key))
+}
+
+/// Computes the chain digest of the `txBlock` at `n` whose predecessor's
+/// digest is `prev` and whose batch has keys digest `keys`.
 ///
 /// The digest deliberately excludes the block's *view*: it identifies the
 /// state-machine decision (which transactions occupy which position on which
@@ -24,22 +36,12 @@ use std::sync::Arc;
 /// must converge to the same chain digest on every replica — per-view
 /// uniqueness of the *ordering* is enforced separately by the view-bound
 /// ordering/commit QC statements.
-pub fn tx_block_digest(block: &TxBlock) -> Digest {
-    tx_block_digest_with_prev(block, block.header.prev_digest)
-}
-
-/// [`tx_block_digest`] with the previous-block pointer overridden, so a
-/// candidate block can be compared against an existing chain entry without
-/// cloning or mutating it.
-pub fn tx_block_digest_with_prev(block: &TxBlock, prev: Digest) -> Digest {
+pub fn tx_block_digest(n: SeqNum, prev: Digest, keys: &Digest) -> Digest {
     let mut h = FramedHasher::new();
     h.field(b"txblock")
-        .field(&block.n.0.to_be_bytes())
-        .field(&prev.0);
-    for tx in &block.tx {
-        h.field(&tx.client.0.to_be_bytes())
-            .field(&tx.timestamp.to_be_bytes());
-    }
+        .field(&n.0.to_be_bytes())
+        .field(&prev.0)
+        .field(&keys.0);
     h.finish()
 }
 
@@ -83,7 +85,11 @@ impl BlockStore {
     /// empty `txBlock[T0]`.
     pub fn new(n: u32) -> Self {
         let mut tx_genesis = TxBlock::genesis();
-        tx_genesis.header.digest = tx_block_digest(&tx_genesis);
+        tx_genesis.header.digest = tx_block_digest(
+            tx_genesis.n,
+            tx_genesis.header.prev_digest,
+            &block_keys_digest(&tx_genesis),
+        );
         let mut vc_genesis = VcBlock::genesis(n);
         vc_genesis.header.digest = vc_block_digest(&vc_genesis);
 
@@ -129,17 +135,27 @@ impl BlockStore {
     /// Returns `false` (and stores nothing) if a different block already
     /// occupies that sequence number.
     ///
+    /// `keys` is the block's [`block_keys_digest`], supplied by the caller so
+    /// the batch is hashed once per node; debug builds re-derive it and
+    /// panic on a mismatch.
+    ///
     /// Accepts either an owned block or an `Arc`-shared one; a uniquely held
     /// `Arc` (the common case: a block freshly decoded from the wire or
     /// assembled by the leader) is adopted in place without copying.
-    pub fn insert_tx_block(&mut self, block: impl Into<Arc<TxBlock>>) -> bool {
+    pub fn insert_tx_block(&mut self, block: impl Into<Arc<TxBlock>>, keys: Digest) -> bool {
         let mut block = block.into();
+        debug_assert_eq!(
+            keys,
+            block_keys_digest(&block),
+            "stale keys digest supplied for txBlock {}",
+            block.n.0
+        );
         if let Some(existing) = self.tx_blocks.get(&block.n.0) {
             // Compare contents with the chain pointer normalized, so the same
             // block re-delivered (e.g. via sync) is accepted idempotently.
             // Stored blocks always carry their computed digest, so one digest
-            // recomputation over the candidate suffices.
-            return tx_block_digest_with_prev(&block, existing.header.prev_digest)
+            // over the candidate suffices.
+            return tx_block_digest(block.n, existing.header.prev_digest, &keys)
                 == existing.header.digest;
         }
         let prev = self
@@ -147,7 +163,7 @@ impl BlockStore {
             .get(&(block.n.0.saturating_sub(1)))
             .map(|b| b.header.digest)
             .unwrap_or(Digest::ZERO);
-        let digest = tx_block_digest_with_prev(&block, prev);
+        let digest = tx_block_digest(block.n, prev, &keys);
         // A block whose header already carries the chain pointers this store
         // would compute (the common case: the leader broadcast its stored,
         // chain-linked form and both replicas share the same chain) is
@@ -313,6 +329,17 @@ mod tests {
             .collect()
     }
 
+    /// Inserts `block`, hashing its keys the way a sync or replay caller does.
+    fn insert(store: &mut BlockStore, block: impl Into<Arc<TxBlock>>) -> bool {
+        let block = block.into();
+        let keys = block_keys_digest(&block);
+        store.insert_tx_block(block, keys)
+    }
+
+    fn chain_digest_of(block: &TxBlock) -> Digest {
+        tx_block_digest(block.n, block.header.prev_digest, &block_keys_digest(block))
+    }
+
     #[test]
     fn genesis_state() {
         let store = BlockStore::new(4);
@@ -330,8 +357,14 @@ mod tests {
     fn tx_blocks_chain_by_digest() {
         let mut store = BlockStore::new(4);
         let genesis_digest = store.latest_tx_digest();
-        assert!(store.insert_tx_block(TxBlock::new(View(1), SeqNum(1), batch(3))));
-        assert!(store.insert_tx_block(TxBlock::new(View(1), SeqNum(2), batch(2))));
+        assert!(insert(
+            &mut store,
+            TxBlock::new(View(1), SeqNum(1), batch(3))
+        ));
+        assert!(insert(
+            &mut store,
+            TxBlock::new(View(1), SeqNum(2), batch(2))
+        ));
         let b1 = store.tx_block(SeqNum(1)).unwrap();
         let b2 = store.tx_block(SeqNum(2)).unwrap();
         assert_eq!(b1.header.prev_digest, genesis_digest);
@@ -347,11 +380,14 @@ mod tests {
         // A follower receiving the leader's stored (chain-linked) block must
         // adopt the shared Arc itself, not a deep copy.
         let mut leader = BlockStore::new(4);
-        assert!(leader.insert_tx_block(TxBlock::new(View(1), SeqNum(1), batch(3))));
+        assert!(insert(
+            &mut leader,
+            TxBlock::new(View(1), SeqNum(1), batch(3))
+        ));
         let broadcast = leader.tx_block_shared(SeqNum(1)).unwrap();
 
         let mut follower = BlockStore::new(4);
-        assert!(follower.insert_tx_block(Arc::clone(&broadcast)));
+        assert!(insert(&mut follower, Arc::clone(&broadcast)));
         let stored = follower.tx_block_shared(SeqNum(1)).unwrap();
         assert!(
             Arc::ptr_eq(&stored, &broadcast),
@@ -363,12 +399,12 @@ mod tests {
     fn conflicting_tx_block_is_rejected_idempotent_accepted() {
         let mut store = BlockStore::new(4);
         let block = TxBlock::new(View(1), SeqNum(1), batch(3));
-        assert!(store.insert_tx_block(block.clone()));
+        assert!(insert(&mut store, block.clone()));
         // Same block again: accepted as idempotent.
-        assert!(store.insert_tx_block(block));
+        assert!(insert(&mut store, block));
         // A different block at the same sequence number: rejected.
         let conflicting = TxBlock::new(View(2), SeqNum(1), batch(1));
-        assert!(!store.insert_tx_block(conflicting));
+        assert!(!insert(&mut store, conflicting));
         assert_eq!(store.tx_block(SeqNum(1)).unwrap().tx.len(), 3);
     }
 
@@ -407,8 +443,8 @@ mod tests {
         let mut a = BlockStore::new(4);
         let mut b = BlockStore::new(4);
         for n in 1..=3u64 {
-            a.insert_tx_block(TxBlock::new(View(1), SeqNum(n), batch(2)));
-            b.insert_tx_block(TxBlock::new(View(1), SeqNum(n), batch(2)));
+            insert(&mut a, TxBlock::new(View(1), SeqNum(n), batch(2)));
+            insert(&mut b, TxBlock::new(View(1), SeqNum(n), batch(2)));
         }
         assert_eq!(a.chain_digests(), b.chain_digests());
         assert_eq!(a.chain_digests().len(), 4, "genesis + 3 blocks");
@@ -416,8 +452,8 @@ mod tests {
 
         // A divergent block at the same height yields a different digest.
         let mut c = BlockStore::new(4);
-        c.insert_tx_block(TxBlock::new(View(1), SeqNum(1), batch(2)));
-        c.insert_tx_block(TxBlock::new(View(2), SeqNum(2), batch(1)));
+        insert(&mut c, TxBlock::new(View(1), SeqNum(1), batch(2)));
+        insert(&mut c, TxBlock::new(View(2), SeqNum(2), batch(1)));
         assert_ne!(a.chain_digests()[2].1, c.chain_digests()[2].1);
     }
 
@@ -425,7 +461,7 @@ mod tests {
     fn range_queries() {
         let mut store = BlockStore::new(4);
         for n in 1..=5u64 {
-            store.insert_tx_block(TxBlock::new(View(1), SeqNum(n), batch(1)));
+            insert(&mut store, TxBlock::new(View(1), SeqNum(n), batch(1)));
         }
         assert_eq!(store.tx_blocks_in(2, 4).len(), 3);
         assert_eq!(store.vc_blocks_in(1, 10).len(), 1);
@@ -435,7 +471,7 @@ mod tests {
     fn digests_depend_on_contents() {
         let a = TxBlock::new(View(1), SeqNum(1), batch(2));
         let b = TxBlock::new(View(1), SeqNum(2), batch(2));
-        assert_ne!(tx_block_digest(&a), tx_block_digest(&b));
+        assert_ne!(chain_digest_of(&a), chain_digest_of(&b));
 
         let va = VcBlock::genesis(4);
         let vb = va.successor(View(2), ServerId(0), 2, 1, None, None);

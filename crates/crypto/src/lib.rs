@@ -33,7 +33,9 @@ pub mod sha256;
 pub mod signature;
 pub mod threshold;
 
-pub use hash::{batch_digest, batch_digest_of_keys, digest_of, hash_many, hash_pair, FramedHasher};
+pub use hash::{
+    batch_digest, digest_of, hash_many, hash_pair, keys_digest, ordering_digest, FramedHasher,
+};
 pub use pow::{PowPuzzle, PowSolution, PowSolver};
 pub use sha256::Sha256;
 pub use signature::{KeyPair, KeyRegistry, Signature};

@@ -33,7 +33,10 @@ pub const MAGIC: [u8; 4] = *b"PBFT";
 /// `CkptCert`), the `Snapshot` sync kind, and `SyncResp` gained the `ckpt`
 /// stable-checkpoint certificate field. v3 peers are rejected at the frame
 /// header.
-pub const WIRE_VERSION: u16 = 4;
+///
+/// v5: ordering and chain digests are built on one keys digest, so every
+/// digest value changed.
+pub const WIRE_VERSION: u16 = 5;
 
 /// Default upper bound on a frame body (16 MiB — a full batch of maximum-size
 /// proposals plus QCs fits comfortably).

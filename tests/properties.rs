@@ -139,19 +139,37 @@ proptest! {
     }
 }
 
-/// The pre-optimization `batch_digest` specification, kept verbatim: every
-/// field staged through an owned `Vec<u8>`, collected, then hashed with
-/// `hash_many`. The streaming implementation must match it byte-for-byte.
-fn legacy_batch_digest(view: View, n: SeqNum, batch: &[prestigebft::types::Proposal]) -> Digest {
-    let mut parts: Vec<Vec<u8>> = vec![
+/// The batch-digest specification written out as owned byte lists: the keys
+/// digest is SHA-256 over the 16-byte tag and one 16-byte
+/// `(client BE ‖ number BE)` record per proposal, and the ordering and
+/// chain digests are `hash_many` lists over it. The streaming
+/// implementations must match it byte-for-byte.
+fn spec_keys_digest(batch: &[prestigebft::types::Proposal]) -> Digest {
+    let mut bytes = b"prestige-keys-v1".to_vec();
+    for p in batch {
+        bytes.extend_from_slice(&p.tx.client.0.to_be_bytes());
+        bytes.extend_from_slice(&p.tx.timestamp.to_be_bytes());
+    }
+    Digest(Sha256::digest(&bytes))
+}
+
+fn spec_batch_digest(view: View, n: SeqNum, batch: &[prestigebft::types::Proposal]) -> Digest {
+    let parts: Vec<Vec<u8>> = vec![
         b"batch".to_vec(),
         view.0.to_be_bytes().to_vec(),
         n.0.to_be_bytes().to_vec(),
+        spec_keys_digest(batch).0.to_vec(),
     ];
-    for p in batch {
-        parts.push(p.tx.client.0.to_be_bytes().to_vec());
-        parts.push(p.tx.timestamp.to_be_bytes().to_vec());
-    }
+    prestigebft::crypto::hash_many(parts.iter().map(|p| p.as_slice()))
+}
+
+fn spec_chain_digest(n: SeqNum, prev: Digest, batch: &[prestigebft::types::Proposal]) -> Digest {
+    let parts: Vec<Vec<u8>> = vec![
+        b"txblock".to_vec(),
+        n.0.to_be_bytes().to_vec(),
+        prev.0.to_vec(),
+        spec_keys_digest(batch).0.to_vec(),
+    ];
     prestigebft::crypto::hash_many(parts.iter().map(|p| p.as_slice()))
 }
 
@@ -166,24 +184,63 @@ fn arbitrary_batch(ids: &[u64], payload: usize) -> Vec<prestigebft::types::Propo
         .collect()
 }
 
+fn hex(digest: Digest) -> String {
+    digest.0.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Known-answer vector for the layered digests, computed independently of
+/// this code base (Python `hashlib`) from the byte layout above.
+#[test]
+fn batch_digest_known_answer() {
+    use prestigebft::core::storage::tx_block_digest;
+    use prestigebft::crypto::{batch_digest, keys_digest};
+    let keys = [(ClientId(1), 100), (ClientId(2), 200), (ClientId(1), 101)];
+    let batch: Vec<_> = keys
+        .iter()
+        .map(|&(c, t)| {
+            let tx = prestigebft::types::Transaction::with_size(c, t, 8);
+            prestigebft::types::Proposal::new(tx, Digest::ZERO)
+        })
+        .collect();
+    let k = keys_digest(keys);
+    assert_eq!(
+        hex(k),
+        "bd9134b108a6bd0abe7c3a031853a23874832f36002ee150ba185bdc334747d4"
+    );
+    assert_eq!(
+        hex(batch_digest(View(3), SeqNum(7), &batch)),
+        "be81b9878409725aefd531a8b19a9ae9d6cd1ffbb232442f7f55c744760cee09"
+    );
+    assert_eq!(
+        hex(tx_block_digest(SeqNum(7), Digest::ZERO, &k)),
+        "84ff6cd376ab1285d3411248c08c6123d797305af8e323b323dc59a354ca0342"
+    );
+}
+
 proptest! {
-    /// Digest compatibility: the streaming `batch_digest` equals the seed's
-    /// list-of-parts spec byte-for-byte, for any batch contents.
+    /// Digest spec: the streaming ordering digest and chain digest equal the
+    /// list-of-parts spec of the keys-digest layering, for any batch.
     #[test]
-    fn streaming_batch_digest_matches_legacy_spec(
+    fn streaming_batch_digest_matches_layered_spec(
         view in 1u64..1_000_000, n in 0u64..1_000_000,
+        prev in any::<[u8; 32]>(),
         ids in proptest::collection::vec(any::<u64>(), 0..64),
         payload in 0usize..128)
     {
         let batch = arbitrary_batch(&ids, payload);
         prop_assert_eq!(
             prestigebft::core::batch_digest(View(view), SeqNum(n), &batch),
-            legacy_batch_digest(View(view), SeqNum(n), &batch)
+            spec_batch_digest(View(view), SeqNum(n), &batch)
+        );
+        let keys = prestigebft::crypto::keys_digest(batch.iter().map(|p| p.tx.key()));
+        prop_assert_eq!(
+            prestigebft::core::storage::tx_block_digest(SeqNum(n), Digest(prev), &keys),
+            spec_chain_digest(SeqNum(n), Digest(prev), &batch)
         );
     }
 
-    /// Order sensitivity survives the streaming rewrite: swapping two distinct
-    /// proposals changes the digest, exactly as the legacy spec demands.
+    /// Order sensitivity survives the layering: swapping two distinct
+    /// proposals changes the digest, exactly as the spec demands.
     #[test]
     fn streaming_batch_digest_is_order_sensitive(
         ids in proptest::collection::vec(any::<u64>(), 2..32),
@@ -197,8 +254,22 @@ proptest! {
         let b = prestigebft::core::batch_digest(View(1), SeqNum(1), &swapped);
         let distinct = batch[i].tx.key() != batch[j].tx.key();
         prop_assert_eq!(a != b, distinct);
-        // And both orderings agree with the legacy spec.
-        prop_assert_eq!(b, legacy_batch_digest(View(1), SeqNum(1), &swapped));
+        // And both orderings agree with the spec.
+        prop_assert_eq!(b, spec_batch_digest(View(1), SeqNum(1), &swapped));
+    }
+
+    /// The keys digest streams its records through a fixed stack buffer;
+    /// for every batch length up to 200 keys (across the buffer boundary)
+    /// it equals one SHA-256 over the same bytes.
+    #[test]
+    fn keys_digest_chunked_equals_one_shot(
+        ids in proptest::collection::vec(any::<u64>(), 0..200))
+    {
+        let batch = arbitrary_batch(&ids, 0);
+        prop_assert_eq!(
+            prestigebft::crypto::keys_digest(batch.iter().map(|p| p.tx.key())),
+            spec_keys_digest(&batch)
+        );
     }
 
     /// Incremental (field-streamed) hashing equals the collected-parts hash
@@ -566,15 +637,15 @@ proptest! {
         }
     }
 
-    /// v3 → v4 compatibility: a frame encoded under the previous wire
-    /// version (no checkpoint messages, no `SyncResp.ckpt` field) is
-    /// rejected *cleanly* by version negotiation — never decoded into a v4
-    /// message with garbage certificate fields, never a panic.
+    /// v4 → v5 compatibility: a frame encoded under an earlier wire
+    /// version (v4 digests, or no checkpoint messages at all) is rejected
+    /// *cleanly* by version negotiation — never decoded into a v5 message
+    /// whose digests cannot match, never a panic.
     #[test]
     fn old_frames_are_rejected_by_version_negotiation(body in proptest::collection::vec(any::<u8>(), 0..128),
-                                                      old in 0u16..4) {
+                                                      old in 0u16..5) {
         use prestigebft::net::frame::{FrameCodec, FrameError, MAGIC, WIRE_VERSION};
-        prop_assert_eq!(WIRE_VERSION, 4, "this test pins the v3→v4 bump");
+        prop_assert_eq!(WIRE_VERSION, 5, "this test pins the v4→v5 bump");
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
         frame.extend_from_slice(&old.to_le_bytes()); // an old version
@@ -584,7 +655,7 @@ proptest! {
         match codec.decode::<Message>(&frame) {
             Err(FrameError::VersionMismatch { got, want }) => {
                 prop_assert_eq!(got, old);
-                prop_assert_eq!(want, 4);
+                prop_assert_eq!(want, 5);
             }
             other => prop_assert!(false, "old frame must fail version negotiation, got {:?}", other.is_ok()),
         }
