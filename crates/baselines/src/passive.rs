@@ -120,9 +120,9 @@ pub struct PassiveBftServer {
     seen_tx: HashSet<(ClientId, u64)>,
     next_seq: SeqNum,
     inflight: BTreeMap<u64, Instance>,
-    ordered_digests: HashMap<u64, Digest>,
+    acked_digests: HashMap<u64, Digest>,
     /// Out-of-order committed blocks, each beside its keys digest.
-    pending_commit_blocks: BTreeMap<u64, (Arc<TxBlock>, Digest)>,
+    parked_blocks: BTreeMap<u64, (Arc<TxBlock>, Digest)>,
 
     new_view_builders: HashMap<u64, QcBuilder>,
     new_view_high_seq: HashMap<u64, (SeqNum, ServerId)>,
@@ -180,8 +180,8 @@ impl PassiveBftServer {
             seen_tx: HashSet::new(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
-            ordered_digests: HashMap::new(),
-            pending_commit_blocks: BTreeMap::new(),
+            acked_digests: HashMap::new(),
+            parked_blocks: BTreeMap::new(),
             new_view_builders: HashMap::new(),
             new_view_high_seq: HashMap::new(),
             view_timer: None,
@@ -361,12 +361,12 @@ impl PassiveBftServer {
         if Self::ordering_digest(view, n, &keys) != digest {
             return;
         }
-        if let Some(existing) = self.ordered_digests.get(&n.0) {
+        if let Some(existing) = self.acked_digests.get(&n.0) {
             if *existing != digest {
                 return;
             }
         }
-        self.ordered_digests.insert(n.0, digest);
+        self.acked_digests.insert(n.0, digest);
         for proposal in batch.iter() {
             let key = proposal.tx.key();
             if self.seen_tx.insert(key) {
@@ -656,15 +656,15 @@ impl PassiveBftServer {
             return;
         }
         if block.n.0 > self.store.latest_seq().0 + 1 {
-            self.pending_commit_blocks.insert(block.n.0, (block, keys));
+            self.parked_blocks.insert(block.n.0, (block, keys));
             return;
         }
         self.apply_in_order(block, keys, ctx);
-        while let Some((&next, _)) = self.pending_commit_blocks.iter().next() {
+        while let Some((&next, _)) = self.parked_blocks.iter().next() {
             if next != self.store.latest_seq().0 + 1 {
                 break;
             }
-            let (block, keys) = self.pending_commit_blocks.remove(&next).expect("present");
+            let (block, keys) = self.parked_blocks.remove(&next).expect("present");
             self.apply_in_order(block, keys, ctx);
         }
     }
@@ -685,7 +685,7 @@ impl PassiveBftServer {
         }
         self.pending_proposals
             .retain(|p| !committed.contains(&p.tx.key()));
-        self.ordered_digests.remove(&block.n.0);
+        self.acked_digests.remove(&block.n.0);
         // If we were syncing up as an incoming leader, check whether we are
         // caught up now.
         if let Some(target) = self.syncing_until_seq {
@@ -857,7 +857,7 @@ impl PassiveBftServer {
         self.next_target = view.next();
         self.leading = self.config.replicas.rotation_leader(view) == self.id;
         self.inflight.clear();
-        self.ordered_digests.clear();
+        self.acked_digests.clear();
         self.syncing_until_seq = None;
         self.view_change_pending = false;
         self.stats.views_installed += 1;

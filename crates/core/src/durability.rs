@@ -9,8 +9,8 @@
 //! shares over a state digest (committed-chain fingerprint plus the live
 //! reputation vector) and assemble a `2f + 1` **checkpoint certificate**;
 //! the resulting stable checkpoint drives garbage collection of WAL
-//! segments and the per-instance in-memory proof state, and anchors
-//! snapshot sync for far-behind peers (`SyncKind::Snapshot`).
+//! segments and anchors snapshot sync for far-behind peers
+//! (`SyncKind::Snapshot`).
 //!
 //! On restart the driving runtime replays the decoded WAL records through
 //! [`PrestigeServer::replay_wal`] *before* re-attaching the log with
@@ -232,14 +232,12 @@ impl PrestigeServer {
         self.gc_below_checkpoint();
     }
 
-    /// Drops per-instance state at or below the stable checkpoint: the
-    /// ordering-QC and commit-share proof records, stale share collectors,
-    /// and whole WAL segments. (The client table is bounded per client, not
-    /// by checkpoints, and is not touched here.)
+    /// Drops state at or below the stable checkpoint: stale share collectors
+    /// and whole WAL segments. (Per-instance proof records are gone already —
+    /// applying a block removes its instance's record — and the client table
+    /// is bounded per client, not by checkpoints; neither is touched here.)
     fn gc_below_checkpoint(&mut self) {
         let stable = self.stable_checkpoint;
-        self.ord_qcs.retain(|n, _| *n > stable);
-        self.signed_commit_info.retain(|n, _| *n > stable);
         self.ckpt_builders.retain(|n, _| *n > stable);
         if let Some(storage) = self.storage.as_mut() {
             storage
@@ -316,8 +314,8 @@ impl PrestigeServer {
                 WalRecord::OrdQc(qc) => {
                     let n = qc.seq.0;
                     self.signed_commit_tip = self.signed_commit_tip.max(n);
-                    self.signed_commit_info.insert(n, (qc.view, qc.digest));
                     self.record_ord_qc(n, &qc);
+                    self.instances.entry(n).or_default().signed = Some(qc.view);
                 }
                 WalRecord::ViewInstall(block) => {
                     self.store.insert_vc_block(block);
@@ -327,8 +325,7 @@ impl PrestigeServer {
         }
         // Committed instances need no per-instance proof records.
         let tip = self.store.latest_seq().0;
-        self.signed_commit_info.retain(|n, _| *n > tip);
-        self.ord_qcs.retain(|n, _| *n > tip);
+        self.instances.retain(|n, _| *n > tip);
         self.next_seq = SeqNum(tip).next();
         let leader = self.store.latest_vc_block().leader_id;
         self.role = if leader == self.id {
@@ -347,6 +344,7 @@ mod tests {
     use prestige_sim::{Context, Effects, Emission, SimRng, SimTime};
     use prestige_storage::MemStorage;
     use prestige_types::{ClientId, ClusterConfig, ServerId, Transaction, TxBlock};
+    use std::sync::Arc;
 
     fn with_ctx(
         server: &mut PrestigeServer,
@@ -417,15 +415,17 @@ mod tests {
     #[test]
     fn checkpoint_quorum_forms_installs_and_gcs() {
         let registry = KeyRegistry::new(2, 4, 2);
-        let mut server = committed_server(&registry, 1, 4);
-        server.ord_qcs.clear();
-        server.signed_commit_info.insert(3, (View(1), Digest::ZERO));
+        let mut server = committed_server(&registry, 1, 3);
+        // Instance 4 is commit-signed; its block commits through the live
+        // apply path, which lands on the checkpoint interval.
+        server.instances.entry(4).or_default().signed = Some(View(1));
+        let block = Arc::new(TxBlock::new(View(1), SeqNum(4), batch(4)));
+        let keys = block_keys_digest(&block);
+        let effects = with_ctx(&mut server, |s, ctx| {
+            s.apply_committed_block(block, keys, ctx);
+        });
         server.attach_storage(Box::new(MemStorage::new()));
         let (_, digest) = server.checkpoint_statement(4).unwrap();
-
-        let effects = with_ctx(&mut server, |s, ctx| {
-            s.maybe_emit_checkpoint(SeqNum(4), ctx);
-        });
         assert!(
             effects
                 .emissions
@@ -456,7 +456,7 @@ mod tests {
         // still holds a bit).
         assert!((1..=4).all(|n| committed_of_block(&server, n) == 16));
         assert_eq!(server.stats().gc_pruned_keys, 64);
-        assert!(server.signed_commit_info.is_empty());
+        assert!(server.instances.is_empty());
         // The log recorded the checkpoint (4 shares would be 3 records less).
         let stats = server.storage_stats().unwrap();
         assert_eq!(stats.records, 1);
@@ -564,7 +564,9 @@ mod tests {
         assert!((1..=6).all(|n| committed_of_block(&restarted, n) == 16));
         assert_eq!(committed_of_block(&restarted, 7), 0);
         assert_eq!(restarted.signed_commit_tip, 7);
-        assert!(restarted.ord_qcs.contains_key(&7));
+        assert!(restarted.instances[&7].ord_qc.is_some());
+        assert_eq!(restarted.instances[&7].signed, Some(View(1)));
+        assert_eq!(restarted.instances.len(), 1);
         assert_eq!(restarted.role, ServerRole::Follower);
     }
 

@@ -159,7 +159,6 @@ impl PrestigeServer {
         };
         let (rp, ci) = self.engine.initial_values();
         self.store.refresh_reputation(self.id, rp, ci);
-        self.stats.refreshes += 1;
         let sig = self.sign(rs_qc.digest.as_ref());
         ctx.broadcast(
             self.other_servers(),

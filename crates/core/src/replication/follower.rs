@@ -1,7 +1,7 @@
 //! Follower-side replication: the `Ord` / `Cmt` / `CommitBlock` receive
 //! handlers. This is where the certified recovery plane gets its raw
-//! material — commit-signing an instance records the per-instance
-//! `(view, digest)` the election check holds candidates to, and the ordering
+//! material — commit-signing an instance records the per-instance ordering
+//! view the election check holds candidates to, and the ordering
 //! QC arriving inside `Cmt` is stored so this server's own future campaigns
 //! can *prove* their tip claims — and where the Byzantine double-assign
 //! avenue is closed (a batch re-assigning an already-committed transaction
@@ -42,7 +42,12 @@ impl PrestigeServer {
                 self.ordered_only_keys.insert(key);
             }
         }
-        self.ordered_batches.insert(n, Arc::clone(batch));
+        self.instances.entry(n).or_default().batch = Some(Arc::clone(batch));
+    }
+
+    /// The batch held for instance `n`, if any.
+    pub(crate) fn held_batch(&self, n: u64) -> Option<&Arc<Vec<Proposal>>> {
+        self.instances.get(&n)?.batch.as_ref()
     }
 
     // ------------------------------------------------------------------
@@ -76,7 +81,7 @@ impl PrestigeServer {
         }
         // A sequence number must not be reused with a different payload —
         // checked before paying for any crypto.
-        if let Some(ack) = self.ordered_digests.get(&n.0) {
+        if let Some(ack) = self.instances.get(&n.0).and_then(|r| r.ack.as_ref()) {
             if ack.digest != digest {
                 return;
             }
@@ -102,7 +107,7 @@ impl PrestigeServer {
         // Bound how far ahead of the committed tip an ordering may run:
         // an honest leader never exceeds its pipeline window plus this
         // follower's commit lag, while a Byzantine leader could otherwise
-        // stuff `ordered_batches` with far-future entries that are now
+        // stuff `instances` with far-future entries that are now
         // retained across view changes. A refused legitimate `Ord` (extreme
         // commit lag) is repaired by the leader's retransmission.
         if n.0 > self.store.latest_seq().0 + PIPELINE_DEPTH as u64 + 1024 {
@@ -128,21 +133,17 @@ impl PrestigeServer {
         // ignores certified-but-uncommitted instances can refill them with
         // fresh content and still earn an ordering quorum.
         #[cfg(not(feature = "canary-c3-fork"))]
-        if let Some((cert_view, cert_digest)) =
-            self.ord_qcs.get(&n.0).map(|qc| (qc.view, qc.digest))
-        {
+        if let Some(qc) = self.instances.get(&n.0).and_then(|r| r.ord_qc.as_ref()) {
             // Acceptable iff the content provably matches the certificate:
             // either it equals the batch held for the instance, or the
             // incoming (view, digest) *is* the certified statement itself
             // (the digest binds the content, so this is the certified
             // payload arriving — possibly for the first time).
-            let is_certified_payload = (cert_view, cert_digest) == (view, digest);
-            let matches_held = self
-                .ordered_batches
-                .get(&n.0)
-                .is_some_and(|held| Self::same_proposal_keys(held, &batch));
+            let is_certified_payload = (qc.view, qc.digest) == (view, digest);
+            let held = self.held_batch(n.0);
+            let matches_held = held.is_some_and(|held| Self::same_proposal_keys(held, &batch));
             if !is_certified_payload && !matches_held {
-                if self.ordered_batches.contains_key(&n.0) {
+                if held.is_some() {
                     // Conflicting content for a certified instance.
                     self.stats.double_assign_refused += 1;
                 } else {
@@ -168,22 +169,18 @@ impl PrestigeServer {
         #[cfg(not(feature = "canary-double-commit"))]
         if batch.iter().any(|p| self.clients.is_committed(p.tx.key())) {
             let verbatim_repropose = self
-                .ordered_batches
-                .get(&n.0)
+                .held_batch(n.0)
                 .is_some_and(|held| Self::same_proposal_keys(held, &batch));
             if !verbatim_repropose {
                 self.stats.double_assign_refused += 1;
                 return;
             }
         }
-        self.ordered_digests.insert(
-            n.0,
-            OrderedAck {
-                digest,
-                keys,
-                batch: Arc::clone(&batch),
-            },
-        );
+        self.instances.entry(n.0).or_default().ack = Some(OrderedAck {
+            digest,
+            keys,
+            batch: Arc::clone(&batch),
+        });
         self.remember_ordered_batch(n.0, &batch);
 
         let share = if self.behavior.equivocates() {
@@ -250,9 +247,10 @@ impl PrestigeServer {
         // race (an equivocating leader sent this follower the minority
         // payload) — drop it and fetch the certified batch instead.
         self.record_ord_qc(n.0, &ordering_qc);
-        match self.ordered_digests.get(&n.0) {
+        let record = self.instances.entry(n.0).or_default();
+        match &record.ack {
             Some(ack) if ack.digest != digest => {
-                self.ordered_batches.remove(&n.0);
+                record.batch = None;
                 self.request_sync(from, SyncKind::Ordered, n.0, n.0, ctx);
             }
             Some(_) => {}
@@ -284,7 +282,7 @@ impl PrestigeServer {
         // candidates that cannot cover the instance.
         self.wal_append(prestige_storage::WalRecordRef::OrdQc(&ordering_qc));
         self.signed_commit_tip = self.signed_commit_tip.max(n.0);
-        self.signed_commit_info.insert(n.0, (view, digest));
+        self.instances.entry(n.0).or_default().signed = Some(view);
         ctx.send(
             from,
             Message::CmtReply {
@@ -465,9 +463,7 @@ mod tests {
             1,
             proposals(&certified)
         ));
-        follower
-            .ordered_batches
-            .insert(1, Arc::new(proposals(&swapped)));
+        follower.instances.get_mut(&1).unwrap().batch = Some(Arc::new(proposals(&swapped)));
 
         let one = (View(1), View(1), View(1));
         for (body, tip) in [(swapped, 0), (certified.to_vec(), 1)] {
@@ -507,7 +503,7 @@ mod tests {
         );
         assert!(!acked, "re-assignment of a committed tx must be refused");
         assert_eq!(follower.stats().double_assign_refused, 1);
-        assert!(!follower.ordered_batches.contains_key(&2));
+        assert!(follower.held_batch(2).is_none());
     }
 
     #[test]
@@ -609,7 +605,7 @@ mod tests {
                 ctx,
             );
         });
-        assert!(follower.ord_qcs.contains_key(&1));
+        assert!(follower.instances[&1].ord_qc.is_some());
 
         // A view change clears the per-view ack bookkeeping; the leader of
         // the "new view" now re-proposes *different* content at 1.
@@ -680,7 +676,7 @@ mod tests {
             )),
             "the missing certified batch must be requested"
         );
-        assert!(follower.ord_qcs.contains_key(&1));
+        assert!(follower.instances[&1].ord_qc.is_some());
         assert_eq!(
             follower.certified_ord_tip(),
             SeqNum(0),

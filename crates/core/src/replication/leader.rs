@@ -279,7 +279,7 @@ impl PrestigeServer {
         // instance commits.
         let batch = Arc::clone(&instance.batch);
         self.record_ord_qc(n.0, &ordering_qc);
-        self.ordered_batches.insert(n.0, batch);
+        self.instances.entry(n.0).or_default().batch = Some(batch);
         // The leader assembled this QC from verified shares: seed the memo so
         // it is never re-verified if it comes back around (e.g. via sync).
         let memo = Self::qc_memo_key(&ordering_qc, self.config.quorum());
@@ -341,8 +341,12 @@ impl PrestigeServer {
         // falls back to per-transaction clones. `drain` allocates an
         // exact-size `Vec<Transaction>`; `into_iter` would collect in place
         // and keep the larger proposal buffer alive inside the stored block.
-        self.ordered_batches.remove(&n.0);
-        self.ord_qcs.remove(&n.0);
+        // The record itself stays until the block applies: a block parked
+        // behind a gap must not drop a commit-sign view C3 still checks.
+        if let Some(record) = self.instances.get_mut(&n.0) {
+            record.batch = None;
+            record.ord_qc = None;
+        }
         let txs: Vec<Transaction> = match Arc::try_unwrap(instance.batch) {
             Ok(mut batch) => batch.drain(..).map(|p| p.tx).collect(),
             Err(shared) => shared.iter().map(|p| p.tx.clone()).collect(),

@@ -26,8 +26,9 @@
 //! consecutive sequence numbers in flight: it flushes and broadcasts batch
 //! `n+k` while the ordering/commit QCs for `n` are still outstanding.
 //! Followers acknowledge ordering rounds in any order; commits are forced
-//! back into sequence order by the `pending_commit_blocks` buffer inside
-//! [`PrestigeServer::apply_committed_block`].
+//! back into sequence order inside [`PrestigeServer::apply_committed_block`],
+//! which parks a block that arrives ahead of its predecessors in its
+//! instance record.
 //!
 //! **One thread.** Every signature, share, QC and batch-digest check on this
 //! path runs inline in the handler that needs it, and committed blocks are
@@ -182,8 +183,7 @@ mod tests {
         let wrong_batch = deliver_ord(&mut follower, 1, other_batch, digest, sig);
         assert!(!contains_ord_reply(&wrong_batch));
         assert_eq!(follower.stats().verify_rejected, 2);
-        assert!(follower.ordered_digests.is_empty());
-        assert!(follower.ordered_batches.is_empty());
+        assert!(follower.instances.is_empty());
 
         // The valid Ord afterwards is processed normally.
         let effects = deliver_ord(&mut follower, 1, batch, digest, sig);
@@ -333,9 +333,11 @@ mod tests {
         });
         assert!(effects.emissions.is_empty(), "no commit share, no sync");
         assert_eq!(follower.stats().verify_rejected, 1);
-        assert!(follower.ord_qcs.is_empty());
+        let record = &follower.instances[&1];
+        assert!(record.ord_qc.is_none());
         assert_eq!(follower.signed_commit_tip, 0);
-        assert!(follower.signed_commit_info.is_empty());
+        assert!(record.signed.is_none());
+        assert_eq!(follower.instances.len(), 1, "only the acked instance");
     }
 
     #[test]
@@ -370,7 +372,7 @@ mod tests {
         assert!(effects.emissions.is_empty());
         assert_eq!(follower.stats().verify_rejected, 1);
         assert_eq!(follower.store().latest_seq(), SeqNum(0));
-        assert!(follower.pending_commit_blocks.is_empty());
+        assert!(follower.instances.is_empty());
     }
 
     #[test]
@@ -493,7 +495,7 @@ mod tests {
              pool: {pending:?}"
         );
         assert!(
-            !follower.ordered_batches.contains_key(&4),
+            follower.held_batch(4).is_none(),
             "orphaned entries are consumed by materialization"
         );
     }
@@ -556,7 +558,7 @@ mod tests {
 
     #[test]
     fn far_future_ord_is_refused() {
-        // `ordered_batches` persists across view changes now, so orderings
+        // Ordered batches persist across view changes, so orderings
         // absurdly far beyond the committed tip (only a Byzantine leader
         // produces them) must be refused instead of retained.
         let config = ClusterConfig::new(4);
@@ -585,7 +587,7 @@ mod tests {
             );
         });
         assert!(
-            !follower.ordered_batches.contains_key(&far),
+            !follower.instances.contains_key(&far),
             "a far-future ordering must not be retained"
         );
         assert!(
@@ -598,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn follower_keeps_ordered_batches_keyed_across_view_changes() {
+    fn follower_keeps_ordered_instances_keyed_across_view_changes() {
         // A server that stays a follower keeps its uncommitted ordered
         // batches keyed by sequence number across the view change (they back
         // its C3 freshness claim and a later election's re-propose); nothing
@@ -631,7 +633,7 @@ mod tests {
             s.note_view_installed(ctx, ServerId(2));
         });
         assert!(
-            follower.ordered_batches.contains_key(&1),
+            follower.held_batch(1).is_some(),
             "ordered batch survives the view change keyed by sequence number"
         );
         assert!(follower.pending_proposals.is_empty());
@@ -688,13 +690,15 @@ mod tests {
             "the follower must commit-sign the valid ordering QC"
         );
         assert_eq!(follower.signed_commit_tip, 1);
+        let record = &follower.instances[&1];
         assert_eq!(
-            follower.signed_commit_info.get(&1),
-            Some(&(view, digest)),
+            record.signed,
+            Some(view),
             "the per-instance commit-sign record must be kept"
         );
-        assert!(
-            follower.ord_qcs.contains_key(&1),
+        assert_eq!(
+            record.ord_qc.as_ref().map(|qc| (qc.view, qc.digest)),
+            Some((view, digest)),
             "the ordering QC must be stored for future tip certificates"
         );
         assert_eq!(
@@ -831,7 +835,9 @@ mod tests {
         // s3 is cut off and later learns the block over sync. s1 logs to a
         // WAL that rebuilds a fresh replica. Every path must link the block
         // to the same chain digest, and the same batch re-proposed at the
-        // same position in view 2 must converge on it too.
+        // same position in view 2 must converge on it too. On every path
+        // the committed instance's record is gone: records exist only above
+        // the committed tip.
         let registry = KeyRegistry::new(9, 4, 2);
         let config = ClusterConfig::new(4);
         let mut servers: Vec<PrestigeServer> = (0..3)
@@ -850,11 +856,18 @@ mod tests {
 
         let n = SeqNum(1);
         let digest_at = |s: &PrestigeServer| s.store().tx_block(n).map(|b| b.header.digest);
+        let settled = |s: &PrestigeServer| {
+            let committed = s.instances.range(..=s.store().latest_seq().0);
+            committed.map(|(n, _)| *n).collect::<Vec<_>>()
+        };
         let leader = digest_at(&servers[0]).expect("the leader committed the block");
+        assert_eq!(settled(&servers[0]), Vec::<u64>::new(), "leader path");
         // Quorum 3 with s3 cut off: s1 and s2 both acknowledged the `Ord`,
         // so both applied the `CommitBlock` on the acknowledged path.
-        assert_eq!(digest_at(&servers[1]), Some(leader));
-        assert_eq!(digest_at(&servers[2]), Some(leader));
+        for follower in &servers[1..] {
+            assert_eq!(digest_at(follower), Some(leader));
+            assert_eq!(settled(follower), Vec::<u64>::new(), "acked path");
+        }
 
         let mut synced = PrestigeServer::new(ServerId(3), config.clone(), registry.clone(), 0);
         let tx_blocks = servers[0].store().tx_blocks_in(1, 1);
@@ -866,6 +879,9 @@ mod tests {
             block.commit_qc = Some(build_qc(&registry, QcKind::Commit, View(2), n, digest, 3));
             block
         };
+        // The cut-off replica saw the `Cmt` but not the `Ord`: it holds
+        // the ordering QC, and so a record, until the block lands.
+        synced.record_ord_qc(1, tx_blocks[0].ordering_qc.as_ref().unwrap());
         with_ctx(&mut synced, |s, ctx| {
             s.on_message(
                 Actor::Server(ServerId(0)),
@@ -879,12 +895,15 @@ mod tests {
             )
         });
         assert_eq!(digest_at(&synced), Some(leader), "sync path");
+        assert_eq!(settled(&synced), Vec::<u64>::new(), "sync path");
 
         let mut replayed = PrestigeServer::new(ServerId(1), config.clone(), registry.clone(), 0);
         replayed.replay_wal(wal.records_snapshot());
         assert_eq!(digest_at(&replayed), Some(leader), "WAL replay path");
+        assert_eq!(settled(&replayed), Vec::<u64>::new(), "WAL replay path");
 
         let mut later = PrestigeServer::new(ServerId(3), config, registry, 0);
+        later.record_ord_qc(1, reproposal.ordering_qc.as_ref().unwrap());
         with_ctx(&mut later, |s, ctx| {
             s.on_message(
                 Actor::Server(ServerId(1)),
@@ -896,5 +915,6 @@ mod tests {
             )
         });
         assert_eq!(digest_at(&later), Some(leader), "view-2 re-proposal");
+        assert_eq!(settled(&later), Vec::<u64>::new(), "view-2 re-proposal");
     }
 }

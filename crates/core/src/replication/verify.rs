@@ -65,7 +65,7 @@ impl PrestigeServer {
     /// link alike.
     fn certified_keys_digest(&self, block: &TxBlock, digest: &Digest) -> Option<Digest> {
         if block.view == self.current_view() {
-            if let Some(ack) = self.ordered_digests.get(&block.n.0) {
+            if let Some(ack) = self.instances.get(&block.n.0).and_then(|r| r.ack.as_ref()) {
                 let body_keys = block.tx.iter().map(|tx| tx.key());
                 if ack.digest == *digest && ack.batch.iter().map(|p| p.tx.key()).eq(body_keys) {
                     return Some(ack.keys);
@@ -119,8 +119,7 @@ impl PrestigeServer {
         }
         if block.n.0 > tip + 1 {
             let n = block.n.0;
-            self.pending_commit_blocks
-                .insert(n, (Arc::clone(&block), keys));
+            self.instances.entry(n).or_default().parked = Some((Arc::clone(&block), keys));
             if broadcast {
                 self.broadcast_commit_block(block, ctx);
             }
@@ -143,12 +142,12 @@ impl PrestigeServer {
                 self.broadcast_commit_block(shared, ctx);
             }
         }
-        // Drain any buffered successors that are now contiguous with the tip.
-        while let Some((&next, _)) = self.pending_commit_blocks.iter().next() {
-            if next != self.store.latest_seq().0 + 1 {
-                break;
-            }
-            let (block, keys) = self.pending_commit_blocks.remove(&next).expect("present");
+        // Drain any parked successors that are now contiguous with the tip.
+        while let Some((block, keys)) = self
+            .instances
+            .get_mut(&(self.store.latest_seq().0 + 1))
+            .and_then(|r| r.parked.take())
+        {
             self.apply_in_order(block, keys, ctx);
         }
     }
@@ -271,10 +270,8 @@ impl PrestigeServer {
                 ctx,
             );
         }
-        self.ordered_digests.remove(&n.0);
-        self.ordered_batches.remove(&n.0);
-        self.ord_qcs.remove(&n.0);
-        self.signed_commit_info.remove(&n.0);
+        // The instance's record — its proof and any parked copy — is spent.
+        self.instances.remove(&n.0);
         // A leader may learn of this commit externally (a straggler
         // `CommitBlock` from the previous view racing a re-proposed
         // instance, or sync): the in-flight instance is complete either way.

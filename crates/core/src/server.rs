@@ -59,18 +59,10 @@ pub struct ServerStats {
     /// Campaigns that timed out without a winner visible to this candidate
     /// (split votes / lost elections), counted at this server.
     pub election_timeouts: u64,
-    /// Votes this server cast for other candidates.
-    pub votes_cast: u64,
     /// Total simulated milliseconds spent solving reputation puzzles.
     pub pow_ms_total: f64,
-    /// Solve time of the most recent puzzle (ms).
-    pub last_pow_ms: f64,
-    /// Complaints relayed to the leader.
-    pub complaints_relayed: u64,
     /// View changes this server confirmed (conf_QC formed).
     pub view_changes_confirmed: u64,
-    /// Penalty refreshes completed by this server.
-    pub refreshes: u64,
     /// Commit log for time series: (simulated ms, transactions in the block).
     pub commit_log: Vec<(f64, u64)>,
     /// Per-campaign log: (simulated ms at campaign start, rp used, pow ms).
@@ -117,6 +109,40 @@ pub struct ServerStats {
     /// missing range exceeded one serve budget (fresh restart from an old
     /// checkpoint, long partition).
     pub snapshot_syncs: u64,
+}
+
+/// What this server holds for one uncommitted instance — the state a
+/// campaign proves and criterion C3 checks candidates against. A record
+/// exists only above the committed tip: applying block `n` removes record
+/// `n`, proof and all.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Instance {
+    /// This view's phase-1 acknowledgement. It keeps the very batch it
+    /// hashed, because `batch` below can be replaced by sync repair.
+    pub(crate) ack: Option<OrderedAck>,
+    /// The ordered batch, a shared handle to the `Ord` payload, kept so a
+    /// later leader can re-propose it if the instance never commits —
+    /// materialized into `pending_proposals` only on the rare view change.
+    pub(crate) batch: Option<Arc<Vec<Proposal>>>,
+    /// The ordering QC, the highest ordering view seen. With `batch` it
+    /// makes the instance provable: campaign tip claims and
+    /// `SyncKind::Ordered` serving use only instances holding both.
+    pub(crate) ord_qc: Option<QuorumCertificate>,
+    /// The view of the ordering QC this server commit-signed. A candidate's
+    /// tip certificate must cover the instance at least this fresh.
+    pub(crate) signed: Option<View>,
+    /// The commit-certified block, received ahead of its predecessors and
+    /// waiting for them so the digest chain is identical on every replica,
+    /// beside its keys digest.
+    pub(crate) parked: Option<(Arc<prestige_types::TxBlock>, Digest)>,
+}
+
+impl Instance {
+    /// Whether this server can prove the instance: it holds both the
+    /// ordering QC and a batch (the QC alone cannot be re-proposed).
+    pub(crate) fn provable(&self) -> bool {
+        self.ord_qc.is_some() && self.batch.is_some()
+    }
 }
 
 /// A follower's phase-1 acknowledgement of one instance.
@@ -192,16 +218,6 @@ pub(crate) struct CampaignState {
     pub(crate) tip_cert: Vec<QuorumCertificate>,
 }
 
-/// A relayed client complaint waiting for the leader to act.
-#[derive(Debug, Clone)]
-pub(crate) struct ComplaintState {
-    /// The complained-about proposal (kept so a future leader could re-propose
-    /// it directly from the complaint record).
-    #[allow(dead_code)]
-    pub(crate) proposal: Proposal,
-    pub(crate) view: View,
-}
-
 /// One PrestigeBFT replica.
 pub struct PrestigeServer {
     pub(crate) id: ServerId,
@@ -230,26 +246,14 @@ pub struct PrestigeServer {
     pub(crate) next_seq: SeqNum,
     /// Leader-side in-flight instances keyed by sequence number.
     pub(crate) inflight: BTreeMap<u64, InflightInstance>,
-    /// Follower-side record of phase-1 acknowledgements: the digest, beside
-    /// the very batch this follower hashed to it at `Ord` time and that
-    /// batch's keys digest (one entry, so they cannot diverge the way
-    /// `ordered_batches` — overwritten by sync repair — can).
-    pub(crate) ordered_digests: BTreeMap<u64, OrderedAck>,
-    /// Follower-side record of the ordered batches themselves, as shared
-    /// handles to the broadcast `Ord` payloads. Kept so a later leader can
-    /// re-propose proposals whose instance never commits — materialized into
-    /// `pending_proposals` only on the rare view change, instead of cloning
-    /// every proposal on the hot path.
-    pub(crate) ordered_batches: BTreeMap<u64, Arc<Vec<Proposal>>>,
+    /// One record per uncommitted instance this server holds anything for,
+    /// keyed by sequence number.
+    pub(crate) instances: BTreeMap<u64, Instance>,
     /// Keys of transactions known *only* through an ordered batch (never via
     /// a client `Prop`, never committed). Commits prune it — by key, in any
     /// block — so view-change materialization cannot re-propose a
     /// transaction that already committed under a different sequence number.
     pub(crate) ordered_only_keys: BTreeSet<(ClientId, u64)>,
-    /// Committed blocks received out of order, waiting for their predecessors
-    /// so the digest chain stays identical on every replica, each beside its
-    /// keys digest. Shared handles: buffering never copies a block.
-    pub(crate) pending_commit_blocks: BTreeMap<u64, (Arc<prestige_types::TxBlock>, Digest)>,
     /// Highest sequence number this server has sent a `CmtReply` for. A
     /// commit share enables a commit QC the leader may assemble without this
     /// server ever seeing the resulting `CommitBlock` (crash, partition), so
@@ -258,22 +262,6 @@ pub struct PrestigeServer {
     /// elected leader can re-propose every possibly-committed instance at
     /// its original sequence number. Monotonic; never reset.
     pub(crate) signed_commit_tip: u64,
-    /// Per-instance record of the commit shares behind `signed_commit_tip`:
-    /// instance → `(view, digest)` of the ordering QC this server
-    /// commit-signed. Criterion C3 checks a candidate's tip certificate
-    /// *per instance* against this map (a certificate must cover every
-    /// commit-signed instance with an ordering QC at least as fresh), which
-    /// is what makes the certified claim sound even when the candidate's
-    /// certificate set would otherwise skip an instance this server signed.
-    /// Pruned as instances commit; bounded by the pipeline window.
-    pub(crate) signed_commit_info: BTreeMap<u64, (View, Digest)>,
-    /// Ordering QCs of uncommitted instances this server can prove — the
-    /// certificate store behind campaign tip claims and `SyncKind::Ordered`
-    /// serving. An instance counts toward the *certified* ordered tip only
-    /// when both this map and `ordered_batches` hold it (the QC alone cannot
-    /// be re-proposed). Entries keep the highest ordering view seen; pruned
-    /// on commit.
-    pub(crate) ord_qcs: BTreeMap<u64, QuorumCertificate>,
     /// Requester-side rate limiting: last time (ms) a repair `SyncReq` of
     /// each kind (view-change / transaction / ordered / snapshot) was sent,
     /// indexed by the sync-kind wire tag.
@@ -309,7 +297,7 @@ pub struct PrestigeServer {
     /// Views this server has voted in (criterion C1).
     pub(crate) voted_views: BTreeSet<u64>,
     /// Relayed complaints awaiting leader action, keyed by transaction key.
-    pub(crate) complaints: BTreeMap<(ClientId, u64), ComplaintState>,
+    pub(crate) complaints: BTreeMap<(ClientId, u64), View>,
     /// Collector of ReVC replies for the ConfVC this server broadcast, by view.
     pub(crate) confvc_builders: BTreeMap<u64, QcBuilder>,
     /// Active campaign (redeemer or candidate phase).
@@ -413,13 +401,9 @@ impl PrestigeServer {
             clients: ClientTable::default(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
-            ordered_digests: BTreeMap::new(),
-            ordered_batches: BTreeMap::new(),
+            instances: BTreeMap::new(),
             ordered_only_keys: BTreeSet::new(),
-            pending_commit_blocks: BTreeMap::new(),
             signed_commit_tip: 0,
-            signed_commit_info: BTreeMap::new(),
-            ord_qcs: BTreeMap::new(),
             last_sync_req_ms: [f64::NEG_INFINITY; 5],
             sync_served_ms: BTreeMap::new(),
             sync_peer_cursor: 0,
@@ -512,16 +496,20 @@ impl PrestigeServer {
     /// *within a view*: an election may legally orphan certified instances
     /// beyond a contiguity gap back to the proposal pool.
     pub fn certified_tip(&self) -> SeqNum {
+        self.tip_through(|r| Instance::provable(r) || r.parked.is_some())
+    }
+
+    /// The highest sequence number reachable from the committed tip through
+    /// consecutive instance records that all satisfy `holds`.
+    pub(crate) fn tip_through(&self, holds: impl Fn(&Instance) -> bool) -> SeqNum {
         let mut tip = self.store.latest_seq().0;
-        loop {
-            let n = tip + 1;
-            let certified = self.ord_qcs.contains_key(&n) && self.ordered_batches.contains_key(&n);
-            if certified || self.pending_commit_blocks.contains_key(&n) {
-                tip = n;
-            } else {
-                return SeqNum(tip);
+        for (&n, record) in self.instances.range(tip + 1..) {
+            if n != tip + 1 || !holds(record) {
+                break;
             }
+            tip = n;
         }
+        SeqNum(tip)
     }
 
     /// Bitmap words the client table holds (request dedup and the committed
@@ -540,6 +528,10 @@ impl PrestigeServer {
     /// harness failure diagnostics (`chaos_net` prints it when a scenario
     /// assertion fails).
     pub fn debug_snapshot(&self) -> String {
+        let holding = |holds: fn(&Instance) -> bool| -> Vec<u64> {
+            let records = self.instances.iter();
+            records.filter(|(_, r)| holds(r)).map(|(n, _)| *n).collect()
+        };
         format!(
             "role={:?} view={} leader=s{} tip={} next_seq={} inflight={:?} pending_props={} \
              ordered={:?} certified={:?} parked_commits={:?} signed_tip={} signed_info={:?} \
@@ -551,11 +543,11 @@ impl PrestigeServer {
             self.next_seq.0,
             self.inflight.keys().collect::<Vec<_>>(),
             self.pending_proposals.len(),
-            self.ordered_batches.keys().collect::<Vec<_>>(),
-            self.ord_qcs.keys().collect::<Vec<_>>(),
-            self.pending_commit_blocks.keys().collect::<Vec<_>>(),
+            holding(|r| r.batch.is_some()),
+            holding(|r| r.ord_qc.is_some()),
+            holding(|r| r.parked.is_some()),
             self.signed_commit_tip,
-            self.signed_commit_info.keys().collect::<Vec<_>>(),
+            holding(|r| r.signed.is_some()),
             self.rotation_pending,
             self.campaign.as_ref().map(|c| (c.new_view.0, c.rp)),
         )
@@ -573,12 +565,6 @@ impl PrestigeServer {
             .filter(|s| *s != self.id)
             .map(Actor::Server)
             .collect()
-    }
-
-    /// All server actors including this one.
-    #[allow(dead_code)]
-    pub(crate) fn all_servers(&self) -> Vec<Actor> {
-        self.config.replicas.servers().map(Actor::Server).collect()
     }
 
     /// Signs an arbitrary byte string with this server's key.
@@ -674,27 +660,13 @@ impl PrestigeServer {
     /// what preserves instances that may have gathered a commit QC at a
     /// leader this server can no longer reach.
     pub(crate) fn ordered_contiguous_tip(&self) -> SeqNum {
-        let mut tip = self.store.latest_seq().0;
-        while self.ordered_batches.contains_key(&(tip + 1)) {
-            tip += 1;
-        }
-        SeqNum(tip)
+        self.tip_through(|r| r.batch.is_some())
     }
 
     /// Records installation of a new view in local bookkeeping (role, timers,
     /// per-view vote bookkeeping, statistics).
     pub(crate) fn note_view_installed(&mut self, ctx: &mut Context<Message>, leader: ServerId) {
         self.stats.views_installed += 1;
-        // Ordered-but-uncommitted batches survive the view change keyed by
-        // their sequence numbers (shared handles — no copies): they back
-        // future C3 freshness claims, and an elected leader re-proposes its
-        // contiguous prefix *at the original sequence numbers* below.
-        // Committed entries are pruned — as are their certificates and the
-        // per-instance commit-sign records they answer for.
-        let latest = self.store.latest_seq().0;
-        self.ordered_batches.retain(|n, _| *n > latest);
-        self.ord_qcs.retain(|n, _| *n > latest);
-        self.signed_commit_info.retain(|n, _| *n > latest);
         self.view_installed_at_ms = ctx.now().as_ms();
         self.policy_rotation_started = false;
         self.rotation_pending = false;
@@ -703,8 +675,15 @@ impl PrestigeServer {
         self.election_timer = None;
         self.pow_timer = None;
         self.confvc_builders.clear();
-        self.ordered_digests.clear();
         self.inflight.clear();
+        // Acknowledgements are per view. Everything else an instance record
+        // holds survives the view change keyed by its sequence number (shared
+        // handles — no copies): it backs future C3 freshness claims, and an
+        // elected leader re-proposes its contiguous prefix *at the original
+        // sequence numbers* below.
+        for record in self.instances.values_mut() {
+            record.ack = None;
+        }
         if leader == self.id {
             self.role = ServerRole::Leader;
             // Canary mutation (vopr mutation-score gate): pre-PR 4
@@ -714,8 +693,10 @@ impl PrestigeServer {
             // refilled with fresh content at the same sequence number.
             #[cfg(feature = "canary-c3-fork")]
             {
-                self.ordered_batches.clear();
-                self.ord_qcs.clear();
+                for record in self.instances.values_mut() {
+                    record.batch = None;
+                    record.ord_qc = None;
+                }
                 self.next_seq = self.store.latest_seq().next();
             }
             #[cfg(not(feature = "canary-c3-fork"))]
@@ -742,26 +723,27 @@ impl PrestigeServer {
         // committed one of them can ever diverge from the new chain.
         let tip = self.ordered_contiguous_tip().0;
         let preserved: Vec<(u64, Arc<Vec<Proposal>>)> = self
-            .ordered_batches
+            .instances
             .range(..=tip)
-            .map(|(n, batch)| (*n, Arc::clone(batch)))
+            .filter_map(|(n, r)| Some((*n, Arc::clone(r.batch.as_ref()?))))
             .collect();
         // Instances beyond a gap cannot be re-proposed in place (their
         // predecessors are unknown here), and C3 proves no commit QC can
         // exist for them — their transactions return to the proposal
         // pool under the usual dedup, to be batched at fresh sequence
-        // numbers.
-        let orphans: Vec<Arc<Vec<Proposal>>> = self
-            .ordered_batches
-            .split_off(&(tip + 1))
-            .into_values()
-            .collect();
-        // The orphans' certificates go with them: winning the election
-        // proved nothing beyond `tip` possibly committed, and a stale
-        // QC pin left behind would make this server (as a future
+        // numbers. The orphans' certificates go with them: winning the
+        // election proved nothing beyond `tip` possibly committed, and a
+        // stale QC pin left behind would make this server (as a future
         // follower) refuse another leader's legitimate fresh content at
         // those sequence numbers.
-        self.ord_qcs.split_off(&(tip + 1));
+        let orphans: Vec<Arc<Vec<Proposal>>> = self
+            .instances
+            .range_mut(tip + 1..)
+            .filter_map(|(_, r)| {
+                r.ord_qc = None;
+                r.batch.take()
+            })
+            .collect();
         if !orphans.is_empty() {
             let mut pending_keys: BTreeSet<(ClientId, u64)> =
                 self.pending_proposals.iter().map(|p| p.tx.key()).collect();
@@ -1045,7 +1027,6 @@ mod tests {
         let others = s2.other_servers();
         assert_eq!(others.len(), 3);
         assert!(!others.contains(&Actor::Server(ServerId(1))));
-        assert_eq!(s2.all_servers().len(), 4);
     }
 
     #[test]

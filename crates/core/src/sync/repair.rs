@@ -106,7 +106,8 @@ impl PrestigeServer {
             return; // Commits are flowing; nothing is wedged.
         }
         // (a) Parked out-of-order blocks: their predecessors were lost.
-        if let Some((&first_parked, _)) = self.pending_commit_blocks.iter().next() {
+        let parked = self.instances.iter().find(|(_, r)| r.parked.is_some());
+        if let Some(first_parked) = parked.map(|(&n, _)| n) {
             if first_parked > tip + 1 {
                 let peer = self.next_sync_peer();
                 let kind = Self::catchup_kind(tip + 1, first_parked - 1);
@@ -226,11 +227,12 @@ impl PrestigeServer {
                 continue;
             }
             // Same far-future bound as live orderings: sync must not become
-            // a way around the `ordered_batches` growth limit.
+            // a way around the `instances` growth limit.
             if n.0 > self.store.latest_seq().0 + PIPELINE_DEPTH as u64 + 1024 {
                 continue;
             }
-            if let Some(existing) = self.ord_qcs.get(&n.0) {
+            let held = self.instances.get(&n.0);
+            if let Some(existing) = held.and_then(|r| r.ord_qc.as_ref()) {
                 if existing.view > entry.qc.view {
                     // A stale entry must be dropped whole: `record_ord_qc`
                     // would keep the fresher retained certificate, and
@@ -240,7 +242,7 @@ impl PrestigeServer {
                     // would then be skipped as "nothing new").
                     continue;
                 }
-                if existing.view == entry.qc.view && self.ordered_batches.contains_key(&n.0) {
+                if existing.view == entry.qc.view && held.is_some_and(|r| r.batch.is_some()) {
                     continue; // Nothing new here.
                 }
             }
@@ -390,8 +392,8 @@ mod tests {
             );
         });
         assert_eq!(server.certified_ord_tip(), SeqNum(2));
-        assert!(server.ordered_batches.contains_key(&1));
-        assert!(server.ord_qcs.contains_key(&2));
+        assert!(server.held_batch(1).is_some());
+        assert!(server.instances[&2].ord_qc.is_some());
     }
 
     #[test]
@@ -416,8 +418,7 @@ mod tests {
             );
         });
         assert_eq!(server.certified_ord_tip(), SeqNum(0));
-        assert!(server.ordered_batches.is_empty());
-        assert!(server.ord_qcs.is_empty());
+        assert!(server.instances.is_empty());
     }
 
     #[test]
@@ -427,9 +428,7 @@ mod tests {
             PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
         // Commit-signed instance 3 that never committed here.
         server.signed_commit_tip = 3;
-        server
-            .signed_commit_info
-            .insert(3, (View(1), Digest([1; 32])));
+        server.instances.entry(3).or_default().signed = Some(View(1));
 
         // A tick right after commit progress does nothing: the tip moved
         // since the last observation, so nothing is wedged.

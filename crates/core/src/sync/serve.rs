@@ -67,10 +67,10 @@ impl PrestigeServer {
         if hi < lo {
             return entries; // Entirely committed already (or inverted).
         }
-        // Iterate the (bounded, commit-pruned) certificate store — never the
+        // Iterate the (bounded, commit-pruned) instance records — never the
         // raw numeric range, which is attacker-controlled and may span 2^64.
-        for (&n, qc) in self.ord_qcs.range(lo..=hi) {
-            let Some(batch) = self.ordered_batches.get(&n) else {
+        for (_, record) in self.instances.range(lo..=hi) {
+            let (Some(qc), Some(batch)) = (&record.ord_qc, &record.batch) else {
                 continue;
             };
             let entry = OrderedEntry {
@@ -259,8 +259,9 @@ mod tests {
                 .unwrap();
                 builder.add_share(registry, &share).unwrap();
             }
-            server.ord_qcs.insert(n, builder.assemble().unwrap());
-            server.ordered_batches.insert(n, Arc::new(batch));
+            let record = server.instances.entry(n).or_default();
+            record.ord_qc = Some(builder.assemble().unwrap());
+            record.batch = Some(Arc::new(batch));
         }
         server
     }
@@ -279,13 +280,10 @@ mod tests {
         let registry = KeyRegistry::new(5, 4, 2);
         let mut server = certified_server(&registry, 3);
         // Instance 4: batch without QC — must not be served.
-        server.ordered_batches.insert(
-            4,
-            Arc::new(vec![Proposal::new(
-                Transaction::with_size(ClientId(1), 4, 16),
-                Digest::ZERO,
-            )]),
-        );
+        server.instances.entry(4).or_default().batch = Some(Arc::new(vec![Proposal::new(
+            Transaction::with_size(ClientId(1), 4, 16),
+            Digest::ZERO,
+        )]));
         let requester = Actor::Server(ServerId(2));
         let effects = with_ctx(&mut server, |s, ctx| {
             s.handle_sync_req(requester, SyncKind::Ordered, 1, 10, ctx);
@@ -344,8 +342,9 @@ mod tests {
                 .unwrap();
                 builder.add_share(&registry, &share).unwrap();
             }
-            server.ord_qcs.insert(n, builder.assemble().unwrap());
-            server.ordered_batches.insert(n, Arc::new(batch));
+            let record = server.instances.entry(n).or_default();
+            record.ord_qc = Some(builder.assemble().unwrap());
+            record.batch = Some(Arc::new(batch));
         }
         let effects = with_ctx(&mut server, |s, ctx| {
             s.handle_sync_req(Actor::Server(ServerId(2)), SyncKind::Ordered, 1, 600, ctx);

@@ -4,7 +4,7 @@
 
 use crate::faults::AttackStrategy;
 use crate::pacemaker::timer_tags;
-use crate::server::{CampaignState, ComplaintState, PrestigeServer, ServerRole};
+use crate::server::{CampaignState, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolver, QcBuilder};
 use prestige_sim::{Context, TimerId};
 use prestige_types::{
@@ -44,15 +44,7 @@ impl PrestigeServer {
             // committed by the normal batching path.
             return;
         }
-        self.stats.complaints_relayed += 1;
-        let view = self.current_view();
-        self.complaints.insert(
-            key,
-            ComplaintState {
-                proposal: proposal.clone(),
-                view,
-            },
-        );
+        self.complaints.insert(key, self.current_view());
         // Relay to the leader.
         ctx.send(
             Actor::Server(self.current_leader()),
@@ -201,7 +193,7 @@ impl PrestigeServer {
                 self.confvc_builders.remove(&view);
                 // Per §4.2.1 the complaining client is tagged; the complaint
                 // entries for the stale view are dropped.
-                self.complaints.retain(|_, c| c.view.0 != view);
+                self.complaints.retain(|_, v| v.0 != view);
             }
         }
     }
@@ -261,7 +253,6 @@ impl PrestigeServer {
         let puzzle = PowPuzzle::new(tx_digest, rp);
         let (solution, attempts) = solver.solve(&puzzle, ctx.rng().rng());
         let solve_ms = solver.attempts_to_ms(attempts);
-        self.stats.last_pow_ms = solve_ms;
         self.stats.pow_ms_total += solve_ms;
         self.stats
             .campaign_log

@@ -22,7 +22,7 @@
 //! certified tip is repaired through `SyncKind::Ordered` (see
 //! [`crate::sync`]), never papered over by trust.
 
-use crate::server::{PrestigeServer, ServerRole};
+use crate::server::{Instance, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolution, PowSolver};
 use prestige_reputation::CalcRpInput;
 use prestige_sim::Context;
@@ -71,26 +71,19 @@ impl PrestigeServer {
     /// highest ordering view seen for each sequence number (a re-proposal's
     /// QC supersedes the original's).
     pub(crate) fn record_ord_qc(&mut self, n: u64, qc: &QuorumCertificate) {
-        match self.ord_qcs.get(&n) {
-            Some(existing) if existing.view >= qc.view => {}
-            _ => {
-                self.ord_qcs.insert(n, qc.clone());
-            }
+        let held = &mut self.instances.entry(n).or_default().ord_qc;
+        if held.as_ref().is_none_or(|existing| existing.view < qc.view) {
+            *held = Some(qc.clone());
         }
     }
 
     /// The *certified* ordered tip: the highest sequence number reachable
     /// from the committed tip through instances this server can prove — an
-    /// ordering QC in `ord_qcs` **and** a batch in `ordered_batches` for
-    /// every step. This is the claim [`Self::build_tip_cert`] certifies and
-    /// the bound voters will hold this server to.
+    /// ordering QC **and** a batch for every step. This is the claim
+    /// [`Self::build_tip_cert`] certifies and the bound voters will hold
+    /// this server to.
     pub(crate) fn certified_ord_tip(&self) -> SeqNum {
-        let mut tip = self.store.latest_seq().0;
-        while self.ord_qcs.contains_key(&(tip + 1)) && self.ordered_batches.contains_key(&(tip + 1))
-        {
-            tip += 1;
-        }
-        SeqNum(tip)
+        self.tip_through(Instance::provable)
     }
 
     /// Builds the campaign's certified tip claim: `(certified tip, one
@@ -99,7 +92,7 @@ impl PrestigeServer {
         let latest = self.store.latest_seq().0;
         let tip = self.certified_ord_tip().0;
         let cert = (latest + 1..=tip)
-            .map(|n| self.ord_qcs[&n].clone())
+            .filter_map(|n| self.instances[&n].ord_qc.clone())
             .collect();
         (SeqNum(tip), cert)
     }
@@ -197,7 +190,8 @@ impl PrestigeServer {
             self.stats.camp_cert_refusals += 1;
             return false;
         }
-        for (&n, &(signed_view, _)) in self.signed_commit_info.range(latest_seq.0 + 1..) {
+        let signed = self.instances.range(latest_seq.0 + 1..);
+        for (&n, signed_view) in signed.filter_map(|(n, r)| Some((n, r.signed?))) {
             if n > latest_ord_seq.0 {
                 self.stats.camp_cert_refusals += 1;
                 return false;
@@ -393,7 +387,6 @@ impl PrestigeServer {
 
         // All criteria satisfied: vote.
         self.voted_views.insert(claims.new_view.0);
-        self.stats.votes_cast += 1;
         if let Some(share) = sign_share(
             &self.registry,
             self.id,
@@ -652,9 +645,7 @@ mod tests {
         for (cert_view, expect_vote) in [(View(1), false), (View(3), true)] {
             let mut voter = fresh_voter(&registry);
             voter.signed_commit_tip = 1;
-            voter
-                .signed_commit_info
-                .insert(1, (View(3), Digest([7; 32])));
+            voter.instances.entry(1).or_default().signed = Some(View(3));
             let cert = vec![ordering_qc(
                 &registry,
                 cert_view,
@@ -729,18 +720,22 @@ mod tests {
         };
         // Instances 1 and 2: QC + batch. Instance 3: batch only. Instance 4:
         // QC only.
-        for n in 1..=2u64 {
-            server.ord_qcs.insert(
+        let qc = |n: u64| {
+            Some(ordering_qc(
+                &registry,
+                View(1),
                 n,
-                ordering_qc(&registry, View(1), n, Digest([n as u8; 32]), quorum),
-            );
-            server.ordered_batches.insert(n, batch(n));
+                Digest([n as u8; 32]),
+                quorum,
+            ))
+        };
+        for n in 1..=2u64 {
+            let record = server.instances.entry(n).or_default();
+            record.ord_qc = qc(n);
+            record.batch = Some(batch(n));
         }
-        server.ordered_batches.insert(3, batch(3));
-        server.ord_qcs.insert(
-            4,
-            ordering_qc(&registry, View(1), 4, Digest([4; 32]), quorum),
-        );
+        server.instances.entry(3).or_default().batch = Some(batch(3));
+        server.instances.entry(4).or_default().ord_qc = qc(4);
 
         assert_eq!(server.certified_ord_tip(), SeqNum(2));
         let (tip, cert) = server.build_tip_cert();
@@ -757,14 +752,15 @@ mod tests {
         let quorum = server.config.quorum();
         let old = ordering_qc(&registry, View(1), 1, Digest([1; 32]), quorum);
         let new = ordering_qc(&registry, View(4), 1, Digest([2; 32]), quorum);
+        let held_view = |s: &PrestigeServer| s.instances[&1].ord_qc.as_ref().map(|qc| qc.view);
         server.record_ord_qc(1, &new);
         server.record_ord_qc(1, &old);
         assert_eq!(
-            server.ord_qcs[&1].view,
-            View(4),
+            held_view(&server),
+            Some(View(4)),
             "older QC must not regress"
         );
         server.record_ord_qc(1, &new);
-        assert_eq!(server.ord_qcs[&1].view, View(4));
+        assert_eq!(held_view(&server), Some(View(4)));
     }
 }

@@ -141,18 +141,14 @@ impl PrestigeServer {
         // cannot re-validate locally (no batch — it saw the `Cmt` but never
         // the `Ord`) are fetched from the new leader before the re-proposals
         // land, closing the "partitioned batch-holder" liveness gap.
-        let missing: Option<(u64, u64)> = {
-            let lacking: Vec<u64> = self
-                .signed_commit_info
-                .range(block.committed_seq.0 + 1..)
-                .map(|(&n, _)| n)
-                .filter(|&n| n <= block.ord_tip.0 && !self.ordered_batches.contains_key(&n))
-                .collect();
-            match (lacking.first(), lacking.last()) {
-                (Some(&lo), Some(&hi)) => Some((lo, hi)),
-                _ => None,
-            }
-        };
+        let mut lacking = self
+            .instances
+            .range(block.committed_seq.0 + 1..)
+            .filter(|&(&n, r)| n <= block.ord_tip.0 && r.signed.is_some() && r.batch.is_none())
+            .map(|(&n, _)| n);
+        let missing = lacking
+            .next()
+            .map(|lo| (lo, lacking.next_back().unwrap_or(lo)));
         // Adopt. Logged first: view history and the reputation state must
         // survive a crash (replay rebuilds both from the WAL).
         let leader = block.leader_id;

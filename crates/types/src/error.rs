@@ -1,11 +1,11 @@
 //! Protocol error types.
 //!
-//! Errors are used for *rejections*: a message that fails validation (bad QC,
-//! stale view, irreproducible reputation penalty, ...) is dropped and the
-//! reason recorded. They are not used for Byzantine-fault *handling* — a
-//! Byzantine peer's message simply fails one of these checks.
+//! Errors are used for *rejections*: a certificate, share or proof of work
+//! that fails verification is dropped and the reason recorded. They are not
+//! used for Byzantine-fault *handling* — a Byzantine peer's message simply
+//! fails one of these checks.
 
-use crate::ids::{SeqNum, ServerId, View};
+use crate::ids::ServerId;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -22,34 +22,10 @@ pub enum ProtocolError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A message referred to a view older than the receiver's current view.
-    StaleView {
-        /// The view carried by the message.
-        got: View,
-        /// The receiver's current view.
-        current: View,
-    },
     /// A signature or threshold share failed verification.
     InvalidSignature {
         /// The claimed signer.
         signer: ServerId,
-    },
-    /// A referenced block is not in the local store.
-    UnknownBlock {
-        /// Description of the missing block.
-        what: String,
-    },
-    /// A candidate's claimed reputation penalty or compensation index could
-    /// not be reproduced by the local reputation engine (criterion C4).
-    ReputationMismatch {
-        /// The claimed penalty.
-        claimed_rp: i64,
-        /// The locally recomputed penalty.
-        computed_rp: i64,
-        /// The claimed compensation index.
-        claimed_ci: u64,
-        /// The locally recomputed compensation index.
-        computed_ci: u64,
     },
     /// A candidate's proof-of-work result does not match its penalty
     /// (criterion C5).
@@ -59,73 +35,23 @@ pub enum ProtocolError {
         /// The number actually present in the hash result.
         found: u32,
     },
-    /// A replica attempted an action reserved for the leader.
-    NotLeader {
-        /// The replica that attempted the action.
-        who: ServerId,
-        /// The view in which it attempted it.
-        view: View,
-    },
-    /// The voter has already voted in this view (criterion C1).
-    AlreadyVoted {
-        /// The view in question.
-        view: View,
-    },
-    /// The candidate's log is behind the voter's (criterion C3).
-    CandidateBehind {
-        /// The candidate's latest sequence number.
-        candidate: SeqNum,
-        /// The voter's latest sequence number.
-        voter: SeqNum,
-    },
-    /// The receiver must sync missing blocks before it can validate.
-    SyncRequired {
-        /// First missing index.
-        from: u64,
-        /// Last missing index.
-        to: u64,
-    },
-    /// A configuration value is invalid.
-    Config(String),
-    /// Any other rejection.
-    Other(String),
 }
 
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolError::InvalidQc { reason } => write!(f, "invalid quorum certificate: {reason}"),
-            ProtocolError::StaleView { got, current } => {
-                write!(f, "stale view: message at {got}, currently at {current}")
+            ProtocolError::InvalidQc { reason } => {
+                write!(f, "invalid quorum certificate: {reason}")
             }
             ProtocolError::InvalidSignature { signer } => {
                 write!(f, "invalid signature claimed from {signer}")
             }
-            ProtocolError::UnknownBlock { what } => write!(f, "unknown block: {what}"),
-            ProtocolError::ReputationMismatch {
-                claimed_rp,
-                computed_rp,
-                claimed_ci,
-                computed_ci,
-            } => write!(
-                f,
-                "reputation mismatch: claimed rp={claimed_rp} ci={claimed_ci}, computed rp={computed_rp} ci={computed_ci}"
-            ),
             ProtocolError::InvalidPow { required, found } => {
-                write!(f, "invalid proof of work: required {required} zero units, found {found}")
+                write!(
+                    f,
+                    "invalid proof of work: required {required} zero units, found {found}"
+                )
             }
-            ProtocolError::NotLeader { who, view } => {
-                write!(f, "{who} is not the leader of {view}")
-            }
-            ProtocolError::AlreadyVoted { view } => write!(f, "already voted in {view}"),
-            ProtocolError::CandidateBehind { candidate, voter } => {
-                write!(f, "candidate log {candidate} behind voter log {voter}")
-            }
-            ProtocolError::SyncRequired { from, to } => {
-                write!(f, "sync required for blocks {from}..={to}")
-            }
-            ProtocolError::Config(msg) => write!(f, "configuration error: {msg}"),
-            ProtocolError::Other(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -138,12 +64,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = ProtocolError::StaleView {
-            got: View(3),
-            current: View(7),
+        let e = ProtocolError::InvalidSignature {
+            signer: ServerId(3),
         };
-        let s = e.to_string();
-        assert!(s.contains("V3") && s.contains("V7"));
+        assert!(e.to_string().contains(&ServerId(3).to_string()));
 
         let e = ProtocolError::InvalidPow {
             required: 4,
@@ -155,18 +79,28 @@ mod tests {
     #[test]
     fn errors_are_comparable() {
         assert_eq!(
-            ProtocolError::AlreadyVoted { view: View(2) },
-            ProtocolError::AlreadyVoted { view: View(2) }
+            ProtocolError::InvalidSignature {
+                signer: ServerId(2)
+            },
+            ProtocolError::InvalidSignature {
+                signer: ServerId(2)
+            }
         );
         assert_ne!(
-            ProtocolError::AlreadyVoted { view: View(2) },
-            ProtocolError::AlreadyVoted { view: View(3) }
+            ProtocolError::InvalidSignature {
+                signer: ServerId(2)
+            },
+            ProtocolError::InvalidSignature {
+                signer: ServerId(3)
+            }
         );
     }
 
     #[test]
     fn error_trait_object() {
-        let e: Box<dyn std::error::Error> = Box::new(ProtocolError::Config("bad".into()));
+        let e: Box<dyn std::error::Error> = Box::new(ProtocolError::InvalidQc {
+            reason: "bad".into(),
+        });
         assert!(e.to_string().contains("bad"));
     }
 }
