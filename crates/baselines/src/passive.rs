@@ -19,7 +19,7 @@ use prestige_crypto::{
 use prestige_sim::{cpu_cost, Context, Process, TimerId};
 use prestige_types::{
     Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
-    QuorumCertificate, SeqNum, ServerId, SyncKind, TxBlock, View,
+    QuorumCertificate, SeqNum, ServerId, TxBlock, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -816,7 +816,7 @@ impl PassiveBftServer {
             ctx.send(
                 Actor::Server(high_holder),
                 Message::SyncReq {
-                    kind: SyncKind::Transaction,
+                    view,
                     from: self.store.latest_seq().0 + 1,
                     to: high_seq.0,
                 },
@@ -871,16 +871,11 @@ impl PassiveBftServer {
     }
 
     fn handle_sync_req(&mut self, from: Actor, lo: u64, hi: u64, ctx: &mut Context<Message>) {
-        if hi < lo {
-            return;
-        }
-        let mut blocks = self.store.tx_blocks_in(lo, hi);
-        blocks.truncate(256);
         ctx.send(
             from,
             Message::SyncResp {
                 vc_blocks: Vec::new(),
-                tx_blocks: blocks,
+                tx_blocks: self.store.tx_blocks_in(lo, hi).take(256).collect(),
                 ordered: Vec::new(),
                 ckpt: None,
             },
@@ -974,11 +969,7 @@ impl Process<Message> for PassiveBftServer {
             Message::NewViewAnnounce {
                 view, new_view_qc, ..
             } => self.handle_new_view_announce(from, view, new_view_qc, ctx),
-            Message::SyncReq {
-                from: lo,
-                to,
-                kind: SyncKind::Transaction,
-            } => self.handle_sync_req(from, lo, to, ctx),
+            Message::SyncReq { from: lo, to, .. } => self.handle_sync_req(from, lo, to, ctx),
             Message::SyncResp { tx_blocks, .. } => self.handle_sync_resp(tx_blocks, ctx),
             // PrestigeBFT-specific messages are not part of the baselines.
             _ => {}

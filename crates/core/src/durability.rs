@@ -9,8 +9,8 @@
 //! shares over a state digest (committed-chain fingerprint plus the live
 //! reputation vector) and assemble a `2f + 1` **checkpoint certificate**;
 //! the resulting stable checkpoint drives garbage collection of WAL
-//! segments and anchors snapshot sync for far-behind peers
-//! (`SyncKind::Snapshot`).
+//! segments, and its certificate rides in the sync answers of far-behind
+//! peers so they can adopt the same anchor.
 //!
 //! On restart the driving runtime replays the decoded WAL records through
 //! [`PrestigeServer::replay_wal`] *before* re-attaching the log with
@@ -422,7 +422,7 @@ mod tests {
         let block = Arc::new(TxBlock::new(View(1), SeqNum(4), batch(4)));
         let keys = block_keys_digest(&block);
         let effects = with_ctx(&mut server, |s, ctx| {
-            s.apply_committed_block(block, keys, ctx);
+            s.apply_committed_block(Actor::Server(ServerId(0)), block, keys, ctx);
         });
         server.attach_storage(Box::new(MemStorage::new()));
         let (_, digest) = server.checkpoint_statement(4).unwrap();
@@ -535,7 +535,6 @@ mod tests {
         let mut records: Vec<WalRecord> = reference
             .store
             .tx_blocks_in(1, 6)
-            .into_iter()
             .map(WalRecord::Block)
             .collect();
         records.push(WalRecord::OrdQc(QuorumCertificate {
@@ -589,13 +588,7 @@ mod tests {
             cert: cert.clone(),
             chain,
         }];
-        records.extend(
-            reference
-                .store
-                .tx_blocks_in(5, 6)
-                .into_iter()
-                .map(WalRecord::Block),
-        );
+        records.extend(reference.store.tx_blocks_in(5, 6).map(WalRecord::Block));
 
         let mut restarted = PrestigeServer::new(
             ServerId(1),

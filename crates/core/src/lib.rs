@@ -27,7 +27,7 @@
 //!   rounds without a view change;
 //! * the **durable storage plane** ([`durability`]): write-ahead logging of
 //!   commits through the `prestige-storage` seam, quorum-certified
-//!   checkpoints that anchor log GC and snapshot sync, and crash-restart
+//!   checkpoints that anchor log GC and far-behind catch-up, and crash-restart
 //!   replay that rebuilds a replica's committed state from disk.
 //!
 //! The crate has no I/O: all communication goes through the simulator's

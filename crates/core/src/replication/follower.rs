@@ -13,8 +13,7 @@ use crate::server::{OrderedAck, PrestigeServer};
 use prestige_crypto::{keys_digest, ordering_digest, sign_share};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
-    Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, SyncKind,
-    TxBlock, View,
+    Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, TxBlock, View,
 };
 use std::sync::Arc;
 
@@ -149,7 +148,7 @@ impl PrestigeServer {
                 } else {
                     // Cannot check content without the certified batch:
                     // fetch it instead of endorsing blind.
-                    self.request_sync(from, SyncKind::Ordered, n.0, n.0, ctx);
+                    self.request_sync(from, n.0, ctx);
                 }
                 return;
             }
@@ -242,23 +241,23 @@ impl PrestigeServer {
         let digest = ordering_qc.digest;
         // Certified recovery plane: the validated ordering QC is this
         // server's *proof* of the instance. Store it for future tip
-        // certificates and `SyncKind::Ordered` serving; a batch whose
-        // phase-1 digest conflicts with the certified one lost the ordering
-        // race (an equivocating leader sent this follower the minority
-        // payload) — drop it and fetch the certified batch instead.
+        // certificates and sync answers; a batch whose phase-1 digest
+        // conflicts with the certified one lost the ordering race (an
+        // equivocating leader sent this follower the minority payload) —
+        // drop it and fetch the certified batch instead.
         self.record_ord_qc(n.0, &ordering_qc);
         let record = self.instances.entry(n.0).or_default();
         match &record.ack {
             Some(ack) if ack.digest != digest => {
                 record.batch = None;
-                self.request_sync(from, SyncKind::Ordered, n.0, n.0, ctx);
+                self.request_sync(from, n.0, ctx);
             }
             Some(_) => {}
             None => {
                 // We never saw the `Ord` (lost broadcast): the commit share
                 // below still counts toward the quorum, but this server
                 // cannot re-propose the instance until it fetches the batch.
-                self.request_sync(from, SyncKind::Ordered, n.0, n.0, ctx);
+                self.request_sync(from, n.0, ctx);
             }
         }
         let share = if self.behavior.equivocates() {
@@ -296,17 +295,18 @@ impl PrestigeServer {
 
     /// Follower handling of the finalized `CommitBlock` broadcast.
     ///
-    /// Who relayed the block and what it signed are ignored on purpose:
-    /// committed blocks may legitimately arrive from the leader of an
-    /// earlier view during a view change, or via sync from any peer, so the
-    /// whole proof is carried by the block itself — two quorum QCs of one
-    /// view over one digest, and a body that hashes to that digest
-    /// ([`Self::verify_and_apply_block`]). Each certificate is verified at
-    /// most once per node: the ordering QC was usually already checked when
-    /// it arrived inside `Cmt`, so only the commit QC costs anything here.
+    /// The relayer is trusted with nothing but a catch-up question, and its
+    /// signature is ignored: committed blocks may legitimately arrive from
+    /// the leader of an earlier view during a view change, or via sync from
+    /// any peer, so the whole proof is carried by the block itself — two
+    /// quorum QCs of one view over one digest, and a body that hashes to
+    /// that digest ([`Self::verify_and_apply_block`]). Each certificate is
+    /// verified at most once per node: the ordering QC was usually already
+    /// checked when it arrived inside `Cmt`, so only the commit QC costs
+    /// anything here.
     pub(crate) fn handle_commit_block(
         &mut self,
-        _from: Actor,
+        from: Actor,
         block: Arc<TxBlock>,
         _sig: [u8; 32],
         ctx: &mut Context<Message>,
@@ -314,7 +314,7 @@ impl PrestigeServer {
         if block.n <= self.store.latest_seq() {
             return; // Stale: no point paying for crypto.
         }
-        self.verify_and_apply_block(block, ctx);
+        self.verify_and_apply_block(from, block, ctx);
     }
 }
 
@@ -668,7 +668,7 @@ mod tests {
                 Emission::Send(
                     _,
                     Message::SyncReq {
-                        kind: SyncKind::Ordered,
+                        view: View(1),
                         from: 1,
                         to: 1
                     }

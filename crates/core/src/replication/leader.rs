@@ -275,7 +275,7 @@ impl PrestigeServer {
         instance.commit_builder = Some(commit_builder);
         // Certified recovery plane: the assembled QC plus the in-flight batch
         // make this instance provable, so the leader's own future campaigns
-        // can claim it and `SyncKind::Ordered` can serve it. Pruned when the
+        // can claim it and sync answers can serve it. Pruned when the
         // instance commits.
         let batch = Arc::clone(&instance.batch);
         self.record_ord_qc(n.0, &ordering_qc);
@@ -359,7 +359,8 @@ impl PrestigeServer {
         // without copying, and the stored, chain-linked form is what fans out
         // as `CommitBlock` — zero deep copies end to end. The keys digest
         // hashed at proposal time links it into the chain.
-        self.commit_and_broadcast_block(Arc::new(block), instance.keys, ctx);
+        let me = Actor::Server(self.id);
+        self.apply_committed_block(me, Arc::new(block), instance.keys, ctx);
         // A window slot just freed up: keep the pipeline full.
         self.flush_ready_batches(ctx);
     }

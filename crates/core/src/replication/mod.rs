@@ -547,13 +547,104 @@ mod tests {
         ));
         with_ctx(&mut server, |s, ctx| {
             let keys = crate::storage::block_keys_digest(&block);
-            s.apply_committed_block(Arc::new(block), keys, ctx);
+            s.apply_committed_block(Actor::Server(ServerId(2)), Arc::new(block), keys, ctx);
         });
         assert_eq!(server.store().latest_seq(), SeqNum(1));
         assert!(
             !server.inflight.contains_key(&1),
             "the committed instance must release its pipeline slot"
         );
+    }
+
+    #[test]
+    fn a_straggler_is_asked_of_its_sender_and_a_leader_never_asks_itself() {
+        // The leader has instances 1 and 2 in flight, and instance 2's
+        // commit quorum completes first: its own pipeline gap closes when
+        // instance 1's quorum does, so it fans block 2 out without a
+        // `SyncReq` (it used to ask itself).
+        let registry = KeyRegistry::new(9, 4, 2);
+        let mut leader =
+            PrestigeServer::new(ServerId(0), ClusterConfig::new(4), registry.clone(), 0);
+        let client = Actor::Client(ClientId(1));
+        with_ctx(&mut leader, |s, ctx| {
+            for number in [50, 51] {
+                let tx = Transaction::with_size(ClientId(1), number, 16);
+                s.handle_prop(client, vec![Proposal::new(tx, Digest::ZERO)], [0; 32], ctx);
+                s.flush_batch(ctx);
+            }
+        });
+        fn complete(leader: &mut PrestigeServer, registry: &KeyRegistry, n: u64) -> bool {
+            let digest = leader.inflight[&n].digest;
+            let share = |kind, signer| {
+                sign_share(
+                    registry,
+                    ServerId(signer),
+                    kind,
+                    View(1),
+                    SeqNum(n),
+                    &digest,
+                )
+                .unwrap()
+            };
+            let effects = with_ctx(leader, |s, ctx| {
+                for signer in [1, 2] {
+                    s.handle_ord_reply(
+                        View(1),
+                        SeqNum(n),
+                        digest,
+                        share(QcKind::Ordering, signer),
+                        ctx,
+                    );
+                }
+                for signer in [1, 2] {
+                    s.handle_cmt_reply(
+                        View(1),
+                        SeqNum(n),
+                        digest,
+                        share(QcKind::Commit, signer),
+                        ctx,
+                    );
+                }
+            });
+            let asks =
+                |e: &Emission<Message>| matches!(e, Emission::Send(_, Message::SyncReq { .. }));
+            effects.emissions.iter().any(asks)
+        }
+        assert!(
+            !complete(&mut leader, &registry, 2),
+            "no request for its own gap"
+        );
+        assert_eq!(leader.store().latest_seq(), SeqNum(0), "block 2 is parked");
+        let block = Arc::clone(&leader.instances[&2].parked.as_ref().unwrap().0);
+        assert!(!complete(&mut leader, &registry, 1));
+        assert_eq!(leader.store().latest_seq(), SeqNum(2));
+
+        // A follower at tip 0 parks block 2, relayed by s2, and asks s2 —
+        // the server whose message proved the height — for block 1.
+        let mut follower = follower(&registry);
+        let relay = Actor::Server(ServerId(2));
+        let effects = with_ctx(&mut follower, |s, ctx| {
+            s.on_message(
+                relay,
+                Message::CommitBlock {
+                    block,
+                    sig: [0; 32],
+                },
+                ctx,
+            );
+        });
+        let asked: Vec<_> = effects
+            .emissions
+            .iter()
+            .filter_map(|e| match e {
+                Emission::Send(to, Message::SyncReq { view, from, to: hi }) => {
+                    Some((*to, *view, *from, *hi))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(asked, vec![(relay, View(1), 1, 1)]);
+        assert!(follower.instances[&2].parked.is_some());
     }
 
     #[test]
@@ -870,7 +961,7 @@ mod tests {
         }
 
         let mut synced = PrestigeServer::new(ServerId(3), config.clone(), registry.clone(), 0);
-        let tx_blocks = servers[0].store().tx_blocks_in(1, 1);
+        let tx_blocks: Vec<TxBlock> = servers[0].store().tx_blocks_in(1, 1).collect();
         let reproposal = {
             let mut block = tx_blocks[0].clone();
             let digest = batch_digest(View(2), n, &batch);

@@ -6,7 +6,7 @@ use crate::server::PrestigeServer;
 use crate::storage::block_keys_digest;
 use prestige_crypto::ordering_digest;
 use prestige_sim::Context;
-use prestige_types::{Actor, ClientId, Digest, Message, QcKind, SyncKind, TxBlock};
+use prestige_types::{Actor, ClientId, Digest, Message, QcKind, TxBlock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -17,9 +17,11 @@ impl PrestigeServer {
     /// and view over one digest, and that digest is the batch digest of
     /// `block.tx`. Nothing else about the message is trusted — not who
     /// relayed it, not its signature — so a refusal here is the only thing
-    /// standing between one Byzantine relay and a forked log.
+    /// standing between one Byzantine relay and a forked log. `from` is who
+    /// relayed it, and is asked for whatever the block proves missing.
     pub(crate) fn verify_and_apply_block(
         &mut self,
+        from: Actor,
         block: Arc<TxBlock>,
         ctx: &mut Context<Message>,
     ) {
@@ -52,7 +54,7 @@ impl PrestigeServer {
             self.stats.verify_rejected += 1;
             return;
         };
-        self.apply_committed_block(block, keys, ctx);
+        self.apply_committed_block(from, block, keys, ctx);
     }
 
     /// The keys digest of `block.tx`, if the body is the batch `digest`
@@ -77,37 +79,18 @@ impl PrestigeServer {
     }
 
     /// Applies a committed block locally: store it, update bookkeeping, and
-    /// notify the owning clients. Blocks arriving ahead of a gap are buffered
-    /// so every replica applies the log in the same order.
+    /// notify the owning clients. `keys` is the block's keys digest, which
+    /// links it into the chain. `from` is the server that proved the block:
+    /// this server itself on the leader's commit path, which also fans the
+    /// block out as `CommitBlock` once it lands.
     pub(crate) fn apply_committed_block(
         &mut self,
+        from: Actor,
         block: Arc<TxBlock>,
         keys: Digest,
         ctx: &mut Context<Message>,
     ) {
-        self.enqueue_committed_block(block, keys, false, ctx);
-    }
-
-    /// Leader variant of [`Self::apply_committed_block`]: the adopted,
-    /// chain-linked form of the block is broadcast to the other servers as
-    /// `CommitBlock` once it lands in the store.
-    pub(crate) fn commit_and_broadcast_block(
-        &mut self,
-        block: Arc<TxBlock>,
-        keys: Digest,
-        ctx: &mut Context<Message>,
-    ) {
-        self.enqueue_committed_block(block, keys, true, ctx);
-    }
-
-    /// `keys` is the block's keys digest, which links it into the chain.
-    fn enqueue_committed_block(
-        &mut self,
-        block: Arc<TxBlock>,
-        keys: Digest,
-        broadcast: bool,
-        ctx: &mut Context<Message>,
-    ) {
+        let broadcast = from == Actor::Server(self.id);
         let tip = self.store.latest_seq().0;
         if block.n.0 <= tip {
             // Already committed. A leader committing a duplicate still fans
@@ -117,23 +100,23 @@ impl PrestigeServer {
             }
             return;
         }
+        // A gap means the predecessors' broadcasts were lost (shed under
+        // backpressure or cut by a partition); a block from a higher view
+        // means this server missed a view change (it refused an uncoverable
+        // vcBlock, or the install traffic was lost). Either way, ask the
+        // server that proved the block what this one missed below it; the
+        // repair timer re-asks a rotating peer if that one does not answer.
+        if block.n.0 > tip + 1 || block.view > self.current_view() {
+            self.request_sync(from, block.n.0 - 1, ctx);
+        }
         if block.n.0 > tip + 1 {
+            // Parked until the gap closes, so every replica applies the log
+            // in the same order.
             let n = block.n.0;
             self.instances.entry(n).or_default().parked = Some((Arc::clone(&block), keys));
             if broadcast {
                 self.broadcast_commit_block(block, ctx);
             }
-            // A gap means the predecessors' broadcasts were lost (shed under
-            // backpressure or cut by a partition): ask the leader to close it
-            // rather than waiting forever. Rate-limited; the sync repair
-            // timer re-asks a *rotating* peer if the leader itself is
-            // unreachable. A hole wider than one serve budget (a restarted or
-            // long-cut replica) escalates to snapshot sync, same as the
-            // repair timer.
-            let lo = tip + 1;
-            let hi = n - 1;
-            let kind = Self::catchup_kind(lo, hi);
-            self.request_sync(Actor::Server(self.current_leader()), kind, lo, hi, ctx);
             return;
         }
         let shared = self.apply_in_order(block, keys, ctx);
@@ -254,21 +237,6 @@ impl PrestigeServer {
             let clients = &self.clients;
             self.pending_proposals
                 .retain(|p| !clients.is_committed(p.tx.key()));
-        }
-        // A committed block from a higher view is proof this server missed a
-        // view change (it refused an uncoverable vcBlock, or the install
-        // traffic was lost): fetch the missing vcBlocks so it rejoins the
-        // live view instead of replicating by sync forever. Rate-limited
-        // through the usual request path.
-        if view > self.store.current_view() {
-            let peer = self.next_sync_peer();
-            self.request_sync(
-                peer,
-                SyncKind::ViewChange,
-                self.store.current_view().0 + 1,
-                view.0,
-                ctx,
-            );
         }
         // The instance's record — its proof and any parked copy — is spent.
         self.instances.remove(&n.0);

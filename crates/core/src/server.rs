@@ -105,10 +105,6 @@ pub struct ServerStats {
     /// batch timer because their quorum stalled past the retransmit interval
     /// with no share arrivals in the meantime.
     pub instance_retransmits: u64,
-    /// Catch-up requests escalated to `SyncKind::Snapshot` because the
-    /// missing range exceeded one serve budget (fresh restart from an old
-    /// checkpoint, long partition).
-    pub snapshot_syncs: u64,
 }
 
 /// What this server holds for one uncommitted instance — the state a
@@ -125,8 +121,8 @@ pub(crate) struct Instance {
     /// materialized into `pending_proposals` only on the rare view change.
     pub(crate) batch: Option<Arc<Vec<Proposal>>>,
     /// The ordering QC, the highest ordering view seen. With `batch` it
-    /// makes the instance provable: campaign tip claims and
-    /// `SyncKind::Ordered` serving use only instances holding both.
+    /// makes the instance provable: campaign tip claims and sync answers
+    /// use only instances holding both.
     pub(crate) ord_qc: Option<QuorumCertificate>,
     /// The view of the ordering QC this server commit-signed. A candidate's
     /// tip certificate must cover the instance at least this fresh.
@@ -262,14 +258,15 @@ pub struct PrestigeServer {
     /// elected leader can re-propose every possibly-committed instance at
     /// its original sequence number. Monotonic; never reset.
     pub(crate) signed_commit_tip: u64,
-    /// Requester-side rate limiting: last time (ms) a repair `SyncReq` of
-    /// each kind (view-change / transaction / ordered / snapshot) was sent,
-    /// indexed by the sync-kind wire tag.
-    pub(crate) last_sync_req_ms: [f64; 5],
-    /// Server-side rate limiting: `(peer, sync kind)` → last time (ms) a
-    /// response was served, bounding how often any one peer can make this
-    /// server assemble sync payloads.
-    pub(crate) sync_served_ms: BTreeMap<(Actor, u8), f64>,
+    /// Requester-side rate limiting: last time (ms) a `SyncReq` was sent.
+    pub(crate) last_sync_req_ms: f64,
+    /// Server-side rate limiting: peer → last time (ms) it was sent a sync
+    /// answer, bounding how often any one peer can make this server
+    /// assemble sync payloads.
+    pub(crate) sync_served_ms: BTreeMap<Actor, f64>,
+    /// Receive-side rate limiting: peer → last time (ms) ordered entries
+    /// from it were accepted for hashing.
+    pub(crate) ordered_recv_ms: BTreeMap<Actor, f64>,
     /// Rotating cursor over peers for repair-timer sync requests, so a dead
     /// or partitioned leader does not absorb every repair attempt.
     pub(crate) sync_peer_cursor: usize,
@@ -330,8 +327,8 @@ pub struct PrestigeServer {
     pub(crate) ckpt_builders: BTreeMap<u64, QcBuilder>,
     /// The highest stable (quorum-certified) checkpoint sequence number.
     pub(crate) stable_checkpoint: u64,
-    /// The certificate behind `stable_checkpoint`, served to snapshot-syncing
-    /// peers.
+    /// The certificate behind `stable_checkpoint`, served to far-behind
+    /// peers in sync answers.
     pub(crate) stable_ckpt_cert: Option<QuorumCertificate>,
     /// The vote this server cast per campaigned view (criterion C1 record):
     /// view → (candidate, share). Lets the election-retransmission path
@@ -404,8 +401,9 @@ impl PrestigeServer {
             instances: BTreeMap::new(),
             ordered_only_keys: BTreeSet::new(),
             signed_commit_tip: 0,
-            last_sync_req_ms: [f64::NEG_INFINITY; 5],
+            last_sync_req_ms: f64::NEG_INFINITY,
             sync_served_ms: BTreeMap::new(),
+            ordered_recv_ms: BTreeMap::new(),
             sync_peer_cursor: 0,
             last_repair_tip: 0,
             batch_timer_armed: false,
@@ -960,9 +958,7 @@ impl Process<Message> for PrestigeServer {
             Message::CkptCert { cert } => self.handle_ckpt_cert(cert, ctx),
 
             // Sync.
-            Message::SyncReq { kind, from: lo, to } => {
-                self.handle_sync_req(from, kind, lo, to, ctx)
-            }
+            Message::SyncReq { view, from: lo, to } => self.serve_sync(from, view, lo, to, ctx),
             Message::SyncResp {
                 vc_blocks,
                 tx_blocks,

@@ -200,13 +200,14 @@ impl BlockStore {
         self.tx_blocks.insert(n.0, Arc::new(anchor));
     }
 
-    /// Returns the committed txBlocks in the inclusive range `[from, to]`
-    /// (cloned: callers ship them over the wire in `SyncResp`).
-    pub fn tx_blocks_in(&self, from: u64, to: u64) -> Vec<TxBlock> {
-        self.tx_blocks
-            .range(from..=to)
+    /// The committed txBlocks in the inclusive range `[from, to]`, none when
+    /// `from > to` (cloned lazily: callers ship them over the wire in
+    /// `SyncResp` and stop at a response budget).
+    pub fn tx_blocks_in(&self, from: u64, to: u64) -> impl Iterator<Item = TxBlock> + '_ {
+        let range = self.tx_blocks.range(from..);
+        range
+            .take_while(move |(n, _)| **n <= to)
             .map(|(_, b)| (**b).clone())
-            .collect()
     }
 
     /// The committed txBlock chain as `(sequence number, digest)` pairs in
@@ -273,12 +274,13 @@ impl BlockStore {
         self.vc_blocks.get(&view.0)
     }
 
-    /// Returns the vcBlocks whose view lies in the inclusive range `[from, to]`.
-    pub fn vc_blocks_in(&self, from: u64, to: u64) -> Vec<VcBlock> {
-        self.vc_blocks
-            .range(from..=to)
+    /// The vcBlocks whose view lies in the inclusive range `[from, to]`, none
+    /// when `from > to` (cloned lazily, like [`Self::tx_blocks_in`]).
+    pub fn vc_blocks_in(&self, from: u64, to: u64) -> impl Iterator<Item = VcBlock> + '_ {
+        let range = self.vc_blocks.range(from..);
+        range
+            .take_while(move |(v, _)| **v <= to)
             .map(|(_, b)| b.clone())
-            .collect()
     }
 
     /// Number of installed vcBlocks (including genesis).
@@ -463,8 +465,9 @@ mod tests {
         for n in 1..=5u64 {
             insert(&mut store, TxBlock::new(View(1), SeqNum(n), batch(1)));
         }
-        assert_eq!(store.tx_blocks_in(2, 4).len(), 3);
-        assert_eq!(store.vc_blocks_in(1, 10).len(), 1);
+        assert_eq!(store.tx_blocks_in(2, 4).count(), 3);
+        assert_eq!(store.tx_blocks_in(4, 2).count(), 0);
+        assert_eq!(store.vc_blocks_in(1, 10).count(), 1);
     }
 
     #[test]

@@ -1,31 +1,31 @@
 //! The recovery plane's sync subsystem — the paper's `SyncUp` function
-//! (§4.2.3) grown into a first-class, rate-limited, backpressured
-//! retransmission layer.
+//! (§4.2.3) as one question and one answer, in the shape of Viewstamped
+//! Replication's state transfer (`GETSTATE`/`NEWSTATE`).
 //!
 //! Because quorum certificates only require `2f + 1` signers, up to `f`
-//! correct servers can lag behind in either log; and because quorum
-//! messages themselves can be lost (backpressure shed, partitions, injected
-//! chaos), a replica can find itself *wedged*: commit-signed instances it
-//! never saw commit, parked out-of-order blocks whose predecessors never
-//! arrive, certified instances whose batches it lacks. Before this
-//! subsystem, the only repair was the client-complaint → view-change path —
-//! every burst of loss bought a full election pause.
+//! correct servers can lag behind; and because quorum messages themselves
+//! can be lost (backpressure shed, partitions, injected chaos), a replica can
+//! find itself *wedged*: views it never installed, parked out-of-order blocks
+//! whose predecessors never arrive, commit-signed instances whose batches it
+//! lacks. Before this subsystem, the only repair was the client-complaint →
+//! view-change path — every burst of loss bought a full election pause.
 //!
-//! Four sync kinds close every gap:
+//! Every site that notices missing state asks the same question,
+//! `SyncReq { view, from, to }`: "I hold view `view` and tip `from - 1`, and I
+//! have seen height `to` proven; what did I miss?" It goes to the server
+//! whose message proved the height (never to this server itself), or to a
+//! rotating peer from the repair timer, through one rate limit. The
+//! responder decides what the answer holds, within one response budget:
 //!
-//! * [`prestige_types::SyncKind::ViewChange`] — missing `vcBlock`s (stale
-//!   voters catch up before validating a campaign);
-//! * [`prestige_types::SyncKind::Transaction`] — missing committed
-//!   `txBlock`s (commit-gap repair);
-//! * [`prestige_types::SyncKind::Ordered`] — **uncommitted** ordered batches
-//!   together with their ordering QCs: certified state transfer for
-//!   instances that may have committed elsewhere, closing the "partitioned
-//!   batch-holder" election stall documented by PR 4;
-//! * [`prestige_types::SyncKind::Snapshot`] — bulk catch-up for a replica
-//!   that is further behind than one serve budget (fresh restart from an
-//!   old checkpoint, long partition): committed blocks *plus* the view
-//!   history *plus* the server's stable checkpoint certificate, so the
-//!   rejoiner can re-establish a GC horizon while it pages the rest.
+//! * the vcBlocks above `view`;
+//! * the committed blocks `[from, min(to, responder tip)]`;
+//! * the certified ordered instances (batch plus ordering QC) above the
+//!   responder's tip, up to `to` — state transfer for instances that may have
+//!   committed elsewhere;
+//! * its stable checkpoint certificate, when that block range is wider than
+//!   one response (a fresh restart from an old checkpoint, a long
+//!   partition), so the requester can re-establish a GC horizon while it
+//!   pages the rest.
 //!
 //! The repair timer also carries **election retransmission** (`Camp` /
 //! `NewVcBlock` re-broadcast, idempotent `VoteCP` re-send): view-change
@@ -34,13 +34,12 @@
 //!
 //! Structure:
 //!
-//! * [`serve`] — answering `SyncReq` ranges, per-peer rate-limited and
-//!   byte-budgeted so a Byzantine or looping requester cannot turn this
-//!   server into a payload-assembly treadmill;
-//! * [`repair`] — the requester side: validating and installing `SyncResp`
-//!   payloads, the rate-limited request helper, and the periodic repair
-//!   timer that notices a stalled committed tip and asks a *rotating* peer
-//!   (the leader may be the dead node) for exactly the missing ranges.
+//! * [`serve`] — the answer, per-peer rate-limited and byte-budgeted so a
+//!   Byzantine or looping requester cannot turn this server into a
+//!   payload-assembly treadmill;
+//! * [`repair`] — the requester side: the rate-limited request, the periodic
+//!   repair timer that notices a stalled committed tip and asks a *rotating*
+//!   peer (the leader may be the dead node), and installing answers.
 //!
 //! Blocks and ordered entries obtained through sync are validated through
 //! their quorum certificates exactly like live traffic; sync never widens
@@ -49,9 +48,10 @@
 mod repair;
 mod serve;
 
-/// Upper bound on blocks/entries returned by one sync response, to keep
+/// Upper bound on blocks/entries of each kind in one sync response, to keep
 /// individual messages bounded (a requester simply asks again for the
-/// remainder).
+/// remainder). A requester further behind than this is also sent the stable
+/// checkpoint certificate.
 pub(crate) const MAX_SYNC_BLOCKS: usize = 256;
 
 /// Byte budget for one sync response (backpressure): payload assembly stops
@@ -60,7 +60,8 @@ pub(crate) const MAX_SYNC_BLOCKS: usize = 256;
 /// starve its own repair.
 pub(crate) const MAX_SYNC_RESP_BYTES: usize = 1 << 20;
 
-/// Minimum interval (ms) between two responses served to the same
-/// `(peer, sync kind)` pair. Honest repair is timer-paced far above this;
-/// the limit only bites peers hammering the serve path.
+/// Minimum interval (ms) between two answers served to the same peer, and
+/// between two batches of ordered entries accepted from it. Honest repair is
+/// timer-paced far above this; the limit only bites peers hammering the
+/// serve path or pushing payloads to hash.
 pub(crate) const SERVE_MIN_INTERVAL_MS: f64 = 10.0;

@@ -1,15 +1,13 @@
-//! The requester side of the sync subsystem: installing sync payloads,
-//! rate-limited request helpers, and the periodic repair timer that turns a
-//! stalled replica back into a live one without a view change.
+//! The requester side of the sync subsystem: the rate-limited request, the
+//! periodic repair timer that turns a stalled replica back into a live one
+//! without a view change, and installing answers.
 
-use super::serve::sync_kind_tag;
+use super::serve::throttled;
 use crate::pacemaker::timer_tags;
 use crate::replication::PIPELINE_DEPTH;
 use crate::server::{PrestigeServer, ServerRole};
 use prestige_sim::{cpu_cost, Context};
-use prestige_types::{
-    Actor, Message, OrderedEntry, QcKind, QuorumCertificate, SyncKind, TxBlock, VcBlock,
-};
+use prestige_types::{Actor, Message, OrderedEntry, QcKind, QuorumCertificate, TxBlock, VcBlock};
 use std::sync::Arc;
 
 impl PrestigeServer {
@@ -17,50 +15,24 @@ impl PrestigeServer {
     // Requesting
     // ------------------------------------------------------------------
 
-    /// Sends a `SyncReq`, rate-limited per kind to one request per
-    /// retransmission interval: repair paths call this freely on every
-    /// trigger (parked block, missing batch, stalled tip) and the limiter
-    /// collapses the bursts.
-    pub(crate) fn request_sync(
-        &mut self,
-        to: Actor,
-        kind: SyncKind,
-        lo: u64,
-        hi: u64,
-        ctx: &mut Context<Message>,
-    ) {
-        if hi < lo {
-            return;
-        }
-        let slot = sync_kind_tag(kind) as usize;
+    /// Asks `peer` what this server missed up to height `to`, the highest it
+    /// has seen proven: `SyncReq { view, from, to }` with this server's
+    /// installed view and first missing sequence number. Every trigger calls
+    /// this freely and one timestamp limits the requests to one per
+    /// retransmission interval. A request to this server itself is dropped:
+    /// a leader's own pipeline gap closes as its quorums complete.
+    pub(crate) fn request_sync(&mut self, peer: Actor, to: u64, ctx: &mut Context<Message>) {
         let now = ctx.now().as_ms();
-        if now - self.last_sync_req_ms[slot] < self.retransmit_interval_ms() {
+        if peer == Actor::Server(self.id)
+            || now - self.last_sync_req_ms < self.retransmit_interval_ms()
+        {
             return;
         }
-        self.last_sync_req_ms[slot] = now;
+        self.last_sync_req_ms = now;
         self.stats.sync_reqs_sent += 1;
-        if kind == SyncKind::Snapshot {
-            self.stats.snapshot_syncs += 1;
-        }
-        ctx.send(
-            to,
-            Message::SyncReq {
-                kind,
-                from: lo,
-                to: hi,
-            },
-        );
-    }
-
-    /// Requests the certified ordered instances `[lo, hi]` from the next
-    /// peer in the repair rotation (rate-limited): used when this server's
-    /// commit-sign record runs ahead of what it can prove. Any of the
-    /// `2f + 1` commit signers can serve the certificate and batch; the
-    /// rotation finds a reachable one across successive intervals without
-    /// soliciting `n - 1` duplicate megabyte responses per tick.
-    pub(crate) fn request_certified_state(&mut self, lo: u64, hi: u64, ctx: &mut Context<Message>) {
-        let peer = self.next_sync_peer();
-        self.request_sync(peer, SyncKind::Ordered, lo, hi, ctx);
+        let view = self.current_view();
+        let from = self.store.latest_seq().0 + 1;
+        ctx.send(peer, Message::SyncReq { view, from, to });
     }
 
     /// The next peer in the repair rotation (round-robin over the other
@@ -88,12 +60,12 @@ impl PrestigeServer {
     }
 
     /// Periodic repair: if the committed tip has not moved for a full
-    /// interval *and* there is concrete evidence of missing state, ask a
-    /// rotating peer for exactly the missing ranges. This is what lets a
-    /// wedged pipeline (lost `CommitBlock`s, a commit-signed instance whose
-    /// block never arrived, certified instances without batches) recover
-    /// through sync alone instead of waiting for the client-complaint →
-    /// view-change path.
+    /// interval *and* there is concrete evidence of missing state — parked
+    /// blocks whose predecessors were lost, or commit-signed instances whose
+    /// `CommitBlock` never arrived (the commit QC may have assembled at a
+    /// leader this server can no longer reach) — ask a rotating peer. This is
+    /// what lets a wedged pipeline recover through sync alone instead of
+    /// waiting for the client-complaint → view-change path.
     pub(crate) fn on_sync_repair_timer(&mut self, ctx: &mut Context<Message>) {
         self.arm_sync_repair_timer(ctx);
         // Election retransmission rides the same tick: elections and commits
@@ -105,40 +77,16 @@ impl PrestigeServer {
         if progressed {
             return; // Commits are flowing; nothing is wedged.
         }
-        // (a) Parked out-of-order blocks: their predecessors were lost.
         let parked = self.instances.iter().find(|(_, r)| r.parked.is_some());
-        if let Some(first_parked) = parked.map(|(&n, _)| n) {
-            if first_parked > tip + 1 {
-                let peer = self.next_sync_peer();
-                let kind = Self::catchup_kind(tip + 1, first_parked - 1);
-                self.request_sync(peer, kind, tip + 1, first_parked - 1, ctx);
-            }
-        } else if self.signed_commit_tip > tip {
-            // (b) Commit-signed instances whose `CommitBlock` never arrived:
-            // the commit QC may have assembled at a leader we can no longer
-            // reach — any replica that applied it can serve the blocks.
+        let to = parked
+            .map_or(0, |(&n, _)| n - 1)
+            .max(self.signed_commit_tip);
+        if to > tip {
+            // A whole interval without progress: whoever was asked last did
+            // not unwedge this server, so the limiter yields to the rotation.
+            self.last_sync_req_ms = f64::NEG_INFINITY;
             let peer = self.next_sync_peer();
-            let kind = Self::catchup_kind(tip + 1, self.signed_commit_tip);
-            self.request_sync(peer, kind, tip + 1, self.signed_commit_tip, ctx);
-        }
-        // (c) Certified-state holes below the signed tip: we are on the hook
-        // for instances we cannot prove; fetch their batches and QCs.
-        let cert_tip = self.certified_ord_tip().0;
-        if self.signed_commit_tip > cert_tip {
-            self.request_certified_state(cert_tip + 1, self.signed_commit_tip, ctx);
-        }
-    }
-
-    /// Catch-up request kind for a missing block range: a hole wider than
-    /// one serve budget means this replica is *far* behind (fresh restart
-    /// from an old checkpoint, long partition) — ask for a snapshot, which
-    /// also carries the view history and the stable checkpoint certificate,
-    /// instead of paging block-by-block with no checkpoint to GC against.
-    pub(crate) fn catchup_kind(lo: u64, hi: u64) -> SyncKind {
-        if hi.saturating_sub(lo) + 1 > super::MAX_SYNC_BLOCKS as u64 {
-            SyncKind::Snapshot
-        } else {
-            SyncKind::Transaction
+            self.request_sync(peer, to, ctx);
         }
     }
 
@@ -166,10 +114,6 @@ impl PrestigeServer {
     // Installing responses
     // ------------------------------------------------------------------
 
-    /// Receive-side tag for the ordered-entry throttle (distinct from the
-    /// serve-side tags 0–2 in [`sync_kind_tag`]).
-    const ORDERED_RECV_TAG: u8 = 3;
-
     /// Installs blocks and certified ordered entries received through sync
     /// after validating their QCs.
     pub(crate) fn handle_sync_resp(
@@ -192,7 +136,7 @@ impl PrestigeServer {
             if block.n <= self.store.latest_seq() {
                 continue;
             }
-            self.verify_and_apply_block(Arc::new(block), ctx);
+            self.verify_and_apply_block(from, Arc::new(block), ctx);
         }
 
         // Certified ordered entries: each is self-validating — the ordering
@@ -206,16 +150,9 @@ impl PrestigeServer {
         // defended: unsolicited senders are throttled per peer, and a batch
         // larger than any honest ordering could produce is dropped before a
         // byte of it is hashed.
-        if !ordered.is_empty() {
-            let now = ctx.now().as_ms();
-            let limiter_key = (from, Self::ORDERED_RECV_TAG);
-            if let Some(last) = self.sync_served_ms.get(&limiter_key) {
-                if now - last < super::SERVE_MIN_INTERVAL_MS {
-                    self.stats.sync_throttled += 1;
-                    return;
-                }
-            }
-            self.sync_served_ms.insert(limiter_key, now);
+        if !ordered.is_empty() && throttled(&mut self.ordered_recv_ms, from, ctx.now().as_ms()) {
+            self.stats.sync_throttled += 1;
+            return;
         }
         let max_batch = self.config.batch_size.max(1) * 4;
         for entry in ordered {
@@ -287,10 +224,10 @@ impl PrestigeServer {
             self.note_view_installed(ctx, leader);
         }
 
-        // A snapshot response carries the server's stable checkpoint
+        // A far-behind requester is sent the responder's stable checkpoint
         // certificate: adopt it now that the blocks above are applied (if
-        // the chain has not yet reached the certified height, the next
-        // snapshot round — after more blocks land — will).
+        // the chain has not yet reached the certified height, a later answer
+        // or the live `CkptCert` broadcast will).
         if let Some(cert) = ckpt {
             self.handle_ckpt_cert(cert, ctx);
         }
@@ -421,6 +358,16 @@ mod tests {
         assert!(server.instances.is_empty());
     }
 
+    fn sync_reqs(effects: &Effects<Message>) -> Vec<(Actor, View, u64, u64)> {
+        let reqs = effects.emissions.iter().filter_map(|e| match e {
+            Emission::Send(peer, Message::SyncReq { view, from, to }) => {
+                Some((*peer, *view, *from, *to))
+            }
+            _ => None,
+        });
+        reqs.collect()
+    }
+
     #[test]
     fn repair_timer_requests_missing_ranges_only_when_stalled() {
         let registry = KeyRegistry::new(5, 4, 2);
@@ -436,35 +383,26 @@ mod tests {
         let effects = with_ctx_at(&mut server, 100.0, |s, ctx| {
             s.on_sync_repair_timer(ctx);
         });
-        assert!(
-            effects
-                .emissions
-                .iter()
-                .all(|e| !matches!(e, Emission::Send(_, Message::SyncReq { .. }))),
-            "a progressing tip must not trigger repair traffic"
-        );
-        // The next tick sees the tip unchanged: the stall is real — repair.
+        assert_eq!(sync_reqs(&effects), [], "a progressing tip must not ask");
+        // The next tick sees the tip unchanged: the stall is real. One
+        // request covers the signed-but-uncommitted range, to a rotating
+        // peer, even though a trigger used the limiter a moment ago.
         let effects = with_ctx_at(&mut server, 400.0, |s, ctx| {
+            s.request_sync(Actor::Server(ServerId(2)), 1, ctx);
             s.on_sync_repair_timer(ctx);
         });
-        let reqs: Vec<(SyncKind, u64, u64)> = effects
-            .emissions
-            .iter()
-            .filter_map(|e| match e {
-                Emission::Send(_, Message::SyncReq { kind, from, to }) => Some((*kind, *from, *to)),
-                Emission::Broadcast(_, Message::SyncReq { kind, from, to }) => {
-                    Some((*kind, *from, *to))
-                }
-                _ => None,
-            })
-            .collect();
-        assert!(
-            reqs.contains(&(SyncKind::Transaction, 1, 3)),
-            "the signed-but-uncommitted range must be requested: {reqs:?}"
-        );
-        assert!(
-            reqs.contains(&(SyncKind::Ordered, 1, 3)),
-            "the uncertified signed range must be requested: {reqs:?}"
+        let peer = Actor::Server(ServerId(0));
+        let ask = |to| (peer, View(1), 1, to);
+        assert_eq!(sync_reqs(&effects)[1..], [ask(3)]);
+        // A parked block above the signed tip raises `to` to just below it.
+        let block = Arc::new(TxBlock::new(View(1), SeqNum(7), Vec::new()));
+        server.instances.entry(7).or_default().parked = Some((block, Digest::ZERO));
+        let effects = with_ctx_at(&mut server, 700.0, |s, ctx| {
+            s.on_sync_repair_timer(ctx);
+        });
+        assert_eq!(
+            sync_reqs(&effects),
+            [(Actor::Server(ServerId(2)), View(1), 1, 6)]
         );
     }
 
@@ -486,51 +424,23 @@ mod tests {
     }
 
     #[test]
-    fn request_sync_is_rate_limited_per_kind() {
+    fn request_sync_keeps_one_timestamp_and_never_asks_itself() {
         let registry = KeyRegistry::new(5, 4, 2);
         let mut server =
             PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
         let peer = Actor::Server(ServerId(0));
+        let interval = server.retransmit_interval_ms();
         let effects = with_ctx_at(&mut server, 100.0, |s, ctx| {
-            s.request_sync(peer, SyncKind::Transaction, 1, 2, ctx);
-            s.request_sync(peer, SyncKind::Transaction, 1, 2, ctx); // limited
-            s.request_sync(peer, SyncKind::Ordered, 1, 2, ctx); // other slot
+            s.request_sync(Actor::Server(ServerId(1)), 9, ctx); // self: dropped
+            s.request_sync(peer, 2, ctx);
+            s.request_sync(peer, 5, ctx); // limited, whatever it asks
+            s.request_sync(Actor::Server(ServerId(2)), 5, ctx); // limited too
         });
-        let sent = effects
-            .emissions
-            .iter()
-            .filter(|e| matches!(e, Emission::Send(_, Message::SyncReq { .. })))
-            .count();
-        assert_eq!(sent, 2);
+        assert_eq!(sync_reqs(&effects), [(peer, View(1), 1, 2)]);
+        let effects = with_ctx_at(&mut server, 100.0 + interval, |s, ctx| {
+            s.request_sync(peer, 5, ctx);
+        });
+        assert_eq!(sync_reqs(&effects), [(peer, View(1), 1, 5)]);
         assert_eq!(server.stats().sync_reqs_sent, 2);
-    }
-
-    #[test]
-    fn catchup_kind_escalates_wide_gaps_to_snapshot() {
-        let budget = crate::sync::MAX_SYNC_BLOCKS as u64;
-        // Exactly one serve budget still pages block-by-block…
-        assert_eq!(
-            PrestigeServer::catchup_kind(1, budget),
-            SyncKind::Transaction
-        );
-        // …one block past it escalates to a snapshot round.
-        assert_eq!(
-            PrestigeServer::catchup_kind(1, budget + 1),
-            SyncKind::Snapshot
-        );
-        assert_eq!(PrestigeServer::catchup_kind(7, 7), SyncKind::Transaction);
-    }
-
-    #[test]
-    fn snapshot_requests_are_counted() {
-        let registry = KeyRegistry::new(5, 4, 2);
-        let mut server =
-            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
-        let peer = Actor::Server(ServerId(0));
-        with_ctx_at(&mut server, 100.0, |s, ctx| {
-            s.request_sync(peer, SyncKind::Snapshot, 1, 1000, ctx);
-        });
-        assert_eq!(server.stats().snapshot_syncs, 1);
-        assert_eq!(server.stats().sync_reqs_sent, 1);
     }
 }

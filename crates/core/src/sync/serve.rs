@@ -1,220 +1,121 @@
-//! The serve side of the sync subsystem: answering `SyncReq` ranges under a
-//! per-peer rate limit and a per-response byte budget.
+//! The serve side of the sync subsystem: the one answer to a `SyncReq`,
+//! under a per-peer rate limit and a per-response byte budget.
 
 use super::{MAX_SYNC_BLOCKS, MAX_SYNC_RESP_BYTES, SERVE_MIN_INTERVAL_MS};
 use crate::server::PrestigeServer;
 use prestige_sim::Context;
-use prestige_types::{Actor, Message, OrderedEntry, SyncKind};
+use prestige_types::{Actor, Message, OrderedEntry, TxBlock, VcBlock, View};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Stable per-kind tag used as part of rate-limiter keys. (Tag 3 is the
-/// receive-side `ORDERED_RECV_TAG`; `Snapshot` therefore takes 4.)
-pub(crate) fn sync_kind_tag(kind: SyncKind) -> u8 {
-    match kind {
-        SyncKind::ViewChange => 0,
-        SyncKind::Transaction => 1,
-        SyncKind::Ordered => 2,
-        SyncKind::Snapshot => 4,
+/// Whether `peer` was last recorded in `last` less than
+/// [`SERVE_MIN_INTERVAL_MS`] before `now`; otherwise records `now`.
+pub(super) fn throttled(last: &mut BTreeMap<Actor, f64>, peer: Actor, now: f64) -> bool {
+    if last
+        .get(&peer)
+        .is_some_and(|t| now - t < SERVE_MIN_INTERVAL_MS)
+    {
+        return true;
     }
+    last.insert(peer, now);
+    false
 }
 
-/// The shared response budget: at least one item is always served, then
-/// assembly stops once the byte budget is spent or the count cap reached, so
-/// one response can never balloon past the frame bound.
+/// The shared response budget: the first item of each kind is always
+/// served, then assembly stops once the byte budget is spent or the count
+/// cap reached, so one response can never balloon past the frame bound.
 struct ServeBudget {
     bytes: usize,
 }
 
 impl ServeBudget {
-    fn new() -> Self {
-        ServeBudget {
-            bytes: MAX_SYNC_RESP_BYTES,
+    fn fill<T>(&mut self, items: impl IntoIterator<Item = T>, size: fn(&T) -> usize) -> Vec<T> {
+        let mut taken = Vec::new();
+        for item in items {
+            let size = size(&item);
+            if !taken.is_empty() && (size > self.bytes || taken.len() >= MAX_SYNC_BLOCKS) {
+                break;
+            }
+            self.bytes = self.bytes.saturating_sub(size);
+            taken.push(item);
         }
-    }
-
-    fn take(&mut self, size: usize, count: usize) -> bool {
-        if count > 0 && (size > self.bytes || count >= MAX_SYNC_BLOCKS) {
-            return false;
-        }
-        self.bytes = self.bytes.saturating_sub(size);
-        true
+        taken
     }
 }
 
 impl PrestigeServer {
-    /// Per-`(peer, kind)` serve rate limit shared by the request and push
-    /// paths. Returns `true` (and counts it) when the peer must wait.
-    fn serve_throttled(&mut self, peer: Actor, kind: SyncKind, now: f64) -> bool {
-        let limiter_key = (peer, sync_kind_tag(kind));
-        if let Some(last) = self.sync_served_ms.get(&limiter_key) {
-            if now - last < SERVE_MIN_INTERVAL_MS {
-                self.stats.sync_throttled += 1;
-                return true;
-            }
+    /// Answers `peer`, which holds view `view` and needs `[from, to]`: the
+    /// vcBlocks above `view`, the committed blocks `[from, min(to, tip)]`,
+    /// the instances above the tip up to `to` that this server can *prove*
+    /// (ordering QC and batch — anything less is unverifiable at the
+    /// receiver), and the stable checkpoint certificate when the block range
+    /// is wider than one response. Rate-limited per peer and byte-budgeted:
+    /// a peer asking for the world gets the bounded head and asks again. An
+    /// empty answer is not sent.
+    ///
+    /// This serves `SyncReq`s, and the vote path pushes the same answer
+    /// unsolicited — a voter refusing a candidate whose claim does not cover
+    /// the voter's signed instances *is the proof-holder*, so it answers the
+    /// question the candidate's retry will need answered. The payload is
+    /// self-validating, so unsolicited answers are exactly as trustworthy.
+    pub(crate) fn serve_sync(
+        &mut self,
+        peer: Actor,
+        view: View,
+        from: u64,
+        to: u64,
+        ctx: &mut Context<Message>,
+    ) {
+        if throttled(&mut self.sync_served_ms, peer, ctx.now().as_ms()) {
+            self.stats.sync_throttled += 1;
+            return;
         }
-        self.sync_served_ms.insert(limiter_key, now);
-        false
-    }
-
-    /// Assembles the certified ordered entries of `[lo, hi]` under the
-    /// shared response budget. Only instances this server can *prove*
-    /// (ordering QC + batch) are included — an entry without its
-    /// certificate would be unverifiable at the receiver.
-    fn collect_certified_entries(&self, lo: u64, hi: u64) -> Vec<OrderedEntry> {
-        let mut budget = ServeBudget::new();
-        let mut entries: Vec<OrderedEntry> = Vec::new();
-        let lo = lo.max(self.store.latest_seq().0 + 1);
-        if hi < lo {
-            return entries; // Entirely committed already (or inverted).
-        }
+        let tip = self.store.latest_seq().0;
+        let mut budget = ServeBudget {
+            bytes: MAX_SYNC_RESP_BYTES,
+        };
+        let views = self
+            .store
+            .vc_blocks_in(view.0.saturating_add(1), self.current_view().0);
+        let vc_blocks = budget.fill(views, VcBlock::wire_size);
+        let tx_blocks = budget.fill(
+            self.store.tx_blocks_in(from, to.min(tip)),
+            TxBlock::wire_size,
+        );
         // Iterate the (bounded, commit-pruned) instance records — never the
         // raw numeric range, which is attacker-controlled and may span 2^64.
-        for (_, record) in self.instances.range(lo..=hi) {
-            let (Some(qc), Some(batch)) = (&record.ord_qc, &record.batch) else {
-                continue;
-            };
-            let entry = OrderedEntry {
-                batch: Arc::clone(batch),
-                qc: qc.clone(),
-            };
-            if !budget.take(entry.wire_size(), entries.len()) {
-                break;
-            }
-            entries.push(entry);
-        }
-        entries
-    }
-
-    /// Serves a peer's request for missing blocks or certified ordered
-    /// batches. Rate-limited per `(peer, kind)` and byte-budgeted: a peer
-    /// asking for the world gets the bounded head of the range and is
-    /// expected to ask again for the remainder.
-    pub(crate) fn handle_sync_req(
-        &mut self,
-        from: Actor,
-        kind: SyncKind,
-        lo: u64,
-        hi: u64,
-        ctx: &mut Context<Message>,
-    ) {
-        if hi < lo {
+        let provable = self.instances.range(from.max(tip + 1)..);
+        let provable = provable.take_while(|(&n, _)| n <= to).filter_map(|(_, r)| {
+            Some(OrderedEntry {
+                batch: Arc::clone(r.batch.as_ref()?),
+                qc: r.ord_qc.clone()?,
+            })
+        });
+        let ordered = budget.fill(provable, OrderedEntry::wire_size);
+        let far_behind = to.min(tip).saturating_sub(from) >= MAX_SYNC_BLOCKS as u64;
+        let ckpt = self.stable_ckpt_cert.clone().filter(|_| far_behind);
+        if vc_blocks.is_empty() && tx_blocks.is_empty() && ordered.is_empty() && ckpt.is_none() {
             return;
         }
-        if self.serve_throttled(from, kind, ctx.now().as_ms()) {
-            return;
-        }
-        let mut budget = ServeBudget::new();
-        let response = match kind {
-            SyncKind::ViewChange => {
-                let mut blocks = Vec::new();
-                for block in self.store.vc_blocks_in(lo, hi) {
-                    if !budget.take(block.wire_size(), blocks.len()) {
-                        break;
-                    }
-                    blocks.push(block);
-                }
-                Message::SyncResp {
-                    vc_blocks: blocks,
-                    tx_blocks: Vec::new(),
-                    ordered: Vec::new(),
-                    ckpt: None,
-                }
-            }
-            SyncKind::Transaction => {
-                let mut blocks = Vec::new();
-                for block in self.store.tx_blocks_in(lo, hi) {
-                    if !budget.take(block.wire_size(), blocks.len()) {
-                        break;
-                    }
-                    blocks.push(block);
-                }
-                Message::SyncResp {
-                    vc_blocks: Vec::new(),
-                    tx_blocks: blocks,
-                    ordered: Vec::new(),
-                    ckpt: None,
-                }
-            }
-            SyncKind::Ordered => Message::SyncResp {
-                vc_blocks: Vec::new(),
-                tx_blocks: Vec::new(),
-                ordered: self.collect_certified_entries(lo, hi),
-                ckpt: None,
-            },
-            // A far-behind (or freshly restarted) peer catching up in bulk:
-            // the budgeted head of the missing block range, the full view
-            // history it may lack, and the stable checkpoint certificate so
-            // it can install the checkpoint as soon as its chain reaches the
-            // certified height.
-            SyncKind::Snapshot => {
-                let mut tx_blocks = Vec::new();
-                for block in self.store.tx_blocks_in(lo, hi) {
-                    if !budget.take(block.wire_size(), tx_blocks.len()) {
-                        break;
-                    }
-                    tx_blocks.push(block);
-                }
-                let mut vc_blocks = Vec::new();
-                for block in self.store.vc_blocks_in(1, self.store.current_view().0) {
-                    if !budget.take(block.wire_size(), vc_blocks.len()) {
-                        break;
-                    }
-                    vc_blocks.push(block);
-                }
-                Message::SyncResp {
-                    vc_blocks,
-                    tx_blocks,
-                    ordered: Vec::new(),
-                    ckpt: self.stable_ckpt_cert.clone(),
-                }
-            }
+        let answer = Message::SyncResp {
+            vc_blocks,
+            tx_blocks,
+            ordered,
+            ckpt,
         };
-        ctx.send(from, response);
-    }
-
-    /// Pushes certified ordered state `[lo, hi]` to a peer unsolicited (the
-    /// payload is self-validating, so an unsolicited `SyncResp` is exactly
-    /// as trustworthy as a requested one). Used by the vote path: a voter
-    /// refusing a candidate whose claim does not cover the voter's signed
-    /// instances *is the proof-holder* — pushing the certificates lets an
-    /// honest candidate's retry be certified instead of leaving it to guess
-    /// what it is missing. Shares the serve rate limiter and budget.
-    pub(crate) fn push_certified_state(
-        &mut self,
-        to: Actor,
-        lo: u64,
-        hi: u64,
-        ctx: &mut Context<Message>,
-    ) {
-        if hi < lo {
-            return;
-        }
-        if self.serve_throttled(to, SyncKind::Ordered, ctx.now().as_ms()) {
-            return;
-        }
-        let entries = self.collect_certified_entries(lo, hi);
-        if entries.is_empty() {
-            return;
-        }
-        ctx.send(
-            to,
-            Message::SyncResp {
-                vc_blocks: Vec::new(),
-                tx_blocks: Vec::new(),
-                ordered: entries,
-                ckpt: None,
-            },
-        );
+        ctx.send(peer, answer);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::block_keys_digest;
     use prestige_crypto::{sign_share, KeyRegistry, QcBuilder};
     use prestige_sim::{Context, Effects, Emission, SimRng, SimTime};
     use prestige_types::{
-        ClientId, ClusterConfig, Digest, Proposal, QcKind, SeqNum, ServerId, Transaction, View,
+        ClientId, ClusterConfig, Digest, Proposal, QcKind, QuorumCertificate, SeqNum, ServerId,
+        Transaction,
     };
 
     fn with_ctx(
@@ -236,13 +137,15 @@ mod tests {
         effects
     }
 
-    fn certified_server(registry: &KeyRegistry, instances: u64) -> PrestigeServer {
+    /// A server holding provable instances `1..=instances` of `size`-byte
+    /// transactions above an empty chain.
+    fn certified_server(registry: &KeyRegistry, instances: u64, size: usize) -> PrestigeServer {
         let mut server =
             PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
         let quorum = server.config.quorum();
         for n in 1..=instances {
             let batch = vec![Proposal::new(
-                Transaction::with_size(ClientId(1), n, 16),
+                Transaction::with_size(ClientId(1), n, size),
                 Digest::ZERO,
             )];
             let digest = PrestigeServer::batch_digest(View(1), SeqNum(n), &batch);
@@ -266,53 +169,112 @@ mod tests {
         server
     }
 
-    fn served_ordered(effects: &Effects<Message>) -> Option<Vec<u64>> {
-        effects.emissions.iter().find_map(|e| match e {
-            Emission::Send(_, Message::SyncResp { ordered, .. }) => {
-                Some(ordered.iter().map(|e| e.seq().0).collect())
-            }
+    /// A server that committed blocks `1..=blocks` in view 1, installed
+    /// view 2, and holds a stable checkpoint certificate.
+    fn committed_server(blocks: u64) -> PrestigeServer {
+        let registry = KeyRegistry::new(5, 4, 2);
+        let mut server = PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry, 0);
+        for n in 1..=blocks {
+            let tx = Transaction::with_size(ClientId(1), n, 16);
+            let block = TxBlock::new(View(1), SeqNum(n), vec![tx]);
+            let keys = block_keys_digest(&block);
+            assert!(server.store.insert_tx_block(block, keys));
+        }
+        let genesis = server.store.latest_vc_block();
+        let view2 = genesis.successor(View(2), ServerId(2), 1, 0, None, None);
+        assert!(server.store.insert_vc_block(view2));
+        server.stable_ckpt_cert = Some(QuorumCertificate {
+            kind: QcKind::Checkpoint,
+            view: View(0),
+            seq: SeqNum(blocks),
+            digest: Digest::ZERO,
+            signers: Vec::new(),
+            aggregate: [0; 32],
+        });
+        server
+    }
+
+    /// One answer sent: (views, block heights, ordered heights, checkpoint?).
+    type Answer = (Vec<u64>, Vec<u64>, Vec<u64>, bool);
+
+    fn answers(effects: &Effects<Message>) -> Vec<Answer> {
+        let answers = effects.emissions.iter().filter_map(|e| match e {
+            Emission::Send(
+                _,
+                Message::SyncResp {
+                    vc_blocks,
+                    tx_blocks,
+                    ordered,
+                    ckpt,
+                },
+            ) => Some((
+                vc_blocks.iter().map(|b| b.v.0).collect(),
+                tx_blocks.iter().map(|b| b.n.0).collect(),
+                ordered.iter().map(|e| e.seq().0).collect(),
+                ckpt.is_some(),
+            )),
             _ => None,
+        });
+        answers.collect()
+    }
+
+    fn ask(server: &mut PrestigeServer, view: u64, from: u64, to: u64) -> Effects<Message> {
+        let requester = Actor::Server(ServerId(2));
+        with_ctx(server, |s, ctx| {
+            s.serve_sync(requester, View(view), from, to, ctx)
         })
     }
 
     #[test]
-    fn ordered_sync_serves_only_provable_instances() {
+    fn a_far_behind_requester_gets_views_the_budgeted_head_and_the_checkpoint() {
+        let mut server = committed_server(300);
+        let sent = answers(&ask(&mut server, 1, 1, 300));
+        let [(views, blocks, ordered, ckpt)] = &sent[..] else {
+            panic!("one answer expected: {sent:?}");
+        };
+        assert_eq!(views, &[2]);
+        assert_eq!(blocks[..], (1..=MAX_SYNC_BLOCKS as u64).collect::<Vec<_>>());
+        assert!(ordered.is_empty() && *ckpt);
+    }
+
+    #[test]
+    fn a_one_block_gap_gets_exactly_that_block() {
+        let mut server = committed_server(300);
+        let sent = answers(&ask(&mut server, 2, 5, 5));
+        assert_eq!(sent, [(vec![], vec![5], vec![], false)]);
+    }
+
+    #[test]
+    fn a_requester_at_the_tip_gets_only_provable_instances() {
         let registry = KeyRegistry::new(5, 4, 2);
-        let mut server = certified_server(&registry, 3);
+        let mut server = certified_server(&registry, 3, 16);
         // Instance 4: batch without QC — must not be served.
         server.instances.entry(4).or_default().batch = Some(Arc::new(vec![Proposal::new(
             Transaction::with_size(ClientId(1), 4, 16),
             Digest::ZERO,
         )]));
-        let requester = Actor::Server(ServerId(2));
-        let effects = with_ctx(&mut server, |s, ctx| {
-            s.handle_sync_req(requester, SyncKind::Ordered, 1, 10, ctx);
-        });
-        assert_eq!(
-            served_ordered(&effects),
-            Some(vec![1, 2, 3]),
-            "exactly the certified instances are served"
-        );
+        let sent = answers(&ask(&mut server, 1, 1, 10));
+        assert_eq!(sent, [(vec![], vec![], vec![1, 2, 3], false)]);
     }
 
     #[test]
-    fn repeat_requests_are_rate_limited_per_peer_and_kind() {
-        let registry = KeyRegistry::new(5, 4, 2);
-        let mut server = certified_server(&registry, 1);
-        let requester = Actor::Server(ServerId(2));
-        // Two back-to-back Ordered requests at the same timestamp: the second
-        // is throttled. A different kind from the same peer is not.
+    fn one_peer_is_answered_once_per_serve_interval() {
+        let mut server = committed_server(2);
+        let (first, second) = (Actor::Server(ServerId(2)), Actor::Server(ServerId(3)));
         let effects = with_ctx(&mut server, |s, ctx| {
-            s.handle_sync_req(requester, SyncKind::Ordered, 1, 1, ctx);
-            s.handle_sync_req(requester, SyncKind::Ordered, 1, 1, ctx);
-            s.handle_sync_req(requester, SyncKind::Transaction, 1, 1, ctx);
+            s.serve_sync(first, View(2), 1, 1, ctx);
+            s.serve_sync(first, View(2), 2, 2, ctx); // throttled
+            s.serve_sync(second, View(2), 2, 2, ctx); // another peer
         });
-        let responses = effects
+        let to: Vec<Actor> = effects
             .emissions
             .iter()
-            .filter(|e| matches!(e, Emission::Send(_, Message::SyncResp { .. })))
-            .count();
-        assert_eq!(responses, 2, "one Ordered + one Transaction response");
+            .filter_map(|e| match e {
+                Emission::Send(peer, Message::SyncResp { .. }) => Some(*peer),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(to, [first, second]);
         assert_eq!(server.stats().sync_throttled, 1);
     }
 
@@ -321,35 +283,9 @@ mod tests {
         // 600 instances of ~2 KiB batches: the 1 MiB budget (and the block
         // count cap) must bound the response instead of shipping the world.
         let registry = KeyRegistry::new(5, 4, 2);
-        let mut server = certified_server(&registry, 1);
-        let quorum = server.config.quorum();
-        for n in 2..=600u64 {
-            let batch = vec![Proposal::new(
-                Transaction::with_size(ClientId(1), n, 2048),
-                Digest::ZERO,
-            )];
-            let digest = PrestigeServer::batch_digest(View(1), SeqNum(n), &batch);
-            let mut builder = QcBuilder::new(QcKind::Ordering, View(1), SeqNum(n), digest, quorum);
-            for s in 0..quorum {
-                let share = sign_share(
-                    &registry,
-                    ServerId(s),
-                    QcKind::Ordering,
-                    View(1),
-                    SeqNum(n),
-                    &digest,
-                )
-                .unwrap();
-                builder.add_share(&registry, &share).unwrap();
-            }
-            let record = server.instances.entry(n).or_default();
-            record.ord_qc = Some(builder.assemble().unwrap());
-            record.batch = Some(Arc::new(batch));
-        }
-        let effects = with_ctx(&mut server, |s, ctx| {
-            s.handle_sync_req(Actor::Server(ServerId(2)), SyncKind::Ordered, 1, 600, ctx);
-        });
-        let served = served_ordered(&effects).expect("a response is sent");
+        let mut server = certified_server(&registry, 600, 2048);
+        let sent = answers(&ask(&mut server, 1, 1, 600));
+        let served = &sent[0].2;
         assert!(
             !served.is_empty() && served.len() < 600,
             "the budget must bound the response: {} entries",

@@ -238,7 +238,8 @@ impl PrestigeServer {
         // the recovery plane before its claim can cover the signed tip.
         let (ord_seq, tip_cert) = self.build_tip_cert();
         if self.signed_commit_tip > ord_seq.0 {
-            self.request_certified_state(ord_seq.0 + 1, self.signed_commit_tip, ctx);
+            let peer = self.next_sync_peer();
+            self.request_sync(peer, self.signed_commit_tip, ctx);
         }
         let commit_cert = self.store.latest_tx_block().commit_qc.clone();
 

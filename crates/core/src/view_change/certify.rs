@@ -19,15 +19,15 @@
 //! An instance only counts toward a server's certified tip when the server
 //! holds **both** the ordering QC and a batch matching its digest — a QC
 //! alone cannot be re-proposed. The gap between `signed_commit_tip` and the
-//! certified tip is repaired through `SyncKind::Ordered` (see
-//! [`crate::sync`]), never papered over by trust.
+//! certified tip is repaired through sync (see [`crate::sync`]), never
+//! papered over by trust.
 
 use crate::server::{Instance, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolution, PowSolver};
 use prestige_reputation::CalcRpInput;
 use prestige_sim::Context;
 use prestige_types::{
-    Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, SyncKind, View,
+    Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, View,
 };
 
 /// The claims a `Camp` message carries, bundled so the voting path takes one
@@ -281,15 +281,8 @@ impl PrestigeServer {
 
         // Sync view-change blocks if the candidate is operating in a higher
         // view than we know about; the vote is retried after the sync.
-        if claims.view > self.store.current_view() {
-            ctx.send(
-                from,
-                Message::SyncReq {
-                    kind: SyncKind::ViewChange,
-                    from: self.store.current_view().0 + 1,
-                    to: claims.view.0,
-                },
-            );
+        if claims.view > self.current_view() {
+            self.request_sync(from, self.store.latest_seq().0, ctx);
             return;
         }
 
@@ -326,37 +319,21 @@ impl PrestigeServer {
             &claims.tip_cert,
         ) {
             // This voter is the proof-holder for the instances the candidate
-            // cannot cover: push them (certificates + batches, rate-limited)
-            // so an honest candidate's next campaign round is certifiable —
-            // the refusal stays, the knowledge gap does not.
-            self.push_certified_state(from, claims.latest_seq.0 + 1, self.signed_commit_tip, ctx);
+            // cannot cover: answer the question the candidate's claim asks
+            // (rate-limited), so an honest candidate's next campaign round is
+            // certifiable — the refusal stays, the knowledge gap does not.
+            let first = claims.latest_seq.0 + 1;
+            self.serve_sync(from, claims.view, first, self.signed_commit_tip, ctx);
             return;
         }
-        if claims.latest_seq > self.store.latest_seq() {
-            // We are behind: ask the candidate for the missing txBlocks so our
-            // state machine catches up (the vote itself does not need them).
-            ctx.send(
-                from,
-                Message::SyncReq {
-                    kind: SyncKind::Transaction,
-                    from: self.store.latest_seq().0 + 1,
-                    to: claims.latest_seq.0,
-                },
-            );
-        }
-        // Certified state transfer ahead of the election result: fetch the
-        // certified ordered instances we lack from the candidate
-        // (rate-limited), so a win is followed immediately instead of after
-        // another repair round trip.
-        let my_cert_tip = self.certified_ord_tip().0;
-        if claims.latest_ord_seq.0 > my_cert_tip {
-            self.request_sync(
-                from,
-                SyncKind::Ordered,
-                my_cert_tip + 1,
-                claims.latest_ord_seq.0,
-                ctx,
-            );
+        // Catch up from the candidate ahead of the election result — the
+        // committed blocks and certified ordered instances its certificates
+        // prove this server lacks — so a win is followed immediately instead
+        // of after another repair round trip (the vote does not need them).
+        if claims.latest_seq > self.store.latest_seq()
+            || claims.latest_ord_seq > self.certified_ord_tip()
+        {
+            self.request_sync(from, claims.latest_ord_seq.0, ctx);
         }
 
         // C4: the claimed reputation penalty and compensation index must be

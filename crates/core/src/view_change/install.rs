@@ -8,7 +8,7 @@ use crate::storage::vc_block_digest;
 use prestige_crypto::{sign_share, QcBuilder};
 use prestige_sim::Context;
 use prestige_types::{
-    Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, SyncKind, VcBlock, View,
+    Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, VcBlock, View,
 };
 
 impl PrestigeServer {
@@ -141,14 +141,12 @@ impl PrestigeServer {
         // cannot re-validate locally (no batch — it saw the `Cmt` but never
         // the `Ord`) are fetched from the new leader before the re-proposals
         // land, closing the "partitioned batch-holder" liveness gap.
-        let mut lacking = self
+        let lacking = self
             .instances
             .range(block.committed_seq.0 + 1..)
             .filter(|&(&n, r)| n <= block.ord_tip.0 && r.signed.is_some() && r.batch.is_none())
-            .map(|(&n, _)| n);
-        let missing = lacking
-            .next()
-            .map(|lo| (lo, lacking.next_back().unwrap_or(lo)));
+            .map(|(&n, _)| n)
+            .next_back();
         // Adopt. Logged first: view history and the reputation state must
         // survive a crash (replay rebuilds both from the WAL).
         let leader = block.leader_id;
@@ -157,8 +155,8 @@ impl PrestigeServer {
         if !self.store.insert_vc_block(block) {
             return;
         }
-        if let Some((lo, hi)) = missing {
-            self.request_sync(from, SyncKind::Ordered, lo, hi, ctx);
+        if let Some(to) = lacking {
+            self.request_sync(from, to, ctx);
         }
         if let Some(share) = sign_share(
             &self.registry,

@@ -36,7 +36,11 @@ pub const MAGIC: [u8; 4] = *b"PBFT";
 ///
 /// v5: ordering and chain digests are built on one keys digest, so every
 /// digest value changed.
-pub const WIRE_VERSION: u16 = 5;
+///
+/// v6: one catch-up request, `SyncReq { view, from, to }`, in place of the
+/// four-kind `SyncReq { kind, from, to }`; the responder decides what the
+/// `SyncResp` holds.
+pub const WIRE_VERSION: u16 = 6;
 
 /// Default upper bound on a frame body (16 MiB — a full batch of maximum-size
 /// proposals plus QCs fits comfortably).
@@ -206,11 +210,11 @@ impl FrameCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prestige_types::{ClientId, Message, ServerId, SyncKind, VcBlock};
+    use prestige_types::{ClientId, Message, ServerId, VcBlock, View};
 
     fn sample() -> Message {
         Message::SyncReq {
-            kind: SyncKind::Transaction,
+            view: View(2),
             from: 3,
             to: 17,
         }

@@ -708,7 +708,7 @@ mod poll {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prestige_types::{Message, ServerId, SyncKind};
+    use prestige_types::{Message, ServerId, View};
 
     fn server(i: u32) -> Actor {
         Actor::Server(ServerId(i))
@@ -716,7 +716,7 @@ mod tests {
 
     fn msg(n: u64) -> Message {
         Message::SyncReq {
-            kind: SyncKind::Transaction,
+            view: View(1),
             from: n,
             to: n,
         }

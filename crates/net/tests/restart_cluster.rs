@@ -4,7 +4,6 @@
 //! as the survivors — while certified checkpoints keep garbage-collecting
 //! state underneath it all.
 
-use prestige_core::ServerStats;
 use prestige_net::cluster::{LocalCluster, StoragePlan, TcpCluster};
 use prestige_net::{Cluster, Fabric};
 use prestige_types::{ClusterConfig, ServerId};
@@ -37,9 +36,9 @@ fn tip_of<F: Fabric>(cluster: &Cluster<F>, id: ServerId) -> u64 {
         .unwrap_or(0)
 }
 
-/// Small batches so the survivors rack up *blocks* quickly (the snapshot
-/// escalation triggers on missing blocks, not transactions), and a short
-/// checkpoint interval so stable checkpoints + GC form within the run.
+/// Small batches so the survivors rack up *blocks* quickly (the hole is
+/// measured in missing blocks, not transactions), and a short checkpoint
+/// interval so stable checkpoints + GC form within the run.
 fn follower_restart_config() -> ClusterConfig {
     ClusterConfig::new(4)
         .with_batch_size(10)
@@ -47,27 +46,17 @@ fn follower_restart_config() -> ClusterConfig {
 }
 
 #[test]
-fn killed_follower_restarts_from_wal_and_rejoins_via_snapshot_sync() {
+fn killed_follower_restarts_from_wal_and_rejoins() {
     let scratch = Scratch::new("follower");
     let plan = StoragePlan::new(scratch.0.clone());
     let cluster = LocalCluster::launch_durable(follower_restart_config(), 11, 2, 256, plan);
-    let follower_stats = killed_follower_restarts_and_rejoins(cluster);
-    // The hole was wider than one serve budget and a deregistered loopback
-    // endpoint drops everything sent to it, so the catch-up must have gone
-    // through the snapshot path at least once.
-    assert!(
-        follower_stats.snapshot_syncs > 0,
-        "a 350+ block hole must escalate to snapshot sync"
-    );
+    killed_follower_restarts_and_rejoins(cluster);
 }
 
 #[test]
 fn killed_follower_restarts_on_its_tcp_port_and_rejoins() {
     // The same body over sockets: the restarted node re-binds the address
     // its peers still hold, and their reconnect backoff finds it again.
-    // (No snapshot assertion here: TCP peers keep a bounded queue of frames
-    // for an unreachable address and deliver it on reconnect, which can
-    // close the hole from the old end before the repair plane escalates.)
     let scratch = Scratch::new("follower-tcp");
     let plan = StoragePlan::new(scratch.0.clone());
     let cluster =
@@ -77,9 +66,9 @@ fn killed_follower_restarts_on_its_tcp_port_and_rejoins() {
 }
 
 /// Kills follower s3, lets the survivors run 350+ blocks ahead, restarts it
-/// from its WAL, and requires it to rejoin with an identical log. Returns
-/// the restarted follower's final stats.
-fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> ServerStats {
+/// from its WAL, and requires it to catch up across the hole, with an
+/// identical log, and to adopt a stable checkpoint.
+fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) {
     let follower = ServerId(3);
 
     // Phase 1: healthy durable commits.
@@ -93,9 +82,9 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> S
     let before_crash = cluster.total_committed();
 
     // Phase 2: kill the follower; the remaining three (= 2f + 1) keep
-    // committing far enough that the dead node's hole exceeds one sync serve
-    // budget (256 blocks) — at batch 10 that is 350+ blocks of traffic — so
-    // its eventual catch-up MUST escalate to snapshot sync.
+    // committing far enough that the dead node's hole exceeds one sync
+    // response (256 blocks) — at batch 10 that is 350+ blocks of traffic —
+    // so its peers must also send it their stable checkpoint certificate.
     cluster.crash_server(follower);
     assert!(
         cluster.wait_until(Duration::from_secs(240), |c| c.total_committed()
@@ -154,7 +143,7 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> S
         "committed request numbers must retire from the client table"
     );
     // The restarted node runs a live WAL again and adopts a stable
-    // checkpoint (served inside the snapshot response or a live cert).
+    // checkpoint (served inside a sync answer or a live cert).
     let storage = cluster.storage_stats(follower).expect("follower WAL stats");
     assert!(storage.records > 0, "restarted node must append to its WAL");
     assert!(
@@ -164,10 +153,7 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) -> S
             > 0),
         "restarted follower must adopt a stable checkpoint"
     );
-
-    let stats = cluster.server_stats(follower).expect("follower stats");
     cluster.shutdown();
-    stats
 }
 
 #[test]

@@ -118,8 +118,8 @@ pub struct ClusterConfig {
     /// How many committed instances between certified checkpoints: at every
     /// multiple of this height a replica broadcasts a signed state-digest
     /// share, and `2f + 1` matching shares form a checkpoint certificate
-    /// that anchors log garbage collection and snapshot sync. `0` disables
-    /// checkpointing (nothing is ever pruned).
+    /// that anchors log garbage collection and far-behind catch-up. `0`
+    /// disables checkpointing (nothing is ever pruned).
     pub checkpoint_interval: u64,
 }
 

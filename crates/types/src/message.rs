@@ -48,35 +48,10 @@ impl std::fmt::Display for Actor {
     }
 }
 
-/// Which log a `SyncUp` request targets (the `btype` block interface of the
-/// paper's `SyncUp` function).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub enum SyncKind {
-    /// Sync missing view-change blocks.
-    ViewChange,
-    /// Sync missing transaction blocks.
-    Transaction,
-    /// Sync *uncommitted* ordered batches together with their ordering QCs
-    /// (the recovery plane's certified state transfer): a peer that
-    /// commit-signed an instance it never received the batch for — or an
-    /// elected leader re-building its re-proposal set — acquires the
-    /// certified `(batch, ordering_QC)` pairs instead of waiting for the
-    /// partitioned batch-holder to return.
-    Ordered,
-    /// Snapshot sync: a far-behind replica (typically one restarting after a
-    /// crash, or one whose gap exceeds the per-response block budget) asks
-    /// for the peer's stable checkpoint certificate together with the chained
-    /// block range from its own tip up to the checkpoint. The certificate
-    /// proves the state digest at the checkpoint, so the receiver can adopt
-    /// it as its GC anchor once its replayed chain reaches that point.
-    Snapshot,
-}
-
-/// One certified uncommitted ordered instance, as shipped by [`SyncKind::Ordered`]
-/// responses: the batch plus the ordering QC that certifies it. The entry is
-/// self-validating — `qc.seq` names the instance, `qc.view` the ordering
-/// view, and `qc.digest` must equal the batch digest recomputed over
+/// One certified uncommitted ordered instance, as shipped in a
+/// [`Message::SyncResp`]: the batch plus the ordering QC that certifies it.
+/// The entry is self-validating — `qc.seq` names the instance, `qc.view` the
+/// ordering view, and `qc.digest` must equal the batch digest recomputed over
 /// `(qc.view, qc.seq, batch)` — so receivers accept entries from any peer.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
@@ -422,27 +397,29 @@ pub enum Message {
     // ------------------------------------------------------------------
     // Log synchronization (the SyncUp function of §4.2.3)
     // ------------------------------------------------------------------
-    /// Request blocks `[from, to]` of the given log from a peer.
+    /// "I hold view `view` and tip `from - 1`; what did I miss up to `to`?"
+    /// The responder decides what the answer holds.
     SyncReq {
-        /// Which log to sync.
-        kind: SyncKind,
-        /// First missing index (view number or sequence number).
+        /// The requester's installed view.
+        view: View,
+        /// The requester's first missing sequence number.
         from: u64,
-        /// Last index needed.
+        /// The highest sequence number the requester has seen proven.
         to: u64,
     },
-    /// Response carrying the requested blocks.
+    /// The answer to a `SyncReq` (or the same answer, pushed unsolicited).
     SyncResp {
-        /// View-change blocks (empty for other sync kinds).
+        /// View-change blocks above the requester's view.
         vc_blocks: Vec<VcBlock>,
-        /// Transaction blocks (empty for other sync kinds).
+        /// Committed transaction blocks `[from, min(to, responder tip)]`.
         tx_blocks: Vec<TxBlock>,
-        /// Certified uncommitted ordered instances (empty for other sync
-        /// kinds): `(batch, ordering_QC)` pairs in ascending sequence order.
+        /// Certified uncommitted ordered instances above the responder's
+        /// tip, up to `to`: `(batch, ordering_QC)` pairs in ascending
+        /// sequence order.
         ordered: Vec<OrderedEntry>,
-        /// The responder's stable checkpoint certificate (snapshot sync only,
-        /// `None` otherwise): lets a restarting replica adopt a proven GC
-        /// anchor alongside the chained blocks that reach it.
+        /// The responder's stable checkpoint certificate, sent when the
+        /// requester is more than one response behind: lets it adopt a
+        /// proven GC anchor once the chained blocks reach it.
         ckpt: Option<QuorumCertificate>,
     },
 }
@@ -519,7 +496,7 @@ impl Wire for Message {
             Message::Rdone { rs_qc, .. } => BASE + 28 + rs_qc.wire_size(),
             Message::CkptShare { .. } => BASE + 48 + 36,
             Message::CkptCert { cert } => BASE + cert.wire_size(),
-            Message::SyncReq { .. } => BASE + 17,
+            Message::SyncReq { .. } => BASE + 24,
             Message::SyncResp {
                 vc_blocks,
                 tx_blocks,
@@ -594,7 +571,7 @@ mod tests {
         };
         assert_eq!(prop.category(), MessageKind::Client);
         let sync = Message::SyncReq {
-            kind: SyncKind::Transaction,
+            view: View(1),
             from: 1,
             to: 5,
         };

@@ -39,7 +39,7 @@ pub enum QcKind {
     Refresh,
     /// Certifies a stable checkpoint: `2f + 1` replicas signed the same
     /// state digest at a checkpoint sequence number, anchoring log GC and
-    /// snapshot sync.
+    /// the catch-up of far-behind replicas.
     Checkpoint,
 }
 

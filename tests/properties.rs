@@ -600,9 +600,10 @@ proptest! {
         prop_assert_eq!(back, msg);
     }
 
-    /// Wire (v4) round trip for the durable storage plane's checkpoint
-    /// messages: signed shares and assembled checkpoint certificates
-    /// survive serialization bit-exactly, as does a `Snapshot` sync request.
+    /// Wire round trip for the durable storage plane's checkpoint messages
+    /// (v4): signed shares and assembled checkpoint certificates survive
+    /// serialization bit-exactly, as does the catch-up request (v6) of a
+    /// replica in view `view` whose tip is `n - 1`.
     #[test]
     fn checkpoint_messages_wire_round_trip(n in 1u64..10_000, hash in any::<[u8; 32]>(),
                                            view in 1u64..100, signer in 0u32..4) {
@@ -626,7 +627,7 @@ proptest! {
             },
         };
         let snap = Message::SyncReq {
-            kind: prestigebft::types::SyncKind::Snapshot,
+            view: View(view),
             from: n,
             to: n + 500,
         };
@@ -637,15 +638,15 @@ proptest! {
         }
     }
 
-    /// v4 → v5 compatibility: a frame encoded under an earlier wire
-    /// version (v4 digests, or no checkpoint messages at all) is rejected
-    /// *cleanly* by version negotiation — never decoded into a v5 message
-    /// whose digests cannot match, never a panic.
+    /// v5 → v6 compatibility: a frame encoded under an earlier wire
+    /// version (v5's `SyncReq { kind, .. }`, v4 digests, or no checkpoint
+    /// messages at all) is rejected *cleanly* by version negotiation — never
+    /// decoded into a v6 message it does not describe, never a panic.
     #[test]
     fn old_frames_are_rejected_by_version_negotiation(body in proptest::collection::vec(any::<u8>(), 0..128),
-                                                      old in 0u16..5) {
+                                                      old in 0u16..6) {
         use prestigebft::net::frame::{FrameCodec, FrameError, MAGIC, WIRE_VERSION};
-        prop_assert_eq!(WIRE_VERSION, 5, "this test pins the v4→v5 bump");
+        prop_assert_eq!(WIRE_VERSION, 6, "this test pins the v5→v6 bump");
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
         frame.extend_from_slice(&old.to_le_bytes()); // an old version
@@ -655,7 +656,7 @@ proptest! {
         match codec.decode::<Message>(&frame) {
             Err(FrameError::VersionMismatch { got, want }) => {
                 prop_assert_eq!(got, old);
-                prop_assert_eq!(want, 5);
+                prop_assert_eq!(want, 6);
             }
             other => prop_assert!(false, "old frame must fail version negotiation, got {:?}", other.is_ok()),
         }
