@@ -4,7 +4,9 @@
 //! `f + 1` matching `Notif` replies per transaction before considering it
 //! committed, and — if a transaction stays unconfirmed past its timeout —
 //! broadcasts a `Compt` complaint suspecting the leader (§4.2.1), which is
-//! what arms the active view-change protocol's failure detection.
+//! what arms the active view-change protocol's failure detection. With the
+//! complaint it resends every overdue request, since it owns them: a lost
+//! bundle is recovered whole.
 //!
 //! One client process stands in for many logical closed-loop clients: it keeps
 //! `concurrency` transactions outstanding, topping the window up in bundles
@@ -330,6 +332,21 @@ impl Process<Message> for PrestigeClient {
             .take_while(|slot| now_ms - slot.sent_at_ms >= timeout)
             .position(|slot| slot.notifs < threshold && !slot.complained);
         if let Some(i) = overdue {
+            // The owner resends: every overdue request goes out again with
+            // the complaint, so a `Prop` bundle the leader never received is
+            // recovered whole instead of one complaint per check. Servers
+            // drop the requests they have already seen.
+            let resend = (self.outstanding.iter().zip(self.base()..))
+                .take_while(|(slot, _)| now_ms - slot.sent_at_ms >= timeout)
+                .filter(|(slot, _)| slot.notifs < threshold)
+                .map(|(_, number)| self.proposal(number))
+                .collect();
+            let client_sig = self.keypair.sign(b"bundle");
+            let resend = Message::Prop {
+                proposals: resend,
+                client_sig,
+            };
+            ctx.broadcast(self.all_servers(), resend);
             self.outstanding[i].complained = true;
             let proposal = self.proposal(self.base() + i as u64);
             let client_sig = self.keypair.sign(b"complaint");
@@ -529,30 +546,56 @@ mod tests {
         assert_eq!((client.outstanding.len(), client.open), (ring, open));
     }
 
+    /// The proposals one check resends (`Prop`) and complains about (`Compt`).
+    fn resent_and_complained(effects: &Effects<Message>) -> (Vec<Proposal>, Vec<Proposal>) {
+        let (mut resent, mut complained) = (Vec::new(), Vec::new());
+        for emission in &effects.emissions {
+            match emission {
+                Emission::Broadcast(_, Message::Prop { proposals, .. }) => {
+                    resent.extend(proposals.iter().cloned())
+                }
+                Emission::Broadcast(_, Message::Compt { proposal, .. }) => {
+                    complained.push(proposal.clone())
+                }
+                _ => {}
+            }
+        }
+        (resent, complained)
+    }
+
     #[test]
-    fn a_complaint_carries_the_proposal_originally_sent() {
+    fn a_complaint_resends_every_overdue_request_as_originally_sent() {
         let registry = KeyRegistry::new(3, 4, 2);
         let config = ClientConfig::new(ClientId(1), ReplicaSet::new(4), 32, 3);
         let mut client = PrestigeClient::new(config, &registry);
         let sent = proposals_in(&at(&mut client, 0.0, |c, ctx| c.on_start(ctx)));
         assert_eq!(sent.len(), 3);
-        // Request 1 confirms; 2 and 3 go overdue together.
+        // Request 1 confirms at 5 ms and the refill issues request 4; 2 and 3
+        // go overdue together, 4 a little later.
         for server in [0, 1] {
             notif(&mut client, server, vec![(ClientId(1), 1)]);
         }
         let check = |c: &mut PrestigeClient, ctx: &mut Context<Message>| {
             c.on_timer(TimerId(1), timer_tags::CLIENT_CHECK, ctx)
         };
-        assert!(proposals_in(&at(&mut client, 999.0, check)).is_empty());
-        // The oldest overdue request, ties to the lowest number — and the
-        // re-derived proposal is the one that went out, byte for byte.
+        let nothing = (Vec::new(), Vec::new());
         assert_eq!(
-            proposals_in(&at(&mut client, 1000.0, check)),
-            [sent[1].clone()]
+            resent_and_complained(&at(&mut client, 999.0, check)),
+            nothing
         );
+        // Both overdue requests go out again (a lost bundle is recovered
+        // whole), and the complaint names the oldest, ties to the lowest
+        // number — the re-derived proposals are the ones that went out, byte
+        // for byte.
+        let mut overdue = sent[1..].to_vec();
         assert_eq!(
-            proposals_in(&at(&mut client, 2000.0, check)),
-            [sent[2].clone()]
+            resent_and_complained(&at(&mut client, 1000.0, check)),
+            (overdue.clone(), vec![sent[1].clone()])
+        );
+        overdue.push(client.proposal(4));
+        assert_eq!(
+            resent_and_complained(&at(&mut client, 2000.0, check)),
+            (overdue, vec![sent[2].clone()])
         );
         assert_eq!(client.stats().complaints_sent, 2);
     }
