@@ -671,3 +671,318 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Pinned bytes: what goes on the wire and on disk
+// ---------------------------------------------------------------------------
+
+/// One fixed value of every wire and WAL type, payload-carrying ones at the
+/// evaluation's two payload sizes.
+mod pinned {
+    use prestigebft::prelude::*;
+    use prestigebft::types::{
+        BlockHeader, Digest, OrderedEntry, PartialSig, Proposal, QcKind, QuorumCertificate,
+        Transaction, TxBlock, VcBlock,
+    };
+    use std::sync::Arc;
+
+    pub(super) fn qc(kind: QcKind, seq: u64) -> QuorumCertificate {
+        QuorumCertificate {
+            kind,
+            view: View(2),
+            seq: SeqNum(seq),
+            digest: Digest([0x51; 32]),
+            signers: vec![ServerId(0), ServerId(2), ServerId(3)],
+            aggregate: [0xa9; 32],
+        }
+    }
+
+    pub(super) fn share(signer: u32) -> PartialSig {
+        PartialSig {
+            signer: ServerId(signer),
+            sig: [0x5e; 32],
+        }
+    }
+
+    pub(super) fn batch(payload: usize) -> Vec<Proposal> {
+        (0..3u8)
+            .map(|i| {
+                let tx = Transaction::with_size(ClientId(7), 100 + u64::from(i), payload);
+                Proposal::new(tx, Digest([i + 1; 32]))
+            })
+            .collect()
+    }
+
+    pub(super) fn tx_block(payload: usize) -> TxBlock {
+        let txs = batch(payload).into_iter().map(|p| p.tx).collect();
+        let mut block = TxBlock::new(View(2), SeqNum(9), txs);
+        block.status[1] = false;
+        block.header = BlockHeader {
+            digest: Digest([0xd1; 32]),
+            prev_digest: Digest([0xd0; 32]),
+        };
+        block.ordering_qc = Some(qc(QcKind::Ordering, 9));
+        block.commit_qc = Some(qc(QcKind::Commit, 9));
+        block
+    }
+
+    pub(super) fn vc_block() -> VcBlock {
+        VcBlock::genesis(4)
+            .successor(
+                View(3),
+                ServerId(2),
+                3,
+                5,
+                Some(qc(QcKind::Confirm, 0)),
+                Some(qc(QcKind::ViewChange, 0)),
+            )
+            .with_state_transfer(
+                SeqNum(9),
+                Some(qc(QcKind::Commit, 9)),
+                SeqNum(10),
+                vec![qc(QcKind::Ordering, 10)],
+            )
+    }
+
+    /// Every `Message` variant once, and the four that carry transaction
+    /// payloads once per payload size.
+    pub(super) fn every_message() -> Vec<Message> {
+        let d = Digest([0x3c; 32]);
+        let sig = [0x77; 32];
+        let mut messages = Vec::new();
+        for payload in [32, 64] {
+            messages.extend([
+                Message::Prop {
+                    proposals: batch(payload),
+                    client_sig: sig,
+                },
+                Message::Ord {
+                    view: View(2),
+                    n: SeqNum(9),
+                    batch: Arc::new(batch(payload)),
+                    digest: d,
+                    sig,
+                },
+                Message::CommitBlock {
+                    block: Arc::new(tx_block(payload)),
+                    sig,
+                },
+                Message::SyncResp {
+                    vc_blocks: vec![vc_block()],
+                    tx_blocks: vec![tx_block(payload)],
+                    ordered: vec![OrderedEntry {
+                        batch: Arc::new(batch(payload)),
+                        qc: qc(QcKind::Ordering, 10),
+                    }],
+                    ckpt: Some(qc(QcKind::Checkpoint, 8)),
+                },
+            ]);
+        }
+        messages.extend([
+            Message::Notif {
+                tx_keys: vec![(ClientId(7), 100), (ClientId(7), 101)],
+                seq: SeqNum(9),
+                view: View(2),
+                sig,
+            },
+            Message::Compt {
+                proposal: batch(32).remove(0),
+                client_sig: sig,
+            },
+            Message::OrdReply {
+                view: View(2),
+                n: SeqNum(9),
+                digest: d,
+                share: share(1),
+            },
+            Message::Cmt {
+                view: View(2),
+                n: SeqNum(9),
+                ordering_qc: qc(QcKind::Ordering, 9),
+                sig,
+            },
+            Message::CmtReply {
+                view: View(2),
+                n: SeqNum(9),
+                digest: d,
+                share: share(3),
+            },
+            Message::ConfVC {
+                view: View(2),
+                tx_key: (ClientId(7), 100),
+                sig,
+            },
+            Message::ReVC {
+                view: View(2),
+                tx_key: (ClientId(7), 100),
+                share: share(2),
+            },
+            Message::Camp {
+                conf_qc: Some(qc(QcKind::Confirm, 0)),
+                view: View(2),
+                new_view: View(3),
+                rp: -4,
+                ci: 5,
+                nonce: 0x0123_4567_89ab_cdef,
+                hash_result: d,
+                latest_seq: SeqNum(9),
+                latest_ord_seq: SeqNum(10),
+                commit_cert: Some(qc(QcKind::Commit, 9)),
+                tip_cert: vec![qc(QcKind::Ordering, 10)],
+                latest_tx_digest: d,
+                sig,
+            },
+            Message::VoteCP {
+                new_view: View(3),
+                candidate: ServerId(2),
+                share: share(0),
+            },
+            Message::NewVcBlock {
+                block: vc_block(),
+                sig,
+            },
+            Message::VcYes {
+                view: View(3),
+                digest: d,
+                share: share(1),
+            },
+            Message::PreCmt {
+                view: View(2),
+                n: SeqNum(9),
+                prepare_qc: qc(QcKind::Ordering, 9),
+                sig,
+            },
+            Message::PreCmtReply {
+                view: View(2),
+                n: SeqNum(9),
+                digest: d,
+                share: share(2),
+            },
+            Message::NewView {
+                view: View(3),
+                latest_seq: SeqNum(9),
+                share: share(3),
+            },
+            Message::NewViewAnnounce {
+                view: View(3),
+                new_view_qc: qc(QcKind::ViewChange, 0),
+                sig,
+            },
+            Message::Ref {
+                view: View(3),
+                server: ServerId(1),
+                share: share(0),
+            },
+            Message::Rdone {
+                view: View(3),
+                server: ServerId(1),
+                rs_qc: qc(QcKind::Refresh, 0),
+                rp: 1,
+                ci: 1,
+                sig,
+            },
+            Message::CkptShare {
+                n: SeqNum(8),
+                view: View(2),
+                digest: d,
+                share: share(1),
+            },
+            Message::CkptCert {
+                cert: qc(QcKind::Checkpoint, 8),
+            },
+            Message::SyncReq {
+                view: View(2),
+                from: 9,
+                to: 12,
+            },
+        ]);
+        messages
+    }
+
+    /// The position of `m`'s variant in declaration order. Exhaustive on
+    /// purpose: a new variant does not compile until it joins the pinned set.
+    pub(super) fn variant(m: &Message) -> usize {
+        match m {
+            Message::Prop { .. } => 0,
+            Message::Notif { .. } => 1,
+            Message::Compt { .. } => 2,
+            Message::Ord { .. } => 3,
+            Message::OrdReply { .. } => 4,
+            Message::Cmt { .. } => 5,
+            Message::CmtReply { .. } => 6,
+            Message::CommitBlock { .. } => 7,
+            Message::ConfVC { .. } => 8,
+            Message::ReVC { .. } => 9,
+            Message::Camp { .. } => 10,
+            Message::VoteCP { .. } => 11,
+            Message::NewVcBlock { .. } => 12,
+            Message::VcYes { .. } => 13,
+            Message::PreCmt { .. } => 14,
+            Message::PreCmtReply { .. } => 15,
+            Message::NewView { .. } => 16,
+            Message::NewViewAnnounce { .. } => 17,
+            Message::Ref { .. } => 18,
+            Message::Rdone { .. } => 19,
+            Message::CkptShare { .. } => 20,
+            Message::CkptCert { .. } => 21,
+            Message::SyncReq { .. } => 22,
+            Message::SyncResp { .. } => 23,
+        }
+    }
+}
+
+/// The bytes themselves, not a round trip: one SHA-256 over the frame of
+/// every `Message` variant and over the segment file a fresh WAL writes for
+/// one record of each kind. Both sides of a round trip move together when
+/// the codec changes, so only a constant shows that the encoding did not;
+/// when this constant must change, so must `WIRE_VERSION` (and the WAL
+/// directories it invalidates are stated in ARCHITECTURE.md).
+#[test]
+fn wire_and_wal_bytes_are_pinned() {
+    use prestigebft::net::frame::{FrameCodec, WIRE_VERSION};
+    use prestigebft::storage::{Storage, Wal, WalOptions, WalRecord};
+    use prestigebft::types::QcKind;
+
+    let messages = pinned::every_message();
+    let variants: std::collections::BTreeSet<usize> =
+        messages.iter().map(pinned::variant).collect();
+    assert_eq!(variants.len(), 24, "every Message variant is pinned");
+
+    let mut hasher = Sha256::new();
+    let codec = FrameCodec::new();
+    for msg in &messages {
+        hasher.update(&codec.encode(Actor::Server(ServerId(1)), msg).unwrap());
+    }
+
+    let dir = std::env::temp_dir().join(format!("prestige-pinned-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let records = [
+        WalRecord::Block(pinned::tx_block(32)),
+        WalRecord::OrdQc(pinned::qc(QcKind::Ordering, 10)),
+        WalRecord::ViewInstall(pinned::vc_block()),
+        WalRecord::Checkpoint {
+            cert: pinned::qc(QcKind::Checkpoint, 8),
+            chain: Digest([0xc4; 32]),
+        },
+    ];
+    {
+        let (mut wal, replayed) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert!(replayed.is_empty());
+        for record in &records {
+            wal.append(record.as_ref()).unwrap();
+        }
+        wal.sync().unwrap();
+        assert_eq!(wal.stats().segments, 1);
+    }
+    let segment = std::fs::read(dir.join("wal-0000000000.seg")).unwrap();
+    hasher.update(&segment);
+    let (_, replayed) = Wal::open(&dir, WalOptions::default()).unwrap();
+    assert_eq!(replayed, records);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(WIRE_VERSION, 6);
+    assert_eq!(
+        hex(Digest(hasher.finalize())),
+        "b858f595c792fad2c9f16c75f1f4b064aee4b7687f2e285fe039e9c7b292e2e5"
+    );
+}
