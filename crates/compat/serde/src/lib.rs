@@ -9,7 +9,9 @@
 //! * integers — fixed-width little-endian,
 //! * floats — IEEE-754 little-endian bits,
 //! * `bool` — one byte (`0`/`1`),
-//! * `String` / `Vec<T>` / maps / sets — `u64` length prefix, then elements,
+//! * `String` / `Vec<T>` / maps / sets — `u64` length prefix, then elements
+//!   (a `u8` or `bool` sequence is copied or checked as one run, with the
+//!   same bytes as element by element),
 //! * `Option<T>` — one tag byte, then the value if present,
 //! * structs — fields in declaration order,
 //! * enums — `u32` variant tag in declaration order, then the fields.
@@ -18,6 +20,12 @@
 //! sibling `bincode` stand-in). It is deliberately not self-describing:
 //! framing, versioning, and length guards are the transport's job
 //! (`prestige_net::frame`).
+//!
+//! The run copy rides on two hidden provided methods,
+//! `Serialize::serialize_elements` and `Deserialize::deserialize_elements`,
+//! which real serde does not have. Derived code never names them, so a move
+//! to real serde drops them with this crate and keeps the derives; a byte
+//! field would then need `serde_bytes` to stay one copy.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -107,12 +115,40 @@ impl<'a> Reader<'a> {
 pub trait Serialize {
     /// Appends the encoding of `self` to `out`.
     fn serialize(&self, out: &mut Vec<u8>);
+
+    /// Appends the encodings of `items`, in order: the bytes must equal
+    /// calling `serialize` on each. Sequences (`Vec<T>`, `[T]`) call this so
+    /// a type whose encoding is its memory (`u8`) copies a whole run at once.
+    #[doc(hidden)]
+    fn serialize_elements(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.serialize(out);
+        }
+    }
 }
 
 /// Deserialization from the workspace's compact binary format.
 pub trait Deserialize: Sized {
     /// Decodes a value from the reader, advancing it past the consumed bytes.
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error>;
+
+    /// Decodes `len` values in order and appends them to `out`, with the
+    /// result (and error) of calling `deserialize` `len` times. The bulk
+    /// counterpart of [`Serialize::serialize_elements`].
+    #[doc(hidden)]
+    fn deserialize_elements(
+        input: &mut Reader<'_>,
+        len: usize,
+        out: &mut Vec<Self>,
+    ) -> Result<(), Error> {
+        for _ in 0..len {
+            out.push(Self::deserialize(input)?);
+        }
+        Ok(())
+    }
 }
 
 /// Writes an enum variant tag (used by generated code).
@@ -143,7 +179,32 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+impl_int!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
+
+// A `u8` encodes as itself, so a byte sequence crosses the codec as one copy.
+impl Serialize for u8 {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn serialize_elements(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+impl Deserialize for u8 {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(input.take(1)?[0])
+    }
+
+    fn deserialize_elements(
+        input: &mut Reader<'_>,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), Error> {
+        out.extend_from_slice(input.take(len)?);
+        Ok(())
+    }
+}
 
 macro_rules! impl_float {
     ($($t:ty => $bits:ty),*) => {$(
@@ -189,6 +250,10 @@ impl Serialize for bool {
     fn serialize(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
+
+    fn serialize_elements(items: &[bool], out: &mut Vec<u8>) {
+        out.extend(items.iter().map(|&b| b as u8));
+    }
 }
 impl Deserialize for bool {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
@@ -197,6 +262,19 @@ impl Deserialize for bool {
             1 => Ok(true),
             b => Err(Error::InvalidBool(b)),
         }
+    }
+
+    fn deserialize_elements(
+        input: &mut Reader<'_>,
+        len: usize,
+        out: &mut Vec<bool>,
+    ) -> Result<(), Error> {
+        let bytes = input.take(len)?;
+        if let Some(&b) = bytes.iter().find(|&&b| b > 1) {
+            return Err(Error::InvalidBool(b));
+        }
+        out.extend(bytes.iter().map(|&b| b == 1));
+        Ok(())
     }
 }
 
@@ -241,19 +319,18 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).serialize(out);
-        for item in self {
-            item.serialize(out);
-        }
+        self.as_slice().serialize(out);
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
         let len = input.read_len()?;
-        let mut out = Vec::new();
-        for _ in 0..len {
-            out.push(T::deserialize(input)?);
-        }
+        // Reserve no more than the remaining input could fill with values
+        // the size of `T`: a forged length prefix then costs at most about
+        // the bytes actually received, never `len` elements up front.
+        let hint = len.min(input.remaining() / std::mem::size_of::<T>().max(1));
+        let mut out = Vec::with_capacity(hint);
+        T::deserialize_elements(input, len, &mut out)?;
         Ok(out)
     }
 }
@@ -261,9 +338,7 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 impl<T: Serialize> Serialize for [T] {
     fn serialize(&self, out: &mut Vec<u8>) {
         (self.len() as u64).serialize(out);
-        for item in self {
-            item.serialize(out);
-        }
+        T::serialize_elements(self, out);
     }
 }
 
@@ -509,6 +584,14 @@ mod tests {
         );
         assert_eq!(from_bytes::<u32>(&[1, 2]).unwrap_err(), Error::Eof);
         assert_eq!(from_bytes::<bool>(&[7]).unwrap_err(), Error::InvalidBool(7));
+        // A run of bools is checked byte by byte: the first bad byte is named.
+        let mut bools = to_bytes(&vec![true, false, true]);
+        bools[9] = 9;
+        bools[10] = 5;
+        assert_eq!(
+            from_bytes::<Vec<bool>>(&bools).unwrap_err(),
+            Error::InvalidBool(9)
+        );
     }
 
     #[test]

@@ -29,6 +29,7 @@ mod wal;
 pub use wal::{tear_tail, Wal, WalError, WalOptions};
 
 use prestige_types::{QuorumCertificate, TxBlock, VcBlock};
+use serde::Serialize as _;
 
 /// A decoded WAL record: the durable events a replica must survive a
 /// `kill -9` with.
@@ -89,18 +90,16 @@ impl WalRecordRef<'_> {
         }
     }
 
-    /// Encodes the record payload: `[tag] ++ bincode(inner)`.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = vec![self.tag()];
-        let body = match self {
-            WalRecordRef::Block(b) => bincode::serialize(*b),
-            WalRecordRef::OrdQc(qc) => bincode::serialize(*qc),
-            WalRecordRef::ViewInstall(b) => bincode::serialize(*b),
-            WalRecordRef::Checkpoint { cert, chain } => bincode::serialize(&(cert, chain)),
+    /// Appends the record payload, `[tag] ++ bincode(inner)`, to `out`,
+    /// serializing straight into it.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(self.tag());
+        match self {
+            WalRecordRef::Block(b) => b.serialize(out),
+            WalRecordRef::OrdQc(qc) => qc.serialize(out),
+            WalRecordRef::ViewInstall(b) => b.serialize(out),
+            WalRecordRef::Checkpoint { cert, chain } => (cert, chain).serialize(out),
         }
-        .expect("workspace serde encoding is infallible");
-        out.extend_from_slice(&body);
-        out
     }
 
     /// The committed-block sequence number this record pins (used for
@@ -219,7 +218,9 @@ impl MemStorage {
 impl Storage for MemStorage {
     fn append(&mut self, record: WalRecordRef<'_>) -> std::io::Result<()> {
         self.stats.records += 1;
-        self.stats.wal_bytes += record.encode().len() as u64 + 36;
+        let mut payload = Vec::new();
+        record.encode_into(&mut payload);
+        self.stats.wal_bytes += payload.len() as u64 + 36;
         self.records.push(record.to_record());
         Ok(())
     }
@@ -321,7 +322,8 @@ mod tests {
             vec![Transaction::with_size(ClientId(1), 9, 16)],
         );
         let rec = WalRecord::Block(block);
-        let payload = rec.as_ref().encode();
+        let mut payload = Vec::new();
+        rec.as_ref().encode_into(&mut payload);
         assert_eq!(WalRecord::decode(&payload), Some(rec));
     }
 

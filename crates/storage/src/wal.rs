@@ -14,6 +14,10 @@
 //!       payload = [record tag: u8] ++ bincode(record body)
 //! ```
 //!
+//! An append encodes in place: the record is serialized straight into one
+//! reused frame buffer behind a 36-byte placeholder, the payload is hashed
+//! where it lies, and the header is patched before the single `write_all`.
+//!
 //! The digest chains every record to its predecessor across segment
 //! boundaries. On open the chain is re-verified record by record:
 //!
@@ -134,6 +138,8 @@ pub struct Wal {
     unsynced: u64,
     last_sync: Instant,
     stats: StorageStats,
+    /// The frame being appended, reused across appends.
+    frame: Vec<u8>,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -190,6 +196,9 @@ pub fn tear_tail(dir: &Path, records: usize) -> std::io::Result<usize> {
     }
     Ok(torn)
 }
+
+/// Bytes ahead of a record's payload: the `u32` length and the chain digest.
+const FRAME_HEADER: usize = 4 + 32;
 
 fn record_digest(prev: &Digest, payload: &[u8]) -> Digest {
     hash_many([prev.as_ref(), payload])
@@ -253,8 +262,8 @@ impl Wal {
                     tear(offset as u64)?;
                     break;
                 }
-                let digest = Digest(rest[4..36].try_into().unwrap());
-                let payload = &rest[36..4 + len];
+                let digest = Digest(rest[4..FRAME_HEADER].try_into().unwrap());
+                let payload = &rest[FRAME_HEADER..4 + len];
                 if anchored {
                     // This record's predecessors were GC'd: it anchors the
                     // chain; everything after it is verified.
@@ -327,6 +336,7 @@ impl Wal {
                 unsynced: 0,
                 last_sync: Instant::now(),
                 stats,
+                frame: Vec::new(),
             },
             records,
         ))
@@ -372,23 +382,30 @@ impl Wal {
 
 impl Storage for Wal {
     fn append(&mut self, record: WalRecordRef<'_>) -> std::io::Result<()> {
-        let payload = record.encode();
-        let digest = record_digest(&self.chain, &payload);
-        let len = (32 + payload.len()) as u32;
-        let mut frame = Vec::with_capacity(4 + 32 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(digest.as_ref());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0u8; FRAME_HEADER]);
+        record.encode_into(frame);
+        let digest = record_digest(&self.chain, &frame[FRAME_HEADER..]);
+        let len = u32::try_from(frame.len() - 4).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "wal record longer than a u32 length prefix",
+            )
+        })?;
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..FRAME_HEADER].copy_from_slice(digest.as_ref());
+        self.file.write_all(frame)?;
+        let frame_len = frame.len() as u64;
         self.chain = digest;
         self.unsynced += 1;
         self.stats.records += 1;
-        self.stats.wal_bytes += frame.len() as u64;
+        self.stats.wal_bytes += frame_len;
         let meta = self
             .segments
             .get_mut(&self.active_index)
             .expect("active segment is tracked");
-        meta.bytes += frame.len() as u64;
+        meta.bytes += frame_len;
         if let Some(seq) = record.gc_seq() {
             meta.max_seq = meta.max_seq.max(seq);
         }
