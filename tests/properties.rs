@@ -670,6 +670,287 @@ proptest! {
             let _ = bincode::serialize(&msg).unwrap();
         }
     }
+
+    /// Every strict prefix of a valid `Ord` or `CommitBlock` frame is
+    /// incomplete as it stands (`Ok(None)`), and an error, never a panic or
+    /// a message, once its length field claims just that prefix.
+    #[test]
+    fn truncated_frames_decode_to_none_or_error(ids in proptest::collection::vec(any::<u64>(), 0..8),
+                                                payload in 0usize..64) {
+        use prestigebft::net::frame::FrameCodec;
+        let batch = arbitrary_batch(&ids, payload);
+        let txs = batch.iter().map(|p| p.tx.clone()).collect();
+        let mut block = prestigebft::types::TxBlock::new(View(2), SeqNum(9), txs);
+        block.ordering_qc = Some(pinned::qc(QcKind::Ordering, 9));
+        block.commit_qc = Some(pinned::qc(QcKind::Commit, 9));
+        let ord = Message::Ord {
+            view: View(2),
+            n: SeqNum(9),
+            batch: std::sync::Arc::new(batch),
+            digest: Digest::ZERO,
+            sig: [1; 32],
+        };
+        let commit = Message::CommitBlock { block: std::sync::Arc::new(block), sig: [2; 32] };
+        let codec = FrameCodec::new();
+        for msg in [ord, commit] {
+            let frame = codec.encode(Actor::Server(ServerId(0)), &msg).unwrap();
+            for cut in 0..frame.len() {
+                prop_assert!(matches!(codec.decode::<Message>(&frame[..cut]), Ok(None)));
+                if cut >= 10 {
+                    let mut short = frame[..cut].to_vec();
+                    short[6..10].copy_from_slice(&((cut - 10) as u32).to_le_bytes());
+                    prop_assert!(codec.decode::<Message>(&short).is_err());
+                }
+            }
+        }
+    }
+}
+
+/// The stand-in serde's format for the payload-carrying types, written out
+/// one element at a time without the stand-in: the reference its bulk
+/// sequence paths must match byte for byte, and decode like.
+mod reference {
+    use prestigebft::prelude::*;
+    use prestigebft::types::{
+        BlockHeader, Digest, Proposal, QcKind, QuorumCertificate, Transaction, TxBlock,
+    };
+
+    /// `QcKind`'s variants in declaration order: the order of their tags.
+    const QC_KINDS: [QcKind; 7] = [
+        QcKind::Confirm,
+        QcKind::ViewChange,
+        QcKind::Ordering,
+        QcKind::PreCommit,
+        QcKind::Commit,
+        QcKind::Refresh,
+        QcKind::Checkpoint,
+    ];
+
+    fn len(out: &mut Vec<u8>, n: usize) {
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+    }
+
+    pub(super) fn bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+        len(out, bytes.len());
+        for &b in bytes {
+            out.push(b);
+        }
+    }
+
+    pub(super) fn transaction(out: &mut Vec<u8>, tx: &Transaction) {
+        out.extend_from_slice(&tx.client.0.to_le_bytes());
+        out.extend_from_slice(&tx.timestamp.to_le_bytes());
+        bytes(out, &tx.payload);
+    }
+
+    pub(super) fn proposals(out: &mut Vec<u8>, batch: &[Proposal]) {
+        len(out, batch.len());
+        for p in batch {
+            transaction(out, &p.tx);
+            out.extend_from_slice(&p.digest.0);
+        }
+    }
+
+    fn qc(out: &mut Vec<u8>, qc: &Option<QuorumCertificate>) {
+        let Some(qc) = qc else {
+            out.push(0);
+            return;
+        };
+        out.push(1);
+        let tag = QC_KINDS.iter().position(|k| *k == qc.kind).unwrap() as u32;
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&qc.view.0.to_le_bytes());
+        out.extend_from_slice(&qc.seq.0.to_le_bytes());
+        out.extend_from_slice(&qc.digest.0);
+        len(out, qc.signers.len());
+        for s in &qc.signers {
+            out.extend_from_slice(&s.0.to_le_bytes());
+        }
+        out.extend_from_slice(&qc.aggregate);
+    }
+
+    pub(super) fn tx_block(out: &mut Vec<u8>, block: &TxBlock) {
+        out.extend_from_slice(&block.header.digest.0);
+        out.extend_from_slice(&block.header.prev_digest.0);
+        out.extend_from_slice(&block.view.0.to_le_bytes());
+        out.extend_from_slice(&block.n.0.to_le_bytes());
+        len(out, block.tx.len());
+        for tx in &block.tx {
+            transaction(out, tx);
+        }
+        len(out, block.status.len());
+        for &s in &block.status {
+            out.push(s as u8);
+        }
+        qc(out, &block.ordering_qc);
+        qc(out, &block.commit_qc);
+    }
+
+    /// The decoding side: every read is `None` past the end of the input or
+    /// on a value the format refuses.
+    pub(super) struct Cursor<'a>(&'a [u8]);
+
+    impl Cursor<'_> {
+        /// `read` over all of `input`, which it must consume exactly.
+        pub(super) fn decode<T>(
+            input: &[u8],
+            read: impl FnOnce(&mut Cursor<'_>) -> Option<T>,
+        ) -> Option<T> {
+            let mut cursor = Cursor(input);
+            let value = read(&mut cursor)?;
+            cursor.0.is_empty().then_some(value)
+        }
+
+        fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+            let (head, rest) = self.0.split_at_checked(N)?;
+            self.0 = rest;
+            head.try_into().ok()
+        }
+
+        fn u64(&mut self) -> Option<u64> {
+            self.take().map(u64::from_le_bytes)
+        }
+
+        fn byte(&mut self) -> Option<u8> {
+            self.take::<1>().map(|[b]| b)
+        }
+
+        /// A length prefix, then that many elements; a prefix beyond the
+        /// remaining input is refused before any element is read.
+        fn seq<T>(&mut self, mut each: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+            let n = usize::try_from(self.u64()?).ok()?;
+            if n > self.0.len() {
+                return None;
+            }
+            let mut items = Vec::new();
+            for _ in 0..n {
+                items.push(each(self)?);
+            }
+            Some(items)
+        }
+
+        pub(super) fn bytes(&mut self) -> Option<Vec<u8>> {
+            self.seq(Self::byte)
+        }
+
+        pub(super) fn transaction(&mut self) -> Option<Transaction> {
+            Some(Transaction {
+                client: ClientId(self.u64()?),
+                timestamp: self.u64()?,
+                payload: self.bytes()?,
+            })
+        }
+
+        pub(super) fn proposals(&mut self) -> Option<Vec<Proposal>> {
+            self.seq(|c| Some(Proposal::new(c.transaction()?, Digest(c.take()?))))
+        }
+
+        fn qc(&mut self) -> Option<Option<QuorumCertificate>> {
+            match self.byte()? {
+                0 => Some(None),
+                1 => Some(Some(QuorumCertificate {
+                    kind: *QC_KINDS.get(u32::from_le_bytes(self.take()?) as usize)?,
+                    view: View(self.u64()?),
+                    seq: SeqNum(self.u64()?),
+                    digest: Digest(self.take()?),
+                    signers: self.seq(|c| Some(ServerId(u32::from_le_bytes(c.take()?))))?,
+                    aggregate: self.take()?,
+                })),
+                _ => None,
+            }
+        }
+
+        pub(super) fn tx_block(&mut self) -> Option<TxBlock> {
+            Some(TxBlock {
+                header: BlockHeader {
+                    digest: Digest(self.take()?),
+                    prev_digest: Digest(self.take()?),
+                },
+                view: View(self.u64()?),
+                n: SeqNum(self.u64()?),
+                tx: self.seq(Self::transaction)?,
+                status: self.seq(|c| match c.byte()? {
+                    0 => Some(false),
+                    1 => Some(true),
+                    _ => None,
+                })?,
+                ordering_qc: self.qc()?,
+                commit_qc: self.qc()?,
+            })
+        }
+    }
+}
+
+proptest! {
+    /// A byte run, alone or as a transaction's payload, encodes to the
+    /// reference's bytes and decodes back on both sides.
+    #[test]
+    fn byte_runs_match_the_element_by_element_reference(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+        client in any::<u64>(), timestamp in any::<u64>())
+    {
+        use reference::Cursor;
+        let mut want = Vec::new();
+        reference::bytes(&mut want, &bytes);
+        prop_assert_eq!(&bincode::serialize(&bytes).unwrap(), &want);
+        prop_assert_eq!(&bincode::deserialize::<Vec<u8>>(&want).unwrap(), &bytes);
+        prop_assert_eq!(Cursor::decode(&want, |c| c.bytes()).as_ref(), Some(&bytes));
+
+        let tx = prestigebft::types::Transaction::new(ClientId(client), timestamp, bytes);
+        let mut want = Vec::new();
+        reference::transaction(&mut want, &tx);
+        prop_assert_eq!(&bincode::serialize(&tx).unwrap(), &want);
+        prop_assert_eq!(&bincode::deserialize::<prestigebft::types::Transaction>(&want).unwrap(), &tx);
+        prop_assert_eq!(Cursor::decode(&want, |c| c.transaction()).as_ref(), Some(&tx));
+    }
+
+    /// Batches and blocks (payloads of mixed lengths, arbitrary statuses,
+    /// either QC present or not) encode to the reference's bytes and decode
+    /// back; a corrupted byte decodes to the same value, or to nothing, on
+    /// both sides.
+    #[test]
+    fn batches_and_blocks_match_the_element_by_element_reference(
+        ids in proptest::collection::vec(any::<u64>(), 0..40),
+        payload in proptest::collection::vec(any::<u8>(), 0..160),
+        status in proptest::collection::vec(any::<bool>(), 0..40),
+        qcs in 0u8..4, at in any::<usize>(), to in any::<u8>())
+    {
+        use prestigebft::types::{Proposal, TxBlock};
+        use reference::Cursor;
+        let mut batch = arbitrary_batch(&ids, 0);
+        for p in &mut batch {
+            let cut = (p.tx.timestamp % (payload.len() as u64 + 1)) as usize;
+            p.tx.payload = payload[..cut].to_vec();
+        }
+        let mut want = Vec::new();
+        reference::proposals(&mut want, &batch);
+        prop_assert_eq!(&bincode::serialize(&batch).unwrap(), &want);
+        prop_assert_eq!(&bincode::deserialize::<Vec<Proposal>>(&want).unwrap(), &batch);
+        prop_assert_eq!(Cursor::decode(&want, |c| c.proposals()).as_ref(), Some(&batch));
+
+        let txs = batch.into_iter().map(|p| p.tx).collect();
+        let mut block = TxBlock::new(View(3), SeqNum(11), txs);
+        block.status = status;
+        block.ordering_qc = (qcs & 1 != 0).then(|| pinned::qc(QcKind::Ordering, 11));
+        block.commit_qc = (qcs & 2 != 0).then(|| pinned::qc(QcKind::Commit, 11));
+        let mut want = Vec::new();
+        reference::tx_block(&mut want, &block);
+        prop_assert_eq!(&bincode::serialize(&block).unwrap(), &want);
+        prop_assert_eq!(&bincode::deserialize::<TxBlock>(&want).unwrap(), &block);
+        prop_assert_eq!(Cursor::decode(&want, |c| c.tx_block()).as_ref(), Some(&block));
+
+        // 64 corruption points spread over the whole encoding, so every
+        // field's bytes (the status run too) are hit in most cases.
+        for k in 0..64 {
+            let mut bad = want.clone();
+            let i = (at % bad.len() + k * bad.len() / 64) % bad.len();
+            bad[i] = to;
+            prop_assert_eq!(
+                bincode::deserialize::<TxBlock>(&bad).ok(),
+                Cursor::decode(&bad, |c| c.tx_block())
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
