@@ -19,11 +19,6 @@ pub fn deserialize<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     serde::from_bytes(bytes)
 }
 
-/// Size in bytes of the encoding of `value`.
-pub fn serialized_size<T: serde::Serialize + ?Sized>(value: &T) -> Result<u64, Error> {
-    Ok(serde::to_bytes(value).len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
