@@ -85,12 +85,21 @@ mod tests {
         server: &mut PrestigeServer,
         f: impl FnOnce(&mut PrestigeServer, &mut Context<Message>),
     ) -> Effects<Message> {
+        with_ctx_at(server, 1.0, f)
+    }
+
+    /// [`with_ctx`] at simulated time `now_ms`.
+    fn with_ctx_at(
+        server: &mut PrestigeServer,
+        now_ms: f64,
+        f: impl FnOnce(&mut PrestigeServer, &mut Context<Message>),
+    ) -> Effects<Message> {
         let mut effects = Effects::new();
         let mut rng = SimRng::new(3);
         let mut next_timer_id = 100;
         let me = Actor::Server(server.id());
         let mut ctx = Context::new(
-            SimTime::from_ms(1.0),
+            SimTime::from_ms(now_ms),
             me,
             &mut rng,
             &mut next_timer_id,
@@ -300,6 +309,120 @@ mod tests {
         let builder = leader.inflight[&1].commit_builder.as_ref().unwrap();
         assert_eq!(builder.count(), 1, "own share only");
         assert_eq!(leader.store().latest_seq(), SeqNum(0));
+    }
+
+    /// The leader's phase messages (`Ord`, `Cmt`) among `effects`.
+    fn phase_broadcasts(effects: &Effects<Message>) -> Vec<&'static str> {
+        let phase = |e: &Emission<Message>| match e {
+            Emission::Broadcast(_, Message::Ord { .. }) => Some("Ord"),
+            Emission::Broadcast(_, Message::Cmt { .. }) => Some("Cmt"),
+            _ => None,
+        };
+        effects.emissions.iter().filter_map(phase).collect()
+    }
+
+    #[test]
+    fn only_an_idle_instance_is_rebroadcast_in_its_current_phase() {
+        // The instance is proposed at 1 ms. A share half an interval later
+        // holds the retransmitter; a full interval without one re-sends the
+        // `Ord` before the ordering QC and the `Cmt` after it.
+        let registry = KeyRegistry::new(9, 4, 2);
+        let (mut leader, digest) = leader_with_inflight(&registry);
+        let interval = leader.retransmit_interval_ms();
+        let tick = |leader: &mut PrestigeServer, at: f64| {
+            phase_broadcasts(&with_ctx_at(leader, at, |s, ctx| s.on_batch_timer(ctx)))
+        };
+        let share = |leader: &mut PrestigeServer, at: f64, signer: u32| {
+            let share = share_from(&registry, signer, QcKind::Ordering, &digest);
+            let effects = with_ctx_at(leader, at, |s, ctx| {
+                s.handle_ord_reply(View(1), SeqNum(1), digest, share, ctx)
+            });
+            phase_broadcasts(&effects)
+        };
+        let shared_at = 1.0 + interval / 2.0;
+        assert!(share(&mut leader, shared_at, 1).is_empty());
+        assert!(
+            tick(&mut leader, 1.0 + interval).is_empty(),
+            "quorum filling"
+        );
+        assert_eq!(leader.stats().instance_retransmits, 0);
+        assert_eq!(tick(&mut leader, shared_at + interval), ["Ord"]);
+        assert_eq!(leader.stats().instance_retransmits, 1);
+
+        let ordered_at = shared_at + interval + 1.0;
+        assert_eq!(share(&mut leader, ordered_at, 2), ["Cmt"]);
+        assert!(tick(&mut leader, ordered_at + interval / 2.0).is_empty());
+        assert_eq!(tick(&mut leader, ordered_at + interval), ["Cmt"]);
+        assert_eq!(leader.stats().instance_retransmits, 2);
+    }
+
+    #[test]
+    fn a_leader_commits_its_own_qc_and_batch_after_sync_replaces_the_record() {
+        // Between the leader's ordering QC and its commit QC, sync hands it
+        // a higher-view ordered entry for the same instance, with other
+        // content. The record adopts it, but the block the leader commits
+        // carries the QC it assembled and the batch that QC certifies.
+        let registry = KeyRegistry::new(9, 4, 2);
+        let (mut leader, digest) = leader_with_inflight(&registry);
+        let share = |kind, signer| share_from(&registry, signer, kind, &digest);
+        with_ctx(&mut leader, |s, ctx| {
+            for signer in [1, 2] {
+                let ordering = share(QcKind::Ordering, signer);
+                s.handle_ord_reply(View(1), SeqNum(1), digest, ordering, ctx);
+            }
+        });
+
+        let other = vec![Proposal::new(
+            Transaction::with_size(ClientId(1), 60, 16),
+            Digest::ZERO,
+        )];
+        let other_digest = batch_digest(View(2), SeqNum(1), &other);
+        let entry = prestige_types::OrderedEntry {
+            batch: Arc::new(other),
+            qc: build_qc(
+                &registry,
+                QcKind::Ordering,
+                View(2),
+                SeqNum(1),
+                other_digest,
+                3,
+            ),
+        };
+        with_ctx(&mut leader, |s, ctx| {
+            let answer = Message::SyncResp {
+                vc_blocks: Vec::new(),
+                tx_blocks: Vec::new(),
+                ordered: vec![entry],
+                ckpt: None,
+            };
+            s.on_message(Actor::Server(ServerId(2)), answer, ctx)
+        });
+        let record = &leader.instances[&1];
+        assert_eq!(record.ord_qc.as_ref().map(|qc| qc.view), Some(View(2)));
+        let held: Vec<_> = record
+            .batch
+            .as_ref()
+            .unwrap()
+            .iter()
+            .map(|p| p.tx.key())
+            .collect();
+        assert_eq!(held, [(ClientId(1), 60)]);
+
+        with_ctx(&mut leader, |s, ctx| {
+            for signer in [1, 2] {
+                let commit = share(QcKind::Commit, signer);
+                s.handle_cmt_reply(View(1), SeqNum(1), digest, commit, ctx);
+            }
+        });
+        let block = leader
+            .store()
+            .tx_block(SeqNum(1))
+            .expect("the leader commits");
+        let ordering_qc = block.ordering_qc.as_ref().map(|qc| (qc.view, qc.digest));
+        assert_eq!(ordering_qc, Some((View(1), digest)));
+        let committed: Vec<_> = block.tx.iter().map(|tx| tx.key()).collect();
+        assert_eq!(committed, [(ClientId(1), 50)]);
+        assert!(!leader.instances.contains_key(&1));
     }
 
     /// A QC whose aggregate does not verify.
