@@ -3,7 +3,7 @@
 
 use super::PIPELINE_DEPTH;
 use crate::pacemaker::timer_tags;
-use crate::server::{InflightInstance, PrestigeServer, ServerRole};
+use crate::server::{Leading, OrderedAck, PrestigeServer, ServerRole};
 use prestige_crypto::{keys_digest, ordering_digest, sign_share, QcBuilder};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
@@ -41,17 +41,23 @@ impl PrestigeServer {
         }
     }
 
+    /// The pipeline window's occupancy: instances this leader proposed in
+    /// the current view whose commit quorum has not formed yet.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.instances.values().filter(|r| r.lead.is_some()).count()
+    }
+
     /// Leader pipeline fill: flushes *full* batches while the in-flight
     /// window has room, so a backlog of proposals floods the window instead
     /// of trickling out one batch per inbound event. Partial batches are left
     /// for the batch timer.
     pub(crate) fn flush_ready_batches(&mut self, ctx: &mut Context<Message>) {
-        while self.inflight.len() < PIPELINE_DEPTH
+        while self.in_flight() < PIPELINE_DEPTH
             && self.pending_proposals.len() >= self.config.batch_size
         {
-            let before = self.inflight.len();
+            let before = self.in_flight();
             self.flush_batch(ctx);
-            if self.inflight.len() == before {
+            if self.in_flight() == before {
                 break; // Quiesced (rotation pending, role change, …).
             }
         }
@@ -71,12 +77,12 @@ impl PrestigeServer {
         if self.pending_proposals.is_empty() {
             return;
         }
-        if self.inflight.len() >= PIPELINE_DEPTH {
+        if self.in_flight() >= PIPELINE_DEPTH {
             return; // Window full: wait for an in-flight instance to commit.
         }
         let take = self.pending_proposals.len().min(self.config.batch_size);
         // The batch is assembled exactly once and shared: the broadcast `Ord`
-        // and the leader's in-flight instance reference the same allocation.
+        // and the leader's instance record reference the same allocation.
         let batch: Arc<Vec<Proposal>> = Arc::new(self.pending_proposals.drain(..take).collect());
         let n = self.next_seq;
         self.next_seq = self.next_seq.next();
@@ -84,7 +90,8 @@ impl PrestigeServer {
     }
 
     /// Leader ordering round for `batch` at sequence number `n` in the
-    /// current view: broadcast the `Ord` and open the in-flight instance.
+    /// current view: broadcast the `Ord`, record the proposal as this
+    /// leader's acknowledgement, and open the ordering quorum.
     /// Used by [`Self::flush_batch`] for fresh batches and by the view-change
     /// installation to re-propose preserved ordered batches at their
     /// original sequence numbers.
@@ -102,11 +109,10 @@ impl PrestigeServer {
         let digest = ordering_digest(view, n, &keys);
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
-        let mut ordering_builder =
-            QcBuilder::new(QcKind::Ordering, view, n, digest, self.config.quorum());
+        let mut quorum = QcBuilder::new(QcKind::Ordering, view, n, digest, self.config.quorum());
         if let Some(share) = sign_share(&self.registry, self.id, QcKind::Ordering, view, n, &digest)
         {
-            let _ = ordering_builder.add_share(&self.registry, &share);
+            let _ = quorum.add_share(&self.registry, &share);
         }
         let sig = self.sign(digest.as_ref());
         let message = Message::Ord {
@@ -117,20 +123,17 @@ impl PrestigeServer {
             sig,
         };
         ctx.broadcast(self.other_servers(), message);
-        self.inflight.insert(
-            n.0,
-            InflightInstance {
-                view,
-                batch,
-                keys,
-                digest,
-                ordering_builder,
-                ordering_qc: None,
-                commit_builder: None,
-                last_sent_ms: ctx.now().as_ms(),
-                last_progress_ms: ctx.now().as_ms(),
-            },
-        );
+        let record = self.instances.entry(n.0).or_default();
+        record.ack = Some(OrderedAck {
+            digest,
+            keys,
+            batch,
+        });
+        record.lead = Some(Leading {
+            ordering_qc: None,
+            quorum,
+            last_active_ms: ctx.now().as_ms(),
+        });
     }
 
     /// Re-broadcasts the current phase message of every in-flight instance
@@ -147,45 +150,36 @@ impl PrestigeServer {
     pub(crate) fn retransmit_stalled_instances(&mut self, ctx: &mut Context<Message>) {
         let now = ctx.now().as_ms();
         let interval = self.retransmit_interval_ms();
-        type Stalled = (
-            u64,
-            View,
-            Option<QuorumCertificate>,
-            Arc<Vec<Proposal>>,
-            Digest,
-        );
-        let mut stalled: Vec<Stalled> = Vec::new();
-        for (n, instance) in self.inflight.iter_mut() {
-            if now - instance.last_sent_ms.max(instance.last_progress_ms) < interval {
+        let view = self.current_view();
+        let mut stalled = Vec::new();
+        for (&n, record) in self.instances.iter_mut() {
+            let (Some(lead), Some(ack)) = (&mut record.lead, &record.ack) else {
+                continue;
+            };
+            if now - lead.last_active_ms < interval {
                 continue;
             }
-            instance.last_sent_ms = now;
-            stalled.push((
-                *n,
-                instance.view,
-                instance.ordering_qc.clone(),
-                Arc::clone(&instance.batch),
-                instance.digest,
-            ));
-        }
-        for (n, view, ordering_qc, batch, digest) in stalled {
-            self.stats.instance_retransmits += 1;
-            let sig = self.sign(digest.as_ref());
-            let message = match ordering_qc {
+            lead.last_active_ms = now;
+            let n = SeqNum(n);
+            let sig = self.keypair.sign(ack.digest.as_ref());
+            stalled.push(match &lead.ordering_qc {
                 Some(ordering_qc) => Message::Cmt {
                     view,
-                    n: SeqNum(n),
-                    ordering_qc,
+                    n,
+                    ordering_qc: ordering_qc.clone(),
                     sig,
                 },
                 None => Message::Ord {
                     view,
-                    n: SeqNum(n),
-                    batch,
-                    digest,
+                    n,
+                    batch: Arc::clone(&ack.batch),
+                    digest: ack.digest,
                     sig,
                 },
-            };
+            });
+        }
+        for message in stalled {
+            self.stats.instance_retransmits += 1;
             ctx.broadcast(self.other_servers(), message);
         }
     }
@@ -231,8 +225,47 @@ impl PrestigeServer {
     // Reply shares → quorum certificates
     // ------------------------------------------------------------------
 
-    /// Leader handling of an `OrdReply` share: verify it into the matching
-    /// in-flight instance; completing the quorum broadcasts `Cmt`.
+    /// Verifies a reply share into the open quorum of instance `n`, if this
+    /// leader proposed it in `view` over `digest` and the quorum is in the
+    /// share's `phase`: ordering until the ordering QC forms, commit after.
+    /// A share for the other phase is ignored. Returns the certificate the
+    /// share completes.
+    fn add_reply_share(
+        &mut self,
+        (view, n, digest): (View, SeqNum, Digest),
+        phase: QcKind,
+        share: PartialSig,
+        ctx: &mut Context<Message>,
+    ) -> Option<QuorumCertificate> {
+        if self.role != ServerRole::Leader || view != self.current_view() {
+            return None;
+        }
+        self.charge_verify_cost(ctx);
+        let record = self.instances.get_mut(&n.0)?;
+        let (Some(lead), Some(ack)) = (&mut record.lead, &record.ack) else {
+            return None;
+        };
+        let open = match lead.ordering_qc {
+            None => QcKind::Ordering,
+            Some(_) => QcKind::Commit,
+        };
+        if ack.digest != digest || open != phase {
+            return None;
+        }
+        if lead.quorum.add_share(&self.registry, &share).is_err() {
+            self.stats.verify_rejected += 1;
+            return None;
+        }
+        // A share landed: the quorum is filling in, hold the retransmitter.
+        lead.last_active_ms = ctx.now().as_ms();
+        if !lead.quorum.complete() {
+            return None;
+        }
+        lead.quorum.assemble().ok()
+    }
+
+    /// Leader handling of an `OrdReply` share: completing the ordering
+    /// quorum opens the commit quorum and broadcasts `Cmt`.
     pub(crate) fn handle_ord_reply(
         &mut self,
         view: View,
@@ -241,45 +274,27 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        if self.role != ServerRole::Leader || view != self.current_view() {
+        let instance = (view, n, digest);
+        let Some(ordering_qc) = self.add_reply_share(instance, QcKind::Ordering, share, ctx) else {
             return;
-        }
-        self.charge_verify_cost(ctx);
-        let instance = match self.inflight.get_mut(&n.0) {
-            Some(i) if i.view == view && i.digest == digest && i.ordering_qc.is_none() => i,
-            _ => return,
         };
-        if instance
-            .ordering_builder
-            .add_share(&self.registry, &share)
-            .is_err()
-        {
-            self.stats.verify_rejected += 1;
-            return;
-        }
-        // A share landed: the quorum is filling in, hold the retransmitter.
-        instance.last_progress_ms = ctx.now().as_ms();
-        if !instance.ordering_builder.complete() {
-            return;
-        }
-        let ordering_qc = match instance.ordering_builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
-        };
-        instance.ordering_qc = Some(ordering_qc.clone());
-        let mut commit_builder =
-            QcBuilder::new(QcKind::Commit, view, n, digest, self.config.quorum());
+        let mut quorum = QcBuilder::new(QcKind::Commit, view, n, digest, self.config.quorum());
         if let Some(own) = sign_share(&self.registry, self.id, QcKind::Commit, view, n, &digest) {
-            let _ = commit_builder.add_share(&self.registry, &own);
+            let _ = quorum.add_share(&self.registry, &own);
         }
-        instance.commit_builder = Some(commit_builder);
-        // Certified recovery plane: the assembled QC plus the in-flight batch
-        // make this instance provable, so the leader's own future campaigns
-        // can claim it and sync answers can serve it. Pruned when the
-        // instance commits.
-        let batch = Arc::clone(&instance.batch);
+        let Some(record) = self.instances.get_mut(&n.0) else {
+            return;
+        };
+        if let (Some(lead), Some(ack)) = (&mut record.lead, &record.ack) {
+            lead.ordering_qc = Some(ordering_qc.clone());
+            lead.quorum = quorum;
+            // Certified recovery plane: the assembled QC plus the proposed
+            // batch make this instance provable, so the leader's own future
+            // campaigns can claim it and sync answers can serve it. Released
+            // when the instance commits.
+            record.batch = Some(Arc::clone(&ack.batch));
+        }
         self.record_ord_qc(n.0, &ordering_qc);
-        self.instances.entry(n.0).or_default().batch = Some(batch);
         // The leader assembled this QC from verified shares: seed the memo so
         // it is never re-verified if it comes back around (e.g. via sync).
         let memo = Self::qc_memo_key(&ordering_qc, self.config.quorum());
@@ -296,9 +311,9 @@ impl PrestigeServer {
         );
     }
 
-    /// Leader handling of a `CmtReply` share: verify it into the matching
-    /// in-flight instance; once 2f+1 arrive, the block is committed,
-    /// broadcast, clients are notified, and the pipeline window refills.
+    /// Leader handling of a `CmtReply` share: once 2f+1 arrive, the block is
+    /// committed, broadcast, clients are notified, and the pipeline window
+    /// refills.
     pub(crate) fn handle_cmt_reply(
         &mut self,
         view: View,
@@ -307,52 +322,36 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        if self.role != ServerRole::Leader || view != self.current_view() {
+        let instance = (view, n, digest);
+        let Some(commit_qc) = self.add_reply_share(instance, QcKind::Commit, share, ctx) else {
             return;
-        }
-        self.charge_verify_cost(ctx);
-        let instance = match self.inflight.get_mut(&n.0) {
-            Some(i) if i.view == view && i.digest == digest => i,
-            _ => return,
-        };
-        let Some(builder) = instance.commit_builder.as_mut() else {
-            return;
-        };
-        if builder.add_share(&self.registry, &share).is_err() {
-            self.stats.verify_rejected += 1;
-            return;
-        }
-        // A share landed: the quorum is filling in, hold the retransmitter.
-        instance.last_progress_ms = ctx.now().as_ms();
-        if !builder.complete() {
-            return;
-        }
-        let commit_qc = match builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
         };
         let memo = Self::qc_memo_key(&commit_qc, self.config.quorum());
         self.memoize_qc(memo);
-        let instance = self.inflight.remove(&n.0).expect("instance present");
-        // The instance is committing: release the certificate-store
-        // references first (`handle_ord_reply` recorded them for the
-        // recovery plane) so the batch is uniquely held again and the
-        // transactions move straight into the block. A still-shared batch
-        // falls back to per-transaction clones. `drain` allocates an
-        // exact-size `Vec<Transaction>`; `into_iter` would collect in place
-        // and keep the larger proposal buffer alive inside the stored block.
-        // The record itself stays until the block applies: a block parked
-        // behind a gap must not drop a commit-sign view C3 still checks.
-        if let Some(record) = self.instances.get_mut(&n.0) {
-            record.batch = None;
-            record.ord_qc = None;
-        }
-        let txs: Vec<Transaction> = match Arc::try_unwrap(instance.batch) {
+        // The instance is committing: its leader state leaves the record,
+        // and so do the certificate-store references `handle_ord_reply`
+        // recorded for the recovery plane, so the batch is uniquely held
+        // again and the transactions move straight into the block. A
+        // still-shared batch falls back to per-transaction clones. `drain`
+        // allocates an exact-size `Vec<Transaction>`; `into_iter` would
+        // collect in place and keep the larger proposal buffer alive inside
+        // the stored block. The record itself stays until the block applies:
+        // a block parked behind a gap must not drop a commit-sign view C3
+        // still checks.
+        let Some(record) = self.instances.get_mut(&n.0) else {
+            return;
+        };
+        let (Some(lead), Some(ack)) = (record.lead.take(), record.ack.take()) else {
+            return;
+        };
+        record.batch = None;
+        record.ord_qc = None;
+        let txs: Vec<Transaction> = match Arc::try_unwrap(ack.batch) {
             Ok(mut batch) => batch.drain(..).map(|p| p.tx).collect(),
             Err(shared) => shared.iter().map(|p| p.tx.clone()).collect(),
         };
         let mut block = TxBlock::new(view, n, txs);
-        block.ordering_qc = instance.ordering_qc;
+        block.ordering_qc = lead.ordering_qc;
         block.commit_qc = Some(commit_qc);
 
         // Apply locally first: the store adopts the uniquely held block
@@ -360,7 +359,7 @@ impl PrestigeServer {
         // as `CommitBlock` — zero deep copies end to end. The keys digest
         // hashed at proposal time links it into the chain.
         let me = Actor::Server(self.id);
-        self.apply_committed_block(me, Arc::new(block), instance.keys, ctx);
+        self.apply_committed_block(me, Arc::new(block), ack.keys, ctx);
         // A window slot just freed up: keep the pipeline full.
         self.flush_ready_batches(ctx);
     }

@@ -239,7 +239,7 @@ mod tests {
             );
             s.flush_batch(ctx);
         });
-        let digest = leader.inflight[&1].digest;
+        let digest = leader.instances[&1].ack.as_ref().unwrap().digest;
         (leader, digest)
     }
 
@@ -272,9 +272,9 @@ mod tests {
         });
         assert!(effects.emissions.is_empty());
         assert_eq!(leader.stats().verify_rejected, 1);
-        let instance = &leader.inflight[&1];
-        assert_eq!(instance.ordering_builder.count(), 1, "own share only");
-        assert!(instance.ordering_qc.is_none());
+        let lead = leader.instances[&1].lead.as_ref().unwrap();
+        assert_eq!(lead.quorum.count(), 1, "own share only");
+        assert!(lead.ordering_qc.is_none());
     }
 
     #[test]
@@ -288,7 +288,8 @@ mod tests {
                 s.handle_ord_reply(View(1), SeqNum(1), digest, share, ctx);
             });
         }
-        assert!(leader.inflight[&1].ordering_qc.is_some());
+        let lead = |leader: &PrestigeServer| leader.instances[&1].lead.clone().unwrap();
+        assert!(lead(&leader).ordering_qc.is_some());
 
         let mut forged = share_from(&registry, 1, QcKind::Commit, &digest);
         forged.sig = [0xBB; 32];
@@ -306,8 +307,7 @@ mod tests {
         });
         assert!(effects.emissions.is_empty());
         assert_eq!(leader.stats().verify_rejected, 1);
-        let builder = leader.inflight[&1].commit_builder.as_ref().unwrap();
-        assert_eq!(builder.count(), 1, "own share only");
+        assert_eq!(lead(&leader).quorum.count(), 1, "own share only");
         assert_eq!(leader.store().latest_seq(), SeqNum(0));
     }
 
@@ -602,7 +602,7 @@ mod tests {
             SeqNum(3),
             "fresh batches continue after the preserved prefix"
         );
-        assert!(follower.inflight.contains_key(&2));
+        assert!(follower.instances[&2].lead.is_some());
         let pending: Vec<_> = follower
             .pending_proposals
             .iter()
@@ -635,7 +635,7 @@ mod tests {
         let quorum = config.quorum();
         let view = View(1);
 
-        // The leader (S0 leads view 1) proposes a batch: inflight opens.
+        // The leader (S0 leads view 1) proposes a batch: a window slot opens.
         let tx = Transaction::with_size(ClientId(1), 50, 16);
         with_ctx(&mut server, |s, ctx| {
             s.handle_prop(
@@ -646,7 +646,7 @@ mod tests {
             );
             s.flush_batch(ctx);
         });
-        assert!(server.inflight.contains_key(&1));
+        assert_eq!(server.in_flight(), 1);
 
         // The same instance commits via a CommitBlock built elsewhere.
         let commit_digest =
@@ -673,8 +673,9 @@ mod tests {
             s.apply_committed_block(Actor::Server(ServerId(2)), Arc::new(block), keys, ctx);
         });
         assert_eq!(server.store().latest_seq(), SeqNum(1));
-        assert!(
-            !server.inflight.contains_key(&1),
+        assert_eq!(
+            server.in_flight(),
+            0,
             "the committed instance must release its pipeline slot"
         );
     }
@@ -697,7 +698,7 @@ mod tests {
             }
         });
         fn complete(leader: &mut PrestigeServer, registry: &KeyRegistry, n: u64) -> bool {
-            let digest = leader.inflight[&n].digest;
+            let digest = leader.instances[&n].ack.as_ref().unwrap().digest;
             let share = |kind, signer| {
                 sign_share(
                     registry,

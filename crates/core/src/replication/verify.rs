@@ -238,14 +238,12 @@ impl PrestigeServer {
             self.pending_proposals
                 .retain(|p| !clients.is_committed(p.tx.key()));
         }
-        // The instance's record — its proof and any parked copy — is spent.
+        // The instance's record — its proof, any parked copy, and a leader's
+        // open quorum — is spent. A leader may learn of this commit
+        // externally (a straggler `CommitBlock` from the previous view racing
+        // a re-proposed instance, or sync); its window slot goes with the
+        // record.
         self.instances.remove(&n.0);
-        // A leader may learn of this commit externally (a straggler
-        // `CommitBlock` from the previous view racing a re-proposed
-        // instance, or sync): the in-flight instance is complete either way.
-        // Without this, the slot would leak from the pipeline window and the
-        // dead instance would be retransmitted forever.
-        self.inflight.remove(&n.0);
 
         // Notify clients: one Notif per client listing its committed keys.
         // The signature covers only the sequence number, so one signing

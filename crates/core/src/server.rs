@@ -113,9 +113,13 @@ pub struct ServerStats {
 /// `n`, proof and all.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Instance {
-    /// This view's phase-1 acknowledgement. It keeps the very batch it
-    /// hashed, because `batch` below can be replaced by sync repair.
+    /// This view's phase-1 acknowledgement: a follower's ack of the `Ord`,
+    /// or on the leader its own proposal. It keeps the very batch it hashed,
+    /// because `batch` below can be replaced by sync repair.
     pub(crate) ack: Option<OrderedAck>,
+    /// The leader's open quorum for the instance it proposed in this view.
+    /// The records holding one are the pipeline window.
+    pub(crate) lead: Option<Leading>,
     /// The ordered batch, a shared handle to the `Ord` payload, kept so a
     /// later leader can re-propose it if the instance never commits —
     /// materialized into `pending_proposals` only on the rare view change.
@@ -141,44 +145,39 @@ impl Instance {
     }
 }
 
-/// A follower's phase-1 acknowledgement of one instance.
+/// A phase-1 acknowledgement of one instance: a follower's of the `Ord`, or
+/// the leader's of its own proposal.
 #[derive(Debug, Clone)]
 pub(crate) struct OrderedAck {
-    /// The ordering digest this follower signed a share over.
+    /// The ordering digest this server signed a share over.
     pub(crate) digest: Digest,
-    /// The keys digest of `batch`, the input `digest` was built on.
+    /// The keys digest of `batch`, the input `digest` was built on. The
+    /// commit links the block into the chain with it.
     pub(crate) keys: Digest,
     /// The batch hashed to `digest`, shared with the `Ord` message.
     pub(crate) batch: Arc<Vec<Proposal>>,
 }
 
-/// A leader's in-flight replication instance (one per sequence number).
+/// What the leader keeps for an instance it proposed in the current view.
 #[derive(Debug, Clone)]
-pub(crate) struct InflightInstance {
-    pub(crate) view: View,
-    /// The ordered batch, shared with the broadcast `Ord` message.
-    pub(crate) batch: Arc<Vec<Proposal>>,
-    /// The batch's keys digest, hashed once at proposal time; the ordering
-    /// digest below is built on it, and the commit links the block into the
-    /// chain with it.
-    pub(crate) keys: Digest,
-    pub(crate) digest: Digest,
-    pub(crate) ordering_builder: QcBuilder,
+pub(crate) struct Leading {
+    /// The ordering QC this leader assembled, once the ordering quorum
+    /// completed. The committed block carries this one, not
+    /// `Instance::ord_qc`, which sync may replace with a higher view's.
     pub(crate) ordering_qc: Option<QuorumCertificate>,
-    pub(crate) commit_builder: Option<QcBuilder>,
-    /// When this instance's phase message (`Ord`, then `Cmt`) was last
-    /// broadcast (ms). An instance whose quorum stalls past the retransmit
+    /// The open quorum: ordering shares until `ordering_qc` forms, commit
+    /// shares after. A share for the other phase is ignored.
+    pub(crate) quorum: QcBuilder,
+    /// When the phase message (`Ord`, then `Cmt`) was last broadcast or a
+    /// share for it last arrived (ms). An instance idle for the retransmit
     /// interval is re-broadcast by the batch timer — the recovery path for
     /// protocol messages lost to backpressure or a healed partition, without
-    /// which a full pipeline window can wedge a comeback leader forever.
-    pub(crate) last_sent_ms: f64,
-    /// When a quorum share for this instance last *arrived* (ms). The
-    /// retransmit gate measures staleness from
-    /// `max(last_sent_ms, last_progress_ms)`: an instance whose quorum is
-    /// still filling in is making progress and must not be re-broadcast —
-    /// healthy-path retransmits double network load exactly when the cluster
-    /// is busiest and were the dominant p99 contributor at peak throughput.
-    pub(crate) last_progress_ms: f64,
+    /// which a full pipeline window can wedge a comeback leader forever. An
+    /// instance whose quorum is still filling in is making progress and must
+    /// not be re-broadcast: healthy-path retransmits double network load
+    /// exactly when the cluster is busiest and were the dominant p99
+    /// contributor at peak throughput.
+    pub(crate) last_active_ms: f64,
 }
 
 /// The state a server keeps while campaigning (redeemer / candidate).
@@ -240,8 +239,6 @@ pub struct PrestigeServer {
     pub(crate) clients: ClientTable,
     /// The next sequence number a leader will assign.
     pub(crate) next_seq: SeqNum,
-    /// Leader-side in-flight instances keyed by sequence number.
-    pub(crate) inflight: BTreeMap<u64, InflightInstance>,
     /// One record per uncommitted instance this server holds anything for,
     /// keyed by sequence number.
     pub(crate) instances: BTreeMap<u64, Instance>,
@@ -397,7 +394,6 @@ impl PrestigeServer {
             pending_proposals: Vec::new(),
             clients: ClientTable::default(),
             next_seq: SeqNum(1),
-            inflight: BTreeMap::new(),
             instances: BTreeMap::new(),
             ordered_only_keys: BTreeSet::new(),
             signed_commit_tip: 0,
@@ -539,7 +535,7 @@ impl PrestigeServer {
             self.current_leader().0,
             self.store.latest_seq().0,
             self.next_seq.0,
-            self.inflight.keys().collect::<Vec<_>>(),
+            holding(|r| r.lead.is_some()),
             self.pending_proposals.len(),
             holding(|r| r.batch.is_some()),
             holding(|r| r.ord_qc.is_some()),
@@ -673,14 +669,14 @@ impl PrestigeServer {
         self.election_timer = None;
         self.pow_timer = None;
         self.confvc_builders.clear();
-        self.inflight.clear();
-        // Acknowledgements are per view. Everything else an instance record
-        // holds survives the view change keyed by its sequence number (shared
-        // handles — no copies): it backs future C3 freshness claims, and an
-        // elected leader re-proposes its contiguous prefix *at the original
-        // sequence numbers* below.
+        // Acknowledgements and the leader's open quorums are per view.
+        // Everything else an instance record holds survives the view change
+        // keyed by its sequence number (shared handles — no copies): it backs
+        // future C3 freshness claims, and an elected leader re-proposes its
+        // contiguous prefix *at the original sequence numbers* below.
         for record in self.instances.values_mut() {
             record.ack = None;
+            record.lead = None;
         }
         if leader == self.id {
             self.role = ServerRole::Leader;
