@@ -121,7 +121,7 @@ impl PrestigeServer {
         from: Actor,
         vc_blocks: Vec<VcBlock>,
         tx_blocks: Vec<TxBlock>,
-        ordered: Vec<OrderedEntry>,
+        mut ordered: Vec<OrderedEntry>,
         ckpt: Option<QuorumCertificate>,
         ctx: &mut Context<Message>,
     ) {
@@ -149,10 +149,11 @@ impl PrestigeServer {
         // Recomputing these digests is the expensive part, so the path is
         // defended: unsolicited senders are throttled per peer, and a batch
         // larger than any honest ordering could produce is dropped before a
-        // byte of it is hashed.
+        // byte of it is hashed. Only the ordered entries are throttled: the
+        // vcBlocks and the checkpoint below still install.
         if !ordered.is_empty() && throttled(&mut self.ordered_recv_ms, from, ctx.now().as_ms()) {
             self.stats.sync_throttled += 1;
-            return;
+            ordered.clear();
         }
         let max_batch = self.config.batch_size.max(1) * 4;
         for entry in ordered {
@@ -237,6 +238,7 @@ impl PrestigeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::SERVE_MIN_INTERVAL_MS;
     use prestige_crypto::{sign_share, KeyRegistry, QcBuilder};
     use prestige_sim::{Context, Effects, Emission, SimRng, SimTime};
     use prestige_types::{
@@ -264,24 +266,17 @@ mod tests {
         effects
     }
 
-    fn ordering_qc(
+    fn quorum_qc(
         registry: &KeyRegistry,
+        kind: QcKind,
         view: View,
         n: u64,
         digest: Digest,
         quorum: u32,
     ) -> QuorumCertificate {
-        let mut builder = QcBuilder::new(QcKind::Ordering, view, SeqNum(n), digest, quorum);
+        let mut builder = QcBuilder::new(kind, view, SeqNum(n), digest, quorum);
         for s in 0..quorum {
-            let share = sign_share(
-                registry,
-                ServerId(s),
-                QcKind::Ordering,
-                view,
-                SeqNum(n),
-                &digest,
-            )
-            .unwrap();
+            let share = sign_share(registry, ServerId(s), kind, view, SeqNum(n), &digest).unwrap();
             builder.add_share(registry, &share).unwrap();
         }
         builder.assemble().unwrap()
@@ -304,7 +299,7 @@ mod tests {
         }
         OrderedEntry {
             batch: Arc::new(batch),
-            qc: ordering_qc(registry, view, n, digest, quorum),
+            qc: quorum_qc(registry, QcKind::Ordering, view, n, digest, quorum),
         }
     }
 
@@ -356,6 +351,41 @@ mod tests {
         });
         assert_eq!(server.certified_ord_tip(), SeqNum(0));
         assert!(server.instances.is_empty());
+    }
+
+    #[test]
+    fn a_throttled_answer_still_installs_its_views() {
+        // A second answer from one peer within the per-peer interval: only
+        // its ordered entries are throttled, its vcBlocks still install.
+        let registry = KeyRegistry::new(5, 4, 2);
+        let mut server =
+            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
+        let quorum = server.config.quorum();
+        let peer = Actor::Server(ServerId(2));
+        let first = vec![entry(&registry, View(1), 1, quorum, false)];
+        with_ctx_at(&mut server, 1.0, |s, ctx| {
+            s.handle_sync_resp(peer, Vec::new(), Vec::new(), first, None, ctx);
+        });
+        assert!(server.held_batch(1).is_some());
+
+        let vc_qc = quorum_qc(
+            &registry,
+            QcKind::ViewChange,
+            View(2),
+            1,
+            Digest([7; 32]),
+            quorum,
+        );
+        let genesis = server.store.latest_vc_block();
+        let view2 = genesis.successor(View(2), ServerId(2), 1, 0, None, Some(vc_qc));
+        let second = vec![entry(&registry, View(1), 2, quorum, false)];
+        let soon = 1.0 + SERVE_MIN_INTERVAL_MS / 2.0;
+        with_ctx_at(&mut server, soon, |s, ctx| {
+            s.handle_sync_resp(peer, vec![view2], Vec::new(), second, None, ctx);
+        });
+        assert_eq!(server.current_view(), View(2));
+        assert_eq!(server.stats().sync_throttled, 1);
+        assert!(server.held_batch(2).is_none());
     }
 
     fn sync_reqs(effects: &Effects<Message>) -> Vec<(Actor, View, u64, u64)> {
