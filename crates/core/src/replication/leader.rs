@@ -187,12 +187,7 @@ impl PrestigeServer {
     /// Leader batch timer: flush whatever is pending (even a partial batch)
     /// and re-arm. Equivocating leaders emit garbage traffic instead.
     pub(crate) fn on_batch_timer(&mut self, ctx: &mut Context<Message>) {
-        if self.role != ServerRole::Leader {
-            self.batch_timer_armed = false;
-            return;
-        }
-        if self.behavior.silent_as_leader() {
-            self.batch_timer_armed = false;
+        if self.role != ServerRole::Leader || self.behavior.silent_as_leader() {
             return;
         }
         if self.behavior.equivocates() {
@@ -218,7 +213,6 @@ impl PrestigeServer {
             self.retransmit_stalled_instances(ctx);
         }
         ctx.set_timer(self.pacemaker.batch_interval(), timer_tags::BATCH);
-        self.batch_timer_armed = true;
     }
 
     // ------------------------------------------------------------------

@@ -270,8 +270,6 @@ pub struct PrestigeServer {
     /// Committed tip observed at the last repair-timer tick; repair requests
     /// fire only when the tip has not moved for a full interval.
     pub(crate) last_repair_tip: u64,
-    /// Whether the leader batch timer is armed.
-    pub(crate) batch_timer_armed: bool,
 
     // --- verification state ---
     /// Memo cache of already-verified quorum certificates, keyed by
@@ -402,7 +400,6 @@ impl PrestigeServer {
             ordered_recv_ms: BTreeMap::new(),
             sync_peer_cursor: 0,
             last_repair_tip: 0,
-            batch_timer_armed: false,
             verified_qcs: BTreeSet::new(),
             verified_qcs_order: VecDeque::new(),
             profiler: None,
@@ -778,11 +775,10 @@ impl PrestigeServer {
         }
     }
 
-    /// Arms the leader's batch flush timer if not already armed.
+    /// Arms the leader's batch flush timer.
     pub(crate) fn arm_batch_timer(&mut self, ctx: &mut Context<Message>) {
         if self.role == ServerRole::Leader && !self.behavior.silent_as_leader() {
             ctx.set_timer(self.pacemaker.batch_interval(), timer_tags::BATCH);
-            self.batch_timer_armed = true;
         }
     }
 

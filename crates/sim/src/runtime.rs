@@ -169,13 +169,6 @@ impl<M: Wire + 'static> Simulation<M> {
             .and_then(|n| n.as_any().downcast_ref::<T>())
     }
 
-    /// Mutable downcast of a node to its concrete type.
-    pub fn node_as_mut<T: 'static>(&mut self, actor: Actor) -> Option<&mut T> {
-        self.nodes
-            .get_mut(&actor)
-            .and_then(|n| n.as_any_mut().downcast_mut::<T>())
-    }
-
     /// The actors registered, in insertion order.
     pub fn actors(&self) -> &[Actor] {
         &self.node_order
@@ -208,12 +201,6 @@ impl<M: Wire + 'static> Simulation<M> {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Runs for an additional duration of simulated time.
-    pub fn run_for(&mut self, duration: SimDuration) {
-        let deadline = self.now + duration;
-        self.run_until(deadline);
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.

@@ -342,11 +342,6 @@ impl Wal {
         ))
     }
 
-    /// The digest of the most recent record (the chain head).
-    pub fn chain_head(&self) -> Digest {
-        self.chain
-    }
-
     /// The log directory.
     pub fn dir(&self) -> &Path {
         &self.dir
