@@ -226,7 +226,9 @@ impl PrestigeServer {
     /// share completes.
     fn add_reply_share(
         &mut self,
-        (view, n, digest): (View, SeqNum, Digest),
+        view: View,
+        n: SeqNum,
+        digest: Digest,
         phase: QcKind,
         share: PartialSig,
         ctx: &mut Context<Message>,
@@ -268,8 +270,8 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        let instance = (view, n, digest);
-        let Some(ordering_qc) = self.add_reply_share(instance, QcKind::Ordering, share, ctx) else {
+        let phase = QcKind::Ordering;
+        let Some(ordering_qc) = self.add_reply_share(view, n, digest, phase, share, ctx) else {
             return;
         };
         let mut quorum = QcBuilder::new(QcKind::Commit, view, n, digest, self.config.quorum());
@@ -316,8 +318,8 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        let instance = (view, n, digest);
-        let Some(commit_qc) = self.add_reply_share(instance, QcKind::Commit, share, ctx) else {
+        let phase = QcKind::Commit;
+        let Some(commit_qc) = self.add_reply_share(view, n, digest, phase, share, ctx) else {
             return;
         };
         let memo = Self::qc_memo_key(&commit_qc, self.config.quorum());
