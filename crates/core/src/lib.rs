@@ -61,3 +61,4 @@ pub use profile::{LoopProfile, LoopSnapshot, LoopStage};
 pub use replication::batch_digest;
 pub use server::{PrestigeServer, ServerRole, ServerStats};
 pub use storage::BlockStore;
+pub use view_change::Refusal;

@@ -15,6 +15,7 @@ use crate::faults::ByzantineBehavior;
 use crate::pacemaker::{timer_tags, Pacemaker};
 use crate::profile::{LoopProfile, LoopStage};
 use crate::storage::BlockStore;
+use crate::view_change::Refusal;
 use prestige_crypto::{
     FramedHasher, KeyPair, KeyRegistry, PowSolution, QcBuilder, ThresholdVerifier,
 };
@@ -80,10 +81,10 @@ pub struct ServerStats {
     /// Sync requests this server refused to serve because the requester
     /// exceeded the per-peer rate limit.
     pub sync_throttled: u64,
-    /// Campaigns refused because the certified tip claim did not check out
-    /// (missing/short certificate, stale certificate view, forged QC, or an
-    /// uncertified committed-tip claim).
-    pub camp_cert_refusals: u64,
+    /// Campaigns this server refused, counted by the check that refused
+    /// them; an adopted vcBlock whose state claim its certificates do not
+    /// prove counts under the same certificate kinds.
+    pub camp_refusals: BTreeMap<Refusal, u64>,
     /// `Ord` messages refused because the batch re-assigned an
     /// already-committed transaction (the Byzantine double-assign check).
     pub double_assign_refused: u64,
@@ -286,8 +287,6 @@ pub struct PrestigeServer {
     pub(crate) profiler: Option<Arc<LoopProfile>>,
 
     // --- view-change state ---
-    /// Views this server has voted in (criterion C1).
-    pub(crate) voted_views: BTreeSet<u64>,
     /// Relayed complaints awaiting leader action, keyed by transaction key.
     pub(crate) complaints: BTreeMap<(ClientId, u64), View>,
     /// Collector of ReVC replies for the ConfVC this server broadcast, by view.
@@ -326,9 +325,10 @@ pub struct PrestigeServer {
     /// peers in sync answers.
     pub(crate) stable_ckpt_cert: Option<QuorumCertificate>,
     /// The vote this server cast per campaigned view (criterion C1 record):
-    /// view → (candidate, share). Lets the election-retransmission path
-    /// re-send the *same* vote idempotently when a candidate re-broadcasts a
-    /// `Camp` whose original `VoteCP` was lost, without ever double-voting.
+    /// view → (candidate, share), its own id for a view it campaigned in.
+    /// Lets the election-retransmission path re-send the *same* vote
+    /// idempotently when a candidate re-broadcasts a `Camp` whose original
+    /// `VoteCP` was lost, without ever double-voting.
     pub(crate) cast_votes: BTreeMap<u64, (ServerId, prestige_types::PartialSig)>,
 
     // --- refresh state ---
@@ -403,7 +403,6 @@ impl PrestigeServer {
             verified_qcs: BTreeSet::new(),
             verified_qcs_order: VecDeque::new(),
             profiler: None,
-            voted_views: BTreeSet::new(),
             complaints: BTreeMap::new(),
             confvc_builders: BTreeMap::new(),
             campaign: None,
@@ -699,7 +698,6 @@ impl PrestigeServer {
         self.arm_policy_timer(ctx);
         // Prune vote bookkeeping for long-dead views to bound memory.
         let current = self.store.current_view().0;
-        self.voted_views.retain(|v| *v + 64 >= current);
         self.cast_votes.retain(|v, _| *v + 64 >= current);
     }
 

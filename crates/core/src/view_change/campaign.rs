@@ -8,7 +8,8 @@ use crate::server::{CampaignState, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolver, QcBuilder};
 use prestige_sim::{Context, TimerId};
 use prestige_types::{
-    Actor, ClientId, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, View,
+    Actor, ClientId, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum,
+    ServerId, View,
 };
 
 impl PrestigeServer {
@@ -221,7 +222,8 @@ impl PrestigeServer {
                 return; // Already campaigning for this view or a later one.
             }
         }
-        let outcome = self.calc_rp_for(self.id, new_view);
+        let (view, tip) = (self.store.current_view(), self.store.latest_seq());
+        let outcome = self.calc_rp_for(self.id, view, new_view, tip);
         // S2 attackers only strike when the engine projects a compensation.
         if self.behavior.strategy() == Some(AttackStrategy::WhenCompensable) && !outcome.compensated
         {
@@ -298,26 +300,9 @@ impl PrestigeServer {
             return;
         }
         self.role = ServerRole::Candidate;
-        let solution = campaign.solution.expect("redeemer stored a solution");
-        // The F5 tip liar overstates its certified claim without holding the
-        // QCs — the attack the certificate check exists to refuse. The lie is
-        // signed consistently (the claim is inside the campaign digest), so
-        // only the *certificate* check can catch it.
-        let claimed_ord_seq = if self.behavior.overclaims_tip() {
-            SeqNum(campaign.ord_seq.0 + 8)
-        } else {
-            campaign.ord_seq
-        };
-        let digest = Self::campaign_digest(
-            self.id,
-            campaign.new_view,
-            campaign.rp,
-            solution.nonce,
-            &solution.hash_result,
-            campaign.tx_seq,
-            claimed_ord_seq,
-            &campaign.tx_digest,
-        );
+        let (_, digest) = campaign
+            .signed_claim(self.id, self.behavior.overclaims_tip())
+            .expect("redeemer stored a solution");
         let mut vote_builder = QcBuilder::new(
             QcKind::ViewChange,
             campaign.new_view,
@@ -334,9 +319,12 @@ impl PrestigeServer {
             &digest,
         ) {
             let _ = vote_builder.add_share(&self.registry, &share);
+            // C1: a candidate's own campaign is its vote in the view, unless
+            // it already voted for another candidate there.
+            let vote = (self.id, share);
+            self.cast_votes.entry(campaign.new_view.0).or_insert(vote);
         }
         campaign.vote_builder = Some(vote_builder);
-        self.voted_views.insert(campaign.new_view.0);
 
         if let Some(message) = self.campaign_message() {
             ctx.broadcast(self.other_servers(), message);
@@ -352,21 +340,8 @@ impl PrestigeServer {
     pub(crate) fn campaign_message(&self) -> Option<Message> {
         let campaign = self.campaign.as_ref()?;
         let solution = campaign.solution?;
-        let claimed_ord_seq = if self.behavior.overclaims_tip() {
-            SeqNum(campaign.ord_seq.0 + 8)
-        } else {
-            campaign.ord_seq
-        };
-        let digest = Self::campaign_digest(
-            self.id,
-            campaign.new_view,
-            campaign.rp,
-            solution.nonce,
-            &solution.hash_result,
-            campaign.tx_seq,
-            claimed_ord_seq,
-            &campaign.tx_digest,
-        );
+        let (claimed_ord_seq, digest) =
+            campaign.signed_claim(self.id, self.behavior.overclaims_tip())?;
         Some(Message::Camp {
             conf_qc: campaign.conf_qc.clone(),
             view: campaign.old_view,
@@ -474,5 +449,29 @@ impl PrestigeServer {
             let next = self.store.current_view().next();
             self.start_campaign(next, None, ctx);
         }
+    }
+}
+
+impl CampaignState {
+    /// The ordered tip this campaign claims and the campaign digest its
+    /// `Camp` is signed over, once the puzzle is solved. The F5 tip liar
+    /// (`overclaims`) overstates its certified claim without holding the
+    /// QCs — the attack the certificate check exists to refuse. The lie is
+    /// signed consistently (the claim is inside the campaign digest), so
+    /// only the *certificate* check can catch it.
+    fn signed_claim(&self, candidate: ServerId, overclaims: bool) -> Option<(SeqNum, Digest)> {
+        let solution = self.solution?;
+        let ord_seq = SeqNum(self.ord_seq.0 + if overclaims { 8 } else { 0 });
+        let digest = PrestigeServer::campaign_digest(
+            candidate,
+            self.new_view,
+            self.rp,
+            solution.nonce,
+            &solution.hash_result,
+            self.tx_seq,
+            ord_seq,
+            &self.tx_digest,
+        );
+        Some((ord_seq, digest))
     }
 }

@@ -12,7 +12,7 @@
 //!   instance (`tip_cert`, covering `(latest_seq, latest_ord_seq]`
 //!   contiguously);
 //! * voters verify every certificate and additionally cross-check their own
-//!   per-instance commit-sign record ([`PrestigeServer::handle_camp`]): an
+//!   per-instance commit-sign record ([`PrestigeServer::judge_camp`]): an
 //!   instance this voter commit-signed must be covered by a certificate at
 //!   least as fresh as the ordering QC the voter signed.
 //!
@@ -24,11 +24,11 @@
 
 use crate::server::{Instance, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolution, PowSolver};
-use prestige_reputation::CalcRpInput;
 use prestige_sim::Context;
 use prestige_types::{
     Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, View,
 };
+use serde::{Deserialize, Serialize};
 
 /// The claims a `Camp` message carries, bundled so the voting path takes one
 /// argument instead of thirteen.
@@ -60,6 +60,59 @@ pub(crate) struct CampClaims {
     pub(crate) latest_tx_digest: Digest,
     /// The candidate's signature over the campaign digest.
     pub(crate) sig: [u8; 32],
+}
+
+/// Why a voter refused a campaign: one name per check of §4.2.3, in the
+/// order the voter's judge (`judge_camp`) runs them. The vcBlock adoption
+/// path refuses with the two certificate kinds of C3 as well.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+pub enum Refusal {
+    /// The campaign is for a view at or below the voter's current view.
+    StaleView,
+    /// C1: the voter already voted for another candidate in this view.
+    VotedForAnother,
+    /// The candidate's signature over the campaign digest does not verify.
+    BadSignature,
+    /// C2: the conf_QC does not verify, or without one no rotation is due.
+    Unjustified,
+    /// C3: the claimed committed tip is below the voter's.
+    CommittedTipBehind,
+    /// C3: the committed-tip claim lacks the commit QC of that block.
+    CommittedTipUncertified,
+    /// C3: the ordered-tip claim lacks one valid ordering QC per instance.
+    OrderedTipUncertified,
+    /// C3: an instance this voter commit-signed is not covered by an
+    /// ordering QC at least as fresh as the one it signed.
+    SignedInstancesUncovered,
+    /// C4: the claimed rp/ci cannot be reproduced from the candidate's
+    /// recorded history.
+    RpNotReproducible,
+    /// C5: the proof of work does not verify against the claimed rp.
+    PowInvalid,
+}
+
+impl Refusal {
+    /// The certificate kinds: a committed or ordered tip claim its
+    /// certificates do not prove, or a voter's signed instances uncovered.
+    pub const CERTIFICATE: [Refusal; 3] = [
+        Refusal::CommittedTipUncertified,
+        Refusal::OrderedTipUncertified,
+        Refusal::SignedInstancesUncovered,
+    ];
+}
+
+/// A voter's verdict on one campaign.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// Every criterion holds: vote, signing this campaign digest.
+    Vote(Digest),
+    /// C1's idempotent resend: this voter already voted for the candidate
+    /// in the view, and re-sends that share.
+    Revote(PartialSig),
+    /// The candidate is in a view this voter has not installed: sync first.
+    SyncFirst,
+    /// A check failed.
+    Refuse(Refusal),
 }
 
 impl PrestigeServer {
@@ -108,20 +161,16 @@ impl PrestigeServer {
         latest_seq: SeqNum,
         commit_cert: Option<&QuorumCertificate>,
         ctx: &mut Context<Message>,
-    ) -> bool {
-        if latest_seq.0 == 0 {
-            return true; // The genesis block needs no certificate.
-        }
+    ) -> Result<(), Refusal> {
         let quorum = self.config.quorum();
-        let ok = commit_cert.is_some_and(|qc| {
-            qc.kind == QcKind::Commit
-                && qc.seq == latest_seq
-                && self.verify_qc_cached(qc, quorum, ctx)
-        });
-        if !ok {
-            self.stats.camp_cert_refusals += 1;
-        }
-        ok
+        // The genesis block needs no certificate.
+        let proven = latest_seq.0 == 0
+            || commit_cert.is_some_and(|qc| {
+                qc.kind == QcKind::Commit
+                    && qc.seq == latest_seq
+                    && self.verify_qc_cached(qc, quorum, ctx)
+            });
+        proven.then_some(()).ok_or(Refusal::CommittedTipUncertified)
     }
 
     /// Verifies the structure and cryptographic validity of a certified
@@ -137,30 +186,18 @@ impl PrestigeServer {
         latest_ord_seq: SeqNum,
         tip_cert: &[QuorumCertificate],
         ctx: &mut Context<Message>,
-    ) -> bool {
-        if latest_ord_seq < latest_seq {
-            self.stats.camp_cert_refusals += 1;
-            return false;
-        }
-        let span = latest_ord_seq.0 - latest_seq.0;
-        if tip_cert.len() as u64 != span {
-            self.stats.camp_cert_refusals += 1;
-            return false;
-        }
-        for (i, qc) in tip_cert.iter().enumerate() {
-            if qc.kind != QcKind::Ordering || qc.seq.0 != latest_seq.0 + 1 + i as u64 {
-                self.stats.camp_cert_refusals += 1;
-                return false;
-            }
-        }
+    ) -> Result<(), Refusal> {
+        let span = latest_ord_seq.0.checked_sub(latest_seq.0);
+        let shaped = span == Some(tip_cert.len() as u64)
+            && tip_cert.iter().enumerate().all(|(i, qc)| {
+                qc.kind == QcKind::Ordering && qc.seq.0 == latest_seq.0 + 1 + i as u64
+            });
         let quorum = self.config.quorum();
-        for qc in tip_cert {
-            if !self.verify_qc_cached(qc, quorum, ctx) {
-                self.stats.camp_cert_refusals += 1;
-                return false;
-            }
-        }
-        true
+        let proven = shaped
+            && tip_cert
+                .iter()
+                .all(|qc| self.verify_qc_cached(qc, quorum, ctx));
+        proven.then_some(()).ok_or(Refusal::OrderedTipUncertified)
     }
 
     /// The voter-side half of criterion C3's ordered check: every instance
@@ -168,14 +205,15 @@ impl PrestigeServer {
     /// covered by the candidate's certificate with an ordering QC **at least
     /// as fresh** as the one this server signed — a stale certificate means
     /// the candidate's state predates a possibly-committed re-proposal, and
-    /// electing it could roll that instance back.
+    /// electing it could roll that instance back. Runs after
+    /// [`Self::verify_tip_cert`], which shapes `tip_cert` to the claim.
     #[cfg_attr(feature = "canary-c3-fork", allow(unreachable_code))]
     pub(crate) fn signed_instances_covered(
-        &mut self,
+        &self,
         latest_seq: SeqNum,
         latest_ord_seq: SeqNum,
         tip_cert: &[QuorumCertificate],
-    ) -> bool {
+    ) -> Result<(), Refusal> {
         // Canary mutation (vopr mutation-score gate): PR 4's original C3
         // compared committed tips only — the ordered-coverage check below did
         // not exist, so a candidate whose certified state predated this
@@ -184,65 +222,58 @@ impl PrestigeServer {
         #[cfg(feature = "canary-c3-fork")]
         {
             let _ = (latest_seq, latest_ord_seq, tip_cert);
-            return true;
-        }
-        if latest_ord_seq.0 < self.signed_commit_tip {
-            self.stats.camp_cert_refusals += 1;
-            return false;
+            return Ok(());
         }
         let signed = self.instances.range(latest_seq.0 + 1..);
-        for (&n, signed_view) in signed.filter_map(|(n, r)| Some((n, r.signed?))) {
-            if n > latest_ord_seq.0 {
-                self.stats.camp_cert_refusals += 1;
-                return false;
-            }
-            let qc = &tip_cert[(n - latest_seq.0 - 1) as usize];
-            if qc.view < signed_view {
-                // Stale certificate: we commit-signed a fresher ordering.
-                self.stats.camp_cert_refusals += 1;
-                return false;
-            }
-        }
-        true
+        let covered = latest_ord_seq.0 >= self.signed_commit_tip
+            && signed
+                .filter_map(|(&n, r)| Some((n, r.signed?)))
+                .all(|(n, signed_view)| {
+                    n <= latest_ord_seq.0
+                        && tip_cert[(n - latest_seq.0 - 1) as usize].view >= signed_view
+                });
+        covered
+            .then_some(())
+            .ok_or(Refusal::SignedInstancesUncovered)
     }
 
     // ------------------------------------------------------------------
     // Voting (§4.2.3, criteria C1–C5)
     // ------------------------------------------------------------------
 
-    /// Handles a candidate's campaign message.
-    pub(crate) fn handle_camp(
+    /// Judges a campaign against the voting criteria, one named check at a
+    /// time in the order below. It emits nothing: `ctx` only pays the CPU of
+    /// the verifications it runs and reads the clock for C2's rotation.
+    pub(crate) fn judge_camp(
         &mut self,
-        from: Actor,
-        claims: CampClaims,
+        candidate: ServerId,
+        claims: &CampClaims,
         ctx: &mut Context<Message>,
-    ) {
-        let candidate = match from {
-            Actor::Server(s) => s,
-            Actor::Client(_) => return,
-        };
-        // Stale campaigns are ignored.
+    ) -> Verdict {
+        self.check_criteria(candidate, claims, ctx)
+            .unwrap_or_else(Verdict::Refuse)
+    }
+
+    /// [`Self::judge_camp`] with refusals as errors, one `?` per check.
+    fn check_criteria(
+        &mut self,
+        candidate: ServerId,
+        claims: &CampClaims,
+        ctx: &mut Context<Message>,
+    ) -> Result<Verdict, Refusal> {
         if claims.new_view <= self.store.current_view() {
-            return;
+            return Err(Refusal::StaleView);
         }
         // C1: vote at most once per view. A retransmitted `Camp` from the
         // *same* candidate (its original `VoteCP` was lost) gets the recorded
         // vote re-sent verbatim — idempotent, so the criterion holds — while
-        // any other candidate for the view is still refused.
-        if self.voted_views.contains(&claims.new_view.0) {
-            if let Some((voted_for, share)) = self.cast_votes.get(&claims.new_view.0) {
-                if *voted_for == candidate {
-                    ctx.send(
-                        from,
-                        Message::VoteCP {
-                            new_view: claims.new_view,
-                            candidate,
-                            share: share.clone(),
-                        },
-                    );
-                }
+        // any other candidate for the view is refused. A candidate's own
+        // campaign is recorded as its vote for itself.
+        if let Some((voted_for, share)) = self.cast_votes.get(&claims.new_view.0) {
+            if *voted_for != candidate {
+                return Err(Refusal::VotedForAnother);
             }
-            return;
+            return Ok(Verdict::Revote(share.clone()));
         }
         self.charge_verify_cost(ctx);
         let campaign_digest = Self::campaign_digest(
@@ -255,46 +286,41 @@ impl PrestigeServer {
             claims.latest_ord_seq,
             &claims.latest_tx_digest,
         );
+        let signer = Actor::Server(candidate);
         if !self
             .registry
-            .verify(from, campaign_digest.as_ref(), &claims.sig)
+            .verify(signer, campaign_digest.as_ref(), &claims.sig)
         {
-            return;
+            return Err(Refusal::BadSignature);
         }
 
         // C2: the view change must be justified — either by a conf_QC of
         // threshold f+1, or (for campaigns without one) by the local policy
         // clock saying a rotation is due.
-        match &claims.conf_qc {
+        let justified = match &claims.conf_qc {
             Some(qc) => {
                 let confirm_quorum = self.config.replicas.confirm_quorum();
-                if qc.kind != QcKind::Confirm || !self.verify_qc_cached(qc, confirm_quorum, ctx) {
-                    return;
-                }
+                qc.kind == QcKind::Confirm && self.verify_qc_cached(qc, confirm_quorum, ctx)
             }
-            None => {
-                if !self.rotation_due(ctx.now()) {
-                    return;
-                }
-            }
+            None => self.rotation_due(ctx.now()),
+        };
+        if !justified {
+            return Err(Refusal::Unjustified);
         }
 
-        // Sync view-change blocks if the candidate is operating in a higher
-        // view than we know about; the vote is retried after the sync.
+        // The candidate operates in a higher view than this server knows
+        // about: sync its view-change blocks, and the vote is retried after.
         if claims.view > self.current_view() {
-            self.request_sync(from, self.store.latest_seq().0, ctx);
-            return;
+            return Ok(Verdict::SyncFirst);
         }
 
         // C3, committed half: the candidate's replication must be at least as
         // up-to-date — and since wire v3 the claim is *certified* by the
         // commit QC of the claimed latest block.
         if claims.latest_seq < self.store.latest_seq() {
-            return;
+            return Err(Refusal::CommittedTipBehind);
         }
-        if !self.verify_commit_claim(claims.latest_seq, claims.commit_cert.as_ref(), ctx) {
-            return;
-        }
+        self.verify_commit_claim(claims.latest_seq, claims.commit_cert.as_ref(), ctx)?;
         // C3, ordered half (committed-instance preservation): a commit share
         // this server signed may have completed a commit QC at a leader
         // nobody can reach any more, so the next leader must hold the ordered
@@ -305,50 +331,15 @@ impl PrestigeServer {
         // the guarantee a quorum-intersection property: any election quorum
         // contains at least one correct signer of the highest
         // possibly-committed instance.
-        if !self.verify_tip_cert(
-            claims.latest_seq,
-            claims.latest_ord_seq,
-            &claims.tip_cert,
-            ctx,
-        ) {
-            return;
-        }
-        if !self.signed_instances_covered(
-            claims.latest_seq,
-            claims.latest_ord_seq,
-            &claims.tip_cert,
-        ) {
-            // This voter is the proof-holder for the instances the candidate
-            // cannot cover: answer the question the candidate's claim asks
-            // (rate-limited), so an honest candidate's next campaign round is
-            // certifiable — the refusal stays, the knowledge gap does not.
-            let first = claims.latest_seq.0 + 1;
-            self.serve_sync(from, claims.view, first, self.signed_commit_tip, ctx);
-            return;
-        }
-        // Catch up from the candidate ahead of the election result — the
-        // committed blocks and certified ordered instances its certificates
-        // prove this server lacks — so a win is followed immediately instead
-        // of after another repair round trip (the vote does not need them).
-        if claims.latest_seq > self.store.latest_seq()
-            || claims.latest_ord_seq > self.certified_ord_tip()
-        {
-            self.request_sync(from, claims.latest_ord_seq.0, ctx);
-        }
+        let (seq, ord_seq) = (claims.latest_seq, claims.latest_ord_seq);
+        self.verify_tip_cert(seq, ord_seq, &claims.tip_cert, ctx)?;
+        self.signed_instances_covered(seq, ord_seq, &claims.tip_cert)?;
 
         // C4: the claimed reputation penalty and compensation index must be
         // reproducible from the candidate's recorded history.
-        let input = CalcRpInput {
-            current_view: claims.view,
-            new_view: claims.new_view,
-            current_rp: self.store.current_rp(candidate),
-            current_ci: self.store.current_ci(candidate),
-            latest_tx_seq: claims.latest_seq,
-            penalty_history: self.store.penalty_history(candidate),
-        };
-        let outcome = self.engine.calc_rp(&input);
-        if outcome.new_rp != claims.rp || outcome.new_ci != claims.ci {
-            return;
+        let outcome = self.calc_rp_for(candidate, claims.view, claims.new_view, seq);
+        if (outcome.new_rp, outcome.new_ci) != (claims.rp, claims.ci) {
+            return Err(Refusal::RpNotReproducible);
         }
 
         // C5: the performed computation must match the penalty (one hash).
@@ -358,26 +349,78 @@ impl PrestigeServer {
             nonce: claims.nonce,
             hash_result: claims.hash_result,
         };
-        if PowSolver::PAPER_MODEL.verify(&puzzle, &solution).is_err() {
-            return;
-        }
+        PowSolver::PAPER_MODEL
+            .verify(&puzzle, &solution)
+            .map_err(|_| Refusal::PowInvalid)?;
+        Ok(Verdict::Vote(campaign_digest))
+    }
 
-        // All criteria satisfied: vote.
-        self.voted_views.insert(claims.new_view.0);
-        if let Some(share) = sign_share(
-            &self.registry,
-            self.id,
-            QcKind::ViewChange,
-            claims.new_view,
-            SeqNum(0),
-            &campaign_digest,
-        ) {
-            self.cast_votes
-                .insert(claims.new_view.0, (candidate, share.clone()));
+    /// Handles a candidate's campaign message: judges it, then applies the
+    /// verdict's effects.
+    pub(crate) fn handle_camp(
+        &mut self,
+        from: Actor,
+        claims: CampClaims,
+        ctx: &mut Context<Message>,
+    ) {
+        let candidate = match from {
+            Actor::Server(s) => s,
+            Actor::Client(_) => return,
+        };
+        let verdict = self.judge_camp(candidate, &claims, ctx);
+        // Past C3 the candidate's certificates prove its state: catch up from
+        // it ahead of the election result — the committed blocks and
+        // certified ordered instances this server lacks — so a win is
+        // followed immediately instead of after another repair round trip
+        // (the vote does not need them).
+        let proven = matches!(
+            verdict,
+            Verdict::Vote(_) | Verdict::Refuse(Refusal::RpNotReproducible | Refusal::PowInvalid)
+        );
+        if proven
+            && (claims.latest_seq > self.store.latest_seq()
+                || claims.latest_ord_seq > self.certified_ord_tip())
+        {
+            self.request_sync(from, claims.latest_ord_seq.0, ctx);
+        }
+        let new_view = claims.new_view;
+        let share = match verdict {
+            Verdict::Vote(digest) => sign_share(
+                &self.registry,
+                self.id,
+                QcKind::ViewChange,
+                new_view,
+                SeqNum(0),
+                &digest,
+            )
+            .inspect(|share| {
+                self.cast_votes
+                    .insert(new_view.0, (candidate, share.clone()));
+            }),
+            Verdict::Revote(share) => Some(share),
+            Verdict::SyncFirst => {
+                self.request_sync(from, self.store.latest_seq().0, ctx);
+                None
+            }
+            Verdict::Refuse(refusal) => {
+                if refusal == Refusal::SignedInstancesUncovered {
+                    // This voter is the proof-holder for the instances the
+                    // candidate cannot cover: answer the question the
+                    // candidate's claim asks (rate-limited), so an honest
+                    // candidate's next campaign round is certifiable — the
+                    // refusal stays, the knowledge gap does not.
+                    let first = claims.latest_seq.0 + 1;
+                    self.serve_sync(from, claims.view, first, self.signed_commit_tip, ctx);
+                }
+                *self.stats.camp_refusals.entry(refusal).or_default() += 1;
+                None
+            }
+        };
+        if let Some(share) = share {
             ctx.send(
                 from,
                 Message::VoteCP {
-                    new_view: claims.new_view,
+                    new_view,
                     candidate,
                     share,
                 },
@@ -420,9 +463,11 @@ impl PrestigeServer {
 mod tests {
     use super::*;
     use prestige_crypto::{KeyRegistry, QcBuilder};
-    use prestige_sim::{Effects, Emission, Process, SimRng};
+    use prestige_sim::{Effects, Emission, SimRng, SimTime};
     use prestige_types::{ClusterConfig, Proposal};
     use std::sync::Arc;
+
+    const CANDIDATE: ServerId = ServerId(3);
 
     fn ordering_qc(
         registry: &KeyRegistry,
@@ -447,21 +492,43 @@ mod tests {
         builder.assemble().unwrap()
     }
 
-    /// Builds a fully valid V1→V2 campaign message for `candidate` (genesis
-    /// committed state, conf_QC-justified) with an explicit certified
-    /// ordered-tip claim.
+    /// One ordering QC at `view` per listed instance, over digest `[n; 32]`.
+    fn tip_cert(registry: &KeyRegistry, view: u64, seqs: &[u64]) -> Vec<QuorumCertificate> {
+        let quorum = ClusterConfig::new(4).quorum();
+        let qc = |&n: &u64| ordering_qc(registry, View(view), n, Digest([n as u8; 32]), quorum);
+        seqs.iter().map(qc).collect()
+    }
+
+    /// Re-signs the claims as the candidate, after a row changed a field
+    /// the campaign digest covers.
+    fn resign(registry: &KeyRegistry, claims: &mut CampClaims) {
+        let digest = PrestigeServer::campaign_digest(
+            CANDIDATE,
+            claims.new_view,
+            claims.rp,
+            claims.nonce,
+            &claims.hash_result,
+            claims.latest_seq,
+            claims.latest_ord_seq,
+            &claims.latest_tx_digest,
+        );
+        let key = registry.key_of(Actor::Server(CANDIDATE)).unwrap();
+        claims.sig = key.sign(digest.as_ref());
+    }
+
+    /// A fully valid V1→V2 campaign by `CANDIDATE` (genesis committed
+    /// state, conf_QC-justified) with an explicit certified ordered-tip
+    /// claim.
     fn genesis_camp(
         registry: &KeyRegistry,
         voter: &PrestigeServer,
-        candidate: ServerId,
-        latest_ord_seq: SeqNum,
+        latest_ord_seq: u64,
         tip_cert: Vec<QuorumCertificate>,
-    ) -> Message {
-        let view = View(1);
-        let new_view = View(2);
+    ) -> CampClaims {
+        let (view, new_view) = (View(1), View(2));
         // C4: from genesis, the engine computes rp 2 / ci 1 for any campaign
         // V1 → V2 (pinned by `calc_rp_for_initial_campaign_matches_engine`).
-        let outcome = voter.calc_rp_for(candidate, new_view);
+        let outcome = voter.calc_rp_for(CANDIDATE, view, new_view, SeqNum(0));
         // C2: a Confirm QC at threshold f+1 over the ConfVC digest.
         let digest = PrestigeServer::confvc_digest(view);
         let confirm_quorum = voter.config.replicas.confirm_quorum();
@@ -478,28 +545,12 @@ mod tests {
             .unwrap();
             builder.add_share(registry, &share).unwrap();
         }
-        let conf_qc = builder.assemble().unwrap();
         // C5: solve the (modeled) puzzle over the claimed latest tx digest.
         let tx_digest = voter.store.latest_tx_digest();
         let puzzle = PowPuzzle::new(tx_digest, outcome.new_rp);
-        let mut rng = SimRng::new(11);
-        let (solution, _) = PowSolver::PAPER_MODEL.solve(&puzzle, rng.rng());
-        let campaign_digest = PrestigeServer::campaign_digest(
-            candidate,
-            new_view,
-            outcome.new_rp,
-            solution.nonce,
-            &solution.hash_result,
-            SeqNum(0),
-            latest_ord_seq,
-            &tx_digest,
-        );
-        let sig = registry
-            .key_of(Actor::Server(candidate))
-            .unwrap()
-            .sign(campaign_digest.as_ref());
-        Message::Camp {
-            conf_qc: Some(conf_qc),
+        let (solution, _) = PowSolver::PAPER_MODEL.solve(&puzzle, SimRng::new(11).rng());
+        let mut claims = CampClaims {
+            conf_qc: Some(builder.assemble().unwrap()),
             view,
             new_view,
             rp: outcome.new_rp,
@@ -507,179 +558,314 @@ mod tests {
             nonce: solution.nonce,
             hash_result: solution.hash_result,
             latest_seq: SeqNum(0),
-            latest_ord_seq,
+            latest_ord_seq: SeqNum(latest_ord_seq),
             commit_cert: None,
             tip_cert,
             latest_tx_digest: tx_digest,
-            sig,
-        }
+            sig: [0; 32],
+        };
+        resign(registry, &mut claims);
+        claims
     }
 
-    fn deliver(voter: &mut PrestigeServer, message: Message) -> Effects<Message> {
+    fn batch(n: u64) -> Arc<Vec<Proposal>> {
+        Arc::new(vec![Proposal::new(
+            prestige_types::Transaction::with_size(prestige_types::ClientId(1), n, 16),
+            Digest::ZERO,
+        )])
+    }
+
+    /// The verdict's name, the kinds of message handling the campaign
+    /// emitted, and the refusal counter that moved.
+    type Outcome = (String, Vec<&'static str>, Option<Refusal>);
+
+    /// Judges `claims` from `CANDIDATE`, then handles them as delivered.
+    fn judge_and_handle(voter: &mut PrestigeServer, claims: CampClaims) -> Outcome {
+        let before = voter.stats.camp_refusals.clone();
         let mut effects = Effects::new();
-        let mut rng = SimRng::new(3);
-        let mut next_timer_id = 500;
+        let (mut rng, mut next_timer_id) = (SimRng::new(3), 500);
         let me = Actor::Server(voter.id());
-        let mut ctx = Context::new(
-            prestige_sim::SimTime::from_ms(1.0),
-            me,
-            &mut rng,
-            &mut next_timer_id,
-            &mut effects,
-        );
-        voter.on_message(Actor::Server(ServerId(3)), message, &mut ctx);
-        effects
-    }
-
-    fn voted(effects: &Effects<Message>) -> bool {
-        effects
-            .emissions
-            .iter()
-            .any(|e| matches!(e, Emission::Send(_, Message::VoteCP { .. })))
+        let now = SimTime::from_ms(1.0);
+        let mut ctx = Context::new(now, me, &mut rng, &mut next_timer_id, &mut effects);
+        let verdict = match voter.judge_camp(CANDIDATE, &claims, &mut ctx) {
+            Verdict::Vote(_) => "Vote".to_string(),
+            Verdict::Revote(_) => "Revote".to_string(),
+            Verdict::SyncFirst => "SyncFirst".to_string(),
+            Verdict::Refuse(refusal) => format!("{refusal:?}"),
+        };
+        voter.handle_camp(Actor::Server(CANDIDATE), claims, &mut ctx);
+        let sent = effects.emissions.iter().map(|e| match e {
+            Emission::Send(_, Message::VoteCP { .. }) => "VoteCP",
+            Emission::Send(_, Message::SyncReq { .. }) => "SyncReq",
+            Emission::Send(_, Message::SyncResp { .. }) => "SyncResp",
+            _ => "other",
+        });
+        let mut after = voter.stats.camp_refusals.iter();
+        let moved = after.find(|&(r, n)| before.get(r) != Some(n));
+        (verdict, sent.collect(), moved.map(|(r, _)| *r))
     }
 
     fn fresh_voter(registry: &KeyRegistry) -> PrestigeServer {
         PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0)
     }
 
+    /// The voter commit-signed instance 1 under the view-3 re-proposal and
+    /// holds its batch and view-3 ordering QC.
+    fn signed_at_view_3(voter: &mut PrestigeServer, _: &CampClaims) {
+        let qc = tip_cert(&voter.registry, 3, &[1]).pop();
+        voter.signed_commit_tip = 1;
+        let record = voter.instances.entry(1).or_default();
+        (record.signed, record.ord_qc, record.batch) = (Some(View(3)), qc, Some(batch(1)));
+    }
+
+    fn untouched(_: &mut PrestigeServer, _: &CampClaims) {}
+
+    /// One row per verdict: what the voter held, the campaign it was sent,
+    /// and what judging and handling that campaign must produce.
+    struct Row {
+        name: &'static str,
+        setup: fn(&mut PrestigeServer, &CampClaims),
+        camp: fn(&KeyRegistry, &PrestigeServer) -> CampClaims,
+        verdict: &'static str,
+        sent: &'static [&'static str],
+        moved: Option<Refusal>,
+    }
+
     #[test]
-    fn certified_campaign_with_matching_claim_wins_the_vote() {
-        let registry = KeyRegistry::new(5, 4, 2);
-        let mut voter = fresh_voter(&registry);
-        let quorum = voter.config.quorum();
-        let cert = vec![
-            ordering_qc(&registry, View(1), 1, Digest([1; 32]), quorum),
-            ordering_qc(&registry, View(1), 2, Digest([2; 32]), quorum),
+    fn every_verdict_judges_emits_and_counts_as_its_row_says() {
+        use Refusal::*;
+        let rows = [
+            Row {
+                // The candidate is ahead, so the voter also catches up.
+                name: "a fully certified claim earns the vote",
+                setup: untouched,
+                camp: |r, v| genesis_camp(r, v, 2, tip_cert(r, 1, &[1, 2])),
+                verdict: "Vote",
+                sent: &["SyncReq", "VoteCP"],
+                moved: None,
+            },
+            Row {
+                name: "an unencumbered voter votes for a tip-0 claim",
+                setup: untouched,
+                camp: |r, v| genesis_camp(r, v, 0, Vec::new()),
+                verdict: "Vote",
+                sent: &["VoteCP"],
+                moved: None,
+            },
+            Row {
+                name: "a campaign for the current view is stale",
+                setup: untouched,
+                camp: |r, v| CampClaims {
+                    new_view: View(1),
+                    ..genesis_camp(r, v, 0, Vec::new())
+                },
+                verdict: "StaleView",
+                sent: &[],
+                moved: Some(StaleView),
+            },
+            Row {
+                name: "C1: a retransmitted campaign gets the same vote again",
+                setup: |v, c| {
+                    judge_and_handle(v, c.clone());
+                },
+                camp: |r, v| genesis_camp(r, v, 0, Vec::new()),
+                verdict: "Revote",
+                sent: &["VoteCP"],
+                moved: None,
+            },
+            Row {
+                name: "C1: one vote per view",
+                setup: |v, _| {
+                    let digest = Digest::ZERO;
+                    let share = sign_share(
+                        &v.registry,
+                        v.id,
+                        QcKind::ViewChange,
+                        View(2),
+                        SeqNum(0),
+                        &digest,
+                    );
+                    v.cast_votes.insert(2, (ServerId(2), share.unwrap()));
+                },
+                camp: |r, v| genesis_camp(r, v, 0, Vec::new()),
+                verdict: "VotedForAnother",
+                sent: &[],
+                moved: Some(VotedForAnother),
+            },
+            Row {
+                name: "a campaign not signed by its candidate",
+                setup: untouched,
+                camp: |r, v| {
+                    let mut claims = genesis_camp(r, v, 0, Vec::new());
+                    claims.sig[0] ^= 1;
+                    claims
+                },
+                verdict: "BadSignature",
+                sent: &[],
+                moved: Some(BadSignature),
+            },
+            Row {
+                name: "C2: a forged conf_QC",
+                setup: untouched,
+                camp: |r, v| {
+                    let mut claims = genesis_camp(r, v, 0, Vec::new());
+                    claims.conf_qc.as_mut().unwrap().aggregate[0] ^= 0xFF;
+                    claims
+                },
+                verdict: "Unjustified",
+                sent: &[],
+                moved: Some(Unjustified),
+            },
+            Row {
+                name: "C2: no conf_QC while no rotation is due",
+                setup: untouched,
+                camp: |r, v| CampClaims {
+                    conf_qc: None,
+                    ..genesis_camp(r, v, 0, Vec::new())
+                },
+                verdict: "Unjustified",
+                sent: &[],
+                moved: Some(Unjustified),
+            },
+            Row {
+                name: "a candidate in an uninstalled view is synced from first",
+                setup: untouched,
+                camp: |r, v| CampClaims {
+                    view: View(2),
+                    ..genesis_camp(r, v, 0, Vec::new())
+                },
+                verdict: "SyncFirst",
+                sent: &["SyncReq"],
+                moved: None,
+            },
+            Row {
+                name: "C3: a committed tip without its commit QC",
+                setup: untouched,
+                camp: |r, v| {
+                    let mut claims = genesis_camp(r, v, 1, Vec::new());
+                    claims.latest_seq = SeqNum(1);
+                    resign(r, &mut claims);
+                    claims
+                },
+                verdict: "CommittedTipUncertified",
+                sent: &[],
+                moved: Some(CommittedTipUncertified),
+            },
+            Row {
+                // The F5 tip liar: claims an ordered tip it cannot prove.
+                name: "C3: an overclaimed tip without certificates",
+                setup: untouched,
+                camp: |r, v| genesis_camp(r, v, 3, Vec::new()),
+                verdict: "OrderedTipUncertified",
+                sent: &[],
+                moved: Some(OrderedTipUncertified),
+            },
+            Row {
+                name: "C3: a short certificate (claim 3, prove 2)",
+                setup: untouched,
+                camp: |r, v| genesis_camp(r, v, 3, tip_cert(r, 1, &[1, 2])),
+                verdict: "OrderedTipUncertified",
+                sent: &[],
+                moved: Some(OrderedTipUncertified),
+            },
+            Row {
+                name: "C3: a gapped certificate (instances 1 and 3)",
+                setup: untouched,
+                camp: |r, v| genesis_camp(r, v, 2, tip_cert(r, 1, &[1, 3])),
+                verdict: "OrderedTipUncertified",
+                sent: &[],
+                moved: Some(OrderedTipUncertified),
+            },
+            Row {
+                name: "C3: a tampered ordering QC",
+                setup: untouched,
+                camp: |r, v| {
+                    let mut cert = tip_cert(r, 1, &[1]);
+                    cert[0].aggregate[0] ^= 0xFF;
+                    genesis_camp(r, v, 1, cert)
+                },
+                verdict: "OrderedTipUncertified",
+                sent: &[],
+                moved: Some(OrderedTipUncertified),
+            },
+            Row {
+                // The voter holds the proof, so it answers the claim's gap.
+                name: "C3: a certificate staler than the voter's commit share",
+                setup: signed_at_view_3,
+                camp: |r, v| genesis_camp(r, v, 1, tip_cert(r, 1, &[1])),
+                verdict: "SignedInstancesUncovered",
+                sent: &["SyncResp"],
+                moved: Some(SignedInstancesUncovered),
+            },
+            Row {
+                name: "C3: a certificate as fresh as the voter's commit share",
+                setup: signed_at_view_3,
+                camp: |r, v| genesis_camp(r, v, 1, tip_cert(r, 3, &[1])),
+                verdict: "Vote",
+                sent: &["VoteCP"],
+                moved: None,
+            },
+            Row {
+                // An elected stale leader would overwrite a possibly-
+                // committed instance and fork the chain.
+                name: "C3: an ordered claim below the voter's signed commit tip",
+                setup: |v, _| v.signed_commit_tip = 3,
+                camp: |r, v| genesis_camp(r, v, 0, Vec::new()),
+                verdict: "SignedInstancesUncovered",
+                sent: &[],
+                moved: Some(SignedInstancesUncovered),
+            },
+            Row {
+                name: "C3: a certified claim through the voter's signed commit tip",
+                setup: |v, _| v.signed_commit_tip = 3,
+                camp: |r, v| genesis_camp(r, v, 3, tip_cert(r, 1, &[1, 2, 3])),
+                verdict: "Vote",
+                sent: &["SyncReq", "VoteCP"],
+                moved: None,
+            },
+            Row {
+                // Appendix C: S1 campaigning V1 → V2 from rp(1) = 1 pays
+                // rp 2; a claim of 1 skips the penalty. Past C3, the voter
+                // still catches up from the candidate.
+                name: "C4: an rp the candidate's history does not reproduce",
+                setup: untouched,
+                camp: |r, v| {
+                    let mut claims = genesis_camp(r, v, 2, tip_cert(r, 1, &[1, 2]));
+                    claims.rp = 1;
+                    resign(r, &mut claims);
+                    claims
+                },
+                verdict: "RpNotReproducible",
+                sent: &["SyncReq"],
+                moved: Some(RpNotReproducible),
+            },
+            Row {
+                name: "C5: a proof of work for another nonce",
+                setup: untouched,
+                camp: |r, v| {
+                    let mut claims = genesis_camp(r, v, 0, Vec::new());
+                    claims.nonce ^= 1;
+                    resign(r, &mut claims);
+                    claims
+                },
+                verdict: "PowInvalid",
+                sent: &[],
+                moved: Some(PowInvalid),
+            },
         ];
-        let camp = genesis_camp(&registry, &voter, ServerId(3), SeqNum(2), cert);
-        assert!(
-            voted(&deliver(&mut voter, camp)),
-            "a fully certified claim must earn the vote"
-        );
-        assert_eq!(voter.stats().camp_cert_refusals, 0);
-    }
-
-    #[test]
-    fn overclaimed_tip_without_certificates_is_refused() {
-        // The F5 tip liar: claims an ordered tip it cannot prove. Before the
-        // certificates this won votes and could overwrite a possibly-
-        // committed instance after the election.
         let registry = KeyRegistry::new(5, 4, 2);
-        let mut voter = fresh_voter(&registry);
-        let camp = genesis_camp(&registry, &voter, ServerId(3), SeqNum(3), Vec::new());
-        assert!(
-            !voted(&deliver(&mut voter, camp)),
-            "an unproven ordered-tip claim must be refused"
-        );
-        assert!(voter.stats().camp_cert_refusals >= 1);
-    }
-
-    #[test]
-    fn short_or_gapped_certificate_is_refused() {
-        let registry = KeyRegistry::new(5, 4, 2);
-        let quorum = ClusterConfig::new(4).quorum();
-        // Missing QC: claim 3 instances, prove 2.
-        let mut voter = fresh_voter(&registry);
-        let short = vec![
-            ordering_qc(&registry, View(1), 1, Digest([1; 32]), quorum),
-            ordering_qc(&registry, View(1), 2, Digest([2; 32]), quorum),
-        ];
-        let camp = genesis_camp(&registry, &voter, ServerId(3), SeqNum(3), short);
-        assert!(!voted(&deliver(&mut voter, camp)), "short certificate");
-
-        // Gap in the middle: right length, wrong sequence numbers (1 and 3).
-        let mut voter = fresh_voter(&registry);
-        let gapped = vec![
-            ordering_qc(&registry, View(1), 1, Digest([1; 32]), quorum),
-            ordering_qc(&registry, View(1), 3, Digest([3; 32]), quorum),
-        ];
-        let camp = genesis_camp(&registry, &voter, ServerId(3), SeqNum(2), gapped);
-        assert!(!voted(&deliver(&mut voter, camp)), "gapped certificate");
-    }
-
-    #[test]
-    fn forged_certificate_is_refused() {
-        let registry = KeyRegistry::new(5, 4, 2);
-        let mut voter = fresh_voter(&registry);
-        let quorum = voter.config.quorum();
-        let mut forged = ordering_qc(&registry, View(1), 1, Digest([1; 32]), quorum);
-        forged.aggregate[0] ^= 0xFF;
-        let camp = genesis_camp(&registry, &voter, ServerId(3), SeqNum(1), vec![forged]);
-        assert!(
-            !voted(&deliver(&mut voter, camp)),
-            "a tampered ordering QC must not certify a claim"
-        );
-    }
-
-    #[test]
-    fn stale_certificate_view_is_refused() {
-        // The voter commit-signed instance 1 under the view-3 re-proposal; a
-        // candidate proving instance 1 only with the view-1 ordering QC
-        // predates that possibly-committed state and must be refused, while
-        // a certificate at least as fresh is accepted.
-        let registry = KeyRegistry::new(5, 4, 2);
-        let quorum = ClusterConfig::new(4).quorum();
-        for (cert_view, expect_vote) in [(View(1), false), (View(3), true)] {
+        for row in rows {
             let mut voter = fresh_voter(&registry);
-            voter.signed_commit_tip = 1;
-            voter.instances.entry(1).or_default().signed = Some(View(3));
-            let cert = vec![ordering_qc(
-                &registry,
-                cert_view,
-                1,
-                Digest([7; 32]),
-                quorum,
-            )];
-            let camp = genesis_camp(&registry, &voter, ServerId(3), SeqNum(1), cert);
+            let claims = (row.camp)(&registry, &voter);
+            (row.setup)(&mut voter, &claims);
+            let expected = (row.verdict.to_string(), row.sent.to_vec(), row.moved);
             assert_eq!(
-                voted(&deliver(&mut voter, camp)),
-                expect_vote,
-                "certificate at view {cert_view:?}"
+                judge_and_handle(&mut voter, claims),
+                expected,
+                "{}",
+                row.name
             );
         }
-    }
-
-    #[test]
-    fn vote_refused_when_candidate_ordered_state_trails_signed_commit_tip() {
-        // Committed-instance preservation (C3, ordered half): a voter that
-        // has commit-signed instance 3 must refuse any candidate whose
-        // certified state cannot re-propose 3 — otherwise an elected stale
-        // leader would overwrite a possibly-committed instance and fork the
-        // chain against whoever assembled the commit QC.
-        let registry = KeyRegistry::new(5, 4, 2);
-
-        // Sanity: the same campaign IS accepted by a voter with no signed
-        // commit shares outstanding.
-        let mut fresh = fresh_voter(&registry);
-        let camp = genesis_camp(&registry, &fresh, ServerId(3), SeqNum(0), Vec::new());
-        assert!(
-            voted(&deliver(&mut fresh, camp.clone())),
-            "a valid campaign earns the vote of an unencumbered voter"
-        );
-
-        // The voter has commit-signed instance 3; the candidate claims an
-        // ordered tip of 0 — refuse.
-        let mut voter = fresh_voter(&registry);
-        voter.signed_commit_tip = 3;
-        assert!(
-            !voted(&deliver(&mut voter, camp)),
-            "the vote must be refused: the candidate could not re-propose \
-             the possibly-committed instance 3"
-        );
-
-        // A candidate whose *certified* claim covers the signed tip wins.
-        let mut covered = fresh_voter(&registry);
-        covered.signed_commit_tip = 3;
-        let quorum = covered.config.quorum();
-        let cert = (1..=3u64)
-            .map(|n| ordering_qc(&registry, View(1), n, Digest([n as u8; 32]), quorum))
-            .collect();
-        let camp = genesis_camp(&registry, &covered, ServerId(3), SeqNum(3), cert);
-        assert!(
-            voted(&deliver(&mut covered, camp)),
-            "a candidate proving ordered state through the signed tip wins \
-             the vote"
-        );
     }
 
     #[test]
@@ -689,12 +875,6 @@ mod tests {
         let registry = KeyRegistry::new(5, 4, 2);
         let mut server = fresh_voter(&registry);
         let quorum = server.config.quorum();
-        let batch = |n: u64| {
-            Arc::new(vec![Proposal::new(
-                prestige_types::Transaction::with_size(prestige_types::ClientId(1), n, 16),
-                Digest::ZERO,
-            )])
-        };
         // Instances 1 and 2: QC + batch. Instance 3: batch only. Instance 4:
         // QC only.
         let qc = |n: u64| {

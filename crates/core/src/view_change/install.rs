@@ -108,10 +108,13 @@ impl PrestigeServer {
         // certificates, so for them this is a memo-cache walk; for adopters
         // that never saw the campaign it is the first (and only) check
         // standing between a lying leader and their acknowledgement.
-        if !self.verify_commit_claim(block.committed_seq, block.commit_cert.as_ref(), ctx) {
-            return;
-        }
-        if !self.verify_tip_cert(block.committed_seq, block.ord_tip, &block.tip_cert, ctx) {
+        let proven = self
+            .verify_commit_claim(block.committed_seq, block.commit_cert.as_ref(), ctx)
+            .and_then(|()| {
+                self.verify_tip_cert(block.committed_seq, block.ord_tip, &block.tip_cert, ctx)
+            });
+        if let Err(refusal) = proven {
+            *self.stats.camp_refusals.entry(refusal).or_default() += 1;
             return;
         }
         // Deliberately NOT re-applied here: the voter-side coverage check

@@ -18,7 +18,7 @@
 //!   `f + 1` matching `ReVC` replies form a `conf_QC` that justifies a view
 //!   change;
 //! * **redeemer** — the campaigner consults the reputation engine, then solves
-//!   the reputation-determined puzzle (modeled or real proof of work);
+//!   the reputation-determined puzzle (modeled proof of work);
 //! * **candidate** — broadcasts a `Camp` message; voters enforce the criteria
 //!   C1–C5 (one vote per view, confirmed view change, *certified* up-to-date
 //!   log, reproducible reputation penalty, verified computation); `2f + 1`
@@ -36,6 +36,7 @@ mod certify;
 mod install;
 
 pub(crate) use certify::CampClaims;
+pub use certify::Refusal;
 
 use crate::server::PrestigeServer;
 use prestige_crypto::hash_many;
@@ -79,19 +80,23 @@ impl PrestigeServer {
         ])
     }
 
-    /// Evaluates Algorithm 1 for a campaigner (`who`) targeting `new_view`,
-    /// reading every input from the local state machine.
+    /// Evaluates Algorithm 1 for a campaigner (`who`) moving from `view` to
+    /// `new_view` with `latest_seq` committed, reading its reputation from
+    /// the local state machine. A campaigner passes its own view and tip; a
+    /// voter checking C4 passes the candidate's claimed ones.
     pub(crate) fn calc_rp_for(
         &self,
         who: ServerId,
+        view: View,
         new_view: View,
+        latest_seq: SeqNum,
     ) -> prestige_reputation::RpOutcome {
         let input = prestige_reputation::CalcRpInput {
-            current_view: self.store.current_view(),
+            current_view: view,
             new_view,
             current_rp: self.store.current_rp(who),
             current_ci: self.store.current_ci(who),
-            latest_tx_seq: self.store.latest_seq(),
+            latest_tx_seq: latest_seq,
             penalty_history: self.store.penalty_history(who),
         };
         self.engine.calc_rp(&input)
@@ -137,7 +142,7 @@ mod tests {
     #[test]
     fn calc_rp_for_initial_campaign_matches_engine() {
         let s = server(4, 1);
-        let outcome = s.calc_rp_for(ServerId(1), View(2));
+        let outcome = s.calc_rp_for(ServerId(1), View(1), View(2), SeqNum(0));
         // From genesis: rp 1 → 2 with no possible compensation (ti = 0).
         assert_eq!(outcome.new_rp, 2);
         assert_eq!(outcome.new_ci, 1);
@@ -150,8 +155,8 @@ mod tests {
         // a given candidate from the same stored state.
         let s2 = server(4, 1);
         let s3 = server(4, 2);
-        let a = s2.calc_rp_for(ServerId(3), View(2));
-        let b = s3.calc_rp_for(ServerId(3), View(2));
+        let a = s2.calc_rp_for(ServerId(3), View(1), View(2), SeqNum(0));
+        let b = s3.calc_rp_for(ServerId(3), View(1), View(2), SeqNum(0));
         assert_eq!(a.new_rp, b.new_rp);
         assert_eq!(a.new_ci, b.new_ci);
     }

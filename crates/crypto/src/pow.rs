@@ -7,27 +7,18 @@
 //! correct servers (rp < 5, under 20 ms in the paper) and hours for heavily
 //! penalized attackers (rp > 8).
 //!
-//! Two solver modes are provided:
-//!
-//! * **Real** — actually iterate SHA-256 until the prefix condition holds.
-//!   The difficulty unit is configurable in *bits* so unit tests can exercise
-//!   the true code path quickly. Verification recomputes a single hash
-//!   (O(1)), exactly as voting criterion C5 demands.
-//! * **Modeled** — what every server runs ([`PowSolver::PAPER_MODEL`]): the
-//!   number of attempts is drawn from the geometric/exponential distribution
-//!   with mean `2^(8·rp)` and converted into time through a hash rate. The
-//!   solution carries a deterministic stand-in hash result that any verifier
-//!   can recompute with one hash, so the verifiability property P3 is
-//!   preserved inside the simulation while Figure 12's exponential attacker
-//!   cost is reproduced without hours of real CPU time.
+//! Every server runs the *modeled* puzzle ([`PowSolver::PAPER_MODEL`]): the
+//! number of attempts is drawn from the geometric/exponential distribution
+//! with mean `2^(8·rp)` and converted into time through a hash rate. The
+//! solution carries a deterministic stand-in hash result that any verifier
+//! recomputes with one hash (O(1), as voting criterion C5 demands), so the
+//! verifiability property P3 is preserved inside the simulation while
+//! Figure 12's exponential attacker cost is reproduced without hours of real
+//! CPU time.
 
 use crate::hash::hash_pair;
 use prestige_types::{Digest, ProtocolError, Result};
 use rand::Rng;
-
-/// SHA-256 attempts per second on one core of the paper's 2.40 GHz Skylake
-/// VMs: the modeled puzzle's rate, and the rate a real solve is timed at.
-const PAPER_HASH_RATE: f64 = 1.0e7;
 
 /// The puzzle a redeemer must solve: bound to its latest committed txBlock
 /// digest and its reputation penalty.
@@ -60,47 +51,23 @@ pub struct PowSolution {
     pub hash_result: Digest,
 }
 
-/// Solves and verifies reputation puzzles in one of the two modes.
+/// Solves and verifies reputation puzzles under the paper's byte-prefix
+/// rule, sampling the attempt count and converting it to simulated time at
+/// `hash_rate` hashes per second.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PowSolver {
-    /// Iterate SHA-256 for real; `bits_per_unit` leading zero bits per point
-    /// of penalty (the paper's byte-prefix rule corresponds to 8).
-    Real {
-        /// Leading zero bits required per unit of penalty.
-        bits_per_unit: u32,
-    },
-    /// Sample the attempt count and convert it to simulated time at
-    /// `hash_rate` hashes per second.
-    Modeled {
-        /// Simulated hash throughput (hashes / second).
-        hash_rate: f64,
-    },
+pub struct PowSolver {
+    /// Simulated hash throughput (hashes / second).
+    pub hash_rate: f64,
 }
 
 impl PowSolver {
-    /// The puzzle every server solves: the paper's byte-prefix rule, modeled
-    /// at 10^7 hashes/s. It reproduces Figure 12's exponential attacker cost
-    /// without hours of real CPU time.
-    pub const PAPER_MODEL: PowSolver = PowSolver::Modeled {
-        hash_rate: PAPER_HASH_RATE,
-    };
+    /// The puzzle every server solves, at the 10^7 SHA-256 attempts per
+    /// second of one core of the paper's 2.40 GHz Skylake VMs.
+    pub const PAPER_MODEL: PowSolver = PowSolver { hash_rate: 1.0e7 };
 
-    /// Expected number of hash attempts for a penalty of `rp` in this mode.
+    /// Expected number of hash attempts for a penalty of `rp`.
     pub fn expected_attempts(&self, rp: u32) -> f64 {
-        match self {
-            PowSolver::Real { bits_per_unit } => 2f64.powi((bits_per_unit * rp) as i32),
-            // The modeled mode always follows the paper's byte-prefix rule.
-            PowSolver::Modeled { .. } => 2f64.powi((8 * rp) as i32),
-        }
-    }
-
-    /// Hashes per second this solver's attempts are timed at. The real mode
-    /// has no intrinsic rate, so it is timed at the paper's.
-    fn hash_rate(&self) -> f64 {
-        match self {
-            PowSolver::Real { .. } => PAPER_HASH_RATE,
-            PowSolver::Modeled { hash_rate } => *hash_rate,
-        }
+        2f64.powi((8 * rp) as i32)
     }
 
     /// Expected solve time in milliseconds for a penalty of `rp`.
@@ -109,84 +76,44 @@ impl PowSolver {
     }
 
     /// Solves the puzzle. Returns the solution together with the *cost*:
-    /// the number of hash attempts (real mode: actual; modeled mode: sampled).
+    /// the sampled number of hash attempts.
     pub fn solve<R: Rng + ?Sized>(&self, puzzle: &PowPuzzle, rng: &mut R) -> (PowSolution, f64) {
-        match self {
-            PowSolver::Real { bits_per_unit } => {
-                let required_bits = bits_per_unit * puzzle.rp;
-                let mut nonce: u64 = rng.gen();
-                let mut attempts = 0f64;
-                loop {
-                    attempts += 1.0;
-                    let hr = hash_pair(puzzle.block_digest.as_ref(), &nonce.to_be_bytes());
-                    if hr.leading_zero_bits() >= required_bits {
-                        return (
-                            PowSolution {
-                                nonce,
-                                hash_result: hr,
-                            },
-                            attempts,
-                        );
-                    }
-                    nonce = nonce.wrapping_add(1);
-                }
-            }
-            PowSolver::Modeled { .. } => {
-                let nonce: u64 = rng.gen();
-                let hr = Self::modeled_result(puzzle, nonce);
-                // Number of attempts until first success of a Bernoulli trial
-                // with probability p = 2^-(8 rp): exponential approximation
-                // attempts = -ln(U) / p, which matches the geometric mean 1/p.
-                let p = 2f64.powi(-((8 * puzzle.rp) as i32));
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let attempts = (-u.ln() / p).max(1.0);
-                (
-                    PowSolution {
-                        nonce,
-                        hash_result: hr,
-                    },
-                    attempts,
-                )
-            }
-        }
+        let nonce: u64 = rng.gen();
+        let hr = Self::modeled_result(puzzle, nonce);
+        // Number of attempts until first success of a Bernoulli trial with
+        // probability p = 2^-(8 rp): exponential approximation
+        // attempts = -ln(U) / p, which matches the geometric mean 1/p.
+        let p = 2f64.powi(-((8 * puzzle.rp) as i32));
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let attempts = (-u.ln() / p).max(1.0);
+        (
+            PowSolution {
+                nonce,
+                hash_result: hr,
+            },
+            attempts,
+        )
     }
 
     /// Converts an attempt count into solve time (milliseconds) at the
     /// solver's hash rate.
     pub fn attempts_to_ms(&self, attempts: f64) -> f64 {
-        attempts / self.hash_rate() * 1000.0
+        attempts / self.hash_rate * 1000.0
     }
 
     /// Verifies a claimed solution against the puzzle: recompute one hash and
     /// check the required prefix (criterion C5). Cost O(1), as in the paper.
     pub fn verify(&self, puzzle: &PowPuzzle, solution: &PowSolution) -> Result<()> {
-        match self {
-            PowSolver::Real { bits_per_unit } => {
-                let required = bits_per_unit * puzzle.rp;
-                let hr = hash_pair(puzzle.block_digest.as_ref(), &solution.nonce.to_be_bytes());
-                if hr != solution.hash_result {
-                    return Err(ProtocolError::InvalidPow { required, found: 0 });
-                }
-                let found = hr.leading_zero_bits();
-                if found < required {
-                    return Err(ProtocolError::InvalidPow { required, found });
-                }
-                Ok(())
-            }
-            PowSolver::Modeled { .. } => {
-                let expected = Self::modeled_result(puzzle, solution.nonce);
-                if expected != solution.hash_result {
-                    return Err(ProtocolError::InvalidPow {
-                        required: puzzle.rp,
-                        found: solution.hash_result.leading_zero_bytes(),
-                    });
-                }
-                Ok(())
-            }
+        if Self::modeled_result(puzzle, solution.nonce) != solution.hash_result {
+            return Err(ProtocolError::InvalidPow {
+                required: puzzle.rp,
+                found: solution.hash_result.leading_zero_bytes(),
+            });
         }
+        Ok(())
     }
 
-    /// The deterministic stand-in hash result of the modeled mode: the hash of
+    /// The deterministic stand-in hash result: the hash of
     /// (block digest, nonce) with the first `rp` bytes forced to zero. Any
     /// verifier can recompute it with a single hash, preserving property P3.
     fn modeled_result(puzzle: &PowPuzzle, nonce: u64) -> Digest {
@@ -207,50 +134,6 @@ mod tests {
 
     fn digest(tag: u8) -> Digest {
         Digest([tag; 32])
-    }
-
-    #[test]
-    fn real_solver_finds_and_verifies_solution() {
-        let solver = PowSolver::Real { bits_per_unit: 4 };
-        let puzzle = PowPuzzle::new(digest(7), 3); // 12 leading zero bits
-        let mut rng = StdRng::seed_from_u64(1);
-        let (solution, attempts) = solver.solve(&puzzle, &mut rng);
-        assert!(attempts >= 1.0);
-        assert!(solution.hash_result.leading_zero_bits() >= 12);
-        solver.verify(&puzzle, &solution).unwrap();
-    }
-
-    #[test]
-    fn real_solver_zero_penalty_is_instant() {
-        let solver = PowSolver::Real { bits_per_unit: 8 };
-        let puzzle = PowPuzzle::new(digest(1), 0);
-        let mut rng = StdRng::seed_from_u64(2);
-        let (_, attempts) = solver.solve(&puzzle, &mut rng);
-        assert_eq!(attempts, 1.0);
-    }
-
-    #[test]
-    fn real_verify_rejects_wrong_nonce() {
-        let solver = PowSolver::Real { bits_per_unit: 4 };
-        let puzzle = PowPuzzle::new(digest(7), 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let (mut solution, _) = solver.solve(&puzzle, &mut rng);
-        solution.nonce ^= 1;
-        assert!(solver.verify(&puzzle, &solution).is_err());
-    }
-
-    #[test]
-    fn real_verify_rejects_insufficient_difficulty() {
-        let solver = PowSolver::Real { bits_per_unit: 4 };
-        let easy = PowPuzzle::new(digest(9), 1);
-        let mut rng = StdRng::seed_from_u64(4);
-        let (solution, _) = solver.solve(&easy, &mut rng);
-        // The same solution claimed against a harder puzzle must fail unless it
-        // happened to exceed the harder bound; find one that does not.
-        let hard = PowPuzzle::new(digest(9), 6);
-        if solution.hash_result.leading_zero_bits() < 24 {
-            assert!(solver.verify(&hard, &solution).is_err());
-        }
     }
 
     #[test]

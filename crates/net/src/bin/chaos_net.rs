@@ -298,7 +298,6 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
                 ("views_installed", stats.views_installed),
                 ("elections_won", stats.elections_won),
                 ("campaigns_started", stats.campaigns_started),
-                ("camp_cert_refusals", stats.camp_cert_refusals),
                 ("sync_reqs_sent", stats.sync_reqs_sent),
                 ("election_retransmits", stats.election_retransmits),
                 ("double_assign_refused", stats.double_assign_refused),
@@ -309,6 +308,11 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
             ] {
                 node.push(key, value);
             }
+            let mut refusals = Json::obj();
+            for (refusal, count) in &stats.camp_refusals {
+                refusals.push(format!("{refusal:?}"), *count);
+            }
+            node.push("camp_refusals", refusals);
         }
         if let Some(storage) = cluster.storage_stats(id) {
             for (key, value) in [

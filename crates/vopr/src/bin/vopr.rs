@@ -22,14 +22,18 @@
 //! invalidates a reproducer is surfaced and a regression that resurfaces is
 //! caught). `--seeds N` sweeps the file over seeds `S..S+N` in place of its
 //! own; the exit is nonzero naming every failing seed and what it failed.
+//! Under each FAILED verdict an indented `refusals:` line tallies the
+//! correct servers' campaign refusals by kind.
 //! `shrink` minimizes a failing scenario file. `replay` and `shrink` refuse
 //! a file whose `protocol` is not `pb`: the invariants read PrestigeBFT
 //! server state.
 
+use prestige_core::Refusal;
 use prestige_vopr::{
     generate, run_scenario, shrink, FailureRecord, Scenario, SwarmReport, Violation,
 };
-use prestige_workloads::scenario::Expectation;
+use prestige_workloads::scenario::{Expectation, Observations};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -77,6 +81,25 @@ fn write_regression(
     );
     std::fs::write(&path, text)?;
     Ok(path)
+}
+
+/// The correct servers' campaign refusals, summed by kind, for the line
+/// under a FAILED verdict: whether an election wedged on C1's split vote,
+/// C4's charge or a certificate.
+fn refusal_tally(observations: &Observations) -> String {
+    let mut tally: BTreeMap<Refusal, u64> = BTreeMap::new();
+    let servers = observations.servers.iter().flatten();
+    for server in servers.filter(|s| !s.behavior.is_faulty()) {
+        for (refusal, count) in &server.stats.camp_refusals {
+            *tally.entry(*refusal).or_default() += count;
+        }
+    }
+    let kinds: Vec<String> = tally.iter().map(|(r, n)| format!("{r:?} {n}")).collect();
+    if kinds.is_empty() {
+        "none".to_string()
+    } else {
+        kinds.join(", ")
+    }
 }
 
 /// Reads a scenario file vopr can run; on failure says why on stderr.
@@ -229,6 +252,7 @@ fn cmd_replay(args: Args) -> ExitCode {
                     failures.join("; ")
                 );
                 eprintln!("{line}");
+                eprintln!("  refusals: {}", refusal_tally(&outcome.observations));
                 failed.push(line);
             }
             if let Some(violation) = outcome.violation {

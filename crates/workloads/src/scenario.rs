@@ -28,7 +28,8 @@ use crate::toml::{
 };
 use crate::FaultPlan;
 use prestige_core::{
-    AttackStrategy, ByzantineBehavior, ClusterConfig, ServerStats, TimeoutConfig, ViewChangePolicy,
+    AttackStrategy, ByzantineBehavior, ClusterConfig, Refusal, ServerStats, TimeoutConfig,
+    ViewChangePolicy,
 };
 use std::fmt::Write as _;
 
@@ -1011,7 +1012,11 @@ impl Scenario {
         }
         // The refusals must actually have been *certificate* refusals: prove
         // the check bit, rather than the attack never having been attempted.
-        let refusals: u64 = correct().map(|(_, s)| s.stats.camp_cert_refusals).sum();
+        let certificate = |s: &ServerStats| {
+            let kinds = Refusal::CERTIFICATE.iter();
+            kinds.filter_map(|r| s.camp_refusals.get(r)).sum::<u64>()
+        };
+        let refusals: u64 = correct().map(|(_, s)| certificate(&s.stats)).sum();
         if refusals < a.min_cert_refusals {
             failures.push(format!(
                 "only {refusals} certificate refusal(s) across correct servers (need {}) — the \
@@ -1510,20 +1515,26 @@ mod tests {
         let follows = "correct server s1 follows faulty leader s3";
         check(no_faulty_leader, followed, follows);
 
-        // The faulty server's numbers must not count toward either floor.
+        // The faulty server's numbers must not count toward either floor,
+        // and only the certificate kinds count toward the refusal floor.
         let floors: Require = |a| (a.min_cert_refusals, a.min_stable_checkpoint) = (2, 16);
+        let refused = |obs: &mut Observations, i, refusal, n| {
+            server(obs, i).stats.camp_refusals.insert(refusal, n);
+        };
         let short = |obs: &mut Observations| {
             liar(obs);
-            server(obs, 3).stats.camp_cert_refusals = 9;
+            refused(obs, 3, Refusal::OrderedTipUncertified, 9);
             server(obs, 3).stable_checkpoint = 64;
-            server(obs, 0).stats.camp_cert_refusals = 1;
+            refused(obs, 0, Refusal::CommittedTipUncertified, 1);
+            refused(obs, 1, Refusal::VotedForAnother, 5);
+            refused(obs, 2, Refusal::RpNotReproducible, 5);
             server(obs, 1).stable_checkpoint = 15;
         };
         let both = "only 1 certificate refusal(s) | highest stable checkpoint 15";
         check(floors, short, both);
         let enough = |obs: &mut Observations| {
             short(obs);
-            server(obs, 2).stats.camp_cert_refusals = 1;
+            refused(obs, 2, Refusal::SignedInstancesUncovered, 1);
             server(obs, 2).stable_checkpoint = 16;
         };
         check(floors, enough, "");

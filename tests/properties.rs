@@ -103,21 +103,17 @@ proptest! {
     }
 
     /// The PoW puzzle solver/verifier round-trips for any block digest and
-    /// small penalties (real mode, scaled difficulty).
+    /// small penalties, and a harder claim over the same solution is refused.
     #[test]
     fn pow_roundtrip(tag in any::<[u8; 32]>(), rp in 0i64..4, seed in any::<u64>()) {
-        let solver = PowSolver::Real { bits_per_unit: 3 };
+        let solver = PowSolver::PAPER_MODEL;
         let puzzle = PowPuzzle::new(Digest(tag), rp);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (solution, attempts) = solver.solve(&puzzle, &mut rng);
         prop_assert!(attempts >= 1.0);
         prop_assert!(solver.verify(&puzzle, &solution).is_ok());
-        // A harder claim over the same solution must fail unless it happens to
-        // exceed the bound.
         let harder = PowPuzzle::new(Digest(tag), rp + 8);
-        if solution.hash_result.leading_zero_bits() < 3 * (rp as u32 + 8) {
-            prop_assert!(solver.verify(&harder, &solution).is_err());
-        }
+        prop_assert!(solver.verify(&harder, &solution).is_err());
     }
 
     /// vcBlock successors only ever change the elected leader's reputation
