@@ -2,9 +2,10 @@
 //! and crash-restart replay.
 //!
 //! Every durable event — a committed txBlock, the ordering QC behind a
-//! commit share, an installed vcBlock — is appended to the attached
-//! [`Storage`] *before* the server acts on it, so a `kill -9` can never
-//! un-commit state the rest of the cluster built on. Every
+//! commit share, an installed vcBlock, an election vote — is appended to
+//! the attached [`Storage`] *before* the server acts on it, so a `kill -9`
+//! can never un-commit state the rest of the cluster built on, nor let a
+//! restarted replica break a promise it made before the crash. Every
 //! `checkpoint_interval` committed instances the replicas exchange signed
 //! shares over a state digest (committed-chain fingerprint plus the live
 //! reputation vector) and assemble a `2f + 1` **checkpoint certificate**;
@@ -253,9 +254,16 @@ impl PrestigeServer {
     /// Rebuilds this server's committed state from the decoded records of
     /// its WAL. Must run on a freshly constructed server *before*
     /// [`Self::attach_storage`] (so nothing here re-appends), after which
-    /// the server resumes exactly where the crash left it: committed chain,
-    /// client table (as far as the surviving log tells), commit-share proof
-    /// records, view history, role, and the stable checkpoint.
+    /// the server holds what the crash left it: committed chain, client
+    /// table (as far as the surviving log tells), commit-share proof
+    /// records, view history, the stable checkpoint, and the votes it cast
+    /// in views not yet installed.
+    ///
+    /// Replay restores promises, never a role. A replica that replays a
+    /// non-empty log comes back a follower, even of a view its latest
+    /// vcBlock says it leads: only installing a view makes a leader
+    /// (`note_view_installed`). An empty log is a first boot, and keeps the
+    /// constructor's genesis rule (s0 leads V1).
     ///
     /// If GC pruned the log below a checkpoint, the chain is re-rooted at
     /// the checkpoint's recorded fingerprint; blocks the log no longer
@@ -263,6 +271,9 @@ impl PrestigeServer {
     /// checkpoint), and the replica fetches anything newer from its peers
     /// via the usual repair path.
     pub fn replay_wal(&mut self, records: Vec<WalRecord>) {
+        if records.is_empty() {
+            return;
+        }
         // The latest durable checkpoint decides where the chain roots.
         let mut stable: Option<(SeqNum, Digest, QuorumCertificate)> = None;
         for record in &records {
@@ -321,18 +332,23 @@ impl PrestigeServer {
                     self.store.insert_vc_block(block);
                 }
                 WalRecord::Checkpoint { .. } => {}
+                WalRecord::Vote {
+                    view,
+                    candidate,
+                    share,
+                } => {
+                    self.cast_votes.entry(view.0).or_insert((candidate, share));
+                }
             }
         }
-        // Committed instances need no per-instance proof records.
+        // Committed instances need no per-instance proof records, and a vote
+        // binds only a view not yet installed.
         let tip = self.store.latest_seq().0;
         self.instances.retain(|n, _| *n > tip);
         self.next_seq = SeqNum(tip).next();
-        let leader = self.store.latest_vc_block().leader_id;
-        self.role = if leader == self.id {
-            ServerRole::Leader
-        } else {
-            ServerRole::Follower
-        };
+        let view = self.store.current_view().0;
+        self.cast_votes.retain(|v, _| *v > view);
+        self.role = ServerRole::Follower;
     }
 }
 
@@ -545,6 +561,21 @@ mod tests {
             signers: vec![ServerId(0), ServerId(1), ServerId(2)],
             aggregate: [0; 32],
         }));
+        // The crashed replica had won view 2, and voted in views 2 and 3.
+        let genesis = reference.store.latest_vc_block();
+        let won = genesis.successor(View(2), ServerId(1), 2, 1, None, None);
+        records.push(WalRecord::ViewInstall(won));
+        let share = PartialSig {
+            signer: ServerId(1),
+            sig: [3; 32],
+        };
+        for (view, candidate) in [(2, ServerId(1)), (3, ServerId(2))] {
+            records.push(WalRecord::Vote {
+                view: View(view),
+                candidate,
+                share: share.clone(),
+            });
+        }
 
         let mut restarted = PrestigeServer::new(
             ServerId(1),
@@ -566,7 +597,18 @@ mod tests {
         assert!(restarted.instances[&7].ord_qc.is_some());
         assert_eq!(restarted.instances[&7].signed, Some(View(1)));
         assert_eq!(restarted.instances.len(), 1);
+        // It keeps its promises, not its role: view 2 names it leader, yet
+        // it comes back a follower, bound by its vote in the uninstalled
+        // view 3 only.
+        assert_eq!(restarted.current_view(), View(2));
+        assert_eq!(restarted.current_leader(), ServerId(1));
         assert_eq!(restarted.role, ServerRole::Follower);
+        let votes: Vec<_> = restarted
+            .cast_votes
+            .iter()
+            .map(|(v, (c, _))| (*v, *c))
+            .collect();
+        assert_eq!(votes, [(3, ServerId(2))]);
     }
 
     #[test]

@@ -328,7 +328,8 @@ pub struct PrestigeServer {
     /// view → (candidate, share), its own id for a view it campaigned in.
     /// Lets the election-retransmission path re-send the *same* vote
     /// idempotently when a candidate re-broadcasts a `Camp` whose original
-    /// `VoteCP` was lost, without ever double-voting.
+    /// `VoteCP` was lost, without ever double-voting. Every entry is logged
+    /// first (`record_vote`), so it survives a restart.
     pub(crate) cast_votes: BTreeMap<u64, (ServerId, prestige_types::PartialSig)>,
 
     // --- refresh state ---
@@ -800,9 +801,7 @@ impl PrestigeServer {
 impl Process<Message> for PrestigeServer {
     fn on_start(&mut self, ctx: &mut Context<Message>) {
         self.view_installed_at_ms = ctx.now().as_ms();
-        if self.role == ServerRole::Leader {
-            self.arm_batch_timer(ctx);
-        }
+        self.arm_batch_timer(ctx);
         self.arm_policy_timer(ctx);
         self.arm_sync_repair_timer(ctx);
         if self.behavior.attacks_view_changes() {
@@ -997,7 +996,9 @@ mod tests {
 
     #[test]
     fn initial_roles_match_figure_one() {
-        let s1 = make_server(4, 0);
+        // A first boot replays an empty log and keeps the genesis rule.
+        let mut s1 = make_server(4, 0);
+        s1.replay_wal(Vec::new());
         let s2 = make_server(4, 1);
         assert_eq!(s1.role(), ServerRole::Leader);
         assert!(s1.is_leader());

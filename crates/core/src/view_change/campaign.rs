@@ -300,31 +300,30 @@ impl PrestigeServer {
             return;
         }
         self.role = ServerRole::Candidate;
+        let new_view = campaign.new_view;
         let (_, digest) = campaign
             .signed_claim(self.id, self.behavior.overclaims_tip())
             .expect("redeemer stored a solution");
-        let mut vote_builder = QcBuilder::new(
+        let vote_builder = campaign.vote_builder.insert(QcBuilder::new(
             QcKind::ViewChange,
-            campaign.new_view,
+            new_view,
             SeqNum(0),
             digest,
             self.config.quorum(),
-        );
+        ));
         if let Some(share) = sign_share(
             &self.registry,
             self.id,
             QcKind::ViewChange,
-            campaign.new_view,
+            new_view,
             SeqNum(0),
             &digest,
         ) {
             let _ = vote_builder.add_share(&self.registry, &share);
             // C1: a candidate's own campaign is its vote in the view, unless
             // it already voted for another candidate there.
-            let vote = (self.id, share);
-            self.cast_votes.entry(campaign.new_view.0).or_insert(vote);
+            self.record_vote(new_view, self.id, &share);
         }
-        campaign.vote_builder = Some(vote_builder);
 
         if let Some(message) = self.campaign_message() {
             ctx.broadcast(self.other_servers(), message);

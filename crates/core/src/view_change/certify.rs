@@ -25,6 +25,7 @@
 use crate::server::{Instance, PrestigeServer, ServerRole};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolution, PowSolver};
 use prestige_sim::Context;
+use prestige_storage::WalRecordRef;
 use prestige_types::{
     Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, View,
 };
@@ -393,10 +394,7 @@ impl PrestigeServer {
                 SeqNum(0),
                 &digest,
             )
-            .inspect(|share| {
-                self.cast_votes
-                    .insert(new_view.0, (candidate, share.clone()));
-            }),
+            .inspect(|share| self.record_vote(new_view, candidate, share)),
             Verdict::Revote(share) => Some(share),
             Verdict::SyncFirst => {
                 self.request_sync(from, self.store.latest_seq().0, ctx);
@@ -426,6 +424,21 @@ impl PrestigeServer {
                 },
             );
         }
+    }
+
+    /// Records this server's criterion-C1 vote in `view`, unless it already
+    /// voted there. The vote is logged before it leaves, so a restarted
+    /// replica keeps the promise (replay refills `cast_votes`).
+    pub(crate) fn record_vote(&mut self, view: View, candidate: ServerId, share: &PartialSig) {
+        if self.cast_votes.contains_key(&view.0) {
+            return;
+        }
+        self.wal_append(WalRecordRef::Vote {
+            view,
+            candidate,
+            share,
+        });
+        self.cast_votes.insert(view.0, (candidate, share.clone()));
     }
 
     /// Handles an election vote; `2f + 1` votes elect this candidate.
@@ -464,6 +477,7 @@ mod tests {
     use super::*;
     use prestige_crypto::{KeyRegistry, QcBuilder};
     use prestige_sim::{Effects, Emission, SimRng, SimTime};
+    use prestige_storage::{SharedMemStorage, WalRecord};
     use prestige_types::{ClusterConfig, Proposal};
     use std::sync::Arc;
 
@@ -691,6 +705,45 @@ mod tests {
                 verdict: "VotedForAnother",
                 sent: &[],
                 moved: Some(VotedForAnother),
+            },
+            Row {
+                name: "C1: a vote replayed from the WAL binds the restarted voter",
+                setup: |v, _| {
+                    let digest = Digest::ZERO;
+                    let share = sign_share(
+                        &v.registry,
+                        v.id,
+                        QcKind::ViewChange,
+                        View(2),
+                        SeqNum(0),
+                        &digest,
+                    );
+                    v.replay_wal(vec![WalRecord::Vote {
+                        view: View(2),
+                        candidate: ServerId(2),
+                        share: share.unwrap(),
+                    }]);
+                },
+                camp: |r, v| genesis_camp(r, v, 0, Vec::new()),
+                verdict: "VotedForAnother",
+                sent: &[],
+                moved: Some(VotedForAnother),
+            },
+            Row {
+                // The vote is logged before it leaves, so the voter that
+                // crashed after sending it re-sends the same share.
+                name: "C1: a restarted voter re-sends the vote its WAL kept",
+                setup: |v, c| {
+                    let log = SharedMemStorage::new();
+                    v.attach_storage(Box::new(log.clone()));
+                    judge_and_handle(v, c.clone());
+                    *v = fresh_voter(&v.registry.clone());
+                    v.replay_wal(log.records_snapshot());
+                },
+                camp: |r, v| genesis_camp(r, v, 0, Vec::new()),
+                verdict: "Revote",
+                sent: &["VoteCP"],
+                moved: None,
             },
             Row {
                 name: "a campaign not signed by its candidate",

@@ -545,17 +545,24 @@ impl<F: Fabric> Cluster<F> {
     /// Restarts a crashed server from its on-disk WAL: a **fresh**
     /// `PrestigeServer` is built, the log directory is reopened (torn tails
     /// truncated, chain verified), the surviving records are replayed into
-    /// its block store, and the node rejoins the fabric under its old
-    /// identity and address — from where the sync plane pages it forward.
-    /// Panics if the server is still running; launched without a
-    /// [`StoragePlan`], the server rejoins blank (every block must come back
-    /// over sync). Fails when the WAL cannot be opened or, over TCP, the
-    /// recorded address cannot be bound again.
+    /// it, and the node rejoins the fabric under its old identity and
+    /// address as a follower — from where the sync plane pages it forward.
+    /// Panics if the server is still running. Fails on a cluster launched
+    /// without a [`StoragePlan`] (a server with no log would come back
+    /// promising nothing, and s0 as genesis leader of V1), when the WAL
+    /// cannot be opened or, over TCP, when the recorded address cannot be
+    /// bound again.
     pub fn restart_server(&mut self, id: ServerId) -> io::Result<()> {
         assert!(
             !self.servers.contains_key(&id),
             "restart_server({id:?}): crash it first"
         );
+        if self.storage.is_none() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("restart_server({id:?}): the cluster has no StoragePlan to restart from"),
+            ));
+        }
         self.start_server(id)
     }
 

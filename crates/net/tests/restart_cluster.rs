@@ -157,6 +157,21 @@ fn killed_follower_restarts_and_rejoins<F: Fabric>(mut cluster: Cluster<F>) {
 }
 
 #[test]
+fn a_cluster_without_a_storage_plan_cannot_restart_a_server() {
+    // A server with no log would come back promising nothing (and s0 as
+    // genesis leader of V1): the one restart door is the WAL.
+    let mut cluster = LocalCluster::launch(ClusterConfig::new(4), 5, 0, 1);
+    cluster.crash_server(ServerId(0));
+    let err = cluster.restart_server(ServerId(0)).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(
+        cluster.live_servers(),
+        [ServerId(1), ServerId(2), ServerId(3)]
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn torn_wal_tail_is_truncated_and_the_node_still_rejoins() {
     let scratch = Scratch::new("torn");
     let follower = ServerId(2);

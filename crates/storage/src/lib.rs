@@ -14,13 +14,14 @@
 //! `sync_interval_ms`) so durability costs a bounded, measured amount of
 //! throughput instead of one fsync per record.
 //!
-//! The consensus core (`prestige-core`) writes four typed records through
+//! The consensus core (`prestige-core`) writes five typed records through
 //! the seam — committed transaction blocks, ordering QCs of commit-signed
-//! instances, installed view-change blocks, and stable checkpoint
-//! certificates — and replays them back into its block store and proof state
-//! on restart. The seam is a trait so the deterministic simulator can run
-//! with no storage attached (or with [`MemStorage`], the in-memory test
-//! double) while the real runtime attaches a [`Wal`].
+//! instances, installed view-change blocks, stable checkpoint certificates,
+//! and election votes — and replays them back into its block store, proof
+//! state and vote record on restart. The seam is a trait so the
+//! deterministic simulator can run with no storage attached (or with
+//! [`MemStorage`], the in-memory test double) while the real runtime
+//! attaches a [`Wal`].
 
 #![warn(missing_docs)]
 
@@ -28,7 +29,7 @@ mod wal;
 
 pub use wal::{tear_tail, Wal, WalError, WalOptions};
 
-use prestige_types::{QuorumCertificate, TxBlock, VcBlock};
+use prestige_types::{PartialSig, QuorumCertificate, ServerId, TxBlock, VcBlock, View};
 use serde::Serialize as _;
 
 /// A decoded WAL record: the durable events a replica must survive a
@@ -57,6 +58,17 @@ pub enum WalRecord {
         /// Digest of the committed txBlock chain at `cert.seq`.
         chain: prestige_types::Digest,
     },
+    /// The election vote this replica cast in `view` (criterion C1),
+    /// appended before the vote leaves: a replica restarted mid-election
+    /// must not vote for a second candidate in the same view.
+    Vote {
+        /// The view voted in.
+        view: View,
+        /// The candidate voted for (this replica itself for its own campaign).
+        candidate: ServerId,
+        /// The vote share, re-sent verbatim to the same candidate.
+        share: PartialSig,
+    },
 }
 
 /// A borrowed view of a [`WalRecord`], so the hot commit path can append
@@ -77,6 +89,15 @@ pub enum WalRecordRef<'a> {
         /// Digest of the committed txBlock chain at `cert.seq`.
         chain: prestige_types::Digest,
     },
+    /// See [`WalRecord::Vote`].
+    Vote {
+        /// The view voted in.
+        view: View,
+        /// The candidate voted for.
+        candidate: ServerId,
+        /// The vote share.
+        share: &'a PartialSig,
+    },
 }
 
 impl WalRecordRef<'_> {
@@ -87,6 +108,7 @@ impl WalRecordRef<'_> {
             WalRecordRef::OrdQc(_) => 2,
             WalRecordRef::ViewInstall(_) => 3,
             WalRecordRef::Checkpoint { .. } => 4,
+            WalRecordRef::Vote { .. } => 5,
         }
     }
 
@@ -99,6 +121,11 @@ impl WalRecordRef<'_> {
             WalRecordRef::OrdQc(qc) => qc.serialize(out),
             WalRecordRef::ViewInstall(b) => b.serialize(out),
             WalRecordRef::Checkpoint { cert, chain } => (cert, chain).serialize(out),
+            WalRecordRef::Vote {
+                view,
+                candidate,
+                share,
+            } => (view, candidate, share).serialize(out),
         }
     }
 
@@ -109,10 +136,18 @@ impl WalRecordRef<'_> {
             WalRecordRef::Block(b) => Some(b.n.0),
             WalRecordRef::OrdQc(qc) => Some(qc.seq.0),
             WalRecordRef::Checkpoint { cert, .. } => Some(cert.seq.0),
-            // View installs must survive GC: replay rebuilds view history and
-            // the reputation state from them.
-            WalRecordRef::ViewInstall(_) => None,
+            WalRecordRef::ViewInstall(_) | WalRecordRef::Vote { .. } => None,
         }
+    }
+
+    /// Whether the record keeps its whole segment from GC: view installs
+    /// (replay rebuilds view history and the reputation state from them)
+    /// and votes (a vote binds its view however far commits move on).
+    pub(crate) fn pins_segment(&self) -> bool {
+        matches!(
+            self,
+            WalRecordRef::ViewInstall(_) | WalRecordRef::Vote { .. }
+        )
     }
 
     /// Clones into the owned form.
@@ -124,6 +159,15 @@ impl WalRecordRef<'_> {
             WalRecordRef::Checkpoint { cert, chain } => WalRecord::Checkpoint {
                 cert: (*cert).clone(),
                 chain: *chain,
+            },
+            WalRecordRef::Vote {
+                view,
+                candidate,
+                share,
+            } => WalRecord::Vote {
+                view: *view,
+                candidate: *candidate,
+                share: (*share).clone(),
             },
         }
     }
@@ -140,6 +184,15 @@ impl WalRecord {
                 cert,
                 chain: *chain,
             },
+            WalRecord::Vote {
+                view,
+                candidate,
+                share,
+            } => WalRecordRef::Vote {
+                view: *view,
+                candidate: *candidate,
+                share,
+            },
         }
     }
 
@@ -153,6 +206,13 @@ impl WalRecord {
             4 => bincode::deserialize(body)
                 .ok()
                 .map(|(cert, chain)| WalRecord::Checkpoint { cert, chain }),
+            5 => bincode::deserialize(body)
+                .ok()
+                .map(|(view, candidate, share)| WalRecord::Vote {
+                    view,
+                    candidate,
+                    share,
+                }),
             _ => None,
         }
     }

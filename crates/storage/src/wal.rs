@@ -120,8 +120,8 @@ struct SegmentMeta {
     bytes: u64,
     /// Highest sequence number pinned by any record in the segment.
     max_seq: u64,
-    /// Segments holding view installs are never pruned: replay rebuilds the
-    /// view/reputation history from them.
+    /// Segments holding a view install or a vote are never pruned
+    /// (`WalRecordRef::pins_segment`).
     keep: bool,
 }
 
@@ -295,7 +295,7 @@ impl Wal {
                 if let Some(seq) = r.gc_seq() {
                     meta.max_seq = meta.max_seq.max(seq);
                 }
-                if matches!(record, WalRecord::ViewInstall(_)) {
+                if r.pins_segment() {
                     meta.keep = true;
                 }
                 records.push(record);
@@ -404,7 +404,7 @@ impl Storage for Wal {
         if let Some(seq) = record.gc_seq() {
             meta.max_seq = meta.max_seq.max(seq);
         }
-        if matches!(record, WalRecordRef::ViewInstall(_)) {
+        if record.pins_segment() {
             meta.keep = true;
         }
         if meta.bytes >= self.opts.segment_bytes {
@@ -628,6 +628,30 @@ mod tests {
         if let WalRecord::Block(b) = &replayed[0] {
             assert!(b.n.0 > 1, "the oldest history was pruned");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prune_below_keeps_a_segment_holding_a_vote() {
+        // A vote binds its view however far commits have moved on.
+        let dir = temp_dir("vote");
+        let vote = WalRecord::Vote {
+            view: prestige_types::View(2),
+            candidate: prestige_types::ServerId(1),
+            share: prestige_types::PartialSig {
+                signer: prestige_types::ServerId(3),
+                sig: [9; 32],
+            },
+        };
+        let (mut wal, _) = Wal::open(&dir, tiny_opts()).unwrap();
+        wal.append(vote.as_ref()).unwrap();
+        for n in 1..=30u64 {
+            wal.append(WalRecordRef::Block(&block(n))).unwrap();
+        }
+        assert!(wal.prune_below(25).unwrap() > 0);
+        drop(wal);
+        let (_, replayed) = Wal::open(&dir, tiny_opts()).unwrap();
+        assert_eq!(replayed.first(), Some(&vote));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

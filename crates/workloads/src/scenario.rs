@@ -235,6 +235,9 @@ pub struct Assertions {
     pub min_committed: u64,
     /// A correct server's stable checkpoint must reach this sequence number.
     pub min_stable_checkpoint: u64,
+    /// A correct server must have installed at least this many views (an
+    /// election the scenario forces must actually have happened).
+    pub min_views_installed: u64,
     /// Committed throughput floor (tx/s) over the trailing window.
     pub recovery_floor_tps: f64,
     /// Width of the trailing window (s).
@@ -249,6 +252,7 @@ impl Default for Assertions {
             min_cert_refusals: 0,
             min_committed: 0,
             min_stable_checkpoint: 0,
+            min_views_installed: 0,
             recovery_floor_tps: 0.0,
             recovery_window_s: 2.0,
         }
@@ -342,12 +346,13 @@ const LINK_KEYS: [&str; 5] = [
     "loss_permille",
     "bandwidth_bytes_per_s",
 ];
-const ASSERT_KEYS: [&str; 7] = [
+const ASSERT_KEYS: [&str; 8] = [
     "no_fork",
     "no_faulty_leader",
     "min_cert_refusals",
     "min_committed",
     "min_stable_checkpoint",
+    "min_views_installed",
     "recovery_floor_tps",
     "recovery_window_s",
 ];
@@ -478,6 +483,7 @@ impl Scenario {
                     min_cert_refusals: int("min_cert_refusals")?,
                     min_committed: int("min_committed")?,
                     min_stable_checkpoint: int("min_stable_checkpoint")?,
+                    min_views_installed: int("min_views_installed")?,
                     recovery_floor_tps: get_f64(&doc, "assert", "recovery_floor_tps", 0.0)?,
                     recovery_window_s: get_f64(
                         &doc,
@@ -736,13 +742,14 @@ impl Scenario {
                 let _ = writeln!(
                     out,
                     "\n[assert]\nno_fork = {}\nno_faulty_leader = {}\nmin_cert_refusals = {}\n\
-                     min_committed = {}\nmin_stable_checkpoint = {}\nrecovery_floor_tps = {:?}\n\
-                     recovery_window_s = {:?}",
+                     min_committed = {}\nmin_stable_checkpoint = {}\nmin_views_installed = {}\n\
+                     recovery_floor_tps = {:?}\nrecovery_window_s = {:?}",
                     a.no_fork,
                     a.no_faulty_leader,
                     a.min_cert_refusals,
                     a.min_committed,
                     a.min_stable_checkpoint,
+                    a.min_views_installed,
                     a.recovery_floor_tps,
                     a.recovery_window_s
                 );
@@ -1031,6 +1038,15 @@ impl Scenario {
                  checkpoints never formed (or GC never ran)",
                 checkpoint.unwrap_or(0),
                 a.min_stable_checkpoint
+            ));
+        }
+        let views = correct().map(|(_, s)| s.stats.views_installed).max();
+        if views.unwrap_or(0) < a.min_views_installed {
+            failures.push(format!(
+                "correct servers installed at most {} view(s), below the required {} — the \
+                 election the scenario forces never happened",
+                views.unwrap_or(0),
+                a.min_views_installed
             ));
         }
         let recovery = obs.recovery(a.recovery_window_s);
@@ -1515,8 +1531,17 @@ mod tests {
         let follows = "correct server s1 follows faulty leader s3";
         check(no_faulty_leader, followed, follows);
 
-        // The faulty server's numbers must not count toward either floor,
-        // and only the certificate kinds count toward the refusal floor.
+        // The faulty server's numbers must not count toward any floor, and
+        // only the certificate kinds count toward the refusal floor.
+        let elected: Require = |a| a.min_views_installed = 1;
+        let none_installed = "correct servers installed at most 0 view(s), below the required 1";
+        check(elected, UNSPOILT, none_installed);
+        let liar_installed = |obs: &mut Observations| {
+            liar(obs);
+            server(obs, 3).stats.views_installed = 2;
+        };
+        check(elected, liar_installed, none_installed);
+        check(elected, |obs| server(obs, 1).stats.views_installed = 1, "");
         let floors: Require = |a| (a.min_cert_refusals, a.min_stable_checkpoint) = (2, 16);
         let refused = |obs: &mut Observations, i, refusal, n| {
             server(obs, i).stats.camp_refusals.insert(refusal, n);

@@ -1210,7 +1210,9 @@ mod pinned {
 
 /// The bytes themselves, not a round trip: one SHA-256 over the frame of
 /// every `Message` variant and over the segment file a fresh WAL writes for
-/// one record of each kind. Both sides of a round trip move together when
+/// one record of each of the first four kinds (the fifth, `Vote`, is pinned
+/// by `vote_record_bytes_are_pinned`, so this constant also proves the four
+/// kept their bytes when it was added). Both sides of a round trip move together when
 /// the codec changes, so only a constant shows that the encoding did not;
 /// when this constant must change, so must `WIRE_VERSION` (and the WAL
 /// directories it invalidates are stated in ARCHITECTURE.md).
@@ -1262,4 +1264,41 @@ fn wire_and_wal_bytes_are_pinned() {
         hex(Digest(hasher.finalize())),
         "b858f595c792fad2c9f16c75f1f4b064aee4b7687f2e285fe039e9c7b292e2e5"
     );
+}
+
+/// The `Vote` record's payload, byte for byte, as a fresh WAL frames it:
+/// tag 5, then the view (u64), the candidate (u32) and the share (signer
+/// u32, 32 signature bytes), little-endian.
+#[test]
+fn vote_record_bytes_are_pinned() {
+    use prestigebft::storage::{Storage, Wal, WalOptions, WalRecord};
+
+    let record = WalRecord::Vote {
+        view: View(7),
+        candidate: ServerId(2),
+        share: pinned::share(1),
+    };
+    let dir = std::env::temp_dir().join(format!("prestige-pinned-vote-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        wal.append(record.as_ref()).unwrap();
+        wal.sync().unwrap();
+    }
+    let segment = std::fs::read(dir.join("wal-0000000000.seg")).unwrap();
+    let (_, replayed) = Wal::open(&dir, WalOptions::default()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(replayed, [record]);
+
+    // len: u32 LE ‖ chain digest: 32 bytes ‖ payload.
+    let payload: String = segment[36..].iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(segment[..4], ((segment.len() - 4) as u32).to_le_bytes());
+    let expected = concat!(
+        "05",               // tag
+        "0700000000000000", // view 7
+        "02000000",         // candidate s2
+        "01000000",         // share signer s1
+        "5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e",
+    );
+    assert_eq!(payload, expected);
 }
