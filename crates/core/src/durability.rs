@@ -609,6 +609,23 @@ mod tests {
             .map(|(v, (c, _))| (*v, *c))
             .collect();
         assert_eq!(votes, [(3, ServerId(2))]);
+        // Its commit share for instance 7 survives, the batch does not (an
+        // `OrdQc` record carries none), and no live message re-delivers it.
+        // The repair tick is the fallback: its first tick only observes the
+        // tip, the second finds it stalled below the signed tip and asks a
+        // rotating peer up to it.
+        let mut tick = || {
+            let effects = with_ctx(&mut restarted, |s, ctx| s.on_sync_repair_timer(ctx));
+            let reqs = effects.emissions.into_iter().filter_map(|e| match e {
+                Emission::Send(peer, Message::SyncReq { view, from, to }) => {
+                    Some((peer, view, from, to))
+                }
+                _ => None,
+            });
+            reqs.collect::<Vec<_>>()
+        };
+        assert_eq!(tick(), []);
+        assert_eq!(tick(), [(Actor::Server(ServerId(0)), View(2), 7, 7)]);
     }
 
     #[test]

@@ -120,7 +120,9 @@ impl PrestigeServer {
         // conflicting content is refused, and a certified instance whose
         // batch this follower does not hold is refused *until the recovery
         // plane supplies it* (an ack must never endorse content the
-        // follower cannot check against its certificate). This is what
+        // follower cannot check against its certificate; the batch is asked
+        // for where the certificate arrived, in `handle_cmt`, or by the
+        // repair tick after a restart). This is what
         // stops a Byzantine leader that was legitimately elected on
         // genuine QCs — but without the batches behind them — from
         // re-filling a possibly-committed instance with fresh content:
@@ -145,10 +147,6 @@ impl PrestigeServer {
                 if held.is_some() {
                     // Conflicting content for a certified instance.
                     self.stats.double_assign_refused += 1;
-                } else {
-                    // Cannot check content without the certified batch:
-                    // fetch it instead of endorsing blind.
-                    self.request_sync(from, n.0, ctx);
                 }
                 return;
             }
@@ -241,24 +239,20 @@ impl PrestigeServer {
         let digest = ordering_qc.digest;
         // Certified recovery plane: the validated ordering QC is this
         // server's *proof* of the instance. Store it for future tip
-        // certificates and sync answers; a batch whose phase-1 digest
-        // conflicts with the certified one lost the ordering race (an
-        // equivocating leader sent this follower the minority payload) —
-        // drop it and fetch the certified batch instead.
+        // certificates and sync answers. Without an ack for the certified
+        // digest this server signs an instance it cannot re-propose: it never
+        // saw the `Ord` (lost broadcast), or its batch lost the ordering race
+        // (an equivocating leader sent it the minority payload, dropped
+        // here). Either way the share below still counts toward the quorum,
+        // and the certified batch is fetched from the leader — the one place
+        // that asks for it.
         self.record_ord_qc(n.0, &ordering_qc);
         let record = self.instances.entry(n.0).or_default();
-        match &record.ack {
-            Some(ack) if ack.digest != digest => {
+        if record.ack.as_ref().is_none_or(|ack| ack.digest != digest) {
+            if record.ack.is_some() {
                 record.batch = None;
-                self.request_sync(from, n.0, ctx);
             }
-            Some(_) => {}
-            None => {
-                // We never saw the `Ord` (lost broadcast): the commit share
-                // below still counts toward the quorum, but this server
-                // cannot re-propose the instance until it fetches the batch.
-                self.request_sync(from, n.0, ctx);
-            }
+            self.request_sync(from, n.0, ctx);
         }
         let share = if self.behavior.equivocates() {
             PartialSig {
@@ -633,54 +627,70 @@ mod tests {
     #[test]
     fn cmt_without_prior_ord_stores_the_qc_and_requests_the_batch() {
         // A follower that sees the `Cmt` but never the `Ord` (lost broadcast)
-        // must still commit-sign — its share counts toward the quorum — but
-        // it records the certificate and asks the recovery plane for the
-        // batch it cannot re-propose.
+        // — or that acked a batch whose digest lost the ordering race (an
+        // equivocating leader sent it the minority payload) — must still
+        // commit-sign: its share counts toward the quorum. It records the
+        // certificate, drops the losing batch, and asks the leader once for
+        // the certified batch it cannot re-propose.
         let registry = KeyRegistry::new(9, 4, 2);
-        let mut follower =
-            PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
-        let quorum = follower.config.quorum();
         let view = View(1);
-        let digest = Digest([5; 32]);
-        let qc = build_qc(&registry, QcKind::Ordering, view, SeqNum(1), digest, quorum);
-        let effects = with_ctx(&mut follower, |s, ctx| {
-            s.on_message(
-                Actor::Server(ServerId(0)),
-                Message::Cmt {
-                    view,
-                    n: SeqNum(1),
-                    ordering_qc: qc,
-                    sig: [0u8; 32],
-                },
-                ctx,
+        let leader = Actor::Server(ServerId(0));
+        let minority = Transaction::with_size(ClientId(1), 10, 16);
+        let minority = vec![Proposal::new(minority, Digest::ZERO)];
+        for acked in [None, Some(minority)] {
+            let mut follower =
+                PrestigeServer::new(ServerId(1), ClusterConfig::new(4), registry.clone(), 0);
+            if let Some(batch) = acked {
+                assert!(deliver_ord(&mut follower, &registry, view, 1, batch));
+                assert!(follower.held_batch(1).is_some());
+            }
+            let quorum = follower.config.quorum();
+            let digest = Digest([5; 32]);
+            let qc = build_qc(&registry, QcKind::Ordering, view, SeqNum(1), digest, quorum);
+            let effects = with_ctx(&mut follower, |s, ctx| {
+                s.on_message(
+                    leader,
+                    Message::Cmt {
+                        view,
+                        n: SeqNum(1),
+                        ordering_qc: qc,
+                        sig: [0u8; 32],
+                    },
+                    ctx,
+                );
+            });
+            assert!(
+                effects
+                    .emissions
+                    .iter()
+                    .any(|e| matches!(e, Emission::Send(_, Message::CmtReply { .. }))),
+                "the commit share must still be sent"
             );
-        });
-        assert!(
-            effects
+            let reqs: Vec<_> = effects
                 .emissions
                 .iter()
-                .any(|e| matches!(e, Emission::Send(_, Message::CmtReply { .. }))),
-            "the commit share must still be sent"
-        );
-        assert!(
-            effects.emissions.iter().any(|e| matches!(
-                e,
-                Emission::Send(
-                    _,
-                    Message::SyncReq {
-                        view: View(1),
-                        from: 1,
-                        to: 1
+                .filter_map(|e| match e {
+                    Emission::Send(peer, Message::SyncReq { view, from, to }) => {
+                        Some((*peer, *view, *from, *to))
                     }
-                )
-            )),
-            "the missing certified batch must be requested"
-        );
-        assert!(follower.instances[&1].ord_qc.is_some());
-        assert_eq!(
-            follower.certified_ord_tip(),
-            SeqNum(0),
-            "a QC without its batch does not certify the instance"
-        );
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                reqs,
+                [(leader, View(1), 1, 1)],
+                "the missing certified batch must be requested from the leader"
+            );
+            assert!(
+                follower.held_batch(1).is_none(),
+                "the losing batch is dropped"
+            );
+            assert!(follower.instances[&1].ord_qc.is_some());
+            assert_eq!(
+                follower.certified_ord_tip(),
+                SeqNum(0),
+                "a QC without its batch does not certify the instance"
+            );
+        }
     }
 }

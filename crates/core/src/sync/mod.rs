@@ -2,19 +2,27 @@
 //! (§4.2.3) as one question and one answer, in the shape of Viewstamped
 //! Replication's state transfer (`GETSTATE`/`NEWSTATE`).
 //!
-//! Because quorum certificates only require `2f + 1` signers, up to `f`
-//! correct servers can lag behind; and because quorum messages themselves
-//! can be lost (backpressure shed, partitions, injected chaos), a replica can
-//! find itself *wedged*: views it never installed, parked out-of-order blocks
-//! whose predecessors never arrive, commit-signed instances whose batches it
-//! lacks. Before this subsystem, the only repair was the client-complaint →
-//! view-change path — every burst of loss bought a full election pause.
+//! Up to `f` correct servers can lag behind a `2f + 1` quorum, and quorum
+//! messages can be lost (backpressure, partitions, injected chaos), so a
+//! replica can miss views, committed blocks and certified batches. Sync
+//! repairs that without a view change.
 //!
-//! Every site that notices missing state asks the same question,
-//! `SyncReq { view, from, to }`: "I hold view `view` and tip `from - 1`, and I
-//! have seen height `to` proven; what did I miss?" It goes to the server
-//! whose message proved the height (never to this server itself), or to a
-//! rotating peer from the repair timer, through one rate limit. The
+//! Every request asks the same question, `SyncReq { view, from, to }`: "I
+//! hold view `view` and tip `from - 1`, and I have seen height `to` proven;
+//! what did I miss?" Whoever holds the evidence of missing state owns the
+//! question (PBFT's retransmission rule), and each kind of evidence is asked
+//! about in exactly one place. Inline handlers ask only for what the live
+//! path will not deliver; the repair tick is the one fallback:
+//!
+//! | site | evidence | asks |
+//! |---|---|---|
+//! | `handle_cmt` | signed an instance without its certified batch | the leader |
+//! | `apply_committed_block` | a block above a hole, or from a higher view | its relayer |
+//! | the repair tick | a stalled tip with parked blocks or signed instances | a rotating peer |
+//! | `Verdict::SyncFirst` | a candidate in an uninstalled view | the candidate |
+//! | `Refusal::SignedInstancesUncovered` | this voter holds the proof | pushes a `SyncResp` to the candidate |
+//!
+//! Requests go through one rate limit and never to this server itself. The
 //! responder decides what the answer holds, within one response budget:
 //!
 //! * the vcBlocks above `view`;
@@ -23,27 +31,19 @@
 //!   responder's tip, up to `to` — state transfer for instances that may have
 //!   committed elsewhere;
 //! * its stable checkpoint certificate, when that block range is wider than
-//!   one response (a fresh restart from an old checkpoint, a long
-//!   partition), so the requester can re-establish a GC horizon while it
-//!   pages the rest.
+//!   one response (a restart from an old checkpoint, a long partition), so
+//!   the requester can re-establish a GC horizon while it pages the rest.
 //!
-//! The repair timer also carries **election retransmission** (`Camp` /
-//! `NewVcBlock` re-broadcast, idempotent `VoteCP` re-send): view-change
-//! messages lost to chaos previously stalled elections until the next
-//! timeout escalation.
+//! The repair tick also re-broadcasts a stalled candidate's `Camp` and a
+//! leader-elect's `NewVcBlock` (election retransmission).
 //!
-//! Structure:
-//!
-//! * [`serve`] — the answer, per-peer rate-limited and byte-budgeted so a
-//!   Byzantine or looping requester cannot turn this server into a
-//!   payload-assembly treadmill;
-//! * [`repair`] — the requester side: the rate-limited request, the periodic
-//!   repair timer that notices a stalled committed tip and asks a *rotating*
-//!   peer (the leader may be the dead node), and installing answers.
-//!
-//! Blocks and ordered entries obtained through sync are validated through
-//! their quorum certificates exactly like live traffic; sync never widens
-//! what a peer can make this server believe, only when it learns it.
+//! [`serve`] answers, rate-limited per peer and byte-budgeted, so a
+//! Byzantine or looping requester cannot turn this server into a
+//! payload-assembly treadmill. [`repair`] asks, installs answers, and runs
+//! the repair tick, whose peer rotates because the leader may be the dead
+//! node. Blocks and ordered entries obtained through sync are validated
+//! through their quorum certificates exactly like live traffic; sync never
+//! widens what a peer can make this server believe, only when it learns it.
 
 mod repair;
 mod serve;

@@ -236,13 +236,10 @@ impl PrestigeServer {
         // The certified claim: only instances whose ordering QC *and* batch
         // this server holds count — voters verify the certificates instead of
         // trusting the tip. A server that commit-signed beyond its certified
-        // state (it saw a `Cmt` but never the `Ord`) repairs the hole through
-        // the recovery plane before its claim can cover the signed tip.
+        // state (it saw a `Cmt` but never the `Ord`) asked for the batch when
+        // it signed; a voter holding the proof pushes it when it refuses the
+        // uncovered claim.
         let (ord_seq, tip_cert) = self.build_tip_cert();
-        if self.signed_commit_tip > ord_seq.0 {
-            let peer = self.next_sync_peer();
-            self.request_sync(peer, self.signed_commit_tip, ctx);
-        }
         let commit_cert = self.store.latest_tx_block().commit_qc.clone();
 
         // Replication stops while campaigning (§4.2.2 line 34).

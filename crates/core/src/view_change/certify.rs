@@ -369,21 +369,6 @@ impl PrestigeServer {
             Actor::Client(_) => return,
         };
         let verdict = self.judge_camp(candidate, &claims, ctx);
-        // Past C3 the candidate's certificates prove its state: catch up from
-        // it ahead of the election result — the committed blocks and
-        // certified ordered instances this server lacks — so a win is
-        // followed immediately instead of after another repair round trip
-        // (the vote does not need them).
-        let proven = matches!(
-            verdict,
-            Verdict::Vote(_) | Verdict::Refuse(Refusal::RpNotReproducible | Refusal::PowInvalid)
-        );
-        if proven
-            && (claims.latest_seq > self.store.latest_seq()
-                || claims.latest_ord_seq > self.certified_ord_tip())
-        {
-            self.request_sync(from, claims.latest_ord_seq.0, ctx);
-        }
         let new_view = claims.new_view;
         let share = match verdict {
             Verdict::Vote(digest) => sign_share(
@@ -650,12 +635,13 @@ mod tests {
         use Refusal::*;
         let rows = [
             Row {
-                // The candidate is ahead, so the voter also catches up.
+                // The candidate is ahead, but the voter does not ask it: the
+                // vcBlock and the re-proposed `Ord`s carry that state.
                 name: "a fully certified claim earns the vote",
                 setup: untouched,
                 camp: |r, v| genesis_camp(r, v, 2, tip_cert(r, 1, &[1, 2])),
                 verdict: "Vote",
-                sent: &["SyncReq", "VoteCP"],
+                sent: &["VoteCP"],
                 moved: None,
             },
             Row {
@@ -873,13 +859,12 @@ mod tests {
                 setup: |v, _| v.signed_commit_tip = 3,
                 camp: |r, v| genesis_camp(r, v, 3, tip_cert(r, 1, &[1, 2, 3])),
                 verdict: "Vote",
-                sent: &["SyncReq", "VoteCP"],
+                sent: &["VoteCP"],
                 moved: None,
             },
             Row {
                 // Appendix C: S1 campaigning V1 → V2 from rp(1) = 1 pays
-                // rp 2; a claim of 1 skips the penalty. Past C3, the voter
-                // still catches up from the candidate.
+                // rp 2; a claim of 1 skips the penalty.
                 name: "C4: an rp the candidate's history does not reproduce",
                 setup: untouched,
                 camp: |r, v| {
@@ -889,7 +874,7 @@ mod tests {
                     claims
                 },
                 verdict: "RpNotReproducible",
-                sent: &["SyncReq"],
+                sent: &[],
                 moved: Some(RpNotReproducible),
             },
             Row {

@@ -140,16 +140,6 @@ impl PrestigeServer {
         {
             return;
         }
-        // State transfer: certified instances this server commit-signed but
-        // cannot re-validate locally (no batch — it saw the `Cmt` but never
-        // the `Ord`) are fetched from the new leader before the re-proposals
-        // land, closing the "partitioned batch-holder" liveness gap.
-        let lacking = self
-            .instances
-            .range(block.committed_seq.0 + 1..)
-            .filter(|&(&n, r)| n <= block.ord_tip.0 && r.signed.is_some() && r.batch.is_none())
-            .map(|(&n, _)| n)
-            .next_back();
         // Adopt. Logged first: view history and the reputation state must
         // survive a crash (replay rebuilds both from the WAL).
         let leader = block.leader_id;
@@ -157,9 +147,6 @@ impl PrestigeServer {
         self.wal_append(prestige_storage::WalRecordRef::ViewInstall(&block));
         if !self.store.insert_vc_block(block) {
             return;
-        }
-        if let Some(to) = lacking {
-            self.request_sync(from, to, ctx);
         }
         if let Some(share) = sign_share(
             &self.registry,

@@ -23,7 +23,9 @@
 //! caught). `--seeds N` sweeps the file over seeds `S..S+N` in place of its
 //! own; the exit is nonzero naming every failing seed and what it failed.
 //! Under each FAILED verdict an indented `refusals:` line tallies the
-//! correct servers' campaign refusals by kind.
+//! correct servers' campaign refusals by kind, and one indented line per
+//! correct server that answers gives its final view and leader, its
+//! campaigns as (ms, rp, PoW ms), and the time of its last commit.
 //! `shrink` minimizes a failing scenario file. `replay` and `shrink` refuse
 //! a file whose `protocol` is not `pb`: the invariants read PrestigeBFT
 //! server state.
@@ -100,6 +102,34 @@ fn refusal_tally(observations: &Observations) -> String {
     } else {
         kinds.join(", ")
     }
+}
+
+/// One line per correct server that answers: why a seed failed, read from
+/// where each replica ended up and how its elections went.
+fn server_lines(observations: &Observations) -> Vec<String> {
+    let servers = observations.servers.iter().enumerate();
+    let servers = servers.filter_map(|(id, s)| Some((id, s.as_ref()?)));
+    servers
+        .filter(|(_, s)| !s.behavior.is_faulty())
+        .map(|(id, s)| {
+            let campaigns: Vec<String> = s
+                .stats
+                .campaign_log
+                .iter()
+                .map(|(ms, rp, pow_ms)| format!("({ms:.1}, {rp}, {pow_ms:.1})"))
+                .collect();
+            let last_commit = match s.stats.commit_log.last() {
+                Some((ms, _)) => format!("{ms:.1} ms"),
+                None => "never".to_string(),
+            };
+            format!(
+                "s{id}: view {} leader s{}; campaigns [{}]; last commit {last_commit}",
+                s.view,
+                s.leader,
+                campaigns.join(", ")
+            )
+        })
+        .collect()
 }
 
 /// Reads a scenario file vopr can run; on failure says why on stderr.
@@ -253,6 +283,9 @@ fn cmd_replay(args: Args) -> ExitCode {
                 );
                 eprintln!("{line}");
                 eprintln!("  refusals: {}", refusal_tally(&outcome.observations));
+                for server in server_lines(&outcome.observations) {
+                    eprintln!("  {server}");
+                }
                 failed.push(line);
             }
             if let Some(violation) = outcome.violation {
