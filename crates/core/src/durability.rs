@@ -21,10 +21,12 @@
 use crate::profile::{LoopProfile, LoopStage};
 use crate::server::{PrestigeServer, ServerRole};
 use crate::storage::block_keys_digest;
-use prestige_crypto::{sign_share, FramedHasher, QcBuilder};
+use prestige_crypto::{qc_statement, sign_share, FramedHasher, QcBuilder};
 use prestige_sim::Context;
 use prestige_storage::{Storage, StorageStats, WalRecord, WalRecordRef};
-use prestige_types::{Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, View};
+use prestige_types::{
+    Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, View,
+};
 
 impl PrestigeServer {
     // ------------------------------------------------------------------
@@ -109,10 +111,8 @@ impl PrestigeServer {
     /// one round — the round simply fails to reach quorum and the next
     /// interval succeeds, a liveness hiccup the interval bounds.
     pub(crate) fn maybe_emit_checkpoint(&mut self, n: SeqNum, ctx: &mut Context<Message>) {
-        let interval = self.config.checkpoint_interval;
-        if interval == 0
-            || n.0 == 0
-            || !n.0.is_multiple_of(interval)
+        if n.0 == 0
+            || !n.0.is_multiple_of(self.config.checkpoint_interval)
             || n.0 <= self.stable_checkpoint
         {
             return;
@@ -142,9 +142,15 @@ impl PrestigeServer {
         self.add_ckpt_share(n, digest, share, ctx);
     }
 
-    /// Accepts a peer's checkpoint share — only for heights this replica has
-    /// itself committed with a matching state digest (a share over state it
-    /// cannot reproduce is either stale, divergent, or forged).
+    /// Accepts a peer's checkpoint share into the quorum for `n` — only for
+    /// heights above the stable checkpoint that this replica has itself
+    /// committed with a matching state digest (a share over state it cannot
+    /// reproduce is either stale, divergent, or forged).
+    ///
+    /// Any other share whose signature verifies still tells the horizon how
+    /// far its signer has checkpointed: the slowest server's share always
+    /// arrives after the quorum, and a slow replica hears its peers' shares
+    /// before it commits their height.
     pub(crate) fn handle_ckpt_share(
         &mut self,
         n: SeqNum,
@@ -152,22 +158,33 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        if self.config.checkpoint_interval == 0 || n.0 <= self.stable_checkpoint {
+        let quorum_needs = n.0 > self.stable_checkpoint
+            && self
+                .checkpoint_statement(n.0)
+                .is_some_and(|(_, local)| local == digest);
+        if quorum_needs {
+            self.add_ckpt_share(n, digest, share, ctx);
             return;
         }
-        let Some((_, local)) = self.checkpoint_statement(n.0) else {
-            return;
-        };
-        if local != digest {
+        // Only a height above the signer's recorded one is worth a verify.
+        let recorded = self.ckpt_share_heights.get(share.signer.0 as usize);
+        if recorded.is_none_or(|h| n.0 <= *h) {
             return;
         }
-        self.add_ckpt_share(n, digest, share, ctx);
+        let statement = qc_statement(QcKind::Checkpoint, View(0), n, &digest);
+        if self
+            .registry
+            .verify(Actor::Server(share.signer), &statement, &share.sig)
+        {
+            self.note_ckpt_share(share.signer, n.0);
+        }
     }
 
-    /// Adds a verified share to the collector for `n`; on reaching `2f + 1`
-    /// assembles the certificate, installs the checkpoint, and broadcasts
-    /// the certificate so laggards (who never committed `n` in time to
-    /// collect shares) can adopt it.
+    /// Adds a share to the collector for `n` and, once its signature
+    /// verifies, to the horizon; on reaching `2f + 1` assembles the
+    /// certificate, installs the checkpoint, and broadcasts the certificate
+    /// so laggards (who never committed `n` in time to collect shares) can
+    /// adopt it.
     fn add_ckpt_share(
         &mut self,
         n: SeqNum,
@@ -181,15 +198,41 @@ impl PrestigeServer {
             .ckpt_builders
             .entry(n.0)
             .or_insert_with(|| QcBuilder::new(QcKind::Checkpoint, View(0), n, digest, quorum));
-        if builder.add_share(&self.registry, &share).is_err() || !builder.complete() {
+        let Ok(complete) = builder.add_share(&self.registry, &share) else {
             return;
-        }
-        let Ok(cert) = builder.assemble() else {
+        };
+        let cert = if complete {
+            builder.assemble().ok()
+        } else {
+            None
+        };
+        self.note_ckpt_share(share.signer, n.0);
+        let Some(cert) = cert else {
             return;
         };
         self.ckpt_builders.remove(&n.0);
         self.install_checkpoint(cert.clone());
         ctx.broadcast(self.other_servers(), Message::CkptCert { cert });
+    }
+
+    /// Records that `signer` signed a checkpoint share at `n`. When that
+    /// raises the lowest height over all servers, the block store drops
+    /// everything below the new horizon, one interval under that height:
+    /// no correct server asks for a block below it (ARCHITECTURE.md, "What
+    /// a replica keeps").
+    fn note_ckpt_share(&mut self, signer: ServerId, n: u64) {
+        let Some(height) = self.ckpt_share_heights.get_mut(signer.0 as usize) else {
+            return;
+        };
+        if n <= *height {
+            return;
+        }
+        let old = std::mem::replace(height, n);
+        let lowest = self.ckpt_share_heights.iter().copied().min().unwrap_or(0);
+        if lowest > old {
+            let horizon = lowest.saturating_sub(self.config.checkpoint_interval);
+            self.store.prune_below(horizon);
+        }
     }
 
     /// Adopts a checkpoint certificate received from a peer (directly or
@@ -355,11 +398,12 @@ impl PrestigeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::tests::{pump, route, Queue};
     use crate::storage::BlockStore;
     use prestige_crypto::KeyRegistry;
     use prestige_sim::{Context, Effects, Emission, SimRng, SimTime};
     use prestige_storage::MemStorage;
-    use prestige_types::{ClientId, ClusterConfig, ServerId, Transaction, TxBlock};
+    use prestige_types::{ClientId, ClusterConfig, Proposal, ServerId, Transaction, TxBlock};
     use std::sync::Arc;
 
     fn with_ctx(
@@ -426,6 +470,176 @@ mod tests {
             &digest,
         )
         .unwrap()
+    }
+
+    /// Four servers with checkpoints every 4 blocks, driven through the live
+    /// protocol: s0 leads, and every server-to-server message is delivered
+    /// at once, except those a test withholds.
+    struct Four {
+        registry: KeyRegistry,
+        servers: Vec<PrestigeServer>,
+        blocks: u64,
+    }
+
+    impl Four {
+        fn new() -> Self {
+            let registry = KeyRegistry::new(2, 4, 2);
+            let config = ClusterConfig::new(4).with_checkpoint_interval(4);
+            let servers = (0..4)
+                .map(|i| PrestigeServer::new(ServerId(i), config.clone(), registry.clone(), 0))
+                .collect();
+            Four {
+                registry,
+                servers,
+                blocks: 0,
+            }
+        }
+
+        /// Commits the next block of [`batch`] on every reachable server,
+        /// dropping every message `withhold` names.
+        fn commit_block(&mut self, withhold: impl Fn(Actor, &Message) -> bool) {
+            self.blocks += 1;
+            let leader = &mut self.servers[0];
+            let proposals = batch(self.blocks)
+                .into_iter()
+                .map(|tx| Proposal::new(tx, Digest::ZERO));
+            leader.pending_proposals.extend(proposals);
+            let effects = with_ctx(leader, |s, ctx| s.flush_batch(ctx));
+            let mut queue = Queue::new();
+            route(&mut queue, Actor::Server(ServerId(0)), effects);
+            pump(&mut self.servers, queue, withhold);
+        }
+
+        fn commit_blocks(&mut self, count: u64, withhold: impl Fn(Actor, &Message) -> bool) {
+            for _ in 0..count {
+                self.commit_block(&withhold);
+            }
+        }
+
+        /// The lowest height server `i` still holds.
+        fn first_held(&self, i: usize) -> u64 {
+            self.servers[i].store.chain_digests()[0].0
+        }
+    }
+
+    fn nothing(_: Actor, _: &Message) -> bool {
+        false
+    }
+
+    /// Whether `message` is a checkpoint share `from` server `id` sent.
+    fn share_of(id: u32) -> impl Fn(Actor, &Message) -> bool {
+        move |from, message| {
+            from == Actor::Server(ServerId(id)) && matches!(message, Message::CkptShare { .. })
+        }
+    }
+
+    #[test]
+    fn with_every_share_delivered_every_store_starts_one_interval_below_the_lowest() {
+        let mut four = Four::new();
+        four.commit_blocks(12, nothing);
+        for i in 0..4 {
+            let server = &four.servers[i];
+            assert_eq!(server.store.latest_seq(), SeqNum(12));
+            assert_eq!(server.ckpt_share_heights, [12; 4]);
+            assert_eq!(four.first_held(i), 8, "s{i} keeps 12 - 4 and up");
+            // The stats count every commit; the store holds the suffix.
+            assert_eq!(server.stats().committed_blocks, 12);
+            assert_eq!(server.stats().committed_tx, 12 * 16);
+        }
+        // One more block: the tip moves, the horizon waits for the shares.
+        four.commit_block(nothing);
+        assert_eq!(four.first_held(0), 8);
+        assert_eq!(four.servers[0].store.latest_seq(), SeqNum(13));
+    }
+
+    #[test]
+    fn a_withholding_server_freezes_the_horizon_at_its_last_share() {
+        let mut four = Four::new();
+        four.commit_blocks(8, nothing);
+        four.commit_blocks(12, share_of(3));
+        for i in 0..3 {
+            assert_eq!(four.servers[i].ckpt_share_heights, [20, 20, 20, 8]);
+            assert_eq!(four.first_held(i), 4, "s{i} keeps s3's 8 - 4 and up");
+            assert_eq!(
+                four.servers[i].stable_checkpoint(),
+                20,
+                "three shares are a quorum"
+            );
+        }
+        // The withholder itself heard every share.
+        assert_eq!(four.first_held(3), 16);
+    }
+
+    #[test]
+    fn a_share_with_a_bad_signature_does_not_move_the_horizon() {
+        let mut four = Four::new();
+        four.commit_blocks(4, nothing);
+        four.commit_blocks(4, share_of(3));
+        // Round three's shares all go missing: s0 holds only its own for 12.
+        four.commit_blocks(4, |_, m| matches!(m, Message::CkptShare { .. }));
+        let s0 = &four.servers[0];
+        assert_eq!(s0.ckpt_share_heights, [12, 8, 8, 4]);
+        assert_eq!((s0.stable_checkpoint(), four.first_held(0)), (8, 0));
+
+        // s3's shares, forged: one at the stable height (verified on its
+        // own) and one at 12 (verified by the quorum collecting 12).
+        let (_, at_8) = s0.checkpoint_statement(8).unwrap();
+        let (_, at_12) = s0.checkpoint_statement(12).unwrap();
+        for (n, digest) in [(8, at_8), (12, at_12)] {
+            let mut forged = foreign_share(&four.registry, 3, n, digest);
+            forged.sig[0] ^= 0xff;
+            let s0 = &mut four.servers[0];
+            with_ctx(s0, |s, ctx| {
+                s.handle_ckpt_share(SeqNum(n), digest, forged, ctx)
+            });
+            assert_eq!(s0.ckpt_share_heights, [12, 8, 8, 4], "forged share at {n}");
+            assert_eq!(four.first_held(0), 0);
+        }
+
+        // The genuine share at 12 moves it.
+        let genuine = foreign_share(&four.registry, 3, 12, at_12);
+        let s0 = &mut four.servers[0];
+        with_ctx(s0, |s, ctx| {
+            s.handle_ckpt_share(SeqNum(12), at_12, genuine, ctx)
+        });
+        assert_eq!(s0.ckpt_share_heights, [12, 8, 8, 12]);
+        assert_eq!(four.first_held(0), 4);
+    }
+
+    #[test]
+    fn a_replica_restarted_from_a_torn_wal_catches_up_from_a_pruned_peer() {
+        let mut four = Four::new();
+        let wal = prestige_storage::SharedMemStorage::new();
+        four.servers[3].attach_storage(Box::new(wal.clone()));
+        four.commit_blocks(20, nothing);
+        assert_eq!(four.first_held(0), 16, "the peers have pruned");
+
+        // s3 crashes, losing every record it appended after block 16: the
+        // four blocks up to its last share, as many as the one-interval
+        // slack covers.
+        let records = wal.records_snapshot();
+        let kept = records
+            .iter()
+            .position(|r| matches!(r, WalRecord::Block(b) if b.n == SeqNum(16)))
+            .unwrap();
+        wal.truncate_tail(records.len() - kept - 1);
+        let config = four.servers[3].config.clone();
+        let mut restarted = PrestigeServer::new(ServerId(3), config, four.registry.clone(), 0);
+        restarted.replay_wal(wal.records_snapshot());
+        restarted.attach_storage(Box::new(wal.clone()));
+        assert_eq!(restarted.store.latest_seq(), SeqNum(16));
+        four.servers[3] = restarted;
+
+        // The next block reaches s3 above a gap; it asks the leader, whose
+        // store still starts at the block s3 holds.
+        four.commit_block(nothing);
+        let s3 = &four.servers[3];
+        assert_eq!(s3.stats().sync_reqs_sent, 1);
+        assert_eq!(s3.store.latest_seq(), SeqNum(21));
+        assert_eq!(
+            s3.store.latest_tx_digest(),
+            four.servers[0].store.latest_tx_digest()
+        );
     }
 
     #[test]
@@ -585,6 +799,8 @@ mod tests {
         );
         restarted.replay_wal(records);
         assert_eq!(restarted.store.latest_seq(), SeqNum(6));
+        assert_eq!(restarted.stats().committed_blocks, 6);
+        assert_eq!(restarted.stats().committed_tx, 6 * 16);
         assert_eq!(restarted.next_seq, SeqNum(7));
         assert_eq!(
             restarted.store.chain_digests(),

@@ -70,7 +70,7 @@ impl PrestigeServer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use prestige_crypto::{sign_share, KeyRegistry, QcBuilder};
     use prestige_sim::{Context, Effects, Emission, Process, SimRng, SimTime};
@@ -1015,10 +1015,10 @@ mod tests {
         );
     }
 
-    type Queue = Vec<(Actor, Actor, Message)>;
+    pub(crate) type Queue = Vec<(Actor, Actor, Message)>;
 
     /// Queues `from`'s emissions as `(from, to, message)` deliveries.
-    fn route(queue: &mut Queue, from: Actor, effects: Effects<Message>) {
+    pub(crate) fn route(queue: &mut Queue, from: Actor, effects: Effects<Message>) {
         for emission in effects.emissions {
             match emission {
                 Emission::Send(to, m) => queue.push((from, to, m)),
@@ -1031,10 +1031,17 @@ mod tests {
 
     /// Delivers every server-to-server message among `servers` until the
     /// cluster is quiet. Messages to anyone else (clients, an isolated
-    /// server) are dropped.
-    fn pump(servers: &mut [PrestigeServer], mut queue: Queue) {
+    /// server) and those `withhold` names are dropped.
+    pub(crate) fn pump(
+        servers: &mut [PrestigeServer],
+        mut queue: Queue,
+        withhold: impl Fn(Actor, &Message) -> bool,
+    ) {
         while !queue.is_empty() {
             for (from, to, message) in std::mem::take(&mut queue) {
+                if withhold(from, &message) {
+                    continue;
+                }
                 let Some(server) = servers.iter_mut().find(|s| Actor::Server(s.id()) == to) else {
                     continue;
                 };
@@ -1067,7 +1074,7 @@ mod tests {
         let effects = with_ctx(&mut servers[0], |s, ctx| s.flush_batch(ctx));
         let mut queue = Queue::new();
         route(&mut queue, Actor::Server(ServerId(0)), effects);
-        pump(&mut servers, queue);
+        pump(&mut servers, queue, |_, _| false);
 
         let n = SeqNum(1);
         let digest_at = |s: &PrestigeServer| s.store().tx_block(n).map(|b| b.header.digest);

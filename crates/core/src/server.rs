@@ -324,6 +324,11 @@ pub struct PrestigeServer {
     /// The certificate behind `stable_checkpoint`, served to far-behind
     /// peers in sync answers.
     pub(crate) stable_ckpt_cert: Option<QuorumCertificate>,
+    /// Per server, indexed by id: the highest checkpoint height it has sent
+    /// this server a validly signed share for (this server's own included).
+    /// Their minimum, less one interval, is the horizon the block store is
+    /// pruned below.
+    pub(crate) ckpt_share_heights: Vec<u64>,
     /// The vote this server cast per campaigned view (criterion C1 record):
     /// view → (candidate, share), its own id for a view it campaigned in.
     /// Lets the election-retransmission path re-send the *same* vote
@@ -374,6 +379,7 @@ impl PrestigeServer {
             pacemaker.set_deterministic_timeout(true);
         }
         let store = BlockStore::new(config.n());
+        let ckpt_share_heights = vec![0; config.n() as usize];
         let refresh_tracker = RefreshTracker::new(config.f());
         PrestigeServer {
             id,
@@ -419,6 +425,7 @@ impl PrestigeServer {
             ckpt_builders: BTreeMap::new(),
             stable_checkpoint: 0,
             stable_ckpt_cert: None,
+            ckpt_share_heights,
             cast_votes: BTreeMap::new(),
             refresh_tracker,
             refresh_builder: None,

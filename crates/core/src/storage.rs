@@ -71,10 +71,15 @@ pub fn vc_block_digest(block: &VcBlock) -> Digest {
 }
 
 /// Per-replica storage of committed blocks.
+///
+/// The txBlock map holds a suffix of the committed chain: genesis up to the
+/// tip until the server first prunes it ([`Self::prune_below`]), then the
+/// blocks from its all-replica checkpoint horizon on. Every vcBlock is kept.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
-    /// Committed txBlocks, shared so the commit hot path (leader broadcast,
-    /// follower apply, sync) never deep-copies a block.
+    /// Committed txBlocks from the horizon to the tip, shared so the commit
+    /// hot path (leader broadcast, follower apply, sync) never deep-copies a
+    /// block.
     tx_blocks: BTreeMap<u64, Arc<TxBlock>>,
     vc_blocks: BTreeMap<u64, VcBlock>,
 }
@@ -178,7 +183,8 @@ impl BlockStore {
         true
     }
 
-    /// Returns the txBlock at a given sequence number, if committed.
+    /// Returns the txBlock at a given sequence number, if committed and not
+    /// yet pruned below the horizon.
     pub fn tx_block(&self, n: SeqNum) -> Option<&TxBlock> {
         self.tx_blocks.get(&n.0).map(|b| b.as_ref())
     }
@@ -200,9 +206,24 @@ impl BlockStore {
         self.tx_blocks.insert(n.0, Arc::new(anchor));
     }
 
+    /// Drops every txBlock below `horizon`, except the tip: the tip is what
+    /// the next insert chains onto. Splits the map at the horizon, so the
+    /// cost is the dropped blocks, never a scan of the kept ones.
+    pub fn prune_below(&mut self, horizon: u64) {
+        let horizon = horizon.min(self.latest_seq().0);
+        if self
+            .tx_blocks
+            .first_key_value()
+            .is_some_and(|(n, _)| *n < horizon)
+        {
+            self.tx_blocks = self.tx_blocks.split_off(&horizon);
+        }
+    }
+
     /// The committed txBlocks in the inclusive range `[from, to]`, none when
     /// `from > to` (cloned lazily: callers ship them over the wire in
-    /// `SyncResp` and stop at a response budget).
+    /// `SyncResp` and stop at a response budget). The range starts at the
+    /// horizon at the earliest: a block pruned below it is not served.
     pub fn tx_blocks_in(&self, from: u64, to: u64) -> impl Iterator<Item = TxBlock> + '_ {
         let range = self.tx_blocks.range(from..);
         range
@@ -210,26 +231,17 @@ impl BlockStore {
             .map(|(_, b)| (**b).clone())
     }
 
-    /// The committed txBlock chain as `(sequence number, digest)` pairs in
-    /// sequence order, genesis included. Digests chain each block to its
-    /// predecessor, so two replicas agreeing on the digest at sequence `n`
-    /// agree on the entire prefix up to `n` — this is the per-replica
-    /// fingerprint the adversarial harness compares for fork detection.
+    /// The held txBlock chain as `(sequence number, digest)` pairs in
+    /// sequence order, from the horizon (genesis until the first prune) to
+    /// the tip. Digests chain each block to its predecessor, so two replicas
+    /// agreeing on the digest at sequence `n` agree on the entire prefix up
+    /// to `n`, pruned or not — this is the per-replica fingerprint the
+    /// adversarial harness compares for fork detection.
     pub fn chain_digests(&self) -> Vec<(u64, Digest)> {
         self.tx_blocks
             .iter()
             .map(|(n, b)| (*n, b.header.digest))
             .collect()
-    }
-
-    /// Total number of transactions committed across all txBlocks.
-    pub fn committed_tx_count(&self) -> u64 {
-        self.tx_blocks.values().map(|b| b.tx.len() as u64).sum()
-    }
-
-    /// Number of committed txBlocks (excluding genesis).
-    pub fn committed_block_count(&self) -> u64 {
-        (self.tx_blocks.len() as u64).saturating_sub(1)
     }
 
     // ------------------------------------------------------------------
@@ -347,8 +359,7 @@ mod tests {
         let store = BlockStore::new(4);
         assert_eq!(store.latest_seq(), SeqNum(0));
         assert_eq!(store.current_view(), View(1));
-        assert_eq!(store.committed_tx_count(), 0);
-        assert_eq!(store.committed_block_count(), 0);
+        assert_eq!(store.chain_digests().len(), 1, "genesis only");
         assert_eq!(store.vc_block_count(), 1);
         assert_eq!(store.penalty_history(ServerId(2)), vec![1]);
         assert_eq!(store.current_rp(ServerId(0)), 1);
@@ -372,8 +383,40 @@ mod tests {
         assert_eq!(b1.header.prev_digest, genesis_digest);
         assert_eq!(b2.header.prev_digest, b1.header.digest);
         assert_eq!(store.latest_seq(), SeqNum(2));
-        assert_eq!(store.committed_tx_count(), 5);
-        assert_eq!(store.committed_block_count(), 2);
+    }
+
+    #[test]
+    fn pruning_keeps_the_horizon_up_and_the_tip() {
+        let mut store = BlockStore::new(4);
+        for n in 1..=6u64 {
+            insert(&mut store, TxBlock::new(View(1), SeqNum(n), batch(1)));
+        }
+        let before = store.chain_digests();
+        store.prune_below(4);
+        assert_eq!(store.chain_digests(), before[4..], "blocks 4..=6 stay");
+        assert!(store.tx_block(SeqNum(3)).is_none());
+        assert_eq!(
+            store.tx_blocks_in(0, 6).count(),
+            3,
+            "served from the horizon"
+        );
+
+        // A horizon past the tip still keeps the tip, and the next block
+        // chains onto it as if nothing had been pruned.
+        store.prune_below(100);
+        assert_eq!(store.chain_digests(), before[6..]);
+        let tip = store.latest_tx_digest();
+        assert!(insert(
+            &mut store,
+            TxBlock::new(View(1), SeqNum(7), batch(1))
+        ));
+        assert_eq!(store.tx_block(SeqNum(7)).unwrap().header.prev_digest, tip);
+
+        let mut unpruned = BlockStore::new(4);
+        for n in 1..=7u64 {
+            insert(&mut unpruned, TxBlock::new(View(1), SeqNum(n), batch(1)));
+        }
+        assert_eq!(store.latest_tx_digest(), unpruned.latest_tx_digest());
     }
 
     #[test]

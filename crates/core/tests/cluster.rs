@@ -112,13 +112,9 @@ fn replicas_commit_identical_logs() {
         let server = sim
             .node_as::<PrestigeServer>(Actor::Server(ServerId(s)))
             .unwrap();
-        let common = ref_seq.min(server.store().latest_seq());
-        // Safety: every commonly committed sequence number holds the same block.
-        for n in 1..=common.0 {
-            let a = reference.store().tx_block(n.into()).unwrap();
-            let b = server.store().tx_block(n.into()).unwrap();
-            assert_eq!(a.header.digest, b.header.digest, "divergence at T{n}");
-        }
+        // Safety: every commonly held sequence number holds the same block,
+        // and a chain digest fingerprints its whole prefix.
+        assert_agree(reference, server);
         // Liveness: followers are not far behind the leader.
         assert!(server.store().latest_seq().0 + 20 >= ref_seq.0);
     }
@@ -290,14 +286,11 @@ fn same_seed_reproduces_identical_runs() {
         let sb = sim_server(&b, s);
         assert_eq!(sa.stats(), sb.stats(), "server {s} stats must be identical");
         assert_eq!(sa.store().latest_seq(), sb.store().latest_seq());
-        let latest = sa.store().latest_seq().0;
-        for n in 1..=latest {
-            assert_eq!(
-                sa.store().tx_block(n.into()).unwrap().header.digest,
-                sb.store().tx_block(n.into()).unwrap().header.digest,
-                "server {s} diverged at T{n}"
-            );
-        }
+        assert_eq!(
+            sa.store().chain_digests(),
+            sb.store().chain_digests(),
+            "server {s} diverged"
+        );
     }
 }
 
@@ -312,9 +305,11 @@ fn pipelined_replication_preserves_replica_agreement() {
     let reference = sim_server(&sim, 0);
     let ref_seq = reference.store().latest_seq();
     assert!(ref_seq.0 > 10, "cluster must progress");
-    // Gap-free chain with intact prev pointers on the reference replica.
+    // Gap-free chain with intact prev pointers on the reference replica,
+    // from the first block it still holds.
+    let first = reference.store().chain_digests()[0].0;
     let mut prev = None;
-    for n in 1..=ref_seq.0 {
+    for n in first..=ref_seq.0 {
         let block = reference
             .store()
             .tx_block(n.into())
@@ -326,21 +321,64 @@ fn pipelined_replication_preserves_replica_agreement() {
     }
     // Every replica agrees on the common prefix.
     for s in 1..4u32 {
+        assert_agree(reference, sim_server(&sim, s));
+    }
+}
+
+#[test]
+fn a_store_holds_at_most_three_checkpoint_intervals() {
+    // `peak`'s shape on simulated LAN links: one closed-loop client of 512,
+    // batch 500, checkpoints every 64 blocks, all four servers live. Every
+    // server's shares keep arriving, so every store drops the prefix below
+    // the lowest checkpoint height less one interval.
+    let peak = Scenario {
+        clients: 1,
+        ..lan()
+    };
+    let mut sim = build_cluster(5, 500, 512, peak);
+    sim.run_until(SimTime::from_secs(3.0));
+    for s in 0..4u32 {
         let server = sim_server(&sim, s);
-        let common = ref_seq.min(server.store().latest_seq());
-        for n in 1..=common.0 {
-            assert_eq!(
-                reference.store().tx_block(n.into()).unwrap().header.digest,
-                server.store().tx_block(n.into()).unwrap().header.digest,
-                "server {s} diverged at T{n}"
-            );
-        }
+        let tip = server.store().latest_seq().0;
+        let held = server.store().chain_digests().len() as u64;
+        assert!(tip > 6 * 64, "s{s} committed only {tip} blocks");
+        assert_eq!(server.stats().committed_blocks, tip);
+        assert!(held <= 3 * 64, "s{s} holds {held} of {tip} blocks");
     }
 }
 
 fn sim_server(sim: &Simulation<Message>, id: u32) -> &PrestigeServer {
     sim.node_as::<PrestigeServer>(Actor::Server(ServerId(id)))
         .unwrap()
+}
+
+/// Asserts that `a` and `b` hold the same chain digest at every height both
+/// still hold, and that those heights include the lower of their tips: a
+/// chain digest fingerprints its whole prefix, so agreeing there is
+/// agreeing on everything below it, pruned or not.
+fn assert_agree(a: &PrestigeServer, b: &PrestigeServer) {
+    let common_tip = a.store().latest_seq().min(b.store().latest_seq()).0;
+    let theirs: std::collections::BTreeMap<u64, _> =
+        b.store().chain_digests().into_iter().collect();
+    let mut compared = Vec::new();
+    for (n, digest) in a.store().chain_digests() {
+        if let Some(other) = theirs.get(&n) {
+            assert_eq!(
+                &digest,
+                other,
+                "{:?} and {:?} diverged at T{n}",
+                a.id(),
+                b.id()
+            );
+            compared.push(n);
+        }
+    }
+    assert!(
+        compared.contains(&common_tip),
+        "{:?} and {:?} share no held block at their common tip T{common_tip}",
+        a.id(),
+        b.id()
+    );
 }
 
 #[test]

@@ -64,9 +64,10 @@ impl StoragePlan {
     }
 }
 
-/// The fork check shared by both fabrics: wherever two replicas
-/// committed a block at the same sequence number, the digests (and, by
-/// chaining, the whole prefix) must be identical. Lagging replicas are fine;
+/// The fork check shared by both fabrics: wherever two replicas still
+/// hold a committed block at the same sequence number, the digests (and,
+/// by chaining, the whole prefix, pruned or not) must be identical. Lagging
+/// replicas are fine;
 /// disagreeing ones are not. Returns the highest sequence committed on
 /// *every* chain, or a description of the first divergence.
 pub fn verify_no_fork_chains(chains: &[(ServerId, Vec<(u64, Digest)>)]) -> Result<u64, String> {
@@ -503,7 +504,8 @@ impl<F: Fabric> Cluster<F> {
     }
 
     /// Snapshot of server `id`'s committed txBlock chain as
-    /// `(sequence number, digest)` pairs (genesis included).
+    /// `(sequence number, digest)` pairs, from the server's checkpoint
+    /// horizon (genesis until its store is first pruned) to its tip.
     pub fn committed_chain(&self, id: ServerId) -> Option<Vec<(u64, Digest)>> {
         self.servers
             .get(&id)?
@@ -511,10 +513,10 @@ impl<F: Fabric> Cluster<F> {
     }
 
     /// Safety check: verifies that the given servers' committed logs contain
-    /// **no fork** — wherever two replicas have committed a block at the same
-    /// sequence number, the block digests (and therefore, by chaining, the
-    /// whole prefix) are identical. Lagging replicas are fine; disagreeing
-    /// ones are not.
+    /// **no fork** — wherever two replicas still hold a committed block at
+    /// the same sequence number, the block digests (and therefore, by
+    /// chaining, the whole prefix) are identical. Lagging replicas are fine;
+    /// disagreeing ones are not.
     ///
     /// Returns the highest sequence number committed on *every* checked
     /// server (the guaranteed-identical common prefix), or a description of

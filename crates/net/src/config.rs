@@ -13,7 +13,7 @@
 //! payload_size = 32
 //! clients = 1
 //! # rotation_ms = 10000.0  # timing view-change policy (r10); omit = on-failure-only
-//! # checkpoint_interval = 64  # certified checkpoint + WAL GC cadence (0 = off)
+//! # checkpoint_interval = 64  # certified checkpoint, WAL GC and block-store cadence (> 0)
 //!
 //! [node]
 //! role = "server"     # or "client"
@@ -159,6 +159,13 @@ impl NodeConfig {
             "checkpoint_interval",
             cluster.checkpoint_interval,
         )?;
+        if cluster.checkpoint_interval == 0 {
+            return Err(ConfigError::Invalid(
+                "cluster.checkpoint_interval `0`: checkpoints bound the block store, so the \
+                 interval is positive"
+                    .to_string(),
+            ));
+        }
         cluster.timeouts = parse_timeouts(&doc, cluster.timeouts)?;
 
         let role_text: String = match role_override {
@@ -426,6 +433,12 @@ c1 = "127.0.0.1:7101"
         let text = SAMPLE.replace("n = 4", "n = 4\ncheckpoint_interval = 128");
         let cfg = NodeConfig::from_toml(&text, None).unwrap();
         assert_eq!(cfg.cluster.checkpoint_interval, 128);
+        let text = SAMPLE.replace("n = 4", "n = 4\ncheckpoint_interval = 0");
+        let err = NodeConfig::from_toml(&text, None).expect_err("a zero interval is refused");
+        assert!(
+            err.to_string().contains("cluster.checkpoint_interval"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -118,8 +118,9 @@ pub struct ClusterConfig {
     /// How many committed instances between certified checkpoints: at every
     /// multiple of this height a replica broadcasts a signed state-digest
     /// share, and `2f + 1` matching shares form a checkpoint certificate
-    /// that anchors log garbage collection and far-behind catch-up. `0`
-    /// disables checkpointing (nothing is ever pruned).
+    /// that anchors log garbage collection and far-behind catch-up. Every
+    /// server's shares also set the horizon the block store is pruned
+    /// below, so the interval is positive.
     pub checkpoint_interval: u64,
 }
 
@@ -175,8 +176,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style setter for the checkpoint interval (`0` disables).
+    /// Builder-style setter for the checkpoint interval, which must be
+    /// positive: checkpoints also bound the block store.
     pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
+        assert!(interval > 0, "checkpoint_interval must be positive");
         self.checkpoint_interval = interval;
         self
     }
@@ -234,7 +237,13 @@ mod tests {
     fn checkpoint_interval_defaults_and_composes() {
         let c = ClusterConfig::new(4);
         assert_eq!(c.checkpoint_interval, 64);
-        let c = c.with_checkpoint_interval(0);
-        assert_eq!(c.checkpoint_interval, 0, "zero disables checkpointing");
+        let c = c.with_checkpoint_interval(16);
+        assert_eq!(c.checkpoint_interval, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_interval must be positive")]
+    fn a_zero_checkpoint_interval_is_refused() {
+        let _ = ClusterConfig::new(4).with_checkpoint_interval(0);
     }
 }

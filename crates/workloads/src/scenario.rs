@@ -288,7 +288,8 @@ pub struct Scenario {
     pub batch_size: usize,
     /// Payload size (bytes).
     pub payload_size: usize,
-    /// Commits per certified checkpoint (`0` disables checkpointing).
+    /// Commits per certified checkpoint, and the slack the block store keeps
+    /// below the all-server checkpoint height (positive).
     pub checkpoint_interval: u64,
     /// Timing view-change policy interval (ms); `0` = on failure only.
     pub rotation_ms: u64,
@@ -499,6 +500,14 @@ impl Scenario {
         let Some((_, preset)) = timeout_presets().into_iter().find(|(n, _)| *n == preset) else {
             return invalid(format!("scenario.timeouts `{preset}` (fast or default)"));
         };
+        let checkpoint_interval = get_int(&doc, "scenario", "checkpoint_interval", 64)?;
+        if checkpoint_interval == 0 {
+            return invalid(
+                "scenario.checkpoint_interval `0`: checkpoints bound the block store, so the \
+                 interval is positive"
+                    .to_string(),
+            );
+        }
         let protocol = get_str(&doc, "scenario", "protocol")?.unwrap_or("pb");
         let Some(protocol) = ProtocolChoice::ALL
             .into_iter()
@@ -517,7 +526,7 @@ impl Scenario {
             concurrency: get_int(&doc, "scenario", "concurrency", 100)?,
             batch_size: get_int(&doc, "scenario", "batch_size", 100)?,
             payload_size: get_int(&doc, "scenario", "payload_size", 32)?,
-            checkpoint_interval: get_int(&doc, "scenario", "checkpoint_interval", 64)?,
+            checkpoint_interval,
             rotation_ms: get_int(&doc, "scenario", "rotation_ms", 0)?,
             timeouts: parse_timeouts(&doc, preset)?,
             duration_ms: get_int(&doc, "scenario", "duration_ms", 5_000)?,
@@ -1302,6 +1311,10 @@ mod tests {
                 "[scenario]\nprotocol = \"pbft\"\n".to_string(),
                 "scenario.protocol",
             ),
+            (
+                "[scenario]\ncheckpoint_interval = 0\n".to_string(),
+                "scenario.checkpoint_interval",
+            ),
         ] {
             let err = Scenario::from_toml(&text).expect_err(&text);
             assert!(err.to_string().contains(named), "{text:?} gave: {err}");
@@ -1312,7 +1325,7 @@ mod tests {
     fn what_no_committed_file_sets_still_round_trips() {
         // The committed files and the generated schedules (vopr's
         // determinism test) cover the rest of the vocabulary.
-        let text = "[scenario]\ntimeouts = \"default\"\ncheckpoint_interval = 0\n\
+        let text = "[scenario]\ntimeouts = \"default\"\ncheckpoint_interval = 16\n\
                     protocol = \"sb\"\n[timeouts]\ncomplaint_grace_ms = 200\n\
                     [network]\ndelay_lo_us = 500\ndelay_hi_us = 21500\ndelay_std_us = 5000\n\
                     bandwidth_bytes_per_s = 400000000\n\
