@@ -67,9 +67,9 @@ impl StoragePlan {
 /// The fork check shared by both fabrics: wherever two replicas still
 /// hold a committed block at the same sequence number, the digests (and,
 /// by chaining, the whole prefix, pruned or not) must be identical. Lagging
-/// replicas are fine;
-/// disagreeing ones are not. Returns the highest sequence committed on
-/// *every* chain, or a description of the first divergence.
+/// replicas are fine; disagreeing ones are not. Returns the highest
+/// sequence committed on *every* chain, or a description of the first
+/// divergence.
 pub fn verify_no_fork_chains(chains: &[(ServerId, Vec<(u64, Digest)>)]) -> Result<u64, String> {
     let mut reference: HashMap<u64, (Digest, ServerId)> = HashMap::new();
     let mut common_tip: Option<u64> = None;
