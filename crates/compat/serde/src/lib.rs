@@ -9,9 +9,9 @@
 //! * integers — fixed-width little-endian,
 //! * floats — IEEE-754 little-endian bits,
 //! * `bool` — one byte (`0`/`1`),
-//! * `String` / `Vec<T>` / maps / sets — `u64` length prefix, then elements
-//!   (a `u8` or `bool` sequence is copied or checked as one run, with the
-//!   same bytes as element by element),
+//! * `String` / `Vec<T>` / `Arc<[u8]>` / maps / sets — `u64` length prefix,
+//!   then elements (a `u8` or `bool` sequence is copied or checked as one
+//!   run, with the same bytes as element by element),
 //! * `Option<T>` — one tag byte, then the value if present,
 //! * structs — fields in declaration order,
 //! * enums — `u32` variant tag in declaration order, then the fields.
@@ -521,6 +521,15 @@ impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
     }
 }
 
+// A shared byte run (a transaction payload) is read as a `Vec<u8>` is, and
+// copied out of the input once, straight into its `Arc`.
+impl Deserialize for std::sync::Arc<[u8]> {
+    fn deserialize(input: &mut Reader<'_>) -> Result<Self, Error> {
+        let len = input.read_len()?;
+        Ok(std::sync::Arc::from(input.take(len)?))
+    }
+}
+
 /// Encodes a value to a fresh byte vector.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
@@ -602,6 +611,23 @@ mod tests {
         assert_eq!(to_bytes(&shared), to_bytes(&owned));
         let back: Arc<Vec<u32>> = from_bytes(&to_bytes(&owned)).unwrap();
         assert_eq!(*back, owned);
+    }
+
+    #[test]
+    fn shared_bytes_encode_as_a_vec() {
+        use std::sync::Arc;
+        for owned in [vec![], vec![7u8], (0..=255u8).collect::<Vec<u8>>()] {
+            let shared: Arc<[u8]> = owned.clone().into();
+            assert_eq!(to_bytes(&shared), to_bytes(&owned));
+            let back: Arc<[u8]> = from_bytes(&to_bytes(&owned)).unwrap();
+            assert_eq!(*back, *owned);
+        }
+        let mut forged = to_bytes(&vec![1u8, 2, 3]);
+        forged[0] = 4;
+        assert_eq!(
+            from_bytes::<Arc<[u8]>>(&forged).unwrap_err(),
+            Error::LengthOverflow
+        );
     }
 
     #[test]

@@ -7,8 +7,7 @@ use crate::server::{Leading, OrderedAck, PrestigeServer, ServerRole};
 use prestige_crypto::{keys_digest, ordering_digest, sign_share, QcBuilder};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
-    Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, Transaction,
-    TxBlock, View,
+    Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, TxBlock, View,
 };
 use std::sync::Arc;
 
@@ -326,14 +325,10 @@ impl PrestigeServer {
         self.memoize_qc(memo);
         // The instance is committing: its leader state leaves the record,
         // and so do the certificate-store references `handle_ord_reply`
-        // recorded for the recovery plane, so the batch is uniquely held
-        // again and the transactions move straight into the block. A
-        // still-shared batch falls back to per-transaction clones. `drain`
-        // allocates an exact-size `Vec<Transaction>`; `into_iter` would
-        // collect in place and keep the larger proposal buffer alive inside
-        // the stored block. The record itself stays until the block applies:
-        // a block parked behind a gap must not drop a commit-sign view C3
-        // still checks.
+        // recorded for the recovery plane. The block's transactions share
+        // their payloads with the batch. The record itself stays until the
+        // block applies: a block parked behind a gap must not drop a
+        // commit-sign view C3 still checks.
         let Some(record) = self.instances.get_mut(&n.0) else {
             return;
         };
@@ -342,10 +337,7 @@ impl PrestigeServer {
         };
         record.batch = None;
         record.ord_qc = None;
-        let txs: Vec<Transaction> = match Arc::try_unwrap(ack.batch) {
-            Ok(mut batch) => batch.drain(..).map(|p| p.tx).collect(),
-            Err(shared) => shared.iter().map(|p| p.tx.clone()).collect(),
-        };
+        let txs = ack.batch.iter().map(|p| p.tx.clone()).collect();
         let mut block = TxBlock::new(view, n, txs);
         block.ordering_qc = lead.ordering_qc;
         block.commit_qc = Some(commit_qc);

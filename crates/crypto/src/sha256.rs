@@ -67,10 +67,40 @@ impl Sha256 {
     }
 
     /// One-shot convenience: hash `data` and return the 32-byte digest.
+    ///
+    /// An input that fits one block with its padding (≤ 55 bytes, such as
+    /// a 32-byte request payload) is padded in place and compressed once,
+    /// without the streaming buffer.
     pub fn digest(data: &[u8]) -> [u8; 32] {
+        if let Some(block) = Self::one_block(data) {
+            let mut state = H0;
+            Self::compress_many(&mut state, &block);
+            return Self::output(&state);
+        }
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()
+    }
+
+    /// `data` with its padding as one block, when it fits in one.
+    fn one_block(data: &[u8]) -> Option<[u8; 64]> {
+        if data.len() > 55 {
+            return None;
+        }
+        let mut block = [0u8; 64];
+        block[..data.len()].copy_from_slice(data);
+        block[data.len()] = 0x80;
+        block[56..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        Some(block)
+    }
+
+    /// The digest bytes of a final state.
+    fn output(state: &[u32; 8]) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 
     /// Feeds `data` into the hasher.
@@ -123,12 +153,7 @@ impl Sha256 {
         };
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         self.update_no_len(&pad[..pad_len + 8]);
-
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        Self::output(&self.state)
     }
 
     /// `update` without touching `total_len` (used only for padding).
@@ -404,29 +429,83 @@ mod tests {
         assert_eq!(h.finalize(), one_shot);
     }
 
+    /// Bytes `0..len` of a fixed pattern, for the length sweeps below.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    /// The streaming digest of `data`, fed in two pieces split at `cut`.
+    fn streamed(data: &[u8], cut: usize) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(&data[..cut]);
+        h.update(&data[cut..]);
+        h.finalize()
+    }
+
+    /// `data` with its FIPS 180-4 padding, built independently of the
+    /// hasher: the 0x80 terminator, zeros up to 56 mod 64, the bit length.
+    fn padded(data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        out.push(0x80);
+        while out.len() % 64 != 56 {
+            out.push(0);
+        }
+        out.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        out
+    }
+
     #[test]
     fn boundary_lengths_55_56_63_64_65() {
         // Lengths around the padding boundary are where SHA-256 implementations
-        // typically go wrong; pin a few against the incremental path.
-        for len in [55usize, 56, 63, 64, 65, 119, 120, 127, 128] {
-            let data = vec![0xa5u8; len];
+        // typically go wrong, and 55 is where the one-block path ends: pin
+        // every length through two blocks against the incremental path.
+        for len in 0..=130usize {
+            let data = pattern(len);
             let a = Sha256::digest(&data);
-            let mut h = Sha256::new();
-            h.update(&data[..len / 2]);
-            h.update(&data[len / 2..]);
-            assert_eq!(h.finalize(), a, "mismatch at length {len}");
+            for cut in [0, len / 2, len] {
+                assert_eq!(streamed(&data, cut), a, "mismatch at length {len}");
+            }
         }
     }
 
-    /// The hardware (SHA-NI) and portable compression paths must agree on
-    /// every state transition, not just on full digests.
+    /// The portable compression path alone, over every length the one-block
+    /// path and its neighbours cover, gives the one-shot digest (which the
+    /// test above pins to the streaming one); so does the hardware (SHA-NI)
+    /// path where the CPU has it, and the two agree on every state
+    /// transition, not just on full digests.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn hardware_and_scalar_compression_agree() {
+        for len in 0..=130usize {
+            let data = pattern(len);
+            let message = padded(&data);
+            let mut soft = H0;
+            for block in message.chunks_exact(64) {
+                Sha256::compress(&mut soft, block.try_into().unwrap());
+            }
+            assert_eq!(
+                Sha256::output(&soft),
+                Sha256::digest(&data),
+                "scalar, length {len}"
+            );
+            if let Some(block) = Sha256::one_block(&data) {
+                assert_eq!(
+                    block.as_slice(),
+                    message.as_slice(),
+                    "padding, length {len}"
+                );
+            }
+            if super::shani::available() {
+                let mut hw = H0;
+                // SAFETY: availability checked above.
+                unsafe { super::shani::compress_many(&mut hw, &message) };
+                assert_eq!(hw, soft, "hardware, length {len}");
+            }
+        }
         if !super::shani::available() {
             return; // nothing to compare on this machine
         }
-        let data: Vec<u8> = (0..64 * 7).map(|i| (i * 31 % 251) as u8).collect();
+        let data = pattern(64 * 7);
         for blocks in 1..=7usize {
             let mut hw = H0;
             // SAFETY: availability checked above.

@@ -10,6 +10,7 @@ use crate::ids::ClientId;
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A 32-byte digest (SHA-256 output size).
 ///
@@ -84,7 +85,10 @@ impl AsRef<[u8]> for Digest {
 /// A client transaction: an opaque payload plus bookkeeping identity.
 ///
 /// The evaluation uses random payloads of `m = 32` or `64` bytes; the payload
-/// length is what matters for the bandwidth model.
+/// length is what matters for the bandwidth model. The payload is shared:
+/// the client allocates it once, and every copy after that (each recipient
+/// of the proposal, each replica's pool, the ordered batch, the block body)
+/// is a reference-count bump. It encodes exactly as a `Vec<u8>` would.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct Transaction {
@@ -93,16 +97,16 @@ pub struct Transaction {
     /// Client-local unique timestamp / request counter.
     pub timestamp: u64,
     /// Opaque payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: Arc<[u8]>,
 }
 
 impl Transaction {
     /// Creates a transaction with the given identity and payload.
-    pub fn new(client: ClientId, timestamp: u64, payload: Vec<u8>) -> Self {
+    pub fn new(client: ClientId, timestamp: u64, payload: impl Into<Arc<[u8]>>) -> Self {
         Transaction {
             client,
             timestamp,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -110,10 +114,9 @@ impl Transaction {
     /// the identity — convenient for workload generators that only care about
     /// the message size `m`.
     pub fn with_size(client: ClientId, timestamp: u64, size: usize) -> Self {
-        let mut payload = vec![0u8; size];
-        for (i, b) in payload.iter_mut().enumerate() {
-            *b = (client.0 as usize + timestamp as usize + i) as u8;
-        }
+        let seed = client.0 as usize + timestamp as usize;
+        // An exact-size iterator collects into the `Arc` in one allocation.
+        let payload = (0..size).map(|i| (seed + i) as u8).collect();
         Transaction {
             client,
             timestamp,

@@ -33,15 +33,37 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// A frame from server 0 whose body is a `Prop` (tag 0, the first
-/// variant) claiming `claimed` proposals, followed by `filler` bytes of
-/// 0xFF. Every proposal read from 0xFF bytes fails at its payload's length
-/// prefix, so the decode ends after the reservation it makes up front.
-fn forged_prop(claimed: u64, filler: usize) -> Vec<u8> {
+/// The body of a frame from server 0 that starts a `Prop` (tag 0, the
+/// first variant) claiming `claimed` proposals.
+fn prop_body(claimed: u64) -> Vec<u8> {
     let mut body = bincode::serialize(&Actor::Server(ServerId(0))).unwrap();
     body.extend_from_slice(&0u32.to_le_bytes());
     body.extend_from_slice(&claimed.to_le_bytes());
+    body
+}
+
+/// A `Prop` claiming `claimed` proposals, followed by `filler` bytes of
+/// 0xFF. Every proposal read from 0xFF bytes fails at its payload's length
+/// prefix, so the decode ends after the reservation it makes up front.
+fn forged_prop(claimed: u64, filler: usize) -> Vec<u8> {
+    let mut body = prop_body(claimed);
     body.resize(body.len() + filler, 0xFF);
+    framed(body)
+}
+
+/// A `Prop` of one proposal whose payload claims `claimed` bytes, followed
+/// by `filler` bytes of 0xFF.
+fn forged_payload(claimed: u64, filler: usize) -> Vec<u8> {
+    let mut body = prop_body(1);
+    body.extend_from_slice(&7u64.to_le_bytes()); // client
+    body.extend_from_slice(&9u64.to_le_bytes()); // timestamp
+    body.extend_from_slice(&claimed.to_le_bytes());
+    body.resize(body.len() + filler, 0xFF);
+    framed(body)
+}
+
+/// `body` behind a frame header.
+fn framed(body: Vec<u8>) -> Vec<u8> {
     let mut frame = MAGIC.to_vec();
     frame.extend_from_slice(&WIRE_VERSION.to_le_bytes());
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -60,6 +82,15 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn forged_length_prefixes_are_refused_within_twice_the_body() {
     let codec = FrameCodec::new();
+    let refused = |name: &str, frame: Vec<u8>| {
+        let body = frame.len() - 10;
+        let (decoded, peak) = peak_during(|| codec.decode::<Message>(&frame).map(|_| ()));
+        assert!(decoded.is_err(), "{name}: must be refused");
+        assert!(
+            peak <= 2 * body,
+            "{name}: {peak} bytes allocated for a {body}-byte body"
+        );
+    };
     let cases = [
         ("u64::MAX proposals", u64::MAX, 200),
         ("remaining + 1 proposals", 201, 200),
@@ -69,13 +100,9 @@ fn forged_length_prefixes_are_refused_within_twice_the_body() {
         ("a million proposals in 1 MB", 1_000_000, 1_000_000),
     ];
     for (name, claimed, filler) in cases {
-        let frame = forged_prop(claimed, filler);
-        let body = frame.len() - 10;
-        let (decoded, peak) = peak_during(|| codec.decode::<Message>(&frame).map(|_| ()));
-        assert!(decoded.is_err(), "{name}: must be refused");
-        assert!(
-            peak <= 2 * body,
-            "{name}: {peak} bytes allocated for a {body}-byte body"
-        );
+        refused(name, forged_prop(claimed, filler));
     }
+    // A payload is read straight into its one shared allocation.
+    refused("a u64::MAX-byte payload", forged_payload(u64::MAX, 200));
+    refused("a remaining + 1-byte payload", forged_payload(201, 200));
 }

@@ -833,7 +833,7 @@ mod reference {
             Some(Transaction {
                 client: ClientId(self.u64()?),
                 timestamp: self.u64()?,
-                payload: self.bytes()?,
+                payload: self.bytes()?.into(),
             })
         }
 
@@ -916,7 +916,7 @@ proptest! {
         let mut batch = arbitrary_batch(&ids, 0);
         for p in &mut batch {
             let cut = (p.tx.timestamp % (payload.len() as u64 + 1)) as usize;
-            p.tx.payload = payload[..cut].to_vec();
+            p.tx.payload = payload[..cut].into();
         }
         let mut want = Vec::new();
         reference::proposals(&mut want, &batch);
