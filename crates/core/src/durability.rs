@@ -19,7 +19,7 @@
 //! reads.
 
 use crate::profile::{LoopProfile, LoopStage};
-use crate::server::{PrestigeServer, ServerRole};
+use crate::server::{Phase, PrestigeServer};
 use crate::storage::block_keys_digest;
 use prestige_crypto::{qc_statement, sign_share, FramedHasher, QcBuilder};
 use prestige_sim::Context;
@@ -391,7 +391,7 @@ impl PrestigeServer {
         self.next_seq = SeqNum(tip).next();
         let view = self.store.current_view().0;
         self.cast_votes.retain(|v, _| *v > view);
-        self.role = ServerRole::Follower;
+        self.phase = Phase::Follower;
     }
 }
 
@@ -818,7 +818,7 @@ mod tests {
         // view 3 only.
         assert_eq!(restarted.current_view(), View(2));
         assert_eq!(restarted.current_leader(), ServerId(1));
-        assert_eq!(restarted.role, ServerRole::Follower);
+        assert_eq!(restarted.role(), crate::server::ServerRole::Follower);
         let votes: Vec<_> = restarted
             .cast_votes
             .iter()

@@ -7,12 +7,11 @@
 //! values in everyone's current `vcBlock`.
 
 use crate::server::PrestigeServer;
-use prestige_crypto::{hash_many, sign_share, QcBuilder};
+use prestige_crypto::{hash_many, sign_share};
 use prestige_sim::Context;
 use prestige_types::{
     Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, View,
 };
-use std::collections::BTreeMap;
 
 impl PrestigeServer {
     /// The digest signed by `Ref` endorsements for `server`'s refresh in `view`.
@@ -24,65 +23,37 @@ impl PrestigeServer {
         ])
     }
 
-    /// The penalty map of the current vcBlock, in the form the refresh
-    /// eligibility check expects.
-    fn current_penalties(&self) -> BTreeMap<ServerId, i64> {
-        self.store.latest_vc_block().rp.clone()
+    /// Whether the current vcBlock's penalties allow a refresh: at least
+    /// `f + 1` servers over π.
+    fn refresh_allowed(&self) -> bool {
+        prestige_reputation::refresh_allowed(&self.store.latest_vc_block().rp, self.config.f())
     }
 
     /// Initiates a refresh request if this server's penalty exceeds π and the
-    /// `f + 1`-servers-over-π precondition holds.
+    /// `f + 1`-servers-over-π precondition holds. One request per view: a
+    /// view install drops a round that did not complete, so the next view
+    /// asks again.
     pub(crate) fn maybe_request_refresh(&mut self, ctx: &mut Context<Message>) {
         let my_rp = self.store.current_rp(self.id);
-        if !self.engine.exceeds_refresh_threshold(my_rp) {
-            return;
-        }
-        if !self
-            .refresh_tracker
-            .refresh_allowed(&self.current_penalties())
+        if !self.engine.exceeds_refresh_threshold(my_rp)
+            || !self.refresh_allowed()
+            || self.refresh_builder.is_some()
         {
-            return;
-        }
-        if self.refresh_builder.is_some() {
             return;
         }
         let view = self.current_view();
         let digest = Self::refresh_digest(view, self.id);
-        let mut builder = QcBuilder::new(
-            QcKind::Refresh,
-            view,
-            SeqNum(0),
-            digest,
-            self.config.quorum(),
-        );
-        if let Some(share) = sign_share(
-            &self.registry,
-            self.id,
-            QcKind::Refresh,
-            view,
-            SeqNum(0),
-            &digest,
-        ) {
-            let _ = builder.add_share(&self.registry, &share);
-        }
+        let quorum = self.config.quorum();
+        let (builder, share) = self.open_quorum(QcKind::Refresh, view, SeqNum(0), digest, quorum);
         self.refresh_builder = Some(builder);
-        if let Some(share) = sign_share(
-            &self.registry,
-            self.id,
-            QcKind::Refresh,
-            view,
-            SeqNum(0),
-            &digest,
-        ) {
-            ctx.broadcast(
-                self.other_servers(),
-                Message::Ref {
-                    view,
-                    server: self.id,
-                    share,
-                },
-            );
-        }
+        ctx.broadcast(
+            self.other_servers(),
+            Message::Ref {
+                view,
+                server: self.id,
+                share,
+            },
+        );
     }
 
     /// Handles a peer's refresh request: endorse it if the precondition holds
@@ -99,17 +70,9 @@ impl PrestigeServer {
         }
         self.charge_verify_cost(ctx);
         let requester_rp = self.store.current_rp(server);
-        if !self.engine.exceeds_refresh_threshold(requester_rp) {
+        if !self.engine.exceeds_refresh_threshold(requester_rp) || !self.refresh_allowed() {
             return;
         }
-        if !self
-            .refresh_tracker
-            .refresh_allowed(&self.current_penalties())
-        {
-            return;
-        }
-        self.refresh_tracker
-            .record_endorsement(view, server, self.id);
         let digest = Self::refresh_digest(view, server);
         if let Some(share) = sign_share(
             &self.registry,
@@ -141,21 +104,15 @@ impl PrestigeServer {
         if view != self.current_view() {
             return;
         }
-        let registry = self.registry.clone();
-        let complete = match self.refresh_builder.as_mut() {
-            Some(builder) => {
-                builder.add_share(&registry, &share).ok();
-                builder.complete()
-            }
-            None => false,
+        let Some(builder) = self.refresh_builder.as_mut() else {
+            return;
         };
-        if !complete {
+        let _ = builder.add_share(&self.registry, &share);
+        if !builder.complete() {
             return;
         }
-        let builder = self.refresh_builder.take().expect("builder present");
-        let rs_qc = match builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
+        let Some(Ok(rs_qc)) = self.refresh_builder.take().map(|b| b.assemble()) else {
+            return;
         };
         let (rp, ci) = self.engine.initial_values();
         self.store.refresh_reputation(self.id, rp, ci);
@@ -203,5 +160,107 @@ impl PrestigeServer {
             return;
         }
         self.store.refresh_reputation(server, rp, ci);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replication::tests::{pump, route, with_ctx, Queue};
+    use crate::storage::vc_block_digest;
+    use prestige_crypto::{KeyRegistry, QcBuilder};
+    use prestige_sim::{Emission, Process};
+    use prestige_types::{Actor, ClusterConfig};
+
+    /// Four servers that all record s1 and s2 over π in view 1: `f + 1`
+    /// overloaded servers, so either may ask for a refresh.
+    fn over_pi() -> Vec<PrestigeServer> {
+        let registry = KeyRegistry::new(9, 4, 2);
+        let mut servers: Vec<PrestigeServer> = (0..4)
+            .map(|i| PrestigeServer::new(ServerId(i), ClusterConfig::new(4), registry.clone(), 0))
+            .collect();
+        for s in &mut servers {
+            s.store.refresh_reputation(ServerId(1), 9, 1);
+            s.store.refresh_reputation(ServerId(2), 10, 1);
+        }
+        servers
+    }
+
+    /// s1's rp as each server records it.
+    fn s1_rp(servers: &[PrestigeServer]) -> Vec<i64> {
+        servers
+            .iter()
+            .map(|s| s.store.current_rp(ServerId(1)))
+            .collect()
+    }
+
+    #[test]
+    fn a_refresh_resets_the_requesters_penalty_on_every_server() {
+        let mut servers = over_pi();
+        let effects = with_ctx(&mut servers[1], |s, ctx| s.maybe_request_refresh(ctx));
+        let mut queue = Queue::new();
+        route(&mut queue, Actor::Server(ServerId(1)), effects);
+        pump(&mut servers, queue, |_, _| false);
+        assert_eq!(s1_rp(&servers), vec![1; 4]);
+        // s2 asked for nothing, so its penalty stands.
+        assert!(servers
+            .iter()
+            .all(|s| s.store.current_rp(ServerId(2)) == 10));
+    }
+
+    #[test]
+    fn a_refresh_round_lost_in_one_view_is_asked_again_in_the_next() {
+        let mut servers = over_pi();
+        // Every `Ref` of the view-1 round is lost.
+        with_ctx(&mut servers[1], |s, ctx| s.maybe_request_refresh(ctx));
+        assert_eq!(s1_rp(&servers), vec![9; 4]);
+
+        // View 2, led by s3: s0, s2 and s3 learn it over sync, s1 adopts
+        // its vcBlock.
+        let registry = servers[0].registry.clone();
+        let (view, votes_for) = (View(2), Digest([2; 32]));
+        let mut votes = QcBuilder::new(QcKind::ViewChange, view, SeqNum(0), votes_for, 3);
+        for s in [0, 2, 3] {
+            let share = sign_share(
+                &registry,
+                ServerId(s),
+                QcKind::ViewChange,
+                view,
+                SeqNum(0),
+                &votes_for,
+            );
+            votes.add_share(&registry, &share.unwrap()).unwrap();
+        }
+        let genesis = servers[1].store.latest_vc_block();
+        let block = genesis.successor(view, ServerId(3), 1, 1, None, votes.assemble().ok());
+        let leader = Actor::Server(ServerId(3));
+        for i in [0, 2, 3] {
+            let sync = Message::SyncResp {
+                vc_blocks: vec![block.clone()],
+                tx_blocks: Vec::new(),
+                ordered: Vec::new(),
+                ckpt: None,
+            };
+            with_ctx(&mut servers[i], |s, ctx| s.on_message(leader, sync, ctx));
+        }
+        let sig = registry
+            .key_of(leader)
+            .unwrap()
+            .sign(vc_block_digest(&block).as_ref());
+        let adopt = Message::NewVcBlock { block, sig };
+        let effects = with_ctx(&mut servers[1], |s, ctx| s.on_message(leader, adopt, ctx));
+        assert!(servers.iter().all(|s| s.current_view() == view));
+        let asks = |e: &Emission<Message>| {
+            matches!(
+                e,
+                Emission::Broadcast(_, Message::Ref { view: View(2), .. })
+            )
+        };
+        assert!(effects.emissions.iter().any(asks), "no Ref sent in view 2");
+
+        let mut queue = Queue::new();
+        route(&mut queue, Actor::Server(ServerId(1)), effects);
+        pump(&mut servers, queue, |_, _| false);
+        assert_eq!(s1_rp(&servers), vec![1; 4]);
     }
 }

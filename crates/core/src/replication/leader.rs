@@ -3,8 +3,8 @@
 
 use super::PIPELINE_DEPTH;
 use crate::pacemaker::timer_tags;
-use crate::server::{Leading, OrderedAck, PrestigeServer, ServerRole};
-use prestige_crypto::{keys_digest, ordering_digest, sign_share, QcBuilder};
+use crate::server::{Leading, OrderedAck, PrestigeServer};
+use prestige_crypto::{keys_digest, ordering_digest};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
     Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, TxBlock, View,
@@ -32,7 +32,7 @@ impl PrestigeServer {
                 self.pending_proposals.push(proposal);
             }
         }
-        if self.role == ServerRole::Leader
+        if self.is_leader()
             && !self.behavior.silent_as_leader()
             && self.pending_proposals.len() >= self.config.batch_size
         {
@@ -67,7 +67,7 @@ impl PrestigeServer {
     /// the pipeline window: with `PIPELINE_DEPTH` instances already in
     /// flight, the flush waits until a commit frees a slot.
     pub(crate) fn flush_batch(&mut self, ctx: &mut Context<Message>) {
-        if self.role != ServerRole::Leader || self.behavior.silent_as_leader() {
+        if !self.is_leader() || self.behavior.silent_as_leader() {
             return;
         }
         if self.rotation_pending {
@@ -100,7 +100,7 @@ impl PrestigeServer {
         batch: Arc<Vec<Proposal>>,
         ctx: &mut Context<Message>,
     ) {
-        if self.role != ServerRole::Leader || self.behavior.silent_as_leader() {
+        if !self.is_leader() || self.behavior.silent_as_leader() {
             return;
         }
         let view = self.current_view();
@@ -108,11 +108,7 @@ impl PrestigeServer {
         let digest = ordering_digest(view, n, &keys);
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
-        let mut quorum = QcBuilder::new(QcKind::Ordering, view, n, digest, self.config.quorum());
-        if let Some(share) = sign_share(&self.registry, self.id, QcKind::Ordering, view, n, &digest)
-        {
-            let _ = quorum.add_share(&self.registry, &share);
-        }
+        let (quorum, _) = self.open_quorum(QcKind::Ordering, view, n, digest, self.config.quorum());
         let sig = self.sign(digest.as_ref());
         let message = Message::Ord {
             view,
@@ -186,7 +182,7 @@ impl PrestigeServer {
     /// Leader batch timer: flush whatever is pending (even a partial batch)
     /// and re-arm. Equivocating leaders emit garbage traffic instead.
     pub(crate) fn on_batch_timer(&mut self, ctx: &mut Context<Message>) {
-        if self.role != ServerRole::Leader || self.behavior.silent_as_leader() {
+        if !self.is_leader() || self.behavior.silent_as_leader() {
             return;
         }
         if self.behavior.equivocates() {
@@ -232,7 +228,7 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) -> Option<QuorumCertificate> {
-        if self.role != ServerRole::Leader || view != self.current_view() {
+        if !self.is_leader() || view != self.current_view() {
             return None;
         }
         self.charge_verify_cost(ctx);
@@ -273,10 +269,7 @@ impl PrestigeServer {
         let Some(ordering_qc) = self.add_reply_share(view, n, digest, phase, share, ctx) else {
             return;
         };
-        let mut quorum = QcBuilder::new(QcKind::Commit, view, n, digest, self.config.quorum());
-        if let Some(own) = sign_share(&self.registry, self.id, QcKind::Commit, view, n, &digest) {
-            let _ = quorum.add_share(&self.registry, &own);
-        }
+        let (quorum, _) = self.open_quorum(QcKind::Commit, view, n, digest, self.config.quorum());
         let Some(record) = self.instances.get_mut(&n.0) else {
             return;
         };

@@ -81,7 +81,7 @@ pub(crate) mod tests {
 
     /// Runs `f` against a server with a fresh driver context and returns the
     /// buffered effects.
-    pub(super) fn with_ctx(
+    pub(crate) fn with_ctx(
         server: &mut PrestigeServer,
         f: impl FnOnce(&mut PrestigeServer, &mut Context<Message>),
     ) -> Effects<Message> {

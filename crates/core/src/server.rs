@@ -17,13 +17,13 @@ use crate::profile::{LoopProfile, LoopStage};
 use crate::storage::BlockStore;
 use crate::view_change::Refusal;
 use prestige_crypto::{
-    FramedHasher, KeyPair, KeyRegistry, PowSolution, QcBuilder, ThresholdVerifier,
+    qc_statement, FramedHasher, KeyPair, KeyRegistry, PowSolution, QcBuilder, ThresholdVerifier,
 };
-use prestige_reputation::{RefreshTracker, ReputationEngine};
+use prestige_reputation::ReputationEngine;
 use prestige_sim::{cpu_cost, Context, Process, SimTime, TimerId};
 use prestige_types::{
-    Actor, ClientId, ClusterConfig, Digest, Message, Proposal, QuorumCertificate, SeqNum, ServerId,
-    VcBlock, View,
+    Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
+    QuorumCertificate, SeqNum, ServerId, VcBlock, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -181,11 +181,54 @@ pub(crate) struct Leading {
     pub(crate) last_active_ms: f64,
 }
 
+/// Where this server stands in the Figure-5 state machine, holding what
+/// each phase needs. A campaign exists only while redeeming or campaigning,
+/// and only for a view above the installed one: every view install replaces
+/// the phase, so the campaign's starting view is always the current view.
+#[derive(Debug)]
+pub(crate) enum Phase {
+    /// Following the current view's leader.
+    Follower,
+    /// Leading the current view.
+    Leader,
+    /// Solving the campaign's puzzle; `pow_timer` firing ends it.
+    Redeemer {
+        campaign: CampaignState,
+        pow_timer: TimerId,
+    },
+    /// Collecting election votes for the campaign, this server's own
+    /// included; `election_timer` firing ends it. A candidate that won
+    /// stays one until its view installs (`pending_vc_block`).
+    Candidate {
+        campaign: CampaignState,
+        votes: QcBuilder,
+        election_timer: TimerId,
+    },
+}
+
+impl Phase {
+    /// The public name of this phase.
+    pub(crate) fn role(&self) -> ServerRole {
+        match self {
+            Phase::Follower => ServerRole::Follower,
+            Phase::Leader => ServerRole::Leader,
+            Phase::Redeemer { .. } => ServerRole::Redeemer,
+            Phase::Candidate { .. } => ServerRole::Candidate,
+        }
+    }
+
+    /// The active campaign, while redeeming or campaigning.
+    pub(crate) fn campaign(&self) -> Option<&CampaignState> {
+        match self {
+            Phase::Redeemer { campaign, .. } | Phase::Candidate { campaign, .. } => Some(campaign),
+            Phase::Follower | Phase::Leader => None,
+        }
+    }
+}
+
 /// The state a server keeps while campaigning (redeemer / candidate).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CampaignState {
-    /// The view the campaign was started from.
-    pub(crate) old_view: View,
     /// The view being campaigned for (`V'`).
     pub(crate) new_view: View,
     /// The reputation penalty computed for the campaign.
@@ -195,10 +238,9 @@ pub(crate) struct CampaignState {
     /// The confirmation QC justifying the view change (None for
     /// policy-triggered rotations).
     pub(crate) conf_qc: Option<QuorumCertificate>,
-    /// The puzzle solution, available once the redeemer finishes.
-    pub(crate) solution: Option<PowSolution>,
-    /// The election vote collector (candidate phase).
-    pub(crate) vote_builder: Option<QcBuilder>,
+    /// The puzzle solution. The modeled solver finds it at once; the
+    /// redeemer waits out the time the attempts would take.
+    pub(crate) solution: PowSolution,
     /// The latest txBlock digest the campaign is bound to.
     pub(crate) tx_digest: Digest,
     /// The latest committed sequence number at campaign time.
@@ -224,7 +266,7 @@ pub struct PrestigeServer {
     pub(crate) pacemaker: Pacemaker,
     pub(crate) engine: ReputationEngine,
     pub(crate) store: BlockStore,
-    pub(crate) role: ServerRole,
+    pub(crate) phase: Phase,
 
     // --- replication state ---
     /// Proposals received but not yet ordered (leader side).
@@ -289,28 +331,24 @@ pub struct PrestigeServer {
     // --- view-change state ---
     /// Relayed complaints awaiting leader action, keyed by transaction key.
     pub(crate) complaints: BTreeMap<(ClientId, u64), View>,
-    /// Collector of ReVC replies for the ConfVC this server broadcast, by view.
-    pub(crate) confvc_builders: BTreeMap<u64, QcBuilder>,
-    /// Active campaign (redeemer or candidate phase).
-    pub(crate) campaign: Option<CampaignState>,
-    /// Leader-elect state: the vcBlock being installed and its vcYes collector.
+    /// Collector of ReVC replies for the ConfVC this server broadcast in the
+    /// current view.
+    pub(crate) confvc_builder: Option<QcBuilder>,
+    /// Leader-elect state: the vcBlock being installed and its vcYes
+    /// collector. Kept apart from `phase`: a leader-elect whose election
+    /// timer fires redeems for `V' + 1`, yet still installs `V'` when its
+    /// `VcYes` quorum lands.
     pub(crate) pending_vc_block: Option<(VcBlock, QcBuilder)>,
     /// Timers for relayed complaints: timer id → transaction key.
     pub(crate) complaint_timers: BTreeMap<TimerId, (ClientId, u64)>,
     /// Timers for ConfVC collection: timer id → view.
     pub(crate) confvc_timers: BTreeMap<TimerId, u64>,
-    /// The current election timer (candidate phase).
-    pub(crate) election_timer: Option<TimerId>,
-    /// The current PoW completion timer (redeemer phase).
-    pub(crate) pow_timer: Option<TimerId>,
     /// Simulated time at which the current view was installed (ms).
     pub(crate) view_installed_at_ms: f64,
-    /// Whether this server already initiated a policy rotation for the
-    /// current view.
-    pub(crate) policy_rotation_started: bool,
     /// Set once a policy rotation is due: replication in the current view is
     /// quiesced (no new batches, no ordering/commit replies) so candidates
-    /// campaign against a stable log (§4.2.2 "stop replication in V").
+    /// campaign against a stable log (§4.2.2 "stop replication in V"). It
+    /// also marks the rotation as started, so it arms one campaign per view.
     pub(crate) rotation_pending: bool,
 
     // --- durability & checkpoint state ---
@@ -338,7 +376,8 @@ pub struct PrestigeServer {
     pub(crate) cast_votes: BTreeMap<u64, (ServerId, prestige_types::PartialSig)>,
 
     // --- refresh state ---
-    pub(crate) refresh_tracker: RefreshTracker,
+    /// Collector of endorsements for this server's own refresh request in
+    /// the current view.
     pub(crate) refresh_builder: Option<QcBuilder>,
 
     // --- bookkeeping ---
@@ -380,7 +419,6 @@ impl PrestigeServer {
         }
         let store = BlockStore::new(config.n());
         let ckpt_share_heights = vec![0; config.n() as usize];
-        let refresh_tracker = RefreshTracker::new(config.f());
         PrestigeServer {
             id,
             config,
@@ -390,11 +428,11 @@ impl PrestigeServer {
             pacemaker,
             engine: ReputationEngine,
             store,
-            role: if id == ServerId(0) {
+            phase: if id == ServerId(0) {
                 // S1 leads the initial view V1 (matching the paper's Figure 1).
-                ServerRole::Leader
+                Phase::Leader
             } else {
-                ServerRole::Follower
+                Phase::Follower
             },
             pending_proposals: Vec::new(),
             clients: ClientTable::default(),
@@ -411,15 +449,11 @@ impl PrestigeServer {
             verified_qcs_order: VecDeque::new(),
             profiler: None,
             complaints: BTreeMap::new(),
-            confvc_builders: BTreeMap::new(),
-            campaign: None,
+            confvc_builder: None,
             pending_vc_block: None,
             complaint_timers: BTreeMap::new(),
             confvc_timers: BTreeMap::new(),
-            election_timer: None,
-            pow_timer: None,
             view_installed_at_ms: 0.0,
-            policy_rotation_started: false,
             rotation_pending: false,
             storage: None,
             ckpt_builders: BTreeMap::new(),
@@ -427,7 +461,6 @@ impl PrestigeServer {
             stable_ckpt_cert: None,
             ckpt_share_heights,
             cast_votes: BTreeMap::new(),
-            refresh_tracker,
             refresh_builder: None,
             stats: ServerStats::default(),
         }
@@ -444,7 +477,7 @@ impl PrestigeServer {
 
     /// This server's current role.
     pub fn role(&self) -> ServerRole {
-        self.role
+        self.phase.role()
     }
 
     /// This server's configured Byzantine behaviour.
@@ -519,7 +552,7 @@ impl PrestigeServer {
 
     /// Whether this server believes it is the current leader.
     pub fn is_leader(&self) -> bool {
-        self.role == ServerRole::Leader
+        matches!(self.phase, Phase::Leader)
     }
 
     /// One-line snapshot of the live replication/view-change state, for
@@ -534,7 +567,7 @@ impl PrestigeServer {
             "role={:?} view={} leader=s{} tip={} next_seq={} inflight={:?} pending_props={} \
              ordered={:?} certified={:?} parked_commits={:?} signed_tip={} signed_info={:?} \
              rotation_pending={} campaign={:?}",
-            self.role,
+            self.role(),
             self.store.current_view().0,
             self.current_leader().0,
             self.store.latest_seq().0,
@@ -547,7 +580,7 @@ impl PrestigeServer {
             self.signed_commit_tip,
             holding(|r| r.signed.is_some()),
             self.rotation_pending,
-            self.campaign.as_ref().map(|c| (c.new_view.0, c.rp)),
+            self.phase.campaign().map(|c| (c.new_view.0, c.rp)),
         )
     }
 
@@ -568,6 +601,26 @@ impl PrestigeServer {
     /// Signs an arbitrary byte string with this server's key.
     pub(crate) fn sign(&self, message: &[u8]) -> [u8; 32] {
         self.keypair.sign(message)
+    }
+
+    /// Opens a quorum over `(kind, view, seq, digest)` at `threshold` that
+    /// already holds this server's own share, and returns the share too.
+    pub(crate) fn open_quorum(
+        &self,
+        kind: QcKind,
+        view: View,
+        seq: SeqNum,
+        digest: Digest,
+        threshold: u32,
+    ) -> (QcBuilder, PartialSig) {
+        let statement = qc_statement(kind, view, seq, &digest);
+        let share = PartialSig {
+            signer: self.id,
+            sig: self.keypair.sign(&statement),
+        };
+        let mut quorum = QcBuilder::new(kind, view, seq, digest, threshold);
+        let _ = quorum.add_share(&self.registry, &share);
+        (quorum, share)
     }
 
     /// Charges the per-message processing cost to this node.
@@ -661,18 +714,22 @@ impl PrestigeServer {
         self.tip_through(|r| r.batch.is_some())
     }
 
-    /// Records installation of a new view in local bookkeeping (role, timers,
-    /// per-view vote bookkeeping, statistics).
+    /// Records installation of a new view in local bookkeeping (phase,
+    /// per-view quorums and vote bookkeeping, statistics). A campaign, its
+    /// timers, and the ConfVC and refresh collectors all belong to the view
+    /// they were opened in.
     pub(crate) fn note_view_installed(&mut self, ctx: &mut Context<Message>, leader: ServerId) {
         self.stats.views_installed += 1;
         self.view_installed_at_ms = ctx.now().as_ms();
-        self.policy_rotation_started = false;
         self.rotation_pending = false;
-        self.campaign = None;
+        self.phase = if leader == self.id {
+            Phase::Leader
+        } else {
+            Phase::Follower
+        };
         self.pending_vc_block = None;
-        self.election_timer = None;
-        self.pow_timer = None;
-        self.confvc_builders.clear();
+        self.confvc_builder = None;
+        self.refresh_builder = None;
         // Acknowledgements and the leader's open quorums are per view.
         // Everything else an instance record holds survives the view change
         // keyed by its sequence number (shared handles — no copies): it backs
@@ -683,7 +740,6 @@ impl PrestigeServer {
             record.lead = None;
         }
         if leader == self.id {
-            self.role = ServerRole::Leader;
             // Canary mutation (vopr mutation-score gate): pre-PR 4
             // leadership — ordered-but-uncommitted instances are discarded
             // and proposing restarts at the committed tip, so an instance
@@ -700,8 +756,6 @@ impl PrestigeServer {
             #[cfg(not(feature = "canary-c3-fork"))]
             self.preserve_ordered_instances(ctx);
             self.arm_batch_timer(ctx);
-        } else {
-            self.role = ServerRole::Follower;
         }
         self.arm_policy_timer(ctx);
         // Prune vote bookkeeping for long-dead views to bound memory.
@@ -783,7 +837,7 @@ impl PrestigeServer {
 
     /// Arms the leader's batch flush timer.
     pub(crate) fn arm_batch_timer(&mut self, ctx: &mut Context<Message>) {
-        if self.role == ServerRole::Leader && !self.behavior.silent_as_leader() {
+        if self.is_leader() && !self.behavior.silent_as_leader() {
             ctx.set_timer(self.pacemaker.batch_interval(), timer_tags::BATCH);
         }
     }
@@ -872,11 +926,7 @@ impl Process<Message> for PrestigeServer {
             Message::ConfVC { view, tx_key, sig } => {
                 self.handle_conf_vc(from, view, tx_key, sig, ctx)
             }
-            Message::ReVC {
-                view,
-                tx_key,
-                share,
-            } => self.handle_re_vc(view, tx_key, share, ctx),
+            Message::ReVC { view, share, .. } => self.handle_re_vc(view, share, ctx),
             Message::Camp {
                 conf_qc,
                 view,
@@ -971,7 +1021,7 @@ impl Process<Message> for PrestigeServer {
         match tag {
             timer_tags::BATCH => self.on_batch_timer(ctx),
             timer_tags::COMPLAINT => self.on_complaint_timer(id, ctx),
-            timer_tags::CONF_VC => self.on_confvc_timer(id, ctx),
+            timer_tags::CONF_VC => self.on_confvc_timer(id),
             timer_tags::POW_DONE => self.on_pow_done(id, ctx),
             timer_tags::ELECTION => self.on_election_timer(id, ctx),
             timer_tags::POLICY => self.on_policy_timer(ctx),

@@ -5,7 +5,7 @@
 use super::serve::throttled;
 use crate::pacemaker::timer_tags;
 use crate::replication::PIPELINE_DEPTH;
-use crate::server::{PrestigeServer, ServerRole};
+use crate::server::{Phase, PrestigeServer};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{Actor, Message, OrderedEntry, QcKind, QuorumCertificate, TxBlock, VcBlock};
 use std::sync::Arc;
@@ -94,20 +94,25 @@ impl PrestigeServer {
     /// candidate whose `Camp` — or a leader-elect whose `NewVcBlock` — was
     /// lost would otherwise stall the election until its timeout forces a
     /// fresh (and more expensive) campaign round. Voters re-send their
-    /// recorded vote idempotently (criterion C1 still holds), adopters
-    /// re-acknowledge the identical vcBlock.
+    /// recorded vote idempotently (criterion C1 still holds); an adopter
+    /// that has not installed the vcBlock yet acknowledges it, and one that
+    /// has ignores it.
+    ///
+    /// A leader-elect is still a candidate, so it re-sends its `Camp`; its
+    /// `NewVcBlock` is re-sent once its election timer has made it redeem
+    /// for the next view.
     fn retransmit_election(&mut self, ctx: &mut Context<Message>) {
-        if self.role == ServerRole::Candidate {
-            if let Some(message) = self.campaign_message() {
-                self.stats.election_retransmits += 1;
-                ctx.broadcast(self.other_servers(), message);
+        let message = match (&self.phase, &self.pending_vc_block) {
+            (Phase::Candidate { campaign, .. }, _) => self.campaign_message(campaign),
+            (_, Some((block, _))) => {
+                let sig = self.sign(crate::storage::vc_block_digest(block).as_ref());
+                let block = block.clone();
+                Message::NewVcBlock { block, sig }
             }
-        } else if let Some((block, _)) = &self.pending_vc_block {
-            let block = block.clone();
-            let sig = self.sign(crate::storage::vc_block_digest(&block).as_ref());
-            self.stats.election_retransmits += 1;
-            ctx.broadcast(self.other_servers(), Message::NewVcBlock { block, sig });
-        }
+            _ => return,
+        };
+        self.stats.election_retransmits += 1;
+        ctx.broadcast(self.other_servers(), message);
     }
 
     // ------------------------------------------------------------------

@@ -4,8 +4,8 @@
 
 use crate::faults::AttackStrategy;
 use crate::pacemaker::timer_tags;
-use crate::server::{CampaignState, PrestigeServer, ServerRole};
-use prestige_crypto::{sign_share, PowPuzzle, PowSolver, QcBuilder};
+use crate::server::{CampaignState, Phase, PrestigeServer};
+use prestige_crypto::{sign_share, PowPuzzle, PowSolver};
 use prestige_sim::{Context, TimerId};
 use prestige_types::{
     Actor, ClientId, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum,
@@ -40,7 +40,7 @@ impl PrestigeServer {
         if self.clients.note_seen(key) {
             self.pending_proposals.push(proposal.clone());
         }
-        if self.role == ServerRole::Leader && !self.behavior.silent_as_leader() {
+        if self.is_leader() && !self.behavior.silent_as_leader() {
             // The leader treats the complaint as a (re-)proposal; it will be
             // committed by the normal batching path.
             return;
@@ -77,25 +77,13 @@ impl PrestigeServer {
         }
         let view = self.current_view();
         let digest = Self::confvc_digest(view);
-        // Start collecting ReVC replies (including our own share).
-        let builder = self.confvc_builders.entry(view.0).or_insert_with(|| {
-            QcBuilder::new(
-                QcKind::Confirm,
-                view,
-                SeqNum(0),
-                digest,
-                self.config.replicas.confirm_quorum(),
-            )
-        });
-        if let Some(share) = sign_share(
-            &self.registry,
-            self.id,
-            QcKind::Confirm,
-            view,
-            SeqNum(0),
-            &digest,
-        ) {
-            let _ = builder.add_share(&self.registry, &share);
+        // Start collecting ReVC replies (including our own share), unless
+        // this view's collection is already open.
+        if self.confvc_builder.is_none() {
+            let threshold = self.config.replicas.confirm_quorum();
+            let (builder, _) =
+                self.open_quorum(QcKind::Confirm, view, SeqNum(0), digest, threshold);
+            self.confvc_builder = Some(builder);
         }
         let sig = self.sign(digest.as_ref());
         ctx.broadcast(
@@ -157,7 +145,6 @@ impl PrestigeServer {
     pub(crate) fn handle_re_vc(
         &mut self,
         view: View,
-        _tx_key: (ClientId, u64),
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
@@ -165,37 +152,36 @@ impl PrestigeServer {
             return;
         }
         self.charge_verify_cost(ctx);
-        let builder = match self.confvc_builders.get_mut(&view.0) {
-            Some(b) => b,
-            None => return,
+        let Some(builder) = self.confvc_builder.as_mut() else {
+            return;
         };
         if builder.add_share(&self.registry, &share).is_err() || !builder.complete() {
             return;
         }
-        let conf_qc = match builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
+        let Ok(conf_qc) = builder.assemble() else {
+            return;
         };
-        self.confvc_builders.remove(&view.0);
+        self.confvc_builder = None;
         self.stats.view_changes_confirmed += 1;
         self.start_campaign(view.next(), Some(conf_qc), ctx);
     }
 
     /// ConfVC collection timeout: the inspection failed to gather `f + 1`
     /// endorsements, so the complaining client is tagged as faulty.
-    pub(crate) fn on_confvc_timer(&mut self, id: TimerId, ctx: &mut Context<Message>) {
-        let view = match self.confvc_timers.remove(&id) {
-            Some(v) => v,
-            None => return,
+    pub(crate) fn on_confvc_timer(&mut self, id: TimerId) {
+        let Some(view) = self.confvc_timers.remove(&id) else {
+            return;
         };
-        let _ = ctx;
-        if let Some(builder) = self.confvc_builders.get(&view) {
-            if !builder.complete() {
-                self.confvc_builders.remove(&view);
-                // Per §4.2.1 the complaining client is tagged; the complaint
-                // entries for the stale view are dropped.
-                self.complaints.retain(|_, v| v.0 != view);
-            }
+        // A view install drops the collection, so an older view's timer
+        // finds nothing to close.
+        if view != self.current_view().0 {
+            return;
+        }
+        if self.confvc_builder.as_ref().is_some_and(|b| !b.complete()) {
+            self.confvc_builder = None;
+            // Per §4.2.1 the complaining client is tagged; the complaint
+            // entries for the stale view are dropped.
+            self.complaints.retain(|_, v| v.0 != view);
         }
     }
 
@@ -211,16 +197,18 @@ impl PrestigeServer {
         conf_qc: Option<QuorumCertificate>,
         ctx: &mut Context<Message>,
     ) {
-        if self.role == ServerRole::Leader && !self.behavior.attacks_view_changes() {
+        if self.is_leader() && !self.behavior.attacks_view_changes() {
             return; // A correct current leader does not campaign against itself.
         }
         if new_view <= self.store.current_view() {
             return;
         }
-        if let Some(c) = &self.campaign {
-            if c.new_view >= new_view {
-                return; // Already campaigning for this view or a later one.
-            }
+        if self
+            .phase
+            .campaign()
+            .is_some_and(|c| c.new_view >= new_view)
+        {
+            return; // Already campaigning for this view or a later one.
         }
         let (view, tip) = (self.store.current_view(), self.store.latest_seq());
         let outcome = self.calc_rp_for(self.id, view, new_view, tip);
@@ -242,8 +230,6 @@ impl PrestigeServer {
         let (ord_seq, tip_cert) = self.build_tip_cert();
         let commit_cert = self.store.latest_tx_block().commit_qc.clone();
 
-        // Replication stops while campaigning (§4.2.2 line 34).
-        self.role = ServerRole::Redeemer;
         self.stats.campaigns_started += 1;
 
         // Solve the puzzle: the modeled solver samples the attempt count from
@@ -258,101 +244,82 @@ impl PrestigeServer {
             .campaign_log
             .push((ctx.now().as_ms(), rp, solve_ms));
 
-        self.campaign = Some(CampaignState {
-            old_view: self.store.current_view(),
+        let campaign = CampaignState {
             new_view,
             rp,
             ci,
             conf_qc,
-            solution: Some(solution),
-            vote_builder: None,
+            solution,
             tx_digest,
             tx_seq,
             ord_seq,
             commit_cert,
             tip_cert,
-        });
-        let timer = ctx.set_timer(
+        };
+        let pow_timer = ctx.set_timer(
             prestige_sim::SimDuration::from_ms(solve_ms),
             timer_tags::POW_DONE,
         );
-        self.pow_timer = Some(timer);
+        // Replication stops while campaigning (§4.2.2 line 34).
+        self.phase = Phase::Redeemer {
+            campaign,
+            pow_timer,
+        };
     }
 
     /// Puzzle finished: transition redeemer → candidate and broadcast the
     /// campaign.
     pub(crate) fn on_pow_done(&mut self, id: TimerId, ctx: &mut Context<Message>) {
-        if self.pow_timer != Some(id) || self.role != ServerRole::Redeemer {
-            return;
-        }
-        self.pow_timer = None;
-        let campaign = match self.campaign.as_mut() {
-            Some(c) => c,
-            None => return,
+        let campaign = match std::mem::replace(&mut self.phase, Phase::Follower) {
+            Phase::Redeemer {
+                campaign,
+                pow_timer,
+            } if pow_timer == id => campaign,
+            other => {
+                self.phase = other; // A superseded puzzle, or no campaign.
+                return;
+            }
         };
-        // A higher view may have been installed while computing.
-        if campaign.new_view <= self.store.current_view() {
-            self.campaign = None;
-            self.role = ServerRole::Follower;
-            return;
-        }
-        self.role = ServerRole::Candidate;
         let new_view = campaign.new_view;
-        let (_, digest) = campaign
-            .signed_claim(self.id, self.behavior.overclaims_tip())
-            .expect("redeemer stored a solution");
-        let vote_builder = campaign.vote_builder.insert(QcBuilder::new(
-            QcKind::ViewChange,
-            new_view,
-            SeqNum(0),
-            digest,
-            self.config.quorum(),
-        ));
-        if let Some(share) = sign_share(
-            &self.registry,
-            self.id,
-            QcKind::ViewChange,
-            new_view,
-            SeqNum(0),
-            &digest,
-        ) {
-            let _ = vote_builder.add_share(&self.registry, &share);
-            // C1: a candidate's own campaign is its vote in the view, unless
-            // it already voted for another candidate there.
-            self.record_vote(new_view, self.id, &share);
-        }
-
-        if let Some(message) = self.campaign_message() {
-            ctx.broadcast(self.other_servers(), message);
-        }
+        let (_, digest) = campaign.signed_claim(self.id, self.behavior.overclaims_tip());
+        let quorum = self.config.quorum();
+        let (votes, share) =
+            self.open_quorum(QcKind::ViewChange, new_view, SeqNum(0), digest, quorum);
+        // C1: a candidate's own campaign is its vote in the view, unless it
+        // already voted for another candidate there.
+        self.record_vote(new_view, self.id, &share);
+        ctx.broadcast(self.other_servers(), self.campaign_message(&campaign));
         let timeout = self.pacemaker.election_timeout(ctx.rng());
-        self.election_timer = Some(ctx.set_timer(timeout, timer_tags::ELECTION));
+        let election_timer = ctx.set_timer(timeout, timer_tags::ELECTION);
+        self.phase = Phase::Candidate {
+            campaign,
+            votes,
+            election_timer,
+        };
     }
 
-    /// The `Camp` message of the active campaign, rebuilt from the stored
-    /// solution and claims. Used for the initial candidate broadcast and by
-    /// the repair-timer election retransmission (a lost `Camp` otherwise
-    /// wedges the election until the candidate times out and re-solves).
-    pub(crate) fn campaign_message(&self) -> Option<Message> {
-        let campaign = self.campaign.as_ref()?;
-        let solution = campaign.solution?;
+    /// The `Camp` message of `campaign`, rebuilt from the stored solution
+    /// and claims. Used for the initial candidate broadcast and by the
+    /// repair-timer election retransmission (a lost `Camp` otherwise wedges
+    /// the election until the candidate times out and re-solves).
+    pub(crate) fn campaign_message(&self, campaign: &CampaignState) -> Message {
         let (claimed_ord_seq, digest) =
-            campaign.signed_claim(self.id, self.behavior.overclaims_tip())?;
-        Some(Message::Camp {
+            campaign.signed_claim(self.id, self.behavior.overclaims_tip());
+        Message::Camp {
             conf_qc: campaign.conf_qc.clone(),
-            view: campaign.old_view,
+            view: self.store.current_view(),
             new_view: campaign.new_view,
             rp: campaign.rp,
             ci: campaign.ci,
-            nonce: solution.nonce,
-            hash_result: solution.hash_result,
+            nonce: campaign.solution.nonce,
+            hash_result: campaign.solution.hash_result,
             latest_seq: campaign.tx_seq,
             latest_ord_seq: claimed_ord_seq,
             commit_cert: campaign.commit_cert.clone(),
             tip_cert: campaign.tip_cert.clone(),
             latest_tx_digest: campaign.tx_digest,
             sig: self.sign(digest.as_ref()),
-        })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -362,19 +329,18 @@ impl PrestigeServer {
     /// Candidate election timeout: split votes or a lost election. Per the
     /// paper, the candidate transitions back to redeemer with `V' + 1`.
     pub(crate) fn on_election_timer(&mut self, id: TimerId, ctx: &mut Context<Message>) {
-        if self.election_timer != Some(id) {
-            return;
-        }
-        self.election_timer = None;
-        if self.role != ServerRole::Candidate {
-            return;
-        }
-        let campaign = match self.campaign.take() {
-            Some(c) => c,
-            None => return,
+        let campaign = match std::mem::replace(&mut self.phase, Phase::Follower) {
+            Phase::Candidate {
+                campaign,
+                election_timer,
+                ..
+            } if election_timer == id => campaign,
+            other => {
+                self.phase = other; // A stale timer: the candidacy it timed is over.
+                return;
+            }
         };
         self.stats.election_timeouts += 1;
-        self.role = ServerRole::Follower;
         let retry_view = campaign.new_view.next();
         self.start_campaign(retry_view, campaign.conf_qc, ctx);
     }
@@ -391,14 +357,13 @@ impl PrestigeServer {
         }
         // Re-arm so a failed rotation is retried.
         ctx.set_timer(interval, timer_tags::POLICY);
+        if self.rotation_pending {
+            return; // This view's rotation is already under way.
+        }
         // Quiesce replication in the outgoing view so candidates campaign
         // against a stable log (C3 would otherwise race in-flight commits).
         self.rotation_pending = true;
-        if self.policy_rotation_started {
-            return;
-        }
-        self.policy_rotation_started = true;
-        if self.role == ServerRole::Leader && !self.behavior.attacks_view_changes() {
+        if self.is_leader() && !self.behavior.attacks_view_changes() {
             return; // The incumbent does not campaign for its own succession.
         }
         if self.behavior.attacks_view_changes() {
@@ -422,7 +387,7 @@ impl PrestigeServer {
         if !self.rotation_due(ctx.now()) {
             return;
         }
-        if self.role == ServerRole::Leader {
+        if self.is_leader() {
             return;
         }
         let next = self.store.current_view().next();
@@ -438,7 +403,7 @@ impl PrestigeServer {
         // Re-arm.
         let period = prestige_sim::SimDuration::from_ms(self.pacemaker.timeouts().base_timeout_ms);
         ctx.set_timer(period, timer_tags::ATTACK);
-        if self.role == ServerRole::Leader {
+        if self.is_leader() {
             return;
         }
         if self.rotation_due(ctx.now()) {
@@ -450,13 +415,13 @@ impl PrestigeServer {
 
 impl CampaignState {
     /// The ordered tip this campaign claims and the campaign digest its
-    /// `Camp` is signed over, once the puzzle is solved. The F5 tip liar
+    /// `Camp` is signed over. The F5 tip liar
     /// (`overclaims`) overstates its certified claim without holding the
     /// QCs — the attack the certificate check exists to refuse. The lie is
     /// signed consistently (the claim is inside the campaign digest), so
     /// only the *certificate* check can catch it.
-    fn signed_claim(&self, candidate: ServerId, overclaims: bool) -> Option<(SeqNum, Digest)> {
-        let solution = self.solution?;
+    fn signed_claim(&self, candidate: ServerId, overclaims: bool) -> (SeqNum, Digest) {
+        let solution = &self.solution;
         let ord_seq = SeqNum(self.ord_seq.0 + if overclaims { 8 } else { 0 });
         let digest = PrestigeServer::campaign_digest(
             candidate,
@@ -468,6 +433,6 @@ impl CampaignState {
             ord_seq,
             &self.tx_digest,
         );
-        Some((ord_seq, digest))
+        (ord_seq, digest)
     }
 }

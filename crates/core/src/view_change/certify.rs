@@ -22,7 +22,7 @@
 //! certified tip is repaired through sync (see [`crate::sync`]), never
 //! papered over by trust.
 
-use crate::server::{Instance, PrestigeServer, ServerRole};
+use crate::server::{Instance, Phase, PrestigeServer};
 use prestige_crypto::{sign_share, PowPuzzle, PowSolution, PowSolver};
 use prestige_sim::Context;
 use prestige_storage::WalRecordRef;
@@ -434,24 +434,24 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        if candidate != self.id || self.role != ServerRole::Candidate {
+        if candidate != self.id || !matches!(self.phase, Phase::Candidate { .. }) {
             return;
         }
         self.charge_verify_cost(ctx);
-        let campaign = match self.campaign.as_mut() {
-            Some(c) if c.new_view == new_view => c,
-            _ => return,
+        let Phase::Candidate {
+            campaign, votes, ..
+        } = &mut self.phase
+        else {
+            return;
         };
-        let builder = match campaign.vote_builder.as_mut() {
-            Some(b) => b,
-            None => return,
-        };
-        if builder.add_share(&self.registry, &share).is_err() || !builder.complete() {
+        if campaign.new_view != new_view
+            || votes.add_share(&self.registry, &share).is_err()
+            || !votes.complete()
+        {
             return;
         }
-        let vc_qc = match builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
+        let Ok(vc_qc) = votes.assemble() else {
+            return;
         };
         self.become_leader(vc_qc, ctx);
     }

@@ -3,9 +3,9 @@
 //! payload (the elected leader's committed tip, certified ordered tip, and
 //! the ordering QCs proving every claimed instance).
 
-use crate::server::PrestigeServer;
+use crate::server::{Phase, PrestigeServer};
 use crate::storage::vc_block_digest;
-use prestige_crypto::{sign_share, QcBuilder};
+use prestige_crypto::sign_share;
 use prestige_sim::Context;
 use prestige_types::{
     Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, VcBlock, View,
@@ -15,11 +15,11 @@ impl PrestigeServer {
     /// The candidate won: prepare and broadcast the new `vcBlock`, then wait
     /// for `2f + 1` adoption acknowledgements. The block carries the
     /// campaign's certified state transfer, so adopters can audit the
-    /// re-proposal set the new leader was elected on.
+    /// re-proposal set the new leader was elected on. The candidate stays
+    /// one until the view installs.
     pub(crate) fn become_leader(&mut self, vc_qc: QuorumCertificate, ctx: &mut Context<Message>) {
-        let campaign = match self.campaign.clone() {
-            Some(c) => c,
-            None => return,
+        let Phase::Candidate { campaign, .. } = &self.phase else {
+            return;
         };
         self.stats.elections_won += 1;
         let block = self
@@ -40,23 +40,8 @@ impl PrestigeServer {
                 campaign.tip_cert.clone(),
             );
         let digest = vc_block_digest(&block);
-        let mut builder = QcBuilder::new(
-            QcKind::ViewChange,
-            campaign.new_view,
-            SeqNum(1),
-            digest,
-            self.config.quorum(),
-        );
-        if let Some(share) = sign_share(
-            &self.registry,
-            self.id,
-            QcKind::ViewChange,
-            campaign.new_view,
-            SeqNum(1),
-            &digest,
-        ) {
-            let _ = builder.add_share(&self.registry, &share);
-        }
+        let quorum = self.config.quorum();
+        let (builder, _) = self.open_quorum(QcKind::ViewChange, block.v, SeqNum(1), digest, quorum);
         let sig = self.sign(digest.as_ref());
         ctx.broadcast(
             self.other_servers(),

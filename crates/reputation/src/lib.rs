@@ -41,4 +41,4 @@ pub use compensation::{delta_tx, delta_vc, sigmoid, C_DELTA, INITIAL_CI};
 pub use engine::{CalcRpInput, ReputationEngine, RpOutcome};
 pub use history::PenaltyHistory;
 pub use penalty::{penalize, INITIAL_RP};
-pub use refresh::{RefreshTracker, REFRESH_THRESHOLD_PI};
+pub use refresh::{refresh_allowed, REFRESH_THRESHOLD_PI};

@@ -54,6 +54,15 @@ fn main() {
         s2.current_leader(),
         s2.current_view()
     );
+    assert!(
+        s2.current_view() > View(1),
+        "no view installed after the crash"
+    );
+    assert_ne!(
+        s2.current_leader(),
+        ServerId(0),
+        "the crashed S1 still leads"
+    );
     println!(
         "reputation penalties on S2's books: {:?}",
         (0..n)
