@@ -10,6 +10,13 @@
 //! * the incoming leader may be stale and must sync its log from a peer
 //!   before it can propose (the cost HotStuff's extra phase exists to avoid;
 //!   here it shows up directly as idle time at the start of each view).
+//!
+//! Replication is one *phase ladder*: a block climbs the QC kinds of
+//! [`BaselineProtocol::phases`] in order. The leader opens each rung with its
+//! own share and asks the followers for theirs (`Ord`, then `PreCmt` with
+//! three phases, then `Cmt`). A quorum on a rung opens the next one, and a
+//! quorum on the last commits the block. A share for any other rung is
+//! ignored.
 
 use prestige_core::storage::{block_keys_digest, tx_block_digest, BlockStore};
 use prestige_core::{ByzantineBehavior, Pacemaker, ServerStats};
@@ -49,11 +56,13 @@ pub enum BaselineProtocol {
 }
 
 impl BaselineProtocol {
-    /// Number of QC-building phases before a block commits.
-    pub fn phases(&self) -> usize {
+    /// The QC-building phases a block climbs, in order, before it commits.
+    pub fn phases(&self) -> &'static [QcKind] {
         match self {
-            BaselineProtocol::HotStuff | BaselineProtocol::SbftLite => 3,
-            BaselineProtocol::ProsecutorLite => 2,
+            BaselineProtocol::HotStuff | BaselineProtocol::SbftLite => {
+                &[QcKind::Ordering, QcKind::PreCommit, QcKind::Commit]
+            }
+            BaselineProtocol::ProsecutorLite => &[QcKind::Ordering, QcKind::Commit],
         }
     }
 
@@ -76,20 +85,21 @@ impl BaselineProtocol {
     }
 }
 
-/// Per-sequence-number replication state on the leader.
+/// A block the leader is replicating in its current view, and the rung of
+/// the phase ladder it is on.
 #[derive(Debug, Clone)]
 struct Instance {
-    view: View,
     batch: Arc<Vec<Proposal>>,
     /// The batch's keys digest: the ordering digest's input, reused to link
     /// the committed block into the chain.
     keys: Digest,
     digest: Digest,
-    prepare_builder: QcBuilder,
-    prepare_qc: Option<QuorumCertificate>,
-    precommit_builder: Option<QcBuilder>,
-    precommit_qc: Option<QuorumCertificate>,
-    commit_builder: Option<QcBuilder>,
+    /// The current rung: an index into [`BaselineProtocol::phases`].
+    phase: usize,
+    /// The current rung's shares, the leader's own among them.
+    votes: QcBuilder,
+    /// The first rung's QC, which the committed block carries.
+    ordering_qc: Option<QuorumCertificate>,
 }
 
 /// A replica of a passive-view-change BFT protocol.
@@ -106,8 +116,6 @@ pub struct PassiveBftServer {
     view: View,
     /// The next view this replica will vote to enter when its timer expires.
     next_target: View,
-    /// Whether this replica currently believes it is the leader of `view`.
-    leading: bool,
     /// Incoming-leader sync in progress: proposals are held back until the log
     /// has caught up with the highest sequence number reported by peers.
     syncing_until_seq: Option<SeqNum>,
@@ -124,8 +132,9 @@ pub struct PassiveBftServer {
     /// Out-of-order committed blocks, each beside its keys digest.
     parked_blocks: BTreeMap<u64, (Arc<TxBlock>, Digest)>,
 
-    new_view_builders: HashMap<u64, QcBuilder>,
-    new_view_high_seq: HashMap<u64, (SeqNum, ServerId)>,
+    /// Per view this replica is scheduled to lead: the `NewView` shares so
+    /// far, and the highest log position they report with its holder.
+    new_views: HashMap<u64, (QcBuilder, (SeqNum, ServerId))>,
     view_timer: Option<TimerId>,
 
     stats: ServerStats,
@@ -161,7 +170,6 @@ impl PassiveBftServer {
         let store = BlockStore::new(config.n());
         // View 1 is led by the rotation schedule: L = V mod n.
         let view = View::INITIAL;
-        let leading = config.replicas.rotation_leader(view) == id;
         PassiveBftServer {
             id,
             config,
@@ -173,7 +181,6 @@ impl PassiveBftServer {
             store,
             view,
             next_target: view.next(),
-            leading,
             syncing_until_seq: None,
             view_change_pending: false,
             pending_proposals: Vec::new(),
@@ -182,8 +189,7 @@ impl PassiveBftServer {
             inflight: BTreeMap::new(),
             acked_digests: HashMap::new(),
             parked_blocks: BTreeMap::new(),
-            new_view_builders: HashMap::new(),
-            new_view_high_seq: HashMap::new(),
+            new_views: HashMap::new(),
             view_timer: None,
             stats: ServerStats::default(),
         }
@@ -209,9 +215,9 @@ impl PassiveBftServer {
         self.config.replicas.rotation_leader(self.view)
     }
 
-    /// Whether this replica currently leads.
+    /// Whether this replica is the scheduled leader of its current view.
     pub fn is_leader(&self) -> bool {
-        self.leading
+        self.current_leader() == self.id
     }
 
     /// The committed state.
@@ -260,6 +266,27 @@ impl PassiveBftServer {
         ctx.set_timer(self.pacemaker.batch_interval(), tags::BATCH);
     }
 
+    /// The leader opens rung `kind` of block `n` with its own share.
+    fn open_votes(&self, kind: QcKind, n: SeqNum, digest: Digest) -> QcBuilder {
+        let mut votes = QcBuilder::new(kind, self.view, n, digest, self.quorum());
+        if let Some(own) = sign_share(&self.registry, self.id, kind, self.view, n, &digest) {
+            let _ = votes.add_share(&self.registry, &own);
+        }
+        votes
+    }
+
+    /// A follower's share on rung `kind` of block `n`: signed, or garbage
+    /// when it equivocates.
+    fn vote(&self, kind: QcKind, view: View, n: SeqNum, digest: &Digest) -> Option<PartialSig> {
+        if self.behavior.equivocates() {
+            return Some(PartialSig {
+                signer: self.id,
+                sig: [0xCC; 32],
+            });
+        }
+        sign_share(&self.registry, self.id, kind, view, n, digest)
+    }
+
     // ------------------------------------------------------------------
     // Replication
     // ------------------------------------------------------------------
@@ -272,17 +299,14 @@ impl PassiveBftServer {
                 self.pending_proposals.push(proposal);
             }
         }
-        if self.leading
-            && !self.behavior.silent_as_leader()
-            && self.syncing_until_seq.is_none()
-            && self.pending_proposals.len() >= self.config.batch_size
-        {
+        if self.pending_proposals.len() >= self.config.batch_size {
             self.flush_batch(ctx);
         }
     }
 
     fn flush_batch(&mut self, ctx: &mut Context<Message>) {
-        if !self.leading || self.behavior.silent_as_leader() || self.syncing_until_seq.is_some() {
+        if !self.is_leader() || self.behavior.silent_as_leader() || self.syncing_until_seq.is_some()
+        {
             return;
         }
         if self.view_change_pending {
@@ -300,11 +324,7 @@ impl PassiveBftServer {
         let digest = Self::ordering_digest(view, n, &keys);
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * batch.len() as f64);
 
-        let mut prepare_builder = QcBuilder::new(QcKind::Ordering, view, n, digest, self.quorum());
-        if let Some(share) = sign_share(&self.registry, self.id, QcKind::Ordering, view, n, &digest)
-        {
-            let _ = prepare_builder.add_share(&self.registry, &share);
-        }
+        let votes = self.open_votes(QcKind::Ordering, n, digest);
         let sig = self.keypair.sign(digest.as_ref());
         ctx.broadcast(
             self.other_servers(),
@@ -319,15 +339,12 @@ impl PassiveBftServer {
         self.inflight.insert(
             n.0,
             Instance {
-                view,
                 batch,
                 keys,
                 digest,
-                prepare_builder,
-                prepare_qc: None,
-                precommit_builder: None,
-                precommit_qc: None,
-                commit_builder: None,
+                phase: 0,
+                votes,
+                ordering_qc: None,
             },
         );
     }
@@ -375,16 +392,8 @@ impl PassiveBftServer {
         }
         // Progress from the leader: reset the failure-detection timer.
         self.reset_view_timer(ctx);
-        let share = if self.behavior.equivocates() {
-            PartialSig {
-                signer: self.id,
-                sig: [0xCC; 32],
-            }
-        } else {
-            match sign_share(&self.registry, self.id, QcKind::Ordering, view, n, &digest) {
-                Some(s) => s,
-                None => return,
-            }
+        let Some(share) = self.vote(QcKind::Ordering, view, n, &digest) else {
+            return;
         };
         ctx.send(
             from,
@@ -397,77 +406,8 @@ impl PassiveBftServer {
         );
     }
 
-    fn handle_ord_reply(
-        &mut self,
-        view: View,
-        n: SeqNum,
-        digest: Digest,
-        share: PartialSig,
-        ctx: &mut Context<Message>,
-    ) {
-        if !self.leading || view != self.view {
-            return;
-        }
-        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
-        let three_phase = self.protocol.phases() == 3;
-        let quorum = self.quorum();
-        let registry = Arc::clone(&self.registry);
-        let instance = match self.inflight.get_mut(&n.0) {
-            Some(i) if i.view == view && i.digest == digest && i.prepare_qc.is_none() => i,
-            _ => return,
-        };
-        if instance
-            .prepare_builder
-            .add_share(&registry, &share)
-            .is_err()
-            || !instance.prepare_builder.complete()
-        {
-            return;
-        }
-        let prepare_qc = match instance.prepare_builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
-        };
-        instance.prepare_qc = Some(prepare_qc.clone());
-        if three_phase {
-            let mut builder = QcBuilder::new(QcKind::PreCommit, view, n, digest, quorum);
-            if let Some(own) = sign_share(&registry, self.id, QcKind::PreCommit, view, n, &digest) {
-                let _ = builder.add_share(&registry, &own);
-            }
-            instance.precommit_builder = Some(builder);
-            let sig = self.keypair.sign(digest.as_ref());
-            ctx.broadcast(
-                self.other_servers(),
-                Message::PreCmt {
-                    view,
-                    n,
-                    prepare_qc,
-                    sig,
-                },
-            );
-        } else {
-            let mut builder = QcBuilder::new(QcKind::Commit, view, n, digest, quorum);
-            if let Some(own) = sign_share(&registry, self.id, QcKind::Commit, view, n, &digest) {
-                let _ = builder.add_share(&registry, &own);
-            }
-            instance.commit_builder = Some(builder);
-            let sig = self.keypair.sign(digest.as_ref());
-            ctx.broadcast(
-                self.other_servers(),
-                Message::Cmt {
-                    view,
-                    n,
-                    ordering_qc: prepare_qc,
-                    sig,
-                },
-            );
-        }
-    }
-
-    /// A follower's vote on a phase QC from the leader. `PreCmt` carries the
-    /// prepare QC and asks for a pre-commit share; `Cmt` carries the QC of
-    /// the phase before commit (pre-commit with three phases, prepare with
-    /// two) and asks for a commit share.
+    /// A follower's vote on a rung the leader opened: `PreCmt` and `Cmt`
+    /// carry the QC of the rung below `vote` and ask for a `vote` share.
     fn handle_qc_vote(
         &mut self,
         from: Actor,
@@ -484,11 +424,9 @@ impl PassiveBftServer {
             return;
         }
         ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
-        let expected_kind = match vote {
-            QcKind::Commit if self.protocol.phases() == 3 => QcKind::PreCommit,
-            _ => QcKind::Ordering,
-        };
-        if phase_qc.kind != expected_kind
+        let phases = self.protocol.phases();
+        let below = phases.windows(2).find(|w| w[1] == vote).map(|w| w[0]);
+        if Some(phase_qc.kind) != below
             || phase_qc.seq != n
             || ThresholdVerifier::new(&self.registry)
                 .verify(&phase_qc, self.quorum())
@@ -498,16 +436,8 @@ impl PassiveBftServer {
         }
         self.reset_view_timer(ctx);
         let digest = phase_qc.digest;
-        let share = if self.behavior.equivocates() {
-            PartialSig {
-                signer: self.id,
-                sig: [0xCD; 32],
-            }
-        } else {
-            match sign_share(&self.registry, self.id, vote, view, n, &digest) {
-                Some(s) => s,
-                None => return,
-            }
+        let Some(share) = self.vote(vote, view, n, &digest) else {
+            return;
         };
         let reply = if vote == QcKind::PreCommit {
             Message::PreCmtReply {
@@ -527,88 +457,76 @@ impl PassiveBftServer {
         ctx.send(from, reply);
     }
 
-    fn handle_pre_cmt_reply(
+    /// The leader counts a follower's share on rung `kind` of block `n`. A
+    /// quorum on the block's current rung opens the next one, or commits the
+    /// block after the last; a share for any other rung is ignored.
+    fn handle_reply(
         &mut self,
+        kind: QcKind,
         view: View,
         n: SeqNum,
         digest: Digest,
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        if !self.leading || view != self.view {
+        if !self.is_leader() || view != self.view {
             return;
         }
         ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
-        let quorum = self.quorum();
-        let registry = Arc::clone(&self.registry);
-        let instance = match self.inflight.get_mut(&n.0) {
-            Some(i) if i.view == view && i.digest == digest && i.precommit_qc.is_none() => i,
-            _ => return,
+        let phases = self.protocol.phases();
+        let Some(instance) = self.inflight.get_mut(&n.0) else {
+            return;
         };
-        let builder = match instance.precommit_builder.as_mut() {
-            Some(b) => b,
-            None => return,
-        };
-        if builder.add_share(&registry, &share).is_err() || !builder.complete() {
+        if instance.digest != digest || phases[instance.phase] != kind {
             return;
         }
-        let precommit_qc = match builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
-        };
-        instance.precommit_qc = Some(precommit_qc.clone());
-        let mut commit_builder = QcBuilder::new(QcKind::Commit, view, n, digest, quorum);
-        if let Some(own) = sign_share(&registry, self.id, QcKind::Commit, view, n, &digest) {
-            let _ = commit_builder.add_share(&registry, &own);
+        let votes = &mut instance.votes;
+        if votes.add_share(&self.registry, &share).is_err() || !votes.complete() {
+            return;
         }
-        instance.commit_builder = Some(commit_builder);
+        let qc = votes.assemble().expect("a complete rung assembles");
+        let rung = instance.phase + 1;
+        let Some(&next) = phases.get(rung) else {
+            return self.commit_block(n, qc, ctx);
+        };
+        let votes = self.open_votes(next, n, digest);
+        let instance = self.inflight.get_mut(&n.0).expect("instance present");
+        instance.phase = rung;
+        instance.votes = votes;
+        if kind == QcKind::Ordering {
+            instance.ordering_qc = Some(qc.clone());
+        }
         let sig = self.keypair.sign(digest.as_ref());
-        ctx.broadcast(
-            self.other_servers(),
+        let message = if next == QcKind::PreCommit {
+            Message::PreCmt {
+                view,
+                n,
+                prepare_qc: qc,
+                sig,
+            }
+        } else {
             Message::Cmt {
                 view,
                 n,
-                ordering_qc: precommit_qc,
+                ordering_qc: qc,
                 sig,
-            },
-        );
+            }
+        };
+        ctx.broadcast(self.other_servers(), message);
     }
 
-    fn handle_cmt_reply(
+    /// The leader commits block `n` on its last rung's QC: it builds the
+    /// block, broadcasts it and applies it.
+    fn commit_block(
         &mut self,
-        view: View,
         n: SeqNum,
-        digest: Digest,
-        share: PartialSig,
+        commit_qc: QuorumCertificate,
         ctx: &mut Context<Message>,
     ) {
-        if !self.leading || view != self.view {
-            return;
-        }
-        ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
-        let registry = Arc::clone(&self.registry);
-        let complete = match self.inflight.get_mut(&n.0) {
-            Some(i) if i.view == view && i.digest == digest => match i.commit_builder.as_mut() {
-                Some(b) => b.add_share(&registry, &share).is_ok() && b.complete(),
-                None => false,
-            },
-            _ => false,
-        };
-        if !complete {
-            return;
-        }
         let instance = self.inflight.remove(&n.0).expect("instance present");
-        let commit_qc = instance
-            .commit_builder
-            .expect("commit builder present")
-            .assemble()
-            .expect("complete builder assembles");
-        let txs: Vec<_> = match Arc::try_unwrap(instance.batch) {
-            Ok(batch) => batch.into_iter().map(|p| p.tx).collect(),
-            Err(shared) => shared.iter().map(|p| p.tx.clone()).collect(),
-        };
-        let mut block = TxBlock::new(view, n, txs);
-        block.ordering_qc = instance.prepare_qc;
+        let txs = instance.batch.iter().map(|p| p.tx.clone()).collect();
+        let mut block = TxBlock::new(self.view, n, txs);
+        block.ordering_qc = instance.ordering_qc;
         block.commit_qc = Some(commit_qc);
         ctx.charge_cpu_ms(self.protocol.extra_block_cpu_ms());
         let chain = tx_block_digest(n, block.header.prev_digest, &instance.keys);
@@ -767,36 +685,25 @@ impl PassiveBftServer {
         }
         ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         let digest = Self::new_view_digest(view);
-        let quorum = self.quorum();
-        let registry = Arc::clone(&self.registry);
-        let builder = self
-            .new_view_builders
-            .entry(view.0)
-            .or_insert_with(|| QcBuilder::new(QcKind::ViewChange, view, SeqNum(0), digest, quorum));
-        if builder.add_share(&registry, &share).is_err() {
+        let (id, quorum) = (self.id, self.quorum());
+        let (votes, high) = self.new_views.entry(view.0).or_insert_with(|| {
+            let votes = QcBuilder::new(QcKind::ViewChange, view, SeqNum(0), digest, quorum);
+            (votes, (SeqNum(0), id))
+        });
+        if votes.add_share(&self.registry, &share).is_err() {
             return;
         }
         // Track the highest log position reported so the incoming leader knows
         // how far it must sync.
-        let entry = self
-            .new_view_high_seq
-            .entry(view.0)
-            .or_insert((latest_seq, share.signer));
-        if latest_seq > entry.0 {
-            *entry = (latest_seq, share.signer);
+        if latest_seq > high.0 {
+            *high = (latest_seq, share.signer);
         }
-        if !builder.complete() {
+        if !votes.complete() {
             return;
         }
-        let qc = match builder.assemble() {
-            Ok(qc) => qc,
-            Err(_) => return,
-        };
-        self.new_view_builders.remove(&view.0);
-        let (high_seq, high_holder) = self
-            .new_view_high_seq
-            .remove(&view.0)
-            .unwrap_or((self.store.latest_seq(), self.id));
+        let (votes, (high_seq, high_holder)) =
+            self.new_views.remove(&view.0).expect("entry present");
+        let qc = votes.assemble().expect("a complete quorum assembles");
         // Enter the view as its leader.
         self.enter_view(view, ctx);
         self.stats.elections_won += 1;
@@ -855,14 +762,13 @@ impl PassiveBftServer {
     fn enter_view(&mut self, view: View, ctx: &mut Context<Message>) {
         self.view = view;
         self.next_target = view.next();
-        self.leading = self.config.replicas.rotation_leader(view) == self.id;
         self.inflight.clear();
         self.acked_digests.clear();
         self.syncing_until_seq = None;
         self.view_change_pending = false;
         self.stats.views_installed += 1;
         self.reset_view_timer(ctx);
-        if self.leading {
+        if self.is_leader() {
             self.next_seq = self.store.latest_seq().next();
             if !self.behavior.silent_as_leader() {
                 self.arm_batch_timer(ctx);
@@ -907,7 +813,7 @@ impl PassiveBftServer {
 impl Process<Message> for PassiveBftServer {
     fn on_start(&mut self, ctx: &mut Context<Message>) {
         self.reset_view_timer(ctx);
-        if self.leading && !self.behavior.silent_as_leader() {
+        if self.is_leader() && !self.behavior.silent_as_leader() {
             self.arm_batch_timer(ctx);
         }
         if let Some(interval) = self.pacemaker.rotation_interval() {
@@ -935,7 +841,7 @@ impl Process<Message> for PassiveBftServer {
                 n,
                 digest,
                 share,
-            } => self.handle_ord_reply(view, n, digest, share, ctx),
+            } => self.handle_reply(QcKind::Ordering, view, n, digest, share, ctx),
             Message::PreCmt {
                 view,
                 n,
@@ -947,7 +853,7 @@ impl Process<Message> for PassiveBftServer {
                 n,
                 digest,
                 share,
-            } => self.handle_pre_cmt_reply(view, n, digest, share, ctx),
+            } => self.handle_reply(QcKind::PreCommit, view, n, digest, share, ctx),
             Message::Cmt {
                 view,
                 n,
@@ -959,7 +865,7 @@ impl Process<Message> for PassiveBftServer {
                 n,
                 digest,
                 share,
-            } => self.handle_cmt_reply(view, n, digest, share, ctx),
+            } => self.handle_reply(QcKind::Commit, view, n, digest, share, ctx),
             Message::CommitBlock { block, .. } => self.handle_commit_block(block, ctx),
             Message::NewView {
                 view,
@@ -988,7 +894,7 @@ impl Process<Message> for PassiveBftServer {
                 // robustness cost.
                 self.send_new_view(ctx);
             }
-            tags::BATCH if self.leading && !self.behavior.silent_as_leader() => {
+            tags::BATCH if self.is_leader() && !self.behavior.silent_as_leader() => {
                 if self.behavior.equivocates() {
                     let message = Message::Ord {
                         view: self.view,
@@ -1026,12 +932,156 @@ impl Process<Message> for PassiveBftServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prestige_sim::{Effects, Emission, SimRng, SimTime};
+    use prestige_types::{Transaction, Wire};
+
+    /// A message in flight: sender, recipient, message.
+    type Envelope = (Actor, Actor, Message);
+
+    /// Four replicas of `protocol` in view 1, which s1 leads, with five
+    /// proposals waiting at s1.
+    fn cluster(protocol: BaselineProtocol) -> Vec<PassiveBftServer> {
+        let config = ClusterConfig::new(4);
+        let registry = KeyRegistry::new(7, 4, 1);
+        let mut servers: Vec<_> = (0..4)
+            .map(|i| PassiveBftServer::new(ServerId(i), config.clone(), registry.clone(), protocol))
+            .collect();
+        let proposals = (1..=5)
+            .map(|i| Proposal::new(Transaction::with_size(ClientId(1), i, 16), Digest::ZERO));
+        servers[1].pending_proposals.extend(proposals);
+        servers
+    }
+
+    /// Runs `f` on `server` and returns what it sent to other servers.
+    fn step(
+        server: &mut PassiveBftServer,
+        f: impl FnOnce(&mut PassiveBftServer, &mut Context<Message>),
+    ) -> Vec<Envelope> {
+        let mut effects = Effects::new();
+        let (mut rng, mut timer_ids) = (SimRng::new(3), 0);
+        let me = Actor::Server(server.id());
+        f(
+            server,
+            &mut Context::new(SimTime::ZERO, me, &mut rng, &mut timer_ids, &mut effects),
+        );
+        let mut out = Vec::new();
+        for emission in effects.emissions {
+            match emission {
+                Emission::Send(to, m) => out.push((me, to, m)),
+                Emission::Broadcast(tos, m) => {
+                    out.extend(tos.into_iter().map(|to| (me, to, m.clone())))
+                }
+            }
+        }
+        out.retain(|(_, to, _)| matches!(to, Actor::Server(_)));
+        out
+    }
+
+    fn deliver(servers: &mut [PassiveBftServer], (from, to, message): Envelope) -> Vec<Envelope> {
+        let Actor::Server(id) = to else {
+            unreachable!("step keeps only server-bound messages")
+        };
+        step(&mut servers[id.0 as usize], |s, ctx| {
+            s.on_message(from, message, ctx)
+        })
+    }
+
+    /// Delivers `queue` and everything it causes; returns the kinds sent.
+    fn pump(servers: &mut [PassiveBftServer], mut queue: Vec<Envelope>) -> Vec<&'static str> {
+        let mut kinds = Vec::new();
+        while let Some(envelope) = queue.pop() {
+            kinds.push(envelope.2.kind());
+            queue.extend(deliver(servers, envelope));
+        }
+        kinds
+    }
+
+    #[test]
+    fn a_share_for_any_rung_but_the_current_one_is_ignored() {
+        let mut servers = cluster(BaselineProtocol::HotStuff);
+        let ords = step(&mut servers[1], |s, ctx| s.flush_batch(ctx));
+        let digest = servers[1].inflight[&1].digest;
+        let replies: Vec<_> = ords
+            .into_iter()
+            .flat_map(|e| deliver(&mut servers, e))
+            .collect();
+        assert_eq!(replies.len(), 3);
+        let mut replies = replies.into_iter();
+        assert!(deliver(&mut servers, replies.next().unwrap()).is_empty());
+        let pre_cmts = deliver(&mut servers, replies.next().unwrap());
+        assert!(pre_cmts.iter().all(|e| e.2.kind() == "PreCmt"));
+        let rung = |servers: &[PassiveBftServer]| {
+            let instance = &servers[1].inflight[&1];
+            (instance.phase, instance.votes.count())
+        };
+        assert_eq!(
+            rung(&servers),
+            (1, 1),
+            "the pre-commit rung holds s1's own share"
+        );
+
+        // The third OrdReply arrives after the ordering QC formed.
+        assert!(deliver(&mut servers, replies.next().unwrap()).is_empty());
+        assert_eq!(rung(&servers), (1, 1));
+
+        // A valid commit share arrives before the commit rung opens.
+        let registry = Arc::clone(&servers[0].registry);
+        let share = sign_share(
+            &registry,
+            ServerId(0),
+            QcKind::Commit,
+            View(1),
+            SeqNum(1),
+            &digest,
+        );
+        let early = Message::CmtReply {
+            view: View(1),
+            n: SeqNum(1),
+            digest,
+            share: share.unwrap(),
+        };
+        let to_leader = (
+            Actor::Server(ServerId(0)),
+            Actor::Server(ServerId(1)),
+            early,
+        );
+        assert!(deliver(&mut servers, to_leader).is_empty());
+        assert_eq!(rung(&servers), (1, 1));
+
+        // The rest of the ladder still commits the block everywhere.
+        let kinds = pump(&mut servers, pre_cmts);
+        assert_eq!(kinds.iter().filter(|k| **k == "CommitBlock").count(), 3);
+        assert!(servers.iter().all(|s| s.store.latest_seq() == SeqNum(1)));
+        assert!(servers[1].inflight.is_empty());
+    }
+
+    #[test]
+    fn two_phase_replication_never_sends_a_pre_commit() {
+        for (protocol, pre_commits) in [
+            (BaselineProtocol::ProsecutorLite, 0),
+            (BaselineProtocol::HotStuff, 3),
+        ] {
+            let mut servers = cluster(protocol);
+            let ords = step(&mut servers[1], |s, ctx| s.flush_batch(ctx));
+            let kinds = pump(&mut servers, ords);
+            let count = |kind| kinds.iter().filter(|k| **k == kind).count();
+            assert_eq!(count("PreCmt"), pre_commits, "{protocol:?}");
+            assert_eq!(count("CommitBlock"), 3, "{protocol:?}");
+            let block = servers[0].store.tx_blocks_in(1, 1).next().unwrap();
+            assert_eq!(block.ordering_qc.as_ref().unwrap().kind, QcKind::Ordering);
+            assert_eq!(block.commit_qc.as_ref().unwrap().kind, QcKind::Commit);
+        }
+    }
 
     #[test]
     fn protocol_profiles() {
-        assert_eq!(BaselineProtocol::HotStuff.phases(), 3);
-        assert_eq!(BaselineProtocol::SbftLite.phases(), 3);
-        assert_eq!(BaselineProtocol::ProsecutorLite.phases(), 2);
+        let three = [QcKind::Ordering, QcKind::PreCommit, QcKind::Commit];
+        assert_eq!(BaselineProtocol::HotStuff.phases(), three);
+        assert_eq!(BaselineProtocol::SbftLite.phases(), three);
+        assert_eq!(
+            BaselineProtocol::ProsecutorLite.phases(),
+            [QcKind::Ordering, QcKind::Commit]
+        );
         assert_eq!(BaselineProtocol::HotStuff.label(), "hs");
         assert!(BaselineProtocol::SbftLite.extra_block_cpu_ms() > 0.0);
     }
