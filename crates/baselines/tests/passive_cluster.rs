@@ -66,6 +66,52 @@ fn hotstuff_baseline_commits_under_normal_operation() {
 }
 
 #[test]
+fn a_fault_free_leader_is_never_voted_out() {
+    // The `peak` row's shape: the paper's §6.2 timers (`[800, 1200]` ms,
+    // 1 s client patience), β = 200 and 4 × 150 outstanding requests, 4 s.
+    // A leader sees no `Ord`, phase QC or `CommitBlock` of its own, so no
+    // progress of its own may time it out: with no fault no view changes,
+    // and no request waits out even the shortest view timeout.
+    let peak = Scenario {
+        batch_size: 200,
+        clients: 4,
+        concurrency: 150,
+        timeouts: TimeoutConfig {
+            base_timeout_ms: 800.0,
+            randomization_ms: 400.0,
+            client_timeout_ms: 1000.0,
+            complaint_grace_ms: 200.0,
+        },
+        network: Link::LAN,
+        duration_ms: 4_000,
+        ..Scenario::default()
+    };
+    for protocol in [
+        ProtocolChoice::HotStuff,
+        ProtocolChoice::ProsecutorLite,
+        ProtocolChoice::SbftLite,
+    ] {
+        let label = protocol.label();
+        let mut cluster = SimCluster::new(&Scenario {
+            protocol,
+            ..peak.clone()
+        });
+        cluster.sim.run_until(SimTime::from_secs(4.0));
+        for s in 0..4 {
+            let views = cluster.stats(s).views_installed;
+            assert_eq!(views, 0, "{label}: s{s} installed {views} views");
+        }
+        for client in cluster.clients() {
+            let max = client.stats().latency_hist.max_ms();
+            assert!(
+                max < peak.timeouts.base_timeout_ms,
+                "{label}: a request waited {max:.1} ms"
+            );
+        }
+    }
+}
+
+#[test]
 fn two_phase_prosecutor_lite_also_commits() {
     let mut sim = build_cluster(5, ProtocolChoice::ProsecutorLite, 100, lan());
     sim.run_until(SimTime::from_secs(5.0));
