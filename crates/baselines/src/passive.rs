@@ -17,6 +17,16 @@
 //! three phases, then `Cmt`). A quorum on a rung opens the next one, and a
 //! quorum on the last commits the block. A share for any other rung is
 //! ignored.
+//!
+//! Every replica votes to leave its view when its view timer fires, and the
+//! timer re-arms on progress. A follower's progress is an `Ord`, phase QC or
+//! `CommitBlock` from the leader, so the followers time the leader out, as
+//! the backups do in VR Revisited (§4.2). The leader sees none of its own
+//! messages. Its progress is its own commits, as a QC is for HotStuff's
+//! pacemaker, so a leader that commits never votes itself out. A leader with
+//! nothing to commit (idle, or stuck on a block that cannot reach a quorum)
+//! votes after a timeout, as its followers do. A quiet (F2) or equivocating
+//! (F3) leader commits nothing and is timed out by its followers.
 
 use prestige_core::storage::{block_keys_digest, tx_block_digest, BlockStore};
 use prestige_core::{ByzantineBehavior, Pacemaker, ServerStats};
@@ -529,6 +539,9 @@ impl PassiveBftServer {
         block.ordering_qc = instance.ordering_qc;
         block.commit_qc = Some(commit_qc);
         ctx.charge_cpu_ms(self.protocol.extra_block_cpu_ms());
+        // The leader's own progress: its commits re-arm its view timer, as
+        // the leader's messages re-arm a follower's.
+        self.reset_view_timer(ctx);
         let chain = tx_block_digest(n, block.header.prev_digest, &instance.keys);
         let sig = self.keypair.sign(chain.as_ref());
         let block = Arc::new(block);
@@ -888,9 +901,10 @@ impl Process<Message> for PassiveBftServer {
         }
         match tag {
             tags::VIEW if self.view_timer == Some(id) => {
-                // No leader progress within the timeout: vote for the next
-                // scheduled leader. Faulty scheduled leaders cannot be
-                // skipped — this full timeout is the passive protocol's
+                // No progress within the timeout (no message from the
+                // leader at a follower, no commit at the leader): vote for
+                // the next scheduled leader. Faulty scheduled leaders cannot
+                // be skipped — this full timeout is the passive protocol's
                 // robustness cost.
                 self.send_new_view(ctx);
             }
@@ -1053,6 +1067,23 @@ mod tests {
         assert_eq!(kinds.iter().filter(|k| **k == "CommitBlock").count(), 3);
         assert!(servers.iter().all(|s| s.store.latest_seq() == SeqNum(1)));
         assert!(servers[1].inflight.is_empty());
+    }
+
+    #[test]
+    fn a_leader_that_cannot_commit_votes_itself_out() {
+        // s1 orders a block that no follower answers. Its view timer fires
+        // with nothing committed, and it votes for view 2's leader, s2.
+        let mut servers = cluster(BaselineProtocol::HotStuff);
+        step(&mut servers[1], |s, ctx| {
+            s.on_start(ctx);
+            s.flush_batch(ctx);
+        });
+        let timer = servers[1].view_timer.expect("armed on start");
+        let sent = step(&mut servers[1], |s, ctx| s.on_timer(timer, tags::VIEW, ctx));
+        let [(_, to, Message::NewView { view, .. })] = &sent[..] else {
+            panic!("expected one NewView, got {sent:?}");
+        };
+        assert_eq!((*to, *view), (Actor::Server(ServerId(2)), View(2)));
     }
 
     #[test]
