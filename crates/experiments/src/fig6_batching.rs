@@ -51,6 +51,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "batch size",
             "throughput (TPS)",
             "mean latency (ms)",
+            "views installed",
         ],
     );
     for scenario in scenarios(scale) {
@@ -60,6 +61,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             scenario.batch_size.to_string(),
             format!("{:.0}", outcome.tps),
             format!("{:.1}", outcome.latency.mean_ms()),
+            outcome.reference.views_installed.to_string(),
         ]);
     }
     vec![table]

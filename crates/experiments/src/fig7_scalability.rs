@@ -62,6 +62,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "throughput (TPS)",
             "mean latency (ms)",
             "p95 latency (ms)",
+            "views installed",
         ],
     );
     for s in scenarios(scale) {
@@ -75,6 +76,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{:.0}", outcome.tps),
             format!("{:.1}", outcome.latency.mean_ms()),
             format!("{:.1}", outcome.latency.percentile_ms(95.0)),
+            outcome.reference.views_installed.to_string(),
         ]);
     }
     vec![table]

@@ -48,6 +48,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "throughput (TPS)",
             "mean latency (ms)",
             "p95 latency (ms)",
+            "views installed",
         ],
     );
     for scenario in scenarios(scale) {
@@ -58,6 +59,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             format!("{:.0}", outcome.tps),
             format!("{:.1}", outcome.latency.mean_ms()),
             format!("{:.1}", outcome.latency.percentile_ms(95.0)),
+            outcome.reference.views_installed.to_string(),
         ]);
     }
     vec![table]
