@@ -19,8 +19,8 @@
 //!   campaign path, which the passive schedule here does not exercise).
 //!
 //! All three are served by [`PassiveBftServer`]; the profile selects the phase
-//! count and cost knobs. They reuse `prestige-core`'s client, statistics, and
-//! block store.
+//! ladder ([`BaselineProtocol::phases`]) and cost knobs. They reuse
+//! `prestige-core`'s client, statistics, and block store.
 
 #![warn(missing_docs)]
 

@@ -69,9 +69,9 @@ fn hotstuff_baseline_commits_under_normal_operation() {
 fn a_fault_free_leader_is_never_voted_out() {
     // The `peak` row's shape: the paper's §6.2 timers (`[800, 1200]` ms,
     // 1 s client patience), β = 200 and 4 × 150 outstanding requests, 4 s.
-    // A leader sees no `Ord`, phase QC or `CommitBlock` of its own, so no
-    // progress of its own may time it out: with no fault no view changes,
-    // and no request waits out even the shortest view timeout.
+    // A leader sees no `Ord`, phase QC or `CommitBlock` of its own, so its
+    // commits must keep its view timer armed: with no fault no view
+    // changes, and no request waits out even the shortest view timeout.
     let peak = Scenario {
         batch_size: 200,
         clients: 4,
