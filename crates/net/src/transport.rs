@@ -8,14 +8,16 @@
 
 use prestige_types::Actor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default per-endpoint inbound queue capacity (messages). When a queue is
-/// full the sender drops the message — BFT protocols are loss-tolerant by
-/// construction (clients re-propose and complain; followers sync up).
+/// Default per-endpoint inbound queue capacity (messages). It is a limit,
+/// not an allocation: no queue reserves memory for it up front. When a
+/// queue is full the sender drops the message — BFT protocols are
+/// loss-tolerant by construction (clients re-propose and complain; followers
+/// sync up).
 pub const DEFAULT_QUEUE_CAPACITY: usize = 16 * 1024;
 
 /// Minimum interval between drop warnings emitted by one transport.
@@ -308,12 +310,19 @@ pub trait Transport<M>: Send {
     fn shutdown(&mut self) {}
 }
 
-type Registry<M> = Arc<Mutex<HashMap<Actor, SyncSender<(Actor, M)>>>>;
+/// Each endpoint's sending side: its channel, and the number of messages
+/// queued in it (senders increment it, the receiver decrements it).
+type Registry<M> = Arc<Mutex<HashMap<Actor, (Sender<(Actor, M)>, Arc<AtomicUsize>)>>>;
 
 /// An in-process cluster fabric: every endpoint is an mpsc pair registered in
 /// a shared map. Message payloads move by value — no serialization — which
 /// keeps loopback clusters fast enough for CI while exercising the full
 /// runtime (threads, timers, backpressure, crash = deregistration).
+///
+/// A queue's memory follows the messages queued in it: the channel grows in
+/// small blocks as messages arrive and frees them as the receiver drains it,
+/// so an idle endpoint costs a few hundred bytes whatever its capacity. The
+/// capacity is enforced by a depth counter beside the channel.
 pub struct LoopbackNet<M> {
     registry: Registry<M>,
     capacity: usize,
@@ -329,13 +338,14 @@ impl<M> Clone for LoopbackNet<M> {
 }
 
 impl<M: Send + 'static> LoopbackNet<M> {
-    /// A fabric whose endpoints buffer up to [`DEFAULT_QUEUE_CAPACITY`]
+    /// A fabric whose endpoints queue up to [`DEFAULT_QUEUE_CAPACITY`]
     /// messages.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_QUEUE_CAPACITY)
     }
 
-    /// A fabric with a custom per-endpoint queue capacity.
+    /// A fabric with a custom per-endpoint queue capacity (a limit on the
+    /// messages queued, not memory reserved up front).
     pub fn with_capacity(capacity: usize) -> Self {
         LoopbackNet {
             registry: Arc::new(Mutex::new(HashMap::new())),
@@ -346,13 +356,21 @@ impl<M: Send + 'static> LoopbackNet<M> {
     /// Creates and registers the endpoint for `me`. Panics if the actor
     /// already has a live endpoint.
     pub fn endpoint(&self, me: Actor) -> LoopbackTransport<M> {
-        let (tx, rx) = sync_channel(self.capacity);
-        let previous = self.registry.lock().expect("registry lock").insert(me, tx);
+        let (tx, rx) = channel();
+        let depth = Arc::new(AtomicUsize::new(0));
+        let inbox = (tx, Arc::clone(&depth));
+        let previous = self
+            .registry
+            .lock()
+            .expect("registry lock")
+            .insert(me, inbox);
         assert!(previous.is_none(), "duplicate loopback endpoint for {me}");
         LoopbackTransport {
             me,
             registry: Arc::clone(&self.registry),
+            capacity: self.capacity,
             rx,
+            depth,
             stats: Arc::new(TransportStats::default()),
         }
     }
@@ -384,7 +402,11 @@ impl<M: Send + 'static> Default for LoopbackNet<M> {
 pub struct LoopbackTransport<M> {
     me: Actor,
     registry: Registry<M>,
+    /// The most messages a destination's queue may hold.
+    capacity: usize,
     rx: Receiver<(Actor, M)>,
+    /// Messages in this endpoint's own queue.
+    depth: Arc<AtomicUsize>,
     stats: Arc<TransportStats>,
 }
 
@@ -395,13 +417,17 @@ impl<M: Send + 'static> Transport<M> for LoopbackTransport<M> {
 
     fn send(&mut self, to: Actor, message: M) {
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
-        let sender = {
+        let inbox = {
             let registry = self.registry.lock().expect("registry lock");
             registry.get(&to).cloned()
         };
-        match sender {
-            Some(tx) => {
-                if tx.try_send((self.me, message)).is_err() {
+        match inbox {
+            Some((tx, depth)) => {
+                // Reserve a place first, so concurrent senders never queue
+                // more than `capacity` between them.
+                let full = depth.fetch_add(1, Ordering::Relaxed) >= self.capacity;
+                if full || tx.send((self.me, message)).is_err() {
+                    depth.fetch_sub(1, Ordering::Relaxed);
                     let total = self.stats.note_drop(to);
                     warn_drop(&self.stats, self.me, to, "queue full", total);
                 }
@@ -416,6 +442,7 @@ impl<M: Send + 'static> Transport<M> for LoopbackTransport<M> {
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)> {
         match self.rx.recv_timeout(timeout) {
             Ok(delivery) => {
+                self.depth.fetch_sub(1, Ordering::Relaxed);
                 self.stats.received.fetch_add(1, Ordering::Relaxed);
                 Some(delivery)
             }
@@ -467,13 +494,52 @@ mod tests {
     fn backpressure_drops_instead_of_blocking() {
         let net: LoopbackNet<u64> = LoopbackNet::with_capacity(2);
         let mut a = net.endpoint(server(0));
-        let _b = net.endpoint(server(1));
+        let mut b = net.endpoint(server(1));
         for i in 0..5 {
             a.send(server(1), i);
         }
         let (sent, _, dropped) = a.stats().snapshot();
         assert_eq!(sent, 5);
         assert_eq!(dropped, 3);
+
+        // Taking one message frees exactly one place.
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)), Some((server(0), 0)));
+        a.send(server(1), 5);
+        a.send(server(1), 6);
+        assert_eq!(a.stats().snapshot(), (7, 0, 4));
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)), Some((server(0), 1)));
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)), Some((server(0), 5)));
+        assert_eq!(b.recv_timeout(Duration::from_millis(10)), None);
+
+        // Concurrent senders share the bound: four threads flood a queue of
+        // 64 that nobody drains while they run.
+        const SENDS: u64 = 1_000;
+        let net: LoopbackNet<u64> = LoopbackNet::with_capacity(64);
+        let mut sink = net.endpoint(server(0));
+        let floods: Vec<_> = (1..=4)
+            .map(|i| {
+                let mut sender = net.endpoint(server(i));
+                std::thread::spawn(move || {
+                    for n in 0..SENDS {
+                        sender.send(server(0), n);
+                    }
+                    sender.stats().snapshot()
+                })
+            })
+            .collect();
+        let floods: Vec<_> = floods
+            .into_iter()
+            .map(|flood| flood.join().expect("flooding thread"))
+            .collect();
+        let mut received = 0;
+        while sink.recv_timeout(Duration::from_millis(10)).is_some() {
+            received += 1;
+        }
+        assert!(received <= 64, "{received} messages passed a bound of 64");
+        let sent: u64 = floods.iter().map(|(sent, _, _)| sent).sum();
+        let dropped: u64 = floods.iter().map(|(_, _, dropped)| dropped).sum();
+        assert_eq!(sent, 4 * SENDS);
+        assert_eq!(sent, received + dropped);
     }
 
     #[test]
