@@ -426,7 +426,9 @@ impl PrestigeServer {
         self.cast_votes.insert(view.0, (candidate, share.clone()));
     }
 
-    /// Handles an election vote; `2f + 1` votes elect this candidate.
+    /// Handles an election vote; `2f + 1` votes elect this candidate. A
+    /// leader-elect (its vote QC formed) ignores later votes, so a late or
+    /// re-sent one cannot elect it twice.
     pub(crate) fn handle_vote_cp(
         &mut self,
         new_view: View,
@@ -434,8 +436,9 @@ impl PrestigeServer {
         share: PartialSig,
         ctx: &mut Context<Message>,
     ) {
-        if candidate != self.id || !matches!(self.phase, Phase::Candidate { .. }) {
-            return;
+        match &self.phase {
+            Phase::Candidate { votes, .. } if candidate == self.id && !votes.complete() => {}
+            _ => return,
         }
         self.charge_verify_cost(ctx);
         let Phase::Candidate {

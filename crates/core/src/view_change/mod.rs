@@ -433,6 +433,29 @@ mod tests {
                 also: |b| b.me().current_view() == View(2) && campaign_in(b) == "None",
             },
             Row {
+                name: "a late vote neither re-elects the leader-elect nor resets its VcYes",
+                start: || {
+                    let mut b = candidate();
+                    b.deliver("Camp", &[2, 3]);
+                    let vote = b.queue.iter().find(|(_, _, m)| kind(m) == "VoteCP");
+                    let late = vote.cloned().expect("a vote for s1");
+                    b.deliver("VoteCP", &[1]);
+                    b.queue.push(late);
+                    b
+                },
+                event: |b| {
+                    b.deliver("NewVcBlock", &[2]);
+                    b.deliver("VcYes", &[1]);
+                    b.deliver("VoteCP", &[1]);
+                    b.deliver("NewVcBlock", &[3]);
+                    b.deliver("VcYes", &[1]);
+                },
+                role: Leader,
+                sent: &[],
+                counters: [1, 0, 1, 1],
+                also: |b| b.me().current_view() == View(2),
+            },
+            Row {
                 name: "an election timeout makes the candidate redeem for V' + 1",
                 start: candidate,
                 event: |b| b.fire(ELECTION),
