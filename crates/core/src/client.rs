@@ -8,13 +8,24 @@
 //! complaint it resends every overdue request, since it owns them: a lost
 //! bundle is recovered whole.
 //!
+//! Each request is timed from when it was sent, as PBFT's client does. A
+//! check wakes at the deadline of the oldest open request not yet complained
+//! about (`sent_at + patience`); after a complaint it waits one whole
+//! patience, so a client complains at most once per patience. A leader that
+//! stops is therefore suspected one patience after the oldest request it
+//! stalls was sent. A follower that receives the complaint gives the leader
+//! `complaint_grace_ms` to commit it before it confirms the failure
+//! (`ConfVC`), and the election follows. Detection to install is patience +
+//! grace + election: with `TimeoutConfig::fast`, 400 + 100 + ≈2 ms.
+//!
 //! One client process stands in for many logical closed-loop clients: it keeps
 //! `concurrency` transactions outstanding, topping the window up in bundles
 //! (see [`ClientConfig::refill_batch`]). This keeps the simulation's event
 //! count tractable at the paper's throughput levels while preserving the
 //! protocol interaction (every transaction is still individually ordered,
 //! committed, notified, and complain-able). The simulator and the real
-//! runtime build the same client the same way, through [`ClientConfig::new`].
+//! runtime build the same client the same way, through
+//! [`ClientConfig::for_cluster`].
 //!
 //! Requests are numbered consecutively from 1, and the client never has more
 //! than [`REQUEST_WINDOW`] of them between its oldest unconfirmed request and
@@ -31,8 +42,8 @@ use crate::pacemaker::timer_tags;
 use prestige_crypto::{digest_of, KeyPair, KeyRegistry};
 use prestige_sim::{Context, Process, SimDuration, TimerId};
 use prestige_types::{
-    Actor, ClientId, Message, Proposal, ReplicaSet, SeqNum, SeqWindow, Transaction, View,
-    REQUEST_WINDOW,
+    Actor, ClientId, ClusterConfig, Message, Proposal, ReplicaSet, SeqNum, SeqWindow, Transaction,
+    View, REQUEST_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -75,6 +86,20 @@ impl ClientConfig {
             concurrency,
             timeout_ms: 1000.0,
             refill_batch: (concurrency / 4).max(1),
+        }
+    }
+
+    /// The client both hosts launch against `cluster`: its replicas, payload
+    /// size and patience (`timeouts.client_timeout_ms`).
+    pub fn for_cluster(id: ClientId, cluster: &ClusterConfig, concurrency: usize) -> Self {
+        ClientConfig {
+            timeout_ms: cluster.timeouts.client_timeout_ms,
+            ..ClientConfig::new(
+                id,
+                cluster.replicas.clone(),
+                cluster.payload_size,
+                concurrency,
+            )
         }
     }
 
@@ -331,7 +356,7 @@ impl Process<Message> for PrestigeClient {
             .iter()
             .take_while(|slot| now_ms - slot.sent_at_ms >= timeout)
             .position(|slot| slot.notifs < threshold && !slot.complained);
-        if let Some(i) = overdue {
+        let next_check_ms = if let Some(i) = overdue {
             // The owner resends: every overdue request goes out again with
             // the complaint, so a `Prop` bundle the leader never received is
             // recovered whole instead of one complaint per check. Servers
@@ -358,6 +383,8 @@ impl Process<Message> for PrestigeClient {
                     client_sig,
                 },
             );
+            // At most one complaint per patience.
+            timeout
         } else {
             // Allow re-complaining later if things stay stuck.
             for slot in self.outstanding.iter_mut() {
@@ -365,9 +392,18 @@ impl Process<Message> for PrestigeClient {
                     slot.complained = false;
                 }
             }
-        }
+            // Wake at the deadline of the oldest open request not yet
+            // complained about: a stall is suspected one patience after the
+            // request it holds up was sent, not up to two.
+            self.outstanding
+                .iter()
+                .find(|slot| slot.notifs < threshold && !slot.complained)
+                .map_or(timeout, |slot| {
+                    (slot.sent_at_ms + timeout - now_ms).min(timeout).max(1.0)
+                })
+        };
         ctx.set_timer(
-            SimDuration::from_ms(self.config.timeout_ms),
+            SimDuration::from_ms(next_check_ms),
             timer_tags::CLIENT_CHECK,
         );
     }
@@ -598,6 +634,72 @@ mod tests {
             (overdue, vec![sent[2].clone()])
         );
         assert_eq!(client.stats().complaints_sent, 2);
+    }
+
+    /// The delays (ms) of the check timers one call armed.
+    fn checks_armed(effects: &Effects<Message>) -> Vec<f64> {
+        (effects.timers.iter())
+            .filter(|(_, _, tag)| *tag == timer_tags::CLIENT_CHECK)
+            .map(|(_, delay, _)| delay.as_ms())
+            .collect()
+    }
+
+    #[test]
+    fn a_check_wakes_at_the_oldest_open_deadline_and_a_patience_after_a_complaint() {
+        let registry = KeyRegistry::new(3, 4, 2);
+        let config = ClientConfig::new(ClientId(1), ReplicaSet::new(4), 32, 3);
+        let mut client = PrestigeClient::new(config, &registry);
+        // Requests 1..=3 go out at 0 ms, due at 1000 ms.
+        let start = at(&mut client, 0.0, |c, ctx| c.on_start(ctx));
+        assert_eq!(checks_armed(&start), [1000.0]);
+        // Request 1 confirms at 5 ms, and the refill sends request 4 then.
+        for server in [0, 1] {
+            notif(&mut client, server, vec![(ClientId(1), 1)]);
+        }
+        let check = |c: &mut PrestigeClient, ctx: &mut Context<Message>| {
+            c.on_timer(TimerId(1), timer_tags::CLIENT_CHECK, ctx)
+        };
+        let complaints = |effects: &Effects<Message>| resent_and_complained(effects).1.len();
+        // Nothing is overdue at 250 ms: the next check is at request 2's
+        // deadline, not a whole patience away.
+        let quiet = at(&mut client, 250.0, check);
+        assert_eq!((complaints(&quiet), checks_armed(&quiet)), (0, vec![750.0]));
+        // A complaint is followed by a whole patience, though request 3 is
+        // overdue already: one complaint per patience.
+        for at_ms in [1000.0, 2000.0, 3000.0] {
+            let complaint = at(&mut client, at_ms, check);
+            assert_eq!(
+                (complaints(&complaint), checks_armed(&complaint)),
+                (1, vec![1000.0])
+            );
+        }
+        // Every open request has had its complaint. At 4000 ms they are old
+        // enough to complain about again, and are overdue already: the next
+        // check is as soon as the timer allows, never at 0 ms.
+        let reset = at(&mut client, 4000.0, check);
+        assert_eq!((complaints(&reset), checks_armed(&reset)), (0, vec![1.0]));
+        let again = at(&mut client, 4001.0, check);
+        assert_eq!(
+            (complaints(&again), checks_armed(&again)),
+            (1, vec![1000.0])
+        );
+        assert_eq!(client.stats().complaints_sent, 4);
+    }
+
+    #[test]
+    fn for_cluster_takes_the_clusters_patience_and_payload() {
+        let cluster = ClusterConfig::new(7)
+            .with_payload_size(64)
+            .with_timeouts(prestige_types::TimeoutConfig::fast());
+        let config = ClientConfig::for_cluster(ClientId(3), &cluster, 12);
+        assert_eq!(
+            (config.id, config.replicas.n(), config.payload_size),
+            (ClientId(3), 7, 64)
+        );
+        assert_eq!(
+            (config.concurrency, config.refill_batch, config.timeout_ms),
+            (12, 3, 400.0)
+        );
     }
 
     #[test]

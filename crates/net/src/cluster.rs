@@ -209,13 +209,7 @@ fn spawn_client(
     concurrency: usize,
     transport: Box<dyn Transport<Message>>,
 ) -> NodeHandle<Message> {
-    let cc = ClientConfig::new(
-        id,
-        config.replicas.clone(),
-        config.payload_size,
-        concurrency,
-    );
-    let client = PrestigeClient::new(cc, registry);
+    let client = PrestigeClient::new(ClientConfig::for_cluster(id, config, concurrency), registry);
     NodeHandle::spawn(Box::new(client), transport, seed)
 }
 

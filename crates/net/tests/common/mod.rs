@@ -2,8 +2,8 @@
 //! set of assertions, run on both fabrics.
 
 use prestige_net::{Cluster, Fabric, TransportTotals};
-use prestige_types::{Digest, ServerId, View};
-use std::time::Duration;
+use prestige_types::{ClientId, Digest, ServerId, TimeoutConfig, View};
+use std::time::{Duration, Instant};
 
 /// A committed chain snapshot must be strictly ordered by sequence number —
 /// the direct "no commit reorder" check on one replica's log.
@@ -18,10 +18,20 @@ pub fn assert_strictly_ordered(id: ServerId, chain: &[(u64, Digest)]) {
     }
 }
 
+/// Complaints sent so far by every client of `cluster`.
+fn complaints_sent<F: Fabric>(cluster: &Cluster<F>) -> u64 {
+    (0..)
+        .map_while(|c| cluster.client_stats(ClientId(c)))
+        .map(|s| s.complaints_sent)
+        .sum()
+}
+
 /// Commits `milestone` transactions, kills the leader, and requires the
-/// survivors to elect a new one through the active view change, resume
-/// committing, and hold fork-free, strictly ordered logs. Returns the
-/// cluster-wide transport counters read just before shutdown.
+/// clients to complain within two patiences of the kill, and the survivors
+/// to elect a new one through the active view change, resume committing,
+/// and hold fork-free, strictly ordered logs. The cluster runs the `fast`
+/// timeouts. Returns the cluster-wide transport counters read just before
+/// shutdown.
 pub fn survives_leader_kill<F: Fabric>(mut cluster: Cluster<F>, milestone: u64) -> TransportTotals {
     // Phase 1: throughput.
     let reached = cluster.wait_until(Duration::from_secs(60), |c| {
@@ -49,8 +59,23 @@ pub fn survives_leader_kill<F: Fabric>(mut cluster: Cluster<F>, milestone: u64) 
     // Phase 2: kill the leader abruptly (runtime stopped; endpoint
     // deregistered on loopback, listener closed and streams broken over TCP
     // — indistinguishable from a killed process).
+    let complaints_before = complaints_sent(&cluster);
+    let killed_at = Instant::now();
     cluster.crash_server(leader_before);
     assert_eq!(cluster.live_servers().len(), 3);
+
+    // The client times each request from when it was sent, with the
+    // cluster's patience: a request the dead leader stalls is complained
+    // about one patience after it went out. Two patiences leave room for a
+    // loaded host; a client that swept on a fixed one-second timer would
+    // need at least a second.
+    let patience = Duration::from_secs_f64(TimeoutConfig::fast().client_timeout_ms / 1000.0);
+    let complained = cluster.wait_until(2 * patience, |c| complaints_sent(c) > complaints_before);
+    assert!(
+        complained,
+        "no complaint within {:?} of the leader kill (patience {patience:?})",
+        killed_at.elapsed()
+    );
 
     // The active view change must elect a new leader among the survivors.
     let survived = cluster.wait_until(Duration::from_secs(60), |c| {

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 fn fast_config(n: u32) -> ClusterConfig {
     // The paper's fast profile: timeouts in [300, 600] ms, 400 ms client
-    // patience — keeps the post-kill view change quick without making correct
+    // patience (the launcher hands every client the cluster's) — keeps the post-kill view change quick without making correct
     // nodes trigger-happy on a loopback network with microsecond RTTs.
     ClusterConfig::new(n)
         .with_batch_size(100)

@@ -88,13 +88,8 @@ impl SimCluster {
             cluster.sim.add_node(Actor::Server(ServerId(i)), server);
         }
         for c in 0..scenario.clients {
-            let mut config = ClientConfig::new(
-                ClientId(c),
-                cluster.config.replicas.clone(),
-                scenario.payload_size,
-                scenario.concurrency,
-            );
-            config.timeout_ms = cluster.config.timeouts.client_timeout_ms;
+            let config =
+                ClientConfig::for_cluster(ClientId(c), &cluster.config, scenario.concurrency);
             let client = PrestigeClient::new(config, &cluster.registry);
             cluster
                 .sim
