@@ -95,6 +95,22 @@ impl BaselineProtocol {
     }
 }
 
+/// How many `Ord`s a follower holds for a view it has not entered yet: the
+/// core replica's pipeline depth.
+const EARLY_ORDS: usize = 4;
+
+/// An `Ord` that arrived, from its view's leader, before the view's
+/// `NewViewAnnounce`.
+#[derive(Debug, Clone)]
+struct EarlyOrd {
+    from: Actor,
+    view: View,
+    n: SeqNum,
+    batch: Arc<Vec<Proposal>>,
+    digest: Digest,
+    sig: [u8; 32],
+}
+
 /// A block the leader is replicating in its current view, and the rung of
 /// the phase ladder it is on.
 #[derive(Debug, Clone)]
@@ -141,6 +157,10 @@ pub struct PassiveBftServer {
     acked_digests: HashMap<u64, Digest>,
     /// Out-of-order committed blocks, each beside its keys digest.
     parked_blocks: BTreeMap<u64, (Arc<TxBlock>, Digest)>,
+    /// `Ord`s for a later view that overtook its `NewViewAnnounce` (links
+    /// need not keep order). Replayed when that view is entered, dropped
+    /// when another is.
+    early_ords: Vec<EarlyOrd>,
 
     /// Per view this replica is scheduled to lead: the `NewView` shares so
     /// far, and the highest log position they report with its holder.
@@ -199,6 +219,7 @@ impl PassiveBftServer {
             inflight: BTreeMap::new(),
             acked_digests: HashMap::new(),
             parked_blocks: BTreeMap::new(),
+            early_ords: Vec::new(),
             new_views: HashMap::new(),
             view_timer: None,
             stats: ServerStats::default(),
@@ -370,6 +391,23 @@ impl PassiveBftServer {
         sig: [u8; 32],
         ctx: &mut Context<Message>,
     ) {
+        if view > self.view
+            && from == Actor::Server(self.config.replicas.rotation_leader(view))
+            && self.early_ords.len() < EARLY_ORDS
+        {
+            // The new leader's first blocks can overtake its announcement;
+            // dropped, they would park every later block behind the hole
+            // until a view timeout.
+            self.early_ords.push(EarlyOrd {
+                from,
+                view,
+                n,
+                batch,
+                digest,
+                sig,
+            });
+            return;
+        }
         if view != self.view || from != Actor::Server(self.current_leader()) {
             return;
         }
@@ -787,6 +825,19 @@ impl PassiveBftServer {
                 self.arm_batch_timer(ctx);
             }
         }
+        for early in std::mem::take(&mut self.early_ords) {
+            if early.view == view {
+                let EarlyOrd {
+                    from,
+                    n,
+                    batch,
+                    digest,
+                    sig,
+                    ..
+                } = early;
+                self.handle_ord(from, view, n, batch, digest, sig, ctx);
+            }
+        }
     }
 
     fn handle_sync_req(&mut self, from: Actor, lo: u64, hi: u64, ctx: &mut Context<Message>) {
@@ -1084,6 +1135,62 @@ mod tests {
             panic!("expected one NewView, got {sent:?}");
         };
         assert_eq!((*to, *view), (Actor::Server(ServerId(2)), View(2)));
+    }
+
+    #[test]
+    fn an_ord_that_overtakes_its_view_announce_is_answered_once_the_view_is_entered() {
+        // Every replica votes for view 2, which s2 leads; s2 enters it on the
+        // quorum and announces it.
+        let mut servers = cluster(BaselineProtocol::HotStuff);
+        let mut new_views = Vec::new();
+        for server in servers.iter_mut() {
+            new_views.extend(step(server, |s, ctx| s.send_new_view(ctx)));
+        }
+        let announces: Vec<_> = (new_views.into_iter())
+            .flat_map(|e| deliver(&mut servers, e))
+            .filter(|e| e.2.kind() == "NewViewAnnounce")
+            .collect();
+        assert_eq!(servers[2].current_view(), View(2));
+        // s2's first block reaches s0 before the announcement does ...
+        let proposals = (1..=5)
+            .map(|i| Proposal::new(Transaction::with_size(ClientId(2), i, 16), Digest::ZERO));
+        servers[2].pending_proposals.extend(proposals);
+        let ords = step(&mut servers[2], |s, ctx| s.flush_batch(ctx));
+        let to_s0 = |e: &Envelope| e.1 == Actor::Server(ServerId(0));
+        let ord = ords.into_iter().find(to_s0).expect("an Ord for s0");
+        assert!(
+            deliver(&mut servers, ord).is_empty(),
+            "s0 is still in view 1"
+        );
+        // ... as does an Ord for view 3 from its leader, s3, which s0 never
+        // enters.
+        let stray = Message::Ord {
+            view: View(3),
+            n: SeqNum(1),
+            batch: Arc::new(Vec::new()),
+            digest: Digest::ZERO,
+            sig: [0; 32],
+        };
+        let stray = (
+            Actor::Server(ServerId(3)),
+            Actor::Server(ServerId(0)),
+            stray,
+        );
+        assert!(deliver(&mut servers, stray).is_empty());
+        // Entering view 2 answers s2's Ord and drops the stray.
+        let announce = announces
+            .into_iter()
+            .find(to_s0)
+            .expect("an announce for s0");
+        let replies = deliver(&mut servers, announce);
+        let [(_, to, Message::OrdReply { view, n, .. })] = &replies[..] else {
+            panic!("expected one OrdReply, got {replies:?}");
+        };
+        assert_eq!(
+            (*to, *view, *n),
+            (Actor::Server(ServerId(2)), View(2), SeqNum(1))
+        );
+        assert!(servers[0].early_ords.is_empty());
     }
 
     #[test]
