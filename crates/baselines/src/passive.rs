@@ -101,7 +101,7 @@ const EARLY_ORDS: usize = 4;
 
 /// An `Ord` that arrived, from its view's leader, before the view's
 /// `NewViewAnnounce`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EarlyOrd {
     from: Actor,
     view: View,
@@ -825,18 +825,9 @@ impl PassiveBftServer {
                 self.arm_batch_timer(ctx);
             }
         }
-        for early in std::mem::take(&mut self.early_ords) {
-            if early.view == view {
-                let EarlyOrd {
-                    from,
-                    n,
-                    batch,
-                    digest,
-                    sig,
-                    ..
-                } = early;
-                self.handle_ord(from, view, n, batch, digest, sig, ctx);
-            }
+        let early_ords = std::mem::take(&mut self.early_ords);
+        for e in early_ords.into_iter().filter(|e| e.view == view) {
+            self.handle_ord(e.from, view, e.n, e.batch, e.digest, e.sig, ctx);
         }
     }
 

@@ -71,7 +71,8 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// A client with the given identity and window against `replicas`.
+    /// A client with the given identity and window against `replicas`, and
+    /// a patience of 1 s; [`ClientConfig::for_cluster`] takes the cluster's.
     pub fn new(
         id: ClientId,
         replicas: ReplicaSet,
