@@ -280,6 +280,30 @@ impl<M: Send + 'static> ChaosTransport<M> {
         }
         None
     }
+
+    /// Applies the link verdict to one delivery from the wrapped transport:
+    /// returns it when it may pass now, else drops or delays it.
+    fn admit(&mut self, from: Actor, message: M) -> Option<(Actor, M)> {
+        match self.chaos.verdict(from, self.me, &mut self.rng) {
+            LinkVerdict::Deliver => return Some((from, message)),
+            LinkVerdict::Drop => {
+                // Intentional chaos: counted (attributed to the sender) but
+                // not warned about.
+                self.inner.stats().note_inbound_drop(from);
+            }
+            LinkVerdict::Delay(extra) => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.delayed.push(DelayedDelivery {
+                    due: Instant::now() + extra,
+                    seq,
+                    from,
+                    message,
+                });
+            }
+        }
+        None
+    }
 }
 
 impl<M: Send + 'static> Transport<M> for ChaosTransport<M> {
@@ -312,27 +336,24 @@ impl<M: Send + 'static> Transport<M> for ChaosTransport<M> {
                 wait = wait.min(head.due.saturating_duration_since(now));
             }
             if let Some((from, message)) = self.inner.recv_timeout(wait) {
-                match self.chaos.verdict(from, self.me, &mut self.rng) {
-                    LinkVerdict::Deliver => return Some((from, message)),
-                    LinkVerdict::Drop => {
-                        // Intentional chaos: counted (attributed to the
-                        // sender) but not warned about.
-                        self.inner.stats().note_inbound_drop(from);
-                    }
-                    LinkVerdict::Delay(extra) => {
-                        let seq = self.next_seq;
-                        self.next_seq += 1;
-                        self.delayed.push(DelayedDelivery {
-                            due: Instant::now() + extra,
-                            seq,
-                            from,
-                            message,
-                        });
-                    }
+                if let Some(delivery) = self.admit(from, message) {
+                    return Some(delivery);
                 }
             }
             if Instant::now() >= deadline {
                 return self.pop_due(Instant::now());
+            }
+        }
+    }
+
+    fn try_recv(&mut self) -> Option<(Actor, M)> {
+        loop {
+            if let Some(delivery) = self.pop_due(Instant::now()) {
+                return Some(delivery);
+            }
+            let (from, message) = self.inner.try_recv()?;
+            if let Some(delivery) = self.admit(from, message) {
+                return Some(delivery);
             }
         }
     }
@@ -449,6 +470,20 @@ mod tests {
             b.recv_timeout(Duration::from_secs(1)),
             Some((server(0), 99))
         );
+    }
+
+    #[test]
+    fn try_recv_applies_the_link_verdict() {
+        let chaos = NetChaos::new();
+        let (mut a, mut b) = pair(&chaos);
+        chaos.partition_oneway(&[server(0)], &[server(1)]);
+        a.send(server(1), 1);
+        assert_eq!(b.try_recv(), None, "a cut link drops on this path too");
+        assert_eq!(b.stats().dropped_from(server(0)), 1);
+
+        chaos.heal_now();
+        a.send(server(1), 2);
+        assert_eq!(b.try_recv(), Some((server(0), 2)));
     }
 
     #[test]

@@ -386,11 +386,12 @@ fn run_event_loop<M: Wire + Send + 'static>(
         if sources.iter().any(|s| s.pending() > 0) {
             wait = wait.min(JOB_POLL_TICK);
         }
-        // A zero-timeout poll first: a message already queued charges its
-        // receive to `decode`; only an actually-empty queue pays the blocking
-        // wait, which is `idle` whether or not a message ends the wait.
+        // A message that has already arrived first, taken without I/O and
+        // charged to `decode`; only when there is none does the loop pay
+        // the blocking wait, which is `idle` whether or not a message ends
+        // it, and which returns at once if a socket is already readable.
         let mut span = LoopProfile::begin(&d.profile);
-        let received = match d.transport.recv_timeout(Duration::ZERO) {
+        let received = match d.transport.try_recv() {
             Some(m) => {
                 span = LoopProfile::rollover(&d.profile, span, LoopStage::Decode);
                 Some(m)
@@ -413,7 +414,7 @@ fn run_event_loop<M: Wire + Send + 'static>(
             // before paying for the timer/control bookkeeping again.
             for _ in 0..MESSAGE_BURST {
                 let span = LoopProfile::begin(&d.profile);
-                let Some((from, message)) = d.transport.recv_timeout(Duration::ZERO) else {
+                let Some((from, message)) = d.transport.try_recv() else {
                     LoopProfile::end_root(&d.profile, span, LoopStage::Decode);
                     break;
                 };

@@ -10,12 +10,14 @@
 //! and node restarts need no handshake state. Outbound connections are
 //! write-only, accepted connections are read-only.
 //!
-//! * **Receive.** `recv_timeout` returns already-decoded frames from a local
-//!   queue; only when that is empty does it wait — one `ppoll(2)` over the
-//!   listener, every accepted socket and any write-blocked outbound socket
-//!   (nanosecond timeout: the event loop asks for 200 µs waits and sub-ms
-//!   timers). Readable sockets are read once into a per-connection buffer
-//!   and decoded with a cursor; the consumed prefix is dropped once per read.
+//! * **Receive.** `try_recv` pops already-decoded frames from a local queue
+//!   and makes no syscall, so the event loop learns "nothing yet" for free.
+//!   `recv_timeout` pops the same queue; only when that is empty does it
+//!   wait — one `ppoll(2)` over the dial waker, the listener, every accepted
+//!   socket and any write-blocked outbound socket (nanosecond timeout: the
+//!   event loop asks for 200 µs waits and sub-ms timers). Readable sockets
+//!   are read once into a per-connection buffer and decoded with a cursor;
+//!   the consumed prefix is dropped once per read.
 //!   Because sockets are read only when the local queue is empty, inbound
 //!   backpressure is TCP's own: a slow node stops reading, its peers'
 //!   sockets block, and *their* bounded outbound queues shed.
@@ -28,9 +30,11 @@
 //!   writable again. Both paths are counted (`flushes_idle` /
 //!   `flushes_full` in [`TransportStats`]).
 //! * **Connect.** Dialing happens on a short-lived connector thread so the
-//!   reactor never blocks in `connect`; while one is in flight the poll wait
-//!   is capped at 1 ms so its result is noticed promptly. Frames queued for
-//!   an unreachable peer **survive** (capped-backoff retry) — only per-peer
+//!   reactor never blocks in `connect`. The thread reports over a channel,
+//!   then writes a byte to the endpoint's waker, a socket pair whose read end
+//!   sits in every `ppoll` set, so a finished dial ends the wait at once and
+//!   its queue is flushed in the same round. Frames queued for an
+//!   unreachable peer **survive** (capped-backoff retry) — only per-peer
 //!   queue overflow sheds, newest first, keeping memory bounded and shed
 //!   order deterministic. On a broken connection a half-written head frame
 //!   is the only loss.
@@ -60,9 +64,6 @@ const INITIAL_BACKOFF: Duration = Duration::from_millis(50);
 const MAX_BACKOFF: Duration = Duration::from_secs(2);
 /// Most frames coalesced into one `write_vectored` call.
 const MAX_IOV: usize = 64;
-/// Upper bound on one poll wait while a connector thread is in flight, so
-/// its result is picked up within a millisecond.
-const CONNECT_POLL: Duration = Duration::from_millis(1);
 /// Bytes asked of a readable socket per `read`.
 const READ_CHUNK: usize = 64 * 1024;
 /// How long `shutdown` keeps flushing queued frames to connected peers.
@@ -145,11 +146,15 @@ pub struct TcpTransport<M: serde::Serialize + serde::Deserialize + Send + 'stati
     peers: Vec<Peer>,
     /// Position of each configured peer in `peers`.
     peer_index: HashMap<Actor, usize>,
-    /// Decoded frames not yet returned by `recv_timeout`.
+    /// Decoded frames not yet returned by `recv_timeout` or `try_recv`.
     ready: VecDeque<(Actor, M)>,
     /// Connector threads report here.
     dialed_tx: Sender<Dialed>,
     dialed_rx: Receiver<Dialed>,
+    /// Woken by each connector once it has reported, so a finished dial
+    /// ends the reactor's wait. Every connector holds a share, so its write
+    /// never meets a closed socket, even after `shutdown`.
+    waker: Arc<poll::Waker>,
     /// Frame encode buffer reused across sends; dropped instead of kept
     /// once it outgrows [`MAX_RETAINED_CAPACITY`].
     scratch: Vec<u8>,
@@ -217,6 +222,7 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
             ready: VecDeque::new(),
             dialed_tx,
             dialed_rx,
+            waker: Arc::new(poll::Waker::new()?),
             scratch: Vec::new(),
             chunk: vec![0u8; READ_CHUNK].into_boxed_slice(),
             pollfds: Vec::new(),
@@ -299,11 +305,13 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
         } else if now >= peer.retry_at {
             peer.connecting = true;
             let (addr, dialed) = (peer.addr, self.dialed_tx.clone());
+            let waker = Arc::clone(&self.waker);
             std::thread::Builder::new()
                 .name(format!("tcp-connect-{}-to-{}", self.me, peer.actor))
                 .spawn(move || {
                     let stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
                     let _ = dialed.send((index, stream));
+                    waker.wake();
                 })
                 .expect("spawn connector thread");
         }
@@ -401,25 +409,24 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
         }
     }
 
-    /// One reactor round: collect connector results, move every backlog
-    /// along, then wait up to `wait` for the listener, any accepted socket
-    /// or any write-blocked outbound socket, and serve whatever is ready.
-    /// Decoded frames land in `self.ready`.
+    /// One reactor round: move every backlog along, then wait up to `wait`
+    /// for a finished dial, the listener, any accepted socket or any
+    /// write-blocked outbound socket, and serve whatever is ready. Decoded
+    /// frames land in `self.ready`.
     fn poll_once(&mut self, now: Instant, mut wait: Duration) {
-        self.reap_dialed();
         for index in 0..self.peers.len() {
             self.service_peer(index, now);
             let peer = &self.peers[index];
-            if peer.connecting {
-                wait = wait.min(CONNECT_POLL);
-            } else if !peer.queue.is_empty() && peer.stream.is_none() {
+            if !peer.connecting && !peer.queue.is_empty() && peer.stream.is_none() {
                 wait = wait.min(peer.retry_at.saturating_duration_since(now));
             }
         }
 
-        // Poll set: [listener] ++ accepted sockets ++ write-blocked peers.
+        // Poll set: [waker] ++ [listener] ++ accepted sockets ++
+        // write-blocked peers.
         let mut fds = std::mem::take(&mut self.pollfds);
         fds.clear();
+        fds.push(self.waker.poll_fd());
         fds.extend(
             self.listener
                 .iter()
@@ -458,8 +465,12 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> TcpTransport<M> 
                 }
             }
             self.inbound.retain(|c| c.open);
-            if first_inbound == 1 && fds[0].ready() {
+            if first_inbound == 2 && fds[1].ready() {
                 self.accept_pending();
+            }
+            if fds[0].ready() {
+                self.waker.drain();
+                self.reap_dialed();
             }
         }
         self.pollfds = fds;
@@ -580,6 +591,10 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Transport<M> for
                 }
             }
         }
+        self.try_recv()
+    }
+
+    fn try_recv(&mut self) -> Option<(Actor, M)> {
         let delivery = self.ready.pop_front()?;
         self.stats.received.fetch_add(1, Ordering::Relaxed);
         Some(delivery)
@@ -617,6 +632,7 @@ impl<M: serde::Serialize + serde::Deserialize + Send + 'static> Drop for TcpTran
 /// Minimal readiness support: `ppoll(2)` on Linux, a bounded sleep
 /// elsewhere. Hand-rolled because the offline build has no `libc`/`mio`.
 mod poll {
+    use std::io::{Read, Write};
     use std::time::Duration;
 
     pub const POLLIN: i16 = 0x001;
@@ -653,6 +669,51 @@ mod poll {
         /// should try its I/O call, which reports which one it was.
         pub fn ready(&self) -> bool {
             self.revents != 0
+        }
+    }
+
+    /// Ends a [`wait`] from another thread: a connected pair of nonblocking
+    /// sockets whose read end joins the poll set, so one byte written to
+    /// the other end makes it ready.
+    pub struct Waker {
+        read: WakeStream,
+        write: WakeStream,
+    }
+
+    #[cfg(unix)]
+    type WakeStream = std::os::unix::net::UnixStream;
+    #[cfg(not(unix))]
+    type WakeStream = std::net::TcpStream;
+
+    impl Waker {
+        pub fn new() -> std::io::Result<Self> {
+            #[cfg(unix)]
+            let (read, write) = WakeStream::pair()?;
+            #[cfg(not(unix))]
+            let (read, write) = {
+                let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
+                let write = WakeStream::connect(listener.local_addr()?)?;
+                (listener.accept()?.0, write)
+            };
+            read.set_nonblocking(true)?;
+            write.set_nonblocking(true)?;
+            Ok(Waker { read, write })
+        }
+
+        /// Makes the read end ready. A full socket buffer already holds a
+        /// wake-up, so a failed write loses nothing.
+        pub fn wake(&self) {
+            let _ = (&self.write).write(&[1]);
+        }
+
+        /// Empties the read end, so the next wait blocks again.
+        pub fn drain(&self) {
+            let mut buf = [0u8; 64];
+            while matches!((&self.read).read(&mut buf), Ok(n) if n == buf.len()) {}
+        }
+
+        pub fn poll_fd(&self) -> PollFd {
+            PollFd::new(&self.read, POLLIN)
         }
     }
 
@@ -856,6 +917,57 @@ mod tests {
             assert!(b.recv_timeout(Duration::ZERO).is_none(), "decoded twice");
             assert!(b.inbound[0].buf.is_empty(), "consumed bytes are dropped");
         }
+    }
+
+    #[test]
+    fn a_finished_dial_ends_the_wait() {
+        let (la, _) = listener();
+        let (_lb, addr_b) = listener(); // the kernel completes connects to it
+        let mut a: TcpTransport<Message> = endpoint(0, la, 1, addr_b);
+        a.send(server(1), msg(0));
+        assert!(a.peers[0].connecting, "the first send dials");
+
+        // Nothing else can end this wait: the dial's wake-up must, and the
+        // same round must take the connection and flush the queue.
+        let start = Instant::now();
+        a.poll_once(start, Duration::from_secs(5));
+        assert!(start.elapsed() < Duration::from_secs(1), "the wait ran out");
+        assert!(a.peers[0].stream.is_some(), "the dial was not reaped");
+        assert!(a.peers[0].queue.is_empty(), "the queue was not flushed");
+    }
+
+    #[test]
+    fn try_recv_hands_out_decoded_frames_without_io() {
+        let (lb, addr_b) = listener();
+        let mut b: TcpTransport<Message> = endpoint(1, lb, 0, addr_b);
+        let mut raw = TcpStream::connect(addr_b).unwrap();
+        pump_until(&mut b, "b accepts", |b| b.inbound.len() == 1);
+        let codec = FrameCodec::new();
+        let mut frames = codec.encode(server(0), &msg(7)).unwrap();
+        frames.extend(codec.encode(server(0), &msg(8)).unwrap());
+        raw.write_all(&frames).unwrap();
+
+        let syscalls = |b: &TcpTransport<Message>| {
+            let stats = b.stats();
+            let reads = stats.read_calls.load(Ordering::Relaxed);
+            (reads, stats.poll_calls.load(Ordering::Relaxed))
+        };
+        // Bytes wait on the socket, but nothing has been read yet.
+        let before = syscalls(&b);
+        assert!(b.try_recv().is_none());
+        assert_eq!(syscalls(&b), before, "try_recv made a syscall");
+
+        // One wait reads both frames; the second is then handed out from
+        // the queue.
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(5)),
+            Some((server(0), msg(7)))
+        );
+        let before = syscalls(&b);
+        assert_eq!(b.try_recv(), Some((server(0), msg(8))));
+        assert!(b.try_recv().is_none());
+        assert_eq!(syscalls(&b), before, "try_recv made a syscall");
+        assert_eq!(b.stats().snapshot().1, 2, "both deliveries are counted");
     }
 
     #[test]

@@ -245,7 +245,12 @@ pub(crate) fn warn_drop(stats: &TransportStats, me: Actor, peer: Actor, reason: 
 /// must not rely on a thread of its own to move bytes. In return the owner
 /// must keep calling [`Transport::recv_timeout`] — a queued frame, a
 /// half-written one or a pending reconnect makes no progress while nobody
-/// calls. Decorators (chaos, tracing) forward exactly these methods.
+/// calls. [`Transport::try_recv`] is the one receive that need not advance
+/// I/O: it hands out what has already arrived, so an owner that drains with
+/// it must still wait in `recv_timeout` once it comes back empty.
+/// Decorators (chaos, tracing) forward these methods; one that leaves
+/// `try_recv` out gets the default, which is correct but pays for a
+/// zero-timeout `recv_timeout`.
 ///
 /// # Examples
 ///
@@ -301,6 +306,14 @@ pub trait Transport<M>: Send {
     /// Waits up to `timeout` for an inbound message, advancing whatever
     /// outbound work is pending meanwhile (see the contract above).
     fn recv_timeout(&mut self, timeout: Duration) -> Option<(Actor, M)>;
+
+    /// Returns a message that has already arrived, without waiting. A
+    /// transport that decodes ahead (TCP) pops its queue and makes no
+    /// syscall, so "nothing arrived" costs nothing; the default asks
+    /// `recv_timeout` with a zero timeout.
+    fn try_recv(&mut self) -> Option<(Actor, M)> {
+        self.recv_timeout(Duration::ZERO)
+    }
 
     /// Shared delivery counters.
     fn stats(&self) -> Arc<TransportStats>;

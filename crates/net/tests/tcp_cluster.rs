@@ -11,6 +11,7 @@ mod common;
 
 use common::{assert_strictly_ordered, survives_leader_kill};
 use prestige_net::cluster::{LocalCluster, TcpCluster};
+use prestige_net::TransportTotals;
 use prestige_types::{ClusterConfig, TimeoutConfig};
 use std::time::Duration;
 
@@ -92,4 +93,75 @@ fn tcp_and_loopback_clusters_agree_on_commit_safety() {
     assert!(lb_totals.sent > 0 && lb_totals.received > 0);
     assert_eq!(lb_totals.writev_calls, 0);
     loopback.shutdown();
+}
+
+/// Pins the calling thread, and every thread it starts from now on, to the
+/// CPU it is running on.
+fn pin_to_this_cpu() {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getcpu() -> i32;
+            fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+        }
+        // SAFETY: `sched_getcpu` takes no arguments and touches no memory.
+        let cpu = usize::try_from(unsafe { sched_getcpu() }).expect("sched_getcpu");
+        let mut mask = [0u64; 16];
+        mask[cpu / 64] |= 1 << (cpu % 64);
+        // SAFETY: the kernel reads `size_of_val(&mask)` bytes from `mask`,
+        // which outlives the call; pid 0 is the calling thread.
+        let set = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+        assert_eq!(set, 0, "sched_setaffinity");
+    }
+}
+
+#[test]
+fn steady_tcp_frames_cost_under_three_syscalls_each() {
+    // The benchmark's `tcp_small` shape: four servers, batch 16, a closed
+    // loop of 16, so about one block is in flight and every hop is a frame.
+    // Like the benchmark, the whole cluster shares one CPU, so a count does
+    // not depend on how many CPUs the host has.
+    pin_to_this_cpu();
+    let config = ClusterConfig::new(4).with_batch_size(16);
+    let cluster = TcpCluster::launch(config, 5, 1, 16).expect("bind TCP cluster on loopback");
+    // Past the connects and the first blocks.
+    assert!(
+        cluster.wait_until(Duration::from_secs(60), |c| c.total_committed() >= 2_000),
+        "TCP cluster stuck at {}",
+        cluster.total_committed()
+    );
+    let (before, start) = (cluster.transport_totals(), cluster.total_committed());
+    assert!(
+        cluster.wait_until(Duration::from_secs(60), |c| {
+            c.total_committed() >= start + 20_000
+        }),
+        "TCP cluster stuck at {}",
+        cluster.total_committed()
+    );
+    let after = cluster.transport_totals();
+    cluster.shutdown();
+
+    // A write and a read per frame, and a wait only when nothing has
+    // arrived: never a poll just to learn that.
+    let steady = TransportTotals {
+        received: after.received - before.received,
+        writev_calls: after.writev_calls - before.writev_calls,
+        read_calls: after.read_calls - before.read_calls,
+        poll_calls: after.poll_calls - before.poll_calls,
+        ..TransportTotals::default()
+    };
+    let per_frame = |calls: u64| calls as f64 / steady.received as f64;
+    eprintln!(
+        "steady tcp: {:.2} syscalls per frame (write {:.2}, read {:.2}, ppoll {:.2}) over {} frames",
+        steady.syscalls_per_frame(),
+        per_frame(steady.writev_calls),
+        per_frame(steady.read_calls),
+        per_frame(steady.poll_calls),
+        steady.received
+    );
+    assert!(
+        steady.syscalls_per_frame() < 3.0,
+        "{:.2} syscalls per frame: {steady:?}",
+        steady.syscalls_per_frame()
+    );
 }
