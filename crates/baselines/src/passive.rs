@@ -29,7 +29,7 @@
 //! (F3) leader commits nothing and is timed out by its followers.
 
 use prestige_core::storage::{block_keys_digest, tx_block_digest, BlockStore};
-use prestige_core::{ByzantineBehavior, Pacemaker, ServerStats};
+use prestige_core::{ByzantineBehavior, ClientTable, Pacemaker, ServerStats};
 use prestige_crypto::{
     hash_many, keys_digest, sign_share, KeyPair, KeyRegistry, QcBuilder, ThresholdVerifier,
 };
@@ -40,7 +40,7 @@ use prestige_types::{
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Timer tags local to the baseline protocols (distinct from
@@ -96,7 +96,7 @@ impl BaselineProtocol {
 }
 
 /// How many `Ord`s a follower holds for a view it has not entered yet: the
-/// core replica's pipeline depth.
+/// core leader's in-flight cap, though a baseline leader has none.
 const EARLY_ORDS: usize = 4;
 
 /// An `Ord` that arrived, from its view's leader, before the view's
@@ -151,7 +151,8 @@ pub struct PassiveBftServer {
     view_change_pending: bool,
 
     pending_proposals: Vec<Proposal>,
-    seen_tx: HashSet<(ClientId, u64)>,
+    /// The core's client table: the requests seen, and those committed.
+    clients: ClientTable,
     next_seq: SeqNum,
     inflight: BTreeMap<u64, Instance>,
     acked_digests: HashMap<u64, Digest>,
@@ -214,7 +215,7 @@ impl PassiveBftServer {
             syncing_until_seq: None,
             view_change_pending: false,
             pending_proposals: Vec::new(),
-            seen_tx: HashSet::new(),
+            clients: ClientTable::default(),
             next_seq: SeqNum(1),
             inflight: BTreeMap::new(),
             acked_digests: HashMap::new(),
@@ -325,8 +326,7 @@ impl PassiveBftServer {
     fn handle_prop(&mut self, proposals: Vec<Proposal>, ctx: &mut Context<Message>) {
         ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
         for proposal in proposals {
-            let key = proposal.tx.key();
-            if self.seen_tx.insert(key) {
+            if self.clients.note_seen(proposal.tx.key()) {
                 self.pending_proposals.push(proposal);
             }
         }
@@ -433,8 +433,7 @@ impl PassiveBftServer {
         }
         self.acked_digests.insert(n.0, digest);
         for proposal in batch.iter() {
-            let key = proposal.tx.key();
-            if self.seen_tx.insert(key) {
+            if self.clients.note_seen(proposal.tx.key()) {
                 self.pending_proposals.push(proposal.clone());
             }
         }
@@ -647,29 +646,29 @@ impl PassiveBftServer {
         self.stats
             .commit_log
             .push((ctx.now().as_ms(), block.tx.len() as u64));
-        let mut committed: HashSet<(ClientId, u64)> = HashSet::with_capacity(block.tx.len());
-        for tx in &block.tx {
-            committed.insert(tx.key());
-            self.seen_tx.insert(tx.key());
-        }
-        self.pending_proposals
-            .retain(|p| !committed.contains(&p.tx.key()));
-        self.acked_digests.remove(&block.n.0);
-        // If we were syncing up as an incoming leader, check whether we are
-        // caught up now.
-        if let Some(target) = self.syncing_until_seq {
-            if self.store.latest_seq() >= target {
-                self.syncing_until_seq = None;
-                self.next_seq = self.store.latest_seq().next();
-            }
-        }
-        // Notify clients.
         let mut by_client: BTreeMap<ClientId, Vec<(ClientId, u64)>> = BTreeMap::new();
         for tx in &block.tx {
+            self.clients
+                .note_committed(tx.key(), &mut self.stats.gc_pruned_keys);
             by_client.entry(tx.client).or_default().push(tx.key());
         }
+        // A proposal of ours at this number lost to the block, and followers
+        // holding the block drop its `Ord`: its requests go back to the pool.
+        if let Some(stale) = self.inflight.remove(&block.n.0) {
+            self.pending_proposals.extend(stale.batch.iter().cloned());
+        }
+        let clients = &self.clients;
+        self.pending_proposals
+            .retain(|p| !clients.is_committed(p.tx.key()));
+        self.acked_digests.remove(&block.n.0);
+        // A leader never proposes a number already committed (VR Revisited
+        // §4.2), and an incoming leader that was syncing is caught up here.
+        self.next_seq = self.next_seq.max(block.n.next());
+        self.syncing_until_seq = self.syncing_until_seq.filter(|to| block.n < *to);
+        // Notify clients. The signature covers only the sequence number, so
+        // one signing serves every client of the block.
+        let sig = self.keypair.sign(&block.n.0.to_be_bytes());
         for (client, tx_keys) in by_client {
-            let sig = self.keypair.sign(&block.n.0.to_be_bytes());
             ctx.send(
                 Actor::Client(client),
                 Message::Notif {
@@ -779,8 +778,6 @@ impl PassiveBftServer {
                     to: high_seq.0,
                 },
             );
-        } else {
-            self.next_seq = self.store.latest_seq().next();
         }
         self.arm_batch_timer(ctx);
     }
@@ -817,6 +814,8 @@ impl PassiveBftServer {
         self.acked_digests.clear();
         self.syncing_until_seq = None;
         self.view_change_pending = false;
+        // `handle_new_view` ignores the views up to this one.
+        self.new_views.retain(|v, _| *v > view.0);
         self.stats.views_installed += 1;
         self.reset_view_timer(ctx);
         if self.is_leader() {
@@ -1050,6 +1049,153 @@ mod tests {
             queue.extend(deliver(servers, envelope));
         }
         kinds
+    }
+
+    /// Like [`pump`], but keeps back the messages `hold` picks and returns
+    /// them undelivered.
+    fn pump_holding(
+        servers: &mut [PassiveBftServer],
+        mut queue: Vec<Envelope>,
+        hold: impl Fn(&Envelope) -> bool,
+    ) -> Vec<Envelope> {
+        let mut held = Vec::new();
+        while let Some(envelope) = queue.pop() {
+            if hold(&envelope) {
+                held.push(envelope);
+            } else {
+                queue.extend(deliver(servers, envelope));
+            }
+        }
+        held
+    }
+
+    /// `count` requests of `client`, numbered from `first`.
+    fn requests(client: u64, first: u64, count: u64) -> Vec<Proposal> {
+        (first..first + count)
+            .map(|i| {
+                Proposal::new(
+                    Transaction::with_size(ClientId(client), i, 16),
+                    Digest::ZERO,
+                )
+            })
+            .collect()
+    }
+
+    /// Whether every server has committed requests 1..=5 of client 2.
+    fn client_2_committed(servers: &[PassiveBftServer]) -> bool {
+        let committed =
+            |s: &PassiveBftServer| (1..=5).all(|i| s.clients.is_committed((ClientId(2), i)));
+        servers.iter().all(committed)
+    }
+
+    /// s1 commits view 1's block 1 while s0, s3 and s2 vote for view 2, so
+    /// s2 enters it, as leader, on a quorum that reports no block: one block
+    /// behind its followers. Returns the cluster, every follower in view 2,
+    /// with block 1's `CommitBlock`s undelivered. s2's pool holds requests
+    /// 1..=5 of client 2, older than anything else in it.
+    fn leader_one_block_behind() -> (Vec<PassiveBftServer>, Vec<Envelope>) {
+        let mut servers = cluster(BaselineProtocol::HotStuff);
+        step(&mut servers[2], |s, ctx| {
+            s.handle_prop(requests(2, 1, 5), ctx)
+        });
+        let ords = step(&mut servers[1], |s, ctx| s.flush_batch(ctx));
+        let is_commit = |e: &Envelope| e.2.kind() == "CommitBlock";
+        let commit_blocks = pump_holding(&mut servers, ords, is_commit);
+        assert_eq!(commit_blocks.len(), 3);
+        let mut votes = Vec::new();
+        for i in [0, 3, 2] {
+            votes.extend(step(&mut servers[i], |s, ctx| s.send_new_view(ctx)));
+        }
+        pump(&mut servers, votes);
+        assert!(servers.iter().all(|s| s.current_view() == View(2)));
+        assert_eq!(servers[2].store.latest_seq(), SeqNum(0));
+        (servers, commit_blocks)
+    }
+
+    #[test]
+    fn a_leader_that_learns_an_old_commit_proposes_after_it() {
+        // Block 1 reaches every replica before s2's first flush.
+        let (mut servers, commit_blocks) = leader_one_block_behind();
+        pump(&mut servers, commit_blocks);
+        assert_eq!(servers[2].store.latest_seq(), SeqNum(1));
+        let ords = step(&mut servers[2], |s, ctx| s.flush_batch(ctx));
+        let Some((_, _, Message::Ord { n, batch, .. })) = ords.first() else {
+            panic!("expected an Ord, got {ords:?}");
+        };
+        assert_eq!(*n, SeqNum(2), "the leader's first number is its tip's next");
+        assert_eq!(batch.len(), 5, "client 2's requests, and nothing committed");
+        pump(&mut servers, ords);
+        assert!(client_2_committed(&servers));
+    }
+
+    #[test]
+    fn a_proposal_that_an_old_commit_overtakes_gives_its_requests_back() {
+        // s2 proposes at 1 before block 1 reaches it; its followers, which
+        // hold block 1, drop that Ord.
+        let (mut servers, mut commit_blocks) = leader_one_block_behind();
+        let to_s2 = |e: &Envelope| e.1 == Actor::Server(ServerId(2));
+        let at = commit_blocks
+            .iter()
+            .position(to_s2)
+            .expect("block 1 for s2");
+        let late = commit_blocks.remove(at);
+        pump(&mut servers, commit_blocks);
+        let ords = step(&mut servers[2], |s, ctx| s.flush_batch(ctx));
+        assert!(matches!(ords[0].2, Message::Ord { n: SeqNum(1), .. }));
+        assert!(pump(&mut servers, ords).iter().all(|k| *k == "Ord"));
+        // Block 1 lands at s2; its next flush carries client 2's requests.
+        pump(&mut servers, vec![late]);
+        let ords = step(&mut servers[2], |s, ctx| s.flush_batch(ctx));
+        assert!(matches!(
+            ords[..],
+            [(_, _, Message::Ord { n: SeqNum(2), .. }), ..]
+        ));
+        pump(&mut servers, ords);
+        assert!(client_2_committed(&servers));
+        assert!(servers[2].inflight.is_empty());
+    }
+
+    #[test]
+    fn per_client_and_per_view_state_stay_bounded() {
+        // Ten rounds, each a rotation whose quorum never forms, then one that
+        // does and whose leader commits ten blocks of five requests from one
+        // of three clients: 100 blocks over 20 views.
+        let mut servers = cluster(BaselineProtocol::HotStuff);
+        servers[1].pending_proposals.clear();
+        let mut next_request = [1u64; 3];
+        for round in 0..10 {
+            let view = servers[0].current_view();
+            // Every replica votes for the next view, but only s0's vote
+            // arrives. Then all of them vote for the one after.
+            let mut votes = Vec::new();
+            for server in servers.iter_mut() {
+                votes.extend(step(server, |s, ctx| s.send_new_view(ctx)));
+            }
+            let from_s0 = |e: &Envelope| e.0 == Actor::Server(ServerId(0));
+            pump(&mut servers, votes.into_iter().filter(from_s0).collect());
+            let mut votes = Vec::new();
+            for server in servers.iter_mut() {
+                votes.extend(step(server, |s, ctx| s.send_new_view(ctx)));
+            }
+            pump(&mut servers, votes);
+            let view = View(view.0 + 2);
+            assert!(servers.iter().all(|s| s.current_view() == view));
+            let leader = servers[0].current_leader().0 as usize;
+            let client = round % 3;
+            for _ in 0..10 {
+                let batch = requests(client as u64, next_request[client], 5);
+                next_request[client] += 5;
+                step(&mut servers[leader], |s, ctx| s.handle_prop(batch, ctx));
+                let ords = step(&mut servers[leader], |s, ctx| s.flush_batch(ctx));
+                pump(&mut servers, ords);
+            }
+        }
+        for server in &servers {
+            assert_eq!(server.store.latest_seq(), SeqNum(100));
+            assert!(server.new_views.is_empty(), "{:?}", server.new_views.keys());
+            // One word each of seen and committed, per client.
+            assert_eq!(server.clients.words(), 2 * 3);
+        }
     }
 
     #[test]

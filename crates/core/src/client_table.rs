@@ -27,13 +27,13 @@ struct ClientEntry {
 
 /// Per-client request-number windows; see the module documentation.
 #[derive(Debug, Default)]
-pub(crate) struct ClientTable {
+pub struct ClientTable {
     clients: BTreeMap<ClientId, ClientEntry>,
 }
 
 impl ClientTable {
     /// Marks a request seen; `true` iff this replica had not seen it before.
-    pub(crate) fn note_seen(&mut self, (client, number): TxKey) -> bool {
+    pub fn note_seen(&mut self, (client, number): TxKey) -> bool {
         self.clients.entry(client).or_default().seen.insert(number)
     }
 
@@ -41,7 +41,7 @@ impl ClientTable {
     /// before — `false` *is* the apply-time duplicate verdict. `retired`
     /// grows by the request numbers this pushed below the client's committed
     /// floor: they no longer occupy a bit, and read as committed for ever.
-    pub(crate) fn note_committed(&mut self, (client, number): TxKey, retired: &mut u64) -> bool {
+    pub fn note_committed(&mut self, (client, number): TxKey, retired: &mut u64) -> bool {
         let entry = self.clients.entry(client).or_default();
         entry.seen.insert(number);
         let floor = entry.committed.floor();
@@ -51,14 +51,14 @@ impl ClientTable {
     }
 
     /// Whether a request has committed in some block.
-    pub(crate) fn is_committed(&self, (client, number): TxKey) -> bool {
+    pub fn is_committed(&self, (client, number): TxKey) -> bool {
         self.clients
             .get(&client)
             .is_some_and(|entry| entry.committed.contains(number))
     }
 
     /// Bitmap words held across all clients.
-    pub(crate) fn words(&self) -> usize {
+    pub fn words(&self) -> usize {
         self.clients
             .values()
             .map(|entry| entry.seen.words() + entry.committed.words())

@@ -51,6 +51,7 @@ mod sync;
 mod view_change;
 
 pub use client::{ClientConfig, ClientStats, PrestigeClient};
+pub use client_table::ClientTable;
 pub use faults::{AttackStrategy, ByzantineBehavior};
 pub use histogram::LatencyHistogram;
 pub use pacemaker::{timer_tags, Pacemaker};

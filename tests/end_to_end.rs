@@ -54,6 +54,34 @@ fn prestige_outperforms_hotstuff_under_frequent_rotations_with_quiet_faults() {
 }
 
 #[test]
+fn no_hotstuff_client_stalls_across_fault_free_rotations() {
+    // Quick fig9's `hs_r10_quiet` row at f = 0: every 3 s the schedule
+    // hands leadership on, and no fault is injected. Each client keeps
+    // committing through every reign: an incoming leader that lags one
+    // block behind its followers must not propose a number they already
+    // committed and leave a client's requests stranded in that batch.
+    let mut cluster = SimCluster::new(&Scenario {
+        seed: 11,
+        protocol: ProtocolChoice::HotStuff,
+        servers: 4,
+        rotation_ms: 3_000,
+        ..prestigebft::experiments::runner::fault_experiment()
+    });
+    let mut last: Vec<u64> = vec![0; 4];
+    for second in 1..=8 {
+        cluster.sim.run_until(SimTime::from_secs(second as f64));
+        let now: Vec<u64> = cluster.clients().map(|c| c.stats().committed_tx).collect();
+        for (client, (now, before)) in now.iter().zip(&last).enumerate() {
+            assert!(
+                now > before,
+                "client {client} committed nothing in second {second} ({before} → {now})"
+            );
+        }
+        last = now;
+    }
+}
+
+#[test]
 fn safety_holds_across_protocols_and_faults() {
     // No two servers ever commit different blocks at the same sequence number,
     // under an equivocating follower (s3: the fault plan puts it last).
