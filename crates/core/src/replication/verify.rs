@@ -216,9 +216,7 @@ impl PrestigeServer {
         }
         self.stats.committed_blocks += 1;
         self.stats.committed_tx += committed_keys.len() as u64;
-        self.stats
-            .commit_log
-            .push((ctx.now().as_ms(), committed_keys.len() as u64));
+        self.stats.last_commit_ms = Some(ctx.now().as_ms());
 
         // Clear complaint state and pending proposals for committed keys.
         // The complaint/ordered-only maps are empty in steady state, so the

@@ -44,7 +44,8 @@ pub enum ServerRole {
     Leader,
 }
 
-/// Counters and series exported to the experiment harness.
+/// Counters exported to the experiment harness and the node's operator. No
+/// field grows with history: a series over time is the reader's to sample.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Transactions committed by this server.
@@ -64,10 +65,11 @@ pub struct ServerStats {
     pub pow_ms_total: f64,
     /// View changes this server confirmed (conf_QC formed).
     pub view_changes_confirmed: u64,
-    /// Commit log for time series: (simulated ms, transactions in the block).
-    pub commit_log: Vec<(f64, u64)>,
-    /// Per-campaign log: (simulated ms at campaign start, rp used, pow ms).
-    pub campaign_log: Vec<(f64, i64, f64)>,
+    /// When this server last committed a block, in ms of its handlers'
+    /// clock; `None` until it commits one.
+    pub last_commit_ms: Option<f64>,
+    /// The latest campaign: (ms at campaign start, rp used, PoW ms).
+    pub last_campaign: Option<(f64, i64, f64)>,
     /// Replication messages dropped because a cryptographic check failed: a
     /// forged `Ord` signature, a batch that does not hash to its digest, a
     /// bad quorum share, or a bad QC in a `Cmt` / `CommitBlock`.

@@ -240,9 +240,7 @@ impl PrestigeServer {
         let (solution, attempts) = solver.solve(&puzzle, ctx.rng().rng());
         let solve_ms = solver.attempts_to_ms(attempts);
         self.stats.pow_ms_total += solve_ms;
-        self.stats
-            .campaign_log
-            .push((ctx.now().as_ms(), rp, solve_ms));
+        self.stats.last_campaign = Some((ctx.now().as_ms(), rp, solve_ms));
 
         let campaign = CampaignState {
             new_view,

@@ -50,13 +50,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let mut series: Vec<Vec<(f64, f64)>> = Vec::new();
     let mut base_tps = 1.0;
     for s in scenarios(scale) {
-        let outcome = run_one(&s, 0.05);
+        let outcome = run_one(&s, 0.05, Some(window_ms));
         let end_ms = s.duration_ms as f64;
-        series.push(throughput_series(
-            &outcome.reference.commit_log,
-            end_ms,
-            window_ms,
-        ));
+        series.push(throughput_series(&outcome.commits, end_ms, window_ms));
         if s.fault_plan == FaultPlan::None {
             base_tps = outcome.tps.max(1.0);
         }

@@ -41,21 +41,17 @@ pub fn scenarios(scale: Scale) -> Vec<Scenario> {
 pub fn run(scale: Scale) -> Vec<Table> {
     let scenario = scenario(scale);
     let n = scenario.servers;
-    let outcome = run_one(&scenario, 0.05);
+    let outcome = run_one(&scenario, 0.05, None);
 
     let mut table = Table::new(
         "Figure 13 — final reputation penalties after repeated VC attacks (n=16, f=3; S14–S16 faulty)",
         &["server", "behaviour", "final rp", "elections won", "campaigns", "total puzzle time (ms)"],
     );
     for ((id, server), rp) in (0..).zip(&outcome.servers).zip(&outcome.rp) {
-        let faulty = id >= n - 3;
+        let behaviour = if id >= n - 3 { "faulty" } else { "correct" };
         table.push_row(vec![
             format!("S{}", id + 1),
-            if faulty {
-                "faulty".into()
-            } else {
-                "correct".into()
-            },
+            behaviour.to_string(),
             rp.to_string(),
             server.elections_won.to_string(),
             server.campaigns_started.to_string(),
@@ -69,22 +65,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "Figure 13 (series) — attackers' penalty per campaign",
         &["campaign #", "S14 rp", "S15 rp", "S16 rp"],
     );
-    let logs: Vec<&Vec<(f64, i64, f64)>> = (n - 3..n)
-        .map(|i| &outcome.servers[i as usize].campaign_log)
-        .collect();
-    let rounds = logs.iter().map(|l| l.len()).max().unwrap_or(0);
+    let attackers = &outcome.campaign_rps[(n - 3) as usize..];
+    let rounds = attackers.iter().map(Vec::len).max().unwrap_or(0);
     for r in 0..rounds {
-        let cell = |log: &Vec<(f64, i64, f64)>| {
-            log.get(r)
-                .map(|(_, rp, _)| rp.to_string())
-                .unwrap_or_else(|| "—".to_string())
-        };
-        trajectory.push_row(vec![
-            (r + 1).to_string(),
-            cell(logs[0]),
-            cell(logs[1]),
-            cell(logs[2]),
-        ]);
+        let cells = attackers
+            .iter()
+            .map(|rps| rps.get(r).map_or("—".into(), i64::to_string));
+        trajectory.push_row([(r + 1).to_string()].into_iter().chain(cells).collect());
     }
     vec![table, trajectory]
 }

@@ -63,13 +63,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
     };
     let mut all_series = Vec::new();
     for s in scenarios(scale) {
-        let outcome = run_one(&s, 0.05);
+        let outcome = run_one(&s, 0.05, Some(window_ms));
         let end_ms = s.duration_ms as f64;
-        all_series.push(availability_series(
-            &outcome.reference.commit_log,
-            end_ms,
-            window_ms,
-        ));
+        all_series.push(availability_series(&outcome.commits, end_ms, window_ms));
     }
 
     let mut table = Table::new(

@@ -66,7 +66,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for s in scenarios(scale) {
-        let outcome = run_one(&s, 0.15);
+        let outcome = run_one(&s, 0.15, None);
         let delay = delay_label(&s.network);
         table.push_row(vec![
             format!("{}_m{}_{delay}", s.protocol.label(), s.payload_size),

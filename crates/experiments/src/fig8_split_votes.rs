@@ -66,7 +66,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for s in scenarios(scale) {
-        let outcome = run_one(&s, 0.0);
+        let outcome = run_one(&s, 0.0, None);
         let view_changes = outcome.reference.views_installed.max(1);
         let retries: u64 = outcome.servers.iter().map(|s| s.election_timeouts).sum();
         table.push_row(vec![

@@ -78,7 +78,7 @@ impl FaultFigure {
             let mut baseline_tps = None;
             for s in rows {
                 let f = s.fault_plan.count();
-                let outcome = run_one(&s, 0.05);
+                let outcome = run_one(&s, 0.05, None);
                 let drop = match baseline_tps {
                     Some(base) if f > 0 && base > 0.0 => {
                         format!("{:.0}%", 100.0 * (base - outcome.tps) / base)

@@ -56,7 +56,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for scenario in scenarios(scale) {
-        let outcome = run_one(&scenario, 0.1);
+        let outcome = run_one(&scenario, 0.1, None);
         table.push_row(vec![
             scenario.protocol.label().to_string(),
             scenario.batch_size.to_string(),

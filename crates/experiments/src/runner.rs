@@ -3,9 +3,9 @@
 //! [`base`] (or [`fault_experiment`] for the §6.2 fault figures).
 
 use prestige_core::{LatencyHistogram, ServerStats};
-use prestige_metrics::total_tps;
+use prestige_metrics::{total_tps, window_instants};
 use prestige_sim::SimTime;
-use prestige_types::{ServerId, TimeoutConfig};
+use prestige_types::{Actor, ServerId, TimeoutConfig};
 use prestige_vopr::SimCluster;
 use prestige_workloads::{Link, ProtocolChoice, Scenario};
 
@@ -67,41 +67,73 @@ pub struct RunOutcome {
     pub tps: f64,
     /// Every client-observed commit latency, merged across clients.
     pub latency: LatencyHistogram,
-    /// The reference server's counters; its commit log is what the time
-    /// series read.
+    /// The reference server's counters.
     pub reference: ServerStats,
+    /// The reference server's committed count at the warm-up instant, the
+    /// end and every window boundary asked for, as `(instant in ms,
+    /// transactions committed before it)`: what the time series read.
+    pub commits: Vec<(f64, u64)>,
     /// Every server's counters, in id order.
     pub servers: Vec<ServerStats>,
+    /// Every server's penalty at each campaign it started, in order — the
+    /// x-axis of Figure 13's trajectory (empty under a baseline).
+    pub campaign_rps: Vec<Vec<i64>>,
     /// Every server's penalty on the reference server's books — what
     /// Figure 13 plots (`1` under a baseline, which keeps none).
     pub rp: Vec<i64>,
 }
 
 /// Runs one scenario and measures it; throughput excludes the first
-/// `warmup_share` of the run.
-pub fn run(scenario: &Scenario, warmup_share: f64) -> RunOutcome {
+/// `warmup_share` of the run. With `window_ms`, the reference server's
+/// committed count is also sampled at every window boundary, where
+/// [`prestige_metrics::throughput_series`] reads it.
+pub fn run(scenario: &Scenario, warmup_share: f64, window_ms: Option<f64>) -> RunOutcome {
     let mut cluster = SimCluster::new(scenario);
     let duration_s = scenario.duration_ms as f64 / 1000.0;
-    cluster.sim.run_until(SimTime::from_secs(duration_s));
-
+    let (warmup_ms, end_ms) = (duration_s * warmup_share * 1000.0, duration_s * 1000.0);
     let reference = cluster.behaviors().iter().position(|b| !b.is_faulty());
     let reference = reference.unwrap_or(0) as u32;
-    let books = cluster.server(reference).map(|server| server.store());
     let ids = 0..scenario.servers;
+
+    let mut instants = window_ms.map_or(Vec::new(), |w| window_instants(end_ms, w));
+    instants.extend([warmup_ms, end_ms]);
+    instants.sort_by(f64::total_cmp);
+    instants.dedup();
+    let mut instants = instants.into_iter().peekable();
+    let (mut commits, mut campaign_rps) = (Vec::new(), vec![Vec::new(); ids.len()]);
+    // Read between events, so nothing is scheduled for the samples. A
+    // handler's `now` is its event's time: a sample taken just before the
+    // first event at or after instant S counts the blocks committed before S.
+    let deadline = SimTime::from_secs(duration_s);
+    cluster.sim.start();
+    while let Some(at) = cluster.sim.next_event_time().filter(|at| *at <= deadline) {
+        while let Some(instant) = instants.next_if(|s| *s <= at.as_ms()) {
+            commits.push((instant, cluster.stats(reference).committed_tx));
+        }
+        // Only the server whose handler ran can have started a campaign.
+        if let Some(Actor::Server(ServerId(i))) = cluster.sim.step() {
+            let (stats, rps) = (cluster.stats(i), &mut campaign_rps[i as usize]);
+            if stats.campaigns_started > rps.len() as u64 {
+                rps.extend(stats.last_campaign.map(|(_, rp, _)| rp));
+                let seen = rps.len() as u64;
+                assert!(stats.campaigns_started == seen, "s{i} campaigned twice");
+            }
+        }
+    }
+    commits.extend(instants.map(|s| (s, cluster.stats(reference).committed_tx)));
+
+    let books = cluster.server(reference).map(|server| server.store());
     let mut latency = LatencyHistogram::new();
     for client in cluster.clients() {
         latency.merge(&client.stats().latency_hist);
     }
-    let stats = cluster.stats(reference);
     RunOutcome {
-        tps: total_tps(
-            &stats.commit_log,
-            duration_s * warmup_share * 1000.0,
-            duration_s * 1000.0,
-        ),
+        tps: total_tps(&commits, warmup_ms, end_ms),
         latency,
-        reference: stats.clone(),
+        reference: cluster.stats(reference).clone(),
+        commits,
         servers: ids.clone().map(|i| cluster.stats(i).clone()).collect(),
+        campaign_rps,
         rp: ids
             .map(|i| books.map_or(1, |store| store.current_rp(ServerId(i))))
             .collect(),
@@ -111,6 +143,28 @@ pub fn run(scenario: &Scenario, warmup_share: f64) -> RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_commit_at_a_window_boundary_lands_in_the_window_it_starts() {
+        let scenario = Scenario {
+            duration_ms: 1_000,
+            ..base()
+        };
+        let whole = run(&scenario, 0.0, None);
+        let total = whole.reference.committed_tx;
+        let at = whole.reference.last_commit_ms.expect("the run commits");
+        // Windows [0, at) and [at, end): the last block, committed at
+        // exactly `at`, counts in the second.
+        let outcome = run(&scenario, 0.0, Some(at));
+        let end_ms = scenario.duration_ms as f64;
+        let sampled = outcome.commits.iter().find(|(t, _)| *t == at);
+        let before = sampled.expect("a sample at the boundary").1;
+        assert!(before < total, "the block at {at} ms counted before it");
+        assert_eq!(outcome.commits.last(), Some(&(end_ms, total)));
+        let series = prestige_metrics::throughput_series(&outcome.commits, end_ms, at);
+        assert_eq!(series.len(), 2);
+        assert_eq!(series[1].1, (total - before) as f64 / (at / 1000.0));
+    }
 
     #[test]
     fn load_scales_with_batch_size() {

@@ -9,14 +9,11 @@ use crate::throughput_series;
 
 /// Cumulative availability per window: for each `window_ms` window up to
 /// `end_ms`, the fraction of windows so far in which at least one commit
-/// landed. Returns `(window end in ms, cumulative availability in [0, 1])`.
-pub fn availability_series(
-    commit_log: &[(f64, u64)],
-    end_ms: f64,
-    window_ms: f64,
-) -> Vec<(f64, f64)> {
+/// landed, read from a cumulative commit series (see [`crate::throughput`]).
+/// Returns `(window end in ms, cumulative availability in [0, 1])`.
+pub fn availability_series(commits: &[(f64, u64)], end_ms: f64, window_ms: f64) -> Vec<(f64, f64)> {
     let mut up = 0usize;
-    throughput_series(commit_log, end_ms, window_ms)
+    throughput_series(commits, end_ms, window_ms)
         .into_iter()
         .enumerate()
         .map(|(i, (_, tps))| {
@@ -32,8 +29,9 @@ mod tests {
 
     #[test]
     fn fully_available_system() {
-        let log: Vec<(f64, u64)> = (0..10).map(|i| (i as f64 * 1000.0 + 10.0, 5)).collect();
-        let series = availability_series(&log, 10_000.0, 1000.0);
+        // Five commits 10 ms into every second, sampled at each whole second.
+        let commits: Vec<(f64, u64)> = (0..=10).map(|k| (k as f64 * 1000.0, 5 * k)).collect();
+        let series = availability_series(&commits, 10_000.0, 1000.0);
         assert_eq!(series.len(), 10);
         assert!(series.iter().all(|(_, a)| (*a - 1.0).abs() < 1e-9));
     }
@@ -41,8 +39,10 @@ mod tests {
     #[test]
     fn outage_reduces_cumulative_availability() {
         // Commits only in the second half.
-        let log: Vec<(f64, u64)> = (5..10).map(|i| (i as f64 * 1000.0 + 10.0, 5)).collect();
-        let series = availability_series(&log, 10_000.0, 1000.0);
+        let commits: Vec<(f64, u64)> = (0..=10u64)
+            .map(|k| (k as f64 * 1000.0, 5 * k.saturating_sub(5)))
+            .collect();
+        let series = availability_series(&commits, 10_000.0, 1000.0);
         assert!((series[4].1 - 0.0).abs() < 1e-9);
         assert!((series[9].1 - 0.5).abs() < 1e-9);
         // Availability recovers (increases) over time once commits resume.

@@ -203,12 +203,10 @@ impl<M: Wire + 'static> Simulation<M> {
         }
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let event = match self.queue.pop() {
-            Some(e) => e,
-            None => return false,
-        };
+    /// Processes a single event. Returns the actor it was addressed to, or
+    /// `None` when the queue is empty.
+    pub fn step(&mut self) -> Option<Actor> {
+        let event = self.queue.pop()?;
         self.now = self.now.max(event.at);
         self.stats.events_processed += 1;
         let actor = event.target;
@@ -218,14 +216,14 @@ impl<M: Wire + 'static> Simulation<M> {
                 // A crashed recipient silently loses the message.
                 if self.links.is_down(actor) {
                     self.stats.blocked += 1;
-                    return true;
+                    return Some(actor);
                 }
                 // CPU saturation: if the node is still busy, the message waits.
                 let busy_until = self.cpu_free.get(&actor).copied().unwrap_or(SimTime::ZERO);
                 if busy_until > event.at {
                     self.queue
                         .push(busy_until, actor, EventPayload::Deliver { from, message });
-                    return true;
+                    return Some(actor);
                 }
                 self.stats
                     .record_delivery(message.kind(), message.wire_size());
@@ -234,16 +232,16 @@ impl<M: Wire + 'static> Simulation<M> {
             EventPayload::Timer { id, tag } => {
                 if self.cancelled.remove(&id) {
                     self.stats.timers_cancelled += 1;
-                    return true;
+                    return Some(actor);
                 }
                 if self.links.is_down(actor) {
-                    return true;
+                    return Some(actor);
                 }
                 self.stats.timers_fired += 1;
                 self.dispatch(actor, |node, ctx| node.on_timer(id, tag, ctx));
             }
         }
-        true
+        Some(actor)
     }
 
     /// Number of events still pending.

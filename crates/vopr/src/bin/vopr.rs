@@ -24,8 +24,9 @@
 //! own; the exit is nonzero naming every failing seed and what it failed.
 //! Under each FAILED verdict an indented `refusals:` line tallies the
 //! correct servers' campaign refusals by kind, and one indented line per
-//! correct server that answers gives its final view and leader, its
-//! campaigns as (ms, rp, PoW ms), and the time of its last commit.
+//! correct server that answers gives its final view and leader, how many
+//! campaigns it started and the last one as (ms, rp, PoW ms), and the time
+//! of its last commit.
 //! `shrink` minimizes a failing scenario file. `replay` and `shrink` refuse
 //! a file whose `protocol` is not `pb`: the invariants read PrestigeBFT
 //! server state.
@@ -112,21 +113,13 @@ fn server_lines(observations: &Observations) -> Vec<String> {
     servers
         .filter(|(_, s)| !s.behavior.is_faulty())
         .map(|(id, s)| {
-            let campaigns: Vec<String> = s
-                .stats
-                .campaign_log
-                .iter()
-                .map(|(ms, rp, pow_ms)| format!("({ms:.1}, {rp}, {pow_ms:.1})"))
-                .collect();
-            let last_commit = match s.stats.commit_log.last() {
-                Some((ms, _)) => format!("{ms:.1} ms"),
-                None => "never".to_string(),
-            };
+            let stats = &s.stats;
+            let campaign = |(ms, rp, pow_ms)| format!("({ms:.1}, {rp}, {pow_ms:.1})");
+            let last_campaign = stats.last_campaign.map_or("none".into(), campaign);
+            let last_commit = stats.last_commit_ms.map_or("never".into(), |ms| format!("{ms:.1} ms"));
             format!(
-                "s{id}: view {} leader s{}; campaigns [{}]; last commit {last_commit}",
-                s.view,
-                s.leader,
-                campaigns.join(", ")
+                "s{id}: view {} leader s{}; campaigns {}, last {last_campaign}; last commit {last_commit}",
+                s.view, s.leader, stats.campaigns_started
             )
         })
         .collect()

@@ -138,19 +138,44 @@ fn experiment_harness_runs_a_scenario_end_to_end() {
             duration_ms: 2_000,
             ..prestigebft::experiments::runner::base()
         };
-        let outcome = prestigebft::experiments::run(&scenario, 0.1);
+        let outcome = prestigebft::experiments::run(&scenario, 0.1, None);
         assert!(outcome.tps > 100.0, "{protocol:?}: tps was {}", outcome.tps);
         assert!(outcome.latency.mean_ms() > 0.0, "{protocol:?}");
         assert_eq!(outcome.servers.len(), 4);
         if protocol == ProtocolChoice::Prestige {
             // Same scenario, same measurements.
-            let again = prestigebft::experiments::run(&scenario, 0.1);
+            let again = prestigebft::experiments::run(&scenario, 0.1, None);
             assert_eq!(outcome.tps, again.tps);
             assert_eq!(
                 outcome.reference.views_installed,
                 again.reference.views_installed
             );
         }
+    }
+}
+
+#[test]
+fn server_stats_do_not_grow_with_committed_blocks() {
+    // What a server exports is counters, on both protocols: its encoding is
+    // as long after 1 000 blocks as after 100. A series over time is the
+    // reader's to sample.
+    for protocol in [ProtocolChoice::Prestige, ProtocolChoice::HotStuff] {
+        let mut cluster = SimCluster::new(&Scenario {
+            protocol,
+            network: Link::LAN,
+            ..Scenario::default()
+        });
+        cluster.sim.start();
+        let mut encoded_after = |blocks: u64| -> Vec<usize> {
+            while cluster.stats(0).committed_blocks < blocks {
+                assert!(cluster.sim.step().is_some(), "{protocol:?} stalled");
+            }
+            let encode = |i| bincode::serialize(cluster.stats(i)).expect("encodes");
+            (0..4).map(|i| encode(i).len()).collect()
+        };
+        let early = encoded_after(100);
+        let late = encoded_after(1_000);
+        assert_eq!(early, late, "{protocol:?}: a ServerStats field grew");
     }
 }
 
