@@ -45,13 +45,6 @@ impl PrestigeServer {
         self.storage.as_ref().map(|s| s.stats())
     }
 
-    /// Forces everything appended so far to stable storage (shutdown path).
-    pub fn sync_storage(&mut self) {
-        if let Some(storage) = self.storage.as_mut() {
-            let _ = storage.sync();
-        }
-    }
-
     /// The highest stable (quorum-certified) checkpoint sequence number.
     pub fn stable_checkpoint(&self) -> u64 {
         self.stable_checkpoint

@@ -32,7 +32,7 @@
 //! count = 1
 //! strategy = "s1"     # s1 = attack always, s2 = only when compensable
 //!
-//! # Optional durable storage plane: hash-chained WAL + restart-from-disk.
+//! # Optional durable storage plane: CRC-chained WAL + restart-from-disk.
 //! [storage]
 //! dir = "/var/lib/prestige"   # server i logs under <dir>/server-<i>/
 //!

@@ -1,14 +1,15 @@
 //! # prestige-storage
 //!
-//! The durable storage plane of PrestigeBFT: an append-only, hash-chained
+//! The durable storage plane of PrestigeBFT: an append-only, CRC-chained
 //! write-ahead log (WAL) behind a [`Storage`] seam.
 //!
-//! Every record appended to the log carries the SHA-256 digest of the chain
-//! up to and including itself (`digest = H(prev_chain_digest ‖ payload)`),
-//! verified on open: a torn tail — an incomplete or corrupted final record,
-//! the signature of a crash mid-append — is truncated away, while a broken
-//! chain anywhere earlier is a hard error (the disk lied, and replaying past
-//! the lie could fork this replica against the cluster). The log is split
+//! Every record appended to the log carries a CRC32C over itself and, as
+//! its link, the CRC of the record before it, both checked on open: a torn
+//! tail — an incomplete or corrupted final record, the signature of a crash
+//! mid-append — is truncated away, while a broken chain anywhere earlier is
+//! a hard error (the disk lied, and replaying past the lie could fork this
+//! replica against the cluster). The checks carry no key, so they catch
+//! accidents, not someone who can write the disk. The log is split
 //! into segment files so checkpoint-driven garbage collection can drop whole
 //! prefixes of history, and fsyncs are batched (`sync_every_n` /
 //! `sync_interval_ms`) so durability costs a bounded, measured amount of
@@ -25,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+mod crc32c;
 mod wal;
 
 pub use wal::{tear_tail, Wal, WalError, WalOptions};
@@ -51,7 +53,8 @@ pub enum WalRecord {
     /// is the GC anchor that lets everything below it be pruned; the chain
     /// digest lets a replica replaying a GC'd log re-root its block chain at
     /// the checkpoint (the pruned prefix is gone, but its fingerprint is
-    /// not). Integrity of the `chain` field is covered by the WAL hash chain.
+    /// not). The `chain` field is covered by the record's CRC, which
+    /// catches a flipped bit but not a deliberate edit.
     Checkpoint {
         /// The quorum-signed checkpoint certificate.
         cert: QuorumCertificate,
@@ -280,7 +283,7 @@ impl Storage for MemStorage {
         self.stats.records += 1;
         let mut payload = Vec::new();
         record.encode_into(&mut payload);
-        self.stats.wal_bytes += payload.len() as u64 + 36;
+        self.stats.wal_bytes += (wal::FRAME_HEADER + payload.len()) as u64;
         self.records.push(record.to_record());
         Ok(())
     }

@@ -6,36 +6,49 @@
 //! read strictly in index order. Each segment is a run of framed records:
 //!
 //! ```text
-//! ┌──────────────┬──────────────────┬──────────────────────────┐
-//! │ len: u32 LE  │ digest: [u8; 32] │ payload: [u8; len - 32]  │
-//! └──────────────┴──────────────────┴──────────────────────────┘
-//!       len = 32 + payload.len()
-//!       digest = SHA-256(prev_record_digest ‖ payload)     (hash chain)
+//! ┌──────────────┬──────────────┬─────────────┬─────────────────────────┐
+//! │ len: u32 LE  │ link: u32 LE │ crc: u32 LE │ payload: [u8; len - 8]  │
+//! └──────────────┴──────────────┴─────────────┴─────────────────────────┘
+//!       len = 8 + payload.len()
+//!       link = crc of the previous record                (the chain)
+//!       crc = CRC32C(len ‖ link ‖ payload)               (self-check)
 //!       payload = [record tag: u8] ++ bincode(record body)
 //! ```
 //!
 //! An append encodes in place: the record is serialized straight into one
-//! reused frame buffer behind a 36-byte placeholder, the payload is hashed
-//! where it lies, and the header is patched before the single `write_all`.
+//! reused frame buffer behind a 12-byte placeholder, the CRC is taken where
+//! the bytes lie, and the header is patched before the single `write_all`.
 //!
-//! The digest chains every record to its predecessor across segment
-//! boundaries. On open the chain is re-verified record by record:
+//! Every record checks itself with its `crc`, and its `link` chains it to
+//! its predecessor across segment boundaries, so a reordered, dropped or
+//! spliced-in record shows as well as a flipped bit. On open every record
+//! is re-checked:
 //!
-//! * an incomplete or digest-mismatching record *at the very end of the last
-//!   segment* is a **torn tail** — the crash signature — and is truncated;
-//! * any earlier violation is a **broken chain** — corruption or tampering —
+//! * an incomplete record, or one failing either check, *at the very end of
+//!   the last segment* is a **torn tail** — the crash signature — and is
+//!   truncated;
+//! * any earlier failure is a **broken chain** — corruption or tampering —
 //!   and is a hard error: replaying past it could fork this replica.
 //!
 //! The first record after any gap in segment indices — the oldest surviving
 //! segment of a pruned log, and every segment whose predecessor was pruned
 //! while an older view-install segment was kept — anchors the chain: its
-//! digest is adopted unverified, because checkpoint GC deleted the history
-//! it hashes (the quorum-signed checkpoint certificate is the semantic trust
-//! anchor for everything below it).
+//! `link` names a record checkpoint GC deleted, so it is adopted unchecked,
+//! while its `crc` is checked like every other record's (the quorum-signed
+//! checkpoint certificate is the semantic trust anchor for everything below
+//! it).
+//!
+//! Neither check has a key: anyone who can write the directory can
+//! recompute both. They detect accidents — torn writes, flipped bits,
+//! misplaced files — not an adversary with the disk.
+//!
+//! Until this format, each frame carried the SHA-256 of the previous
+//! record's digest and the payload (`len | digest: [u8; 32] | payload`). A
+//! directory in that format is refused with [`WalError::Format`] and left
+//! untouched; start the replica on an empty directory.
 
+use crate::crc32c::crc32c;
 use crate::{Storage, StorageStats, WalRecord, WalRecordRef};
-use prestige_crypto::hash_many;
-use prestige_types::Digest;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -84,6 +97,13 @@ pub enum WalError {
         /// Byte offset of the record inside the segment.
         offset: u64,
     },
+    /// The log was written in the earlier SHA-256-chained frame format
+    /// (`len | digest: [u8; 32] | payload`), which this build does not
+    /// read. Nothing was changed on disk.
+    Format {
+        /// Segment index of the first record, the one that was recognised.
+        segment: u64,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -93,7 +113,7 @@ impl std::fmt::Display for WalError {
             WalError::BrokenChain { segment, offset } => {
                 write!(
                     f,
-                    "wal hash chain broken in segment {segment} at offset {offset}"
+                    "wal chain broken in segment {segment} at offset {offset}"
                 )
             }
             WalError::Decode { segment, offset } => {
@@ -102,6 +122,12 @@ impl std::fmt::Display for WalError {
                     "undecodable wal record in segment {segment} at offset {offset}"
                 )
             }
+            WalError::Format { segment } => write!(
+                f,
+                "wal segment {segment} is in the SHA-256-chained format \
+                 (len | 32-byte digest | payload) that CRC32C framing replaced; \
+                 start this replica on an empty directory"
+            ),
         }
     }
 }
@@ -132,8 +158,8 @@ pub struct Wal {
     opts: WalOptions,
     file: File,
     active_index: u64,
-    /// Digest of the most recent record (the chain head).
-    chain: Digest,
+    /// `crc` of the most recent record: the next record's `link`.
+    chain: u32,
     segments: BTreeMap<u64, SegmentMeta>,
     unsynced: u64,
     last_sync: Instant,
@@ -197,30 +223,46 @@ pub fn tear_tail(dir: &Path, records: usize) -> std::io::Result<usize> {
     Ok(torn)
 }
 
-/// Bytes ahead of a record's payload: the `u32` length and the chain digest.
-const FRAME_HEADER: usize = 4 + 32;
+/// Bytes ahead of a record's payload: the `u32` length, link and crc.
+pub(crate) const FRAME_HEADER: usize = 4 + 4 + 4;
 
-fn record_digest(prev: &Digest, payload: &[u8]) -> Digest {
-    hash_many([prev.as_ref(), payload])
+/// A frame's `crc`: CRC32C over its length and link words and its payload
+/// (`head` is the frame's first eight bytes).
+fn frame_crc(head: &[u8], payload: &[u8]) -> u32 {
+    crc32c(&[head, payload])
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// Whether `frame` (a whole frame, length prefix included) reads as a
+/// record of the earlier SHA-256-chained format: `len | digest | payload`
+/// with a payload that decodes exactly. A CRC-framed record that failed its
+/// own check almost never does — its "payload" would start 24 bytes into
+/// its real one.
+fn is_sha256_frame(frame: &[u8]) -> bool {
+    frame.len() > 4 + 32 && WalRecord::decode(&frame[4 + 32..]).is_some()
 }
 
 impl Wal {
-    /// Opens (or creates) the log in `dir`, verifying the hash chain and
-    /// truncating a torn tail. Returns the log handle plus every surviving
-    /// record in append order, ready to be replayed into server state.
+    /// Opens (or creates) the log in `dir`, checking every record and the
+    /// chain between them and truncating a torn tail. Returns the log handle
+    /// plus every surviving record in append order, ready to be replayed
+    /// into server state.
     pub fn open(dir: &Path, opts: WalOptions) -> Result<(Wal, Vec<WalRecord>), WalError> {
         std::fs::create_dir_all(dir)?;
         let indices = segment_indices(dir)?;
 
         let mut records = Vec::new();
         let mut segments: BTreeMap<u64, SegmentMeta> = BTreeMap::new();
-        let mut chain = Digest::ZERO;
+        let mut chain = 0u32;
         // A gap in segment indices is history checkpoint GC deleted — before
         // the oldest surviving segment, or between a kept view-install
         // segment and its pruned successors. The first record after a gap
-        // cannot be verified against its predecessor and is adopted as a
-        // chain anchor; an intact log (0, 1, 2, …) verifies from the zero
-        // digest throughout.
+        // links to a record that is gone: its link is adopted unchecked (its
+        // crc still is); an intact log (0, 1, 2, …) links from zero
+        // throughout.
         let mut anchored = false;
         let mut next_index = 0u64;
         let mut wal_bytes = 0u64;
@@ -257,21 +299,24 @@ impl Wal {
                     tear(offset as u64)?;
                     break;
                 }
-                let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-                if len < 33 || rest.len() < 4 + len {
+                let len = u32_at(rest, 0) as usize;
+                // A payload holds at least its tag byte.
+                if len <= FRAME_HEADER - 4 || rest.len() < 4 + len {
                     tear(offset as u64)?;
                     break;
                 }
-                let digest = Digest(rest[4..FRAME_HEADER].try_into().unwrap());
-                let payload = &rest[FRAME_HEADER..4 + len];
-                if anchored {
-                    // This record's predecessors were GC'd: it anchors the
-                    // chain; everything after it is verified.
-                    anchored = false;
-                } else if record_digest(&chain, payload) != digest {
-                    // A mismatching *final* record of the last segment is a
+                let frame = &rest[..4 + len];
+                let payload = &frame[FRAME_HEADER..];
+                let crc = u32_at(frame, 8);
+                let is_final_record = is_last && bytes.len() == offset + frame.len();
+                if frame_crc(&frame[..8], payload) != crc
+                    || (!anchored && u32_at(frame, 4) != chain)
+                {
+                    if records.is_empty() && is_sha256_frame(frame) {
+                        return Err(WalError::Format { segment: index });
+                    }
+                    // A failing *final* record of the last segment is a
                     // torn/corrupted tail; anywhere else the chain is broken.
-                    let is_final_record = is_last && bytes.len() == offset + 4 + len;
                     if is_final_record {
                         break;
                     }
@@ -281,7 +326,6 @@ impl Wal {
                     });
                 }
                 let Some(record) = WalRecord::decode(payload) else {
-                    let is_final_record = is_last && bytes.len() == offset + 4 + len;
                     if is_final_record {
                         break;
                     }
@@ -290,7 +334,8 @@ impl Wal {
                         offset: offset as u64,
                     });
                 };
-                chain = digest;
+                anchored = false;
+                chain = crc;
                 let r = record.as_ref();
                 if let Some(seq) = r.gc_seq() {
                     meta.max_seq = meta.max_seq.max(seq);
@@ -299,7 +344,7 @@ impl Wal {
                     meta.keep = true;
                 }
                 records.push(record);
-                offset += 4 + len;
+                offset += frame.len();
             }
             if offset < bytes.len() {
                 // Torn tail: cut the file back to the last good record so
@@ -381,7 +426,6 @@ impl Storage for Wal {
         frame.clear();
         frame.extend_from_slice(&[0u8; FRAME_HEADER]);
         record.encode_into(frame);
-        let digest = record_digest(&self.chain, &frame[FRAME_HEADER..]);
         let len = u32::try_from(frame.len() - 4).map_err(|_| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -389,10 +433,12 @@ impl Storage for Wal {
             )
         })?;
         frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..FRAME_HEADER].copy_from_slice(digest.as_ref());
+        frame[4..8].copy_from_slice(&self.chain.to_le_bytes());
+        let crc = frame_crc(&frame[..8], &frame[FRAME_HEADER..]);
+        frame[8..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
         self.file.write_all(frame)?;
         let frame_len = frame.len() as u64;
-        self.chain = digest;
+        self.chain = crc;
         self.unsynced += 1;
         self.stats.records += 1;
         self.stats.wal_bytes += frame_len;
@@ -446,6 +492,17 @@ impl Storage for Wal {
 
     fn stats(&self) -> StorageStats {
         self.stats
+    }
+}
+
+/// Closing the log forces its unsynced appends to disk, so every host's
+/// shutdown keeps its last batch. A failure has nowhere to go and is
+/// ignored: the disk then holds what a crash at this point would leave.
+impl Drop for Wal {
+    fn drop(&mut self) {
+        if self.unsynced > 0 {
+            let _ = self.sync();
+        }
     }
 }
 
@@ -603,6 +660,104 @@ mod tests {
             Ok(_) => panic!("corruption must be a hard error, but the log opened"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The record a GC gap leaves first has no predecessor to link to, but
+    /// it still checks itself: a flipped byte in it is a hard error, not a
+    /// silently replayed block.
+    #[test]
+    fn the_anchor_after_a_gap_checks_its_own_bytes() {
+        let dir = temp_dir("anchor");
+        {
+            let (mut wal, _) = Wal::open(&dir, tiny_opts()).unwrap();
+            for n in 1..=30u64 {
+                wal.append(WalRecordRef::Block(&block(n))).unwrap();
+            }
+            assert!(wal.prune_below(25).unwrap() > 0);
+            wal.sync().unwrap();
+        }
+        let indices = segment_indices(&dir).unwrap();
+        assert!(indices.len() > 1 && indices[0] > 0, "{indices:?}");
+        // The anchor is the first record of the oldest surviving segment,
+        // which is not the last: the byte sits in the block header's parent
+        // digest, so the flipped record still decodes.
+        let oldest = segment_path(&dir, indices[0]);
+        let mut bytes = std::fs::read(&oldest).unwrap();
+        bytes[FRAME_HEADER + 1] ^= 0x01;
+        std::fs::write(&oldest, bytes).unwrap();
+
+        assert!(matches!(
+            Wal::open(&dir, tiny_opts()),
+            Err(WalError::BrokenChain { segment, offset: 0 }) if segment == indices[0]
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two whole, individually intact frames swapped inside a non-final
+    /// segment: each passes its own CRC, so only the links catch it.
+    #[test]
+    fn swapped_frames_break_the_chain() {
+        let dir = temp_dir("swap");
+        {
+            let (mut wal, _) = Wal::open(&dir, tiny_opts()).unwrap();
+            for n in 1..=12u64 {
+                wal.append(WalRecordRef::Block(&block(n))).unwrap();
+            }
+            wal.sync().unwrap();
+        }
+        let indices = segment_indices(&dir).unwrap();
+        assert!(indices.len() > 2, "{indices:?}");
+        let middle = segment_path(&dir, indices[1]);
+        let bytes = std::fs::read(&middle).unwrap();
+        let first = 4 + u32_at(&bytes, 0) as usize;
+        let second = 4 + u32_at(&bytes, first) as usize;
+        let mut swapped = bytes[first..first + second].to_vec();
+        swapped.extend_from_slice(&bytes[..first]);
+        swapped.extend_from_slice(&bytes[first + second..]);
+        std::fs::write(&middle, swapped).unwrap();
+
+        assert!(matches!(
+            Wal::open(&dir, tiny_opts()),
+            Err(WalError::BrokenChain { segment, offset: 0 }) if segment == indices[1]
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One `Vote` record as the SHA-256-chained format framed it
+    /// (`len | digest | payload`), byte for byte.
+    const SHA256_FRAMED_VOTE: &str = concat!(
+        "51000000",
+        "b8fc807ecce6fec4f5868a6fa352a0256b26837bd4aa5a8b5dd3d2a80f699082",
+        "05070000000000000002000000010000005e5e5e5e5e5e5e5e5e5e5e5e5e5e5e",
+        "5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e5e",
+    );
+
+    #[test]
+    fn the_sha256_format_is_refused_and_left_untouched() {
+        let vote: Vec<u8> = (0..SHA256_FRAMED_VOTE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&SHA256_FRAMED_VOTE[i..i + 2], 16).unwrap())
+            .collect();
+        // A one-record log, the case a torn-tail reading would silently
+        // empty; the same file as the oldest survivor of a pruned log (its
+        // link would be adopted, its crc is still checked); and a log whose
+        // first record is not its last.
+        for (index, bytes) in [(0u64, vote.clone()), (7, vote.clone()), (0, vote.repeat(2))] {
+            let dir = temp_dir("sha256");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(segment_path(&dir, index), &bytes).unwrap();
+            match Wal::open(&dir, tiny_opts()) {
+                Err(e @ WalError::Format { segment }) => {
+                    assert_eq!(segment, index);
+                    assert!(e.to_string().contains("SHA-256"), "{e}");
+                }
+                Err(e) => panic!("expected a format error, got {e}"),
+                Ok((_, replayed)) => panic!("opened, replaying {replayed:?}"),
+            }
+            assert_eq!(segment_indices(&dir).unwrap(), [index]);
+            assert_eq!(std::fs::read(segment_path(&dir, index)).unwrap(), bytes);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   loopback + TCP transports, and the node runtime that runs the same
 //!   servers on actual sockets (see `examples/real_cluster.rs`);
 //! * [`storage`] (`prestige-storage`) — the durable storage plane: the
-//!   append-only hash-chained write-ahead log that servers commit through
+//!   append-only, CRC-chained write-ahead log that servers commit through
 //!   and replay on crash-restart;
 //! * [`baselines`] (`prestige-baselines`) — HotStuff-style / SBFT-lite /
 //!   Prosecutor-lite passive-view-change baselines;

@@ -1209,18 +1209,12 @@ mod pinned {
 }
 
 /// The bytes themselves, not a round trip: one SHA-256 over the frame of
-/// every `Message` variant and over the segment file a fresh WAL writes for
-/// one record of each of the first four kinds (the fifth, `Vote`, is pinned
-/// by `vote_record_bytes_are_pinned`, so this constant also proves the four
-/// kept their bytes when it was added). Both sides of a round trip move together when
+/// every `Message` variant. Both sides of a round trip move together when
 /// the codec changes, so only a constant shows that the encoding did not;
-/// when this constant must change, so must `WIRE_VERSION` (and the WAL
-/// directories it invalidates are stated in ARCHITECTURE.md).
+/// when this constant must change, so must `WIRE_VERSION`.
 #[test]
-fn wire_and_wal_bytes_are_pinned() {
+fn wire_bytes_are_pinned() {
     use prestigebft::net::frame::{FrameCodec, WIRE_VERSION};
-    use prestigebft::storage::{Storage, Wal, WalOptions, WalRecord};
-    use prestigebft::types::QcKind;
 
     let messages = pinned::every_message();
     let variants: std::collections::BTreeSet<usize> =
@@ -1232,6 +1226,24 @@ fn wire_and_wal_bytes_are_pinned() {
     for msg in &messages {
         hasher.update(&codec.encode(Actor::Server(ServerId(1)), msg).unwrap());
     }
+
+    assert_eq!(WIRE_VERSION, 6);
+    assert_eq!(
+        hex(Digest(hasher.finalize())),
+        "93a99d1d470fc1c7c0826bf52ef357e8061c529584c909eee4edc9cf2ddc1844"
+    );
+}
+
+/// The same for the WAL: one SHA-256 over the segment file a fresh WAL
+/// writes for one record of each of the first four kinds (the fifth,
+/// `Vote`, is pinned by `vote_record_bytes_are_pinned`, so this constant
+/// also proves the four kept their bytes when it was added). When this
+/// constant must change, the WAL format changed: ARCHITECTURE.md states
+/// which directories it invalidates.
+#[test]
+fn wal_bytes_are_pinned() {
+    use prestigebft::storage::{Storage, Wal, WalOptions, WalRecord};
+    use prestigebft::types::QcKind;
 
     let dir = std::env::temp_dir().join(format!("prestige-pinned-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1254,15 +1266,13 @@ fn wire_and_wal_bytes_are_pinned() {
         assert_eq!(wal.stats().segments, 1);
     }
     let segment = std::fs::read(dir.join("wal-0000000000.seg")).unwrap();
-    hasher.update(&segment);
     let (_, replayed) = Wal::open(&dir, WalOptions::default()).unwrap();
     assert_eq!(replayed, records);
     std::fs::remove_dir_all(&dir).unwrap();
 
-    assert_eq!(WIRE_VERSION, 6);
     assert_eq!(
-        hex(Digest(hasher.finalize())),
-        "b858f595c792fad2c9f16c75f1f4b064aee4b7687f2e285fe039e9c7b292e2e5"
+        hex(Digest(Sha256::digest(&segment))),
+        "b17edc6032acbaacc25b25ab42a704248c303b2be52d094c5bc01cd814fbfdbb"
     );
 }
 
@@ -1290,8 +1300,8 @@ fn vote_record_bytes_are_pinned() {
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(replayed, [record]);
 
-    // len: u32 LE ‖ chain digest: 32 bytes ‖ payload.
-    let payload: String = segment[36..].iter().map(|b| format!("{b:02x}")).collect();
+    // len: u32 LE ‖ link: u32 LE ‖ crc: u32 LE ‖ payload.
+    let payload: String = segment[12..].iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(segment[..4], ((segment.len() - 4) as u32).to_le_bytes());
     let expected = concat!(
         "05",               // tag
