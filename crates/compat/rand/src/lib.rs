@@ -2,7 +2,7 @@
 //!
 //! Provides the subset of the `rand 0.8` API this workspace uses — the
 //! [`RngCore`] / [`Rng`] / [`SeedableRng`] traits and [`rngs::StdRng`] —
-//! backed by xoshiro256++ seeded through SplitMix64. Not cryptographically
+//! backed by xoshiro256++ seeded through splitmix64. Not cryptographically
 //! secure (neither determinism-seeded simulation RNGs nor test RNGs need to
 //! be); statistically solid and fully deterministic from the seed.
 
@@ -180,7 +180,7 @@ pub mod rngs {
 
     impl SeedableRng for StdRng {
         fn seed_from_u64(seed: u64) -> Self {
-            // SplitMix64 expansion, the reference seeding procedure for
+            // splitmix64 expansion, the reference seeding procedure for
             // xoshiro generators.
             let mut state = seed;
             let mut next = || {

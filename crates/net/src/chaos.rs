@@ -22,6 +22,11 @@
 //! encode-once broadcast) keeps running untouched — exactly what a lossy or
 //! partitioned IP network looks like to a node.
 //!
+//! Loss and jitter are drawn per directed link, as in the simulator: the
+//! endpoint keeps one [`SimRng::for_link`] stream per sender, created on its
+//! first delivery and seeded from the cluster's seed. What one link decides
+//! therefore depends on that link's traffic alone.
+//!
 //! Chaos drops are recorded in the wrapped transport's
 //! [`TransportStats`](crate::transport::TransportStats) as inbound drops
 //! attributed to the sending peer, so scenario reports can show who was cut
@@ -52,8 +57,9 @@
 //! ```
 
 use crate::transport::Transport;
+use prestige_sim::SimRng;
 use prestige_types::Actor;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -169,48 +175,21 @@ impl NetChaos {
         self.state.lock().expect("chaos state lock").blocked.len()
     }
 
-    /// Decides the fate of one delivery on the directed link `from -> to`.
-    fn verdict(&self, from: Actor, to: Actor, rng: &mut SplitMix) -> LinkVerdict {
+    /// Decides the fate of one delivery on the directed link `from -> to`,
+    /// drawing from that link's stream.
+    fn verdict(&self, from: Actor, to: Actor, rng: &mut SimRng) -> LinkVerdict {
         let state = self.state.lock().expect("chaos state lock");
         if state.blocked.contains(&(from, to)) {
             return LinkVerdict::Drop;
         }
-        if state.loss > 0.0 && rng.next_f64() < state.loss {
+        if rng.chance(state.loss) {
             return LinkVerdict::Drop;
         }
         if state.delay > Duration::ZERO || state.jitter > Duration::ZERO {
-            let jitter = state.jitter.mul_f64(rng.next_f64());
+            let jitter = state.jitter.mul_f64(rng.uniform(0.0, 1.0));
             return LinkVerdict::Delay(state.delay + jitter);
         }
         LinkVerdict::Deliver
-    }
-}
-
-/// SplitMix64: a tiny deterministic RNG for loss/jitter draws. One per
-/// transport, seeded per endpoint, so chaos runs are reproducible per seed.
-#[derive(Debug, Clone)]
-struct SplitMix {
-    state: u64,
-}
-
-impl SplitMix {
-    fn new(seed: u64) -> Self {
-        SplitMix {
-            state: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        // 53 uniform mantissa bits in [0, 1).
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -250,7 +229,9 @@ impl<M> Ord for DelayedDelivery<M> {
 pub struct ChaosTransport<M> {
     inner: Box<dyn Transport<M>>,
     chaos: NetChaos,
-    rng: SplitMix,
+    seed: u64,
+    /// One loss/jitter stream per sender: the inbound links `from -> me`.
+    links: HashMap<Actor, SimRng>,
     me: Actor,
     delayed: BinaryHeap<DelayedDelivery<M>>,
     next_seq: u64,
@@ -258,14 +239,16 @@ pub struct ChaosTransport<M> {
 
 impl<M: Send + 'static> ChaosTransport<M> {
     /// Wraps `inner`, filtering its inbound deliveries through `chaos`.
-    /// `seed` feeds the endpoint's deterministic loss/jitter RNG; give
-    /// distinct endpoints distinct seeds.
+    /// `seed` is the cluster's seed: the link `from -> me` draws its loss and
+    /// jitter from `SimRng::for_link(seed, from, me)`, so every endpoint of a
+    /// cluster takes the same seed.
     pub fn new(inner: Box<dyn Transport<M>>, chaos: NetChaos, seed: u64) -> Self {
         let me = inner.me();
         ChaosTransport {
             inner,
             chaos,
-            rng: SplitMix::new(seed),
+            seed,
+            links: HashMap::new(),
             me,
             delayed: BinaryHeap::new(),
             next_seq: 0,
@@ -284,7 +267,12 @@ impl<M: Send + 'static> ChaosTransport<M> {
     /// Applies the link verdict to one delivery from the wrapped transport:
     /// returns it when it may pass now, else drops or delays it.
     fn admit(&mut self, from: Actor, message: M) -> Option<(Actor, M)> {
-        match self.chaos.verdict(from, self.me, &mut self.rng) {
+        let (seed, me) = (self.seed, self.me);
+        let rng = self
+            .links
+            .entry(from)
+            .or_insert_with(|| SimRng::for_link(seed, from, me));
+        match self.chaos.verdict(from, me, rng) {
             LinkVerdict::Deliver => return Some((from, message)),
             LinkVerdict::Drop => {
                 // Intentional chaos: counted (attributed to the sender) but
@@ -505,6 +493,41 @@ mod tests {
     }
 
     #[test]
+    fn a_links_losses_do_not_depend_on_other_senders() {
+        // What s0 keeps of s1's messages is decided on the s1 -> s0 stream
+        // alone, so s2's traffic interleaved with them changes nothing.
+        let kept_from_s1 = |with_s2: bool| {
+            let chaos = NetChaos::new();
+            chaos.set_loss(0.5);
+            let net: LoopbackNet<u64> = LoopbackNet::new();
+            let mut s0 = ChaosTransport::new(Box::new(net.endpoint(server(0))), chaos, 42);
+            let mut s1 = net.endpoint(server(1));
+            let mut s2 = net.endpoint(server(2));
+            let mut kept = Vec::new();
+            for i in 0..100 {
+                s1.send(server(0), i);
+                if with_s2 {
+                    s2.send(server(0), 1000 + i);
+                    s2.send(server(0), 2000 + i);
+                }
+                while let Some((from, message)) = s0.try_recv() {
+                    if from == server(1) {
+                        kept.push(message);
+                    }
+                }
+            }
+            kept
+        };
+        let alone = kept_from_s1(false);
+        assert!(
+            (20..80).contains(&alone.len()),
+            "half of 100 should pass, got {}",
+            alone.len()
+        );
+        assert_eq!(kept_from_s1(true), alone);
+    }
+
+    #[test]
     fn delay_holds_messages_until_due_and_preserves_order() {
         let chaos = NetChaos::new();
         let (mut a, mut b) = pair(&chaos);
@@ -529,14 +552,5 @@ mod tests {
         let t0 = Instant::now();
         assert_eq!(b.recv_timeout(Duration::ZERO), None);
         assert!(t0.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn splitmix_is_deterministic_and_uniformish() {
-        let mut a = SplitMix::new(9);
-        let mut b = SplitMix::new(9);
-        let mean: f64 = (0..1000).map(|_| a.next_f64()).sum::<f64>() / 1000.0;
-        assert!((0.4..0.6).contains(&mean), "mean {mean} off for uniform");
-        assert_eq!(b.next_u64(), SplitMix::new(9).next_u64());
     }
 }

@@ -356,15 +356,10 @@ impl<F: Fabric> Cluster<F> {
     fn endpoint(&mut self, me: Actor) -> io::Result<Box<dyn Transport<Message>>> {
         let mut transport = self.fabric.endpoint(me)?;
         if let Some(controller) = &self.chaos {
-            // The salt differentiates the per-endpoint loss/jitter RNG streams.
-            let salt = match me {
-                Actor::Server(id) => id.0 as u64,
-                Actor::Client(id) => 0x1_0000_0000u64 + id.0,
-            };
             transport = Box::new(ChaosTransport::new(
                 transport,
                 controller.clone(),
-                self.seed ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                self.seed,
             ));
         }
         self.transport_stats.insert(me, transport.stats());

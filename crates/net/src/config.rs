@@ -96,7 +96,8 @@ pub struct NodeConfig {
     pub role: NodeRole,
     /// Consensus configuration (shared by every node in the cluster).
     pub cluster: ClusterConfig,
-    /// Deterministic seed shared by the cluster (keys, timeout jitter).
+    /// Deterministic seed shared by the cluster (keys, timeout jitter, and
+    /// the chaos filter's per-link loss and jitter).
     pub seed: u64,
     /// Number of clients the shared key registry must cover.
     pub clients: u64,

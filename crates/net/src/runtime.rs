@@ -293,17 +293,13 @@ fn run_event_loop<M: Wire + Send + 'static>(
     let epoch = Instant::now();
     let now = || SimTime(epoch.elapsed().as_nanos() as u64);
 
-    // Same per-node stream derivation as `Simulation::add_node`, so timeout
-    // randomization behaves comparably across runtimes.
-    let salt = match me {
-        Actor::Server(s) => s.0 as u64,
-        Actor::Client(c) => 0x1_0000_0000u64 + c.0,
-    };
+    // The simulator's per-node stream, so timeout randomization behaves
+    // comparably across runtimes.
     let mut d = Driver {
         node,
         transport,
         me,
-        rng: SimRng::new(seed).derive(salt),
+        rng: SimRng::for_actor(seed, me),
         next_timer_id: 0,
         timers: BinaryHeap::new(),
         cancelled: HashSet::new(),

@@ -126,32 +126,6 @@ impl TransportStats {
             .unwrap_or(0)
     }
 
-    /// Snapshot of per-peer outbound drop counts, sorted by peer.
-    pub fn drops_by_peer(&self) -> Vec<(Actor, u64)> {
-        let mut drops: Vec<(Actor, u64)> = self
-            .per_peer_dropped
-            .lock()
-            .expect("drop map lock")
-            .iter()
-            .map(|(a, c)| (*a, *c))
-            .collect();
-        drops.sort();
-        drops
-    }
-
-    /// Snapshot of per-peer inbound drop counts, sorted by peer.
-    pub fn inbound_drops_by_peer(&self) -> Vec<(Actor, u64)> {
-        let mut drops: Vec<(Actor, u64)> = self
-            .per_peer_inbound_dropped
-            .lock()
-            .expect("drop map lock")
-            .iter()
-            .map(|(a, c)| (*a, *c))
-            .collect();
-        drops.sort();
-        drops
-    }
-
     /// Accumulates this endpoint's counters into `totals` (for
     /// cluster-wide transport reports).
     pub fn accumulate_into(&self, totals: &mut TransportTotals) {
@@ -570,7 +544,6 @@ mod tests {
         assert_eq!(stats.dropped_to(server(9)), 2);
         assert_eq!(stats.dropped_to(server(1)), 2);
         assert_eq!(stats.dropped_to(server(0)), 0);
-        assert_eq!(stats.drops_by_peer(), vec![(server(1), 2), (server(9), 2)]);
         assert_eq!(stats.snapshot().2, 4, "aggregate counter stays in sync");
     }
 
@@ -582,8 +555,6 @@ mod tests {
         assert_eq!(stats.note_inbound_drop(server(1)), 2);
         assert_eq!(stats.dropped_to(server(1)), 1);
         assert_eq!(stats.dropped_from(server(1)), 2);
-        assert_eq!(stats.drops_by_peer(), vec![(server(1), 1)]);
-        assert_eq!(stats.inbound_drops_by_peer(), vec![(server(1), 2)]);
         assert_eq!(stats.snapshot().2, 3, "aggregate covers both directions");
     }
 

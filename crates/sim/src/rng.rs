@@ -5,11 +5,17 @@
 //! randomization, and workload generation all flow from it. That determinism
 //! is what makes figures regenerable and failures debuggable.
 //!
+//! Both hosts derive their streams from the seed the same way: one per actor
+//! ([`SimRng::for_actor`], timers and timeout randomization) and one per
+//! directed link ([`SimRng::for_link`], loss and delay). A message more on
+//! one link therefore moves no draw on any other link or node.
+//!
 //! Besides uniform sampling (re-exported from `rand`), this module provides a
 //! normal distribution via the Box–Muller transform — needed for the paper's
 //! netem emulation of `d = 10 ± 5 ms` delays "at normal distribution" — so no
 //! extra dependency on `rand_distr` is required.
 
+use prestige_types::Actor;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -25,6 +31,17 @@ impl SimRng {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// The stream of one actor's own draws (its timers), from the run's seed.
+    pub fn for_actor(seed: u64, actor: Actor) -> SimRng {
+        SimRng::new(seed).derive(salt(actor))
+    }
+
+    /// The stream of the directed link `from -> to` (its loss and delay
+    /// draws), from the run's seed: a child of the sender's stream.
+    pub fn for_link(seed: u64, from: Actor, to: Actor) -> SimRng {
+        SimRng::for_actor(seed, from).derive(salt(to))
     }
 
     /// Derives an independent child RNG, e.g. one per node, so adding a node
@@ -91,9 +108,19 @@ impl SimRng {
     }
 }
 
+/// An actor's stream salt: a server's id, or a client's id above 2^32, so the
+/// two never collide.
+fn salt(actor: Actor) -> u64 {
+    match actor {
+        Actor::Server(s) => s.0 as u64,
+        Actor::Client(c) => 0x1_0000_0000 + c.0,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prestige_types::{ClientId, ServerId};
 
     #[test]
     fn same_seed_same_stream() {
@@ -123,6 +150,48 @@ mod tests {
         let s1: Vec<u64> = (0..5).map(|_| c1.uniform_u64(0, 1 << 30)).collect();
         let s2: Vec<u64> = (0..5).map(|_| c2.uniform_u64(0, 1 << 30)).collect();
         assert_ne!(s1, s2);
+    }
+
+    #[test]
+    fn actor_streams_are_pinned() {
+        // The first draws of `SimRng::new(7).derive(salt)` before the actor
+        // streams had a constructor: every timer draw on both hosts starts
+        // from these.
+        let pinned = [
+            (
+                Actor::Server(ServerId(2)),
+                [
+                    0xe63b_7c7f_256d_e304,
+                    0x4610_f338_7cca_f930,
+                    0x7a34_c2bd_a66e_772c,
+                ],
+            ),
+            (
+                Actor::Client(ClientId(1)),
+                [
+                    0xae32_f554_8fec_c28a,
+                    0xdf18_9d4a_eeac_ce2e,
+                    0x3acc_e0b4_61b9_07f0,
+                ],
+            ),
+        ];
+        for (actor, draws) in pinned {
+            let mut rng = SimRng::for_actor(7, actor);
+            let got: Vec<u64> = (0..3).map(|_| rng.rng().next_u64()).collect();
+            assert_eq!(got, draws, "{actor:?}");
+        }
+    }
+
+    #[test]
+    fn link_streams_are_directed_and_apart_from_actor_streams() {
+        let (a, b) = (Actor::Server(ServerId(0)), Actor::Client(ClientId(0)));
+        let first = |mut rng: SimRng| rng.rng().next_u64();
+        let ab = first(SimRng::for_link(3, a, b));
+        assert_eq!(ab, first(SimRng::for_link(3, a, b)));
+        assert_ne!(ab, first(SimRng::for_link(3, b, a)));
+        assert_ne!(ab, first(SimRng::for_link(4, a, b)));
+        assert_ne!(ab, first(SimRng::for_actor(3, a)));
+        assert_ne!(ab, first(SimRng::for_actor(3, b)));
     }
 
     #[test]

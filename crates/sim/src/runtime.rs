@@ -6,8 +6,10 @@
 //! effects (sends, timers, CPU charges) into future events.
 //!
 //! Determinism: all randomness flows from the constructor seed (one derived
-//! stream per node plus one for the network), events at equal times fire in
-//! scheduling order, and nodes are started in insertion order.
+//! stream per node for its timers, and one per directed link for its loss and
+//! delay, created on the link's first send), events at equal times fire in
+//! scheduling order, and nodes are started in insertion order. So a message
+//! more on one link moves no draw on any other.
 
 use crate::event::{EventPayload, EventQueue, TimerId};
 use crate::network::{LinkState, NetworkConfig};
@@ -25,7 +27,7 @@ pub struct Simulation<M: Wire + 'static> {
     nodes: HashMap<Actor, Box<dyn Process<M>>>,
     node_order: Vec<Actor>,
     node_rngs: HashMap<Actor, SimRng>,
-    net_rng: SimRng,
+    link_rngs: HashMap<(Actor, Actor), SimRng>,
     seed: u64,
     network: NetworkConfig,
     links: LinkState,
@@ -46,7 +48,7 @@ impl<M: Wire + 'static> Simulation<M> {
             nodes: HashMap::new(),
             node_order: Vec::new(),
             node_rngs: HashMap::new(),
-            net_rng: SimRng::new(seed ^ 0xBADC_0FFE_E0DD_F00D),
+            link_rngs: HashMap::new(),
             seed,
             network,
             links: LinkState::new(),
@@ -61,12 +63,8 @@ impl<M: Wire + 'static> Simulation<M> {
 
     /// Registers a node. Must be called before [`Simulation::start`].
     pub fn add_node(&mut self, actor: Actor, node: Box<dyn Process<M>>) {
-        let salt = match actor {
-            Actor::Server(s) => s.0 as u64,
-            Actor::Client(c) => 0x1_0000_0000u64 + c.0,
-        };
         self.node_rngs
-            .insert(actor, SimRng::new(self.seed).derive(salt));
+            .insert(actor, SimRng::for_actor(self.seed, actor));
         self.nodes.insert(actor, node);
         self.node_order.push(actor);
     }
@@ -308,14 +306,20 @@ impl<M: Wire + 'static> Simulation<M> {
     }
 
     /// Queues one unicast delivery, applying link state, drop probability,
-    /// NIC serialization, and propagation latency.
+    /// NIC serialization, and propagation latency. Loss and latency draw from
+    /// the link's own stream.
     fn queue_send(&mut self, from: Actor, to: Actor, message: M) {
         self.stats.sent_total += 1;
         if !self.links.can_deliver(from, to) {
             self.stats.blocked += 1;
             return;
         }
-        if self.network.should_drop(&mut self.net_rng) {
+        let seed = self.seed;
+        let rng = self
+            .link_rngs
+            .entry((from, to))
+            .or_insert_with(|| SimRng::for_link(seed, from, to));
+        if self.network.should_drop(rng) {
             self.stats.dropped += 1;
             return;
         }
@@ -323,7 +327,7 @@ impl<M: Wire + 'static> Simulation<M> {
         let nic = self.nic_free.entry(from).or_insert(SimTime::ZERO);
         let departure = (*nic).max(self.now) + serialization;
         *nic = departure;
-        let latency = self.network.propagation_delay(&mut self.net_rng);
+        let latency = self.network.propagation_delay(rng);
         let arrival = departure + latency;
         self.queue
             .push(arrival, to, EventPayload::Deliver { from, message });
@@ -411,6 +415,55 @@ mod tests {
 
     fn s(i: u32) -> Actor {
         Actor::Server(ServerId(i))
+    }
+
+    /// Sends `count` numbered pings to `peer` at start and every 5 ms after;
+    /// records every ping it receives with its arrival time.
+    struct Burst {
+        peer: Actor,
+        count: u64,
+        next: u64,
+        got: Vec<(SimTime, u64)>,
+    }
+
+    impl Burst {
+        fn new(peer: Actor, count: u64) -> Box<Self> {
+            Box::new(Burst {
+                peer,
+                count,
+                next: 0,
+                got: Vec::new(),
+            })
+        }
+
+        fn send_burst(&mut self, ctx: &mut Context<PingMsg>) {
+            for _ in 0..self.count {
+                ctx.send(self.peer, PingMsg::Ping(self.next));
+                self.next += 1;
+            }
+        }
+    }
+
+    impl Process<PingMsg> for Burst {
+        fn on_start(&mut self, ctx: &mut Context<PingMsg>) {
+            self.send_burst(ctx);
+            ctx.set_timer(SimDuration::from_ms(5.0), 0);
+        }
+        fn on_message(&mut self, _from: Actor, message: PingMsg, ctx: &mut Context<PingMsg>) {
+            if let PingMsg::Ping(i) = message {
+                self.got.push((ctx.now(), i));
+            }
+        }
+        fn on_timer(&mut self, _id: TimerId, _tag: u64, ctx: &mut Context<PingMsg>) {
+            self.send_burst(ctx);
+            ctx.set_timer(SimDuration::from_ms(5.0), 0);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
     }
 
     fn build(seed: u64, rounds: u64, cpu_ms: f64) -> Simulation<PingMsg> {
@@ -527,6 +580,38 @@ mod tests {
         sim.run_until(SimTime::from_ms(100.0));
         assert_eq!(sim.stats().dropped, 1);
         assert_eq!(sim.node_as::<Pinger>(s(0)).unwrap().completed, 0);
+    }
+
+    #[test]
+    fn traffic_on_one_link_leaves_another_links_draws_alone() {
+        // a -> b and c -> d share no node. Whatever a sends, what d hears
+        // from c, and when, comes from the c -> d stream alone.
+        let heard_by_d = |a_count: u64| {
+            let net = NetworkConfig {
+                latency: LatencyModel::Uniform {
+                    lo_ms: 1.0,
+                    hi_ms: 10.0,
+                },
+                bandwidth_bytes_per_sec: f64::INFINITY,
+                drop_probability: 0.3,
+            };
+            let mut sim = Simulation::new(11, net);
+            sim.add_node(s(0), Burst::new(s(1), a_count));
+            sim.add_node(s(1), Burst::new(s(0), 0));
+            sim.add_node(s(2), Burst::new(s(3), 4));
+            sim.add_node(s(3), Burst::new(s(2), 0));
+            sim.run_until(SimTime::from_ms(100.0));
+            sim.node_as::<Burst>(s(3)).unwrap().got.clone()
+        };
+        let quiet = heard_by_d(0);
+        assert!(
+            (40..70).contains(&quiet.len()),
+            "about 70% of c's ~80 pings arrive by 100 ms, got {}",
+            quiet.len()
+        );
+        for a_count in [1, 7, 50] {
+            assert_eq!(heard_by_d(a_count), quiet, "a sends {a_count} per burst");
+        }
     }
 
     #[test]

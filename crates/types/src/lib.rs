@@ -32,7 +32,7 @@ pub use blocks::{BlockHeader, TxBlock, VcBlock};
 pub use config::{ClusterConfig, TimeoutConfig, ViewChangePolicy};
 pub use error::{ProtocolError, Result};
 pub use ids::{ClientId, ReplicaSet, SeqNum, ServerId, View};
-pub use message::{Actor, Message, MessageKind, NetMessage, OrderedEntry, Wire};
+pub use message::{Actor, Message, OrderedEntry, Wire};
 pub use qc::{PartialSig, QcKind, QuorumCertificate};
 pub use seqwindow::{SeqWindow, REQUEST_WINDOW};
 pub use transaction::{Digest, Proposal, Transaction};

@@ -75,22 +75,6 @@ impl OrderedEntry {
     }
 }
 
-/// Coarse message category used by metrics to attribute bandwidth and counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub enum MessageKind {
-    /// Client request / reply traffic.
-    Client,
-    /// Two-phase replication traffic.
-    Replication,
-    /// View-change traffic (failure confirmation, campaigns, votes, vcBlocks).
-    ViewChange,
-    /// Penalty-refresh traffic.
-    Refresh,
-    /// Log synchronization traffic.
-    Sync,
-}
-
 /// A PrestigeBFT protocol message.
 ///
 /// Signature fields (`sig`) are 32-byte keyed-MAC signatures produced by
@@ -424,36 +408,6 @@ pub enum Message {
     },
 }
 
-impl Message {
-    /// The coarse category of this message, used for metrics attribution.
-    pub fn category(&self) -> MessageKind {
-        match self {
-            Message::Prop { .. } | Message::Notif { .. } | Message::Compt { .. } => {
-                MessageKind::Client
-            }
-            Message::Ord { .. }
-            | Message::OrdReply { .. }
-            | Message::Cmt { .. }
-            | Message::CmtReply { .. }
-            | Message::PreCmt { .. }
-            | Message::PreCmtReply { .. }
-            | Message::CommitBlock { .. } => MessageKind::Replication,
-            Message::NewView { .. } | Message::NewViewAnnounce { .. } => MessageKind::ViewChange,
-            Message::ConfVC { .. }
-            | Message::ReVC { .. }
-            | Message::Camp { .. }
-            | Message::VoteCP { .. }
-            | Message::NewVcBlock { .. }
-            | Message::VcYes { .. } => MessageKind::ViewChange,
-            Message::Ref { .. } | Message::Rdone { .. } => MessageKind::Refresh,
-            Message::CkptShare { .. }
-            | Message::CkptCert { .. }
-            | Message::SyncReq { .. }
-            | Message::SyncResp { .. } => MessageKind::Sync,
-        }
-    }
-}
-
 impl Wire for Message {
     fn wire_size(&self) -> usize {
         // Fixed overhead per message (framing, sender, signature) plus the
@@ -541,18 +495,6 @@ impl Wire for Message {
     }
 }
 
-/// An addressed network message: the envelope the simulator delivers.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct NetMessage {
-    /// Sender of the message.
-    pub from: Actor,
-    /// Recipient of the message.
-    pub to: Actor,
-    /// The protocol payload.
-    pub payload: Message,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,18 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn categories_cover_all_messages() {
-        let prop = Message::Prop {
-            proposals: vec![sample_proposal()],
-            client_sig: [0; 32],
-        };
-        assert_eq!(prop.category(), MessageKind::Client);
+    fn kind_names_the_variant() {
         let sync = Message::SyncReq {
             view: View(1),
             from: 1,
             to: 5,
         };
-        assert_eq!(sync.category(), MessageKind::Sync);
         assert_eq!(sync.kind(), "SyncReq");
     }
 
