@@ -24,7 +24,9 @@
 //! for an `[expect] violation` reproducer — the run *not* showing that
 //! violation (this binary carries no canary, so a healthy build reports
 //! "stayed clean"; what such a run demonstrates is the timeline on real
-//! runtimes).
+//! runtimes). Under its FAILED lines it prints the diagnosis `vopr replay`
+//! prints under a FAILED verdict: the correct servers' refusals by kind, and
+//! one line per correct server that answers.
 
 use prestige_core::AttackStrategy;
 use prestige_core::LoopStage;
@@ -102,19 +104,19 @@ fn load(args: &[String]) -> Result<(Scenario, String), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let failures = match load(&args) {
-        Ok((scenario, out)) => run(&scenario, &out).err().unwrap_or_default(),
-        Err(message) => vec![message],
-    };
-    for failure in &failures {
-        eprintln!("chaos_net: FAILED: {failure}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
+    match load(&args).and_then(|(scenario, out)| run(&scenario, &out)) {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(1),
+        Err(message) => {
+            eprintln!("chaos_net: FAILED: {message}");
+            std::process::exit(1);
+        }
     }
 }
 
-fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
+/// Runs the scenario and prints its verdict: `Ok(passed)`, or why the run
+/// could not be made.
+fn run(scenario: &Scenario, out_path: &str) -> Result<bool, String> {
     let n = scenario.servers;
     let behaviors = scenario.fault_plan.behaviors(n);
     let chaos = NetChaos::new();
@@ -136,7 +138,7 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
         Some(chaos.clone()),
         storage_plan(scenario),
     )
-    .map_err(|e| vec![format!("launching the cluster: {e}")])?;
+    .map_err(|e| format!("launching the cluster: {e}"))?;
 
     // --- timeline: sample progress every 100 ms, apply each fault step ---
     let started = Instant::now();
@@ -464,9 +466,14 @@ fn run(scenario: &Scenario, out_path: &str) -> Result<(), Vec<String>> {
     );
 
     cluster.shutdown();
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures)
+    for failure in &failures {
+        eprintln!("chaos_net: FAILED: {failure}");
     }
+    if !failures.is_empty() {
+        eprintln!("  refusals: {}", observations.refusal_tally());
+        for server in observations.server_lines() {
+            eprintln!("  {server}");
+        }
+    }
+    Ok(failures.is_empty())
 }

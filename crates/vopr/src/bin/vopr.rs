@@ -7,36 +7,39 @@
 //! vopr shrink <file.toml> [--out DIR]
 //! ```
 //!
-//! `run` executes seeds `S..S+N`, shrinking and serializing every failure,
-//! and prints a JSON swarm report; it exits nonzero if any violation was
-//! found. With `--expect-violation` (the mutation-score gate: the binary is
-//! built with a canary feature enabled) the polarity flips — the run stops
-//! at the *first* violation and exits nonzero only if the whole swarm stayed
-//! clean, i.e. the harness failed to catch the re-introduced bug.
-//!
-//! `replay` has one rule for every scenario file — a `scenarios/*.toml` CI
-//! gate or a committed reproducer under `vopr/regressions/`: run it under
-//! the simulator with every invariant checked after every event, then
-//! compare with the file's own expectation (`[assert]` must hold on a clean
-//! run; `[expect] violation` must be falsified, so a protocol fix that
-//! invalidates a reproducer is surfaced and a regression that resurfaces is
-//! caught). `--seeds N` sweeps the file over seeds `S..S+N` in place of its
-//! own; the exit is nonzero naming every failing seed and what it failed.
-//! Under each FAILED verdict an indented `refusals:` line tallies the
+//! `run` and `replay` judge every run by one rule, on one path: run the
+//! scenario under the simulator with every invariant checked after every
+//! event, then compare with the scenario's own expectation through
+//! `Scenario::judge` (`[assert]` must hold on a clean run; `[expect]
+//! violation` must be falsified, so a protocol fix that invalidates a
+//! reproducer is surfaced and a regression that resurfaces is caught). Each
+//! run prints one verdict line, `<label> seed N: ok` or `<label> seed N:
+//! FAILED — <reasons>`, and under it an indented summary of the run: `(clean,
+//! N tx committed, V view(s) installed)` or `(<invariant> falsified on sR at
+//! T ms)`. Under a FAILED verdict an indented `refusals:` line tallies the
 //! correct servers' campaign refusals by kind, and one indented line per
 //! correct server that answers gives its final view and leader, how many
 //! campaigns it started and the last one as (ms, rp, PoW ms), and the time
-//! of its last commit.
-//! `shrink` minimizes a failing scenario file. `replay` and `shrink` refuse
-//! a file whose `protocol` is not `pb`: the invariants read PrestigeBFT
-//! server state.
+//! of its last commit. Both print a JSON report of their runs and exit
+//! nonzero if a run failed.
+//!
+//! `run` judges the generated schedules of seeds `S..S+N` (label `swarm`).
+//! It shrinks a failure that falsified an invariant and, with `--out`, writes
+//! it as a reproducer; a failure the judge alone finds is reported, not
+//! shrunk. With `--expect-violation` (the mutation-score gate: the binary is
+//! built with a canary feature enabled) the polarity flips — the run stops
+//! at the *first* failure and exits nonzero unless that failure falsified an
+//! invariant, i.e. the harness failed to catch the re-introduced bug.
+//!
+//! `replay` runs scenario files — a `scenarios/*.toml` CI gate or a committed
+//! reproducer under `vopr/regressions/` — at their own seed, or over seeds
+//! `S..S+N` with `--seeds N` (label: the file's path), and names every failed
+//! run again at the end. `shrink` minimizes a failing scenario file. `replay`
+//! and `shrink` refuse a file whose `protocol` is not `pb`: the invariants
+//! read PrestigeBFT server state.
 
-use prestige_core::Refusal;
-use prestige_vopr::{
-    generate, run_scenario, shrink, FailureRecord, Scenario, SwarmReport, Violation,
-};
-use prestige_workloads::scenario::{Expectation, Observations};
-use std::collections::BTreeMap;
+use prestige_vopr::{generate, run_scenario, shrink, Scenario, SwarmReport, Violation};
+use prestige_workloads::scenario::Expectation;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -86,45 +89,6 @@ fn write_regression(
     Ok(path)
 }
 
-/// The correct servers' campaign refusals, summed by kind, for the line
-/// under a FAILED verdict: whether an election wedged on C1's split vote,
-/// C4's charge or a certificate.
-fn refusal_tally(observations: &Observations) -> String {
-    let mut tally: BTreeMap<Refusal, u64> = BTreeMap::new();
-    let servers = observations.servers.iter().flatten();
-    for server in servers.filter(|s| !s.behavior.is_faulty()) {
-        for (refusal, count) in &server.stats.camp_refusals {
-            *tally.entry(*refusal).or_default() += count;
-        }
-    }
-    let kinds: Vec<String> = tally.iter().map(|(r, n)| format!("{r:?} {n}")).collect();
-    if kinds.is_empty() {
-        "none".to_string()
-    } else {
-        kinds.join(", ")
-    }
-}
-
-/// One line per correct server that answers: why a seed failed, read from
-/// where each replica ended up and how its elections went.
-fn server_lines(observations: &Observations) -> Vec<String> {
-    let servers = observations.servers.iter().enumerate();
-    let servers = servers.filter_map(|(id, s)| Some((id, s.as_ref()?)));
-    servers
-        .filter(|(_, s)| !s.behavior.is_faulty())
-        .map(|(id, s)| {
-            let stats = &s.stats;
-            let campaign = |(ms, rp, pow_ms)| format!("({ms:.1}, {rp}, {pow_ms:.1})");
-            let last_campaign = stats.last_campaign.map_or("none".into(), campaign);
-            let last_commit = stats.last_commit_ms.map_or("never".into(), |ms| format!("{ms:.1} ms"));
-            format!(
-                "s{id}: view {} leader s{}; campaigns {}, last {last_campaign}; last commit {last_commit}",
-                s.view, s.leader, stats.campaigns_started
-            )
-        })
-        .collect()
-}
-
 /// Reads a scenario file vopr can run; on failure says why on stderr.
 fn load_scenario(path: &str) -> Option<Scenario> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
@@ -164,6 +128,40 @@ fn parse_args(args: &[String]) -> Option<Args> {
     Some(parsed)
 }
 
+/// The one per-run path of `run` and `replay`: runs `scenario`, judges it,
+/// prints the verdict line with the run's summary under it (and, under a
+/// failure, the refusal tally and per-server lines), and records the verdict
+/// in `report`. Returns the verdict line of a failed run.
+fn judge_run(label: &str, scenario: &Scenario, report: &mut SwarmReport) -> Option<String> {
+    let outcome = run_scenario(scenario);
+    let seed = scenario.seed;
+    let summary = match &outcome.violation {
+        Some(v) => format!(
+            "{} falsified on s{} at {:.1} ms",
+            v.invariant, v.replica, v.at_ms
+        ),
+        None => format!(
+            "clean, {} tx committed, {} view(s) installed",
+            outcome.observations.committed(),
+            outcome.views_installed
+        ),
+    };
+    let Some(failure) = report.record(scenario, &outcome) else {
+        eprintln!("{label} seed {seed}: ok\n  ({summary})");
+        return None;
+    };
+    let line = format!(
+        "{label} seed {seed}: FAILED — {}",
+        failure.reasons.join("; ")
+    );
+    eprintln!("{line}\n  ({summary})");
+    eprintln!("  refusals: {}", outcome.observations.refusal_tally());
+    for server in outcome.observations.server_lines() {
+        eprintln!("  {server}");
+    }
+    Some(line)
+}
+
 fn cmd_run(args: Args) -> ExitCode {
     let (Some(seeds), true) = (args.seeds, args.files.is_empty()) else {
         return usage();
@@ -172,41 +170,36 @@ fn cmd_run(args: Args) -> ExitCode {
     let mut report = SwarmReport::default();
     for seed in args.start..args.start + seeds {
         let schedule = generate(seed);
-        let outcome = run_scenario(&schedule);
-        report.absorb_run(&outcome);
-        let Some(violation) = outcome.violation else {
+        if judge_run("swarm", &schedule, &mut report).is_none() {
             continue;
-        };
-        eprintln!(
-            "seed {seed}: FALSIFIED {} on s{} at {:.1} ms — {}",
-            violation.invariant, violation.replica, violation.at_ms, violation.detail
-        );
-        let mut record = FailureRecord {
-            seed,
-            violation,
-            shrunk: None,
-            regression_file: None,
-        };
-        if let Some(result) = (!args.no_shrink).then(|| shrink(&schedule)).flatten() {
-            eprintln!(
-                "seed {seed}: shrunk to {} fault(s) over {} ms in {} candidate runs",
-                result.schedule.faults.len(),
-                result.schedule.duration_ms,
-                result.candidates_run
-            );
-            report.schedules_shrunk += 1;
-            report.shrink_candidates_run += result.candidates_run;
-            record.violation = result.violation;
-            record.shrunk = Some(result.schedule);
         }
-        if let Some(dir) = &args.out_dir {
-            let found = record.shrunk.as_ref().unwrap_or(&schedule);
-            match write_regression(dir, found, &record.violation) {
-                Ok(path) => record.regression_file = Some(path.display().to_string()),
-                Err(e) => eprintln!("seed {seed}: cannot write regression: {e}"),
+        let record = report
+            .failures
+            .last_mut()
+            .expect("a failed run is recorded");
+        // Only a falsified invariant is shrunk and written as a reproducer:
+        // the shrinker keeps a candidate while it still violates one.
+        if let Some(violation) = &mut record.violation {
+            if let Some(result) = (!args.no_shrink).then(|| shrink(&schedule)).flatten() {
+                eprintln!(
+                    "seed {seed}: shrunk to {} fault(s) over {} ms in {} candidate runs",
+                    result.schedule.faults.len(),
+                    result.schedule.duration_ms,
+                    result.candidates_run
+                );
+                report.schedules_shrunk += 1;
+                report.shrink_candidates_run += result.candidates_run;
+                *violation = result.violation;
+                record.shrunk = Some(result.schedule);
+            }
+            if let Some(dir) = &args.out_dir {
+                let found = record.shrunk.as_ref().unwrap_or(&schedule);
+                match write_regression(dir, found, violation) {
+                    Ok(path) => record.regression_file = Some(path.display().to_string()),
+                    Err(e) => eprintln!("seed {seed}: cannot write regression: {e}"),
+                }
             }
         }
-        report.failures.push(record);
         if args.expect_violation {
             // Mutation gate: one caught bug proves the harness; stop early.
             break;
@@ -214,26 +207,28 @@ fn cmd_run(args: Args) -> ExitCode {
     }
 
     print!("{}", report.to_json().render());
-    let violated = !report.failures.is_empty();
-    if args.expect_violation {
-        if violated {
+    let passed = if args.expect_violation {
+        let caught = report.failures.iter().any(|f| f.violation.is_some());
+        if caught {
             eprintln!(
                 "mutation gate: harness caught the {} canary",
                 canary_label()
             );
-            ExitCode::SUCCESS
         } else {
             eprintln!(
-                "mutation gate FAILED: {} seeds found nothing with canary {}",
+                "mutation gate FAILED: {} seeds falsified nothing with canary {}",
                 report.seeds_run,
                 canary_label()
             );
-            ExitCode::FAILURE
         }
-    } else if violated {
-        ExitCode::FAILURE
+        caught
     } else {
+        report.failures.is_empty()
+    };
+    if passed {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -253,42 +248,7 @@ fn cmd_replay(args: Args) -> ExitCode {
         };
         for seed in sweep {
             scenario.seed = seed;
-            let outcome = run_scenario(&scenario);
-            report.absorb_run(&outcome);
-            let failures = scenario.judge(&outcome.observations);
-            let seen = match &outcome.violation {
-                Some(v) => format!(
-                    "{} falsified on s{} at {:.1} ms",
-                    v.invariant, v.replica, v.at_ms
-                ),
-                None => format!(
-                    "clean, {} tx committed, {} view(s) installed",
-                    outcome.observations.committed(),
-                    outcome.views_installed
-                ),
-            };
-            if failures.is_empty() {
-                eprintln!("{path} seed {seed}: ok ({seen})");
-            } else {
-                let line = format!(
-                    "{path} seed {seed}: FAILED ({seen}) — {}",
-                    failures.join("; ")
-                );
-                eprintln!("{line}");
-                eprintln!("  refusals: {}", refusal_tally(&outcome.observations));
-                for server in server_lines(&outcome.observations) {
-                    eprintln!("  {server}");
-                }
-                failed.push(line);
-            }
-            if let Some(violation) = outcome.violation {
-                report.failures.push(FailureRecord {
-                    seed,
-                    violation,
-                    shrunk: None,
-                    regression_file: Some(path.clone()),
-                });
-            }
+            failed.extend(judge_run(path, &scenario, &mut report));
         }
     }
     print!("{}", report.to_json().render());

@@ -6,10 +6,11 @@
 //! cluster shape, workload, Byzantine fault plan, and a timeline of injected
 //! faults (partitions, degradation, crash-restarts with torn WAL tails) —
 //! drives the unmodified protocol through the discrete-event simulator, and
-//! evaluates the safety [`invariants`] after **every** event. The type and
-//! its text form belong to `prestige_workloads::scenario`, so the files
-//! `chaos_net` runs on the real runtime replay here, judged by their own
-//! assertions. [`SimCluster`] builds the simulated cluster of any scenario —
+//! evaluates the safety [`invariants`] after **every** event; then the run
+//! is judged by the scenario's own expectation (`Scenario::judge`) and
+//! recorded in a [`SwarmReport`]. The type and its text form belong to
+//! `prestige_workloads::scenario`, so the files `chaos_net` runs on the real
+//! runtime replay here, judged by the same rule as a generated schedule. [`SimCluster`] builds the simulated cluster of any scenario —
 //! for this harness, and for the paper's figures, the simulated tests and
 //! the examples.
 //!

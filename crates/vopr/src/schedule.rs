@@ -155,6 +155,14 @@ mod tests {
             assert!(s.fault_plan.count() <= f, "seed {seed}: too many faulty");
             assert!(!s.faults.is_empty() && s.faults.len() <= 3);
             assert!(s.faults.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+            // Every window closes within the run (and every crash restarts),
+            // so the default `[assert]` judges a clean run by safety alone.
+            for fault in &s.faults {
+                assert!(
+                    fault.at_ms + fault.window_ms <= s.duration_ms,
+                    "seed {seed}: a fault outlasts the run"
+                );
+            }
             // At most one crash-restart per target.
             let crashes: Vec<Target> = s
                 .faults

@@ -82,7 +82,8 @@ fn generated_scenarios_survive_their_text_form_and_run_the_same() {
 fn swarm_totals(seeds: impl Iterator<Item = u64>) -> (u64, u64) {
     let mut report = SwarmReport::default();
     for seed in seeds {
-        report.absorb_run(&run_scenario(&generate(seed)));
+        let scenario = generate(seed);
+        report.record(&scenario, &run_scenario(&scenario));
     }
     (report.vopr_steps, report.committed_blocks)
 }

@@ -31,6 +31,7 @@ use prestige_core::{
     AttackStrategy, ByzantineBehavior, ClusterConfig, Refusal, ServerStats, TimeoutConfig,
     ViewChangePolicy,
 };
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Which protocol the servers run.
@@ -949,6 +950,49 @@ impl Observations {
             tps: total.saturating_sub(at_start) as f64 / window_s,
         }
     }
+
+    /// The correct servers that answer, with their ids.
+    fn correct_servers(&self) -> impl Iterator<Item = (usize, &ServerObservation)> {
+        let servers = self.servers.iter().enumerate();
+        let live = servers.filter_map(|(id, s)| Some((id, s.as_ref()?)));
+        live.filter(|(_, s)| !s.behavior.is_faulty())
+    }
+
+    /// The correct servers' campaign refusals, summed by kind, for the line
+    /// under a FAILED verdict: whether an election wedged on C1's split vote,
+    /// C4's charge or a certificate.
+    pub fn refusal_tally(&self) -> String {
+        let mut tally: BTreeMap<Refusal, u64> = BTreeMap::new();
+        for (_, server) in self.correct_servers() {
+            for (refusal, count) in &server.stats.camp_refusals {
+                *tally.entry(*refusal).or_default() += count;
+            }
+        }
+        let kinds: Vec<String> = tally.iter().map(|(r, n)| format!("{r:?} {n}")).collect();
+        if kinds.is_empty() {
+            "none".to_string()
+        } else {
+            kinds.join(", ")
+        }
+    }
+
+    /// One line per correct server that answers, for the lines under a
+    /// FAILED verdict: why a run failed, read from where each replica ended
+    /// up and how its elections went.
+    pub fn server_lines(&self) -> Vec<String> {
+        self.correct_servers()
+            .map(|(id, s)| {
+                let stats = &s.stats;
+                let campaign = |(ms, rp, pow_ms)| format!("({ms:.1}, {rp}, {pow_ms:.1})");
+                let last_campaign = stats.last_campaign.map_or("none".into(), campaign);
+                let last_commit = stats.last_commit_ms.map_or("never".into(), |ms| format!("{ms:.1} ms"));
+                format!(
+                    "s{id}: view {} leader s{}; campaigns {}, last {last_campaign}; last commit {last_commit}",
+                    s.view, s.leader, stats.campaigns_started
+                )
+            })
+            .collect()
+    }
 }
 
 impl Scenario {
@@ -1007,7 +1051,6 @@ impl Scenario {
             servers.filter_map(|(i, s)| Some((i, s.as_ref()?)))
         };
         let faulty = |i: usize| live().any(|(j, s)| j == i && s.behavior.is_faulty());
-        let correct = || live().filter(|(i, _)| !faulty(*i));
         if a.no_faulty_leader {
             // "The liar never wins a certified election": no faulty server
             // may have assembled a vc_QC, and no correct server may
@@ -1019,7 +1062,10 @@ impl Scenario {
                     s.stats.elections_won
                 ));
             }
-            for (i, s) in correct().filter(|(_, s)| faulty(s.leader as usize)) {
+            for (i, s) in obs
+                .correct_servers()
+                .filter(|(_, s)| faulty(s.leader as usize))
+            {
                 failures.push(format!(
                     "correct server s{i} follows faulty leader s{} in view {}",
                     s.leader, s.view
@@ -1032,7 +1078,10 @@ impl Scenario {
             let kinds = Refusal::CERTIFICATE.iter();
             kinds.filter_map(|r| s.camp_refusals.get(r)).sum::<u64>()
         };
-        let refusals: u64 = correct().map(|(_, s)| certificate(&s.stats)).sum();
+        let refusals: u64 = obs
+            .correct_servers()
+            .map(|(_, s)| certificate(&s.stats))
+            .sum();
         if refusals < a.min_cert_refusals {
             failures.push(format!(
                 "only {refusals} certificate refusal(s) across correct servers (need {}) — the \
@@ -1040,7 +1089,10 @@ impl Scenario {
                 a.min_cert_refusals
             ));
         }
-        let checkpoint = correct().map(|(_, s)| s.stable_checkpoint).max();
+        let checkpoint = obs
+            .correct_servers()
+            .map(|(_, s)| s.stable_checkpoint)
+            .max();
         if checkpoint.unwrap_or(0) < a.min_stable_checkpoint {
             failures.push(format!(
                 "highest stable checkpoint {} across correct servers is below the required {} — \
@@ -1049,7 +1101,10 @@ impl Scenario {
                 a.min_stable_checkpoint
             ));
         }
-        let views = correct().map(|(_, s)| s.stats.views_installed).max();
+        let views = obs
+            .correct_servers()
+            .map(|(_, s)| s.stats.views_installed)
+            .max();
         if views.unwrap_or(0) < a.min_views_installed {
             failures.push(format!(
                 "correct servers installed at most {} view(s), below the required {} — the \
