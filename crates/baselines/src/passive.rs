@@ -29,14 +29,14 @@
 //! (F3) leader commits nothing and is timed out by its followers.
 
 use prestige_core::storage::{block_keys_digest, tx_block_digest, BlockStore};
-use prestige_core::{ByzantineBehavior, ClientTable, Pacemaker, ServerStats};
+use prestige_core::{keys_by_client, ByzantineBehavior, ClientTable, Pacemaker, ServerStats};
 use prestige_crypto::{
     hash_many, keys_digest, sign_share, KeyPair, KeyRegistry, QcBuilder, ThresholdVerifier,
 };
 use prestige_sim::{cpu_cost, Context, Process, TimerId};
 use prestige_types::{
-    Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
-    QuorumCertificate, SeqNum, ServerId, TxBlock, View,
+    key_runs, Actor, ClusterConfig, Digest, KeyRun, Message, PartialSig, Proposal, QcKind,
+    QuorumCertificate, SeqNum, ServerId, Transaction, TxBlock, View,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -325,11 +325,8 @@ impl PassiveBftServer {
 
     fn handle_prop(&mut self, proposals: Vec<Proposal>, ctx: &mut Context<Message>) {
         ctx.charge_cpu_ms(cpu_cost::PER_VERIFY_MS);
-        for proposal in proposals {
-            if self.clients.note_seen(proposal.tx.key()) {
-                self.pending_proposals.push(proposal);
-            }
-        }
+        self.clients
+            .pool_unseen(proposals, &mut self.pending_proposals);
         if self.pending_proposals.len() >= self.config.batch_size {
             self.flush_batch(ctx);
         }
@@ -432,10 +429,11 @@ impl PassiveBftServer {
             }
         }
         self.acked_digests.insert(n.0, digest);
-        for proposal in batch.iter() {
-            if self.clients.note_seen(proposal.tx.key()) {
-                self.pending_proposals.push(proposal.clone());
-            }
+        let pool = &mut self.pending_proposals;
+        for run in key_runs(&batch, |p| p.tx.key()) {
+            self.clients.note_seen_run(&run, |number| {
+                pool.push(batch[run.index_of(number)].clone())
+            });
         }
         // Progress from the leader: reset the failure-detection timer.
         self.reset_view_timer(ctx);
@@ -644,11 +642,10 @@ impl PassiveBftServer {
         self.stats.committed_blocks += 1;
         self.stats.committed_tx += block.tx.len() as u64;
         self.stats.last_commit_ms = Some(ctx.now().as_ms());
-        let mut by_client: BTreeMap<ClientId, Vec<(ClientId, u64)>> = BTreeMap::new();
-        for tx in &block.tx {
-            self.clients
-                .note_committed(tx.key(), &mut self.stats.gc_pruned_keys);
-            by_client.entry(tx.client).or_default().push(tx.key());
+        let runs: Vec<KeyRun> = key_runs(&block.tx, Transaction::key).collect();
+        for run in &runs {
+            let retired = &mut self.stats.gc_pruned_keys;
+            self.clients.note_committed_run(run, retired, |_| {});
         }
         // A proposal of ours at this number lost to the block, and followers
         // holding the block drop its `Ord`: its requests go back to the pool.
@@ -666,7 +663,7 @@ impl PassiveBftServer {
         // Notify clients. The signature covers only the sequence number, so
         // one signing serves every client of the block.
         let sig = self.keypair.sign(&block.n.0.to_be_bytes());
-        for (client, tx_keys) in by_client {
+        for (client, tx_keys) in keys_by_client(&runs) {
             ctx.send(
                 Actor::Client(client),
                 Message::Notif {
@@ -986,7 +983,7 @@ impl Process<Message> for PassiveBftServer {
 mod tests {
     use super::*;
     use prestige_sim::{Effects, Emission, SimRng, SimTime};
-    use prestige_types::{Transaction, Wire};
+    use prestige_types::{ClientId, Transaction, Wire};
 
     /// A message in flight: sender, recipient, message.
     type Envelope = (Actor, Actor, Message);

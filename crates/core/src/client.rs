@@ -42,8 +42,8 @@ use crate::pacemaker::timer_tags;
 use prestige_crypto::{digest_of, KeyPair, KeyRegistry};
 use prestige_sim::{Context, Process, SimDuration, TimerId};
 use prestige_types::{
-    Actor, ClientId, ClusterConfig, Message, Proposal, ReplicaSet, SeqNum, SeqWindow, Transaction,
-    View, REQUEST_WINDOW,
+    key_runs, Actor, ClientId, ClusterConfig, Message, Proposal, ReplicaSet, SeqNum, SeqWindow,
+    Transaction, View, REQUEST_WINDOW,
 };
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -268,11 +268,6 @@ impl PrestigeClient {
             },
         );
     }
-
-    fn record_commit(&mut self, latency_ms: f64) {
-        self.stats.committed_tx += 1;
-        self.stats.latency_hist.record_ms(latency_ms);
-    }
 }
 
 impl Process<Message> for PrestigeClient {
@@ -297,37 +292,41 @@ impl Process<Message> for PrestigeClient {
             self.observed_seq = self.observed_seq.max(seq);
             let now_ms = ctx.now().as_ms();
             let threshold = self.confirm_threshold();
-            for (client, number) in tx_keys {
-                // Another client's key, or a number never issued, touches no
+            let base = self.base();
+            for run in key_runs(&tx_keys, |key| *key) {
+                // Another client's keys, or numbers never issued, touch no
                 // state (0 is never issued and every window already holds it).
-                if client != self.config.id || number >= self.next_timestamp {
+                if run.client != self.config.id || run.first >= self.next_timestamp {
                     continue;
                 }
+                let issued = run.count().min(self.next_timestamp - run.first);
                 // One vote per server and request, recorded whether or not
-                // the request is still open.
-                if !self.notified[server].insert(number) {
-                    continue;
-                }
-                let Some(slot) = number
-                    .checked_sub(self.base())
-                    .and_then(|i| self.outstanding.get_mut(i as usize))
-                else {
-                    continue; // Confirmed and dropped from the ring already.
-                };
-                if slot.notifs >= threshold {
-                    continue; // Confirmed; later votes count for nothing.
-                }
-                slot.notifs += 1;
-                if slot.notifs == threshold {
-                    let latency_ms = now_ms - slot.sent_at_ms;
-                    self.open -= 1;
-                    if number >= self.latency_floor_ts {
-                        self.record_commit(latency_ms);
-                    } else {
-                        // Warmup straggler: throughput yes, latency no.
-                        self.stats.committed_tx += 1;
+                // the request is still open; each new vote is counted on its
+                // slot of the ring.
+                let (outstanding, open, stats) =
+                    (&mut self.outstanding, &mut self.open, &mut self.stats);
+                let latency_floor_ts = self.latency_floor_ts;
+                self.notified[server].insert_run(run.first, issued, |number| {
+                    let Some(slot) = number
+                        .checked_sub(base)
+                        .and_then(|i| outstanding.get_mut(i as usize))
+                    else {
+                        return; // Confirmed and dropped from the ring already.
+                    };
+                    if slot.notifs >= threshold {
+                        return; // Confirmed; later votes count for nothing.
                     }
-                }
+                    slot.notifs += 1;
+                    if slot.notifs == threshold {
+                        *open -= 1;
+                        stats.committed_tx += 1;
+                        if number >= latency_floor_ts {
+                            stats.latency_hist.record_ms(now_ms - slot.sent_at_ms);
+                        }
+                        // Below the floor: a warmup straggler counts for
+                        // throughput, not latency.
+                    }
+                });
             }
             while (self.outstanding.front()).is_some_and(|slot| slot.notifs >= threshold) {
                 self.outstanding.pop_front();

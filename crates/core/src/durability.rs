@@ -25,7 +25,8 @@ use prestige_crypto::{qc_statement, sign_share, FramedHasher, QcBuilder};
 use prestige_sim::Context;
 use prestige_storage::{Storage, StorageStats, WalRecord, WalRecordRef};
 use prestige_types::{
-    Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId, View,
+    key_runs, Actor, Digest, Message, PartialSig, QcKind, QuorumCertificate, SeqNum, ServerId,
+    Transaction, View,
 };
 
 impl PrestigeServer {
@@ -348,9 +349,9 @@ impl PrestigeServer {
                         continue;
                     }
                     let txs = block.tx.len() as u64;
-                    for tx in &block.tx {
-                        self.clients
-                            .note_committed(tx.key(), &mut self.stats.gc_pruned_keys);
+                    for run in key_runs(&block.tx, Transaction::key) {
+                        let retired = &mut self.stats.gc_pruned_keys;
+                        self.clients.note_committed_run(&run, retired, |_| {});
                     }
                     let keys = block_keys_digest(&block);
                     if self.store.insert_tx_block(block, keys) {
@@ -442,10 +443,9 @@ mod tests {
         let mut server = PrestigeServer::new(ServerId(id), config, registry.clone(), 0);
         for n in 1..=committed {
             let block = TxBlock::new(View(1), SeqNum(n), batch(n));
-            for tx in &block.tx {
-                server
-                    .clients
-                    .note_committed(tx.key(), &mut server.stats.gc_pruned_keys);
+            for run in key_runs(&block.tx, Transaction::key) {
+                let retired = &mut server.stats.gc_pruned_keys;
+                server.clients.note_committed_run(&run, retired, |_| {});
             }
             let keys = block_keys_digest(&block);
             assert!(server.store.insert_tx_block(block, keys));

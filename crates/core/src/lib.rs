@@ -51,7 +51,7 @@ mod sync;
 mod view_change;
 
 pub use client::{ClientConfig, ClientStats, PrestigeClient};
-pub use client_table::ClientTable;
+pub use client_table::{keys_by_client, ClientTable};
 pub use faults::{AttackStrategy, ByzantineBehavior};
 pub use histogram::LatencyHistogram;
 pub use pacemaker::{timer_tags, Pacemaker};

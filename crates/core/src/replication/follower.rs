@@ -13,7 +13,8 @@ use crate::server::{OrderedAck, PrestigeServer};
 use prestige_crypto::{keys_digest, ordering_digest, sign_share};
 use prestige_sim::{cpu_cost, Context};
 use prestige_types::{
-    Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum, TxBlock, View,
+    key_runs, Actor, Digest, Message, PartialSig, Proposal, QcKind, QuorumCertificate, SeqNum,
+    TxBlock, View,
 };
 use std::sync::Arc;
 
@@ -31,15 +32,13 @@ impl PrestigeServer {
     /// Records an ordered batch (shared handle, no copies) so a later leader
     /// can re-propose these proposals if the instance never commits — the
     /// one adoption path shared by live orderings and synced certified
-    /// entries. A key first seen here (not via `Prop`, not committed) is
-    /// tracked in `ordered_only_keys`; commits prune it, so only genuinely
-    /// uncommitted transactions survive into a view-change re-propose.
+    /// entries. A request first seen here (not via `Prop`, not committed)
+    /// becomes *ordered-only* in the client table; commits clear that, so
+    /// only genuinely uncommitted transactions survive into a view-change
+    /// re-propose.
     pub(crate) fn remember_ordered_batch(&mut self, n: u64, batch: &Arc<Vec<Proposal>>) {
-        for proposal in batch.iter() {
-            let key = proposal.tx.key();
-            if self.clients.note_seen(key) {
-                self.ordered_only_keys.insert(key);
-            }
+        for run in key_runs(batch, |p| p.tx.key()) {
+            self.clients.note_ordered_run(&run);
         }
         self.instances.entry(n).or_default().batch = Some(Arc::clone(batch));
     }
@@ -164,7 +163,7 @@ impl PrestigeServer {
         // of the three defenses PR 5 added against the post-election silent
         // double-commit; `canary-double-commit` removes all three.
         #[cfg(not(feature = "canary-double-commit"))]
-        if batch.iter().any(|p| self.clients.is_committed(p.tx.key())) {
+        if key_runs(&batch, |p| p.tx.key()).any(|run| self.clients.any_committed(&run)) {
             let verbatim_repropose = self
                 .held_batch(n.0)
                 .is_some_and(|held| Self::same_proposal_keys(held, &batch));

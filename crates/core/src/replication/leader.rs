@@ -27,11 +27,8 @@ impl PrestigeServer {
     ) {
         self.charge_verify_cost(ctx);
         ctx.charge_cpu_ms(cpu_cost::PER_TX_MS * proposals.len() as f64);
-        for proposal in proposals {
-            if self.clients.note_seen(proposal.tx.key()) {
-                self.pending_proposals.push(proposal);
-            }
-        }
+        self.clients
+            .pool_unseen(proposals, &mut self.pending_proposals);
         if self.is_leader()
             && !self.behavior.silent_as_leader()
             && self.pending_proposals.len() >= self.config.batch_size

@@ -624,6 +624,83 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn orphaned_instances_return_exactly_their_ordered_only_requests() {
+        // What an elected leader puts back into its proposal pool from the
+        // instances beyond its contiguous tip: the requests it knows *only*
+        // through an ordered batch, each once. Client 1's requests:
+        //   1 first seen in an `Ord`            → returns;
+        //   2 first seen in a `Prop`            → does not;
+        //   3 committed in another block        → does not;
+        //   4 in two orphaned batches           → returns once;
+        //   5 only in a batch since replaced    → does not (no batch holds it);
+        //   6 in both the replaced and the new batch at one number → returns;
+        //   7 only in the new batch             → returns.
+        let config = ClusterConfig::new(4);
+        let registry = KeyRegistry::new(9, 4, 2);
+        let mut server = PrestigeServer::new(ServerId(1), config.clone(), registry.clone(), 0);
+        let view = View(1);
+        let request = |number| Transaction::with_size(ClientId(1), number, 16);
+        let batch = |numbers: &[u64]| -> Arc<Vec<Proposal>> {
+            let batch = numbers
+                .iter()
+                .map(|&k| Proposal::new(request(k), Digest::ZERO));
+            Arc::new(batch.collect())
+        };
+
+        with_ctx(&mut server, |s, ctx| {
+            s.on_message(
+                Actor::Client(ClientId(1)),
+                Message::Prop {
+                    proposals: batch(&[2]).to_vec(),
+                    client_sig: [0u8; 32],
+                },
+                ctx,
+            );
+        });
+        // The pool was drained (say, into a batch of this server's own), so
+        // whatever the orphan path adds below is what it returned.
+        server.pending_proposals.clear();
+
+        // Nothing is held at 2, so everything held above it is an orphan.
+        server.remember_ordered_batch(3, &batch(&[1, 2, 3, 4]));
+        server.remember_ordered_batch(4, &batch(&[4]));
+        server.remember_ordered_batch(6, &batch(&[5, 6]));
+        server.remember_ordered_batch(6, &batch(&[6, 7]));
+
+        // Request 3 commits at n = 1.
+        let committed = [Proposal::new(request(3), Digest::ZERO)];
+        let digest = batch_digest(view, SeqNum(1), &committed);
+        let mut block = TxBlock::new(view, SeqNum(1), vec![request(3)]);
+        for kind in [QcKind::Ordering, QcKind::Commit] {
+            let qc = build_qc(&registry, kind, view, SeqNum(1), digest, config.quorum());
+            match kind {
+                QcKind::Ordering => block.ordering_qc = Some(qc),
+                _ => block.commit_qc = Some(qc),
+            }
+        }
+        with_ctx(&mut server, |s, ctx| {
+            let block = Arc::new(block);
+            let message = Message::CommitBlock {
+                block,
+                sig: [0u8; 32],
+            };
+            s.on_message(Actor::Server(ServerId(0)), message, ctx);
+        });
+        assert_eq!(server.store().latest_seq(), SeqNum(1));
+
+        with_ctx(&mut server, |s, ctx| {
+            s.note_view_installed(ctx, ServerId(1))
+        });
+        let returned: Vec<u64> = server
+            .pending_proposals
+            .iter()
+            .map(|p| p.tx.timestamp)
+            .collect();
+        assert_eq!(returned, [1, 4, 6, 7]);
+        assert!((3..=6).all(|n| server.held_batch(n).is_none()));
+    }
+
+    #[test]
     fn externally_committed_instance_releases_its_inflight_slot() {
         // A leader's in-flight instance may commit through an external path
         // (a straggler CommitBlock from the previous view racing the

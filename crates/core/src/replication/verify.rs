@@ -1,13 +1,13 @@
 //! Certificate validation and the in-order apply path, shared by live
 //! `CommitBlock` broadcasts and blocks acquired through sync.
 
+use crate::client_table::keys_by_client;
 use crate::profile::{LoopProfile, LoopStage};
 use crate::server::PrestigeServer;
 use crate::storage::block_keys_digest;
 use prestige_crypto::ordering_digest;
 use prestige_sim::Context;
-use prestige_types::{Actor, ClientId, Digest, Message, QcKind, TxBlock};
-use std::collections::BTreeMap;
+use prestige_types::{key_runs, Actor, Digest, KeyRun, Message, QcKind, Transaction, TxBlock};
 use std::sync::Arc;
 
 impl PrestigeServer {
@@ -164,31 +164,26 @@ impl PrestigeServer {
         keys: Digest,
         ctx: &mut Context<Message>,
     ) -> Option<Arc<TxBlock>> {
-        let n = block.n;
-        let view = block.view;
-        // One pass over the batch does all the per-transaction bookkeeping:
-        // snapshot the keys, record them in the client table as committed
-        // (which also marks them seen), and — the execution-layer half of
-        // the double-assign defense — detect transactions that already
-        // committed in an earlier block (`note_committed`'s return value
-        // *is* the duplicate check). Duplicates are marked `status = false`
-        // before the block is stored; the rule is a pure function of the
-        // committed prefix, so every replica derives the same statuses, and
-        // the chain digest (which covers transaction identities, not
-        // statuses) is unaffected.
+        let (n, view, txs) = (block.n, block.view, block.tx.len() as u64);
+        // The block is split once into runs of one client's consecutive
+        // request numbers, and every per-transaction step below takes a run
+        // at a time: record them in the client table as committed (which
+        // also marks them seen), and — the execution-layer half of the
+        // double-assign defense — detect transactions that already committed
+        // in an earlier block (`note_committed_run` names them). Duplicates
+        // are marked `status = false` before the block is stored; the rule is
+        // a pure function of the committed prefix, so every replica derives
+        // the same statuses, and the chain digest (which covers transaction
+        // identities, not statuses) is unaffected.
         #[cfg_attr(feature = "canary-double-commit", allow(unused_mut))]
         let mut block = block;
-        let mut committed_keys: Vec<(ClientId, u64)> = Vec::with_capacity(block.tx.len());
+        let runs: Vec<KeyRun> = key_runs(&block.tx, Transaction::key).collect();
         let mut duplicates: Vec<usize> = Vec::new();
-        for (i, tx) in block.tx.iter().enumerate() {
-            let key = tx.key();
-            committed_keys.push(key);
-            if !self
-                .clients
-                .note_committed(key, &mut self.stats.gc_pruned_keys)
-            {
-                duplicates.push(i);
-            }
+        for run in &runs {
+            let retired = &mut self.stats.gc_pruned_keys;
+            self.clients.note_committed_run(run, retired, |number| {
+                duplicates.push(run.index_of(number));
+            });
         }
         // Canary mutation (vopr mutation-score gate): without the apply-time
         // dedup a transaction that slips past the pre-ack defenses commits
@@ -215,21 +210,19 @@ impl PrestigeServer {
             return None;
         }
         self.stats.committed_blocks += 1;
-        self.stats.committed_tx += committed_keys.len() as u64;
+        self.stats.committed_tx += txs;
         self.stats.last_commit_ms = Some(ctx.now().as_ms());
 
-        // Clear complaint state and pending proposals for committed keys.
-        // The complaint/ordered-only maps are empty in steady state, so the
+        // Clear complaint state, ordered-only bits and pending proposals for
+        // committed keys. The complaint map is empty in steady state, so its
         // per-key removals are gated on non-emptiness.
         if !self.complaints.is_empty() {
-            for key in &committed_keys {
-                self.complaints.remove(key);
+            for key in runs.iter().flat_map(KeyRun::keys) {
+                self.complaints.remove(&key);
             }
         }
-        if !self.ordered_only_keys.is_empty() {
-            for key in &committed_keys {
-                self.ordered_only_keys.remove(key);
-            }
+        for run in &runs {
+            self.clients.take_ordered_only(run, |_| {});
         }
         if !self.pending_proposals.is_empty() {
             let clients = &self.clients;
@@ -248,10 +241,7 @@ impl PrestigeServer {
         // (hoisted out of the loop) serves every client of the block — the
         // deterministic MAC makes this observationally identical to signing
         // per client.
-        let mut by_client: BTreeMap<ClientId, Vec<(ClientId, u64)>> = BTreeMap::new();
-        for key in committed_keys {
-            by_client.entry(key.0).or_default().push(key);
-        }
+        let by_client = keys_by_client(&runs);
         if !by_client.is_empty() {
             let sig = self.sign(&n.0.to_be_bytes());
             for (client, tx_keys) in by_client {

@@ -22,7 +22,7 @@ use prestige_crypto::{
 use prestige_reputation::ReputationEngine;
 use prestige_sim::{cpu_cost, Context, Process, SimTime, TimerId};
 use prestige_types::{
-    Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
+    key_runs, Actor, ClientId, ClusterConfig, Digest, Message, PartialSig, Proposal, QcKind,
     QuorumCertificate, SeqNum, ServerId, VcBlock, View,
 };
 use serde::{Deserialize, Serialize};
@@ -287,11 +287,6 @@ pub struct PrestigeServer {
     /// One record per uncommitted instance this server holds anything for,
     /// keyed by sequence number.
     pub(crate) instances: BTreeMap<u64, Instance>,
-    /// Keys of transactions known *only* through an ordered batch (never via
-    /// a client `Prop`, never committed). Commits prune it — by key, in any
-    /// block — so view-change materialization cannot re-propose a
-    /// transaction that already committed under a different sequence number.
-    pub(crate) ordered_only_keys: BTreeSet<(ClientId, u64)>,
     /// Highest sequence number this server has sent a `CmtReply` for. A
     /// commit share enables a commit QC the leader may assemble without this
     /// server ever seeing the resulting `CommitBlock` (crash, partition), so
@@ -440,7 +435,6 @@ impl PrestigeServer {
             clients: ClientTable::default(),
             next_seq: SeqNum(1),
             instances: BTreeMap::new(),
-            ordered_only_keys: BTreeSet::new(),
             signed_commit_tip: 0,
             last_sync_req_ms: f64::NEG_INFINITY,
             sync_served_ms: BTreeMap::new(),
@@ -800,16 +794,18 @@ impl PrestigeServer {
         if !orphans.is_empty() {
             let mut pending_keys: BTreeSet<(ClientId, u64)> =
                 self.pending_proposals.iter().map(|p| p.tx.key()).collect();
+            let pool = &mut self.pending_proposals;
             for batch in orphans {
-                for proposal in batch.iter() {
-                    let key = proposal.tx.key();
-                    // `remove`: the transaction is now in the proposal
-                    // pool, no longer known *only* through an ordered
-                    // batch — keeping the set consistent with the batches
-                    // actually retained bounds its growth.
-                    if self.ordered_only_keys.remove(&key) && pending_keys.insert(key) {
-                        self.pending_proposals.push(proposal.clone());
-                    }
+                for run in key_runs(&batch, |p| p.tx.key()) {
+                    // Taken: the transaction is now in the proposal pool, no
+                    // longer known *only* through an ordered batch — keeping
+                    // the bits consistent with the batches actually retained
+                    // bounds their growth.
+                    self.clients.take_ordered_only(&run, |number| {
+                        if pending_keys.insert((run.client, number)) {
+                            pool.push(batch[run.index_of(number)].clone());
+                        }
+                    });
                 }
             }
         }

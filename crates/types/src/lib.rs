@@ -34,5 +34,5 @@ pub use error::{ProtocolError, Result};
 pub use ids::{ClientId, ReplicaSet, SeqNum, ServerId, View};
 pub use message::{Actor, Message, OrderedEntry, Wire};
 pub use qc::{PartialSig, QcKind, QuorumCertificate};
-pub use seqwindow::{SeqWindow, REQUEST_WINDOW};
+pub use seqwindow::{key_runs, word_masks, KeyRun, SeqWindow, REQUEST_WINDOW};
 pub use transaction::{Digest, Proposal, Transaction};

@@ -17,7 +17,12 @@
 //! The second rule loses nothing for a client that keeps its outstanding
 //! requests within the window (`PrestigeClient` does): what falls below a
 //! replica's floor was already confirmed to that client by `f + 1` replicas.
+//!
+//! A client's requests travel in order, so a bundle, batch or block is mostly
+//! a few [`KeyRun`]s — one client's consecutive numbers — and
+//! [`SeqWindow::insert_run`] records a run with one mask per bitmap word.
 
+use crate::ClientId;
 use std::collections::VecDeque;
 
 /// How far above its lowest unconfirmed request number a client may issue
@@ -28,6 +33,85 @@ use std::collections::VecDeque;
 pub const REQUEST_WINDOW: u64 = 1 << 20;
 
 const WORD: u64 = 64;
+
+/// The bitmap words `first..first + count` covers, in ascending order: each
+/// word's index (`number / 64`) and the mask of the run's bits in it. Numbers
+/// past `u64::MAX` do not exist, so a run is cut there.
+pub fn word_masks(first: u64, count: u64) -> impl Iterator<Item = (u64, u64)> {
+    let last = first.saturating_add(count.saturating_sub(1));
+    let words = match count {
+        0 => 0..0,
+        _ => first / WORD..last / WORD + 1,
+    };
+    words.map(move |index| {
+        let base = index * WORD;
+        let (lo, hi) = (first.max(base) - base, last.min(base + (WORD - 1)) - base);
+        (index, (u64::MAX >> (WORD - 1 - (hi - lo))) << lo)
+    })
+}
+
+/// A maximal stretch of one client's consecutive request numbers within a
+/// slice of requests: the items `at..at + len` carry the numbers
+/// `first..first + len`, in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRun {
+    /// The client whose requests these are.
+    pub client: ClientId,
+    /// The run's first request number.
+    pub first: u64,
+    /// How many requests the run holds (at least one).
+    pub len: usize,
+    /// The position of the run's first item in the slice.
+    pub at: usize,
+}
+
+impl KeyRun {
+    /// How many request numbers the run spans.
+    pub fn count(&self) -> u64 {
+        self.len as u64
+    }
+
+    /// The run's last request number.
+    pub fn last(&self) -> u64 {
+        self.first + (self.count() - 1)
+    }
+
+    /// The position in the slice of the run's request number `number`.
+    pub fn index_of(&self, number: u64) -> usize {
+        self.at + (number - self.first) as usize
+    }
+
+    /// The run's `(client, number)` keys, in order.
+    pub fn keys(&self) -> impl Iterator<Item = (ClientId, u64)> {
+        let client = self.client;
+        (self.first..=self.last()).map(move |number| (client, number))
+    }
+}
+
+/// Splits `items` into maximal [`KeyRun`]s, in slice order: a run ends where
+/// the client changes or the next number is not one more than the last.
+pub fn key_runs<T, F>(items: &[T], key: F) -> impl Iterator<Item = KeyRun> + use<'_, T, F>
+where
+    F: Fn(&T) -> (ClientId, u64),
+{
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let (client, first) = key(items.get(at)?);
+        let next = |step| first.checked_add(step).map(|number| (client, number));
+        let len = 1
+            + (items[at + 1..].iter().zip(1u64..))
+                .take_while(|(item, step)| Some(key(item)) == next(*step))
+                .count();
+        let run = KeyRun {
+            client,
+            first,
+            len,
+            at,
+        };
+        at += len;
+        Some(run)
+    })
+}
 
 /// A set of `u64` request numbers that forgets *downwards*: see the module
 /// documentation. A fresh window already contains 0 — clients number from 1,
@@ -81,6 +165,66 @@ impl SeqWindow {
             return false;
         }
         *word |= bit;
+        self.drop_full_front();
+        true
+    }
+
+    /// Adds `first..first + count` with one mask operation per word, calling
+    /// `fresh` with each number that was not a member, in ascending order:
+    /// exactly what inserting the numbers one by one would do and yield. A
+    /// run that would pass the [`REQUEST_WINDOW`] slide is inserted so.
+    pub fn insert_run(&mut self, first: u64, count: u64, mut fresh: impl FnMut(u64)) {
+        let Some(last) = count.checked_sub(1).map(|c| first.saturating_add(c)) else {
+            return;
+        };
+        if last < self.floor {
+            return;
+        }
+        if last - self.floor >= REQUEST_WINDOW {
+            for k in first..=last {
+                if self.insert(k) {
+                    fresh(k);
+                }
+            }
+            return;
+        }
+        let start = first.max(self.floor);
+        let floor_word = self.floor / WORD;
+        let top = (last / WORD - floor_word) as usize;
+        if top >= self.words.len() {
+            self.words.resize(top + 1, 0);
+        }
+        for (index, mask) in word_masks(start, last - start + 1) {
+            let word = &mut self.words[(index - floor_word) as usize];
+            let mut new = mask & !*word;
+            *word |= mask;
+            while new != 0 {
+                fresh(index * WORD + u64::from(new.trailing_zeros()));
+                new &= new - 1;
+            }
+        }
+        self.drop_full_front();
+    }
+
+    /// Whether any number of `first..first + count` is a member.
+    pub fn any_in(&self, first: u64, count: u64) -> bool {
+        if count == 0 {
+            return false;
+        }
+        if first < self.floor {
+            return true;
+        }
+        let floor_word = self.floor / WORD;
+        word_masks(first, count)
+            .map_while(|(index, mask)| {
+                let word = self.words.get((index - floor_word) as usize)?;
+                Some(word & mask)
+            })
+            .any(|hit| hit != 0)
+    }
+
+    /// Drops front words that are all ones, moving the floor up past them.
+    fn drop_full_front(&mut self) {
         while self.words.front() == Some(&u64::MAX) {
             // The top word of the number space stays: there is no floor
             // above it.
@@ -90,7 +234,6 @@ impl SeqWindow {
             self.floor = floor;
             self.words.pop_front();
         }
-        true
     }
 
     /// Moves the floor up so that `k`'s word is the last of the window.
@@ -223,7 +366,155 @@ mod tests {
         );
     }
 
+    /// `insert_run` against inserting the same numbers one by one: the
+    /// same fresh numbers in the same order and the same window after.
+    fn check_run_against_inserts(window: &mut SeqWindow, first: u64, count: u64) {
+        let mut reference = window.clone();
+        let last = first.saturating_add(count.saturating_sub(1));
+        let expected: Vec<u64> = (first..=last)
+            .take(count as usize)
+            .filter(|&k| reference.insert(k))
+            .collect();
+        let mut fresh = Vec::new();
+        window.insert_run(first, count, |k| fresh.push(k));
+        assert_eq!(fresh, expected, "insert_run({first}, {count})");
+        assert_eq!(*window, reference, "insert_run({first}, {count})");
+        assert_eq!(
+            (window.floor(), window.words()),
+            (reference.floor(), reference.words())
+        );
+        for k in (first.saturating_sub(65)..=last.saturating_add(65)).take(count as usize + 131) {
+            assert_eq!(window.contains(k), reference.contains(k), "contains({k})");
+        }
+    }
+
+    /// `any_in` against asking `contains` number by number.
+    fn check_any_in(window: &SeqWindow, first: u64, count: u64) {
+        let last = first.saturating_add(count.saturating_sub(1));
+        let expected = (first..=last)
+            .take(count as usize)
+            .any(|k| window.contains(k));
+        assert_eq!(
+            window.any_in(first, count),
+            expected,
+            "any_in({first}, {count})"
+        );
+    }
+
+    #[test]
+    fn runs_at_the_edges_match_one_by_one_inserts() {
+        let mut w = SeqWindow::default();
+        check_run_against_inserts(&mut w, 5, 0);
+        check_run_against_inserts(&mut w, 0, 1);
+        check_run_against_inserts(&mut w, 1, 63);
+        assert_eq!((w.floor(), w.words()), (64, 0), "the full word went");
+        check_run_against_inserts(&mut w, 10, 100);
+        check_run_against_inserts(&mut w, 200, 1000);
+        check_run_against_inserts(&mut w, 64, 200);
+        // Across the slide, and at the top of the number space.
+        check_run_against_inserts(&mut w, REQUEST_WINDOW - 10, 100);
+        check_run_against_inserts(&mut w, 5 * REQUEST_WINDOW, 3);
+        check_run_against_inserts(&mut w, u64::MAX - 300, 100);
+        check_run_against_inserts(&mut w, u64::MAX - 130, 131);
+        assert!(w.contains(u64::MAX));
+        check_run_against_inserts(&mut w, u64::MAX, 5);
+        for (first, count) in [(0, 0), (0, 1), (u64::MAX - 300, 1), (u64::MAX - 299, 2)] {
+            check_any_in(&w, first, count);
+        }
+    }
+
+    #[test]
+    fn key_runs_split_at_every_break() {
+        let (a, b) = (ClientId(1), ClientId(2));
+        let keys = [
+            (a, 1),
+            (a, 2),
+            (a, 3), // a run
+            (b, 4), // another client
+            (a, 4),
+            (a, 5), // a again, continuing its numbers
+            (a, 7), // a gap
+            (a, 6), // descending
+            (a, 6), // repeated
+            (a, u64::MAX),
+            (a, 0), // no wrap-around
+        ];
+        let runs: Vec<(ClientId, u64, usize, usize)> = key_runs(&keys, |k| *k)
+            .map(|r| (r.client, r.first, r.len, r.at))
+            .collect();
+        assert_eq!(
+            runs,
+            [
+                (a, 1, 3, 0),
+                (b, 4, 1, 3),
+                (a, 4, 2, 4),
+                (a, 7, 1, 6),
+                (a, 6, 1, 7),
+                (a, 6, 1, 8),
+                (a, u64::MAX, 1, 9),
+                (a, 0, 1, 10),
+            ]
+        );
+        assert_eq!(key_runs(&[] as &[(ClientId, u64)], |k| *k).count(), 0);
+    }
+
     proptest! {
+        #[test]
+        fn insert_run_matches_one_by_one_inserts(
+            prefix in proptest::collection::vec(0u64..3_000, 0..300),
+            runs in proptest::collection::vec(any::<u64>(), 1..24),
+        ) {
+            let mut window = SeqWindow::default();
+            for k in prefix {
+                window.insert(k);
+            }
+            for pick in runs {
+                // Below or straddling the floor, inside the window, past the
+                // slide or straddling it: every start relative to the floor.
+                let (count, offset) = ((pick >> 48) % 300, (pick >> 4) % (1 << 40));
+                let floor = window.floor();
+                let first = match pick % 5 {
+                    0 => floor.saturating_sub(offset % 200),
+                    1 | 2 => floor + offset % 5_000,
+                    3 => floor + REQUEST_WINDOW - offset % 400,
+                    _ => floor + offset % (3 * REQUEST_WINDOW),
+                };
+                check_any_in(&window, first, count);
+                check_run_against_inserts(&mut window, first, count);
+                check_any_in(&window, first, count);
+                check_any_in(&window, first.saturating_sub(count / 2), count);
+            }
+        }
+
+        #[test]
+        fn key_runs_cover_the_slice_with_maximal_runs(
+            picks in proptest::collection::vec(0u64..120, 0..200),
+        ) {
+            // Few clients and small numbers: interleavings, gaps, descents
+            // and repeats all occur.
+            let keys: Vec<(ClientId, u64)> = picks
+                .into_iter()
+                .map(|pick| (ClientId(pick % 3), pick / 3))
+                .collect();
+            let runs: Vec<KeyRun> = key_runs(&keys, |k| *k).collect();
+            let mut at = 0;
+            for run in &runs {
+                prop_assert_eq!(run.at, at);
+                prop_assert!(run.len >= 1);
+                let covered: Vec<(ClientId, u64)> = run.keys().collect();
+                prop_assert_eq!(&covered[..], &keys[at..at + run.len]);
+                for (i, key) in covered.iter().enumerate() {
+                    prop_assert_eq!(run.index_of(key.1), at + i);
+                }
+                at += run.len;
+                // Maximal: the next item does not continue the run.
+                if let Some(next) = keys.get(at) {
+                    prop_assert_ne!(*next, (run.client, run.last() + 1));
+                }
+            }
+            prop_assert_eq!(at, keys.len());
+        }
+
         #[test]
         fn in_order_and_shuffled_within_a_window_match_the_model(
             start in 1u64..5_000_000,

@@ -135,7 +135,13 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
             _ => break,
         }
     }
-    series.push((scenario.duration_ms, cluster.confirmed_tx()));
+    // A run that reached its deadline lasted the scenario's duration; one
+    // stopped at its first violation lasted until the event that broke it.
+    let run_ms = match violation {
+        Some(_) => cluster.sim.now().as_ms() as u64,
+        None => scenario.duration_ms,
+    };
+    series.push((run_ms, cluster.confirmed_tx()));
 
     let mut committed_blocks = 0u64;
     let mut views_installed = 0u64;
@@ -163,7 +169,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunOutcome {
         committed_blocks,
         views_installed,
         observations: Observations {
-            run_ms: scenario.duration_ms,
+            run_ms,
             series,
             servers,
             violation: violation.as_ref().map(|v| Violated {
@@ -198,9 +204,32 @@ mod tests {
         // clean benign run passes the default expectation.
         let series = &outcome.observations.series;
         assert_eq!(series.len(), 21 + 1);
+        assert_eq!(outcome.observations.run_ms, s.duration_ms);
         assert!(series.windows(2).all(|w| w[0].1 <= w[1].1));
         assert!(outcome.observations.committed() > 0);
         assert_eq!(s.judge(&outcome.observations), Vec::<String>::new());
+    }
+
+    /// Swarm seed 11 forks under the C3 canary at about 1.7 s of a 3.7 s
+    /// schedule; the run stops there, so that is how long it lasted. Run with
+    /// `cargo test -p prestige-vopr --features canary-c3-fork`.
+    #[cfg(feature = "canary-c3-fork")]
+    #[test]
+    fn a_run_stopped_by_a_violation_lasts_until_the_violation() {
+        let s = generate(11);
+        let outcome = run_scenario(&s);
+        let violation = outcome.violation.expect("the canary forks seed 11");
+        let obs = &outcome.observations;
+        assert_eq!(obs.run_ms, violation.at_ms as u64);
+        assert!(obs.run_ms < s.duration_ms, "{} ms", obs.run_ms);
+        assert_eq!(obs.series.last().map(|(t, _)| *t), Some(obs.run_ms));
+        assert!(obs.series.windows(2).all(|w| w[0].0 < w[1].0));
+        for reason in s.judge(obs) {
+            assert!(
+                !reason.contains(&format!("{} ms run", s.duration_ms)),
+                "{reason}"
+            );
+        }
     }
 
     #[test]
